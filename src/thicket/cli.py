@@ -8,6 +8,7 @@ internal invariant violation.  All randomized suites are deterministic given
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import random
@@ -47,12 +48,21 @@ def _read_doc(path: str) -> Document:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report a failure to write ``path`` as a one-line validation error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_doc(doc: Document, path: str | None):
     text = serialize(doc)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with _writing(path), open(path, "w") as fh:
             fh.write(text)
 
 
@@ -100,7 +110,11 @@ def _bounds_row(name, bounds, micros):
 
 def _write_csv(rows, path):
     cols = ["inputs", "lower", "upper", "exact", "verdict", "micros"]
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+    if path in (None, "-"):
+        out = sys.stdout
+    else:
+        with _writing(path):
+            out = open(path, "w", newline="")
     try:
         w = csv.DictWriter(out, fieldnames=cols)
         w.writeheader()
@@ -114,7 +128,9 @@ def _write_csv(rows, path):
 def cmd_distance(args):
     F = _need(_read_doc(args.F), "barcode")
     G = _need(_read_doc(args.G), "barcode")
-    budget = Budget(max_unknowns=args.budget) if args.budget else DEFAULT_BUDGET
+    if args.budget is not None and args.budget < 0:
+        raise CliError(f"--budget must be nonnegative, got {args.budget}")
+    budget = DEFAULT_BUDGET if args.budget is None else Budget(max_unknowns=args.budget)
     t0 = time.perf_counter()
     b = distance(F, G, budget)
     _write_csv([_bounds_row(f"{args.F}|{args.G}", b,
@@ -216,7 +232,7 @@ def cmd_regen_homtable(args):
     from .morphisms import dump_hom_table, generate_hom_table, hom_table_path
     text = dump_hom_table(generate_hom_table(2))
     path = args.output or str(hom_table_path())
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(text)
     print(f"wrote {path}")
     return 0
@@ -226,7 +242,8 @@ def cmd_plot(args):
     doc = _read_doc(args.input)
     if doc.kind not in ("barcode", "circle"):
         raise CliError(f"cannot plot a {doc.kind} document")
-    emit_plot(doc.payload, args.output)
+    with _writing(args.output):
+        emit_plot(doc.payload, args.output)
     return 0
 
 

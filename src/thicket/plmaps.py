@@ -1,19 +1,22 @@
 """Piecewise-linear maps, proper pushforward of barcodes, and the stability
 and Lipschitz experiment harness.
 
-The pushforward computes fiberwise compactly supported cohomology over a
-target stratification refined by all critical values, assembles generization
-maps from slab components, and decomposes the resulting zigzag per degree.
+A ``PLMap`` builds its affine pieces once, when it is constructed; every
+evaluation, slope, composition and distance reads that tuple.  The
+pushforward restricts the pieces to each bar once, computes fiberwise
+compactly supported cohomology from the restricted pieces over a target
+stratification refined by all critical values, assembles generization maps
+from slab components, and decomposes the resulting zigzag per degree.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
-                      rgamma_c_interval)
+                      rgamma_c_interval, singleton)
 from .interleave import (Budget, DEFAULT_BUDGET, CapacityError,
                          InterleavingCertificate, LINE_OPS, check_exhaustive,
                          check_matching, verify_certificate)
@@ -32,13 +35,16 @@ class PLMap:
 
     The domain is the whole line (default) or an interval.  On an unbounded
     side the map continues either constantly or affinely with the adjacent
-    segment's slope.
+    segment's slope.  The affine pieces and tail slopes are derived from the
+    other fields at construction and take no part in equality or hashing.
     """
     xs: tuple
     ys: tuple
     left_ext: str = "affine"
     right_ext: str = "affine"
     domain: Interval | None = None
+    _pieces: tuple = field(init=False, repr=False, compare=False)
+    _tail_slopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = tuple(Fraction(x) for x in self.xs)
@@ -55,55 +61,58 @@ class PLMap:
                 raise ValueError("breakpoints leave the domain")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-
-    # -- basic evaluation ------------------------------------------------
-    def _seg_slope(self, i: int) -> Fraction:
-        return (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
+        pieces = _line_pieces(xs, ys, self.left_ext, self.right_ext)
+        object.__setattr__(self, "_tail_slopes", (pieces[0][2], pieces[-1][2]))
+        if self.domain is not None:
+            pieces = _clip_pieces(pieces, self.domain, ys[0])
+        object.__setattr__(self, "_pieces", pieces)
 
     @property
     def left_slope(self) -> Fraction:
-        if self.left_ext == "constant" or len(self.xs) == 1:
-            return Fraction(0)
-        return self._seg_slope(0)
+        return self._tail_slopes[0]
 
     @property
     def right_slope(self) -> Fraction:
-        if self.right_ext == "constant" or len(self.xs) == 1:
-            return Fraction(0)
-        return self._seg_slope(len(self.xs) - 2)
+        return self._tail_slopes[1]
 
-    def pieces(self):
+    def pieces(self) -> tuple:
         """Affine pieces (lo, hi, slope, intercept) covering the domain."""
-        out = []
-        s = self.left_slope
-        out.append((NEG_INF, self.xs[0], s, self.ys[0] - s * self.xs[0]))
-        for i in range(len(self.xs) - 1):
-            s = self._seg_slope(i)
-            out.append((self.xs[i], self.xs[i + 1], s, self.ys[i] - s * self.xs[i]))
-        s = self.right_slope
-        out.append((self.xs[-1], POS_INF, s, self.ys[-1] - s * self.xs[-1]))
-        if self.domain is not None:
-            clipped = []
-            for lo, hi, s, b in out:
-                lo2 = max(lo, self.domain.left)
-                hi2 = min(hi, self.domain.right)
-                if lo2 < hi2 or (lo2 == hi2 and self.domain.is_singleton):
-                    clipped.append((lo2, hi2, s, b))
-            return clipped or [(self.domain.left, self.domain.right,
-                                Fraction(0), self.ys[0])]
-        return out
+        return self._pieces
 
     def value(self, x) -> Fraction:
         x = Fraction(x)
         if self.domain is not None and not (self.domain.left <= x <= self.domain.right):
             raise ValueError(f"{x} lies outside the domain {self.domain}")
-        for lo, hi, s, b in self.pieces():
-            if (lo == NEG_INF or lo <= x) and (hi == POS_INF or x <= hi):
+        for lo, hi, s, b in self._pieces:
+            if lo <= x <= hi:
                 return s * x + b
         raise AssertionError("pieces do not cover the domain")
 
     def breakpoints(self):
         return self.xs
+
+
+def _line_pieces(xs, ys, left_ext, right_ext) -> tuple:
+    """Pieces over the whole line: the two tails and one per segment."""
+    slopes = [(y2 - y1) / (x2 - x1)
+              for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:])]
+    left = slopes[0] if slopes and left_ext == "affine" else Fraction(0)
+    right = slopes[-1] if slopes and right_ext == "affine" else Fraction(0)
+    los = (NEG_INF,) + xs
+    his = xs + (POS_INF,)
+    anchors = ((xs[0], ys[0]),) + tuple(zip(xs, ys))
+    return tuple((lo, hi, s, y - s * x) for lo, hi, s, (x, y)
+                 in zip(los, his, [left] + slopes + [right], anchors))
+
+
+def _clip_pieces(pieces, domain: Interval, y0) -> tuple:
+    clipped = []
+    for lo, hi, s, b in pieces:
+        lo2 = max(lo, domain.left)
+        hi2 = min(hi, domain.right)
+        if lo2 < hi2 or (lo2 == hi2 and domain.is_singleton):
+            clipped.append((lo2, hi2, s, b))
+    return tuple(clipped) or ((domain.left, domain.right, Fraction(0), y0),)
 
 
 def identity_map() -> PLMap:
@@ -209,7 +218,8 @@ def _merge_components(parts: list[Interval]) -> list[Interval]:
 
 
 def _bar_pieces(f: PLMap, iv: Interval):
-    """Affine pieces of f restricted to the bar support, kinds inherited."""
+    """Affine pieces of f restricted to the bar support, kinds inherited:
+    (sub-interval, slope, intercept) in increasing order."""
     out = []
     for lo, hi, s, b in f.pieces():
         piece = Interval(lo, OPEN if lo == NEG_INF else CLOSED,
@@ -234,21 +244,23 @@ def _preimage_in_piece(sub: Interval, s: Fraction, b: Fraction, lo, hi,
         k1, k2 = hi_closed, lo_closed
     else:
         k1, k2 = lo_closed, hi_closed
+    if x2 < sub.left or x1 > sub.right:
+        return []
     window = Interval(x1, CLOSED if k1 else OPEN, x2, CLOSED if k2 else OPEN)
     inter = intersect(window, sub)
     return [inter] if inter is not None else []
 
 
-def _fiber(f: PLMap, iv: Interval, t: Fraction) -> list[Interval]:
-    parts = []
-    for sub, s, b in _bar_pieces(f, iv):
-        parts.extend(_preimage_in_piece(sub, s, b, t, t))
-    return _merge_components(parts)
+def _fiber(pieces, t: Fraction) -> list[Interval]:
+    """Components of the fiber over t, from a bar's restricted pieces."""
+    return _slab(pieces, t, t)
 
 
-def _slab(f: PLMap, iv: Interval, lo: Fraction, hi: Fraction) -> list[Interval]:
+def _slab(pieces, lo: Fraction, hi: Fraction) -> list[Interval]:
+    """Components of the preimage of [lo, hi], from a bar's restricted
+    pieces."""
     parts = []
-    for sub, s, b in _bar_pieces(f, iv):
+    for sub, s, b in pieces:
         parts.extend(_preimage_in_piece(sub, s, b, lo, hi))
     return _merge_components(parts)
 
@@ -273,26 +285,23 @@ def _check_proper(f: PLMap, iv: Interval):
         raise NonProperError(f"constant tail over the unbounded bar {iv}")
 
 
-def _critical_values(f: PLMap, iv: Interval):
+def _critical_values(pieces):
+    """Images of the restricted pieces' finite ends: the breakpoints in the
+    bar and the bar's finite endpoints."""
     vals = set()
-    for x in f.xs:
-        if iv.contains(Fraction(x)):
-            vals.add(f.value(x))
-    for e in (iv.left, iv.right):
-        if is_finite(e):
-            vals.add(f.value(e))
+    for sub, s, b in pieces:
+        for e in (sub.left, sub.right):
+            if is_finite(e):
+                vals.add(s * e + b)
     return sorted(vals)
 
 
 def _pushforward_bar(f: PLMap, bar: Bar, char: int) -> list[Bar]:
     iv, d = bar.iv, bar.degree
     _check_proper(f, iv)
-    cvs = _critical_values(f, iv)
-    model = LineModel(cvs)
-    n = len(model.strata)
-    fibers = []
-    for s in model.strata:
-        fibers.append(_fiber(f, iv, s.sample()))
+    pieces = _bar_pieces(f, iv)
+    model = LineModel(_critical_values(pieces))
+    fibers = [_fiber(pieces, s.sample()) for s in model.strata]
     cc = [[c for c in comps if _is_cc(c)] for comps in fibers]
     opens = [[c for c in comps if _is_open_comp(c)] for comps in fibers]
     for idx, comps in enumerate(fibers):
@@ -304,12 +313,12 @@ def _pushforward_bar(f: PLMap, bar: Bar, char: int) -> list[Bar]:
         if model.strata[idx].kind == "open" and opens[idx]:
             raise AssertionError("open fiber component over a non-critical value")
 
-    dims0 = [len(cc[i]) for i in range(n)]
+    dims0 = [len(comps) for comps in cc]
     mats0 = []
     for (pt, op, _side) in model.edges:
         c = model.strata[pt].left
         t = model.strata[op].sample()
-        slab = _slab(f, iv, min(c, t), max(c, t))
+        slab = _slab(pieces, min(c, t), max(c, t))
         mat = [[0] * dims0[pt] for _ in range(dims0[op])]
         for j, K in enumerate(cc[pt]):
             B = next((s for s in slab if intersect(s, K) is not None), None)
@@ -323,14 +332,10 @@ def _pushforward_bar(f: PLMap, bar: Bar, char: int) -> list[Bar]:
         mats0.append(mat)
     rep0 = Rep(model, dims0, mats0, char)
     out = [Bar(interval, d) for interval in decompose_line(rep0)]
-
-    dims1 = [len(opens[i]) for i in range(n)]
-    if any(dims1):
-        mats1 = []
-        for (pt, op, _side) in model.edges:
-            mats1.append([[0] * dims1[pt] for _ in range(dims1[op])])
-        rep1 = Rep(model, dims1, mats1, char)
-        out.extend(Bar(interval, d + 1) for interval in decompose_line(rep1))
+    # An open component lies over a critical value c and generizes to zero,
+    # so each one is the point bar [c, c] one degree up.
+    for s, comps in zip(model.strata, opens):
+        out.extend(Bar(singleton(s.left), d + 1) for _ in comps)
     return out
 
 

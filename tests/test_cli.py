@@ -101,6 +101,32 @@ class TestExitCodes:
         monkeypatch.setattr(climod, "cmd_dual", boom)
         assert run_command(["dual", str(docs["F"])]) == 70
 
+    @pytest.mark.parametrize("argv", [
+        ["push", "--map", "{pl}", "{F}"],
+        ["distance", "{F}", "{G}"],
+        ["plot", "{F}"],
+        ["regen-homtable"],
+    ])
+    def test_output_into_missing_directory(self, docs, capsys, argv):
+        target = docs["tmp"] / "missing" / "out.txt"
+        argv = [a.format(**docs) for a in argv] + ["--out", str(target)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_distance_budget_zero_is_used(self, docs, capsys):
+        # with no unknowns allowed, the exhaustive refutation cannot run
+        assert run_command(["distance", "--budget", "0",
+                            str(docs["F"]), str(docs["G"])]) == 0
+        cells = capsys.readouterr().out.splitlines()[1].split(",")
+        assert cells[1:5] == ["0", "1", "false", "inconclusive"]
+
+    def test_distance_negative_budget_rejected(self, docs, capsys):
+        assert run_command(["distance", "--budget", "-1",
+                            str(docs["F"]), str(docs["G"])]) == 1
+        assert "--budget must be nonnegative" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_suite_byte_identical(self, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import bar, gb
 from thicket.barcode import (closed, full_line, global_sections_c, half_open,
-                             half_open_r, open_iv, ray_right, singleton)
+                             half_open_r, open_iv, ray_left, ray_right,
+                             singleton)
 from thicket.corpus import rand_bounded_barcode, rand_plmap
 from thicket.plmaps import (NonProperError, PLMap, abs_map, compose_pl,
                             constant_map, identity_map, lipschitz_constant,
@@ -39,6 +40,22 @@ class TestPLMap:
         assert lipschitz_constant(scale_map(Fr(1, 2))) == Fr(1, 2)
         assert lipschitz_constant(abs_map()) == 1
         assert lipschitz_constant(constant_map(3)) == 0
+
+    def test_document_roundtrip_and_hash(self, rng):
+        # the pieces built at construction take no part in == or hash
+        from thicket.docio import parse, plmap_doc, serialize
+        for k in range(40):
+            f = rand_plmap(rng)
+            exts = ("affine", "constant")
+            f = PLMap(f.xs, f.ys, exts[k % 2], exts[k // 2 % 2])
+            if k % 5 < 2:
+                f = _with_domain(rng, f)
+            g = parse(serialize(plmap_doc(f))).payload
+            assert g == f
+            h = PLMap(f.xs, f.ys, f.left_ext, f.right_ext, f.domain)
+            h.pieces()
+            assert h == f and hash(h) == hash(f) == hash(g)
+            assert len({f, g, h}) == 1
 
 
 class TestPushforward:
@@ -92,20 +109,95 @@ class TestPushforward:
 
     def test_fiberwise_stalks(self, rng):
         # stalk dims of the pushforward match direct fiber cohomology
-        from thicket.barcode import stalk_dims, rgamma_c_interval, intersect
-        from thicket.plmaps import _fiber
+        from thicket.barcode import stalk_dims, rgamma_c_interval
+        clamp = PLMap((0, 1), (0, 1), "constant", "constant")
+        cases = [(clamp, gb(bar(closed(-2, 3), 0), bar(open_iv(-1, 2), 1),
+                            bar(half_open(-2, 0), 0), bar(half_open_r(1, 3), 1)))]
         for _ in range(20):
-            F = rand_bounded_barcode(rng, max_bars=2)
+            cases.append((rand_plmap(rng), rand_bounded_barcode(rng, max_bars=2)))
+        for _ in range(10):
+            cases.append((_with_domain(rng, rand_plmap(rng)),
+                          rand_bounded_barcode(rng, max_bars=2)))
+        for _ in range(10):
             f = rand_plmap(rng)
+            cases.append((PLMap(f.xs, f.ys, "constant", "constant"),
+                          rand_bounded_barcode(rng, max_bars=2)))
+        for f, F in cases:
             got = pushforward_shriek(f, F)
-            for t in [Fr(x, 2) for x in range(-6, 7)]:
+            ts = {Fr(x, 2) for x in range(-6, 7)} | set(f.ys)
+            for t in sorted(ts):
                 want = {}
                 for b in F.bars:
-                    for comp in _fiber(f, b.iv, t):
+                    for comp in _fiber_components(f, b.iv, t):
                         for off, n in rgamma_c_interval(comp).items():
                             want[b.degree + off] = want.get(b.degree + off, 0) + n
                 want = {d: n for d, n in sorted(want.items()) if n}
                 assert stalk_dims(got, t) == want, (f, F, t)
+
+
+def _affine_lines(f):
+    """(x0, y0, slope) of the left tail, each segment and the right tail,
+    from the breakpoints and extensions alone."""
+    xs, ys = f.xs, f.ys
+    segs = [(x1, y1, (y2 - y1) / (x2 - x1))
+            for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:])]
+    left = segs[0][2] if segs and f.left_ext == "affine" else 0
+    right = segs[-1][2] if segs and f.right_ext == "affine" else 0
+    return [(xs[0], ys[0], left)] + segs + [(xs[-1], ys[-1], right)]
+
+
+def _eval_by_interpolation(f, x):
+    xs, ys = f.xs, f.ys
+    lines = _affine_lines(f)
+    if x <= xs[0]:
+        x0, y0, s = lines[0]
+    elif x >= xs[-1]:
+        x0, y0, s = lines[-1]
+    else:
+        x0, y0, s = lines[max(i for i in range(len(xs)) if xs[i] <= x) + 1]
+    return y0 + s * (x - x0)
+
+
+def _fiber_components(f, iv, t):
+    """Components of {x in iv : f(x) = t}, found by sampling f at every
+    breakpoint, bar endpoint and solution of f(x) = t on each affine
+    formula, and between and beyond them."""
+    from thicket.barcode import CLOSED, OPEN, Interval
+    from thicket.scalars import NEG_INF
+    cands = set(f.xs) | {e for e in (iv.left, iv.right) if e not in (NEG_INF, POS_INF)}
+    cands |= {x0 + (t - y0) / s for x0, y0, s in _affine_lines(f) if s != 0}
+    zs = sorted(cands)
+    # (sample, endpoint if a run starts here, endpoint if a run ends here)
+    samples = [(zs[0] - 1, (NEG_INF, OPEN), None)]
+    for k, z in enumerate(zs):
+        samples.append((z, (z, CLOSED), (z, CLOSED)))
+        if k + 1 < len(zs):
+            samples.append(((z + zs[k + 1]) / 2, (z, OPEN), (zs[k + 1], OPEN)))
+    samples.append((zs[-1] + 1, None, (POS_INF, OPEN)))
+    inside = [iv.contains(x) and _eval_by_interpolation(f, x) == t
+              for x, _, _ in samples]
+    comps = []
+    k = 0
+    while k < len(samples):
+        if not inside[k]:
+            k += 1
+            continue
+        start = k
+        while k + 1 < len(samples) and inside[k + 1]:
+            k += 1
+        left, lkind = samples[start][1]
+        right, rkind = samples[k][2]
+        comps.append(Interval(left, lkind, right, rkind))
+        k += 1
+    return comps
+
+
+def _with_domain(rng, f):
+    """f on a random domain containing [-3, 3], the span of the random
+    maps' breakpoints and bounded bars."""
+    dom = rng.choice([closed(-3, 3), ray_right(-3), ray_left(3),
+                      open_iv(Fr(-7, 2), Fr(7, 2))])
+    return PLMap(f.xs, f.ys, f.left_ext, f.right_ext, dom)
 
 
 class TestStability:
