@@ -25,7 +25,7 @@ from .morphisms import thicken_morphism as _thicken_morphism
 from .scalars import POS_INF
 from .thicken import bar_rule
 from .zigzag import canonical_monodromy, decompose_cyclic_rep
-from .fieldmath import is_prime
+from .fieldmath import inverse, is_prime
 
 
 class UnsupportedBandContentError(ValueError):
@@ -52,7 +52,16 @@ class Band:
 
 
 def make_band(rank: int, monodromy, degree: int, char: int) -> Band:
-    mono = canonical_monodromy([list(r) for r in monodromy], char)
+    """The band invariant: a positive rank and an invertible rank x rank
+    monodromy over F_p, kept in its conjugacy canonical form."""
+    if rank < 1:
+        raise ValueError("band rank must be positive")
+    mat = [[x % char for x in row] for row in monodromy]
+    if len(mat) != rank or any(len(row) != rank for row in mat):
+        raise ValueError(f"band monodromy must be a {rank} x {rank} matrix")
+    if inverse(mat, char) is None:
+        raise ValueError(f"band monodromy is singular over F_{char}")
+    mono = canonical_monodromy(mat, char)
     return Band(rank, tuple(tuple(r) for r in mono), degree)
 
 
@@ -82,8 +91,6 @@ class CircleSheaf:
             else:
                 rank, mono, degree = band
                 band = make_band(rank, mono, degree, char)
-            if band.rank < 1:
-                raise ValueError("band rank must be positive")
             bd.append(band)
         bd.sort(key=lambda b: (b.degree, b.rank, b.monodromy))
         self.bands = tuple(bd)
@@ -172,19 +179,12 @@ def decompose_cyclic(model: CyclicModel) -> CircleSheaf:
 # ---------------------------------------------------------------------------
 # Thickening.
 
-def circle_thicken(F: CircleSheaf, a, validate: bool = True) -> CircleSheaf:
+def circle_thicken(F: CircleSheaf, a) -> CircleSheaf:
     """Thicken by the signed rational a: bands are fixed, spirals follow the
-    line rules on lifts.  Outputs are routed through the cyclic decomposition
-    as a wrap-around validity check."""
+    line rules on lifts (the result is already canonical; the tests check it
+    against the cyclic decomposition)."""
     a = Fraction(a)
-    out_spirals = [bar_rule(b, a) for b in F.spirals]
-    out = CircleSheaf(F.C, out_spirals, F.bands, F.char)
-    if validate and out.spirals:
-        spiral_only = CircleSheaf(F.C, out.spirals, (), F.char)
-        redecomposed = decompose_cyclic(cyclic_model_of(spiral_only))
-        if redecomposed != spiral_only:
-            raise AssertionError("thickened spirals fail cyclic re-decomposition")
-    return out
+    return CircleSheaf(F.C, [bar_rule(b, a) for b in F.spirals], F.bands, F.char)
 
 
 def fourier_sato(F: CircleSheaf, direction: str = "forward") -> CircleSheaf:

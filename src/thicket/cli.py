@@ -228,16 +228,6 @@ def cmd_extend(args):
     return 0 if rep.ok else VALIDATION_EXIT
 
 
-def cmd_regen_homtable(args):
-    from .morphisms import dump_hom_table, generate_hom_table, hom_table_path
-    text = dump_hom_table(generate_hom_table(2))
-    path = args.output or str(hom_table_path())
-    with _writing(path), open(path, "w") as fh:
-        fh.write(text)
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_plot(args):
     doc = _read_doc(args.input)
     if doc.kind not in ("barcode", "circle"):
@@ -439,11 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--out", dest="output", required=True)
     sp.set_defaults(fn=cmd_plot)
-
-    sp = sub.add_parser("regen-homtable",
-                        help="recompute the frozen Hom dimension table")
-    sp.add_argument("--out", dest="output", default=None)
-    sp.set_defaults(fn=cmd_regen_homtable)
     return p
 
 

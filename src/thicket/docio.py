@@ -57,6 +57,23 @@ def parse_interval(text: str, line=None) -> Interval:
         raise DocumentError(f"invalid interval {text!r}: {exc}", line) from None
 
 
+def _parse_band(text: str, line) -> tuple:
+    """``<degree> rank=<n> monodromy=<row>;<row>...`` as (rank, rows, degree);
+    the matrix itself is checked by ``circle.make_band``."""
+    words = text.split()
+    try:
+        degree = int(words[0])
+        parts = dict(w.split("=", 1) for w in words[1:])
+        rank = int(parts["rank"])
+        mono = [[int(x) for x in row.split(",")]
+                for row in parts["monodromy"].split(";")]
+    except (IndexError, KeyError, ValueError):
+        raise DocumentError(
+            f"malformed band {text!r}: expected "
+            "'<degree> rank=<n> monodromy=<row>;<row>...'", line) from None
+    return rank, mono, degree
+
+
 def serialize(doc: Document) -> str:
     lines = [VERSION, f"kind: {doc.kind}"]
     if doc.kind == "barcode":
@@ -146,12 +163,7 @@ def parse(text: str) -> Document:
                     deg_txt, iv_txt = v.split(" ", 1)
                     spirals.append(Bar(parse_interval(iv_txt, i), int(deg_txt)))
                 elif k == "band":
-                    parts = dict(pair.split("=", 1) for pair in v.split()[1:])
-                    degree = int(v.split()[0])
-                    rank = int(parts["rank"])
-                    mono = [[int(x) for x in row.split(",")]
-                            for row in parts["monodromy"].split(";")]
-                    bands.append((rank, mono, degree))
+                    bands.append(_parse_band(v, i))
             return Document("circle", CircleSheaf(space[1], spirals, bands, char),
                             char, space)
         if kind == "plmap":

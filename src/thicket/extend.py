@@ -232,7 +232,7 @@ def circle_seed(C, char: int = 2) -> SeedFamily:
     ops = circle_ops(C, char)
 
     def apply_fn(a, x: CircleSheaf):
-        return circle_thicken(x, a, validate=False)
+        return circle_thicken(x, a)
 
     def restrict_fn(a, b, x: CircleSheaf):
         if x.bands:

@@ -56,22 +56,6 @@ def mat_mul(a, b, p: int):
     return out
 
 
-def mat_vec(a, v, p: int):
-    return [sum(c * x for c, x in zip(row, v)) % p for row in a]
-
-
-def mat_add(a, b, p: int):
-    return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c, p: int):
-    return [[(c * x) % p for x in row] for row in a]
-
-
-def mat_eq(a, b) -> bool:
-    return a == b
-
-
 def rref(mat, p: int):
     """Row-reduce a copy of ``mat``; returns (rref matrix, pivot column list)."""
     m = [row[:] for row in mat]
@@ -221,17 +205,6 @@ class LinearRelation:
         self.p = p
         self.space = Subspace(nu + nv, vectors, p)
 
-    @classmethod
-    def graph(cls, mat, p: int):
-        nv = len(mat)
-        nu = len(mat[0]) if nv else 0
-        vecs = []
-        for j in range(nu):
-            e = [0] * nu
-            e[j] = 1
-            vecs.append(e + [mat[i][j] % p for i in range(nv)])
-        return cls(nu, nv, vecs, p)
-
     def compose(self, other: "LinearRelation") -> "LinearRelation":
         """self: U->V composed with other: V->W."""
         if self.nv != other.nu:
@@ -287,12 +260,6 @@ class LinearRelation:
     def transpose(self) -> "LinearRelation":
         vecs = [vec[self.nu:] + vec[: self.nu] for vec in self.space.basis]
         return LinearRelation(self.nv, self.nu, vecs, self.p)
-
-    def domain(self) -> Subspace:
-        return self.image_of_all_reverse()
-
-    def image_of_all_reverse(self) -> Subspace:
-        return self.transpose().image_of(full_space(self.nv, self.p))
 
     def image(self) -> Subspace:
         return self.image_of(full_space(self.nu, self.p))

@@ -66,14 +66,6 @@ class LineModel:
     def refines(self, other: "LineModel") -> bool:
         return set(other.points) <= set(self.points)
 
-    def stratum_of(self, x: Fraction) -> int:
-        for idx, s in enumerate(self.strata):
-            if s.kind == "pt" and s.left == x:
-                return idx
-            if s.kind == "open" and s.left < x < s.right:
-                return idx
-        raise ValueError(f"no stratum contains {x}")
-
 
 class CircleModel:
     """Cyclic stratification of the circle of circumference C.
@@ -122,12 +114,6 @@ class Rep:
 
     def total_dim(self):
         return sum(self.dims)
-
-
-def zero_rep(model, p: int = 2) -> Rep:
-    dims = [0] * len(model.strata)
-    mats = [[] for _ in model.edges]
-    return Rep(model, dims, mats, p)
 
 
 def _edge_matrix(dims, e_pt, e_open, nonzero):

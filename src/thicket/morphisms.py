@@ -4,9 +4,11 @@ A morphism is a block matrix indexed by (source bar, target bar) where each
 block is a scalar multiple of the canonical generator of the corresponding
 Hom space.  Hom spaces between shifted interval sheaves are at most
 one-dimensional; blocks come in two kinds, degree preserving ('h') and
-degree dropping by one ('e', extension classes).  Composition multiplies
-blocks through structure constants computed once per endpoint order type in
-the finite quiver model and cached.
+degree dropping by one ('e', extension classes).  Hom/Ext dimensions and
+the structure constants that composition multiplies blocks through are
+computed in the finite quiver model once per endpoint order type and
+memoized; ``hom_dim`` reads the same memo as the hot paths.
+``poset_oracle_rhom`` recomputes RHom independently, as a test oracle.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def shape_key(ivs) -> str:
 def _cache_key(space, p, ivs):
     if space == LINE:
         return (LINE, p, shape_key(ivs))
-    return (space, p, tuple((iv.left, iv.lkind, iv.right, iv.rkind) for iv in ivs))
+    return _exact_key(space, p, ivs)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ _STRUCT_CACHE: dict = {}
 
 
 def _exact_key(space, p, ivs):
-    return (space if space == LINE else space, p,
+    return (space, p,
             tuple((iv.left, iv.lkind, iv.right, iv.rkind) for iv in ivs))
 
 
@@ -201,9 +203,10 @@ def struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
     if target_kind == "h":
         rp1, m1 = _hom_gen_matrices(space, model, ivA, ivB, p)
         rp2, m2 = _hom_gen_matrices(space, model, ivB, ivC, p)
-        comp = {s: fm.mat_mul(m2[s], m1[s], p) for s in m1}
+        # a composite through a zero stalk of B is zero on that stratum
+        comp = {s: fm.mat_mul(m2[s], m1[s], p) for s in m1 if m1[s]}
         rpAC = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivC, p))
-        vec = [comp[s][j][i] if comp[s] else 0 for (s, j, i) in rpAC.vcoords]
+        vec = [comp[s][j][i] if s in comp else 0 for (s, j, i) in rpAC.vcoords]
         if not any(vec):
             out = ("h", 0)
         else:
@@ -321,12 +324,6 @@ class Morphism:
             out[k] = (out.get(k, 0) + c) % p
         return Morphism(self.source, self.target, out, self.space, validate=False)
 
-    def scale(self, c: int) -> "Morphism":
-        p = self.char
-        return Morphism(self.source, self.target,
-                        {k: (v * c) % p for k, v in self.blocks.items()},
-                        self.space, validate=False)
-
 
 def identity_morphism(F, space=LINE) -> Morphism:
     return Morphism(F, F, {(i, i, "h"): 1 for i in range(len(F.bars))}, space,
@@ -427,103 +424,24 @@ def restriction(F, a, b, space=LINE, normalize=None) -> Morphism:
 
 
 # ---------------------------------------------------------------------------
-# Hom dimensions: frozen shape table with live certification.
+# Hom dimensions.
 
 def hom_dim(b1: Bar, b2: Bar, char: int = 2) -> HomSpace:
     """Dimension of the Hom space between two shifted interval sheaves."""
     off = b1.degree - b2.degree
     if off not in (0, 1):
         return HomSpace(b1, b2, 0, off)
-    key = shape_key((b1.iv, b2.iv))
-    table = _hom_table()
-    if key in table:
-        h0, e1 = table[key]
-    else:
-        d = pair_data(LINE, b1.iv, b2.iv, char)
-        h0, e1 = d.hom_dim, d.ext_dim
-    return HomSpace(b1, b2, h0 if off == 0 else e1, off)
-
-
-_TABLE = None
-
-
-def _hom_table():
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = load_hom_table()
-    return _TABLE
-
-
-def _grid_intervals():
-    from .barcode import (CLOSED, OPEN, closed, full_line, half_open,
-                          half_open_r, open_iv, ray_left, ray_right, singleton)
-    vals = [0, 1, 2, 3]
-    out = [full_line()]
-    for v in vals:
-        out.append(singleton(v))
-        out.append(ray_right(v, CLOSED))
-        out.append(ray_right(v, OPEN))
-        out.append(ray_left(v, CLOSED))
-        out.append(ray_left(v, OPEN))
-    for i, x in enumerate(vals):
-        for y in vals[i + 1:]:
-            out.extend([closed(x, y), open_iv(x, y), half_open(x, y),
-                        half_open_r(x, y)])
-    return out
-
-
-def generate_hom_table(p: int = 2) -> dict[str, tuple[int, int]]:
-    """Recompute the shape-keyed Hom/Ext dimension table from the quiver
-    oracle (the regeneration command behind the frozen data file)."""
-    table: dict[str, tuple[int, int]] = {}
-    for ivA in _grid_intervals():
-        for ivB in _grid_intervals():
-            key = shape_key((ivA, ivB))
-            model = build_model(LINE, [ivA, ivB])
-            rp = RepPair(line_bar_rep(model, ivA, p), line_bar_rep(model, ivB, p))
-            if rp.hom_dim > 1 or rp.ext_dim > 1:
-                raise UnsupportedHomError(f"oracle reports dim > 1 at {ivA}, {ivB}")
-            val = (rp.hom_dim, rp.ext_dim)
-            if key in table and table[key] != val:
-                raise AssertionError(f"shape key collision at {key}")
-            table[key] = val
-    return table
-
-
-def hom_table_path():
-    import importlib.resources as res
-    return res.files("thicket").joinpath("data/hom_table.txt")
-
-
-def load_hom_table() -> dict[str, tuple[int, int]]:
-    table = {}
-    text = hom_table_path().read_text()
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "thicket-homtable/1":
-        raise ValueError("unrecognized hom table version")
-    for line in lines[1:]:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, h0, e1 = line.split()
-        table[key] = (int(h0), int(e1))
-    return table
-
-
-def dump_hom_table(table: dict[str, tuple[int, int]]) -> str:
-    lines = ["thicket-homtable/1"]
-    for key in sorted(table):
-        h0, e1 = table[key]
-        lines.append(f"{key} {h0} {e1}")
-    return "\n".join(lines) + "\n"
+    kind = "h" if off == 0 else "e"
+    return HomSpace(b1, b2, space_dim(LINE, b1.iv, b2.iv, kind, char), off)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force RHom oracle.
 
 def poset_oracle_rhom(F: GradedBarcode, G: GradedBarcode, space=LINE) -> dict[int, int]:
-    """Degree-wise dimensions of RHom(F, G) computed in the quiver model,
-    independently of the frozen tables."""
+    """Degree-wise dimensions of RHom(F, G) computed in the quiver model on
+    all of F's and G's endpoints at once, independently of the per-pair memo
+    behind ``hom_dim``."""
     if F.char != G.char:
         raise ValueError("characteristic mismatch")
     p = F.char

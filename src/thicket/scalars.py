@@ -20,10 +20,6 @@ def is_finite(x) -> bool:
     return isinstance(x, Fraction)
 
 
-def is_infinite(x) -> bool:
-    return isinstance(x, float) and math.isinf(x)
-
-
 def check_extended(x):
     if isinstance(x, Fraction):
         return x
@@ -32,23 +28,6 @@ def check_extended(x):
     if isinstance(x, float) and math.isinf(x):
         return x
     raise TypeError(f"not an extended rational: {x!r}")
-
-
-def ext_add(x, offset: Fraction):
-    """x + offset where x may be infinite and offset is finite."""
-    if is_finite(x):
-        return x + offset
-    return x
-
-
-def ext_neg(x):
-    if is_finite(x):
-        return -x
-    return NEG_INF if x == POS_INF else POS_INF
-
-
-def rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def parse_extended(text: str):

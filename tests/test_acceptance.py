@@ -15,12 +15,13 @@ from thicket.barcode import (Bar, GradedBarcode, closed, dualize, full_line,
                              global_sections, global_sections_c, open_iv,
                              singleton)
 from thicket.circle import (CircleSheaf, circle_distance, circle_thicken,
-                            fourier_sato)
+                            cyclic_model_of, decompose_cyclic, fourier_sato)
 from thicket.corpus import (grid_bar_pool, rand_barcode, rand_bounded_barcode,
                             rand_circle_sheaf, rand_fraction, rand_plmap,
                             rand_shift, sample_grid_barcode)
 from thicket.extend import (coherence_check, extend_apply, lambda_independence,
                             line_seed)
+from thicket.fieldmath import identity
 from thicket.interleave import (Budget, CapacityError, check_exhaustive,
                                 check_matching, critical_grid, distance,
                                 finite_gate, verify_certificate)
@@ -205,7 +206,11 @@ def test_criterion_10_fourier_sato():
     ok = True
     for _ in range(200):
         F = rand_circle_sheaf(rng, with_bands=True)
-        ok = ok and fourier_sato(fourier_sato(F), "inverse") == F
+        T = fourier_sato(F)
+        ok = ok and fourier_sato(T, "inverse") == F
+        # the cyclic decomposition re-derives the transformed spirals
+        S = CircleSheaf(T.C, T.spirals, (), T.char)
+        ok = ok and decompose_cyclic(cyclic_model_of(S)) == S
     pairs = 0
     rng2 = random.Random(SEED + 100)
     while pairs < 50:
@@ -223,7 +228,8 @@ def test_criterion_10_fourier_sato():
         F = rand_circle_sheaf(rng3, max_spirals=3)
         lhs = circle_thicken(circle_thicken(F, b), -a)
         ok = ok and lhs == circle_thicken(F, b - a)
-    report(10, ok, "quarter-turn transform: 200 roundtrips, 50-pair isometry "
+    report(10, ok, "quarter-turn transform: 200 roundtrips with cyclic "
+                   "re-decomposition, 50-pair isometry "
                    "corpus exact per field, 100 slice identities")
 
 
@@ -233,9 +239,11 @@ def test_criterion_11_locally_constant():
     for _ in range(100):
         F = rand_circle_sheaf(rng, max_spirals=0, with_bands=True)
         if not F.bands:
-            F = CircleSheaf(4, [], [(rng.randint(1, 2), [[1]], 0)]) \
-                if rng.random() < 0.5 else \
-                CircleSheaf(4, [], [(1, [[1]], rng.choice((0, 1)))])
+            if rng.random() < 0.5:
+                rank = rng.randint(1, 2)
+                F = CircleSheaf(4, [], [(rank, identity(rank), 0)])
+            else:
+                F = CircleSheaf(4, [], [(1, [[1]], rng.choice((0, 1)))])
         a = rand_fraction(rng, -4, 4)
         ok = ok and circle_thicken(F, a) == F
     kR = gb(bar(full_line(), 0))

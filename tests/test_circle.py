@@ -4,13 +4,15 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from thicket.barcode import (Bar, closed, half_open, open_iv, singleton)
+from thicket.barcode import (CLOSED, OPEN, Bar, Interval, closed, half_open,
+                             open_iv, singleton)
 from thicket.circle import (Band, CircleSheaf, UnsupportedBandContentError,
-                            circle_distance, circle_global_sections,
+                            circle_distance, circle_global_sections, circle_ops,
                             circle_stalk_oracle, circle_thicken,
                             cyclic_model_of, decompose_cyclic, fourier_sato,
                             iso_equal_circle, seed_bound)
-from thicket.corpus import rand_circle_sheaf
+from thicket.corpus import rand_circle_sheaf, rand_fraction
+from thicket.interleave import verify_certificate
 from thicket.scalars import POS_INF
 
 
@@ -68,6 +70,19 @@ class TestThicken:
         for a in (Fr(1, 2), Fr(2), Fr(13, 4)):
             assert circle_global_sections(circle_thicken(F, a)) == \
                 circle_global_sections(F)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_thickened_spirals_redecompose(self, rng, p):
+        # the cyclic decomposition is the oracle for the closed-form spiral
+        # rules; shifts up to 5/2 on C = 4 carry lifts once around and past
+        wrapped = 0
+        for _ in range(25):
+            F = rand_circle_sheaf(rng, max_spirals=2, with_bands=True, char=p)
+            a = rand_fraction(rng, Fr(-5, 2), Fr(5, 2), denoms=(1, 2, 4, 8))
+            S = CircleSheaf(C, circle_thicken(F, a).spirals, (), p)
+            assert decompose_cyclic(cyclic_model_of(S)) == S, (F, a)
+            wrapped += any(b.iv.right - b.iv.left > C for b in S.spirals)
+        assert wrapped
 
     def test_thicken_matches_stalk_oracle(self):
         F = sheaf(Bar(closed(0, 1), 0), Bar(open_iv(2, 3), 1))
@@ -169,6 +184,19 @@ class TestCircleDistance:
         G = sheaf(Bar(closed(0, 2), 0), bands=[(1, [[1]], 0)])
         with pytest.raises(UnsupportedBandContentError):
             circle_distance(F, G)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_composite_through_zero_stalk(self, p):
+        # the 2a-composites pass through strata where the middle spiral has
+        # no stalk; that block of the composite is zero, not an index error
+        F = CircleSheaf(C, [Bar(Interval(Fr(7, 2), CLOSED, Fr(25, 4), OPEN), 0)],
+                        (), p)
+        G = CircleSheaf(C, [Bar(Interval(Fr(3), CLOSED, Fr(13, 2), OPEN), 0)],
+                        (), p)
+        d = circle_distance(F, G)
+        assert d.fields() == (Fr(1, 2), Fr(1, 2), True)
+        assert verify_certificate(F.spiral_barcode(), G.spiral_barcode(),
+                                  d.witness, circle_ops(C, p))
 
     def test_symmetry(self, rng):
         for _ in range(10):

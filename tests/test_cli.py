@@ -105,7 +105,6 @@ class TestExitCodes:
         ["push", "--map", "{pl}", "{F}"],
         ["distance", "{F}", "{G}"],
         ["plot", "{F}"],
-        ["regen-homtable"],
     ])
     def test_output_into_missing_directory(self, docs, capsys, argv):
         target = docs["tmp"] / "missing" / "out.txt"
@@ -126,6 +125,23 @@ class TestExitCodes:
         assert run_command(["distance", "--budget", "-1",
                             str(docs["F"]), str(docs["G"])]) == 1
         assert "--budget must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("band, message", [
+        ("band: 0 rank=2", "malformed band '0 rank=2'"),
+        ("band: 0 rank=two monodromy=1", "malformed band"),
+        ("band: 0 rank=2 monodromy=1", "must be a 2 x 2 matrix"),
+        ("band: 0 rank=1 monodromy=0", "singular over F_2"),
+    ], ids=["no-monodromy", "garbled-rank", "size-mismatch", "singular"])
+    def test_bad_band_rejected(self, tmp_path, capsys, band, message):
+        doc = tmp_path / "bad.circ"
+        doc.write_text("thicket/1\nkind: circle\nchar: 2\n"
+                       f"space: circle C=4\n{band}\n")
+        assert run_command(["fs", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
 
 
 class TestDeterminism:

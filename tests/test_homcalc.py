@@ -5,16 +5,30 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import bar, gb
-from thicket.barcode import (Bar, closed, dualize_bar, full_line, half_open,
-                             half_open_r, open_iv, ray_left, ray_right,
-                             singleton)
+from thicket.barcode import (CLOSED, OPEN, Bar, closed, dualize_bar,
+                             full_line, half_open, half_open_r, open_iv,
+                             ray_left, ray_right, singleton)
 from thicket.corpus import rand_barcode
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, compose,
-                               dump_hom_table, generate_hom_table, hom_dim,
-                               identity_morphism, load_hom_table,
-                               poset_oracle_rhom, restriction, space_dim,
-                               thicken_morphism, zero_morphism)
+                               hom_dim, identity_morphism, poset_oracle_rhom,
+                               restriction, space_dim, thicken_morphism,
+                               zero_morphism)
 from thicket.thicken import thicken
+
+
+def _grid_intervals(vals=(0, 1, 2, 3)):
+    out = [full_line()]
+    for v in vals:
+        out += [singleton(v), ray_right(v, CLOSED), ray_right(v, OPEN),
+                ray_left(v, CLOSED), ray_left(v, OPEN)]
+    for i, x in enumerate(vals):
+        for y in vals[i + 1:]:
+            out += [closed(x, y), open_iv(x, y), half_open(x, y),
+                    half_open_r(x, y)]
+    return out
+
+
+GRID_INTERVALS = _grid_intervals()
 
 
 class TestHomDim:
@@ -70,23 +84,25 @@ class TestPosetOracle:
         G = gb(bar(open_iv(0, 4), 0))
         assert poset_oracle_rhom(F, G) == {0: 1}   # Ext^1 lands in degree 0
 
-    def test_table_certified_against_oracle(self):
-        # every frozen shape entry must match a live quiver computation
-        table = load_hom_table()
-        fresh = generate_hom_table(2)
-        assert table == fresh
-
-    def test_dump_load_roundtrip(self, tmp_path):
-        table = load_hom_table()
-        text = dump_hom_table(table)
-        p = tmp_path / "t.txt"
-        p.write_text(text)
-        import thicket.morphisms as M
-        lines = text.splitlines()
-        assert lines[0] == "thicket-homtable/1"
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_hom_dim_exhaustive_on_shape_grid(self, p):
+        # every ordered pair of the 45 intervals with endpoints in
+        # {0, 1, 2, 3} (all kinds, rays, the full line), at both degree
+        # offsets; hom_dim reads the shape-keyed memo, the oracle computes
+        # each pair on its own, and its degree `off` holds Hom^0 for
+        # offset 0 and Ext^1 for offset 1
+        assert len(GRID_INTERVALS) == 45
+        for ivA in GRID_INTERVALS:
+            for ivB in GRID_INTERVALS:
+                rhom = poset_oracle_rhom(gb(bar(ivA), char=p),
+                                         gb(bar(ivB), char=p))
+                for off in (0, 1):
+                    hs = hom_dim(bar(ivA, off), bar(ivB), char=p)
+                    assert (hs.offset, hs.dimension) == (off, rhom.get(off, 0)), \
+                        (ivA, ivB, off, rhom)
 
     def test_agreement_on_grid(self, rng):
-        # hom_dim (frozen table) vs live oracle on random grid bar pairs;
+        # hom_dim vs live oracle on random grid bar pairs;
         # a block of offset k contributes to RHom in degree (tgt - src) + k
         from thicket.corpus import grid_bar_pool
         pool = grid_bar_pool()
