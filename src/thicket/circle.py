@@ -56,13 +56,25 @@ def make_band(rank: int, monodromy, degree: int, char: int) -> Band:
     monodromy over F_p, kept in its conjugacy canonical form."""
     if rank < 1:
         raise ValueError("band rank must be positive")
-    mat = [[x % char for x in row] for row in monodromy]
+    mat = tuple(tuple(x % char for x in row) for row in monodromy)
     if len(mat) != rank or any(len(row) != rank for row in mat):
         raise ValueError(f"band monodromy must be a {rank} x {rank} matrix")
-    if inverse(mat, char) is None:
-        raise ValueError(f"band monodromy is singular over F_{char}")
-    mono = canonical_monodromy(mat, char)
-    return Band(rank, tuple(tuple(r) for r in mono), degree)
+    key = (mat, char)
+    if key not in _BAND_FORMS:
+        rows = [list(r) for r in mat]
+        if inverse(rows, char) is None:
+            raise ValueError(f"band monodromy is singular over F_{char}")
+        canon = tuple(tuple(r) for r in canonical_monodromy(rows, char))
+        _BAND_FORMS[key] = canon
+        _BAND_FORMS[(canon, char)] = canon     # the form is its own form
+    return Band(rank, _BAND_FORMS[key], degree)
+
+
+# (monodromy rows, p) -> canonical rows.  Every sheaf construction passes
+# its bands through make_band, and the brute-force conjugacy search runs
+# once per matrix instead; canonical_monodromy bounds p^(rank^2), so the
+# table stays small.
+_BAND_FORMS: dict = {}
 
 
 class CircleSheaf:
@@ -87,7 +99,7 @@ class CircleSheaf:
         bd = []
         for band in bands:
             if isinstance(band, Band):
-                band = make_band(band.rank, band.matrix(), band.degree, char)
+                band = make_band(band.rank, band.monodromy, band.degree, char)
             else:
                 rank, mono, degree = band
                 band = make_band(rank, mono, degree, char)

@@ -57,6 +57,19 @@ def parse_interval(text: str, line=None) -> Interval:
         raise DocumentError(f"invalid interval {text!r}: {exc}", line) from None
 
 
+def _parse_bar(key: str, text: str, line) -> Bar:
+    """``<degree> <interval>``, the value of a ``bar:`` or ``spiral:`` line."""
+    words = text.split(None, 1)
+    try:
+        degree = int(words[0])
+        iv_txt = words[1]
+    except (IndexError, ValueError):
+        raise DocumentError(
+            f"malformed {key} {text!r}: expected '<degree> <interval>'",
+            line) from None
+    return Bar(parse_interval(iv_txt, line), degree)
+
+
 def _parse_band(text: str, line) -> tuple:
     """``<degree> rank=<n> monodromy=<row>;<row>...`` as (rank, rows, degree);
     the matrix itself is checked by ``circle.make_band``."""
@@ -151,8 +164,7 @@ def parse(text: str) -> Document:
             for k, v, i in fields:
                 if k != "bar":
                     continue
-                deg_txt, iv_txt = v.split(" ", 1)
-                bars.append(Bar(parse_interval(iv_txt, i), int(deg_txt)))
+                bars.append(_parse_bar(k, v, i))
             return Document("barcode", GradedBarcode(bars, char), char, "line")
         if kind == "circle":
             if not (isinstance(space, tuple) and space[0] == "circle"):
@@ -160,8 +172,7 @@ def parse(text: str) -> Document:
             spirals, bands = [], []
             for k, v, i in fields:
                 if k == "spiral":
-                    deg_txt, iv_txt = v.split(" ", 1)
-                    spirals.append(Bar(parse_interval(iv_txt, i), int(deg_txt)))
+                    spirals.append(_parse_bar(k, v, i))
                 elif k == "band":
                     bands.append(_parse_band(v, i))
             return Document("circle", CircleSheaf(space[1], spirals, bands, char),

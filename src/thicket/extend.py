@@ -32,9 +32,12 @@ class ExtensionPlan:
 
     @classmethod
     def for_shift(cls, mag: Fraction, lam: Fraction) -> "ExtensionPlan":
+        if lam <= 0:
+            raise ValueError(f"extension step must be positive, got {lam}")
         n = int(mag // lam)
         r = mag - n * lam
-        assert 0 <= r < lam and mag == n * lam + r
+        if not (0 <= r < lam and mag == n * lam + r):
+            raise AssertionError(f"bad extension plan for {mag} in steps of {lam}")
         return cls(lam, n, r)
 
 

@@ -1,10 +1,14 @@
 """Interleaving certificates and two-sided distance bounds.
 
 An a-certificate is a pair f: T_a F -> G, g: T_a G -> F whose 2a-composites
-equal the canonical restrictions.  The distance scanner walks the critical
-grid of endpoint differences and half-differences, takes the first verified
-certificate as an upper bound, and claims exactness only when the exhaustive
-search refutes the adjacent grid value below.
+equal the canonical restrictions.  The distance search works on the critical
+grid of endpoint differences and half-differences.  Since an a-certificate
+weakens to a b-certificate for every b >= a, it bisects that grid for the
+first verified certificate; when a probe is undecided (over budget or out of
+the supported Hom range) or nothing is found, a linear pass from 0 over the
+memoized probes sets the bounds.  The first certified value is the upper
+bound, and exactness is claimed only when the exhaustive search refutes the
+adjacent grid value below.
 """
 
 from __future__ import annotations
@@ -267,22 +271,22 @@ def check_exhaustive(F, G, a, ops: SpaceOps = LINE_OPS, budget: Budget = DEFAULT
             f"{budget.max_unknowns}")
     if len(fvars) > len(gvars):
         # enumerate over the smaller side by swapping the roles of F and G
-        res = _exhaustive_core(G, F, a, ops, budget)
+        res = _exhaustive_core(G, F, a, ops, budget,
+                               TGa, permGa, gvars, TFa, permFa, fvars)
         if res is None:
             return None
         return InterleavingCertificate(a, res.g, res.f)
-    return _exhaustive_core(F, G, a, ops, budget)
+    return _exhaustive_core(F, G, a, ops, budget,
+                            TFa, permFa, fvars, TGa, permGa, gvars)
 
 
-def _exhaustive_core(F, G, a, ops, budget):
+def _exhaustive_core(F, G, a, ops, budget, TFa, permFa, fvars, TGa, permGa, gvars):
+    """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
+    ``gvars``; the a-thickenings and their index maps come from the caller."""
     from .morphisms import struct_scalar
     p = F.char
-    TFa, permFa = ops.thicken_indexed(F, a)
-    TGa, permGa = ops.thicken_indexed(G, a)
     TF2a, permF2a = ops.thicken_indexed(F, 2 * a)
     TG2a, permG2a = ops.thicken_indexed(G, 2 * a)
-    fvars = _variables(F, TFa, permFa, G, p, ops.space)
-    gvars = _variables(G, TGa, permGa, F, p, ops.space)
     if p ** len(fvars) > budget.max_enumeration:
         raise CapacityError(
             f"enumeration {p}^{len(fvars)} exceeds the cap {budget.max_enumeration}")
@@ -409,14 +413,49 @@ def critical_grid(F, G, ops: SpaceOps = LINE_OPS):
     return ops.grid(F, G)
 
 
+def _probe(F, G, a, ops, budget, log):
+    """Matching first, then the exhaustive search, at one shift: returns
+    (outcome, certificate) with outcome 'found', 'refuted', 'capacity' or
+    'unsupported'."""
+    try:
+        cert = check_matching(F, G, a, ops)
+    except UnsupportedHomError:
+        cert = None
+    if cert is not None:
+        return "found", cert
+    try:
+        cert = check_exhaustive(F, G, a, ops, budget)
+    except (CapacityError, UnsupportedHomError) as exc:
+        outcome = "capacity" if isinstance(exc, CapacityError) else "unsupported"
+        if log is not None:
+            log.append((outcome, a))
+        return outcome, None
+    if cert is None:
+        return "refuted", None
+    if log is not None:
+        log.append(("matching-miss", a))
+    return "found", cert
+
+
 def distance(F, G, budget: Budget = DEFAULT_BUDGET, ops: SpaceOps = LINE_OPS,
              log=None) -> DistanceBounds:
-    """Scan the critical grid for the least certified shift.
+    """Find the least certified shift on the critical grid.
+
+    A probe at a grid value tries the matching strategy and, when that finds
+    nothing, the exhaustive search; it ends found, refuted, capacity or
+    unsupported, and each grid value is probed at most once per call.
+    Feasibility is upward closed (``weaken_certificate``), so the search
+    first bisects the grid between a refuted value and a found one.  When
+    every bisection probe is decided and a certificate is found, the first
+    found value's predecessor is refuted and the result is exact.  Otherwise
+    a linear pass over the grid, reusing the probes already made, sets the
+    bounds as a scan from 0 would.
 
     The returned ``exact`` flag means the first feasible grid value had its
     grid predecessor refuted exhaustively (or was 0); in that case lower is
     reported equal to upper.  Budget exhaustion degrades exactness, never
-    soundness.
+    soundness.  ``log`` receives ``(event, shift)`` for each probe that the
+    matching strategy could not decide, in probe order.
     """
     if iso_equal(F, G):
         return DistanceBounds(Fraction(0), Fraction(0), True,
@@ -424,36 +463,43 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, ops: SpaceOps = LINE_OPS,
     if finite_gate(F, G, ops) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None)
     grid = critical_grid(F, G, ops)
+    probes = {}
+
+    def probe(i):
+        if i not in probes:
+            probes[i] = _probe(F, G, grid[i], ops, budget, log)
+        return probes[i]
+
+    lo, hi = -1, len(grid)         # grid[lo] refuted, grid[hi] found
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        outcome, _ = probe(mid)
+        if outcome == "found":
+            hi = mid
+        elif outcome == "refuted":
+            lo = mid
+        else:
+            break
+    else:
+        if hi < len(grid):
+            # every value up to grid[lo] is infeasible, so grid[hi] is the
+            # first value the linear pass would certify
+            return DistanceBounds(grid[hi], grid[hi], True, probes[hi][1])
+
     proven_infeasible = []
     unknown = []
     upper = POS_INF
     witness = None
-    for aa in grid:
-        try:
-            cert = check_matching(F, G, aa, ops)
-        except UnsupportedHomError:
-            cert = None
-        decided = cert is not None
-        if not decided:
-            try:
-                cert = check_exhaustive(F, G, aa, ops, budget)
-                decided = True
-                if cert is not None and log is not None:
-                    log.append(("matching-miss", aa))
-            except CapacityError:
-                unknown.append(aa)
-                if log is not None:
-                    log.append(("capacity", aa))
-            except UnsupportedHomError:
-                unknown.append(aa)
-                if log is not None:
-                    log.append(("unsupported", aa))
-        if decided and cert is None:
-            proven_infeasible.append(aa)
-        if cert is not None:
+    for i, aa in enumerate(grid):
+        outcome, cert = probe(i)
+        if outcome == "found":
             upper = aa
             witness = cert
             break
+        if outcome == "refuted":
+            proven_infeasible.append(aa)
+        else:
+            unknown.append(aa)
     if not is_finite(upper):
         lower = max(proven_infeasible) if proven_infeasible else Fraction(0)
         return DistanceBounds(lower, POS_INF, False, None,

@@ -14,11 +14,12 @@ closed-form tables elsewhere are certified against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fieldmath as fm
-from .barcode import Interval
+from .barcode import OPEN, Interval
 from .scalars import NEG_INF, POS_INF, is_finite
 
 
@@ -143,26 +144,24 @@ def line_bar_rep(model: LineModel, iv: Interval, p: int = 2) -> Rep:
 
 
 def _copies_point(q, lift: Interval, C):
-    out = []
-    n = (lift.left - q) / C
-    n0 = n.__floor__() - 1
-    n1 = ((lift.right - q) / C).__ceil__() + 1
-    for m in range(n0, n1 + 1):
-        if lift.contains(q + m * C):
-            out.append(m)
-    return out
+    """Deck copies m with q + m*C in the lift, as a run of integers: the
+    closed-interval bounds, each stepped inward when its end is open and the
+    copy lands exactly on it."""
+    n0 = math.ceil((lift.left - q) / C)
+    if lift.lkind is OPEN and q + n0 * C == lift.left:
+        n0 += 1
+    n1 = math.floor((lift.right - q) / C)
+    if lift.rkind is OPEN and q + n1 * C == lift.right:
+        n1 -= 1
+    return range(n0, n1 + 1)
 
 
 def _copies_arc(lo, hi, lift: Interval, C):
-    out = []
-    n0 = ((lift.left - hi) / C).__floor__() - 1
-    n1 = ((lift.right - lo) / C).__ceil__() + 1
-    for m in range(n0, n1 + 1):
-        if lift.left <= lo + m * C and hi + m * C <= lift.right:
-            mid = (lo + hi) / 2 + m * C
-            if lift.contains(mid):
-                out.append(m)
-    return out
+    """Deck copies m whose arc (lo + m*C, hi + m*C) lies in the lift.  Since
+    lo < hi, such a copy's midpoint is interior to the lift, so the endpoint
+    kinds do not matter."""
+    return range(math.ceil((lift.left - lo) / C),
+                 math.floor((lift.right - hi) / C) + 1)
 
 
 def circle_spiral_rep(model: CircleModel, lift: Interval, p: int = 2) -> Rep:

@@ -34,6 +34,23 @@ class TestCanonicalForm:
         T2 = mat_mul(mat_mul(S, T, 2), inverse(S, 2), 2)
         assert sheaf(bands=[(2, T, 0)]) == sheaf(bands=[(2, T2, 0)])
 
+    def test_band_forms_memoized(self, monkeypatch):
+        import thicket.circle as circle
+        calls = []
+        real = circle.canonical_monodromy
+        monkeypatch.setattr(circle, "canonical_monodromy",
+                            lambda mat, p: calls.append(p) or real(mat, p))
+        monkeypatch.setattr(circle, "_BAND_FORMS", {})
+        T = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
+        first = sheaf(Bar(closed(0, 1), 0), bands=[(3, T, 0)])
+        assert len(calls) == 1
+        second = sheaf(Bar(closed(0, 1), 0), bands=[(3, T, 0)])
+        thick = circle_thicken(first, Fr(1, 2))
+        assert len(calls) == 1
+        assert second == first and thick.bands == first.bands
+        assert first.bands[0].monodromy == tuple(
+            tuple(r) for r in real([list(r) for r in first.bands[0].monodromy], 2))
+
     def test_unbounded_spiral_rejected(self):
         from thicket.barcode import ray_right
         with pytest.raises(ValueError):
@@ -257,3 +274,45 @@ class TestUnsupportedRegimeDegradation:
         assert d.lower <= d.upper
         d2 = circle_distance(fourier_sato(F), fourier_sato(G))
         assert d.fields() == d2.fields()
+
+
+def _copies_point_loop(q, lift, C):
+    """Oracle: scan a window of deck copies for points inside the lift."""
+    n0 = ((lift.left - q) / C).__floor__() - 1
+    n1 = ((lift.right - q) / C).__ceil__() + 1
+    return [m for m in range(n0, n1 + 1) if lift.contains(q + m * C)]
+
+
+def _copies_arc_loop(lo, hi, lift, C):
+    """Oracle: scan a window of deck copies for arcs inside the lift."""
+    n0 = ((lift.left - hi) / C).__floor__() - 1
+    n1 = ((lift.right - lo) / C).__ceil__() + 1
+    return [m for m in range(n0, n1 + 1)
+            if lift.left <= lo + m * C and hi + m * C <= lift.right
+            and lift.contains((lo + hi) / 2 + m * C)]
+
+
+class TestDeckCopies:
+    @pytest.mark.parametrize("C", [Fr(4), Fr(3, 2), Fr(5, 3)])
+    def test_closed_form_matches_loops(self, rng, C):
+        from thicket.model import _copies_arc, _copies_point
+        kinds = (CLOSED, OPEN)
+        step = C / 12
+        for _ in range(2000):
+            left = step * rng.randint(-30, 30)
+            length = step * rng.randint(0, 40)          # up to 10C/3
+            lk, rk = rng.choice(kinds), rng.choice(kinds)
+            if length == 0:
+                lk = rk = CLOSED
+            lift = Interval(left, lk, left + length, rk)
+            # copies landing on an endpoint come from points at the
+            # endpoints' positions on the circle
+            q = rng.choice((lift.left % C, lift.right % C,
+                            step * rng.randint(0, 11)))
+            assert list(_copies_point(q, lift, C)) == \
+                _copies_point_loop(q, lift, C), (q, lift)
+            lo = rng.choice((lift.left % C, lift.right % C,
+                             step * rng.randint(0, 11)))
+            hi = lo + step * rng.randint(1, 12)
+            assert list(_copies_arc(lo, hi, lift, C)) == \
+                _copies_arc_loop(lo, hi, lift, C), (lo, hi, lift)

@@ -144,6 +144,24 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
 
+    @pytest.mark.parametrize("kind, line", [
+        ("barcode", "bar: 0"),
+        ("barcode", "bar: x [0, 1]"),
+        ("circle", "spiral: 0"),
+    ], ids=["bar-no-interval", "bar-bad-degree", "spiral-no-interval"])
+    def test_bad_bar_line_rejected(self, tmp_path, capsys, kind, line):
+        doc = tmp_path / "bad.txt"
+        space = "circle C=4" if kind == "circle" else "line"
+        doc.write_text(f"thicket/1\nkind: {kind}\nchar: 2\nspace: {space}\n"
+                       f"{line}\n")
+        assert run_command(["dual" if kind == "barcode" else "fs", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: malformed ") and "(line 5)" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestDeterminism:
     def test_suite_byte_identical(self, tmp_path):
         o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -24,6 +24,11 @@ class TestPlan:
         p2 = ExtensionPlan.for_shift(Fr(3, 4), Fr(1, 2))
         assert (p2.n, p2.r) == (1, Fr(1, 4))
 
+    @pytest.mark.parametrize("lam", [Fr(0), Fr(-1, 2)], ids=["zero", "negative"])
+    def test_nonpositive_step_rejected(self, lam):
+        with pytest.raises(ValueError, match="step must be positive"):
+            ExtensionPlan.for_shift(Fr(1), lam)
+
 
 class TestExtendApply:
     def test_agrees_with_thicken(self, rng):

@@ -5,13 +5,17 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import bar, gb
-from thicket.barcode import (closed, full_line, half_open, open_iv, singleton)
-from thicket.corpus import rand_bounded_barcode, rand_barcode, rand_fraction
-from thicket.interleave import (Budget, CapacityError, InterleavingCertificate,
+from thicket.barcode import (CLOSED, Bar, GradedBarcode, Interval, closed,
+                             full_line, half_open, open_iv, singleton)
+from thicket.circle import CircleSheaf, circle_ops
+from thicket.corpus import (rand_bounded_barcode, rand_barcode,
+                            rand_circle_sheaf, rand_fraction)
+from thicket.interleave import (LINE_OPS, Budget, CapacityError,
+                                DistanceBounds, InterleavingCertificate,
                                 check_interleaving, critical_grid, distance,
                                 finite_gate, identity_certificate,
                                 verify_certificate, weaken_certificate)
-from thicket.morphisms import Morphism
+from thicket.morphisms import Morphism, UnsupportedHomError
 from thicket.scalars import POS_INF
 from thicket.thicken import thicken
 
@@ -220,3 +224,106 @@ class TestLogging:
         log = []
         distance(F, G, Budget(max_unknowns=1), log=log)
         assert any(tag == "capacity" for tag, _ in log)
+
+
+# ---------------------------------------------------------------------------
+# Bisection against the linear scan it replaces.
+
+def _outcome(F, G, a, ops, budget):
+    """'found', 'refuted', 'capacity' or 'unsupported' at the shift a."""
+    try:
+        if check_interleaving(F, G, a, "matching", ops) is not None:
+            return "found"
+    except UnsupportedHomError:
+        pass
+    try:
+        cert = check_interleaving(F, G, a, "exhaustive", ops, budget)
+    except CapacityError:
+        return "capacity"
+    except UnsupportedHomError:
+        return "unsupported"
+    return "refuted" if cert is None else "found"
+
+
+def _linear_scan(F, G, budget, ops):
+    """Oracle: scan the whole critical grid upward from 0 and stop at the
+    first certificate, as ``distance`` did before it bisected."""
+    if F == G:
+        return DistanceBounds(Fr(0), Fr(0), True, identity_certificate(F, ops))
+    if finite_gate(F, G, ops) == "infinite":
+        return DistanceBounds(POS_INF, POS_INF, True, None)
+    grid = critical_grid(F, G, ops)
+    refuted, unknown = [], []
+    for a in grid:
+        outcome = _outcome(F, G, a, ops, budget)
+        if outcome == "found":
+            below = [v for v in grid if v < a]
+            if not below or below[-1] in refuted:
+                return DistanceBounds(a, a, True, InterleavingCertificate(a, None, None))
+            return DistanceBounds(max(refuted, default=Fr(0)), a, False,
+                                  InterleavingCertificate(a, None, None),
+                                  conclusive=not unknown)
+        (refuted if outcome == "refuted" else unknown).append(a)
+    return DistanceBounds(max(refuted, default=Fr(0)), POS_INF, False, None,
+                          conclusive=not unknown)
+
+
+def _nudged(rng, F):
+    """F with every endpoint moved by at most 1/2 on the 1/4 grid, keeping
+    kinds, degrees and positive lengths."""
+    bars = []
+    for b in F.bars:
+        while True:
+            left = b.iv.left + Fr(rng.randint(-2, 2), 4)
+            right = b.iv.right + Fr(rng.randint(-2, 2), 4)
+            if right > left or (right == left and b.iv.lkind is b.iv.rkind is CLOSED):
+                break
+        bars.append(Bar(Interval(left, b.iv.lkind, right, b.iv.rkind), b.degree))
+    return GradedBarcode(bars, F.char)
+
+
+def _line_pairs(rng, p, count):
+    """Pairs at finite distance: F against a nudged copy or a thickening."""
+    for _ in range(count):
+        F = rand_bounded_barcode(rng, max_bars=4, char=p)
+        if rng.random() < 0.6:
+            yield F, _nudged(rng, F)
+        else:
+            yield F, thicken(F, Fr(rng.randint(1, 4), 4))
+
+
+def _circle_pairs(rng, p, count):
+    C = Fr(4)
+    for _ in range(count):
+        F = rand_circle_sheaf(rng, C, max_spirals=3, char=p)
+        G = CircleSheaf(C, _nudged(rng, F.spiral_barcode()).bars, (), p)
+        yield F.spiral_barcode(), G.spiral_barcode(), circle_ops(C, p)
+
+
+def _sides(d):
+    return (d.lower, d.upper, d.exact, d.conclusive,
+            None if d.witness is None else d.witness.a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestBisection:
+    def test_feasibility_upward_closed(self, rng, p):
+        pairs = [(F, G, LINE_OPS) for F, G in _line_pairs(rng, p, 6)]
+        pairs += list(_circle_pairs(rng, p, 4))
+        for F, G, ops in pairs:
+            outcomes = [_outcome(F, G, a, ops, Budget())
+                        for a in critical_grid(F, G, ops)]
+            if "found" in outcomes:
+                assert "refuted" not in outcomes[outcomes.index("found"):], (F, G)
+
+    @pytest.mark.parametrize("budget", [Budget(), Budget(max_unknowns=1),
+                                        Budget(max_unknowns=2)],
+                             ids=["default", "unknowns-1", "unknowns-2"])
+    def test_distance_matches_linear_scan(self, rng, p, budget):
+        pairs = [(F, G, LINE_OPS) for F, G in _line_pairs(rng, p, 10)]
+        pairs += list(_circle_pairs(rng, p, 5))
+        for F, G, ops in pairs:
+            d = distance(F, G, budget, ops)
+            assert _sides(d) == _sides(_linear_scan(F, G, budget, ops)), (F, G)
+            if d.witness is not None:
+                assert verify_certificate(F, G, d.witness, ops)
