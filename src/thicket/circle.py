@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .barcode import (CLOSED, Bar, GradedBarcode, Interval, intersect,
-                      rgamma_c_interval)
+from .barcode import (CLOSED, Bar, GradedBarcode, Interval, canonical_order,
+                      intersect, rgamma_c_interval)
 from .interleave import Budget, DEFAULT_BUDGET, DistanceBounds, SpaceOps
 from .interleave import distance as _distance
 from .model import (CircleModel, Rep, circle_band_rep, circle_spiral_rep,
@@ -94,8 +94,7 @@ class CircleSheaf:
             if not b.iv.is_bounded:
                 raise ValueError(f"spiral lift must be bounded: {b}")
             sp.append(_normalize_lift(b, self.C))
-        sp.sort(key=Bar.sort_key)
-        self.spirals = tuple(sp)
+        self.spirals = tuple(canonical_order(sp))
         bd = []
         for band in bands:
             if isinstance(band, Band):

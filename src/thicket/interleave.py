@@ -175,6 +175,19 @@ def _pair_feasible(fbar, gbar, a, p, ops):
     return (1, fm.finv(s2, p))
 
 
+def _check_normalized(F, G, ops):
+    """Reject bars that ``ops.normalize_bar`` would move.  The circle search
+    normalizes every thickened lift and compares it with the input lifts,
+    so those must be normalized too."""
+    if ops.normalize_bar is None:
+        return
+    for b in F.bars + G.bars:
+        nb = ops.normalize_bar(b)
+        if nb != b:
+            raise ValueError(f"bar {b} is not normalized (its normal form "
+                             f"is {nb})")
+
+
 def _lift_rule(bar, a, ops):
     from .thicken import bar_rule
     b = bar_rule(bar, Fraction(a))
@@ -182,6 +195,7 @@ def _lift_rule(bar, a, ops):
 
 
 def check_matching(F, G, a, ops: SpaceOps = LINE_OPS):
+    _check_normalized(F, G, ops)
     a = Fraction(a)
     p = F.char
     nF, nG = len(F.bars), len(G.bars)
@@ -259,6 +273,7 @@ def _variables(X, TXa, permX, Y, p, space):
 
 def check_exhaustive(F, G, a, ops: SpaceOps = LINE_OPS, budget: Budget = DEFAULT_BUDGET):
     """Complete search over block assignments; None means proven infeasible."""
+    _check_normalized(F, G, ops)
     a = Fraction(a)
     p = F.char
     TFa, permFa = ops.thicken_indexed(F, a)
@@ -457,6 +472,7 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, ops: SpaceOps = LINE_OPS,
     soundness.  ``log`` receives ``(event, shift)`` for each probe that the
     matching strategy could not decide, in probe order.
     """
+    _check_normalized(F, G, ops)
     if iso_equal(F, G):
         return DistanceBounds(Fraction(0), Fraction(0), True,
                               identity_certificate(F, ops))

@@ -19,30 +19,37 @@ from .scalars import NEG_INF, POS_INF, is_finite
 def bar_rule(b: Bar, a: Fraction) -> Bar:
     """Thicken one bar by the signed amount ``a``."""
     iv, d = b.iv, b.degree
-    if iv.is_full_line:
-        return b
-    if iv.is_right_ray:
-        if iv.lkind is CLOSED:
-            return Bar(Interval(iv.left - a, CLOSED, POS_INF, OPEN), d)
-        return Bar(Interval(iv.left + a, OPEN, POS_INF, OPEN), d)
-    if iv.is_left_ray:
-        if iv.rkind is CLOSED:
-            return Bar(Interval(NEG_INF, OPEN, iv.right + a, CLOSED), d)
-        return Bar(Interval(NEG_INF, OPEN, iv.right - a, OPEN), d)
+    left, right, lkind, rkind = iv.left, iv.right, iv.lkind, iv.rkind
+    # the shape is read off finiteness, as in the Interval predicates
+    if not is_finite(left):
+        if not is_finite(right):               # the full line
+            return b
+        if rkind is CLOSED:                    # left rays
+            return Bar(Interval(NEG_INF, OPEN, right + a, CLOSED), d)
+        return Bar(Interval(NEG_INF, OPEN, right - a, OPEN), d)
+    if not is_finite(right):                   # right rays
+        if lkind is CLOSED:
+            return Bar(Interval(left - a, CLOSED, POS_INF, OPEN), d)
+        return Bar(Interval(left + a, OPEN, POS_INF, OPEN), d)
     # bounded from here on
-    length = iv.right - iv.left
-    if iv.lkind is CLOSED and iv.rkind is OPEN:
-        return Bar(Interval(iv.left - a, CLOSED, iv.right - a, OPEN), d)
-    if iv.lkind is OPEN and iv.rkind is CLOSED:
-        return Bar(Interval(iv.left + a, OPEN, iv.right + a, CLOSED), d)
-    if iv.lkind is CLOSED:                     # closed, including points
-        if 2 * a >= -length:
-            return Bar(Interval(iv.left - a, CLOSED, iv.right + a, CLOSED), d)
-        return Bar(Interval(iv.right + a, OPEN, iv.left - a, OPEN), d - 1)
+    if lkind is CLOSED and rkind is OPEN:
+        return Bar(Interval(left - a, CLOSED, right - a, OPEN), d)
+    if lkind is OPEN and rkind is CLOSED:
+        return Bar(Interval(left + a, OPEN, right + a, CLOSED), d)
+    if lkind is CLOSED:                        # closed, including points
+        lo, hi = left - a, right + a
+        # lo <= hi is 2a >= -length: the bar grows, or shrinks at most to a
+        # point; past that it turns into the open gap one degree down
+        if lo <= hi:
+            return Bar(Interval(lo, CLOSED, hi, CLOSED), d)
+        return Bar(Interval(hi, OPEN, lo, OPEN), d - 1)
     # open bounded
-    if 2 * a < length:
-        return Bar(Interval(iv.left + a, OPEN, iv.right - a, OPEN), d)
-    return Bar(Interval(iv.right - a, CLOSED, iv.left + a, CLOSED), d + 1)
+    lo, hi = left + a, right - a
+    # lo < hi is 2a < length: the bar stays open; from there on it is the
+    # closed overlap one degree up
+    if lo < hi:
+        return Bar(Interval(lo, OPEN, hi, OPEN), d)
+    return Bar(Interval(hi, CLOSED, lo, CLOSED), d + 1)
 
 
 def thicken(F: GradedBarcode, a) -> GradedBarcode:

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, closed,
-                             full_line, half_open, half_open_r, open_iv,
-                             ray_left, ray_right, singleton)
+from fractions import Fraction
+
+from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
+                             closed, full_line, half_open, half_open_r,
+                             open_iv, ray_left, ray_right, singleton)
 
 
 def gb(*bars, char=2):
@@ -13,6 +15,30 @@ def gb(*bars, char=2):
 
 def bar(iv, d=0):
     return Bar(iv, d)
+
+
+def mixed_bar(rng, denoms):
+    """A random bar of any shape: rays, the full line, points and all four
+    kinds, with ends in [-40, 40] over the given denominators."""
+    def end():
+        return Fraction(rng.randint(-40, 40), rng.choice(denoms))
+    shape = rng.randrange(8)
+    if shape == 0:
+        iv = full_line()
+    elif shape == 1:
+        iv = ray_left(end(), rng.choice((CLOSED, OPEN)))
+    elif shape == 2:
+        iv = ray_right(end(), rng.choice((CLOSED, OPEN)))
+    elif shape == 3:
+        iv = singleton(end())
+    else:
+        lo, hi = end(), end()
+        while lo == hi:
+            hi = end()
+        kinds = [(CLOSED, CLOSED), (OPEN, OPEN), (CLOSED, OPEN),
+                 (OPEN, CLOSED)][shape - 4]
+        iv = Interval(min(lo, hi), kinds[0], max(lo, hi), kinds[1])
+    return Bar(iv, rng.randint(-2, 3))
 
 
 # one representative per interval shape class

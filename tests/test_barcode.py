@@ -1,20 +1,26 @@
 """Barcode core: canonical forms, global sections, duality."""
 
+import math
+import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SHAPE_REPRESENTATIVES, bar, gb
+from conftest import SHAPE_REPRESENTATIVES, bar, gb, mixed_bar
 from thicket.barcode import (CLOSED, OPEN, Bar, CharacteristicMismatchError,
                              GradedBarcode, Interval, InvalidIntervalError,
-                             canonicalize, closed, dims_add, dualize,
+                             canonical_order, canonicalize, closed,
+                             dims_add, dualize,
                              dualize_bar, full_line, global_sections,
                              global_sections_c, half_open, half_open_r,
                              intersect, iso_equal, open_iv, ray_left,
                              ray_right, singleton, stalk_dims)
+from thicket.corpus import rand_interval
 from thicket.model import LineModel, line_bar_rep, rep_sections
+from thicket.scalars import NEG_INF, POS_INF
 
 
 class TestCanonicalize:
@@ -193,3 +199,141 @@ class TestEquivalenceRelation:
                 for H in pool:
                     if iso_equal(F, G) and iso_equal(G, H):
                         assert iso_equal(F, H)
+
+
+# ---------------------------------------------------------------------------
+# Interval validation, shape predicates and the canonical order.
+
+def _rejection(left, lkind, right, rkind):
+    """The error class and message of a rejected interval, or None."""
+    try:
+        Interval(left, lkind, right, rkind)
+    except InvalidIntervalError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestIntervalValidation:
+    @pytest.mark.parametrize("args, message", [
+        ((Fr(2), CLOSED, Fr(1), CLOSED), "empty interval: [2, 1]"),
+        ((Fr(2), CLOSED, Fr(-1, 3), OPEN), "empty interval: [2, -1/3)"),
+        ((Fr(1), OPEN, Fr(1), OPEN), "empty degenerate interval: (1, 1)"),
+        ((Fr(1), CLOSED, Fr(1), OPEN), "empty degenerate interval: [1, 1)"),
+        ((Fr(1), OPEN, Fr(1), CLOSED), "empty degenerate interval: (1, 1]"),
+        ((NEG_INF, CLOSED, Fr(0), CLOSED),
+         "infinite endpoint must be open: [-inf, 0]"),
+        ((Fr(0), OPEN, POS_INF, CLOSED),
+         "infinite endpoint must be open: (0, +inf]"),
+        ((POS_INF, CLOSED, Fr(1), OPEN),
+         "infinite endpoint must be open: [+inf, 1)"),
+        ((POS_INF, OPEN, Fr(0), CLOSED), "empty interval: (+inf, 0]"),
+        ((Fr(0), CLOSED, NEG_INF, OPEN), "empty interval: [0, -inf)"),
+        ((POS_INF, OPEN, POS_INF, OPEN), "empty interval: (+inf, +inf)"),
+        ((NEG_INF, OPEN, NEG_INF, OPEN), "empty interval: (-inf, -inf)"),
+        ((POS_INF, OPEN, NEG_INF, OPEN), "empty interval: (+inf, -inf)"),
+        ((2, CLOSED, 1, OPEN), "empty interval: [2, 1)"),
+    ])
+    def test_rejection_class_and_message(self, args, message):
+        with pytest.raises(InvalidIntervalError, match=f"^{re.escape(message)}$"):
+            Interval(*args)
+
+    def test_int_endpoints_accepted(self):
+        iv = Interval(0, CLOSED, 1, OPEN)
+        assert iv == half_open(0, 1)
+        assert type(iv.left) is Fr and type(iv.right) is Fr
+        assert Interval(3, CLOSED, 3, CLOSED) == singleton(3)
+        assert Interval(NEG_INF, OPEN, -2, CLOSED) == ray_left(-2)
+
+    def test_agrees_with_direct_comparisons(self):
+        # the comparison-based definition the cross-multiplied test replaces
+        def reference(left, lkind, right, rkind):
+            iv = f"{'[' if lkind is CLOSED else '('}{left}, {right}" \
+                 f"{']' if rkind is CLOSED else ')'}"
+            if (not isinstance(left, Fr) and lkind is not OPEN) or \
+                    (not isinstance(right, Fr) and rkind is not OPEN):
+                return "infinite endpoint must be open"
+            if left > right or (left == right and not isinstance(left, Fr)):
+                return "empty interval"
+            if left == right and (lkind is not CLOSED or rkind is not CLOSED):
+                return "empty degenerate interval"
+            return None
+
+        rng = random.Random(5)
+        values = [NEG_INF, POS_INF] + [Fr(n, d) for n in range(-7, 8)
+                                       for d in (1, 3, 7, 12)]
+        for _ in range(3000):
+            args = (rng.choice(values), rng.choice((CLOSED, OPEN)),
+                    rng.choice(values), rng.choice((CLOSED, OPEN)))
+            got = _rejection(*args)
+            want = reference(*args)
+            if want is None:
+                assert got is None, args
+            else:
+                assert got is not None and got[0] is InvalidIntervalError, args
+                assert got[1].startswith(want + ": "), (args, got)
+
+
+class TestShapePredicates:
+    def test_match_infinity_comparisons(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            iv = rand_interval(rng)
+            assert iv.is_full_line == (iv.left == NEG_INF and iv.right == POS_INF)
+            assert iv.is_left_ray == (iv.left == NEG_INF and iv.right != POS_INF)
+            assert iv.is_right_ray == (iv.left != NEG_INF and iv.right == POS_INF)
+            assert iv.is_bounded == (iv.left != NEG_INF and iv.right != POS_INF)
+
+
+class TestCanonicalOrder:
+    @staticmethod
+    def _same(bars):
+        got = canonical_order(bars)
+        want = sorted(bars, key=Bar.sort_key)
+        # identical objects, in the same order: equal bars keep their order
+        assert len(got) == len(want)
+        assert all(x is y for x, y in zip(got, want))
+
+    def test_matches_sort_key_on_random_lists(self):
+        rng = random.Random(3)
+        for n in (0, 1, 2, 5, 40, 400):
+            for _ in range(10):
+                bars = [mixed_bar(rng, (1, 3, 7, 12)) for _ in range(n)]
+                # equal bars built separately test the stability
+                bars += [Bar(Interval(b.iv.left, b.iv.lkind, b.iv.right,
+                                      b.iv.rkind), b.degree)
+                         for b in bars[:n // 4]]
+                rng.shuffle(bars)
+                self._same(bars)
+
+    def test_mixed_denominators_close_together(self):
+        vals = [Fr(1, 3), Fr(1, 7), Fr(5, 12), Fr(-1, 3), Fr(-5, 12), Fr(0)]
+        bars = [Bar(Interval(x, k1, y, k2), 0)
+                for x in vals for y in vals if x < y
+                for k1 in (CLOSED, OPEN) for k2 in (CLOSED, OPEN)]
+        bars += [Bar(singleton(x), 0) for x in vals]
+        random.Random(1).shuffle(bars)
+        self._same(bars)
+
+    def test_large_lcm_takes_the_fallback(self, monkeypatch):
+        primes = [1000003, 1000033, 1000037, 1000039]
+        assert math.lcm(*primes).bit_length() > 64
+        bars = [Bar(closed(Fr(k, q), Fr(k + 1, 2)), 0)
+                for k, q in enumerate(primes, start=1)]
+        bars += [Bar(ray_right(Fr(1, q)), 1) for q in primes]
+        bars += [Bar(singleton(k), 0) for k in range(12)]
+        bars.append(Bar(full_line(), 1))
+        random.Random(2).shuffle(bars)
+        calls = []
+        original = Bar.sort_key
+        monkeypatch.setattr(Bar, "sort_key",
+                            lambda b: calls.append(b) or original(b))
+        got = canonical_order(bars)
+        assert len(calls) == len(bars)
+        monkeypatch.undo()
+        assert got == sorted(bars, key=Bar.sort_key)
+
+    def test_integer_keys_on_long_lists(self, monkeypatch):
+        bars = [Bar(closed(Fr(k, 3), Fr(k, 3) + Fr(5, 12)), 0)
+                for k in range(20, 0, -1)]
+        monkeypatch.setattr(Bar, "sort_key", None)
+        assert canonical_order(bars) == bars[::-1]

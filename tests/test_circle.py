@@ -4,15 +4,16 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from thicket.barcode import (CLOSED, OPEN, Bar, Interval, closed, half_open,
-                             open_iv, singleton)
+from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
+                             closed, half_open, open_iv, singleton)
 from thicket.circle import (Band, CircleSheaf, UnsupportedBandContentError,
                             circle_distance, circle_global_sections, circle_ops,
                             circle_stalk_oracle, circle_thicken,
                             cyclic_model_of, decompose_cyclic, fourier_sato,
                             iso_equal_circle, seed_bound)
 from thicket.corpus import rand_circle_sheaf, rand_fraction
-from thicket.interleave import verify_certificate
+from thicket.interleave import (check_exhaustive, check_interleaving,
+                                check_matching, distance, verify_certificate)
 from thicket.scalars import POS_INF
 
 
@@ -220,6 +221,43 @@ class TestCircleDistance:
             F = rand_circle_sheaf(rng, max_spirals=2)
             G = rand_circle_sheaf(rng, max_spirals=2)
             assert circle_distance(F, G).fields() == circle_distance(G, F).fields()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestUnnormalizedLifts:
+    # G's first lift starts at -1/2, outside [0, C)
+    F = [Bar(open_iv(0, Fr(1, 4)), 0), Bar(closed(Fr(1, 4), 1), 0)]
+    G = [Bar(open_iv(Fr(-1, 2), Fr(1, 2)), 0), Bar(closed(Fr(3, 4), Fr(3, 2)), 0)]
+
+    def test_entry_points_reject(self, p):
+        F, G = GradedBarcode(self.F, p), GradedBarcode(self.G, p)
+        ops = circle_ops(C, p)
+        calls = [lambda: check_matching(F, G, Fr(1, 2), ops),
+                 lambda: check_exhaustive(F, G, Fr(1, 2), ops),
+                 lambda: check_interleaving(F, G, Fr(1, 2), "matching", ops),
+                 lambda: check_interleaving(F, G, Fr(1, 2), "exhaustive", ops),
+                 lambda: distance(F, G, ops=ops),
+                 lambda: distance(G, F, ops=ops),
+                 lambda: distance(G, G, ops=ops)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"bar \(-1/2, 1/2\) @deg 0 "
+                                                 r"is not normalized"):
+                call()
+
+    def test_normalized_pair_is_searched(self, p):
+        F = CircleSheaf(C, self.F, (), p)
+        G = CircleSheaf(C, self.G, (), p)
+        d = circle_distance(F, G)
+        if d.witness is not None:
+            assert verify_certificate(F.spiral_barcode(), G.spiral_barcode(),
+                                      d.witness, circle_ops(C, p))
+        for strategy in ("matching", "exhaustive"):
+            cert = check_interleaving(F.spiral_barcode(), G.spiral_barcode(),
+                                      Fr(1, 2), strategy, circle_ops(C, p))
+            if cert is not None:
+                assert verify_certificate(F.spiral_barcode(),
+                                          G.spiral_barcode(), cert,
+                                          circle_ops(C, p))
 
 
 class TestIsometry:

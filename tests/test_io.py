@@ -1,12 +1,15 @@
 """Document round trips, parse errors, SVG output."""
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import bar, gb
-from thicket.barcode import Bar, closed, half_open, open_iv, ray_left, singleton
+from conftest import bar, gb, mixed_bar
+from thicket.barcode import (Bar, GradedBarcode, closed, half_open, open_iv,
+                             ray_left, singleton)
 from thicket.circle import CircleSheaf
+from thicket.corpus import rand_circle_sheaf
 from thicket.docio import (Document, DocumentError, barcode_doc, circle_doc,
                            parse, plmap_doc, report_doc, serialize)
 from thicket.plmaps import PLMap, abs_map
@@ -37,6 +40,36 @@ class TestRoundTrip:
     def test_char_preserved(self):
         F = gb(bar(closed(0, 1)), char=3)
         assert parse(serialize(barcode_doc(F))).payload.char == 3
+
+
+def _assert_round_trip(doc):
+    text = serialize(doc)
+    back = parse(text)
+    assert back.payload == doc.payload
+    assert back.char == doc.char and back.space == doc.space
+    assert serialize(back) == text
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestRoundTripProperties:
+    def test_random_barcodes(self, p):
+        rng = random.Random(100 + p)
+        for n in list(range(8)) + [60]:
+            for _ in range(6):
+                F = GradedBarcode([mixed_bar(rng, (1, 3, 5, 7, 12))
+                                   for _ in range(n)], p)
+                _assert_round_trip(barcode_doc(F))
+
+    def test_random_circle_sheaves(self, p):
+        rng = random.Random(200 + p)
+        ranks = set()
+        for _ in range(40):
+            C = rng.choice((Fr(4), Fr(3), Fr(7, 2)))
+            F = rand_circle_sheaf(rng, C, max_spirals=5, with_bands=True,
+                                  char=p)
+            ranks.update(b.rank for b in F.bands)
+            _assert_round_trip(circle_doc(F))
+        assert ranks == {1, 2}
 
 
 class TestErrors:

@@ -105,6 +105,26 @@ class TestRuleCertification:
         _certify_rule_row(closed(0, 4), Fr(-2))
         _certify_rule_row(singleton(1), Fr(-1))
 
+    @pytest.mark.parametrize("left, right", [(Fr(1, 3), Fr(11, 5)),
+                                             (Fr(-5, 7), Fr(3, 11)),
+                                             (Fr(-9, 5), Fr(-1, 3))])
+    def test_collapse_thresholds_odd_denominators(self, left, right):
+        # closed bars collapse past 2a = -length, open bars at 2a = length
+        half = (right - left) / 2
+        past = Fr(1, 7)
+        closed_bar, open_bar = closed(left, right), open_iv(left, right)
+        mid = singleton((left + right) / 2)
+        for a in (-half, -half - past):
+            _certify_rule_row(closed_bar, a)
+        for a in (half, half + past):
+            _certify_rule_row(open_bar, a)
+        assert bar_rule(bar(closed_bar, 0), -half) == bar(mid, 0)
+        assert bar_rule(bar(closed_bar, 0), -half - past) == \
+            bar(open_iv(right - half - past, left + half + past), -1)
+        assert bar_rule(bar(open_bar, 0), half) == bar(mid, 1)
+        assert bar_rule(bar(open_bar, 0), half + past) == \
+            bar(closed(right - half - past, left + half + past), 1)
+
 
 class TestSemigroup:
     def test_exact_law_seeded(self, rng):
