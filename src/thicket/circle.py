@@ -14,18 +14,18 @@ from fractions import Fraction
 from functools import partial
 
 from .barcode import (CLOSED, Bar, GradedBarcode, Interval, canonical_order,
-                      intersect, rgamma_c_interval)
+                      dims_add, global_sections_c, intersect, rgamma_c_interval)
 from .interleave import Budget, DEFAULT_BUDGET, DistanceBounds, SpaceOps
 from .interleave import distance as _distance
 from .model import (CircleModel, Rep, circle_band_rep, circle_spiral_rep,
-                    direct_sum, rep_sections)
+                    direct_sum)
 from .morphisms import restriction as _restriction
 from .morphisms import thicken_indexed as _thicken_indexed
 from .morphisms import thicken_morphism as _thicken_morphism
 from .scalars import POS_INF
 from .thicken import bar_rule
 from .zigzag import canonical_monodromy, decompose_cyclic_rep
-from .fieldmath import inverse, is_prime
+from .fieldmath import inverse, is_prime, rank as matrix_rank
 
 
 class UnsupportedBandContentError(ValueError):
@@ -237,16 +237,19 @@ def circle_stalk_oracle(F: CircleSheaf, a, x) -> dict[int, int]:
 
 def circle_global_sections(F: CircleSheaf) -> dict[int, int]:
     """Degree-wise dimensions of sections over the compact circle (equal to
-    the compactly supported variant)."""
-    cm = cyclic_model_of(F)
-    dims: dict[int, int] = {}
-    for d, rep in cm.reps.items():
-        h0, h1 = rep_sections(rep)
-        if h0:
-            dims[d] = dims.get(d, 0) + h0
-        if h1:
-            dims[d + 1] = dims.get(d + 1, 0) + h1
-    return {d: n for d, n in sorted(dims.items()) if n}
+    the compactly supported variant).  The circle is compact, so a spiral
+    p_!(k_I) has the compactly supported sections of its lift I on the
+    line.  A band of rank r and monodromy M has the invariants ker(M - 1)
+    in its degree and the coinvariants coker(M - 1) one degree up, both of
+    dimension r - rank(M - 1)."""
+    dims = global_sections_c(F.spiral_barcode())
+    for band in F.bands:
+        mat = band.matrix()
+        for i in range(band.rank):
+            mat[i][i] = (mat[i][i] - 1) % F.char
+        fixed = band.rank - matrix_rank(mat, F.char)
+        dims = dims_add(dims, {band.degree: fixed, band.degree + 1: fixed})
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +264,8 @@ def circle_ops(C, char: int = 2) -> SpaceOps:
         return GradedBarcode([norm(bar_rule(b, Fraction(a))) for b in F.bars], F.char)
 
     def gate(F):
-        sheaf = CircleSheaf(C, F.bars, (), F.char)
-        g = circle_global_sections(sheaf)
+        # spiral sections over the compact circle are those of the lifts
+        g = global_sections_c(F)
         return (g, g)
 
     def grid(F, G):

@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 validation error, 2 usage error (argparse), 70
-internal invariant violation.  All randomized suites are deterministic given
---seed; THICKET_WORKERS > 1 fans suite cases across processes.
+Exit codes: 0 success, 1 validation error or a documented scope limit (a Hom
+space beyond the supported dimension one, reported as ``error:
+unsupported: ...``), 2 usage error (argparse), 70 internal invariant
+violation.  All randomized suites are deterministic given --seed;
+THICKET_WORKERS > 1 fans suite cases across processes.
 """
 
 from __future__ import annotations
@@ -440,7 +442,10 @@ def run_command(argv) -> int:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
         return args.fn(args)
-    except (AssertionError, UnsupportedHomError) as exc:
+    except UnsupportedHomError as exc:
+        print(f"error: unsupported: {exc}", file=sys.stderr)
+        return VALIDATION_EXIT
+    except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
     except (CliError, DocumentError, ValueError) as exc:

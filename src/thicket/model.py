@@ -8,8 +8,11 @@ spaces are computed from the exact sequence
     0 -> Hom(M,N) -> (+)_v Hom(M_v,N_v) --delta--> (+)_e Hom(M_pt, N_open)
       -> Ext^1(M,N) -> 0
 
-by plain linear algebra over F_p.  This module is the brute-force oracle the
-closed-form tables elsewhere are certified against.
+by plain linear algebra over F_p.  The line Hom/Ext calculus in
+``morphisms`` runs on line models.  The circle models are the oracle that
+the covering-map Hom calculus and the closed-form circle sections are
+tested against; the cyclic decomposition (``circle.decompose_cyclic``)
+still runs on them.
 """
 
 from __future__ import annotations

@@ -2,17 +2,33 @@
 
 A morphism is a block matrix indexed by (source bar, target bar) where each
 block is a scalar multiple of the canonical generator of the corresponding
-Hom space.  Hom spaces between shifted interval sheaves are at most
-one-dimensional; blocks come in two kinds, degree preserving ('h') and
-degree dropping by one ('e', extension classes).  Hom/Ext dimensions and
-the structure constants that composition multiplies blocks through are
-computed in the finite quiver model once per endpoint order type and
-memoized; ``hom_dim`` reads the same memo as the hot paths.
-``poset_oracle_rhom`` recomputes RHom independently, as a test oracle.
+Hom space.  Blocks come in two kinds, degree preserving ('h') and degree
+dropping by one ('e', extension classes).
+
+On the line, Hom spaces between shifted interval sheaves are at most
+one-dimensional.  Their dimensions and the structure constants that
+composition multiplies blocks through are computed in the finite quiver
+model once per endpoint order type and memoized; ``hom_dim`` reads the same
+memo as the hot paths.
+
+On the circle R/CZ a spiral is the pushforward p_!(k_I) of a bounded lift
+along the covering map p.  Since p_! is left adjoint to p^{-1} and
+p^{-1} p_! k_J is the sum of the deck copies k_{J + nC},
+
+    RHom(p_! k_I, p_! k_J) = (+)_n RHom(k_I, k_{J + nC}),
+
+a finite sum of line spaces, and a composite of blocks on copies n and m
+lies on copy n + m.  Circle dimensions and structure constants are read
+from the line memo this way.  A block carries one scalar, so a circle space
+is supported only when its dimension summed over the deck copies is at most
+one; beyond that ``UnsupportedHomError`` is raised.  The circle quiver
+model (``quiver_struct_scalar`` and ``poset_oracle_rhom`` with a circle
+space) stays as the test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +44,8 @@ LINE = "line"
 
 
 class UnsupportedHomError(ValueError):
-    """Raised when a Hom space falls outside the supported (dim <= 1) regime."""
+    """Raised when a Hom space falls outside the supported (dim <= 1) regime:
+    on the circle, dimension counted over all deck copies."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +106,7 @@ class PairData:
         model = build_model(space, [ivA, ivB])
         self.model = model
         self.pair = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivB, p))
-        if self.pair.hom_dim > 1 or self.pair.ext_dim > 1:
-            raise UnsupportedHomError(
-                f"hom space dimension exceeds 1 for {ivA} -> {ivB}: "
-                f"hom={self.pair.hom_dim}, ext={self.pair.ext_dim}")
+        _check_supported((self.pair.hom_dim, self.pair.ext_dim), ivA, ivB)
         self.hom_dim = self.pair.hom_dim
         self.ext_dim = self.pair.ext_dim
         self._ext_rep = None
@@ -146,13 +160,51 @@ def pair_data(space, ivA: Interval, ivB: Interval, p: int) -> PairData:
     return data
 
 
-def space_dim(space, ivA, ivB, kind, p: int) -> int:
+def _pair_dims(space, p, ivA, ivB):
+    """Memoized (hom, ext) of an ordered pair; a circle pair's entry also
+    carries its deck-copy table (``_covering_pair_dims``)."""
     key = _cache_key(space, p, (ivA, ivB))
     dims = _DIMS_CACHE.get(key)
     if dims is None:
-        d = pair_data(space, ivA, ivB, p)
-        dims = (d.hom_dim, d.ext_dim)
+        if space == LINE:
+            d = pair_data(space, ivA, ivB, p)
+            dims = (d.hom_dim, d.ext_dim)
+        else:
+            dims = _covering_pair_dims(space, p, ivA, ivB)
         _DIMS_CACHE[key] = dims
+    return dims
+
+
+def _covering_pair_dims(space, p, ivA, ivB):
+    """(hom, ext, {n: (hom, ext)}) of a circle pair of lifts.  RHom(p_!A, p_!B)
+    is the sum over deck copies n of the line RHom(A, B + nC), and only the
+    copies whose closures meet A contribute.  Each copy is a line pair, read
+    from the shape-keyed line memo."""
+    C = space[1]
+    copies = {}
+    for n in range(math.ceil((ivA.left - ivB.right) / C),
+                   math.floor((ivA.right - ivB.left) / C) + 1):
+        hom, ext = _pair_dims(LINE, p, ivA, _deck_copy(ivB, n, C))
+        if hom or ext:
+            copies[n] = (hom, ext)
+    return (sum(h for h, _ in copies.values()),
+            sum(e for _, e in copies.values()), copies)
+
+
+def _deck_copy(iv: Interval, n: int, C) -> Interval:
+    return Interval(iv.left + n * C, iv.lkind, iv.right + n * C, iv.rkind)
+
+
+def _check_supported(dims, ivA, ivB):
+    if dims[0] > 1 or dims[1] > 1:
+        raise UnsupportedHomError(
+            f"hom space dimension exceeds 1 for {ivA} -> {ivB}: "
+            f"hom={dims[0]}, ext={dims[1]}")
+
+
+def space_dim(space, ivA, ivB, kind, p: int) -> int:
+    dims = _pair_dims(space, p, ivA, ivB)
+    _check_supported(dims, ivA, ivB)
     return dims[0] if kind == "h" else dims[1]
 
 
@@ -194,10 +246,80 @@ def struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
     """(target_kind, c) with gen2 o gen1 = c * gen(A->C); kinds in {'h','e'}."""
     if kind1 == "e" and kind2 == "e":
         return ("e", 0)
+    return _struct(space, p, ivA, ivB, ivC, kind1, kind2)
+
+
+def _struct(space, p, ivA, ivB, ivC, kind1, kind2):
     key = (_cache_key(space, p, (ivA, ivB, ivC)), kind1, kind2)
     hit = _STRUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    if hit is None:
+        compute = quiver_struct_scalar if space == LINE else _covering_struct_scalar
+        hit = _STRUCT_CACHE[key] = compute(space, p, ivA, ivB, ivC, kind1, kind2)
+    return hit
+
+
+def _single_copy(dims, slot: int) -> int:
+    """Deck index of the one copy carrying a one-dimensional Hom (slot 0) or
+    Ext (slot 1) space."""
+    return next(n for n, d in dims[2].items() if d[slot])
+
+
+def _hom_factor_copy(space, p, ivA, ivB) -> int:
+    dims = _pair_dims(space, p, ivA, ivB)
+    if dims[0] != 1:
+        raise UnsupportedHomError(f"hom dim {dims[0]} for {ivA} -> {ivB}")
+    return _single_copy(dims, 0)
+
+
+def _ext_factor_copy(space, p, ivA, ivB) -> int:
+    dims = _pair_dims(space, p, ivA, ivB)
+    _check_supported(dims, ivA, ivB)
+    if dims[1] == 0:
+        raise ValueError("ext space is zero")
+    return _single_copy(dims, 1)
+
+
+def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
+    """Circle structure constant through the covering map.  A block on deck
+    copy n (A -> B + nC) followed by one on copy m (B -> C + mC) is the line
+    composite A -> B + nC -> C + (n+m)C, so its scalar is the line constant
+    of that triple, and zero when copy n + m of (A, C) carries no space of
+    the target kind.  Raises ``UnsupportedHomError`` exactly where the
+    quiver computation does: a Hom^0 factor of total dimension other than
+    one, an Ext factor or an Ext target pair of total dimension above one,
+    and a nonzero Hom composite in a space of dimension above one."""
+    C = space[1]
+    dAC = _pair_dims(space, p, ivA, ivC)
+    if (kind1, kind2) == ("h", "h"):
+        n = _hom_factor_copy(space, p, ivA, ivB)
+        m = _hom_factor_copy(space, p, ivB, ivC)
+        if not dAC[2].get(n + m, (0, 0))[0]:
+            return ("h", 0)
+        out = _struct(LINE, p, ivA, _deck_copy(ivB, n, C),
+                      _deck_copy(ivC, n + m, C), "h", "h")
+        if out[1] and dAC[0] != 1:
+            raise UnsupportedHomError(
+                f"composite lands in a {dAC[0]}-dimensional Hom "
+                f"space: {ivA} -> {ivC}")
+        return out
+    if dAC[1] == 0:
+        return ("e", 0)
+    _check_supported(dAC, ivA, ivC)
+    if kind1 == "e":
+        n = _ext_factor_copy(space, p, ivA, ivB)
+        m = _hom_factor_copy(space, p, ivB, ivC)
+    else:
+        m = _ext_factor_copy(space, p, ivB, ivC)
+        n = _hom_factor_copy(space, p, ivA, ivB)
+    if not dAC[2].get(n + m, (0, 0))[1]:
+        return ("e", 0)
+    return _struct(LINE, p, ivA, _deck_copy(ivB, n, C),
+                   _deck_copy(ivC, n + m, C), kind1, kind2)
+
+
+def quiver_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
+    """Structure constant computed in the quiver model on the triple's
+    endpoints: the line implementation, and the circle oracle of the tests."""
     target_kind = "h" if (kind1, kind2) == ("h", "h") else "e"
     model = build_model(space, [ivA, ivB, ivC])
     if target_kind == "h":
@@ -247,7 +369,6 @@ def struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
                     pulled[ei] = fm.mat_mul(mat, phi[pt], p)
                 vec = rpAC.evec_from_edge_matrices(pulled)
             out = ("e", _scalar_on_ext(rpAC, genAC, vec, p))
-    _STRUCT_CACHE[key] = out
     return out
 
 

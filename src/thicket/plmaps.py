@@ -151,7 +151,7 @@ def compose_pl(g: PLMap, f: PLMap) -> PLMap:
         for c in g.xs:
             if s != 0:
                 x = (c - b) / s
-                if (lo == NEG_INF or lo <= x) and (hi == POS_INF or x <= hi):
+                if (not is_finite(lo) or lo <= x) and (not is_finite(hi) or x <= hi):
                     bps.add(x)
     xs = sorted(bps)
     if len(xs) == 1:
@@ -180,9 +180,9 @@ def sup_distance(f: PLMap, g: PLMap):
         for e in (f.domain.left, f.domain.right):
             if is_finite(e):
                 candidates.add(e)
-        if f.domain.left == NEG_INF and f.left_slope != g.left_slope:
+        if not is_finite(f.domain.left) and f.left_slope != g.left_slope:
             return POS_INF
-        if f.domain.right == POS_INF and f.right_slope != g.right_slope:
+        if not is_finite(f.domain.right) and f.right_slope != g.right_slope:
             return POS_INF
     best = Fraction(0)
     for x in sorted(candidates):
@@ -222,8 +222,8 @@ def _bar_pieces(f: PLMap, iv: Interval):
     (sub-interval, slope, intercept) in increasing order."""
     out = []
     for lo, hi, s, b in f.pieces():
-        piece = Interval(lo, OPEN if lo == NEG_INF else CLOSED,
-                         hi, OPEN if hi == POS_INF else CLOSED)
+        piece = Interval(lo, CLOSED if is_finite(lo) else OPEN,
+                         hi, CLOSED if is_finite(hi) else OPEN)
         sub = intersect(piece, iv)
         if sub is not None:
             out.append((sub, s, b))
@@ -279,9 +279,9 @@ def _check_proper(f: PLMap, iv: Interval):
             raise ValueError(f"bar support {iv} leaves the map domain {f.domain}")
         if is_finite(f.domain.left) and is_finite(f.domain.right):
             return
-    if iv.left == NEG_INF and f.left_slope == 0:
+    if not is_finite(iv.left) and f.left_slope == 0:
         raise NonProperError(f"constant tail over the unbounded bar {iv}")
-    if iv.right == POS_INF and f.right_slope == 0:
+    if not is_finite(iv.right) and f.right_slope == 0:
         raise NonProperError(f"constant tail over the unbounded bar {iv}")
 
 

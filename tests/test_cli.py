@@ -101,6 +101,20 @@ class TestExitCodes:
         monkeypatch.setattr(climod, "cmd_dual", boom)
         assert run_command(["dual", str(docs["F"])]) == 70
 
+    def test_unsupported_hom_is_a_validation_error(self, docs, monkeypatch,
+                                                   capsys):
+        # a Hom space beyond dimension one is a documented scope limit
+        import thicket.cli as climod
+        from thicket.morphisms import UnsupportedHomError
+
+        def boom(args):
+            raise UnsupportedHomError("deliberate fault injection")
+
+        monkeypatch.setattr(climod, "cmd_dual", boom)
+        assert run_command(["dual", str(docs["F"])]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: unsupported: deliberate fault injection"
+
     @pytest.mark.parametrize("argv", [
         ["push", "--map", "{pl}", "{F}"],
         ["distance", "{F}", "{G}"],
