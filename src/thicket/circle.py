@@ -9,6 +9,7 @@ thickening realizes the Fourier-Sato transform and its inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -255,6 +256,28 @@ def circle_global_sections(F: CircleSheaf) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Distance on the circle.
 
+def _circle_grid(F, G, C):
+    """Endpoint differences v (and 0), moved by -C..C in steps of C/2, the
+    results |v + kC/2| up to 2C with their halves, sorted.  Everything is an
+    exact int over M = 4 * lcm of the denominators of the ends and of C."""
+    eps = F.finite_endpoints() + G.finite_endpoints()
+    M = 4 * math.lcm(C.denominator, *[x.denominator for x in eps])
+    ints = [x.numerator * (M // x.denominator) for x in eps]
+    half = C.numerator * (M // C.denominator) // 2
+    base = {0}
+    for i, p in enumerate(ints):
+        for q in ints[i + 1:]:
+            base.add(abs(p - q))
+    vals = set()
+    for v in base:
+        for k in (-2, -1, 0, 1, 2):
+            w = abs(v + k * half)
+            if w <= 4 * half:
+                vals.add(w)
+                vals.add(w // 2)
+    return [Fraction(v, M) for v in sorted(vals)]
+
+
 def circle_ops(C, char: int = 2) -> SpaceOps:
     C = Fraction(C)
     space = ("circle", C)
@@ -268,22 +291,6 @@ def circle_ops(C, char: int = 2) -> SpaceOps:
         g = global_sections_c(F)
         return (g, g)
 
-    def grid(F, G):
-        eps = F.finite_endpoints() + G.finite_endpoints()
-        base = {Fraction(0)}
-        for i, p in enumerate(eps):
-            for q in eps[i:]:
-                base.add(abs(p - q))
-        vals = set()
-        half = C / 2
-        for v in base:
-            for k in (-2, -1, 0, 1, 2):
-                w = abs(v + k * half)
-                if w <= 2 * C:
-                    vals.add(w)
-                    vals.add(w / 2)
-        return sorted(vals)
-
     return SpaceOps(
         space=space,
         thicken=cthicken,
@@ -291,7 +298,7 @@ def circle_ops(C, char: int = 2) -> SpaceOps:
         thicken_morphism=partial(_thicken_morphism, normalize=norm),
         restriction=partial(_restriction, space=space, normalize=norm),
         gate_dims=gate,
-        grid=grid,
+        grid=partial(_circle_grid, C=C),
         normalize_bar=norm,
     )
 

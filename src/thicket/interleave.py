@@ -9,10 +9,17 @@ the supported Hom range) or nothing is found, a linear pass from 0 over the
 memoized probes sets the bounds.  The first certified value is the upper
 bound, and exactness is claimed only when the exhaustive search refutes the
 adjacent grid value below.
+
+The grid is built in exact integers: the ends are scaled over twice the lcm
+of their denominators, so every difference and half-difference is an int,
+and one ``Fraction`` is made per distinct grid value.  A matching probe
+thickens each bar once to its a-lift and once to its 2a-lift and reads its
+restriction coefficient once; every candidate pair reuses these.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -21,9 +28,9 @@ from . import fieldmath as fm
 from .barcode import global_sections, global_sections_c, iso_equal
 from .morphisms import (LINE, Morphism, UnsupportedHomError, _block_kind,
                         compose, identity_morphism, restriction, space_dim,
-                        thicken_indexed, thicken_morphism)
+                        struct_scalar, thicken_indexed, thicken_morphism)
 from .scalars import POS_INF, is_finite
-from .thicken import halfopen_translation_kills, thicken
+from .thicken import bar_rule, halfopen_translation_kills, thicken
 
 
 class CapacityError(RuntimeError):
@@ -72,14 +79,19 @@ class SpaceOps:
 
 
 def _line_grid(F, G):
+    """0 and every endpoint difference and half-difference, sorted.  The ends
+    are scaled to integers over M = 2 * lcm of their denominators, so the
+    differences and their halves are exact ints over M."""
     eps = F.finite_endpoints() + G.finite_endpoints()
-    vals = {Fraction(0)}
-    for i, p in enumerate(eps):
-        for q in eps[i:]:
+    M = 2 * math.lcm(*[x.denominator for x in eps])
+    ints = [x.numerator * (M // x.denominator) for x in eps]
+    vals = {0}
+    for i, p in enumerate(ints):
+        for q in ints[i + 1:]:
             d = abs(p - q)
             vals.add(d)
-            vals.add(d / 2)
-    return sorted(vals)
+            vals.add(d // 2)
+    return [Fraction(v, M) for v in sorted(vals)]
 
 
 LINE_OPS = SpaceOps(
@@ -133,43 +145,52 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 # ---------------------------------------------------------------------------
 # Strategy: block-diagonal matching.
 
-def _pair_feasible(fbar, gbar, a, p, ops):
+def _lifts(bars, a, ops):
+    """Per bar: (bar, its a-lift, its 2a-lift, whether the canonical
+    restriction to 2a kills it), computed once per probe."""
+    norm, a2 = ops.normalize_bar, 2 * a
+    out = []
+    for b in bars:
+        ta, t2a = bar_rule(b, a), bar_rule(b, a2)
+        if norm is not None:
+            ta, t2a = norm(ta), norm(t2a)
+        out.append((b, ta, t2a, halfopen_translation_kills(b.iv, 0, a2)))
+    return out
+
+
+def _pair_feasible(f, g, p, space):
     """Scalars (alpha, beta) for a matched pair, or None.
 
-    The pair's composites must hit the restriction coefficients of both bars
-    exactly; either coefficient may be zero (a half-open bar past its
-    length), in which case the corresponding composite has to vanish."""
-    tf = _lift_rule(fbar, a, ops)
-    tg = _lift_rule(gbar, a, ops)
-    tff = _lift_rule(fbar, 2 * a, ops)
-    tgg = _lift_rule(gbar, 2 * a, ops)
+    ``f`` and ``g`` are entries of ``_lifts``.  The pair's composites must
+    hit the restriction coefficients of both bars exactly; either
+    coefficient may be zero (a half-open bar past its length), in which case
+    the corresponding composite has to vanish."""
+    fbar, tf, tff, f_dies = f
+    gbar, tg, tgg, g_dies = g
     k_f = _block_kind(tf, gbar)
     k_g = _block_kind(tg, fbar)
     if k_f is None or k_g is None:
         return None
-    if space_dim(ops.space, tf.iv, gbar.iv, k_f, p) == 0:
+    if space_dim(space, tf.iv, gbar.iv, k_f, p) == 0:
         return None
-    if space_dim(ops.space, tg.iv, fbar.iv, k_g, p) == 0:
+    if space_dim(space, tg.iv, fbar.iv, k_g, p) == 0:
         return None
-    from .morphisms import struct_scalar
     k_tf = _block_kind(tff, tg)
     k_tg = _block_kind(tgg, tf)
     if k_tf is None or k_tg is None:
         return None
-    _, s1 = struct_scalar(ops.space, p, tff.iv, tg.iv, fbar.iv, k_tf, k_g)
-    _, s2 = struct_scalar(ops.space, p, tgg.iv, tf.iv, gbar.iv, k_tg, k_f)
-    rF = 0 if halfopen_translation_kills(fbar.iv, 0, 2 * a) else 1
-    rG = 0 if halfopen_translation_kills(gbar.iv, 0, 2 * a) else 1
-    if rF == 0 and rG == 0:
+    _, s1 = struct_scalar(space, p, tff.iv, tg.iv, fbar.iv, k_tf, k_g)
+    _, s2 = struct_scalar(space, p, tgg.iv, tf.iv, gbar.iv, k_tg, k_f)
+    if f_dies and g_dies:
         return None                 # both sides die: leave the bars unmatched
-    if rF == 1:
+    if not f_dies:
         if s1 == 0:
             return None
         x = fm.finv(s1, p)
-        if (s2 * x) % p != rG:
+        if (s2 * x) % p != (0 if g_dies else 1):
             return None
         return (1, x)
-    # rF == 0, rG == 1: the f-side composite must vanish identically
+    # f dies, g does not: the f-side composite must vanish identically
     if s2 == 0 or s1 != 0:
         return None
     return (1, fm.finv(s2, p))
@@ -188,24 +209,20 @@ def _check_normalized(F, G, ops):
                              f"is {nb})")
 
 
-def _lift_rule(bar, a, ops):
-    from .thicken import bar_rule
-    b = bar_rule(bar, Fraction(a))
-    return b if ops.normalize_bar is None else ops.normalize_bar(b)
-
-
 def check_matching(F, G, a, ops: SpaceOps = LINE_OPS):
     _check_normalized(F, G, ops)
     a = Fraction(a)
     p = F.char
     nF, nG = len(F.bars), len(G.bars)
-    killable_F = [halfopen_translation_kills(b.iv, 0, 2 * a) for b in F.bars]
-    killable_G = [halfopen_translation_kills(b.iv, 0, 2 * a) for b in G.bars]
+    lifts_F = _lifts(F.bars, a, ops)
+    lifts_G = _lifts(G.bars, a, ops)
+    killable_F = [lift[3] for lift in lifts_F]
+    killable_G = [lift[3] for lift in lifts_G]
     feas = {}
     for i in range(nF):
         for j in range(nG):
             try:
-                r = _pair_feasible(F.bars[i], G.bars[j], a, p, ops)
+                r = _pair_feasible(lifts_F[i], lifts_G[j], p, ops.space)
             except UnsupportedHomError:
                 r = None              # matching may skip unsupported pairs
             if r is not None:
@@ -298,7 +315,6 @@ def check_exhaustive(F, G, a, ops: SpaceOps = LINE_OPS, budget: Budget = DEFAULT
 def _exhaustive_core(F, G, a, ops, budget, TFa, permFa, fvars, TGa, permGa, gvars):
     """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
     ``gvars``; the a-thickenings and their index maps come from the caller."""
-    from .morphisms import struct_scalar
     p = F.char
     TF2a, permF2a = ops.thicken_indexed(F, 2 * a)
     TG2a, permG2a = ops.thicken_indexed(G, 2 * a)

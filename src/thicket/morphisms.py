@@ -8,8 +8,10 @@ dropping by one ('e', extension classes).
 On the line, Hom spaces between shifted interval sheaves are at most
 one-dimensional.  Their dimensions and the structure constants that
 composition multiplies blocks through are computed in the finite quiver
-model once per endpoint order type and memoized; ``hom_dim`` reads the same
-memo as the hot paths.
+model once per endpoint order type and memoized under ``shape_key``: a tuple
+of ints giving each end's rank among the tuple's distinct finite ends,
+compared exactly as integers over the lcm of their denominators, together
+with its kind.  ``hom_dim`` reads the same memo as the hot paths.
 
 On the circle R/CZ a spiral is the pushforward p_!(k_I) of a bounded lift
 along the covering map p.  Since p_! is left adjoint to p^{-1} and
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fieldmath as fm
-from .barcode import Bar, GradedBarcode, Interval
+from .barcode import OPEN, Bar, GradedBarcode, Interval
 from .model import (CircleModel, LineModel, Rep, RepPair, circle_spiral_rep,
                     extension_class_of, extension_rep, line_bar_rep,
                     refine_rep)
@@ -74,18 +76,28 @@ def bar_rep(space, model, iv: Interval, p: int) -> Rep:
     return circle_spiral_rep(model, iv, p)
 
 
-def _iv_token(iv: Interval, ranks) -> str:
-    def tok(x, kind):
-        if not is_finite(x):
-            return "-" if x < 0 else "+"
-        return f"{ranks[x]}{'c' if kind.name == 'CLOSED' else 'o'}"
-    return tok(iv.left, iv.lkind) + tok(iv.right, iv.rkind)
+def shape_key(ivs) -> tuple:
+    """Order-type key of an interval tuple: two ints per interval.
 
-
-def shape_key(ivs) -> str:
-    vals = sorted(_finite_endpoints(ivs))
-    ranks = {v: i for i, v in enumerate(vals)}
-    return "|".join(_iv_token(iv, ranks) for iv in ivs)
+    A finite end is ``2 * rank + open``, its rank taken among the distinct
+    finite ends of the tuple, which are compared as exact integers over the
+    lcm of their denominators; an infinite left end is -1 and an infinite
+    right end -2.  Two tuples get the same key exactly when their ends are in
+    the same order with the same kinds, which is all the Hom/Ext dimensions
+    and structure constants of the tuple depend on."""
+    ends = [x for iv in ivs for x in (iv.left, iv.right)]
+    # isinstance is is_finite, inlined on this hot path
+    lcm = math.lcm(*[x.denominator for x in ends if isinstance(x, Fraction)])
+    vals = [x.numerator * (lcm // x.denominator) if isinstance(x, Fraction)
+            else None for x in ends]
+    ranks = {v: 2 * i for i, v in
+             enumerate(sorted({v for v in vals if v is not None}))}
+    key = []
+    for i, iv in enumerate(ivs):
+        lo, hi = vals[2 * i], vals[2 * i + 1]
+        key.append(-1 if lo is None else ranks[lo] + (iv.lkind is OPEN))
+        key.append(-2 if hi is None else ranks[hi] + (iv.rkind is OPEN))
+    return tuple(key)
 
 
 def _cache_key(space, p, ivs):
@@ -482,6 +494,8 @@ def compose(m1: Morphism, m2: Morphism) -> Morphism:
 def thicken_indexed(F, a, normalize=None):
     """Thickened barcode together with the bar index map."""
     a = Fraction(a)
+    if a == 0 and normalize is None:
+        return F, list(range(len(F.bars)))      # T_0 is the identity
     rules = [bar_rule(b, a) for b in F.bars]
     if normalize is not None:
         rules = [normalize(b) for b in rules]

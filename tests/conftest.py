@@ -41,6 +41,25 @@ def mixed_bar(rng, denoms):
     return Bar(iv, rng.randint(-2, 3))
 
 
+def pooled_interval(rng, pool):
+    """An interval of any shape (rays, the full line, points, all four
+    bounded kinds) with its ends drawn from ``pool``, so that ends often
+    coincide when the pool is small."""
+    shape = rng.randrange(8)
+    x, y = rng.choice(pool), rng.choice(pool)
+    if shape == 0:
+        return full_line()
+    if shape == 1:
+        return ray_left(x, rng.choice((CLOSED, OPEN)))
+    if shape == 2:
+        return ray_right(x, rng.choice((CLOSED, OPEN)))
+    if shape == 3 or x == y:
+        return singleton(x)
+    kinds = [(CLOSED, CLOSED), (OPEN, OPEN), (CLOSED, OPEN),
+             (OPEN, CLOSED)][shape - 4]
+    return Interval(min(x, y), kinds[0], max(x, y), kinds[1])
+
+
 # one representative per interval shape class
 SHAPE_REPRESENTATIVES = [
     closed(0, 2),

@@ -6,9 +6,12 @@ import sys
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import bar, gb
-from thicket.barcode import Bar, closed, singleton
+from thicket.barcode import (Bar, closed, full_line, half_open, open_iv,
+                             ray_right, singleton)
 from thicket.circle import CircleSheaf
 from thicket.cli import run_command
 from thicket.docio import barcode_doc, circle_doc, parse, plmap_doc, serialize
@@ -210,3 +213,58 @@ class TestInterleaveCommand:
                             "--strategy", "exhaustive",
                             str(docs["F"]), str(docs["G"])]) == 0
         assert "found: false" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: mutated valid documents end in exit 0 or 1, never in a traceback.
+
+_FUZZ_BASES = (
+    serialize(barcode_doc(gb(bar(closed(0, 2)), bar(half_open(Fr(1, 3), 4), 1),
+                             bar(ray_right(-1)), bar(full_line(), 2),
+                             bar(singleton(Fr(-5, 7))), char=3))),
+    serialize(circle_doc(CircleSheaf(
+        4, [Bar(closed(0, 1), 0), Bar(open_iv(Fr(1, 2), 3), 1),
+            Bar(singleton(Fr(7, 2)), 0)],
+        [(1, [[1]], 0), (2, [[0, 1], [1, 1]], 1)], 2))),
+)
+_FUZZ_ALPHABET = "0123456789-+/.,:;=[]() \nabcdefiklmnoprstyCx#"
+_FUZZ_COMMANDS = (["thicken", "--a", "1/2"], ["thicken", "--a", "-3"],
+                  ["dual"], ["rgamma"], ["rgamma", "--compact"], ["fs"],
+                  ["fs", "--inverse"], ["circle-thicken", "--a", "5/4"],
+                  ["circle-thicken", "--a=-1/3"])
+
+
+def _mutate(text, edits):
+    """Apply character edits (delete, insert, replace) and line edits
+    (delete, duplicate, swap with the next line) in turn."""
+    for op, pos, ch in edits:
+        if op in ("del", "ins", "rep"):
+            i = pos % (len(text) + 1)
+            tail = text[i + 1:] if op != "ins" else text[i:]
+            text = text[:i] + ("" if op == "del" else ch) + tail
+            continue
+        lines = text.split("\n")
+        i = pos % len(lines)
+        if op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "drop":
+            del lines[i]
+        elif i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        text = "\n".join(lines)
+    return text
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(("del", "ins", "rep", "dup",
+                                             "drop", "swap")),
+                            st.integers(0, 400), st.sampled_from(_FUZZ_ALPHABET)),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FUZZ_BASES), _EDITS, st.sampled_from(_FUZZ_COMMANDS))
+def test_mutated_documents_exit_0_or_1(tmp_path, base, edits, command):
+    doc, out = tmp_path / "doc.txt", tmp_path / "out.txt"
+    doc.write_text(_mutate(base, edits))
+    assert run_command(command + [str(doc), "--out", str(out)]) in (0, 1)

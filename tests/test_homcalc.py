@@ -4,16 +4,19 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import bar, gb
-from thicket.barcode import (CLOSED, OPEN, Bar, closed, dualize_bar,
-                             full_line, half_open, half_open_r, open_iv,
-                             ray_left, ray_right, singleton)
+from conftest import bar, gb, pooled_interval
+from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
+                             closed, dualize_bar, full_line, half_open,
+                             half_open_r, open_iv, ray_left, ray_right,
+                             singleton)
 from thicket.corpus import rand_barcode
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, compose,
                                hom_dim, identity_morphism, poset_oracle_rhom,
-                               restriction, space_dim, thicken_morphism,
+                               restriction, shape_key, space_dim,
+                               thicken_indexed, thicken_morphism,
                                zero_morphism)
-from thicket.thicken import thicken
+from thicket.scalars import is_finite
+from thicket.thicken import bar_rule, thicken
 
 
 def _grid_intervals(vals=(0, 1, 2, 3)):
@@ -318,3 +321,66 @@ class TestAssociativityAcrossModels:
             X, Y, Z, W = mk(), mk(), mk(), mk()
             m1, m2, m3 = rand_morphism(X, Y), rand_morphism(Y, Z), rand_morphism(Z, W)
             assert compose(compose(m1, m2), m3) == compose(m1, compose(m2, m3))
+
+
+# ---------------------------------------------------------------------------
+# Integer order-type keys and T_0 against their oracles.
+
+def _string_shape_key(ivs):
+    """Oracle: the order type of an interval tuple written out as a string,
+    each finite end as its rank among the tuple's distinct finite ends
+    (compared as Fractions) and its kind, each infinite end as its sign."""
+    vals = sorted({x for iv in ivs for x in (iv.left, iv.right) if is_finite(x)})
+    ranks = {v: i for i, v in enumerate(vals)}
+
+    def tok(x, kind):
+        if not is_finite(x):
+            return "-" if x < 0 else "+"
+        return f"{ranks[x]}{'c' if kind is CLOSED else 'o'}"
+    return "|".join(tok(iv.left, iv.lkind) + tok(iv.right, iv.rkind)
+                    for iv in ivs)
+
+
+class TestShapeKey:
+    def test_integer_key_classes_equal_string_key_classes(self, rng):
+        # pairs and triples of intervals whose ends come from small pools of
+        # negative and positive rationals over denominators 1, 3, 7 and 12
+        by_string, by_int = {}, {}
+        for _ in range(3000):
+            pool = [Fr(rng.randint(-24, 24), rng.choice((1, 3, 7, 12)))
+                    for _ in range(rng.randint(1, 4))]
+            ivs = tuple(pooled_interval(rng, pool)
+                        for _ in range(rng.choice((2, 3))))
+            skey, ikey = _string_shape_key(ivs), shape_key(ivs)
+            assert type(ikey) is tuple and all(type(k) is int for k in ikey)
+            by_string.setdefault(skey, set()).add(ikey)
+            by_int.setdefault(ikey, set()).add(skey)
+        assert all(len(keys) == 1 for keys in by_string.values())
+        assert all(len(keys) == 1 for keys in by_int.values())
+        assert len(by_int) > 300           # many classes, most hit repeatedly
+
+    def test_order_preserving_maps_keep_the_key(self, rng):
+        for _ in range(300):
+            pool = [Fr(rng.randint(-24, 24), rng.choice((1, 3, 7, 12)))
+                    for _ in range(4)]
+            ivs = tuple(pooled_interval(rng, pool) for _ in range(3))
+            c, d = Fr(rng.randint(1, 9), rng.choice((1, 3, 7))), Fr(rng.randint(-9, 9), 12)
+            moved = tuple(Interval(iv.left * c + d if is_finite(iv.left) else iv.left,
+                                   iv.lkind,
+                                   iv.right * c + d if is_finite(iv.right) else iv.right,
+                                   iv.rkind) for iv in ivs)
+            assert shape_key(moved) == shape_key(ivs)
+
+
+class TestThickenIndexedAtZero:
+    def test_identity_equals_the_bar_rule_path(self, rng):
+        # oracle: thicken every bar by 0 through bar_rule, sort, index
+        for _ in range(60):
+            F = rand_barcode(rng, max_bars=6, char=rng.choice((2, 3, 5)))
+            rules = [bar_rule(b, Fr(0)) for b in F.bars]
+            order = sorted(range(len(rules)), key=lambda i: rules[i].sort_key())
+            perm = [0] * len(rules)
+            for rank, i in enumerate(order):
+                perm[i] = rank
+            TF, got = thicken_indexed(F, 0)
+            assert TF == GradedBarcode(rules, F.char) and got == perm

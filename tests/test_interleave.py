@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import bar, gb
+from conftest import bar, gb, mixed_bar, pooled_interval
 from thicket.barcode import (CLOSED, Bar, GradedBarcode, Interval, closed,
                              full_line, half_open, open_iv, singleton)
 from thicket.circle import CircleSheaf, circle_ops
@@ -13,9 +13,10 @@ from thicket.corpus import (rand_bounded_barcode, rand_barcode,
 from thicket.interleave import (LINE_OPS, Budget, CapacityError,
                                 DistanceBounds, InterleavingCertificate,
                                 check_interleaving, critical_grid, distance,
-                                finite_gate, identity_certificate,
-                                verify_certificate, weaken_certificate)
-from thicket.morphisms import Morphism, UnsupportedHomError
+                                _lifts, _pair_feasible, finite_gate,
+                                identity_certificate, verify_certificate,
+                                weaken_certificate)
+from thicket.morphisms import LINE, Morphism, UnsupportedHomError
 from thicket.scalars import POS_INF
 from thicket.thicken import thicken
 
@@ -327,3 +328,89 @@ class TestBisection:
             assert _sides(d) == _sides(_linear_scan(F, G, budget, ops)), (F, G)
             if d.witness is not None:
                 assert verify_certificate(F, G, d.witness, ops)
+
+
+# ---------------------------------------------------------------------------
+# Integer critical grids against the Fraction loops they replace.
+
+def _fraction_line_grid(F, G):
+    """Oracle: 0 and every endpoint difference and half-difference."""
+    eps = F.finite_endpoints() + G.finite_endpoints()
+    vals = {Fr(0)}
+    for i, p in enumerate(eps):
+        for q in eps[i:]:
+            d = abs(p - q)
+            vals.add(d)
+            vals.add(d / 2)
+    return sorted(vals)
+
+
+def _fraction_circle_grid(F, G, C):
+    """Oracle: endpoint differences v and 0, the values |v + kC/2| for
+    k = -2..2 up to 2C, and their halves."""
+    eps = F.finite_endpoints() + G.finite_endpoints()
+    base = {Fr(0)}
+    for i, p in enumerate(eps):
+        for q in eps[i:]:
+            base.add(abs(p - q))
+    vals = set()
+    for v in base:
+        for k in (-2, -1, 0, 1, 2):
+            w = abs(v + k * C / 2)
+            if w <= 2 * C:
+                vals.add(w)
+                vals.add(w / 2)
+    return sorted(vals)
+
+
+def _mixed_barcode(rng, max_bars):
+    return GradedBarcode([mixed_bar(rng, (1, 3, 7, 12))
+                          for _ in range(rng.randint(0, max_bars))], 2)
+
+
+class TestIntegerGrids:
+    def test_line_grid_equals_fraction_oracle(self, rng):
+        for _ in range(150):
+            F, G = _mixed_barcode(rng, 5), _mixed_barcode(rng, 5)
+            grid = critical_grid(F, G)
+            assert grid == _fraction_line_grid(F, G)
+            assert all(type(v) is Fr for v in grid)
+
+    @pytest.mark.parametrize("C", [Fr(4), Fr(3, 2), Fr(5, 3)])
+    def test_circle_grid_equals_fraction_oracle(self, rng, C):
+        ops = circle_ops(C)
+        for _ in range(80):
+            F, G = _mixed_barcode(rng, 4), _mixed_barcode(rng, 4)
+            grid = critical_grid(F, G, ops)
+            assert grid == _fraction_circle_grid(F, G, C)
+            assert all(type(v) is Fr for v in grid)
+
+
+# ---------------------------------------------------------------------------
+# One matched pair: feasibility is upward closed on the pair's grid.
+
+QUARTERS = [Fr(k, 4) for k in range(-8, 9)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pair_feasibility_upward_closed(rng, p):
+    """'``_pair_feasible`` gives scalars, or both bars are killable' holds
+    from its first grid value on, for single bar pairs."""
+    settled = changed = 0
+    for _ in range(400):
+        fbar = Bar(pooled_interval(rng, QUARTERS), rng.randint(0, 1))
+        if rng.random() < 0.5:
+            gbar = Bar(pooled_interval(rng, QUARTERS), rng.randint(0, 1))
+        else:                       # a near copy, likely feasible somewhere
+            gbar = _nudged(rng, gb(fbar, char=p)).bars[0]
+        holds = []
+        for a in critical_grid(gb(fbar, char=p), gb(gbar, char=p)):
+            (f,), (g,) = _lifts([fbar], a, LINE_OPS), _lifts([gbar], a, LINE_OPS)
+            holds.append(_pair_feasible(f, g, p, LINE) is not None
+                         or (f[3] and g[3]))
+        if True in holds:
+            first = holds.index(True)
+            assert all(holds[first:]), (fbar, gbar, holds)
+            settled += 1
+            changed += first > 0
+    assert settled > 150 and changed > 100
