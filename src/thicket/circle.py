@@ -5,24 +5,27 @@ the covering map, lifts normalized to start in [0, C)) plus bands (local
 systems given by rank and monodromy up to conjugacy).  Thickening acts on
 spirals through the line rules on lifts and fixes bands; the quarter-turn
 thickening realizes the Fourier-Sato transform and its inverse.
+
+Distance and certificates on the circle run the search of ``interleave``
+in the space ``circle_ops(C)`` = ``("circle", C)``.  That one value names
+R/CZ everywhere: ``morphisms`` keys its Hom calculus on it and puts lifts
+into normal form by it (``normal_form``: the lift starting in [0, C)), and
+``interleave`` builds its critical grid and finiteness gate from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .barcode import (CLOSED, Bar, GradedBarcode, Interval, canonical_order,
                       dims_add, global_sections_c, intersect, rgamma_c_interval)
-from .interleave import Budget, DEFAULT_BUDGET, DistanceBounds, SpaceOps
+from .interleave import (Budget, DEFAULT_BUDGET, DistanceBounds,
+                         identity_certificate)
 from .interleave import distance as _distance
 from .model import (CircleModel, Rep, circle_band_rep, circle_spiral_rep,
                     direct_sum)
-from .morphisms import restriction as _restriction
-from .morphisms import thicken_indexed as _thicken_indexed
-from .morphisms import thicken_morphism as _thicken_morphism
+from .morphisms import normal_form
 from .scalars import POS_INF
 from .thicken import bar_rule
 from .zigzag import canonical_monodromy, decompose_cyclic_rep
@@ -31,15 +34,6 @@ from .fieldmath import inverse, is_prime, rank as matrix_rank
 
 class UnsupportedBandContentError(ValueError):
     pass
-
-
-def _normalize_lift(bar: Bar, C: Fraction) -> Bar:
-    shift = (bar.iv.left / C).__floor__() * C
-    if shift == 0:
-        return bar
-    iv = bar.iv
-    return Bar(Interval(iv.left - shift, iv.lkind, iv.right - shift, iv.rkind),
-               bar.degree)
 
 
 @dataclass(frozen=True)
@@ -90,11 +84,12 @@ class CircleSheaf:
         if not is_prime(char):
             raise ValueError("characteristic must be prime")
         self.char = char
+        space = circle_ops(self.C)
         sp = []
         for b in spirals:
             if not b.iv.is_bounded:
                 raise ValueError(f"spiral lift must be bounded: {b}")
-            sp.append(_normalize_lift(b, self.C))
+            sp.append(normal_form(b, space))
         self.spirals = tuple(canonical_order(sp))
         bd = []
         for band in bands:
@@ -256,51 +251,12 @@ def circle_global_sections(F: CircleSheaf) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Distance on the circle.
 
-def _circle_grid(F, G, C):
-    """Endpoint differences v (and 0), moved by -C..C in steps of C/2, the
-    results |v + kC/2| up to 2C with their halves, sorted.  Everything is an
-    exact int over M = 4 * lcm of the denominators of the ends and of C."""
-    eps = F.finite_endpoints() + G.finite_endpoints()
-    M = 4 * math.lcm(C.denominator, *[x.denominator for x in eps])
-    ints = [x.numerator * (M // x.denominator) for x in eps]
-    half = C.numerator * (M // C.denominator) // 2
-    base = {0}
-    for i, p in enumerate(ints):
-        for q in ints[i + 1:]:
-            base.add(abs(p - q))
-    vals = set()
-    for v in base:
-        for k in (-2, -1, 0, 1, 2):
-            w = abs(v + k * half)
-            if w <= 4 * half:
-                vals.add(w)
-                vals.add(w // 2)
-    return [Fraction(v, M) for v in sorted(vals)]
-
-
-def circle_ops(C, char: int = 2) -> SpaceOps:
-    C = Fraction(C)
-    space = ("circle", C)
-    norm = lambda bar: _normalize_lift(bar, C)
-
-    def cthicken(F, a):
-        return GradedBarcode([norm(bar_rule(b, Fraction(a))) for b in F.bars], F.char)
-
-    def gate(F):
-        # spiral sections over the compact circle are those of the lifts
-        g = global_sections_c(F)
-        return (g, g)
-
-    return SpaceOps(
-        space=space,
-        thicken=cthicken,
-        thicken_indexed=partial(_thicken_indexed, normalize=norm),
-        thicken_morphism=partial(_thicken_morphism, normalize=norm),
-        restriction=partial(_restriction, space=space, normalize=norm),
-        gate_dims=gate,
-        grid=partial(_circle_grid, C=C),
-        normalize_bar=norm,
-    )
+def circle_ops(C, char: int = 2):
+    """The space value of the circle R/CZ, ``("circle", C)``: pass it as the
+    ``space`` argument of ``distance``, ``verify_certificate`` and the other
+    ``interleave`` and ``morphisms`` functions.  ``char`` is not used; the
+    field is read off the barcodes."""
+    return ("circle", Fraction(C))
 
 
 def circle_distance(F: CircleSheaf, G: CircleSheaf,
@@ -314,11 +270,10 @@ def circle_distance(F: CircleSheaf, G: CircleSheaf,
     """
     if F.C != G.C or F.char != G.char:
         raise ValueError("circle sheaves live on different circles")
+    space = circle_ops(F.C)
     if iso_equal_circle(F, G):
-        from .interleave import identity_certificate
-        ops = circle_ops(F.C, F.char)
         return DistanceBounds(Fraction(0), Fraction(0), True,
-                              identity_certificate(F.spiral_barcode(), ops))
+                              identity_certificate(F.spiral_barcode(), space))
     if circle_global_sections(F) != circle_global_sections(G):
         return DistanceBounds(POS_INF, POS_INF, True, None)
     if F.bands != G.bands:
@@ -327,5 +282,4 @@ def circle_distance(F: CircleSheaf, G: CircleSheaf,
     if F.bands:
         raise UnsupportedBandContentError(
             "distance with a common nontrivial band part is not supported")
-    ops = circle_ops(F.C, F.char)
-    return _distance(F.spiral_barcode(), G.spiral_barcode(), budget, ops)
+    return _distance(F.spiral_barcode(), G.spiral_barcode(), budget, space)

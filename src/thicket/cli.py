@@ -68,6 +68,14 @@ def _write_doc(doc: Document, path: str | None):
             fh.write(text)
 
 
+def _shift(text: str) -> Fraction:
+    """The rational given to ``--a``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"--a must be a rational number, got {text!r}") from None
+
+
 def _need(doc: Document, kind: str):
     if doc.kind != kind:
         raise CliError(f"expected a {kind} document, found {doc.kind}")
@@ -79,7 +87,7 @@ def _need(doc: Document, kind: str):
 
 def cmd_thicken(args):
     F = _need(_read_doc(args.input), "barcode")
-    _write_doc(barcode_doc(thicken(F, Fraction(args.a))), args.output)
+    _write_doc(barcode_doc(thicken(F, _shift(args.a))), args.output)
     return 0
 
 
@@ -143,7 +151,7 @@ def cmd_distance(args):
 def cmd_interleave(args):
     F = _need(_read_doc(args.F), "barcode")
     G = _need(_read_doc(args.G), "barcode")
-    cert = check_interleaving(F, G, Fraction(args.a), args.strategy)
+    cert = check_interleaving(F, G, _shift(args.a), args.strategy)
     payload = {"name": "interleave", "a": str(args.a),
                "found": str(cert is not None).lower()}
     _write_doc(report_doc(payload), args.output)
@@ -172,7 +180,7 @@ def cmd_lipschitz(args):
     f = _need(_read_doc(args.map), "plmap")
     F1 = _need(_read_doc(args.F1), "barcode")
     F2 = _need(_read_doc(args.F2), "barcode")
-    rep = lipschitz_experiment(f, F1, F2, Fraction(args.a))
+    rep = lipschitz_experiment(f, F1, F2, _shift(args.a))
     payload = {"name": "lipschitz", "bound": format_extended(rep.bound),
                "verdict": rep.verdict, "micros": str(rep.micros)}
     _write_doc(report_doc(payload), args.output)
@@ -181,7 +189,7 @@ def cmd_lipschitz(args):
 
 def cmd_circle_thicken(args):
     F = _need(_read_doc(args.input), "circle")
-    _write_doc(circle_doc(circle_thicken(F, Fraction(args.a))), args.output)
+    _write_doc(circle_doc(circle_thicken(F, _shift(args.a))), args.output)
     return 0
 
 
@@ -213,7 +221,7 @@ def _load_seed(spec: str):
 
 def cmd_extend(args):
     seed, kind = _load_seed(args.seed)
-    a = Fraction(args.a)
+    a = _shift(args.a)
     if kind == "line":
         if args.input is None:
             raise CliError("the line seed needs an input barcode document")
@@ -434,10 +442,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_negative_shifts(argv) -> list:
+    """Write ``--a -1/2`` as ``--a=-1/2``.  argparse reads only ``-<int>`` and
+    ``-<decimal>`` as negative numbers, and would take ``-1/2`` for an
+    option and leave ``--a`` without its value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--a" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--a={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run_command(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_shifts(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:

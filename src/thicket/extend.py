@@ -232,7 +232,7 @@ def circle_seed(C, char: int = 2) -> SeedFamily:
     from .circle import CircleSheaf, circle_ops, circle_thicken, seed_bound
     C = Fraction(C)
     alpha = seed_bound(C)
-    ops = circle_ops(C, char)
+    space = circle_ops(C)
 
     def apply_fn(a, x: CircleSheaf):
         return circle_thicken(x, a)
@@ -240,16 +240,16 @@ def circle_seed(C, char: int = 2) -> SeedFamily:
     def restrict_fn(a, b, x: CircleSheaf):
         if x.bands:
             raise ValueError("circle seed witnesses are spiral-only")
-        return ops.restriction(x.spiral_barcode(), a, b)
+        return restriction(x.spiral_barcode(), a, b, space)
 
     return SeedFamily(
         alpha=alpha,
         mode="two-sided",
         apply_fn=apply_fn,
         restrict_fn=restrict_fn,
-        lift_fn=lambda w, a: ops.thicken_morphism(w, a),
+        lift_fn=lambda w, a: thicken_morphism(w, a),
         compose_fn=compose,
-        identity_fn=lambda x: identity_morphism(x.spiral_barcode(), ops.space),
+        identity_fn=lambda x: identity_morphism(x.spiral_barcode(), space),
         iso_eq=lambda x, y: x == y,
         name=f"circle[C={C}]",
     )

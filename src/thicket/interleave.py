@@ -10,11 +10,19 @@ memoized probes sets the bounds.  The first certified value is the upper
 bound, and exactness is claimed only when the exhaustive search refutes the
 adjacent grid value below.
 
-The grid is built in exact integers: the ends are scaled over twice the lcm
-of their denominators, so every difference and half-difference is an int,
-and one ``Fraction`` is made per distinct grid value.  A matching probe
-thickens each bar once to its a-lift and once to its 2a-lift and reads its
-restriction coefficient once; every candidate pair reuses these.
+Every search runs in one space, named by the value that ``morphisms`` keys
+on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
+spirals on R/CZ.  The space decides three things only: thickened lifts are
+put into its normal form (``morphisms.normal_form``), the finiteness gate
+compares the sections that are invariant there, and the critical grid adds
+the circle's shifts by multiples of C/2.  Inputs must be over one field and
+already in normal form.
+
+The grid is built in exact integers: the ends (and C) are scaled over four
+times the lcm of their denominators, so every difference, shift and half is
+an int, and one ``Fraction`` is made per distinct grid value.  A matching
+probe thickens each bar once to its a-lift and once to its 2a-lift and reads
+its restriction coefficient once; every candidate pair reuses these.
 """
 
 from __future__ import annotations
@@ -25,12 +33,14 @@ from fractions import Fraction
 from itertools import product
 
 from . import fieldmath as fm
-from .barcode import global_sections, global_sections_c, iso_equal
+from .barcode import (CharacteristicMismatchError, global_sections,
+                      global_sections_c, iso_equal)
 from .morphisms import (LINE, Morphism, UnsupportedHomError, _block_kind,
-                        compose, identity_morphism, restriction, space_dim,
-                        struct_scalar, thicken_indexed, thicken_morphism)
+                        compose, identity_morphism, normal_form, restriction,
+                        space_dim, struct_scalar, thicken_indexed,
+                        thicken_morphism)
 from .scalars import POS_INF, is_finite
-from .thicken import bar_rule, halfopen_translation_kills, thicken
+from .thicken import bar_rule, halfopen_translation_kills
 
 
 class CapacityError(RuntimeError):
@@ -65,97 +75,54 @@ class DistanceBounds:
         return (self.lower, self.upper, self.exact)
 
 
-@dataclass(frozen=True)
-class SpaceOps:
-    """Space-dependent hooks shared by line and circle distance code."""
-    space: object
-    thicken: object
-    thicken_indexed: object
-    thicken_morphism: object
-    restriction: object
-    gate_dims: object
-    grid: object
-    normalize_bar: object = None
-
-
-def _line_grid(F, G):
-    """0 and every endpoint difference and half-difference, sorted.  The ends
-    are scaled to integers over M = 2 * lcm of their denominators, so the
-    differences and their halves are exact ints over M."""
-    eps = F.finite_endpoints() + G.finite_endpoints()
-    M = 2 * math.lcm(*[x.denominator for x in eps])
-    ints = [x.numerator * (M // x.denominator) for x in eps]
-    vals = {0}
-    for i, p in enumerate(ints):
-        for q in ints[i + 1:]:
-            d = abs(p - q)
-            vals.add(d)
-            vals.add(d // 2)
-    return [Fraction(v, M) for v in sorted(vals)]
-
-
-LINE_OPS = SpaceOps(
-    space=LINE,
-    thicken=thicken,
-    thicken_indexed=thicken_indexed,
-    thicken_morphism=thicken_morphism,
-    restriction=restriction,
-    gate_dims=lambda F: (global_sections(F), global_sections_c(F)),
-    grid=_line_grid,
-)
-
-
 # ---------------------------------------------------------------------------
 
-def verify_certificate(F, G, cert: InterleavingCertificate, ops: SpaceOps = LINE_OPS) -> bool:
-    """Exact check of the two 2a-composite identities."""
+def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
+    """Exact check of the two 2a-composite identities in ``space``."""
     a = Fraction(cert.a)
     if a < 0:
         return False
-    TFa = ops.thicken(F, a)
-    TGa = ops.thicken(G, a)
+    TFa, _ = thicken_indexed(F, a, space)
+    TGa, _ = thicken_indexed(G, a, space)
     if cert.f.source != TFa or cert.f.target != G:
         raise ValueError("certificate f has wrong shape")
     if cert.g.source != TGa or cert.g.target != F:
         raise ValueError("certificate g has wrong shape")
-    lhs_f = compose(ops.thicken_morphism(cert.f, a), cert.g)
-    if lhs_f != ops.restriction(F, 0, 2 * a):
+    lhs_f = compose(thicken_morphism(cert.f, a), cert.g)
+    if lhs_f != restriction(F, 0, 2 * a, space):
         return False
-    lhs_g = compose(ops.thicken_morphism(cert.g, a), cert.f)
-    return lhs_g == ops.restriction(G, 0, 2 * a)
+    lhs_g = compose(thicken_morphism(cert.g, a), cert.f)
+    return lhs_g == restriction(G, 0, 2 * a, space)
 
 
-def identity_certificate(F, ops: SpaceOps = LINE_OPS) -> InterleavingCertificate:
-    return InterleavingCertificate(Fraction(0), identity_morphism(F, ops.space),
-                                   identity_morphism(F, ops.space))
+def identity_certificate(F, space=LINE) -> InterleavingCertificate:
+    return InterleavingCertificate(Fraction(0), identity_morphism(F, space),
+                                   identity_morphism(F, space))
 
 
 def weaken_certificate(F, G, cert: InterleavingCertificate, b,
-                       ops: SpaceOps = LINE_OPS) -> InterleavingCertificate:
+                       space=LINE) -> InterleavingCertificate:
     """Turn an a-certificate into a b-certificate for b >= a by composing
     with the canonical restrictions."""
     a, b = Fraction(cert.a), Fraction(b)
     if b < a:
         raise ValueError("weaken requires b >= a")
-    f2 = compose(ops.restriction(F, a, b), cert.f)
-    g2 = compose(ops.restriction(G, a, b), cert.g)
+    f2 = compose(restriction(F, a, b, space), cert.f)
+    g2 = compose(restriction(G, a, b, space), cert.g)
     return InterleavingCertificate(b, f2, g2)
 
 
 # ---------------------------------------------------------------------------
 # Strategy: block-diagonal matching.
 
-def _lifts(bars, a, ops):
+def _lifts(bars, a, space):
     """Per bar: (bar, its a-lift, its 2a-lift, whether the canonical
-    restriction to 2a kills it), computed once per probe."""
-    norm, a2 = ops.normalize_bar, 2 * a
-    out = []
-    for b in bars:
-        ta, t2a = bar_rule(b, a), bar_rule(b, a2)
-        if norm is not None:
-            ta, t2a = norm(ta), norm(t2a)
-        out.append((b, ta, t2a, halfopen_translation_kills(b.iv, 0, a2)))
-    return out
+    restriction to 2a kills it), computed once per probe; the lifts are in
+    the normal form of ``space``."""
+    a2 = 2 * a
+    return [(b, normal_form(bar_rule(b, a), space),
+             normal_form(bar_rule(b, a2), space),
+             halfopen_translation_kills(b.iv, 0, a2)) for b in bars]
 
 
 def _pair_feasible(f, g, p, space):
@@ -196,33 +163,34 @@ def _pair_feasible(f, g, p, space):
     return (1, fm.finv(s2, p))
 
 
-def _check_normalized(F, G, ops):
-    """Reject bars that ``ops.normalize_bar`` would move.  The circle search
-    normalizes every thickened lift and compares it with the input lifts,
-    so those must be normalized too."""
-    if ops.normalize_bar is None:
-        return
+def _check_inputs(F, G, space):
+    """Reject a pair over two fields, and bars that ``normal_form`` would
+    move.  The circle search normalizes every thickened lift and compares
+    it with the input lifts, so those must be normalized too."""
+    if F.char != G.char:
+        raise CharacteristicMismatchError(
+            f"cannot interleave barcodes over F_{F.char} and F_{G.char}")
     for b in F.bars + G.bars:
-        nb = ops.normalize_bar(b)
+        nb = normal_form(b, space)
         if nb != b:
             raise ValueError(f"bar {b} is not normalized (its normal form "
                              f"is {nb})")
 
 
-def check_matching(F, G, a, ops: SpaceOps = LINE_OPS):
-    _check_normalized(F, G, ops)
+def check_matching(F, G, a, space=LINE):
+    _check_inputs(F, G, space)
     a = Fraction(a)
     p = F.char
     nF, nG = len(F.bars), len(G.bars)
-    lifts_F = _lifts(F.bars, a, ops)
-    lifts_G = _lifts(G.bars, a, ops)
+    lifts_F = _lifts(F.bars, a, space)
+    lifts_G = _lifts(G.bars, a, space)
     killable_F = [lift[3] for lift in lifts_F]
     killable_G = [lift[3] for lift in lifts_G]
     feas = {}
     for i in range(nF):
         for j in range(nG):
             try:
-                r = _pair_feasible(lifts_F[i], lifts_G[j], p, ops.space)
+                r = _pair_feasible(lifts_F[i], lifts_G[j], p, space)
             except UnsupportedHomError:
                 r = None              # matching may skip unsupported pairs
             if r is not None:
@@ -254,8 +222,8 @@ def check_matching(F, G, a, ops: SpaceOps = LINE_OPS):
     backtrack(0, set(), [])
     if best is None:
         return None
-    TFa, permF = ops.thicken_indexed(F, a)
-    TGa, permG = ops.thicken_indexed(G, a)
+    TFa, permF = thicken_indexed(F, a, space)
+    TGa, permG = thicken_indexed(G, a, space)
     fblocks, gblocks = {}, {}
     for (i, j) in best:
         alpha, beta = feas[(i, j)]
@@ -265,9 +233,9 @@ def check_matching(F, G, a, ops: SpaceOps = LINE_OPS):
         gblocks[(permG[j], i, _block_kind(tg, F.bars[i]))] = beta
     cert = InterleavingCertificate(
         a,
-        Morphism(TFa, G, fblocks, ops.space, validate=False),
-        Morphism(TGa, F, gblocks, ops.space, validate=False))
-    if verify_certificate(F, G, cert, ops):
+        Morphism(TFa, G, fblocks, space, validate=False),
+        Morphism(TGa, F, gblocks, space, validate=False))
+    if verify_certificate(F, G, cert, space):
         return cert
     return None
 
@@ -288,84 +256,77 @@ def _variables(X, TXa, permX, Y, p, space):
     return out
 
 
-def check_exhaustive(F, G, a, ops: SpaceOps = LINE_OPS, budget: Budget = DEFAULT_BUDGET):
+def check_exhaustive(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
     """Complete search over block assignments; None means proven infeasible."""
-    _check_normalized(F, G, ops)
+    _check_inputs(F, G, space)
     a = Fraction(a)
     p = F.char
-    TFa, permFa = ops.thicken_indexed(F, a)
-    TGa, permGa = ops.thicken_indexed(G, a)
-    fvars = _variables(F, TFa, permFa, G, p, ops.space)
-    gvars = _variables(G, TGa, permGa, F, p, ops.space)
+    TFa, permFa = thicken_indexed(F, a, space)
+    TGa, permGa = thicken_indexed(G, a, space)
+    fvars = _variables(F, TFa, permFa, G, p, space)
+    gvars = _variables(G, TGa, permGa, F, p, space)
     if len(fvars) + len(gvars) > budget.max_unknowns:
         raise CapacityError(
             f"{len(fvars)} + {len(gvars)} unknown blocks exceed the cap "
             f"{budget.max_unknowns}")
     if len(fvars) > len(gvars):
         # enumerate over the smaller side by swapping the roles of F and G
-        res = _exhaustive_core(G, F, a, ops, budget,
+        res = _exhaustive_core(G, F, a, space, budget,
                                TGa, permGa, gvars, TFa, permFa, fvars)
         if res is None:
             return None
         return InterleavingCertificate(a, res.g, res.f)
-    return _exhaustive_core(F, G, a, ops, budget,
+    return _exhaustive_core(F, G, a, space, budget,
                             TFa, permFa, fvars, TGa, permGa, gvars)
 
 
-def _exhaustive_core(F, G, a, ops, budget, TFa, permFa, fvars, TGa, permGa, gvars):
+def _composite_terms(X, TX2a, permX2a, TYa, permYa, xvars, yvars, p, space):
+    """Tensor entries of the composite T_a(x-blocks) then (y-blocks), an
+    element of Hom(T_2a X, X): (xvar, yvar) -> [(row key, scalar)], in
+    ``xvars`` then ``yvars`` order."""
+    out = {}
+    for xu in xvars:
+        xi, yj, _ = xu
+        src2 = TX2a.bars[permX2a[xi]]
+        mid = TYa.bars[permYa[yj]]
+        kxt = _block_kind(src2, mid)
+        if kxt is None:
+            continue
+        for yv in yvars:
+            yj2, xl, ky = yv
+            if yj2 != yj:
+                continue
+            if kxt == "e" and ky == "e":
+                continue
+            tk, s = struct_scalar(space, p, src2.iv, mid.iv, X.bars[xl].iv, kxt, ky)
+            if s:
+                out.setdefault((xu, yv), []).append(((xi, xl, tk), s))
+    return out
+
+
+def _restriction_terms(X, TX2a, permX2a, a2):
+    """Blocks of the canonical restriction T_2a X -> X: the right-hand side
+    of the composite equation for X."""
+    return {(i, i, _block_kind(TX2a.bars[permX2a[i]], b)): 1
+            for i, b in enumerate(X.bars)
+            if not halfopen_translation_kills(b.iv, 0, a2)}
+
+
+def _exhaustive_core(F, G, a, space, budget, TFa, permFa, fvars, TGa, permGa, gvars):
     """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
     ``gvars``; the a-thickenings and their index maps come from the caller."""
     p = F.char
-    TF2a, permF2a = ops.thicken_indexed(F, 2 * a)
-    TG2a, permG2a = ops.thicken_indexed(G, 2 * a)
+    TF2a, permF2a = thicken_indexed(F, 2 * a, space)
+    TG2a, permG2a = thicken_indexed(G, 2 * a, space)
     if p ** len(fvars) > budget.max_enumeration:
         raise CapacityError(
             f"enumeration {p}^{len(fvars)} exceeds the cap {budget.max_enumeration}")
 
     # Tensor entries for the two composite equations.
-    t1 = {}   # (fvar, gvar) -> (row key in Hom(T2a F, F), scalar)
-    t2 = {}   # (gvar, fvar) -> (row key in Hom(T2a G, G), scalar)
-    for fu in fvars:
-        fi, gj, kf = fu
-        src2 = TF2a.bars[permF2a[fi]]
-        mid = TGa.bars[permGa[gj]]
-        kft = _block_kind(src2, mid)
-        if kft is None:
-            continue
-        for gv in gvars:
-            gj2, fl, kg = gv
-            if gj2 != gj:
-                continue
-            if kft == "e" and kg == "e":
-                continue
-            tk, s = struct_scalar(ops.space, p, src2.iv, mid.iv, F.bars[fl].iv, kft, kg)
-            if s:
-                t1.setdefault((fu, gv), []).append(((fi, fl, tk), s))
-    for gv in gvars:
-        gj, fi, kg = gv
-        src2 = TG2a.bars[permG2a[gj]]
-        mid = TFa.bars[permFa[fi]]
-        kgt = _block_kind(src2, mid)
-        if kgt is None:
-            continue
-        for fu in fvars:
-            fi2, gl, kf = fu
-            if fi2 != fi:
-                continue
-            if kgt == "e" and kf == "e":
-                continue
-            tk, s = struct_scalar(ops.space, p, src2.iv, mid.iv, G.bars[gl].iv, kgt, kf)
-            if s:
-                t2.setdefault((gv, fu), []).append(((gj, gl, tk), s))
-
-    rho_F = {}
-    for i, b in enumerate(F.bars):
-        if not halfopen_translation_kills(b.iv, 0, 2 * a):
-            rho_F[(i, i, _block_kind(TF2a.bars[permF2a[i]], b))] = 1
-    rho_G = {}
-    for j, b in enumerate(G.bars):
-        if not halfopen_translation_kills(b.iv, 0, 2 * a):
-            rho_G[(j, j, _block_kind(TG2a.bars[permG2a[j]], b))] = 1
+    t1 = _composite_terms(F, TF2a, permF2a, TGa, permGa, fvars, gvars, p, space)
+    t2 = _composite_terms(G, TG2a, permG2a, TFa, permFa, gvars, fvars, p, space)
+    rho_F = _restriction_terms(F, TF2a, permF2a, 2 * a)
+    rho_G = _restriction_terms(G, TG2a, permG2a, 2 * a)
 
     rows1 = sorted(set(list(rho_F) + [rk for v in t1.values() for rk, _ in v]))
     rows2 = sorted(set(list(rho_G) + [rk for v in t2.values() for rk, _ in v]))
@@ -409,53 +370,77 @@ def _exhaustive_core(F, G, a, ops, budget, TFa, permFa, fvars, TGa, permGa, gvar
                 gblocks[(permGa[gj], fi, kg)] = c
         cert = InterleavingCertificate(
             a,
-            Morphism(TFa, G, fblocks, ops.space, validate=False),
-            Morphism(TGa, F, gblocks, ops.space, validate=False))
-        if verify_certificate(F, G, cert, ops):
+            Morphism(TFa, G, fblocks, space, validate=False),
+            Morphism(TGa, F, gblocks, space, validate=False))
+        if verify_certificate(F, G, cert, space):
             return cert
         raise AssertionError("solver produced a certificate that fails verification")
     return None
 
 
 def check_interleaving(F, G, a, strategy: str = "matching",
-                       ops: SpaceOps = LINE_OPS, budget: Budget = DEFAULT_BUDGET):
+                       space=LINE, budget: Budget = DEFAULT_BUDGET):
     """Search for an a-certificate; any returned certificate is verified."""
     a = Fraction(a)
     if a < 0:
         raise ValueError("interleaving shift must be nonnegative")
     if strategy == "matching":
-        return check_matching(F, G, a, ops)
+        return check_matching(F, G, a, space)
     if strategy == "exhaustive":
-        return check_exhaustive(F, G, a, ops, budget)
+        return check_exhaustive(F, G, a, space, budget)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
 # Distance.
 
-def finite_gate(F, G, ops: SpaceOps = LINE_OPS) -> str:
-    """'infinite' when global section dimensions differ, else 'pass'."""
-    gf = ops.gate_dims(F)
-    gg = ops.gate_dims(G)
-    return "pass" if gf == gg else "infinite"
+def finite_gate(F, G, space=LINE) -> str:
+    """'infinite' when global section dimensions differ, else 'pass'.  The
+    line compares RGamma and RGamma_c; on the compact circle a spiral has
+    the compactly supported sections of its lift, so RGamma_c of the lifts
+    is compared."""
+    same = global_sections_c(F) == global_sections_c(G)
+    if space == LINE:
+        same = same and global_sections(F) == global_sections(G)
+    return "pass" if same else "infinite"
 
 
-def critical_grid(F, G, ops: SpaceOps = LINE_OPS):
-    return ops.grid(F, G)
+def critical_grid(F, G, space=LINE):
+    """0 and every endpoint difference v, with its half, sorted.  On the
+    circle R/CZ each v is first moved to |v + kC/2| for k = -2..2, kept up
+    to 2C.  The ends (and C) are scaled to integers over M = 4 * lcm of
+    their denominators, so every value and every half is an exact int over
+    M."""
+    eps = F.finite_endpoints() + G.finite_endpoints()
+    dens = [x.denominator for x in eps]
+    if space != LINE:
+        C = space[1]
+        dens.append(C.denominator)
+    M = 4 * math.lcm(*dens)
+    ints = [x.numerator * (M // x.denominator) for x in eps]
+    base = {0}
+    for i, p in enumerate(ints):
+        for q in ints[i + 1:]:
+            base.add(abs(p - q))
+    if space != LINE:
+        half = C.numerator * (M // C.denominator) // 2
+        base = {w for v in base for k in (-2, -1, 0, 1, 2)
+                if (w := abs(v + k * half)) <= 4 * half}
+    return [Fraction(v, M) for v in sorted(base | {v // 2 for v in base})]
 
 
-def _probe(F, G, a, ops, budget, log):
+def _probe(F, G, a, space, budget, log):
     """Matching first, then the exhaustive search, at one shift: returns
     (outcome, certificate) with outcome 'found', 'refuted', 'capacity' or
     'unsupported'."""
     try:
-        cert = check_matching(F, G, a, ops)
+        cert = check_matching(F, G, a, space)
     except UnsupportedHomError:
         cert = None
     if cert is not None:
         return "found", cert
     try:
-        cert = check_exhaustive(F, G, a, ops, budget)
+        cert = check_exhaustive(F, G, a, space, budget)
     except (CapacityError, UnsupportedHomError) as exc:
         outcome = "capacity" if isinstance(exc, CapacityError) else "unsupported"
         if log is not None:
@@ -468,7 +453,7 @@ def _probe(F, G, a, ops, budget, log):
     return "found", cert
 
 
-def distance(F, G, budget: Budget = DEFAULT_BUDGET, ops: SpaceOps = LINE_OPS,
+def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE,
              log=None) -> DistanceBounds:
     """Find the least certified shift on the critical grid.
 
@@ -488,18 +473,18 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, ops: SpaceOps = LINE_OPS,
     soundness.  ``log`` receives ``(event, shift)`` for each probe that the
     matching strategy could not decide, in probe order.
     """
-    _check_normalized(F, G, ops)
+    _check_inputs(F, G, space)
     if iso_equal(F, G):
         return DistanceBounds(Fraction(0), Fraction(0), True,
-                              identity_certificate(F, ops))
-    if finite_gate(F, G, ops) == "infinite":
+                              identity_certificate(F, space))
+    if finite_gate(F, G, space) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None)
-    grid = critical_grid(F, G, ops)
+    grid = critical_grid(F, G, space)
     probes = {}
 
     def probe(i):
         if i not in probes:
-            probes[i] = _probe(F, G, grid[i], ops, budget, log)
+            probes[i] = _probe(F, G, grid[i], space, budget, log)
         return probes[i]
 
     lo, hi = -1, len(grid)         # grid[lo] refuted, grid[hi] found

@@ -5,6 +5,12 @@ block is a scalar multiple of the canonical generator of the corresponding
 Hom space.  Blocks come in two kinds, degree preserving ('h') and degree
 dropping by one ('e', extension classes).
 
+Every Hom computation and every morphism lives in a space, named by one
+value: ``LINE``, or ``("circle", C)`` for the circle R/CZ.  The space fixes
+how a bar is put into normal form (``normal_form``: the identity on the
+line, the lift starting in [0, C) on the circle), so thickening, thickened
+morphisms and restrictions read it from ``space`` alone.
+
 On the line, Hom spaces between shifted interval sheaves are at most
 one-dimensional.  Their dimensions and the structure constants that
 composition multiplies blocks through are computed in the finite quiver
@@ -491,14 +497,28 @@ def compose(m1: Morphism, m2: Morphism) -> Morphism:
     return Morphism(m1.source, m2.target, out, space, validate=False)
 
 
-def thicken_indexed(F, a, normalize=None):
-    """Thickened barcode together with the bar index map."""
+def normal_form(bar: Bar, space) -> Bar:
+    """The bar that names ``bar`` in ``space``.  On the line a bar is its own
+    normal form.  On the circle R/CZ the lifts of one spiral are the deck
+    copies of each other, and the normal one starts in [0, C)."""
+    if space == LINE:
+        return bar
+    iv, C = bar.iv, space[1]
+    n = (iv.left / C).__floor__()
+    if n == 0:
+        return bar
+    shift = n * C
+    return Bar(Interval(iv.left - shift, iv.lkind, iv.right - shift, iv.rkind),
+               bar.degree)
+
+
+def thicken_indexed(F, a, space=LINE):
+    """Thickened barcode, in normal form for ``space``, together with the
+    bar index map."""
     a = Fraction(a)
-    if a == 0 and normalize is None:
+    if a == 0 and space == LINE:
         return F, list(range(len(F.bars)))      # T_0 is the identity
-    rules = [bar_rule(b, a) for b in F.bars]
-    if normalize is not None:
-        rules = [normalize(b) for b in rules]
+    rules = [normal_form(bar_rule(b, a), space) for b in F.bars]
     order = sorted(range(len(rules)), key=lambda i: rules[i].sort_key())
     perm = [0] * len(rules)
     for rank, i in enumerate(order):
@@ -506,16 +526,16 @@ def thicken_indexed(F, a, normalize=None):
     return GradedBarcode(rules, F.char), perm
 
 
-def thicken_morphism(m: Morphism, a, normalize=None) -> Morphism:
-    """Apply the thickening endofunctor to a morphism.
+def thicken_morphism(m: Morphism, a) -> Morphism:
+    """Apply the thickening endofunctor to a morphism in its space.
 
     The functor is an equivalence, so each canonical-generator block maps to
     the canonical generator of the thickened pair with the same coefficient;
     block kinds can change when a bar crosses its degeneration parameter.
     """
     a = Fraction(a)
-    src, perm_s = thicken_indexed(m.source, a, normalize)
-    tgt, perm_t = thicken_indexed(m.target, a, normalize)
+    src, perm_s = thicken_indexed(m.source, a, m.space)
+    tgt, perm_t = thicken_indexed(m.target, a, m.space)
     p = m.char
     out = {}
     for (i, j, _kind), c in m.blocks.items():
@@ -531,7 +551,7 @@ def thicken_morphism(m: Morphism, a, normalize=None) -> Morphism:
     return Morphism(src, tgt, out, m.space, validate=False)
 
 
-def restriction(F, a, b, space=LINE, normalize=None) -> Morphism:
+def restriction(F, a, b, space=LINE) -> Morphism:
     """Canonical restriction morphism thicken(F, b) -> thicken(F, a), a <= b.
 
     Blockwise on each bar: coefficient one on the canonical generator except
@@ -541,8 +561,8 @@ def restriction(F, a, b, space=LINE, normalize=None) -> Morphism:
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("restriction requires a <= b")
-    src, perm_b = thicken_indexed(F, b, normalize)
-    tgt, perm_a = thicken_indexed(F, a, normalize)
+    src, perm_b = thicken_indexed(F, b, space)
+    tgt, perm_a = thicken_indexed(F, a, space)
     p = F.char
     out = {}
     for i, bar in enumerate(F.bars):

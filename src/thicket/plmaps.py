@@ -18,7 +18,7 @@ from fractions import Fraction
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
                       rgamma_c_interval, singleton)
 from .interleave import (Budget, DEFAULT_BUDGET, CapacityError,
-                         InterleavingCertificate, LINE_OPS, check_exhaustive,
+                         InterleavingCertificate, check_exhaustive,
                          check_matching, verify_certificate)
 from .model import LineModel, Rep
 from .scalars import NEG_INF, POS_INF, is_finite
@@ -364,11 +364,11 @@ class ExperimentReport:
 
 
 def _search_certificate(F, G, a, budget: Budget):
-    cert = check_matching(F, G, a, LINE_OPS)
+    cert = check_matching(F, G, a)
     if cert is not None:
         return cert, True
     try:
-        return check_exhaustive(F, G, a, LINE_OPS, budget), True
+        return check_exhaustive(F, G, a, budget=budget), True
     except CapacityError:
         return None, False
 
@@ -385,7 +385,7 @@ def stability_experiment(f: PLMap, g: PLMap, F: GradedBarcode,
     Ff = pushforward_shriek(f, F)
     Fg = pushforward_shriek(g, F)
     cert, conclusive = _search_certificate(Ff, Fg, a, budget)
-    if cert is not None and verify_certificate(Ff, Fg, cert, LINE_OPS):
+    if cert is not None and verify_certificate(Ff, Fg, cert):
         return ExperimentReport(inputs, a, cert, "pass", _micros(t0))
     return ExperimentReport(inputs, a, None,
                             "fail" if conclusive else "inconclusive", _micros(t0))
@@ -402,7 +402,7 @@ def lipschitz_experiment(f: PLMap, F1: GradedBarcode, F2: GradedBarcode, a,
     Ff1 = pushforward_shriek(f, F1)
     Ff2 = pushforward_shriek(f, F2)
     cert, conclusive = _search_certificate(Ff1, Ff2, delta * a, budget)
-    if cert is not None and verify_certificate(Ff1, Ff2, cert, LINE_OPS):
+    if cert is not None and verify_certificate(Ff1, Ff2, cert):
         return ExperimentReport(inputs, delta * a, cert, "pass", _micros(t0))
     return ExperimentReport(inputs, delta * a, None,
                             "fail" if conclusive else "inconclusive", _micros(t0))

@@ -242,9 +242,9 @@ class TestUnnormalizedLifts:
                  lambda: check_exhaustive(F, G, Fr(1, 2), ops),
                  lambda: check_interleaving(F, G, Fr(1, 2), "matching", ops),
                  lambda: check_interleaving(F, G, Fr(1, 2), "exhaustive", ops),
-                 lambda: distance(F, G, ops=ops),
-                 lambda: distance(G, F, ops=ops),
-                 lambda: distance(G, G, ops=ops)]
+                 lambda: distance(F, G, space=ops),
+                 lambda: distance(G, F, space=ops),
+                 lambda: distance(G, G, space=ops)]
         for call in calls:
             with pytest.raises(ValueError, match=r"bar \(-1/2, 1/2\) @deg 0 "
                                                  r"is not normalized"):

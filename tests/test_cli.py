@@ -214,6 +214,92 @@ class TestInterleaveCommand:
                             str(docs["F"]), str(docs["G"])]) == 0
         assert "found: false" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["interleave", "--a", "1"],
+                                         ["lipschitz", "--map", "pl", "--a", "1"]])
+    def test_two_fields_rejected(self, docs, capsys, command):
+        G3 = docs["tmp"] / "G3.bc"
+        G3.write_text(serialize(barcode_doc(gb(bar(singleton(1)), char=3))))
+        argv = [str(docs[x]) if x in docs else x for x in command]
+        assert run_command(argv + [str(docs["F"]), str(G3)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot interleave barcodes over F_2 "
+                                "and F_3\n")
+
+
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    import thicket
+    src = os.path.dirname(os.path.dirname(os.path.abspath(thicket.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (src, env.get("PYTHONPATH")) if x)
+    return env
+
+
+class TestNegativeShifts:
+    """``--a -p/q`` reaches the command as the shift -p/q."""
+
+    def test_thicken(self, docs, capsys):
+        assert run_command(["thicken", "--a", "-1/2", str(docs["F"])]) == 0
+        assert parse(capsys.readouterr().out).payload == gb(bar(closed(Fr(1, 2),
+                                                                       Fr(3, 2))))
+
+    def test_circle_thicken(self, docs, capsys):
+        assert run_command(["circle-thicken", "--a", "-1/4", str(docs["C"])]) == 0
+        assert parse(capsys.readouterr().out).payload == CircleSheaf(
+            4, [Bar(closed(Fr(1, 4), Fr(3, 4)), 0)])
+
+    def test_extend(self, docs, capsys):
+        assert run_command(["extend", "--seed", "line", "--a", "-3/4",
+                            str(docs["F"])]) == 0
+        assert parse(capsys.readouterr().out).payload == gb(bar(closed(Fr(3, 4),
+                                                                       Fr(5, 4))))
+
+    def test_interleave(self, docs, capsys):
+        # the shift is read, and then refused by the command, not by argparse
+        assert run_command(["interleave", "--a", "-1/2", str(docs["F"]),
+                            str(docs["G"])]) == 1
+        assert capsys.readouterr().err == ("error: interleaving shift must be "
+                                           "nonnegative\n")
+
+    def test_lipschitz(self, docs, capsys):
+        assert run_command(["lipschitz", "--map", str(docs["pl"]), "--a",
+                            "-1/2", str(docs["F"]), str(docs["G"])]) == 0
+        assert "bound: -1/2" in capsys.readouterr().out
+
+    def test_module_entry_point(self, docs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "thicket.cli", "thicken", "--a", "-1/2",
+             str(docs["F"])], capture_output=True, text=True, env=_src_env(),
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert parse(proc.stdout).payload == gb(bar(closed(Fr(1, 2), Fr(3, 2))))
+
+    @pytest.mark.parametrize("value, code", [("-x", 2), ("abc", 1), ("1/0", 1),
+                                             ("-1/0", 1), ("-1/2/3", 1)])
+    def test_non_number_is_one_error_line(self, docs, capsys, value, code):
+        assert run_command(["thicken", "--a", value, str(docs["F"])]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([l for l in err.splitlines() if "error" in l]) == 1
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Importing the CLI, and so every module it reaches, loads nothing
+    outside the standard library and the package itself."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import thicket.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "thicket" in loaded
+    outside = loaded - set(sys.stdlib_module_names) - {"thicket"}
+    assert not outside, sorted(outside)
+
 
 # ---------------------------------------------------------------------------
 # Fuzz: mutated valid documents end in exit 0 or 1, never in a traceback.

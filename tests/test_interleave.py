@@ -5,18 +5,21 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import bar, gb, mixed_bar, pooled_interval
-from thicket.barcode import (CLOSED, Bar, GradedBarcode, Interval, closed,
-                             full_line, half_open, open_iv, singleton)
+from thicket.barcode import (CLOSED, Bar, CharacteristicMismatchError,
+                             GradedBarcode, Interval, closed, full_line,
+                             half_open, open_iv, singleton)
 from thicket.circle import CircleSheaf, circle_ops
 from thicket.corpus import (rand_bounded_barcode, rand_barcode,
                             rand_circle_sheaf, rand_fraction)
-from thicket.interleave import (LINE_OPS, Budget, CapacityError,
+from thicket.interleave import (Budget, CapacityError,
                                 DistanceBounds, InterleavingCertificate,
-                                check_interleaving, critical_grid, distance,
+                                check_exhaustive, check_interleaving,
+                                check_matching, critical_grid, distance,
                                 _lifts, _pair_feasible, finite_gate,
                                 identity_certificate, verify_certificate,
                                 weaken_certificate)
 from thicket.morphisms import LINE, Morphism, UnsupportedHomError
+from thicket.plmaps import abs_map, lipschitz_experiment
 from thicket.scalars import POS_INF
 from thicket.thicken import thicken
 
@@ -309,7 +312,7 @@ def _sides(d):
 @pytest.mark.parametrize("p", [2, 3, 5])
 class TestBisection:
     def test_feasibility_upward_closed(self, rng, p):
-        pairs = [(F, G, LINE_OPS) for F, G in _line_pairs(rng, p, 6)]
+        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 6)]
         pairs += list(_circle_pairs(rng, p, 4))
         for F, G, ops in pairs:
             outcomes = [_outcome(F, G, a, ops, Budget())
@@ -321,7 +324,7 @@ class TestBisection:
                                         Budget(max_unknowns=2)],
                              ids=["default", "unknowns-1", "unknowns-2"])
     def test_distance_matches_linear_scan(self, rng, p, budget):
-        pairs = [(F, G, LINE_OPS) for F, G in _line_pairs(rng, p, 10)]
+        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 10)]
         pairs += list(_circle_pairs(rng, p, 5))
         for F, G, ops in pairs:
             d = distance(F, G, budget, ops)
@@ -405,7 +408,7 @@ def test_pair_feasibility_upward_closed(rng, p):
             gbar = _nudged(rng, gb(fbar, char=p)).bars[0]
         holds = []
         for a in critical_grid(gb(fbar, char=p), gb(gbar, char=p)):
-            (f,), (g,) = _lifts([fbar], a, LINE_OPS), _lifts([gbar], a, LINE_OPS)
+            (f,), (g,) = _lifts([fbar], a, LINE), _lifts([gbar], a, LINE)
             holds.append(_pair_feasible(f, g, p, LINE) is not None
                          or (f[3] and g[3]))
         if True in holds:
@@ -414,3 +417,67 @@ def test_pair_feasibility_upward_closed(rng, p):
             settled += 1
             changed += first > 0
     assert settled > 150 and changed > 100
+
+
+# ---------------------------------------------------------------------------
+# Weakening: an a-certificate composed with the restrictions is a
+# b-certificate in the same space.
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_weaken_certificate_verifies(rng, p):
+    pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 6)]
+    pairs += list(_circle_pairs(rng, p, 6))
+    weakened = {LINE: 0, "circle": 0}
+    for F, G, space in pairs:
+        d = distance(F, G, space=space)
+        if d.witness is None:
+            continue
+        a = d.witness.a
+        side = LINE if space == LINE else "circle"
+        for b in (v for v in critical_grid(F, G, space) if v > a):
+            try:
+                cert = weaken_certificate(F, G, d.witness, b, space)
+                ok = verify_certificate(F, G, cert, space)
+            except UnsupportedHomError:
+                # a long lift winds past the one-scalar range on the circle
+                assert side == "circle"
+                continue
+            assert ok and cert.a == b and type(cert.a) is Fr, (F, G, a, b)
+            weakened[side] += 1
+        if a > 0:
+            with pytest.raises(ValueError, match="weaken requires b >= a"):
+                weaken_certificate(F, G, d.witness, a / 2, space)
+    assert weakened[LINE] > 20 and weakened["circle"] > 20, weakened
+
+
+# ---------------------------------------------------------------------------
+# One field per search.
+
+def _two_field_pairs():
+    line = (gb(bar(closed(0, 2)), char=2), gb(bar(closed(0, 2)), char=3), LINE)
+    C = Fr(4)
+    circle = (CircleSheaf(C, [Bar(closed(0, 1), 0)], (), 2).spiral_barcode(),
+              CircleSheaf(C, [Bar(closed(0, 1), 0)], (), 3).spiral_barcode(),
+              circle_ops(C))
+    return [line, circle]
+
+
+@pytest.mark.parametrize("F, G, space", _two_field_pairs(), ids=["line", "circle"])
+def test_search_across_two_fields_rejected(F, G, space):
+    calls = [lambda: check_matching(F, G, 1, space),
+             lambda: check_exhaustive(F, G, 1, space),
+             lambda: check_interleaving(F, G, 1, "matching", space),
+             lambda: check_interleaving(F, G, 1, "exhaustive", space),
+             lambda: distance(F, G, space=space),
+             lambda: distance(G, F, space=space)]
+    for call in calls:
+        with pytest.raises(CharacteristicMismatchError,
+                           match="over F_[23] and F_[23]"):
+            call()
+    assert issubclass(CharacteristicMismatchError, ValueError)
+
+
+def test_lipschitz_experiment_across_two_fields_rejected():
+    F, G, _ = _two_field_pairs()[0]
+    with pytest.raises(CharacteristicMismatchError):
+        lipschitz_experiment(abs_map(), F, G, 1)
