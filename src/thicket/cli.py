@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 validation error or a documented scope limit (a Hom
 space beyond the supported dimension one, reported as ``error:
-unsupported: ...``), 2 usage error (argparse), 70 internal invariant
-violation.  All randomized suites are deterministic given --seed;
-THICKET_WORKERS > 1 fans suite cases across processes.
+unsupported: ...``, or a certificate search over the exhaustive size cap),
+2 usage error (argparse), 70 internal invariant violation.  All randomized
+suites run serially and are deterministic given --seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from .corpus import (rand_barcode, rand_bounded_barcode, rand_circle_sheaf,
 from .docio import (Document, DocumentError, barcode_doc, circle_doc, parse,
                     report_doc, serialize)
 from .extend import coherence_check, extend_apply, line_seed, load_seed_text
-from .interleave import Budget, DEFAULT_BUDGET, check_interleaving, distance
+from .interleave import (Budget, DEFAULT_BUDGET, CapacityError,
+                         check_interleaving, distance)
 from .morphisms import UnsupportedHomError
 from .plmaps import (lipschitz_experiment, pushforward_shriek,
                      stability_experiment)
@@ -151,7 +152,7 @@ def cmd_distance(args):
 def cmd_interleave(args):
     F = _need(_read_doc(args.F), "barcode")
     G = _need(_read_doc(args.G), "barcode")
-    cert = check_interleaving(F, G, _shift(args.a), args.strategy)
+    cert = check_interleaving(F, G, _shift(args.a))
     payload = {"name": "interleave", "a": str(args.a),
                "found": str(cert is not None).lower()}
     _write_doc(report_doc(payload), args.output)
@@ -336,15 +337,9 @@ SUITES = ("semigroup", "rgamma", "duality", "convolution", "distance",
 def cmd_suite(args):
     if args.name not in SUITES:
         raise CliError(f"unknown suite {args.name!r}; choose from {', '.join(SUITES)}")
-    indices = list(range(args.cases))
-    workers = int(os.environ.get("THICKET_WORKERS", "1") or "1")
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_suite_case, [args.name] * len(indices),
-                                 [args.seed] * len(indices), indices))
-    else:
-        rows = [_suite_case(args.name, args.seed, i) for i in indices]
+    if args.cases < 0:
+        raise CliError(f"--cases must be nonnegative, got {args.cases}")
+    rows = [_suite_case(args.name, args.seed, i) for i in range(args.cases)]
     _write_csv(rows, args.output)
     bad = [r for r in rows if r["verdict"] == "fail"]
     return 0 if not bad else VALIDATION_EXIT
@@ -384,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("interleave", help="search one interleaving shift")
     sp.add_argument("--a", required=True)
-    sp.add_argument("--strategy", choices=("matching", "exhaustive"),
-                    default="matching")
     add_io(sp, ("F", "G"))
     sp.set_defaults(fn=cmd_interleave)
 
@@ -469,7 +462,7 @@ def run_command(argv) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    except (CliError, DocumentError, ValueError) as exc:
+    except (CliError, DocumentError, ValueError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
 

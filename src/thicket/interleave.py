@@ -10,6 +10,11 @@ memoized probes sets the bounds.  The first certified value is the upper
 bound, and exactness is claimed only when the exhaustive search refutes the
 adjacent grid value below.
 
+``check_interleaving`` is the one search at a single shift that every
+caller uses: the block-diagonal matching first, then the complete exhaustive
+search.  ``check_matching`` and ``check_exhaustive`` are its two strategies;
+each returns only verified certificates.
+
 Every search runs in one space, named by the value that ``morphisms`` keys
 on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
 spirals on R/CZ.  The space decides three things only: thickened lifts are
@@ -47,10 +52,13 @@ class CapacityError(RuntimeError):
     """Exhaustive search was requested beyond the configured cap."""
 
 
+# Largest number of f-block assignments the exhaustive search enumerates.
+MAX_ENUMERATION = 4096
+
+
 @dataclass(frozen=True)
 class Budget:
     max_unknowns: int = 24
-    max_enumeration: int = 4096
 
 
 DEFAULT_BUDGET = Budget()
@@ -271,12 +279,12 @@ def check_exhaustive(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
             f"{budget.max_unknowns}")
     if len(fvars) > len(gvars):
         # enumerate over the smaller side by swapping the roles of F and G
-        res = _exhaustive_core(G, F, a, space, budget,
+        res = _exhaustive_core(G, F, a, space,
                                TGa, permGa, gvars, TFa, permFa, fvars)
         if res is None:
             return None
         return InterleavingCertificate(a, res.g, res.f)
-    return _exhaustive_core(F, G, a, space, budget,
+    return _exhaustive_core(F, G, a, space,
                             TFa, permFa, fvars, TGa, permGa, gvars)
 
 
@@ -312,15 +320,15 @@ def _restriction_terms(X, TX2a, permX2a, a2):
             if not halfopen_translation_kills(b.iv, 0, a2)}
 
 
-def _exhaustive_core(F, G, a, space, budget, TFa, permFa, fvars, TGa, permGa, gvars):
+def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
     """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
     ``gvars``; the a-thickenings and their index maps come from the caller."""
     p = F.char
     TF2a, permF2a = thicken_indexed(F, 2 * a, space)
     TG2a, permG2a = thicken_indexed(G, 2 * a, space)
-    if p ** len(fvars) > budget.max_enumeration:
+    if p ** len(fvars) > MAX_ENUMERATION:
         raise CapacityError(
-            f"enumeration {p}^{len(fvars)} exceeds the cap {budget.max_enumeration}")
+            f"enumeration {p}^{len(fvars)} exceeds the cap {MAX_ENUMERATION}")
 
     # Tensor entries for the two composite equations.
     t1 = _composite_terms(F, TF2a, permF2a, TGa, permGa, fvars, gvars, p, space)
@@ -378,17 +386,22 @@ def _exhaustive_core(F, G, a, space, budget, TFa, permFa, fvars, TGa, permGa, gv
     return None
 
 
-def check_interleaving(F, G, a, strategy: str = "matching",
-                       space=LINE, budget: Budget = DEFAULT_BUDGET):
-    """Search for an a-certificate; any returned certificate is verified."""
+def check_interleaving(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
+    """Search for a verified a-certificate in ``space``: matching first (a
+    Hom it cannot use counts as no match), then the exhaustive search.
+    Returns None when the exhaustive search refutes the shift; raises
+    ``CapacityError`` or ``UnsupportedHomError`` when the shift stays
+    undecided, and ``ValueError`` when a < 0."""
     a = Fraction(a)
     if a < 0:
         raise ValueError("interleaving shift must be nonnegative")
-    if strategy == "matching":
-        return check_matching(F, G, a, space)
-    if strategy == "exhaustive":
-        return check_exhaustive(F, G, a, space, budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    try:
+        cert = check_matching(F, G, a, space)
+    except UnsupportedHomError:
+        cert = None
+    if cert is not None:
+        return cert
+    return check_exhaustive(F, G, a, space, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -429,37 +442,12 @@ def critical_grid(F, G, space=LINE):
     return [Fraction(v, M) for v in sorted(base | {v // 2 for v in base})]
 
 
-def _probe(F, G, a, space, budget, log):
-    """Matching first, then the exhaustive search, at one shift: returns
-    (outcome, certificate) with outcome 'found', 'refuted', 'capacity' or
-    'unsupported'."""
-    try:
-        cert = check_matching(F, G, a, space)
-    except UnsupportedHomError:
-        cert = None
-    if cert is not None:
-        return "found", cert
-    try:
-        cert = check_exhaustive(F, G, a, space, budget)
-    except (CapacityError, UnsupportedHomError) as exc:
-        outcome = "capacity" if isinstance(exc, CapacityError) else "unsupported"
-        if log is not None:
-            log.append((outcome, a))
-        return outcome, None
-    if cert is None:
-        return "refuted", None
-    if log is not None:
-        log.append(("matching-miss", a))
-    return "found", cert
-
-
-def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE,
-             log=None) -> DistanceBounds:
+def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBounds:
     """Find the least certified shift on the critical grid.
 
-    A probe at a grid value tries the matching strategy and, when that finds
-    nothing, the exhaustive search; it ends found, refuted, capacity or
-    unsupported, and each grid value is probed at most once per call.
+    A probe at a grid value is one ``check_interleaving`` call; it ends
+    found, refuted, capacity or unsupported, and each grid value is probed
+    at most once per call.
     Feasibility is upward closed (``weaken_certificate``), so the search
     first bisects the grid between a refuted value and a found one.  When
     every bisection probe is decided and a certificate is found, the first
@@ -470,8 +458,7 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE,
     The returned ``exact`` flag means the first feasible grid value had its
     grid predecessor refuted exhaustively (or was 0); in that case lower is
     reported equal to upper.  Budget exhaustion degrades exactness, never
-    soundness.  ``log`` receives ``(event, shift)`` for each probe that the
-    matching strategy could not decide, in probe order.
+    soundness.
     """
     _check_inputs(F, G, space)
     if iso_equal(F, G):
@@ -484,7 +471,13 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE,
 
     def probe(i):
         if i not in probes:
-            probes[i] = _probe(F, G, grid[i], space, budget, log)
+            try:
+                cert = check_interleaving(F, G, grid[i], space, budget)
+                probes[i] = ("refuted" if cert is None else "found", cert)
+            except CapacityError:
+                probes[i] = ("capacity", None)
+            except UnsupportedHomError:
+                probes[i] = ("unsupported", None)
         return probes[i]
 
     lo, hi = -1, len(grid)         # grid[lo] refuted, grid[hi] found

@@ -7,6 +7,11 @@ pushforward restricts the pieces to each bar once, computes fiberwise
 compactly supported cohomology from the restricted pieces over a target
 stratification refined by all critical values, assembles generization maps
 from slab components, and decomposes the resulting zigzag per degree.
+
+The stability and Lipschitz experiments each make one
+``interleave.check_interleaving`` call at their bound: a certificate (always
+verified) is ``pass``, a refuted shift ``fail``, and a search over the cap
+``inconclusive``.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from fractions import Fraction
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
                       rgamma_c_interval, singleton)
 from .interleave import (Budget, DEFAULT_BUDGET, CapacityError,
-                         InterleavingCertificate, check_exhaustive,
-                         check_matching, verify_certificate)
+                         InterleavingCertificate, check_interleaving)
 from .model import LineModel, Rep
 from .scalars import NEG_INF, POS_INF, is_finite
 from .zigzag import decompose_line
@@ -363,14 +367,14 @@ class ExperimentReport:
         return self.verdict == "pass"
 
 
-def _search_certificate(F, G, a, budget: Budget):
-    cert = check_matching(F, G, a)
-    if cert is not None:
-        return cert, True
+def _report(inputs, bound, F, G, budget: Budget, t0) -> ExperimentReport:
+    """The report of one interleaving search of (F, G) at ``bound``."""
     try:
-        return check_exhaustive(F, G, a, budget=budget), True
+        cert = check_interleaving(F, G, bound, budget=budget)
     except CapacityError:
-        return None, False
+        return ExperimentReport(inputs, bound, None, "inconclusive", _micros(t0))
+    return ExperimentReport(inputs, bound, cert,
+                            "fail" if cert is None else "pass", _micros(t0))
 
 
 def stability_experiment(f: PLMap, g: PLMap, F: GradedBarcode,
@@ -382,30 +386,24 @@ def stability_experiment(f: PLMap, g: PLMap, F: GradedBarcode,
     if not is_finite(a):
         return ExperimentReport(inputs, a, None, "inconclusive",
                                 _micros(t0))
-    Ff = pushforward_shriek(f, F)
-    Fg = pushforward_shriek(g, F)
-    cert, conclusive = _search_certificate(Ff, Fg, a, budget)
-    if cert is not None and verify_certificate(Ff, Fg, cert):
-        return ExperimentReport(inputs, a, cert, "pass", _micros(t0))
-    return ExperimentReport(inputs, a, None,
-                            "fail" if conclusive else "inconclusive", _micros(t0))
+    return _report(inputs, a, pushforward_shriek(f, F), pushforward_shriek(g, F),
+                   budget, t0)
 
 
 def lipschitz_experiment(f: PLMap, F1: GradedBarcode, F2: GradedBarcode, a,
                          budget: Budget = DEFAULT_BUDGET) -> ExperimentReport:
     """Given an a-interleaving of (F1, F2), certify a (delta a)-interleaving
-    of the pushforwards, where delta is the Lipschitz constant of f."""
+    of the pushforwards, where delta is the Lipschitz constant of f.  The
+    shift a must be nonnegative: delta may be 0, and then delta a would
+    hide its sign."""
     t0 = time.perf_counter()
     a = Fraction(a)
+    if a < 0:
+        raise ValueError("interleaving shift must be nonnegative")
     delta = lipschitz_constant(f)
     inputs = {"f": f, "F1": F1, "F2": F2, "a": a, "delta": delta}
-    Ff1 = pushforward_shriek(f, F1)
-    Ff2 = pushforward_shriek(f, F2)
-    cert, conclusive = _search_certificate(Ff1, Ff2, delta * a, budget)
-    if cert is not None and verify_certificate(Ff1, Ff2, cert):
-        return ExperimentReport(inputs, delta * a, cert, "pass", _micros(t0))
-    return ExperimentReport(inputs, delta * a, None,
-                            "fail" if conclusive else "inconclusive", _micros(t0))
+    return _report(inputs, delta * a, pushforward_shriek(f, F1),
+                   pushforward_shriek(f, F2), budget, t0)
 
 
 def _micros(t0) -> int:

@@ -161,7 +161,7 @@ def test_criterion_08_matching_vs_exhaustive():
     contradictions = 0
     verified = True
     compared = 0
-    budget = Budget(max_unknowns=24, max_enumeration=4096)
+    budget = Budget(max_unknowns=24)
     for _ in range(80):
         F = sample_grid_barcode(rng, pool, max_bars=3)
         G = sample_grid_barcode(rng, pool, max_bars=3)

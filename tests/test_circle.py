@@ -240,8 +240,7 @@ class TestUnnormalizedLifts:
         ops = circle_ops(C, p)
         calls = [lambda: check_matching(F, G, Fr(1, 2), ops),
                  lambda: check_exhaustive(F, G, Fr(1, 2), ops),
-                 lambda: check_interleaving(F, G, Fr(1, 2), "matching", ops),
-                 lambda: check_interleaving(F, G, Fr(1, 2), "exhaustive", ops),
+                 lambda: check_interleaving(F, G, Fr(1, 2), ops),
                  lambda: distance(F, G, space=ops),
                  lambda: distance(G, F, space=ops),
                  lambda: distance(G, G, space=ops)]
@@ -257,9 +256,9 @@ class TestUnnormalizedLifts:
         if d.witness is not None:
             assert verify_certificate(F.spiral_barcode(), G.spiral_barcode(),
                                       d.witness, circle_ops(C, p))
-        for strategy in ("matching", "exhaustive"):
-            cert = check_interleaving(F.spiral_barcode(), G.spiral_barcode(),
-                                      Fr(1, 2), strategy, circle_ops(C, p))
+        for check in (check_matching, check_exhaustive):
+            cert = check(F.spiral_barcode(), G.spiral_barcode(), Fr(1, 2),
+                         circle_ops(C, p))
             if cert is not None:
                 assert verify_certificate(F.spiral_barcode(),
                                           G.spiral_barcode(), cert,

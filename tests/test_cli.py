@@ -1,6 +1,7 @@
 """CLI: exit codes, determinism, command round trips."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Fr
@@ -14,8 +15,10 @@ from thicket.barcode import (Bar, closed, full_line, half_open, open_iv,
                              ray_right, singleton)
 from thicket.circle import CircleSheaf
 from thicket.cli import run_command
+from thicket.corpus import rand_bounded_barcode
 from thicket.docio import barcode_doc, circle_doc, parse, plmap_doc, serialize
 from thicket.plmaps import abs_map, offset_map
+from thicket.thicken import thicken
 
 
 @pytest.fixture
@@ -143,6 +146,12 @@ class TestExitCodes:
                             str(docs["F"]), str(docs["G"])]) == 1
         assert "--budget must be nonnegative" in capsys.readouterr().err
 
+    def test_suite_negative_cases_rejected(self, capsys):
+        assert run_command(["suite", "distance", "--cases", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cases must be nonnegative, got -3\n"
+
     @pytest.mark.parametrize("band, message", [
         ("band: 0 rank=2", "malformed band '0 rank=2'"),
         ("band: 0 rank=two monodromy=1", "malformed band"),
@@ -192,17 +201,6 @@ class TestDeterminism:
                                        for l in text.splitlines())
         assert strip(a) == strip(b)
 
-    def test_worker_env_var(self, tmp_path, monkeypatch):
-        o1, o2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_command(["suite", "rgamma", "--seed", "3", "--cases", "4",
-                     "--out", str(o1)])
-        monkeypatch.setenv("THICKET_WORKERS", "2")
-        run_command(["suite", "rgamma", "--seed", "3", "--cases", "4",
-                     "--out", str(o2)])
-        strip = lambda text: "\n".join(",".join(l.split(",")[:-1])
-                                       for l in text.splitlines())
-        assert strip(o1.read_text()) == strip(o2.read_text())
-
 
 class TestInterleaveCommand:
     def test_found_and_not_found(self, docs, capsys):
@@ -210,9 +208,22 @@ class TestInterleaveCommand:
                             str(docs["G"])]) == 0
         assert "found: true" in capsys.readouterr().out
         assert run_command(["interleave", "--a", "1/2",
-                            "--strategy", "exhaustive",
                             str(docs["F"]), str(docs["G"])]) == 0
         assert "found: false" in capsys.readouterr().out
+
+    def test_search_over_the_cap_is_one_error_line(self, docs, capsys):
+        F = rand_bounded_barcode(random.Random(11), max_bars=8)
+        paths = []
+        for name, X in (("F8", F), ("G8", thicken(F, Fr(1, 4)))):
+            paths.append(docs["tmp"] / f"{name}.bc")
+            paths[-1].write_text(serialize(barcode_doc(X)))
+        assert run_command(["interleave", "--a", "0"] + [str(p) for p in paths]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: ")
+        assert "exceed the cap" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", [["interleave", "--a", "1"],
                                          ["lipschitz", "--map", "pl", "--a", "1"]])
@@ -265,8 +276,9 @@ class TestNegativeShifts:
 
     def test_lipschitz(self, docs, capsys):
         assert run_command(["lipschitz", "--map", str(docs["pl"]), "--a",
-                            "-1/2", str(docs["F"]), str(docs["G"])]) == 0
-        assert "bound: -1/2" in capsys.readouterr().out
+                            "-1/2", str(docs["F"]), str(docs["G"])]) == 1
+        assert capsys.readouterr().err == ("error: interleaving shift must be "
+                                           "nonnegative\n")
 
     def test_module_entry_point(self, docs):
         proc = subprocess.run(

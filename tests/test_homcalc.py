@@ -277,16 +277,15 @@ class TestOddCharacteristic:
     def test_distance_and_certificates(self, p):
         from fractions import Fraction as Fr
         from thicket.barcode import GradedBarcode, closed, singleton, open_iv
-        from thicket.interleave import (check_interleaving, distance,
+        from thicket.interleave import (check_exhaustive, distance,
                                         verify_certificate)
         GB = lambda *b: GradedBarcode(list(b), char=p)
         F, G = GB(bar(closed(0, 2))), GB(bar(singleton(1)))
         d = distance(F, G)
         assert d.fields() == (1, 1, True)
         assert verify_certificate(F, G, d.witness)
-        assert check_interleaving(GB(bar(open_iv(0, 4))),
-                                  GB(bar(singleton(2), 1)), 2,
-                                  "exhaustive") is not None
+        assert check_exhaustive(GB(bar(open_iv(0, 4))),
+                                GB(bar(singleton(2), 1)), 2) is not None
 
 
 class TestAssociativityAcrossModels:

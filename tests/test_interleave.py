@@ -59,26 +59,32 @@ class TestCheckInterleaving:
     def test_degenerate_open_vs_shifted_point(self):
         F = gb(bar(open_iv(0, 4)))
         G = gb(bar(singleton(2), 1))
-        for strategy in ("matching", "exhaustive"):
-            assert check_interleaving(F, G, 2, strategy) is not None
+        for check in (check_matching, check_exhaustive, check_interleaving):
+            assert check(F, G, 2) is not None
 
     def test_no_certificate_against_zero(self):
         F = gb(bar(closed(0, 2)))
-        assert check_interleaving(F, gb(), 10, "exhaustive") is None
+        for check in (check_exhaustive, check_interleaving):
+            assert check(F, gb(), 10) is None
 
     def test_capacity_error(self):
         F = rand_bounded_barcode(__import__("random").Random(5), max_bars=4)
         G = thicken(F, Fr(1, 4))
+        tiny = Budget(max_unknowns=1)
         with pytest.raises(CapacityError):
-            check_interleaving(F, G, Fr(1, 4), "exhaustive",
-                               budget=Budget(max_unknowns=1))
+            check_exhaustive(F, G, Fr(1, 4), budget=tiny)
+        # matching certifies 1/4 before the budget matters; nothing
+        # certifies 0, and the exhaustive search cannot refute it in budget
+        assert check_interleaving(F, G, Fr(1, 4), budget=tiny) is not None
+        with pytest.raises(CapacityError):
+            check_interleaving(F, G, 0, budget=tiny)
 
     def test_matching_certificates_verify(self, rng):
         for _ in range(30):
             F = rand_bounded_barcode(rng, max_bars=3)
             a = abs(rand_fraction(rng, 0, 2))
             G = thicken(F, a)
-            cert = check_interleaving(F, G, a, "matching")
+            cert = check_matching(F, G, a)
             if cert is not None:
                 assert verify_certificate(F, G, cert)
 
@@ -220,14 +226,17 @@ class TestBoundsInvariants:
                 assert verify_certificate(F, G, d.witness)
 
 
-class TestLogging:
-    def test_capacity_events_logged(self, rng):
-        from thicket.interleave import Budget, distance
-        F = rand_bounded_barcode(__import__("random").Random(11), max_bars=4)
-        G = thicken(F, Fr(1, 4))
-        log = []
-        distance(F, G, Budget(max_unknowns=1), log=log)
-        assert any(tag == "capacity" for tag, _ in log)
+class TestBudgetBounds:
+    F = rand_bounded_barcode(__import__("random").Random(11), max_bars=4)
+    G = thicken(F, Fr(1, 4))
+
+    def test_default_budget_is_exact(self):
+        assert distance(self.F, self.G).fields() == (Fr(1, 4), Fr(1, 4), True)
+
+    def test_capacity_leaves_bounds_inconclusive(self):
+        d = distance(self.F, self.G, Budget(max_unknowns=1))
+        assert (d.exact, d.conclusive) == (False, False)
+        assert verify_certificate(self.F, self.G, d.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +245,7 @@ class TestLogging:
 def _outcome(F, G, a, ops, budget):
     """'found', 'refuted', 'capacity' or 'unsupported' at the shift a."""
     try:
-        if check_interleaving(F, G, a, "matching", ops) is not None:
-            return "found"
-    except UnsupportedHomError:
-        pass
-    try:
-        cert = check_interleaving(F, G, a, "exhaustive", ops, budget)
+        cert = check_interleaving(F, G, a, ops, budget)
     except CapacityError:
         return "capacity"
     except UnsupportedHomError:
@@ -466,8 +470,7 @@ def _two_field_pairs():
 def test_search_across_two_fields_rejected(F, G, space):
     calls = [lambda: check_matching(F, G, 1, space),
              lambda: check_exhaustive(F, G, 1, space),
-             lambda: check_interleaving(F, G, 1, "matching", space),
-             lambda: check_interleaving(F, G, 1, "exhaustive", space),
+             lambda: check_interleaving(F, G, 1, space),
              lambda: distance(F, G, space=space),
              lambda: distance(G, F, space=space)]
     for call in calls:
