@@ -2,13 +2,16 @@
 
 An a-certificate is a pair f: T_a F -> G, g: T_a G -> F whose 2a-composites
 equal the canonical restrictions.  The distance search works on the critical
-grid of endpoint differences and half-differences.  Since an a-certificate
-weakens to a b-certificate for every b >= a, it bisects that grid for the
-first verified certificate; when a probe is undecided (over budget or out of
-the supported Hom range) or nothing is found, a linear pass from 0 over the
-memoized probes sets the bounds.  The first certified value is the upper
-bound, and exactness is claimed only when the exhaustive search refutes the
-adjacent grid value below.
+grid of endpoint differences and half-differences.  The answer is the first
+grid value a linear pass from 0 certifies; it is exact when the pass refuted
+the grid value just below.  Since an a-certificate weakens to a
+b-certificate for every b >= a, one refutation settles every value below
+it, so the search first takes the least grid value where the matching
+search alone succeeds (galloping from the bottom, then bisecting) and
+refutes only its predecessor.  When that predecessor is undecided (over
+budget or out of the supported Hom range) or certified, or no value
+matches, the linear pass runs over the memoized probes and sets two-sided
+bounds.
 
 ``check_interleaving`` is the one search at a single shift that every
 caller uses: the block-diagonal matching first, then the complete exhaustive
@@ -185,9 +188,11 @@ def _check_inputs(F, G, space):
                              f"is {nb})")
 
 
-def check_matching(F, G, a, space=LINE):
-    _check_inputs(F, G, space)
-    a = Fraction(a)
+def _match_pairs(F, G, a, space):
+    """The pair-feasibility table at ``a`` and a backtracked block-diagonal
+    matching: ``(pairs, feas)``, or None when no matching exists.  A pair
+    whose Hom the calculus cannot use counts as infeasible.  Inputs are
+    checked by the caller."""
     p = F.char
     nF, nG = len(F.bars), len(G.bars)
     lifts_F = _lifts(F.bars, a, space)
@@ -228,12 +233,17 @@ def check_matching(F, G, a, space=LINE):
             backtrack(i + 1, used, pairs)
 
     backtrack(0, set(), [])
-    if best is None:
-        return None
+    return None if best is None else (best, feas)
+
+
+def _matching_certificate(F, G, a, match, space):
+    """The block-diagonal certificate of a ``_match_pairs`` result, or None
+    when it fails verification."""
+    pairs, feas = match
     TFa, permF = thicken_indexed(F, a, space)
     TGa, permG = thicken_indexed(G, a, space)
     fblocks, gblocks = {}, {}
-    for (i, j) in best:
+    for (i, j) in pairs:
         alpha, beta = feas[(i, j)]
         tf = TFa.bars[permF[i]]
         tg = TGa.bars[permG[j]]
@@ -246,6 +256,15 @@ def check_matching(F, G, a, space=LINE):
     if verify_certificate(F, G, cert, space):
         return cert
     return None
+
+
+def check_matching(F, G, a, space=LINE):
+    _check_inputs(F, G, space)
+    a = Fraction(a)
+    match = _match_pairs(F, G, a, space)
+    if match is None:
+        return None
+    return _matching_certificate(F, G, a, match, space)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +410,15 @@ def check_interleaving(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
     Hom it cannot use counts as no match), then the exhaustive search.
     Returns None when the exhaustive search refutes the shift; raises
     ``CapacityError`` or ``UnsupportedHomError`` when the shift stays
-    undecided, and ``ValueError`` when a < 0."""
+    undecided, and ``ValueError`` when a < 0.  At a = 0 no search runs:
+    T_0 is the identity, so a 0-certificate is an isomorphism, and the
+    shift is refuted unless ``iso_equal`` holds."""
+    _check_inputs(F, G, space)
     a = Fraction(a)
     if a < 0:
         raise ValueError("interleaving shift must be nonnegative")
+    if a == 0 and not iso_equal(F, G):
+        return None
     try:
         cert = check_matching(F, G, a, space)
     except UnsupportedHomError:
@@ -442,23 +466,45 @@ def critical_grid(F, G, space=LINE):
     return [Fraction(v, M) for v in sorted(base | {v // 2 for v in base})]
 
 
+def _least_match(n, match):
+    """The least index m in 1..n-1 with ``match(m)`` not None, assuming the
+    hits are upward closed and index 0 misses; None when n - 1 misses.
+    Gallops over 1, 2, 4, ... and then bisects between the last miss and
+    the first hit, so a candidate near the bottom of the grid costs few
+    calls."""
+    lo, hi = 0, 1
+    while hi < n - 1 and match(hi) is None:
+        lo, hi = hi, min(2 * hi, n - 1)
+    if hi >= n or match(hi) is None:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if match(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBounds:
     """Find the least certified shift on the critical grid.
 
-    A probe at a grid value is one ``check_interleaving`` call; it ends
-    found, refuted, capacity or unsupported, and each grid value is probed
-    at most once per call.
+    The answer is defined by a linear pass from 0: a probe at each grid
+    value is one ``check_interleaving`` call, which ends found, refuted,
+    capacity or unsupported, and the pass stops at the first found value.
     Feasibility is upward closed (``weaken_certificate``), so the search
-    first bisects the grid between a refuted value and a found one.  When
-    every bisection probe is decided and a certificate is found, the first
-    found value's predecessor is refuted and the result is exact.  Otherwise
-    a linear pass over the grid, reusing the probes already made, sets the
-    bounds as a scan from 0 would.
+    first takes a candidate from the matching search alone: the least grid
+    index m > 0 at which a block-diagonal matching exists, by galloping and
+    bisection.  If ``check_interleaving`` refutes the grid value just below
+    it, every value below is infeasible too, and the verified matching
+    certificate at m is the one the linear pass would return.  Otherwise
+    (no candidate, an undecided or found predecessor, or a certificate
+    that fails verification) the linear pass runs, reusing the probe
+    already made; each grid value is probed at most once per call.
 
     The returned ``exact`` flag means the first feasible grid value had its
-    grid predecessor refuted exhaustively (or was 0); in that case lower is
-    reported equal to upper.  Budget exhaustion degrades exactness, never
-    soundness.
+    grid predecessor refuted (or was 0); in that case lower is reported
+    equal to upper.  Budget exhaustion degrades exactness, never soundness.
     """
     _check_inputs(F, G, space)
     if iso_equal(F, G):
@@ -467,7 +513,7 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBound
     if finite_gate(F, G, space) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None)
     grid = critical_grid(F, G, space)
-    probes = {}
+    probes, matches = {}, {}
 
     def probe(i):
         if i not in probes:
@@ -480,21 +526,19 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBound
                 probes[i] = ("unsupported", None)
         return probes[i]
 
-    lo, hi = -1, len(grid)         # grid[lo] refuted, grid[hi] found
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        outcome, _ = probe(mid)
-        if outcome == "found":
-            hi = mid
-        elif outcome == "refuted":
-            lo = mid
-        else:
-            break
-    else:
-        if hi < len(grid):
-            # every value up to grid[lo] is infeasible, so grid[hi] is the
-            # first value the linear pass would certify
-            return DistanceBounds(grid[hi], grid[hi], True, probes[hi][1])
+    def match(i):
+        if i not in matches:
+            matches[i] = _match_pairs(F, G, grid[i], space)
+        return matches[i]
+
+    m = _least_match(len(grid), match)
+    if m is not None and probe(m - 1)[0] == "refuted":
+        try:
+            cert = _matching_certificate(F, G, grid[m], match(m), space)
+        except UnsupportedHomError:
+            cert = None
+        if cert is not None:
+            return DistanceBounds(grid[m], grid[m], True, cert)
 
     proven_infeasible = []
     unknown = []

@@ -211,19 +211,35 @@ class TestInterleaveCommand:
                             str(docs["F"]), str(docs["G"])]) == 0
         assert "found: false" in capsys.readouterr().out
 
-    def test_search_over_the_cap_is_one_error_line(self, docs, capsys):
+    @staticmethod
+    def _eight_bar_pair(docs):
+        """An 8-bar barcode and its 1/4-thickening: 8 + 19 unknown blocks
+        at 1/8, over the exhaustive cap of 24."""
         F = rand_bounded_barcode(random.Random(11), max_bars=8)
         paths = []
         for name, X in (("F8", F), ("G8", thicken(F, Fr(1, 4)))):
             paths.append(docs["tmp"] / f"{name}.bc")
             paths[-1].write_text(serialize(barcode_doc(X)))
-        assert run_command(["interleave", "--a", "0"] + [str(p) for p in paths]) == 1
+        return [str(p) for p in paths]
+
+    def test_search_over_the_cap_is_one_error_line(self, docs, capsys):
+        paths = self._eight_bar_pair(docs)
+        assert run_command(["interleave", "--a", "1/8"] + paths) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: ")
         assert "exceed the cap" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+    def test_zero_shift_is_the_isomorphism_test(self, docs, capsys):
+        paths = self._eight_bar_pair(docs)
+        assert run_command(["interleave", "--a", "0"] + paths) == 0
+        captured = capsys.readouterr()
+        assert "found: false" in captured.out
+        assert captured.err == ""
+        assert run_command(["interleave", "--a", "0", paths[0], paths[0]]) == 0
+        assert "found: true" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [["interleave", "--a", "1"],
                                          ["lipschitz", "--map", "pl", "--a", "1"]])

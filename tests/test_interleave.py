@@ -11,6 +11,7 @@ from thicket.barcode import (CLOSED, Bar, CharacteristicMismatchError,
 from thicket.circle import CircleSheaf, circle_ops
 from thicket.corpus import (rand_bounded_barcode, rand_barcode,
                             rand_circle_sheaf, rand_fraction)
+from thicket import interleave
 from thicket.interleave import (Budget, CapacityError,
                                 DistanceBounds, InterleavingCertificate,
                                 check_exhaustive, check_interleaving,
@@ -74,10 +75,12 @@ class TestCheckInterleaving:
         with pytest.raises(CapacityError):
             check_exhaustive(F, G, Fr(1, 4), budget=tiny)
         # matching certifies 1/4 before the budget matters; nothing
-        # certifies 0, and the exhaustive search cannot refute it in budget
+        # certifies 1/8, and the exhaustive search cannot refute it in
+        # budget; 0 is refuted by the isomorphism test without a search
         assert check_interleaving(F, G, Fr(1, 4), budget=tiny) is not None
         with pytest.raises(CapacityError):
-            check_interleaving(F, G, 0, budget=tiny)
+            check_interleaving(F, G, Fr(1, 8), budget=tiny)
+        assert check_interleaving(F, G, 0, budget=tiny) is None
 
     def test_matching_certificates_verify(self, rng):
         for _ in range(30):
@@ -240,7 +243,7 @@ class TestBudgetBounds:
 
 
 # ---------------------------------------------------------------------------
-# Bisection against the linear scan it replaces.
+# The candidate search against the linear scan that defines the answer.
 
 def _outcome(F, G, a, ops, budget):
     """'found', 'refuted', 'capacity' or 'unsupported' at the shift a."""
@@ -255,7 +258,7 @@ def _outcome(F, G, a, ops, budget):
 
 def _linear_scan(F, G, budget, ops):
     """Oracle: scan the whole critical grid upward from 0 and stop at the
-    first certificate, as ``distance`` did before it bisected."""
+    first certificate, the definition ``distance`` falls back to."""
     if F == G:
         return DistanceBounds(Fr(0), Fr(0), True, identity_certificate(F, ops))
     if finite_gate(F, G, ops) == "infinite":
@@ -315,6 +318,9 @@ def _sides(d):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 class TestBisection:
+    """The candidate search of ``distance``, which gallops and then bisects
+    over the matching search alone, against the linear scan."""
+
     def test_feasibility_upward_closed(self, rng, p):
         pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 6)]
         pairs += list(_circle_pairs(rng, p, 4))
@@ -323,6 +329,24 @@ class TestBisection:
                         for a in critical_grid(F, G, ops)]
             if "found" in outcomes:
                 assert "refuted" not in outcomes[outcomes.index("found"):], (F, G)
+
+    def test_zero_shift_agrees_with_exhaustive(self, rng, p):
+        """At a = 0 the isomorphism test answers; wherever the exhaustive
+        search decides 0 within its cap, it agrees."""
+        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 10)]
+        pairs += list(_circle_pairs(rng, p, 5))
+        pairs += [(F, F, space) for F, _, space in pairs[::3]]
+        decided = 0
+        for F, G, space in pairs:
+            cert = check_interleaving(F, G, 0, space)
+            assert (cert is None) == (F.bars != G.bars), (F, G)
+            try:
+                e = check_exhaustive(F, G, 0, space)
+            except (CapacityError, UnsupportedHomError):
+                continue
+            assert (e is None) == (cert is None), (F, G)
+            decided += 1
+        assert decided >= 10
 
     @pytest.mark.parametrize("budget", [Budget(), Budget(max_unknowns=1),
                                         Budget(max_unknowns=2)],
@@ -335,6 +359,64 @@ class TestBisection:
             assert _sides(d) == _sides(_linear_scan(F, G, budget, ops)), (F, G)
             if d.witness is not None:
                 assert verify_certificate(F, G, d.witness, ops)
+
+    def test_one_exhaustive_call_per_exact_result(self, rng, p, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return check_exhaustive(*args, **kwargs)
+
+        monkeypatch.setattr(interleave, "check_exhaustive", counted)
+        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 10)]
+        pairs += list(_circle_pairs(rng, p, 5))
+        exact = 0
+        for F, G, space in pairs:
+            calls.clear()
+            d = distance(F, G, space=space)
+            if d.exact:
+                assert len(calls) <= 1, (F, G, calls)
+                exact += d.upper != POS_INF
+        assert exact >= 10
+
+    @pytest.mark.parametrize("late", [False, True], ids=["never", "late"])
+    def test_fallback_matches_linear_scan(self, rng, p, monkeypatch, late):
+        """A candidate search that misses, or that skips the least match so
+        that the predecessor of its candidate is certified, leaves the
+        linear pass to decide, with the same bounds."""
+        least_match = interleave._least_match
+
+        def missing(n, match):
+            m = least_match(n, match) if late else None
+            if m is None:
+                return None
+            return least_match(n, lambda i: None if i <= m else match(i))
+
+        monkeypatch.setattr(interleave, "_least_match", missing)
+        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 8)]
+        pairs += list(_circle_pairs(rng, p, 4))
+        for F, G, space in pairs:
+            d = distance(F, G, space=space)
+            assert _sides(d) == _sides(_linear_scan(F, G, Budget(), space)), (F, G)
+            if d.witness is not None:
+                assert verify_certificate(F, G, d.witness, space)
+
+
+def test_least_match_finds_every_threshold():
+    """On hits upward closed from index t, the galloping search returns t
+    for every 1 <= t < n, and None when nothing past index 0 hits, in a
+    logarithmic number of distinct calls."""
+    for n in range(41):
+        for t in range(1, n + 2):
+            seen = set()
+
+            def match(i):
+                assert 0 < i < n
+                seen.add(i)
+                return "hit" if i >= t else None
+
+            assert interleave._least_match(n, match) == (t if t < n else None)
+            assert len(seen) <= 2 * max(n, 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
