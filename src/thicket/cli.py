@@ -30,7 +30,7 @@ from .interleave import (Budget, DEFAULT_BUDGET, CapacityError,
 from .morphisms import UnsupportedHomError
 from .plmaps import (lipschitz_experiment, pushforward_shriek,
                      stability_experiment)
-from .scalars import format_extended
+from .scalars import format_extended, parse_rational
 from .svgplot import emit_plot
 from .thicken import thicken
 
@@ -72,8 +72,8 @@ def _write_doc(doc: Document, path: str | None):
 def _shift(text: str) -> Fraction:
     """The rational given to ``--a``."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ValueError:
         raise CliError(f"--a must be a rational number, got {text!r}") from None
 
 

@@ -9,12 +9,11 @@ validates every module invariant on load and reports offending lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
 from .circle import CircleSheaf
 from .plmaps import PLMap
-from .scalars import format_extended, parse_extended
+from .scalars import parse_extended, parse_rational
 
 VERSION = "thicket/1"
 
@@ -32,12 +31,6 @@ class Document:
     payload: object
     char: int = 2
     space: object = "line"
-
-
-def format_interval(iv: Interval) -> str:
-    lb = "[" if iv.lkind is CLOSED else "("
-    rb = "]" if iv.rkind is CLOSED else ")"
-    return f"{lb}{format_extended(iv.left)}, {format_extended(iv.right)}{rb}"
 
 
 def parse_interval(text: str, line=None) -> Interval:
@@ -93,14 +86,16 @@ def serialize(doc: Document) -> str:
         F: GradedBarcode = doc.payload
         lines.append(f"char: {F.char}")
         lines.append("space: line")
+        # ``!s`` calls ``Interval.__str__`` without the format() dispatch,
+        # which costs about a tenth of the time of a bar line
         for b in F.bars:
-            lines.append(f"bar: {b.degree} {format_interval(b.iv)}")
+            lines.append(f"bar: {b.degree} {b.iv!s}")
     elif doc.kind == "circle":
         F: CircleSheaf = doc.payload
         lines.append(f"char: {F.char}")
         lines.append(f"space: circle C={F.C}")
         for b in F.spirals:
-            lines.append(f"spiral: {b.degree} {format_interval(b.iv)}")
+            lines.append(f"spiral: {b.degree} {b.iv!s}")
         for band in F.bands:
             rows = ";".join(",".join(str(x) for x in row) for row in band.monodromy)
             lines.append(f"band: {band.degree} rank={band.rank} monodromy={rows}")
@@ -108,7 +103,7 @@ def serialize(doc: Document) -> str:
         f: PLMap = doc.payload
         lines.append(f"extend: {f.left_ext} {f.right_ext}")
         if f.domain is not None:
-            lines.append(f"domain: {format_interval(f.domain)}")
+            lines.append(f"domain: {f.domain!s}")
         for x, y in zip(f.xs, f.ys):
             lines.append(f"pt: {x} {y}")
     elif doc.kind == "report":
@@ -151,7 +146,7 @@ def parse(text: str) -> Document:
                 space = "line"
             elif v.startswith("circle"):
                 try:
-                    space = ("circle", Fraction(v.split("C=", 1)[1]))
+                    space = ("circle", parse_rational(v.split("C=", 1)[1]))
                 except (IndexError, ValueError):
                     raise DocumentError(f"invalid space tag {v!r}", i) from None
             else:
@@ -190,11 +185,12 @@ def parse(text: str) -> Document:
                 elif k == "domain":
                     domain = parse_interval(v, i)
                 elif k == "pt":
-                    parts = v.split()
-                    if len(parts) != 2:
-                        raise DocumentError(f"invalid point {v!r}", i)
-                    xs.append(Fraction(parts[0]))
-                    ys.append(Fraction(parts[1]))
+                    try:
+                        x, y = map(parse_rational, v.split())
+                    except ValueError:
+                        raise DocumentError(f"invalid point {v!r}", i) from None
+                    xs.append(x)
+                    ys.append(y)
             return Document("plmap",
                             PLMap(tuple(xs), tuple(ys), lext, rext, domain),
                             char, "line")

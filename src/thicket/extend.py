@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .barcode import GradedBarcode
-from .morphisms import compose, identity_morphism, restriction, thicken_morphism
+from .morphisms import compose, restriction, thicken_morphism
+from .scalars import parse_rational
 from .thicken import thicken
 
 
@@ -50,7 +51,6 @@ class SeedFamily:
     restrict_fn: object            # (a, b, x) -> witness, 0 <= a <= b <= alpha
     lift_fn: object                # (witness, a) -> witness (functor on maps)
     compose_fn: object             # diagrammatic: first, then
-    identity_fn: object            # x -> identity witness
     iso_eq: object                 # (x, y) -> bool
     name: str = "seed"
 
@@ -209,7 +209,7 @@ def coherence_check(seed: SeedFamily, samples, objects) -> CoherenceReport:
 # ---------------------------------------------------------------------------
 # Built-in seeds.
 
-def line_seed(alpha, char: int = 2, mode: str = "two-sided") -> SeedFamily:
+def line_seed(alpha, mode: str = "two-sided") -> SeedFamily:
     alpha = Fraction(alpha)
 
     def iso_eq(x: GradedBarcode, y: GradedBarcode) -> bool:
@@ -222,13 +222,12 @@ def line_seed(alpha, char: int = 2, mode: str = "two-sided") -> SeedFamily:
         restrict_fn=lambda a, b, x: restriction(x, a, b),
         lift_fn=lambda w, a: thicken_morphism(w, a),
         compose_fn=compose,
-        identity_fn=identity_morphism,
         iso_eq=iso_eq,
         name=f"line[alpha={alpha}]",
     )
 
 
-def circle_seed(C, char: int = 2) -> SeedFamily:
+def circle_seed(C) -> SeedFamily:
     from .circle import CircleSheaf, circle_ops, circle_thicken, seed_bound
     C = Fraction(C)
     alpha = seed_bound(C)
@@ -249,7 +248,6 @@ def circle_seed(C, char: int = 2) -> SeedFamily:
         restrict_fn=restrict_fn,
         lift_fn=lambda w, a: thicken_morphism(w, a),
         compose_fn=compose,
-        identity_fn=lambda x: identity_morphism(x.spiral_barcode(), space),
         iso_eq=lambda x, y: x == y,
         name=f"circle[C={C}]",
     )
@@ -269,17 +267,22 @@ def load_seed_text(text: str) -> SeedFamily:
             raise ValueError(f"malformed seed line {line!r}")
         k, v = (x.strip() for x in line.split(":", 1))
         if k == "alpha":
-            alpha = Fraction(v)
+            alpha = parse_rational(v)
         elif k == "mode":
+            if v not in ("nonnegative", "two-sided"):
+                raise ValueError(f"unknown seed mode {v!r}: expected "
+                                 "'nonnegative' or 'two-sided'")
             mode = v
         elif k == "restrict-default":
-            default = Fraction(v)
+            default = parse_rational(v)
         elif k == "restrict":
-            a, b, val = v.split()
-            table[(Fraction(a), Fraction(b))] = Fraction(val)
+            a, b, val = map(parse_rational, v.split())
+            table[(a, b)] = val
         elif k == "kind":
             if v != "seed":
                 raise ValueError(f"not a seed document: kind {v!r}")
+    if alpha <= 0:
+        raise ValueError(f"seed alpha must be positive, got {alpha}")
     return synthetic_scalar_seed(alpha, table, default, mode)
 
 
@@ -302,7 +305,6 @@ def synthetic_scalar_seed(alpha, table=None, default=Fraction(1),
         restrict_fn=restrict_fn,
         lift_fn=lambda w, a: w,
         compose_fn=lambda w1, w2: w1 * w2,
-        identity_fn=lambda x: Fraction(1),
         iso_eq=lambda x, y: x == y,
         name=f"synthetic[alpha={alpha}]",
     )

@@ -2,21 +2,18 @@
 
 An a-certificate is a pair f: T_a F -> G, g: T_a G -> F whose 2a-composites
 equal the canonical restrictions.  The distance search works on the critical
-grid of endpoint differences and half-differences.  The answer is the first
-grid value a linear pass from 0 certifies; it is exact when the pass refuted
-the grid value just below.  Since an a-certificate weakens to a
-b-certificate for every b >= a, one refutation settles every value below
-it, so the search first takes the least grid value where the matching
-search alone succeeds (galloping from the bottom, then bisecting) and
-refutes only its predecessor.  When that predecessor is undecided (over
-budget or out of the supported Hom range) or certified, or no value
-matches, the linear pass runs over the memoized probes and sets two-sided
-bounds.
+grid of endpoint differences and half-differences; the answer is the least
+certified grid value, exact when the grid value just below it is refuted.
+Since an a-certificate weakens to a b-certificate for every b >= a, one
+refutation settles every value below it.  So ``distance`` makes one walk:
+from the least grid value where the matching search alone succeeds
+(galloping from the bottom, then bisecting), up to the first certified
+value, then down to the first refuted one.
 
-``check_interleaving`` is the one search at a single shift that every
-caller uses: the block-diagonal matching first, then the complete exhaustive
-search.  ``check_matching`` and ``check_exhaustive`` are its two strategies;
-each returns only verified certificates.
+``_search`` is the one search at a single shift, used by ``distance`` and
+by ``check_interleaving``: the block-diagonal matching first, then the
+complete exhaustive search.  ``check_matching`` and ``check_exhaustive``
+are its two strategies; each returns only verified certificates.
 
 Every search runs in one space, named by the value that ``morphisms`` keys
 on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
@@ -47,7 +44,7 @@ from .morphisms import (LINE, Morphism, UnsupportedHomError, _block_kind,
                         compose, identity_morphism, normal_form, restriction,
                         space_dim, struct_scalar, thicken_indexed,
                         thicken_morphism)
-from .scalars import POS_INF, is_finite
+from .scalars import POS_INF
 from .thicken import bar_rule, halfopen_translation_kills
 
 
@@ -405,27 +402,35 @@ def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
     return None
 
 
+def _search(F, G, a, space, budget, match):
+    """The one search at a shift: the certificate of ``match`` (a
+    ``_match_pairs`` result) if it verifies, else the exhaustive search's
+    answer.  A Hom the calculus cannot use counts as no match."""
+    if match is not None:
+        try:
+            cert = _matching_certificate(F, G, a, match, space)
+        except UnsupportedHomError:
+            cert = None
+        if cert is not None:
+            return cert
+    return check_exhaustive(F, G, a, space, budget)
+
+
 def check_interleaving(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
-    """Search for a verified a-certificate in ``space``: matching first (a
-    Hom it cannot use counts as no match), then the exhaustive search.
-    Returns None when the exhaustive search refutes the shift; raises
-    ``CapacityError`` or ``UnsupportedHomError`` when the shift stays
-    undecided, and ``ValueError`` when a < 0.  At a = 0 no search runs:
-    T_0 is the identity, so a 0-certificate is an isomorphism, and the
-    shift is refuted unless ``iso_equal`` holds."""
+    """Search for a verified a-certificate in ``space``: matching first,
+    then the exhaustive search (``_search``).  Returns None when the
+    exhaustive search refutes the shift; raises ``CapacityError`` or
+    ``UnsupportedHomError`` when the shift stays undecided, and
+    ``ValueError`` when a < 0.  At a = 0 no search runs: T_0 is the
+    identity, so a 0-certificate is an isomorphism, and the shift is
+    refuted unless ``iso_equal`` holds."""
     _check_inputs(F, G, space)
     a = Fraction(a)
     if a < 0:
         raise ValueError("interleaving shift must be nonnegative")
     if a == 0 and not iso_equal(F, G):
         return None
-    try:
-        cert = check_matching(F, G, a, space)
-    except UnsupportedHomError:
-        cert = None
-    if cert is not None:
-        return cert
-    return check_exhaustive(F, G, a, space, budget)
+    return _search(F, G, a, space, budget, _match_pairs(F, G, a, space))
 
 
 # ---------------------------------------------------------------------------
@@ -489,22 +494,20 @@ def _least_match(n, match):
 def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBounds:
     """Find the least certified shift on the critical grid.
 
-    The answer is defined by a linear pass from 0: a probe at each grid
-    value is one ``check_interleaving`` call, which ends found, refuted,
-    capacity or unsupported, and the pass stops at the first found value.
-    Feasibility is upward closed (``weaken_certificate``), so the search
-    first takes a candidate from the matching search alone: the least grid
-    index m > 0 at which a block-diagonal matching exists, by galloping and
-    bisection.  If ``check_interleaving`` refutes the grid value just below
-    it, every value below is infeasible too, and the verified matching
-    certificate at m is the one the linear pass would return.  Otherwise
-    (no candidate, an undecided or found predecessor, or a certificate
-    that fails verification) the linear pass runs, reusing the probe
-    already made; each grid value is probed at most once per call.
+    A probe at a grid value is one ``_search``, which ends found, refuted,
+    capacity or unsupported; index 0 is refuted, since ``iso_equal`` has
+    failed.  Feasibility is upward closed (``weaken_certificate``), so one
+    walk settles the grid.  It starts at the least index where the
+    matching search alone succeeds (``_least_match``, or index 1 when none
+    does), scans up to the first found probe, and then walks down: a found
+    probe lowers the upper bound and the first refuted one is the lower
+    bound, below which every value is infeasible.  With no certificate the
+    walk goes on to 0, so that ``conclusive`` covers every probe on the
+    grid.  Each grid value is matched and probed at most once per call.
 
-    The returned ``exact`` flag means the first feasible grid value had its
-    grid predecessor refuted (or was 0); in that case lower is reported
-    equal to upper.  Budget exhaustion degrades exactness, never soundness.
+    The returned ``exact`` flag means the least certified grid value has its
+    grid predecessor refuted; in that case lower is reported equal to
+    upper.  Budget exhaustion degrades exactness, never soundness.
     """
     _check_inputs(F, G, space)
     if iso_equal(F, G):
@@ -513,12 +516,18 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBound
     if finite_gate(F, G, space) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None)
     grid = critical_grid(F, G, space)
-    probes, matches = {}, {}
+    n = len(grid)
+    probes, matches = {0: ("refuted", None)}, {}
+
+    def match(i):
+        if i not in matches:
+            matches[i] = _match_pairs(F, G, grid[i], space)
+        return matches[i]
 
     def probe(i):
         if i not in probes:
             try:
-                cert = check_interleaving(F, G, grid[i], space, budget)
+                cert = _search(F, G, grid[i], space, budget, match(i))
                 probes[i] = ("refuted" if cert is None else "found", cert)
             except CapacityError:
                 probes[i] = ("capacity", None)
@@ -526,41 +535,27 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBound
                 probes[i] = ("unsupported", None)
         return probes[i]
 
-    def match(i):
-        if i not in matches:
-            matches[i] = _match_pairs(F, G, grid[i], space)
-        return matches[i]
-
-    m = _least_match(len(grid), match)
-    if m is not None and probe(m - 1)[0] == "refuted":
-        try:
-            cert = _matching_certificate(F, G, grid[m], match(m), space)
-        except UnsupportedHomError:
-            cert = None
-        if cert is not None:
-            return DistanceBounds(grid[m], grid[m], True, cert)
-
-    proven_infeasible = []
-    unknown = []
-    upper = POS_INF
-    witness = None
-    for i, aa in enumerate(grid):
-        outcome, cert = probe(i)
+    upper = _least_match(n, match)
+    if upper is None:
+        upper = 1
+    while upper < n and probe(upper)[0] != "found":
+        upper += 1
+    lower, conclusive = None, True
+    for i in range(upper - 1, -1, -1):
+        outcome = probe(i)[0]
         if outcome == "found":
-            upper = aa
-            witness = cert
-            break
-        if outcome == "refuted":
-            proven_infeasible.append(aa)
-        else:
-            unknown.append(aa)
-    if not is_finite(upper):
-        lower = max(proven_infeasible) if proven_infeasible else Fraction(0)
-        return DistanceBounds(lower, POS_INF, False, None,
-                              conclusive=not unknown)
-    below = [v for v in grid if v < upper]
-    exact = (not below) or (below[-1] in proven_infeasible)
-    if exact:
-        return DistanceBounds(upper, upper, True, witness)
-    lower = max(proven_infeasible) if proven_infeasible else Fraction(0)
-    return DistanceBounds(lower, upper, False, witness, conclusive=not unknown)
+            upper = i
+        elif outcome != "refuted":
+            conclusive = False
+        elif lower is None:
+            lower = i
+            if upper < n:
+                break
+    if upper == n:
+        return DistanceBounds(grid[lower], POS_INF, False, None,
+                              conclusive=conclusive)
+    witness = probes[upper][1]
+    if lower == upper - 1:
+        return DistanceBounds(grid[upper], grid[upper], True, witness)
+    return DistanceBounds(grid[lower], grid[upper], False, witness,
+                          conclusive=conclusive)

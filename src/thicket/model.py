@@ -109,12 +109,11 @@ class CircleModel:
 class Rep:
     """Quiver representation on a model: dims per stratum, one matrix per edge."""
 
-    def __init__(self, model, dims, mats, p: int = 2, labels=None):
+    def __init__(self, model, dims, mats, p: int = 2):
         self.model = model
         self.dims = list(dims)
         self.mats = list(mats)
         self.p = p
-        self.labels = labels  # optional per-stratum basis labels (deck copies)
 
     def total_dim(self):
         return sum(self.dims)
@@ -200,7 +199,7 @@ def circle_spiral_rep(model: CircleModel, lift: Interval, p: int = 2) -> Rep:
             if target in labels[op]:
                 m[labels[op].index(target)][ci] = 1
         mats.append(m)
-    return Rep(model, dims, mats, p, labels)
+    return Rep(model, dims, mats, p)
 
 
 def circle_band_rep(model: CircleModel, rank: int, monodromy, p: int = 2) -> Rep:

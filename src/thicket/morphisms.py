@@ -454,15 +454,6 @@ class Morphism:
         bl = ", ".join(f"{i}->{j}[{k}]:{c}" for (i, j, k), c in sorted(self.blocks.items()))
         return f"<Morphism {bl or '0'}>"
 
-    def add(self, other: "Morphism") -> "Morphism":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("morphism shape mismatch")
-        p = self.char
-        out = dict(self.blocks)
-        for k, c in other.blocks.items():
-            out[k] = (out.get(k, 0) + c) % p
-        return Morphism(self.source, self.target, out, self.space, validate=False)
-
 
 def identity_morphism(F, space=LINE) -> Morphism:
     return Morphism(F, F, {(i, i, "h"): 1 for i in range(len(F.bars))}, space,

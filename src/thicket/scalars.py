@@ -31,12 +31,27 @@ def check_extended(x):
 
 
 def parse_extended(text: str):
+    """An extended rational literal from outside text: ``p/q``, an integer,
+    or one of the infinities.  A malformed literal and a zero denominator
+    both raise ``ValueError``."""
     t = text.strip()
     if t in ("-inf", "-oo"):
         return NEG_INF
     if t in ("inf", "+inf", "oo", "+oo"):
         return POS_INF
-    return Fraction(t)
+    try:
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {t!r}") from None
+
+
+def parse_rational(text: str) -> Fraction:
+    """A finite rational literal from outside text (``parse_extended``
+    without the infinities)."""
+    x = parse_extended(text)
+    if not is_finite(x):
+        raise ValueError(f"not a finite rational: {text.strip()!r}")
+    return x
 
 
 def format_extended(x) -> str:

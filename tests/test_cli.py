@@ -187,6 +187,41 @@ class TestExitCodes:
         assert err.startswith("error: malformed ") and "(line 5)" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, name, text, message", [
+        ("dual", "bad.bc", "kind: barcode\nchar: 2\nspace: line\n"
+         "bar: 0 [0, 1/0]", "zero denominator in '1/0' (line 5)"),
+        ("push", "bad.pl", "kind: plmap\npt: 1/0 1",
+         "invalid point '1/0 1' (line 3)"),
+        ("fs", "bad.circ", "kind: circle\nchar: 2\nspace: circle C=1/0",
+         "invalid space tag 'circle C=1/0' (line 4)"),
+        ("extend", "bad.seed", "kind: seed\nalpha: 1/0",
+         "zero denominator in '1/0'"),
+        ("extend", "bad.seed", "kind: seed\nmode: weird",
+         "unknown seed mode 'weird'"),
+        ("extend", "bad.seed", "kind: seed\nalpha: -1",
+         "seed alpha must be positive, got -1"),
+        ("extend", "bad.seed", "kind: seed\nalpha: 0",
+         "seed alpha must be positive, got 0"),
+    ], ids=["bar-zero-denominator", "point-zero-denominator",
+            "circle-zero-denominator", "seed-zero-denominator",
+            "seed-unknown-mode", "seed-negative-alpha", "seed-zero-alpha"])
+    def test_bad_value_rejected(self, tmp_path, capsys, command, name, text,
+                                message):
+        doc = tmp_path / name
+        doc.write_text(f"thicket/1\n{text}\n")
+        good = tmp_path / "good.bc"
+        good.write_text(serialize(barcode_doc(gb(bar(closed(0, 1))))))
+        argv = {"dual": ["dual", str(doc)],
+                "push": ["push", "--map", str(doc), str(good)],
+                "fs": ["fs", str(doc)],
+                "extend": ["extend", "--seed", str(doc), "--a", "1"]}[command]
+        assert run_command(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
+
 
 class TestDeterminism:
     def test_suite_byte_identical(self, tmp_path):

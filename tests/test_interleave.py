@@ -1,6 +1,7 @@
 """Interleaving certificates, strategies, and distance bounds."""
 
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 
@@ -258,23 +259,29 @@ def _outcome(F, G, a, ops, budget):
 
 def _linear_scan(F, G, budget, ops):
     """Oracle: scan the whole critical grid upward from 0 and stop at the
-    first certificate, the definition ``distance`` falls back to."""
+    first certificate, the definition of the answer ``distance`` walks to."""
     if F == G:
         return DistanceBounds(Fr(0), Fr(0), True, identity_certificate(F, ops))
     if finite_gate(F, G, ops) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None)
-    grid = critical_grid(F, G, ops)
+    return _linear_definition(critical_grid(F, G, ops),
+                              lambda a: _outcome(F, G, a, ops, budget))
+
+
+def _linear_definition(grid, outcome):
+    """The bounds a scan of ``grid`` upward from 0 defines, where
+    ``outcome(a)`` is 'found', 'refuted', 'capacity' or 'unsupported'."""
     refuted, unknown = [], []
     for a in grid:
-        outcome = _outcome(F, G, a, ops, budget)
-        if outcome == "found":
+        outcome_a = outcome(a)
+        if outcome_a == "found":
             below = [v for v in grid if v < a]
             if not below or below[-1] in refuted:
                 return DistanceBounds(a, a, True, InterleavingCertificate(a, None, None))
             return DistanceBounds(max(refuted, default=Fr(0)), a, False,
                                   InterleavingCertificate(a, None, None),
                                   conclusive=not unknown)
-        (refuted if outcome == "refuted" else unknown).append(a)
+        (refuted if outcome_a == "refuted" else unknown).append(a)
     return DistanceBounds(max(refuted, default=Fr(0)), POS_INF, False, None,
                           conclusive=not unknown)
 
@@ -382,8 +389,9 @@ class TestBisection:
     @pytest.mark.parametrize("late", [False, True], ids=["never", "late"])
     def test_fallback_matches_linear_scan(self, rng, p, monkeypatch, late):
         """A candidate search that misses, or that skips the least match so
-        that the predecessor of its candidate is certified, leaves the
-        linear pass to decide, with the same bounds."""
+        that the predecessor of its candidate is certified, leaves the walk
+        to find the least certificate below or above it, with the bounds of
+        the linear scan."""
         least_match = interleave._least_match
 
         def missing(n, match):
@@ -400,6 +408,83 @@ class TestBisection:
             assert _sides(d) == _sides(_linear_scan(F, G, Budget(), space)), (F, G)
             if d.witness is not None:
                 assert verify_certificate(F, G, d.witness, space)
+
+
+def _walk_scripts(max_len):
+    """Every outcome script of 1..max_len grid indices with index 0 refuted
+    and no refuted index above a found one, each with every set of found
+    indices that the matching search hits."""
+    kinds = ("found", "refuted", "capacity", "unsupported")
+    for n in range(1, max_len + 1):
+        for rest in product(kinds, repeat=n - 1):
+            script = ("refuted",) + rest
+            if "found" in script and "refuted" in script[script.index("found"):]:
+                continue
+            found = [i for i, o in enumerate(script) if o == "found"]
+            for picks in product((False, True), repeat=len(found)):
+                yield script, {i for i, pick in zip(found, picks) if pick}
+
+
+class TestScriptedWalk:
+    """The walk of ``distance`` against the linear definition, on grids
+    whose probe outcomes are scripted."""
+
+    def test_walk_matches_linear_definition(self, monkeypatch):
+        F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
+        state = {}
+
+        def match_pairs(F, G, a, space):
+            assert a not in state["matched"], a
+            state["matched"].add(a)
+            return "hit" if a in state["hits"] else None
+
+        def search(F, G, a, space, budget, match):
+            assert 0 < a and a not in state["searched"], a
+            state["searched"].add(a)
+            outcome = state["script"][int(a)]
+            if outcome == "capacity":
+                raise CapacityError("scripted")
+            if outcome == "unsupported":
+                raise UnsupportedHomError("scripted")
+            return InterleavingCertificate(a, None, None) if outcome == "found" else None
+
+        monkeypatch.setattr(interleave, "critical_grid",
+                            lambda F, G, space: state["grid"])
+        monkeypatch.setattr(interleave, "_match_pairs", match_pairs)
+        monkeypatch.setattr(interleave, "_search", search)
+        seen = set()
+        for script, hits in _walk_scripts(6):
+            grid = [Fr(i) for i in range(len(script))]
+            state.update(grid=grid, hits=set(hits), script=script,
+                         matched=set(), searched=set())
+            d = distance(F, G)
+            expected = _linear_definition(grid, lambda a: script[int(a)])
+            assert _sides(d) == _sides(expected), (script, hits)
+            seen.add((d.upper == POS_INF, d.exact, d.conclusive))
+        # a certificate, exact or not; none, with every probe decided or not
+        # (an undecided probe below the largest refuted one included)
+        assert seen == {(False, True, True), (False, False, False),
+                        (True, False, True), (True, False, False)}
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_each_grid_index_matched_once(self, rng, p, monkeypatch):
+        calls = []
+        match_pairs = interleave._match_pairs
+
+        def counted(F, G, a, space):
+            calls.append(a)
+            return match_pairs(F, G, a, space)
+
+        monkeypatch.setattr(interleave, "_match_pairs", counted)
+        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 10)]
+        pairs += list(_circle_pairs(rng, p, 5))
+        matched = 0
+        for F, G, space in pairs:
+            calls.clear()
+            distance(F, G, space=space)
+            assert len(calls) == len(set(calls)), (F, G, calls)
+            matched += len(calls)
+        assert matched >= len(pairs)
 
 
 def test_least_match_finds_every_threshold():
