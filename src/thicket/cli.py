@@ -468,7 +468,15 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send the rest of the
+        # output, and the flush at exit, to devnull and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = VALIDATION_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

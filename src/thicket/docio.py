@@ -17,6 +17,13 @@ from .scalars import parse_extended, parse_rational
 
 VERSION = "thicket/1"
 
+# The keys each kind reads, and those it reads at most once (``kind`` is
+# checked on its own); a report document takes any key.
+_KEYS = {"barcode": {"kind", "char", "space", "bar"},
+         "circle": {"kind", "char", "space", "spiral", "band"},
+         "plmap": {"kind", "char", "extend", "domain", "pt"}}
+_SINGLE_KEYS = {"char", "space", "extend", "domain"}
+
 
 class DocumentError(ValueError):
     def __init__(self, message, line=None):
@@ -133,6 +140,17 @@ def parse(text: str) -> Document:
     if len(kinds) != 1:
         raise DocumentError("document must declare exactly one kind")
     kind = kinds[0]
+    known = _KEYS.get(kind)
+    if known is not None:
+        seen = set()
+        for k, _, i in fields:
+            if k not in known:
+                raise DocumentError(f"unknown key {k!r} in a {kind} document",
+                                    i)
+            if k in _SINGLE_KEYS:
+                if k in seen:
+                    raise DocumentError(f"repeated key {k!r}", i)
+                seen.add(k)
     char = 2
     space = "line"
     for k, v, i in fields:

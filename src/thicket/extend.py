@@ -261,7 +261,7 @@ def load_seed_text(text: str) -> SeedFamily:
     alpha = Fraction(1)
     mode = "nonnegative"
     default = Fraction(1)
-    table = {}
+    table, restricts = {}, []
     for line in lines[1:]:
         if ":" not in line:
             raise ValueError(f"malformed seed line {line!r}")
@@ -276,13 +276,22 @@ def load_seed_text(text: str) -> SeedFamily:
         elif k == "restrict-default":
             default = parse_rational(v)
         elif k == "restrict":
-            a, b, val = map(parse_rational, v.split())
+            values = v.split()
+            if len(values) != 3:
+                raise ValueError(f"malformed seed line {line!r}: expected "
+                                 "'restrict: <a> <b> <value>'")
+            a, b, val = map(parse_rational, values)
+            restricts.append((line, a, b))
             table[(a, b)] = val
         elif k == "kind":
             if v != "seed":
                 raise ValueError(f"not a seed document: kind {v!r}")
     if alpha <= 0:
         raise ValueError(f"seed alpha must be positive, got {alpha}")
+    for line, a, b in restricts:          # after the loop: alpha may come late
+        if not 0 <= a <= b <= alpha:
+            raise ValueError(f"seed line {line!r} needs 0 <= a <= b <= "
+                             f"alpha = {alpha}")
     return synthetic_scalar_seed(alpha, table, default, mode)
 
 

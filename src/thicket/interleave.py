@@ -11,7 +11,8 @@ from the least grid value where the matching search alone succeeds
 value, then down to the first refuted one.
 
 ``_search`` is the one search at a single shift, used by ``distance`` and
-by ``check_interleaving``: the block-diagonal matching first, then the
+by ``check_interleaving``: the block-diagonal matching, a perfect bipartite
+matching with diagonal partners decided in polynomial time, then the
 complete exhaustive search.  ``check_matching`` and ``check_exhaustive``
 are its two strategies; each returns only verified certificates.
 
@@ -134,7 +135,7 @@ def _lifts(bars, a, space):
 
 
 def _pair_feasible(f, g, p, space):
-    """Scalars (alpha, beta) for a matched pair, or None.
+    """The g-side scalar of a matched pair, or None; its f-side scalar is 1.
 
     ``f`` and ``g`` are entries of ``_lifts``.  The pair's composites must
     hit the restriction coefficients of both bars exactly; either
@@ -164,11 +165,11 @@ def _pair_feasible(f, g, p, space):
         x = fm.finv(s1, p)
         if (s2 * x) % p != (0 if g_dies else 1):
             return None
-        return (1, x)
+        return x
     # f dies, g does not: the f-side composite must vanish identically
     if s2 == 0 or s1 != 0:
         return None
-    return (1, fm.finv(s2, p))
+    return fm.finv(s2, p)
 
 
 def _check_inputs(F, G, space):
@@ -186,16 +187,13 @@ def _check_inputs(F, G, space):
 
 
 def _match_pairs(F, G, a, space):
-    """The pair-feasibility table at ``a`` and a backtracked block-diagonal
-    matching: ``(pairs, feas)``, or None when no matching exists.  A pair
-    whose Hom the calculus cannot use counts as infeasible.  Inputs are
-    checked by the caller."""
+    """The pair-feasibility table at ``a`` and a block-diagonal matching:
+    ``(pairs, feas)``, or None when none exists.  A pair whose Hom the
+    calculus cannot use counts as infeasible; the caller checks inputs."""
     p = F.char
     nF, nG = len(F.bars), len(G.bars)
     lifts_F = _lifts(F.bars, a, space)
     lifts_G = _lifts(G.bars, a, space)
-    killable_F = [lift[3] for lift in lifts_F]
-    killable_G = [lift[3] for lift in lifts_G]
     feas = {}
     for i in range(nF):
         for j in range(nG):
@@ -206,31 +204,34 @@ def _match_pairs(F, G, a, space):
             if r is not None:
                 feas[(i, j)] = r
 
-    best = None
-
-    def backtrack(i, used, pairs):
-        nonlocal best
-        if best is not None:
-            return
-        if i == nF:
-            if all(killable_G[j] or j in used for j in range(nG)):
-                best = list(pairs)
-            return
-        for j in range(nG):
-            if j in used or (i, j) not in feas:
-                continue
-            pairs.append((i, j))
-            used.add(j)
-            backtrack(i + 1, used, pairs)
-            used.discard(j)
-            pairs.pop()
-            if best is not None:
-                return
-        if killable_F[i]:
-            backtrack(i + 1, used, pairs)
-
-    backtrack(0, set(), [])
-    return None if best is None else (best, feas)
+    # Left: F's bars, then a diagonal slot nF + j per G bar; right: G's
+    # bars, then a slot nG + i per F bar, joined to its own bar when the
+    # restriction kills that bar.  A valid matching with k pairs extends to
+    # a perfect one (the other bars take their own slots, and the k slots
+    # left on each side pair freely); a perfect one restricts to its pairs.
+    slots = list(range(nG, nG + nF))
+    adj = [[j for j in range(nG) if (i, j) in feas]
+           + ([nG + i] if lifts_F[i][3] else []) for i in range(nF)]
+    adj += [[j] + slots if lifts_G[j][3] else slots for j in range(nG)]
+    owner, mate = {}, {}              # right -> left partner, left -> right
+    for root in range(nF + nG):       # augmenting paths: O((nF + nG)^3)
+        prev, queue, free = {}, [root], None
+        for u in queue:               # breadth-first; the queue grows as read
+            for v in adj[u]:
+                if v not in prev:
+                    prev[v] = u
+                    if v not in owner:
+                        free = v
+                        break
+                    queue.append(owner[v])
+            if free is not None:
+                break
+        if free is None:
+            return None
+        while free is not None:       # flip the path; u's old partner is next
+            u = prev[free]
+            owner[free], mate[u], free = u, free, mate.get(u)
+    return [(i, mate[i]) for i in range(nF) if mate[i] < nG], feas
 
 
 def _matching_certificate(F, G, a, match, space):
@@ -241,11 +242,10 @@ def _matching_certificate(F, G, a, match, space):
     TGa, permG = thicken_indexed(G, a, space)
     fblocks, gblocks = {}, {}
     for (i, j) in pairs:
-        alpha, beta = feas[(i, j)]
         tf = TFa.bars[permF[i]]
         tg = TGa.bars[permG[j]]
-        fblocks[(permF[i], j, _block_kind(tf, G.bars[j]))] = alpha
-        gblocks[(permG[j], i, _block_kind(tg, F.bars[i]))] = beta
+        fblocks[(permF[i], j, _block_kind(tf, G.bars[j]))] = 1
+        gblocks[(permG[j], i, _block_kind(tg, F.bars[i]))] = feas[(i, j)]
     cert = InterleavingCertificate(
         a,
         Morphism(TFa, G, fblocks, space, validate=False),

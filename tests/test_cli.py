@@ -98,6 +98,19 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         assert run_command(["dual", "/nonexistent/file.bc"]) == 1
 
+    def test_closed_stdout_ends_quietly(self):
+        # about 100 kB of CSV, more than a pipe holds, so the suite is
+        # still writing when the reader goes away after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thicket.cli", "suite", "rgamma",
+             "--cases", "3000"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=_src_env())
+        assert proc.stdout.readline().startswith(b"inputs,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_internal_violation(self, docs, monkeypatch, capsys):
         import thicket.cli as climod
 
@@ -170,12 +183,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
 
-    @pytest.mark.parametrize("kind, line", [
-        ("barcode", "bar: 0"),
-        ("barcode", "bar: x [0, 1]"),
-        ("circle", "spiral: 0"),
-    ], ids=["bar-no-interval", "bar-bad-degree", "spiral-no-interval"])
-    def test_bad_bar_line_rejected(self, tmp_path, capsys, kind, line):
+    @pytest.mark.parametrize("kind, line, message", [
+        ("barcode", "bar: 0", "malformed "),
+        ("barcode", "bar: x [0, 1]", "malformed "),
+        ("circle", "spiral: 0", "malformed "),
+        ("barcode", "bars: 0 [0, 1]", "unknown key 'bars' in a barcode"),
+        ("barcode", "spiral: 0 [0, 1]", "unknown key 'spiral' in a barcode"),
+        ("circle", "bar: 0 [0, 1]", "unknown key 'bar' in a circle"),
+        ("barcode", "char: 3", "repeated key 'char'"),
+        ("circle", "space: circle C=2", "repeated key 'space'"),
+    ], ids=["bar-no-interval", "bar-bad-degree", "spiral-no-interval",
+            "barcode-key-typo", "spiral-in-barcode", "bar-in-circle",
+            "second-char", "second-space"])
+    def test_bad_bar_line_rejected(self, tmp_path, capsys, kind, line,
+                                   message):
         doc = tmp_path / "bad.txt"
         space = "circle C=4" if kind == "circle" else "line"
         doc.write_text(f"thicket/1\nkind: {kind}\nchar: 2\nspace: {space}\n"
@@ -184,7 +205,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.strip()
-        assert err.startswith("error: malformed ") and "(line 5)" in err
+        assert err.startswith(f"error: {message}") and "(line 5)" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command, name, text, message", [
@@ -202,9 +223,31 @@ class TestExitCodes:
          "seed alpha must be positive, got -1"),
         ("extend", "bad.seed", "kind: seed\nalpha: 0",
          "seed alpha must be positive, got 0"),
+        ("extend", "bad.seed", "kind: seed\nalpha: 1\nrestrict: 1/2 0 1",
+         "seed line 'restrict: 1/2 0 1' needs 0 <= a <= b <= alpha = 1"),
+        ("extend", "bad.seed", "kind: seed\nalpha: 1\nrestrict: 0 3 1",
+         "seed line 'restrict: 0 3 1' needs 0 <= a <= b <= alpha = 1"),
+        ("extend", "bad.seed", "kind: seed\nrestrict: -1/2 0 1",
+         "seed line 'restrict: -1/2 0 1' needs 0 <= a <= b <= alpha = 1"),
+        ("extend", "bad.seed", "kind: seed\nrestrict: 0 1 1\nalpha: 1/2",
+         "seed line 'restrict: 0 1 1' needs 0 <= a <= b <= alpha = 1/2"),
+        ("extend", "bad.seed", "kind: seed\nalpha: 1\nrestrict: 1/2 1",
+         "malformed seed line 'restrict: 1/2 1': expected "
+         "'restrict: <a> <b> <value>'"),
+        ("push", "bad.pl", "kind: plmap\ndomain: [0, 1]\ndomain: [0, 2]\n"
+         "pt: 0 0", "repeated key 'domain' (line 4)"),
+        ("push", "bad.pl", "kind: plmap\nextend: affine affine\n"
+         "extend: constant constant\npt: 0 0",
+         "repeated key 'extend' (line 4)"),
+        ("push", "bad.pl", "kind: plmap\nspace: line\npt: 0 0",
+         "unknown key 'space' in a plmap document (line 3)"),
     ], ids=["bar-zero-denominator", "point-zero-denominator",
             "circle-zero-denominator", "seed-zero-denominator",
-            "seed-unknown-mode", "seed-negative-alpha", "seed-zero-alpha"])
+            "seed-unknown-mode", "seed-negative-alpha", "seed-zero-alpha",
+            "seed-restrict-reversed", "seed-restrict-past-alpha",
+            "seed-restrict-negative", "seed-restrict-past-later-alpha",
+            "seed-restrict-two-values", "plmap-second-domain",
+            "plmap-second-extend", "plmap-unknown-key"])
     def test_bad_value_rejected(self, tmp_path, capsys, command, name, text,
                                 message):
         doc = tmp_path / name

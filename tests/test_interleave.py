@@ -1,5 +1,6 @@
 """Interleaving certificates, strategies, and distance bounds."""
 
+import time
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -23,7 +24,7 @@ from thicket.interleave import (Budget, CapacityError,
 from thicket.morphisms import LINE, Morphism, UnsupportedHomError
 from thicket.plmaps import abs_map, lipschitz_experiment
 from thicket.scalars import POS_INF
-from thicket.thicken import thicken
+from thicket.thicken import halfopen_translation_kills, thicken
 
 
 class TestVerify:
@@ -588,6 +589,91 @@ def test_pair_feasibility_upward_closed(rng, p):
             settled += 1
             changed += first > 0
     assert settled > 150 and changed > 100
+
+
+# ---------------------------------------------------------------------------
+# The matching search against brute force, on random feasibility tables.
+
+def _valid_matchings(nF, nG, feasible, kill_F, kill_G):
+    """Every valid partial matching, by enumeration: each F bar takes a
+    feasible G bar or, when killable, none; no G bar is taken twice, and
+    every G bar left over is killable."""
+    choices = [[j for j in range(nG) if (i, j) in feasible]
+               + ([None] if kill_F[i] else []) for i in range(nF)]
+    for js in product(*choices):
+        used = [j for j in js if j is not None]
+        if len(used) == len(set(used)) and \
+                all(kill_G[j] or j in used for j in range(nG)):
+            yield js
+
+
+def _killable_or_not(rng, n):
+    """n bars with distinct left ends: a half-open bar of length 1/2 dies
+    under the restriction to 2a for a = 1, a closed bar never does."""
+    return [Bar(half_open(k, k + Fr(1, 2)) if rng.random() < 0.5
+                else closed(k, k + 1), 0) for k in range(n)]
+
+
+def test_matching_agrees_with_brute_force(rng, monkeypatch):
+    """``_match_pairs`` on a random table of feasible and unsupported pairs
+    finds a valid matching exactly when one exists."""
+    table = {}
+
+    def pair_feasible(f, g, p, space):
+        r = table.get((f[0], g[0]))
+        if r == "unsupported":
+            raise UnsupportedHomError("scripted")
+        return r
+
+    monkeypatch.setattr(interleave, "_pair_feasible", pair_feasible)
+    a = Fr(1)
+    outcomes = {True: 0, False: 0}
+    killable = set()
+    for _ in range(600):
+        F = gb(*_killable_or_not(rng, rng.randint(0, 5)))
+        G = gb(*_killable_or_not(rng, rng.randint(0, 5)))
+        nF, nG = len(F.bars), len(G.bars)
+        density = rng.choice((0.3, 0.6, 0.9))
+        table.clear()
+        for i, j in product(range(nF), range(nG)):
+            if rng.random() < density:       # one in four unsupported
+                table[(F.bars[i], G.bars[j])] = rng.choice((1, 1, 1,
+                                                            "unsupported"))
+        feasible = {(i, j): 1 for i, j in product(range(nF), range(nG))
+                    if table.get((F.bars[i], G.bars[j])) == 1}
+        kill_F = [halfopen_translation_kills(b.iv, 0, 2 * a) for b in F.bars]
+        kill_G = [halfopen_translation_kills(b.iv, 0, 2 * a) for b in G.bars]
+        killable.update(kill_F + kill_G)
+        match = interleave._match_pairs(F, G, a, LINE)
+        exists = next(_valid_matchings(nF, nG, feasible, kill_F, kill_G),
+                      None) is not None
+        assert (match is not None) == exists, (F, G, table)
+        outcomes[exists] += 1
+        if match is None:
+            continue
+        pairs, feas = match
+        assert feas == feasible
+        assert all(pair in feasible for pair in pairs)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) \
+            == len(pairs)
+        assert all(kill_F[i] for i in set(range(nF)) - {i for i, _ in pairs})
+        assert all(kill_G[j] for j in set(range(nG)) - {j for _, j in pairs})
+    assert killable == {True, False}
+    assert outcomes[True] > 150 and outcomes[False] > 150, outcomes
+
+
+def test_matching_refutes_hall_violation_fast(monkeypatch):
+    """12 against 12 closed bars, none killable, where G's first bar has no
+    feasible partner: no matching exists, and the search says so at once
+    (an exhaustive backtracker grows tenfold per bar on this shape)."""
+    F = gb(*[bar(closed(k, k + 1)) for k in range(12)])
+    G = gb(*[bar(closed(k, k + 2)) for k in range(12)])
+    g0 = G.bars[0]
+    monkeypatch.setattr(interleave, "_pair_feasible",
+                        lambda f, g, p, space: None if g[0] == g0 else 1)
+    start = time.perf_counter()
+    assert interleave._match_pairs(F, G, Fr(1), LINE) is None
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,11 @@ class TestErrors:
         with pytest.raises(DocumentError):
             parse("thicket/1\nchar: 2\n")
 
+    def test_report_takes_any_key(self):
+        doc = parse("thicket/1\nkind: report\nverdict: pass\nbars: 3\n"
+                    "verdict: fail\n")
+        assert doc.payload == {"verdict": "fail", "bars": "3"}
+
 
 class TestSvg:
     def test_empty_framed(self):
