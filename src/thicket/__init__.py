@@ -10,7 +10,7 @@ from .circle import (CircleSheaf, CyclicModel, circle_distance,
 from .extend import (SeedFamily, coherence_check, extend_apply,
                      extend_restrict, lambda_independence, line_seed,
                      circle_seed)
-from .interleave import (Budget, DistanceBounds, InterleavingCertificate,
+from .interleave import (DistanceBounds, InterleavingCertificate,
                          check_interleaving, critical_grid, distance,
                          finite_gate, verify_certificate)
 from .morphisms import (HomSpace, Morphism, compose, hom_dim,

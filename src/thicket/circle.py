@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .barcode import (CLOSED, Bar, GradedBarcode, Interval, canonical_order,
                       dims_add, global_sections_c, intersect, rgamma_c_interval)
-from .interleave import (Budget, DEFAULT_BUDGET, DistanceBounds,
-                         identity_certificate)
+from .interleave import DistanceBounds, identity_certificate
 from .interleave import distance as _distance
 from .model import (CircleModel, Rep, circle_band_rep, circle_spiral_rep,
                     direct_sum)
@@ -259,8 +258,7 @@ def circle_ops(C, char: int = 2):
     return ("circle", Fraction(C))
 
 
-def circle_distance(F: CircleSheaf, G: CircleSheaf,
-                    budget: Budget = DEFAULT_BUDGET) -> DistanceBounds:
+def circle_distance(F: CircleSheaf, G: CircleSheaf) -> DistanceBounds:
     """Interleaving distance bounds between circle sheaves.
 
     Fully supported for spiral-only content.  Band parts must agree up to
@@ -282,4 +280,4 @@ def circle_distance(F: CircleSheaf, G: CircleSheaf,
     if F.bands:
         raise UnsupportedBandContentError(
             "distance with a common nontrivial band part is not supported")
-    return _distance(F.spiral_barcode(), G.spiral_barcode(), budget, space)
+    return _distance(F.spiral_barcode(), G.spiral_barcode(), space)

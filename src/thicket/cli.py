@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 validation error or a documented scope limit (a Hom
 space beyond the supported dimension one, reported as ``error:
-unsupported: ...``, or a certificate search over the exhaustive size cap),
-2 usage error (argparse), 70 internal invariant violation.  All randomized
-suites run serially and are deterministic given --seed.
+unsupported: ...``), 2 usage error (argparse), 70 internal invariant
+violation.  All randomized suites run serially and are deterministic given
+--seed.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .corpus import (rand_barcode, rand_bounded_barcode, rand_circle_sheaf,
 from .docio import (Document, DocumentError, barcode_doc, circle_doc, parse,
                     report_doc, serialize)
 from .extend import coherence_check, extend_apply, line_seed, load_seed_text
-from .interleave import (Budget, DEFAULT_BUDGET, CapacityError,
-                         check_interleaving, distance)
+from .interleave import check_interleaving, distance
 from .morphisms import UnsupportedHomError
 from .plmaps import (lipschitz_experiment, pushforward_shriek,
                      stability_experiment)
@@ -139,11 +138,8 @@ def _write_csv(rows, path):
 def cmd_distance(args):
     F = _need(_read_doc(args.F), "barcode")
     G = _need(_read_doc(args.G), "barcode")
-    if args.budget is not None and args.budget < 0:
-        raise CliError(f"--budget must be nonnegative, got {args.budget}")
-    budget = DEFAULT_BUDGET if args.budget is None else Budget(max_unknowns=args.budget)
     t0 = time.perf_counter()
-    b = distance(F, G, budget)
+    b = distance(F, G)
     _write_csv([_bounds_row(f"{args.F}|{args.G}", b,
                             int((time.perf_counter() - t0) * 1e6))], args.output)
     return 0
@@ -373,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_rgamma)
 
     sp = sub.add_parser("distance", help="interleaving distance bounds")
-    sp.add_argument("--budget", type=int, default=None)
     add_io(sp, ("F", "G"))
     sp.set_defaults(fn=cmd_distance)
 
@@ -462,7 +457,7 @@ def run_command(argv) -> int:
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
-    except (CliError, DocumentError, ValueError, CapacityError) as exc:
+    except (CliError, DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
 

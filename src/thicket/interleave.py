@@ -11,10 +11,11 @@ from the least grid value where the matching search alone succeeds
 value, then down to the first refuted one.
 
 ``_search`` is the one search at a single shift, used by ``distance`` and
-by ``check_interleaving``: the block-diagonal matching, a perfect bipartite
-matching with diagonal partners decided in polynomial time, then the
-complete exhaustive search.  ``check_matching`` and ``check_exhaustive``
-are its two strategies; each returns only verified certificates.
+``check_interleaving``: the block-diagonal matching, a perfect bipartite
+matching with diagonal partners decided in polynomial time, then on the
+circle the complete exhaustive search.  ``check_matching`` and
+``check_exhaustive`` are its two strategies; each returns only verified
+certificates.
 
 Every search runs in one space, named by the value that ``morphisms`` keys
 on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
@@ -50,19 +51,12 @@ from .thicken import bar_rule, halfopen_translation_kills
 
 
 class CapacityError(RuntimeError):
-    """Exhaustive search was requested beyond the configured cap."""
+    """Exhaustive search was requested beyond its cap."""
 
 
-# Largest number of f-block assignments the exhaustive search enumerates.
-MAX_ENUMERATION = 4096
-
-
-@dataclass(frozen=True)
-class Budget:
-    max_unknowns: int = 24
-
-
-DEFAULT_BUDGET = Budget()
+# Caps of the exhaustive search, read at call time.
+MAX_ENUMERATION = 4096          # f-block assignments enumerated
+MAX_UNKNOWNS = 24               # unknown f- and g-blocks set up
 
 
 @dataclass
@@ -280,7 +274,7 @@ def _variables(X, TXa, permX, Y, p, space):
     return out
 
 
-def check_exhaustive(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
+def check_exhaustive(F, G, a, space=LINE):
     """Complete search over block assignments; None means proven infeasible."""
     _check_inputs(F, G, space)
     a = Fraction(a)
@@ -289,10 +283,10 @@ def check_exhaustive(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
     TGa, permGa = thicken_indexed(G, a, space)
     fvars = _variables(F, TFa, permFa, G, p, space)
     gvars = _variables(G, TGa, permGa, F, p, space)
-    if len(fvars) + len(gvars) > budget.max_unknowns:
+    if len(fvars) + len(gvars) > MAX_UNKNOWNS:
         raise CapacityError(
             f"{len(fvars)} + {len(gvars)} unknown blocks exceed the cap "
-            f"{budget.max_unknowns}")
+            f"{MAX_UNKNOWNS}")
     if len(fvars) > len(gvars):
         # enumerate over the smaller side by swapping the roles of F and G
         res = _exhaustive_core(G, F, a, space,
@@ -402,10 +396,22 @@ def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
     return None
 
 
-def _search(F, G, a, space, budget, match):
-    """The one search at a shift: the certificate of ``match`` (a
-    ``_match_pairs`` result) if it verifies, else the exhaustive search's
-    answer.  A Hom the calculus cannot use counts as no match."""
+def _search(F, G, a, space, match):
+    """The one search at a shift from ``match``, a ``_match_pairs`` result.
+    On the line the matching decides, by the derived isometry theorem
+    (Berkouk-Ginot, arXiv:1907.09759): the distance there is the graded
+    bottleneck distance.  No match refutes the shift; a match that fails
+    verification is an invariant break.  On the circle a failed or
+    unsupported match goes on to the exhaustive search."""
+    if space == LINE:
+        # A pair is feasible exactly when its bars are a-interleaved, and a
+        # bar killable exactly when it is a-interleaved with 0.
+        if match is None:
+            return None
+        cert = _matching_certificate(F, G, a, match, space)
+        if cert is None:
+            raise AssertionError(f"matching at {a} fails verification")
+        return cert
     if match is not None:
         try:
             cert = _matching_certificate(F, G, a, match, space)
@@ -413,15 +419,14 @@ def _search(F, G, a, space, budget, match):
             cert = None
         if cert is not None:
             return cert
-    return check_exhaustive(F, G, a, space, budget)
+    return check_exhaustive(F, G, a, space)
 
 
-def check_interleaving(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
-    """Search for a verified a-certificate in ``space``: matching first,
-    then the exhaustive search (``_search``).  Returns None when the
-    exhaustive search refutes the shift; raises ``CapacityError`` or
-    ``UnsupportedHomError`` when the shift stays undecided, and
-    ``ValueError`` when a < 0.  At a = 0 no search runs: T_0 is the
+def check_interleaving(F, G, a, space=LINE):
+    """Search for a verified a-certificate in ``space`` (``_search``).
+    Returns None when the shift is refuted; raises ``ValueError`` when
+    a < 0, and on the circle ``CapacityError`` or ``UnsupportedHomError``
+    when the shift stays undecided.  At a = 0 no search runs: T_0 is the
     identity, so a 0-certificate is an isomorphism, and the shift is
     refuted unless ``iso_equal`` holds."""
     _check_inputs(F, G, space)
@@ -430,7 +435,7 @@ def check_interleaving(F, G, a, space=LINE, budget: Budget = DEFAULT_BUDGET):
         raise ValueError("interleaving shift must be nonnegative")
     if a == 0 and not iso_equal(F, G):
         return None
-    return _search(F, G, a, space, budget, _match_pairs(F, G, a, space))
+    return _search(F, G, a, space, _match_pairs(F, G, a, space))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +496,7 @@ def _least_match(n, match):
     return hi
 
 
-def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBounds:
+def distance(F, G, space=LINE) -> DistanceBounds:
     """Find the least certified shift on the critical grid.
 
     A probe at a grid value is one ``_search``, which ends found, refuted,
@@ -507,7 +512,9 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBound
 
     The returned ``exact`` flag means the least certified grid value has its
     grid predecessor refuted; in that case lower is reported equal to
-    upper.  Budget exhaustion degrades exactness, never soundness.
+    upper.  On the line every pair and kill cost is a grid value or +inf,
+    so a refuted top grid value is an exact +inf.  On the circle, a search
+    over the cap degrades exactness, never soundness.
     """
     _check_inputs(F, G, space)
     if iso_equal(F, G):
@@ -527,7 +534,7 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBound
     def probe(i):
         if i not in probes:
             try:
-                cert = _search(F, G, grid[i], space, budget, match(i))
+                cert = _search(F, G, grid[i], space, match(i))
                 probes[i] = ("refuted" if cert is None else "found", cert)
             except CapacityError:
                 probes[i] = ("capacity", None)
@@ -552,6 +559,8 @@ def distance(F, G, budget: Budget = DEFAULT_BUDGET, space=LINE) -> DistanceBound
             if upper < n:
                 break
     if upper == n:
+        if space == LINE and probes[n - 1][0] == "refuted":
+            return DistanceBounds(POS_INF, POS_INF, True, None)
         return DistanceBounds(grid[lower], POS_INF, False, None,
                               conclusive=conclusive)
     witness = probes[upper][1]

@@ -10,8 +10,9 @@ from slab components, and decomposes the resulting zigzag per degree.
 
 The stability and Lipschitz experiments each make one
 ``interleave.check_interleaving`` call at their bound: a certificate (always
-verified) is ``pass``, a refuted shift ``fail``, and a search over the cap
-``inconclusive``.
+verified) is ``pass`` and a refuted shift ``fail``.  PL maps live on the
+line, where the matching search decides every shift, so ``inconclusive``
+means only an infinite sup distance.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from fractions import Fraction
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
                       rgamma_c_interval, singleton)
-from .interleave import (Budget, DEFAULT_BUDGET, CapacityError,
-                         InterleavingCertificate, check_interleaving)
+from .interleave import InterleavingCertificate, check_interleaving
 from .model import LineModel, Rep
 from .scalars import NEG_INF, POS_INF, is_finite
 from .zigzag import decompose_line
@@ -367,18 +367,15 @@ class ExperimentReport:
         return self.verdict == "pass"
 
 
-def _report(inputs, bound, F, G, budget: Budget, t0) -> ExperimentReport:
+def _report(inputs, bound, F, G, t0) -> ExperimentReport:
     """The report of one interleaving search of (F, G) at ``bound``."""
-    try:
-        cert = check_interleaving(F, G, bound, budget=budget)
-    except CapacityError:
-        return ExperimentReport(inputs, bound, None, "inconclusive", _micros(t0))
+    cert = check_interleaving(F, G, bound)
     return ExperimentReport(inputs, bound, cert,
                             "fail" if cert is None else "pass", _micros(t0))
 
 
-def stability_experiment(f: PLMap, g: PLMap, F: GradedBarcode,
-                         budget: Budget = DEFAULT_BUDGET) -> ExperimentReport:
+def stability_experiment(f: PLMap, g: PLMap,
+                         F: GradedBarcode) -> ExperimentReport:
     """Push F along f and g and certify an interleaving at the sup distance."""
     t0 = time.perf_counter()
     a = sup_distance(f, g)
@@ -387,11 +384,11 @@ def stability_experiment(f: PLMap, g: PLMap, F: GradedBarcode,
         return ExperimentReport(inputs, a, None, "inconclusive",
                                 _micros(t0))
     return _report(inputs, a, pushforward_shriek(f, F), pushforward_shriek(g, F),
-                   budget, t0)
+                   t0)
 
 
-def lipschitz_experiment(f: PLMap, F1: GradedBarcode, F2: GradedBarcode, a,
-                         budget: Budget = DEFAULT_BUDGET) -> ExperimentReport:
+def lipschitz_experiment(f: PLMap, F1: GradedBarcode, F2: GradedBarcode,
+                         a) -> ExperimentReport:
     """Given an a-interleaving of (F1, F2), certify a (delta a)-interleaving
     of the pushforwards, where delta is the Lipschitz constant of f.  The
     shift a must be nonnegative: delta may be 0, and then delta a would
@@ -403,7 +400,7 @@ def lipschitz_experiment(f: PLMap, F1: GradedBarcode, F2: GradedBarcode, a,
     delta = lipschitz_constant(f)
     inputs = {"f": f, "F1": F1, "F2": F2, "a": a, "delta": delta}
     return _report(inputs, delta * a, pushforward_shriek(f, F1),
-                   pushforward_shriek(f, F2), budget, t0)
+                   pushforward_shriek(f, F2), t0)
 
 
 def _micros(t0) -> int:

@@ -22,7 +22,7 @@ from thicket.corpus import (grid_bar_pool, rand_barcode, rand_bounded_barcode,
 from thicket.extend import (coherence_check, extend_apply, lambda_independence,
                             line_seed)
 from thicket.fieldmath import identity
-from thicket.interleave import (Budget, CapacityError, check_exhaustive,
+from thicket.interleave import (CapacityError, check_exhaustive,
                                 check_matching, critical_grid, distance,
                                 finite_gate, verify_certificate)
 from thicket.plmaps import (abs_map, lipschitz_experiment, offset_map,
@@ -161,7 +161,6 @@ def test_criterion_08_matching_vs_exhaustive():
     contradictions = 0
     verified = True
     compared = 0
-    budget = Budget(max_unknowns=24)
     for _ in range(80):
         F = sample_grid_barcode(rng, pool, max_bars=3)
         G = sample_grid_barcode(rng, pool, max_bars=3)
@@ -170,7 +169,7 @@ def test_criterion_08_matching_vs_exhaustive():
             if m is not None:
                 verified = verified and verify_certificate(F, G, m)
             try:
-                e = check_exhaustive(F, G, a, budget=budget)
+                e = check_exhaustive(F, G, a)
             except CapacityError:
                 continue
             compared += 1

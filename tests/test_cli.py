@@ -17,6 +17,7 @@ from thicket.circle import CircleSheaf
 from thicket.cli import run_command
 from thicket.corpus import rand_bounded_barcode
 from thicket.docio import barcode_doc, circle_doc, parse, plmap_doc, serialize
+from thicket.interleave import CapacityError, check_exhaustive
 from thicket.plmaps import abs_map, offset_map
 from thicket.thicken import thicken
 
@@ -146,18 +147,6 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: cannot write {target}: ")
         assert len(err.splitlines()) == 1
-
-    def test_distance_budget_zero_is_used(self, docs, capsys):
-        # with no unknowns allowed, the exhaustive refutation cannot run
-        assert run_command(["distance", "--budget", "0",
-                            str(docs["F"]), str(docs["G"])]) == 0
-        cells = capsys.readouterr().out.splitlines()[1].split(",")
-        assert cells[1:5] == ["0", "1", "false", "inconclusive"]
-
-    def test_distance_negative_budget_rejected(self, docs, capsys):
-        assert run_command(["distance", "--budget", "-1",
-                            str(docs["F"]), str(docs["G"])]) == 1
-        assert "--budget must be nonnegative" in capsys.readouterr().err
 
     def test_suite_negative_cases_rejected(self, capsys):
         assert run_command(["suite", "distance", "--cases", "-3"]) == 1
@@ -294,24 +283,26 @@ class TestInterleaveCommand:
         """An 8-bar barcode and its 1/4-thickening: 8 + 19 unknown blocks
         at 1/8, over the exhaustive cap of 24."""
         F = rand_bounded_barcode(random.Random(11), max_bars=8)
+        G = thicken(F, Fr(1, 4))
         paths = []
-        for name, X in (("F8", F), ("G8", thicken(F, Fr(1, 4)))):
+        for name, X in (("F8", F), ("G8", G)):
             paths.append(docs["tmp"] / f"{name}.bc")
             paths[-1].write_text(serialize(barcode_doc(X)))
-        return [str(p) for p in paths]
+        return [str(p) for p in paths], F, G
 
-    def test_search_over_the_cap_is_one_error_line(self, docs, capsys):
-        paths = self._eight_bar_pair(docs)
-        assert run_command(["interleave", "--a", "1/8"] + paths) == 1
+    def test_search_over_the_exhaustive_cap_is_refuted(self, docs, capsys):
+        # the matching refutes the shift on the line, where the exhaustive
+        # search would stop at its cap
+        paths, F, G = self._eight_bar_pair(docs)
+        assert run_command(["interleave", "--a", "1/8"] + paths) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.startswith("error: ")
-        assert "exceed the cap" in captured.err
-        assert len(captured.err.splitlines()) == 1
+        assert "found: false" in captured.out
+        assert captured.err == ""
+        with pytest.raises(CapacityError, match=r"8 \+ 19 unknown blocks"):
+            check_exhaustive(F, G, Fr(1, 8))
 
     def test_zero_shift_is_the_isomorphism_test(self, docs, capsys):
-        paths = self._eight_bar_pair(docs)
+        paths, _, _ = self._eight_bar_pair(docs)
         assert run_command(["interleave", "--a", "0"] + paths) == 0
         captured = capsys.readouterr()
         assert "found: false" in captured.out

@@ -7,16 +7,16 @@ from itertools import product
 import pytest
 
 from conftest import bar, gb, mixed_bar, pooled_interval
-from thicket.barcode import (CLOSED, Bar, CharacteristicMismatchError,
+from thicket.barcode import (CLOSED, OPEN, Bar, CharacteristicMismatchError,
                              GradedBarcode, Interval, closed, full_line,
-                             half_open, open_iv, singleton)
+                             half_open, iso_equal, open_iv, ray_left,
+                             ray_right, singleton)
 from thicket.circle import CircleSheaf, circle_ops
 from thicket.corpus import (rand_bounded_barcode, rand_barcode,
                             rand_circle_sheaf, rand_fraction)
 from thicket import interleave
-from thicket.interleave import (Budget, CapacityError,
-                                DistanceBounds, InterleavingCertificate,
-                                check_exhaustive, check_interleaving,
+from thicket.interleave import (CapacityError, DistanceBounds,
+                                InterleavingCertificate, check_exhaustive, check_interleaving,
                                 check_matching, critical_grid, distance,
                                 _lifts, _pair_feasible, finite_gate,
                                 identity_certificate, verify_certificate,
@@ -70,19 +70,19 @@ class TestCheckInterleaving:
         for check in (check_exhaustive, check_interleaving):
             assert check(F, gb(), 10) is None
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
         F = rand_bounded_barcode(__import__("random").Random(5), max_bars=4)
         G = thicken(F, Fr(1, 4))
-        tiny = Budget(max_unknowns=1)
-        with pytest.raises(CapacityError):
-            check_exhaustive(F, G, Fr(1, 4), budget=tiny)
-        # matching certifies 1/4 before the budget matters; nothing
-        # certifies 1/8, and the exhaustive search cannot refute it in
-        # budget; 0 is refuted by the isomorphism test without a search
-        assert check_interleaving(F, G, Fr(1, 4), budget=tiny) is not None
-        with pytest.raises(CapacityError):
-            check_interleaving(F, G, Fr(1, 8), budget=tiny)
-        assert check_interleaving(F, G, 0, budget=tiny) is None
+        monkeypatch.setattr(interleave, "MAX_UNKNOWNS", 1)
+        for a in (Fr(1, 8), Fr(1, 4)):
+            with pytest.raises(CapacityError, match="exceed the cap 1"):
+                check_exhaustive(F, G, a)
+        # on the line the matching decides without the exhaustive search:
+        # it certifies 1/4 and refutes 1/8 whatever the cap; 0 is refuted
+        # by the isomorphism test
+        assert check_interleaving(F, G, Fr(1, 4)) is not None
+        assert check_interleaving(F, G, Fr(1, 8)) is None
+        assert check_interleaving(F, G, 0) is None
 
     def test_matching_certificates_verify(self, rng):
         for _ in range(30):
@@ -153,12 +153,26 @@ class TestDistance:
                 assert verify_certificate(F, G, d.witness)
 
     def test_opposite_rays_infinite_but_gate_passes(self):
-        from thicket.barcode import ray_left, ray_right
         F = gb(bar(ray_right(0)))
         G = gb(bar(ray_left(0)))
         assert finite_gate(F, G) == "pass"
+        assert distance(F, G).fields() == (POS_INF, POS_INF, True)
+
+    @pytest.mark.parametrize("left_kind", [CLOSED, OPEN],
+                             ids=["closed", "open"])
+    @pytest.mark.parametrize("right_kind", [CLOSED, OPEN],
+                             ids=["closed", "open"])
+    def test_unmatched_rays_are_exactly_infinite(self, left_kind, right_kind):
+        """No matching at the top grid value is an exact +inf on the line:
+        every pair and kill cost is a grid value or +inf.  Rays of mixed
+        kinds already fail the gate."""
+        F = gb(bar(ray_left(0, left_kind)), bar(closed(1, 2)))
+        G = gb(bar(ray_right(0, right_kind)), bar(closed(1, 3)))
         d = distance(F, G)
-        assert d.upper == POS_INF and not d.exact
+        if left_kind is not right_kind:
+            assert finite_gate(F, G) == "infinite"
+        assert d.fields() == (POS_INF, POS_INF, True) and d.witness is None
+        assert distance(G, F).fields() == d.fields()
 
 
 class TestMonotonicity:
@@ -232,25 +246,50 @@ class TestBoundsInvariants:
 
 
 class TestBudgetBounds:
+    """The exhaustive search's budget of ``MAX_UNKNOWNS`` unknown blocks is
+    reached on the circle only; on the line the matching decides."""
     F = rand_bounded_barcode(__import__("random").Random(11), max_bars=4)
     G = thicken(F, Fr(1, 4))
+    # two points on the circle R/4Z against the two moved by 1/2 and 1/4
+    C = Fr(4)
+    CF = CircleSheaf(C, [bar(singleton(2)),
+                         bar(singleton(3))]).spiral_barcode()
+    CG = CircleSheaf(C, [bar(singleton(Fr(3, 2))),
+                         bar(singleton(Fr(13, 4)))]).spiral_barcode()
 
-    def test_default_budget_is_exact(self):
-        assert distance(self.F, self.G).fields() == (Fr(1, 4), Fr(1, 4), True)
+    def test_default_budget_is_exact(self, monkeypatch):
+        ops = circle_ops(self.C)
+        assert distance(self.CF, self.CG, ops).fields() == \
+            (Fr(1, 2), Fr(1, 2), True)
+        for cap in (24, 1, 0):
+            monkeypatch.setattr(interleave, "MAX_UNKNOWNS", cap)
+            assert distance(self.F, self.G).fields() == \
+                (Fr(1, 4), Fr(1, 4), True)
 
-    def test_capacity_leaves_bounds_inconclusive(self):
-        d = distance(self.F, self.G, Budget(max_unknowns=1))
-        assert (d.exact, d.conclusive) == (False, False)
-        assert verify_certificate(self.F, self.G, d.witness)
+    def test_capacity_leaves_bounds_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(interleave, "MAX_UNKNOWNS", 1)
+        ops = circle_ops(self.C)
+        d = distance(self.CF, self.CG, ops)
+        assert (d.exact, d.conclusive, d.upper) == (False, False, Fr(1, 2))
+        assert verify_certificate(self.CF, self.CG, d.witness, ops)
 
 
 # ---------------------------------------------------------------------------
 # The candidate search against the linear scan that defines the answer.
 
-def _outcome(F, G, a, ops, budget):
-    """'found', 'refuted', 'capacity' or 'unsupported' at the shift a."""
+def _outcome(F, G, a, ops):
+    """'found', 'refuted', 'capacity' or 'unsupported' at the shift a, by
+    the route that does not rest on the isometry theorem: the isomorphism
+    test at 0, else the matching search and then the exhaustive search."""
+    if a == 0 and not iso_equal(F, G):
+        return "refuted"
     try:
-        cert = check_interleaving(F, G, a, ops, budget)
+        if check_matching(F, G, a, ops) is not None:
+            return "found"
+    except UnsupportedHomError:
+        pass
+    try:
+        cert = check_exhaustive(F, G, a, ops)
     except CapacityError:
         return "capacity"
     except UnsupportedHomError:
@@ -258,7 +297,7 @@ def _outcome(F, G, a, ops, budget):
     return "refuted" if cert is None else "found"
 
 
-def _linear_scan(F, G, budget, ops):
+def _linear_scan(F, G, ops):
     """Oracle: scan the whole critical grid upward from 0 and stop at the
     first certificate, the definition of the answer ``distance`` walks to."""
     if F == G:
@@ -266,7 +305,17 @@ def _linear_scan(F, G, budget, ops):
     if finite_gate(F, G, ops) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None)
     return _linear_definition(critical_grid(F, G, ops),
-                              lambda a: _outcome(F, G, a, ops, budget))
+                              lambda a: _outcome(F, G, a, ops))
+
+
+def _agrees(d, oracle, space):
+    """``d`` has the oracle's bounds wherever the oracle is exact, and on
+    the circle always.  Elsewhere on the line, where the oracle's
+    exhaustive search is over its cap, ``d`` is exact and lies within the
+    oracle's bounds."""
+    if space != LINE or oracle.exact:
+        return _sides(d) == _sides(oracle)
+    return d.exact and oracle.lower <= d.upper <= oracle.upper
 
 
 def _linear_definition(grid, outcome):
@@ -333,7 +382,7 @@ class TestBisection:
         pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 6)]
         pairs += list(_circle_pairs(rng, p, 4))
         for F, G, ops in pairs:
-            outcomes = [_outcome(F, G, a, ops, Budget())
+            outcomes = [_outcome(F, G, a, ops)
                         for a in critical_grid(F, G, ops)]
             if "found" in outcomes:
                 assert "refuted" not in outcomes[outcomes.index("found"):], (F, G)
@@ -356,15 +405,15 @@ class TestBisection:
             decided += 1
         assert decided >= 10
 
-    @pytest.mark.parametrize("budget", [Budget(), Budget(max_unknowns=1),
-                                        Budget(max_unknowns=2)],
+    @pytest.mark.parametrize("cap", [24, 1, 2],
                              ids=["default", "unknowns-1", "unknowns-2"])
-    def test_distance_matches_linear_scan(self, rng, p, budget):
+    def test_distance_matches_linear_scan(self, rng, p, cap, monkeypatch):
+        monkeypatch.setattr(interleave, "MAX_UNKNOWNS", cap)
         pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 10)]
         pairs += list(_circle_pairs(rng, p, 5))
         for F, G, ops in pairs:
-            d = distance(F, G, budget, ops)
-            assert _sides(d) == _sides(_linear_scan(F, G, budget, ops)), (F, G)
+            d = distance(F, G, ops)
+            assert _agrees(d, _linear_scan(F, G, ops), ops), (F, G)
             if d.witness is not None:
                 assert verify_certificate(F, G, d.witness, ops)
 
@@ -382,9 +431,11 @@ class TestBisection:
         for F, G, space in pairs:
             calls.clear()
             d = distance(F, G, space=space)
-            if d.exact:
+            if space == LINE:
+                assert calls == [], (F, G, calls)
+            elif d.exact:
                 assert len(calls) <= 1, (F, G, calls)
-                exact += d.upper != POS_INF
+            exact += d.exact and d.upper != POS_INF
         assert exact >= 10
 
     @pytest.mark.parametrize("late", [False, True], ids=["never", "late"])
@@ -406,7 +457,7 @@ class TestBisection:
         pairs += list(_circle_pairs(rng, p, 4))
         for F, G, space in pairs:
             d = distance(F, G, space=space)
-            assert _sides(d) == _sides(_linear_scan(F, G, Budget(), space)), (F, G)
+            assert _agrees(d, _linear_scan(F, G, space), space), (F, G)
             if d.witness is not None:
                 assert verify_certificate(F, G, d.witness, space)
 
@@ -439,7 +490,7 @@ class TestScriptedWalk:
             state["matched"].add(a)
             return "hit" if a in state["hits"] else None
 
-        def search(F, G, a, space, budget, match):
+        def search(F, G, a, space, match):
             assert 0 < a and a not in state["searched"], a
             state["searched"].add(a)
             outcome = state["script"][int(a)]
@@ -453,19 +504,26 @@ class TestScriptedWalk:
                             lambda F, G, space: state["grid"])
         monkeypatch.setattr(interleave, "_match_pairs", match_pairs)
         monkeypatch.setattr(interleave, "_search", search)
-        seen = set()
-        for script, hits in _walk_scripts(6):
-            grid = [Fr(i) for i in range(len(script))]
-            state.update(grid=grid, hits=set(hits), script=script,
-                         matched=set(), searched=set())
-            d = distance(F, G)
-            expected = _linear_definition(grid, lambda a: script[int(a)])
-            assert _sides(d) == _sides(expected), (script, hits)
-            seen.add((d.upper == POS_INF, d.exact, d.conclusive))
-        # a certificate, exact or not; none, with every probe decided or not
-        # (an undecided probe below the largest refuted one included)
-        assert seen == {(False, True, True), (False, False, False),
-                        (True, False, True), (True, False, False)}
+        for space in (circle_ops(4), LINE):
+            seen = set()
+            for script, hits in _walk_scripts(6):
+                grid = [Fr(i) for i in range(len(script))]
+                state.update(grid=grid, hits=set(hits), script=script,
+                             matched=set(), searched=set())
+                d = distance(F, G, space)
+                expected = _linear_definition(grid, lambda a: script[int(a)])
+                if space == LINE and script[-1] == "refuted":
+                    # every cost on the line is a grid value or +inf
+                    expected = DistanceBounds(POS_INF, POS_INF, True, None)
+                assert _sides(d) == _sides(expected), (space, script, hits)
+                seen.add((d.upper == POS_INF, d.exact, d.conclusive))
+            # a certificate, exact or not; none, with every probe decided
+            # or not (an undecided probe below the largest refuted one
+            # included); on the line, a refuted top grid value is +inf
+            none_decided = (True, True, True) if space == LINE \
+                else (True, False, True)
+            assert seen == {(False, True, True), (False, False, False),
+                            none_decided, (True, False, False)}, space
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_each_grid_index_matched_once(self, rng, p, monkeypatch):
@@ -503,6 +561,44 @@ def test_least_match_finds_every_threshold():
 
             assert interleave._least_match(n, match) == (t if t < n else None)
             assert len(seen) <= 2 * max(n, 1).bit_length()
+
+
+def _large_pairs(rng, count):
+    """``count`` pairs of 24 closed or open degree-0 bars a side, each bar
+    starting on the 1/4 grid in [0, 5] with length 1/4 to 3, F and G
+    sharing their kinds, drawn until F != G and the gate passes."""
+    def draw(kinds):
+        bars = []
+        for kind in kinds:
+            left = Fr(rng.randint(0, 20), 4)
+            right = left + Fr(rng.randint(1, 12), 4)
+            bars.append(Bar(Interval(left, kind, right, kind), 0))
+        return GradedBarcode(bars)
+
+    while count:
+        kinds = [rng.choice((CLOSED, OPEN)) for _ in range(24)]
+        F, G = draw(kinds), draw(kinds)
+        if F != G and finite_gate(F, G) == "pass":
+            count -= 1
+            yield F, G
+
+
+def test_large_line_pairs_exact():
+    """24 bars a side: the matching decides every shift on the line, where
+    the exhaustive search is over its cap below the answer."""
+    pairs = list(_large_pairs(__import__("random").Random(3), 3))
+    start = time.perf_counter()
+    answers = [distance(F, G) for F, G in pairs]
+    elapsed = time.perf_counter() - start
+    assert [d.fields() for d in answers] == \
+        [(v, v, True) for v in (Fr(11, 4), Fr(5, 2), Fr(2))]
+    assert all(verify_certificate(F, G, d.witness)
+               for (F, G), d in zip(pairs, answers))
+    F, G = pairs[0]
+    grid = critical_grid(F, G)
+    with pytest.raises(CapacityError):
+        check_exhaustive(F, G, grid[grid.index(Fr(11, 4)) - 1])
+    assert elapsed < 1, elapsed
 
 
 # ---------------------------------------------------------------------------

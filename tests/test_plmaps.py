@@ -8,9 +8,9 @@ from conftest import bar, gb
 from thicket.barcode import (closed, full_line, global_sections_c, half_open,
                              half_open_r, open_iv, ray_left, ray_right,
                              singleton)
-from thicket import plmaps
+from thicket import interleave, plmaps
 from thicket.corpus import rand_bounded_barcode, rand_plmap
-from thicket.interleave import Budget, CapacityError, verify_certificate
+from thicket.interleave import verify_certificate
 from thicket.plmaps import (NonProperError, PLMap, abs_map, compose_pl,
                             constant_map, identity_map, lipschitz_constant,
                             lipschitz_experiment, offset_map,
@@ -270,34 +270,31 @@ class TestLipschitz:
 
 
 class TestVerdicts:
-    """A certificate is pass, a refuted shift fail, and a search over the
-    cap inconclusive."""
+    """A certificate is pass and a refuted shift fail; the matching decides
+    every shift on the line, so no search is left inconclusive."""
 
-    def test_lipschitz(self):
+    def test_lipschitz(self, monkeypatch):
         F1, F2 = gb(bar(closed(0, 2))), gb(bar(singleton(1)))   # distance 1
         rep = lipschitz_experiment(identity_map(), F1, F2, 1)
         assert rep.verdict == "pass"
         assert verify_certificate(F1, F2, rep.certificate)
-        for budget, verdict in ((Budget(), "fail"),
-                                (Budget(max_unknowns=0), "inconclusive")):
-            rep = lipschitz_experiment(identity_map(), F1, F2, Fr(1, 2), budget)
-            assert (rep.verdict, rep.certificate) == (verdict, None)
+        for cap in (24, 0):
+            monkeypatch.setattr(interleave, "MAX_UNKNOWNS", cap)
+            rep = lipschitz_experiment(identity_map(), F1, F2, Fr(1, 2))
+            assert (rep.verdict, rep.certificate) == ("fail", None)
 
     def test_stability(self, monkeypatch):
         f, g = identity_map(), offset_map(identity_map(), 5)
         F = gb(bar(singleton(0)))
-        rep = stability_experiment(f, g, F, Budget(max_unknowns=0))
+        monkeypatch.setattr(interleave, "MAX_UNKNOWNS", 0)
+        rep = stability_experiment(f, g, F)
         assert rep.verdict == "pass" and rep.bound == 5
-        # The stability theorem puts a certificate at the sup distance, and
-        # matching finds it whatever the budget, so the two other outcomes
-        # of the search are stood in for.
-        def over_cap(*args, **kwargs):
-            raise CapacityError("over the cap")
-        for search, verdict in ((lambda *args, **kwargs: None, "fail"),
-                                (over_cap, "inconclusive")):
-            monkeypatch.setattr(plmaps, "check_interleaving", search)
-            rep = stability_experiment(f, g, F)
-            assert (rep.verdict, rep.certificate) == (verdict, None)
+        # The stability theorem puts a certificate at the sup distance, so
+        # a refuted search is stood in for.
+        monkeypatch.setattr(plmaps, "check_interleaving",
+                            lambda *args, **kwargs: None)
+        rep = stability_experiment(f, g, F)
+        assert (rep.verdict, rep.certificate) == ("fail", None)
 
 
 class TestDomains:
