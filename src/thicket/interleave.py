@@ -503,18 +503,19 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     capacity or unsupported; index 0 is refuted, since ``iso_equal`` has
     failed.  Feasibility is upward closed (``weaken_certificate``), so one
     walk settles the grid.  It starts at the least index where the
-    matching search alone succeeds (``_least_match``, or index 1 when none
-    does), scans up to the first found probe, and then walks down: a found
-    probe lowers the upper bound and the first refuted one is the lower
-    bound, below which every value is infeasible.  With no certificate the
+    matching search alone succeeds (``_least_match``, or on the circle
+    index 1 when none does), scans up to the first found probe, and then
+    walks down: a found probe lowers the upper bound and the first refuted
+    one is the lower bound, below which every value is infeasible.  With no certificate the
     walk goes on to 0, so that ``conclusive`` covers every probe on the
     grid.  Each grid value is matched and probed at most once per call.
 
     The returned ``exact`` flag means the least certified grid value has its
     grid predecessor refuted; in that case lower is reported equal to
     upper.  On the line every pair and kill cost is a grid value or +inf,
-    so a refuted top grid value is an exact +inf.  On the circle, a search
-    over the cap degrades exactness, never soundness.
+    so a matching search that misses at the top grid value decides an exact
+    +inf, with no walk.  On the circle, a search over the cap degrades
+    exactness, never soundness.
     """
     _check_inputs(F, G, space)
     if iso_equal(F, G):
@@ -544,6 +545,8 @@ def distance(F, G, space=LINE) -> DistanceBounds:
 
     upper = _least_match(n, match)
     if upper is None:
+        if space == LINE:
+            return DistanceBounds(POS_INF, POS_INF, True, None)
         upper = 1
     while upper < n and probe(upper)[0] != "found":
         upper += 1
@@ -559,8 +562,6 @@ def distance(F, G, space=LINE) -> DistanceBounds:
             if upper < n:
                 break
     if upper == n:
-        if space == LINE and probes[n - 1][0] == "refuted":
-            return DistanceBounds(POS_INF, POS_INF, True, None)
         return DistanceBounds(grid[lower], POS_INF, False, None,
                               conclusive=conclusive)
     witness = probes[upper][1]

@@ -3,10 +3,9 @@ and Lipschitz experiment harness.
 
 A ``PLMap`` builds its affine pieces once, when it is constructed; every
 evaluation, slope, composition and distance reads that tuple.  The
-pushforward restricts the pieces to each bar once, computes fiberwise
-compactly supported cohomology from the restricted pieces over a target
-stratification refined by all critical values, assembles generization maps
-from slab components, and decomposes the resulting zigzag per degree.
+pushforward of a bar is the levelset barcode of the map on the bar, which
+one pass over the map's extrema along the bar reads off by a relative
+elder rule (``_pushforward_bar``).
 
 The stability and Lipschitz experiments each make one
 ``interleave.check_interleaving`` call at their bound: a certificate (always
@@ -22,11 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
-                      rgamma_c_interval, singleton)
+                      singleton)
 from .interleave import InterleavingCertificate, check_interleaving
-from .model import LineModel, Rep
 from .scalars import NEG_INF, POS_INF, is_finite
-from .zigzag import decompose_line
 
 
 class NonProperError(ValueError):
@@ -201,82 +198,6 @@ def lipschitz_constant(f: PLMap) -> Fraction:
 # ---------------------------------------------------------------------------
 # Proper pushforward.
 
-def _merge_components(parts: list[Interval]) -> list[Interval]:
-    parts = sorted(parts, key=Interval.sort_key)
-    out: list[Interval] = []
-    for iv in parts:
-        if out:
-            prev = out[-1]
-            touch = (prev.right > iv.left or
-                     (prev.right == iv.left and
-                      (prev.rkind is CLOSED or iv.lkind is CLOSED)))
-            if touch:
-                right, rkind = ((iv.right, iv.rkind)
-                                if iv.right > prev.right else (prev.right, prev.rkind))
-                if iv.right == prev.right and iv.rkind is CLOSED:
-                    rkind = CLOSED
-                out[-1] = Interval(prev.left, prev.lkind, right, rkind)
-                continue
-        out.append(iv)
-    return out
-
-
-def _bar_pieces(f: PLMap, iv: Interval):
-    """Affine pieces of f restricted to the bar support, kinds inherited:
-    (sub-interval, slope, intercept) in increasing order."""
-    out = []
-    for lo, hi, s, b in f.pieces():
-        piece = Interval(lo, CLOSED if is_finite(lo) else OPEN,
-                         hi, CLOSED if is_finite(hi) else OPEN)
-        sub = intersect(piece, iv)
-        if sub is not None:
-            out.append((sub, s, b))
-    return out
-
-
-def _preimage_in_piece(sub: Interval, s: Fraction, b: Fraction, lo, hi,
-                       lo_closed=True, hi_closed=True):
-    """Component(s) of {x in sub : f(x) in [lo, hi]} for one affine piece."""
-    if s == 0:
-        if (lo < b < hi) or (b == lo and lo_closed) or (b == hi and hi_closed):
-            return [sub]
-        return []
-    x1 = (lo - b) / s
-    x2 = (hi - b) / s
-    if x1 > x2:
-        x1, x2 = x2, x1
-        k1, k2 = hi_closed, lo_closed
-    else:
-        k1, k2 = lo_closed, hi_closed
-    if x2 < sub.left or x1 > sub.right:
-        return []
-    window = Interval(x1, CLOSED if k1 else OPEN, x2, CLOSED if k2 else OPEN)
-    inter = intersect(window, sub)
-    return [inter] if inter is not None else []
-
-
-def _fiber(pieces, t: Fraction) -> list[Interval]:
-    """Components of the fiber over t, from a bar's restricted pieces."""
-    return _slab(pieces, t, t)
-
-
-def _slab(pieces, lo: Fraction, hi: Fraction) -> list[Interval]:
-    """Components of the preimage of [lo, hi], from a bar's restricted
-    pieces."""
-    parts = []
-    for sub, s, b in pieces:
-        parts.extend(_preimage_in_piece(sub, s, b, lo, hi))
-    return _merge_components(parts)
-
-
-def _is_cc(iv: Interval) -> bool:
-    return iv.is_bounded and iv.lkind is CLOSED and iv.rkind is CLOSED
-
-
-def _is_open_comp(iv: Interval) -> bool:
-    return iv.is_bounded and iv.lkind is OPEN and iv.rkind is OPEN
-
-
 def _check_proper(f: PLMap, iv: Interval):
     if f.domain is not None:
         if intersect(f.domain, iv) != iv:
@@ -289,57 +210,100 @@ def _check_proper(f: PLMap, iv: Interval):
         raise NonProperError(f"constant tail over the unbounded bar {iv}")
 
 
-def _critical_values(pieces):
-    """Images of the restricted pieces' finite ends: the breakpoints in the
-    bar and the bar's finite endpoints."""
-    vals = set()
-    for sub, s, b in pieces:
-        for e in (sub.left, sub.right):
-            if is_finite(e):
-                vals.add(s * e + b)
-    return sorted(vals)
+def _extrema(f: PLMap, iv: Interval) -> list:
+    """(value, attained) of f at the bar's ends and at the breakpoints
+    strictly inside it, with runs of equal value merged (attained only if
+    every vertex of the run is) and the vertices f passes monotonically
+    dropped.  An infinite end takes the limit of the tail and is not
+    attained; a finite end is attained when the bar is closed there."""
+    if is_finite(iv.left):
+        left = (f.value(iv.left), iv.lkind is CLOSED)
+    else:
+        left = (NEG_INF if f.left_slope > 0 else POS_INF, False)
+    if is_finite(iv.right):
+        right = (f.value(iv.right), iv.rkind is CLOSED)
+    else:
+        right = (POS_INF if f.right_slope > 0 else NEG_INF, False)
+    inside = [(y, True) for x, y in zip(f.xs, f.ys) if iv.left < x < iv.right]
+    runs = []
+    for value, attained in [left] + inside + [right]:
+        if runs and runs[-1][0] == value:
+            runs[-1] = (value, runs[-1][1] and attained)
+        else:
+            runs.append((value, attained))
+    verts = runs[:1]
+    for prev, (value, attained), nxt in zip(runs, runs[1:], runs[2:]):
+        if (prev[0] < value) != (value < nxt[0]):
+            verts.append((value, attained))
+    if len(runs) > 1:
+        verts.append(runs[-1])
+    return verts
 
 
-def _pushforward_bar(f: PLMap, bar: Bar, char: int) -> list[Bar]:
+def _deaths(verts: list, order: list) -> list:
+    """(birth, death) values of one elder-rule sweep over the path of
+    extrema, visited in ``order``.  An attained vertex with no visited
+    neighbour starts a component; an unattained one (an end that f
+    approaches) belongs to the ground, which is older than every component.
+    Where components meet, all but the eldest die."""
+    ground = len(verts)
+    parent = {ground: ground}
+    age = {ground: -1}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    out = []
+    for step, i in enumerate(order):
+        here, attained = verts[i]
+        met = {find(j) for j in (i - 1, i + 1) if j in parent and j != ground}
+        if not attained:
+            met.add(ground)
+        if not met:
+            parent[i], age[i] = i, step
+            continue
+        eldest = min(met, key=age.__getitem__)
+        for r in met - {eldest}:
+            parent[r] = eldest
+            out.append((verts[r][0], here))
+        parent[i] = eldest
+    return out
+
+
+def _pushforward_bar(f: PLMap, bar: Bar) -> list[Bar]:
+    """Proper pushforward of one bar: the levelset barcode of f on the bar,
+    which is its extended persistence (Carlsson-de Silva-Morozov, *Zigzag
+    persistent homology and real-valued functions*, SoCG 2009;
+    Cohen-Steiner-Edelsbrunner-Harer, *Extending persistence using Poincare
+    and Lefschetz duality*, FoCM 2009), read off f's extrema along the bar.
+
+    A constant f gives the point [v, v] in degree d when v is attained, in
+    degree d + 1 over an open bar, and nothing otherwise.  Else the
+    sublevel sweep gives [birth, death), the superlevel sweep (death,
+    birth], and the essential class is [min, max] when both ends are
+    attained, (min, max) when neither is, and nothing when one is."""
     iv, d = bar.iv, bar.degree
     _check_proper(f, iv)
-    pieces = _bar_pieces(f, iv)
-    model = LineModel(_critical_values(pieces))
-    fibers = [_fiber(pieces, s.sample()) for s in model.strata]
-    cc = [[c for c in comps if _is_cc(c)] for comps in fibers]
-    opens = [[c for c in comps if _is_open_comp(c)] for comps in fibers]
-    for idx, comps in enumerate(fibers):
-        for c in comps:
-            if not (_is_cc(c) or _is_open_comp(c)):
-                off = rgamma_c_interval(c)
-                if off:
-                    raise AssertionError(f"unclassified fiber component {c}")
-        if model.strata[idx].kind == "open" and opens[idx]:
-            raise AssertionError("open fiber component over a non-critical value")
-
-    dims0 = [len(comps) for comps in cc]
-    mats0 = []
-    for (pt, op, _side) in model.edges:
-        c = model.strata[pt].left
-        t = model.strata[op].sample()
-        slab = _slab(pieces, min(c, t), max(c, t))
-        mat = [[0] * dims0[pt] for _ in range(dims0[op])]
-        for j, K in enumerate(cc[pt]):
-            B = next((s for s in slab if intersect(s, K) is not None), None)
-            if B is None:
-                raise AssertionError("fiber component escapes its slab")
-            if not _is_cc(B):
-                continue
-            for i, K2 in enumerate(cc[op]):
-                if intersect(B, K2) is not None:
-                    mat[i][j] = 1
-        mats0.append(mat)
-    rep0 = Rep(model, dims0, mats0, char)
-    out = [Bar(interval, d) for interval in decompose_line(rep0)]
-    # An open component lies over a critical value c and generizes to zero,
-    # so each one is the point bar [c, c] one degree up.
-    for s, comps in zip(model.strata, opens):
-        out.extend(Bar(singleton(s.left), d + 1) for _ in comps)
+    verts = _extrema(f, iv)
+    if len(verts) == 1:
+        v, attained = verts[0]
+        if attained:
+            return [Bar(singleton(v), d)]
+        if iv.lkind is OPEN and iv.rkind is OPEN:
+            return [Bar(singleton(v), d + 1)]
+        return []
+    rising = sorted(range(len(verts)), key=lambda i: verts[i][0])
+    out = [Bar(Interval(b, CLOSED, h, OPEN), d) for b, h in _deaths(verts, rising)]
+    out += [Bar(Interval(h, OPEN, b, CLOSED), d)
+            for b, h in _deaths(verts, rising[::-1])]
+    lo, hi = verts[rising[0]][0], verts[rising[-1]][0]
+    ends = (verts[0][1], verts[-1][1])
+    if ends == (True, True):
+        out.append(Bar(Interval(lo, CLOSED, hi, CLOSED), d))
+    elif ends == (False, False):
+        out.append(Bar(Interval(lo, OPEN, hi, OPEN), d))
     return out
 
 
@@ -347,7 +311,7 @@ def pushforward_shriek(f: PLMap, F: GradedBarcode) -> GradedBarcode:
     """Proper pushforward along a PL map, assembled per bar and per degree."""
     bars = []
     for b in F.bars:
-        bars.extend(_pushforward_bar(f, b, F.char))
+        bars.extend(_pushforward_bar(f, b))
     return GradedBarcode(bars, F.char)
 
 

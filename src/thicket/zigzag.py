@@ -2,10 +2,12 @@
 
 Line models decompose into interval summands whose multiplicities come from
 the generalized rank invariant by inclusion-exclusion over one-step walk
-extensions.  Cyclic models additionally carry band summands (local systems);
-their multiset of string summands is computed the same way on the unrolled
-cover, and what remains is a local system whose monodromy is extracted by
-regularizing the once-around transfer relation.
+extensions (``decompose_line``, public; no production path runs it, and it
+is the oracle the tests check the proper pushforward against).  Cyclic
+models additionally carry band summands (local systems); their multiset of
+string summands is computed the same way on the unrolled cover, and what
+remains is a local system whose monodromy is extracted by regularizing the
+once-around transfer relation.
 """
 
 from __future__ import annotations

@@ -443,7 +443,8 @@ class TestBisection:
         """A candidate search that misses, or that skips the least match so
         that the predecessor of its candidate is certified, leaves the walk
         to find the least certificate below or above it, with the bounds of
-        the linear scan."""
+        the linear scan.  On the line a miss decides +inf, so the missing
+        search runs on circle pairs only."""
         least_match = interleave._least_match
 
         def missing(n, match):
@@ -453,7 +454,7 @@ class TestBisection:
             return least_match(n, lambda i: None if i <= m else match(i))
 
         monkeypatch.setattr(interleave, "_least_match", missing)
-        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 8)]
+        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 8)] if late else []
         pairs += list(_circle_pairs(rng, p, 4))
         for F, G, space in pairs:
             d = distance(F, G, space=space)
@@ -507,23 +508,27 @@ class TestScriptedWalk:
         for space in (circle_ops(4), LINE):
             seen = set()
             for script, hits in _walk_scripts(6):
+                found = {i for i, o in enumerate(script) if o == "found"}
+                upward = set(range(min(found, default=len(script)), len(script)))
+                if space == LINE and not hits == found == upward:
+                    # the matching search decides every shift on the line
+                    continue
                 grid = [Fr(i) for i in range(len(script))]
                 state.update(grid=grid, hits=set(hits), script=script,
                              matched=set(), searched=set())
                 d = distance(F, G, space)
                 expected = _linear_definition(grid, lambda a: script[int(a)])
-                if space == LINE and script[-1] == "refuted":
+                if space == LINE and not found:
                     # every cost on the line is a grid value or +inf
                     expected = DistanceBounds(POS_INF, POS_INF, True, None)
                 assert _sides(d) == _sides(expected), (space, script, hits)
                 seen.add((d.upper == POS_INF, d.exact, d.conclusive))
-            # a certificate, exact or not; none, with every probe decided
-            # or not (an undecided probe below the largest refuted one
-            # included); on the line, a refuted top grid value is +inf
-            none_decided = (True, True, True) if space == LINE \
-                else (True, False, True)
-            assert seen == {(False, True, True), (False, False, False),
-                            none_decided, (True, False, False)}, space
+            # a certificate, exact or not; on the circle none, with every
+            # probe decided or not (an undecided probe below the largest
+            # refuted one included); on the line none is an exact +inf
+            none = {(True, True, True)} if space == LINE \
+                else {(True, False, True), (True, False, False)}
+            assert seen == {(False, True, True), (False, False, False)} | none, space
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_each_grid_index_matched_once(self, rng, p, monkeypatch):
@@ -544,6 +549,29 @@ class TestScriptedWalk:
             assert len(calls) == len(set(calls)), (F, G, calls)
             matched += len(calls)
         assert matched >= len(pairs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_line_pair_at_infinite_distance_skips_the_walk(p, monkeypatch):
+    """Up to twelve bars a side plus (-inf, 0] against [0, +inf): the gate
+    passes, no shift on the grid matches, and the galloping search alone
+    decides an exact +inf."""
+    calls = []
+    match_pairs = interleave._match_pairs
+
+    def counted(F, G, a, space):
+        calls.append(a)
+        return match_pairs(F, G, a, space)
+
+    monkeypatch.setattr(interleave, "_match_pairs", counted)
+    rng = __import__("random").Random(p)
+    F0 = rand_bounded_barcode(rng, max_bars=12, char=p)
+    F = F0.direct_sum(gb(bar(ray_left(0)), char=p))
+    G = _nudged(rng, F0).direct_sum(gb(bar(ray_right(0)), char=p))
+    assert finite_gate(F, G) == "pass"
+    d = distance(F, G)
+    assert (d.lower, d.upper, d.exact, d.witness) == (POS_INF, POS_INF, True, None)
+    assert len(calls) <= 2 * len(critical_grid(F, G, LINE)).bit_length()
 
 
 def test_least_match_finds_every_threshold():
