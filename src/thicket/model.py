@@ -8,11 +8,14 @@ spaces are computed from the exact sequence
     0 -> Hom(M,N) -> (+)_v Hom(M_v,N_v) --delta--> (+)_e Hom(M_pt, N_open)
       -> Ext^1(M,N) -> 0
 
-by plain linear algebra over F_p.  The line Hom/Ext calculus in
-``morphisms`` runs on line models.  The circle models are the oracle that
-the covering-map Hom calculus and the closed-form circle sections are
-tested against; the cyclic decomposition (``circle.decompose_cyclic``)
-still runs on them.
+by plain linear algebra over F_p.  An Ext^1 class is kept as an edge
+vector, a representative in the last term: no extension representation is
+built and no representation is refined.  ``transport_ext_class`` moves a
+class onto a finer model of the same pair, and ``connecting_pairing`` reads
+its scalar off the vector.  The line Hom/Ext calculus in ``morphisms`` runs
+on line models.  The circle models are the oracle that the covering-map Hom
+calculus and the closed-form circle sections are tested against; the cyclic
+decomposition (``circle.decompose_cyclic``) still runs on them.
 """
 
 from __future__ import annotations
@@ -67,9 +70,6 @@ class LineModel:
             self.edges.append((2 * i + 1, 2 * i, "L"))
             self.edges.append((2 * i + 1, 2 * i + 2, "R"))
 
-    def refines(self, other: "LineModel") -> bool:
-        return set(other.points) <= set(self.points)
-
 
 class CircleModel:
     """Cyclic stratification of the circle of circumference C.
@@ -102,9 +102,6 @@ class CircleModel:
             self.edges.append((2 * i, left_arc, "L"))
             self.edges.append((2 * i, 2 * i + 1, "R"))
 
-    def refines(self, other: "CircleModel") -> bool:
-        return self.C == other.C and set(other.points) <= set(self.points)
-
 
 class Rep:
     """Quiver representation on a model: dims per stratum, one matrix per edge."""
@@ -119,14 +116,6 @@ class Rep:
         return sum(self.dims)
 
 
-def _edge_matrix(dims, e_pt, e_open, nonzero):
-    rows, cols = dims[e_open], dims[e_pt]
-    m = fm.zeros(rows, cols)
-    if nonzero and rows == 1 and cols == 1:
-        m[0][0] = 1
-    return m
-
-
 def line_bar_rep(model: LineModel, iv: Interval, p: int = 2) -> Rep:
     for x in (iv.left, iv.right):
         if is_finite(x) and x not in model.points:
@@ -136,12 +125,12 @@ def line_bar_rep(model: LineModel, iv: Interval, p: int = 2) -> Rep:
         if s.kind == "pt":
             dims.append(1 if iv.contains(s.left) else 0)
         else:
-            inside = (iv.left <= s.left and s.right <= iv.right
-                      and iv.contains(s.sample()))
+            # the bar's ends are model points, so an open stratum between
+            # them lies inside it
+            inside = iv.left <= s.left and s.right <= iv.right
             dims.append(1 if inside else 0)
-    mats = []
-    for (pt, op, _side) in model.edges:
-        mats.append(_edge_matrix(dims, pt, op, dims[pt] == 1 and dims[op] == 1))
+    mats = [[[1]] if dims[pt] and dims[op] else fm.zeros(dims[op], dims[pt])
+            for (pt, op, _side) in model.edges]
     return Rep(model, dims, mats, p)
 
 
@@ -236,71 +225,12 @@ def direct_sum(reps) -> Rep:
     return Rep(model, dims, mats, p)
 
 
-def refine_rep(rep: Rep, fine_model) -> Rep:
-    """Transport a representation to a finer model of the same space."""
-    coarse = rep.model
-    if not fine_model.refines(coarse):
-        raise ValueError("target model does not refine the source model")
-
-    def coarse_stratum(s: Stratum) -> int:
-        if s.kind == "pt":
-            x = s.left
-            for idx, cs in enumerate(coarse.strata):
-                if cs.kind == "pt" and cs.left == x:
-                    return idx
-            for idx, cs in enumerate(coarse.strata):
-                if cs.kind == "open" and _open_contains(coarse, cs, x):
-                    return idx
-        else:
-            x = s.sample()
-            for idx, cs in enumerate(coarse.strata):
-                if cs.kind == "open" and _open_contains(coarse, cs, x):
-                    return idx
-        raise ValueError("stratum not matched in coarse model")
-
-    mapping = [coarse_stratum(s) for s in fine_model.strata]
-    dims = [rep.dims[mapping[i]] for i in range(len(fine_model.strata))]
-    mats = []
-    for (pt, op, side) in fine_model.edges:
-        cpt, cop = mapping[pt], mapping[op]
-        if coarse.strata[cpt].kind == "open":
-            # new point inside a coarse open stratum: identity glue
-            mats.append(fm.identity(rep.dims[cpt]))
-        else:
-            cedge = _find_coarse_edge(coarse, cpt, cop, side, fine_model, pt, op)
-            mats.append([row[:] for row in rep.mats[cedge]])
-    return Rep(fine_model, dims, mats, rep.p)
-
-
-def _open_contains(model, cs: Stratum, x) -> bool:
-    if getattr(model, "space", "line") == "line":
-        return cs.left < x < cs.right
-    C = model.C
-    xx = x % C
-    lo, hi = cs.left, cs.right
-    return lo < xx < hi or lo < xx + C < hi
-
-
-def _find_coarse_edge(coarse, cpt, cop, side, fine_model, fpt, fop):
-    # A fine edge at an old point goes into a sub-stratum of some coarse open
-    # stratum; the matching coarse edge shares the point and the side.
-    for ei, (pt, op, s) in enumerate(coarse.edges):
-        if pt == cpt and op == cop and s == side:
-            return ei
-    # ambiguity only when both sides hit the same arc (single-point circle
-    # models); match by side alone
-    for ei, (pt, op, s) in enumerate(coarse.edges):
-        if pt == cpt and s == side:
-            return ei
-    raise ValueError("no matching coarse edge")
-
-
 # ---------------------------------------------------------------------------
 # Global sections of a representation (cellular section complexes).
 
 def _section_complex(rep: Rep, compact: bool):
     model, p = rep.model, rep.p
-    if compact and getattr(model, "space", "line") == "line":
+    if compact and model.space == "line":
         c0_strata = [i for i, s in enumerate(model.strata) if s.kind == "pt"]
         c1_strata = [i for i, s in enumerate(model.strata) if s.kind == "open"]
         sign_for = {"L": 1, "R": -1}
@@ -461,31 +391,6 @@ class RepPair:
         return out
 
 
-def extension_rep(pair: RepPair, evec) -> Rep:
-    """Middle term of the extension of M by N classified by ``evec``."""
-    M, N = pair.M, pair.N
-    model, p = pair.model, pair.p
-    dims = [N.dims[s] + M.dims[s] for s in range(len(model.strata))]
-    emats = pair.edge_matrices(evec)
-    mats = []
-    for ei, (pt, op, _side) in enumerate(model.edges):
-        rows, cols = dims[op], dims[pt]
-        m = fm.zeros(rows, cols)
-        for i in range(N.dims[op]):
-            for j in range(N.dims[pt]):
-                m[i][j] = N.mats[ei][i][j]
-        r = emats.get(ei)
-        for i in range(N.dims[op]):
-            for j in range(M.dims[pt]):
-                if r is not None:
-                    m[i][N.dims[pt] + j] = r[i][j]
-        for i in range(M.dims[op]):
-            for j in range(M.dims[pt]):
-                m[N.dims[op] + i][N.dims[pt] + j] = M.mats[ei][i][j]
-        mats.append(m)
-    return Rep(model, dims, mats, p)
-
-
 def connecting_pairing(pair: RepPair, evec):
     """Scalar of the section-complex connecting map classified by ``evec``.
 
@@ -495,37 +400,34 @@ def connecting_pairing(pair: RepPair, evec):
     ones); both bases are model independent, so the scalar is too.
     Returns None when the pattern does not apply.
     """
-    M, N = pair.M, pair.N
-    model, p = pair.model, pair.p
+    M, model, p = pair.M, pair.model, pair.p
     # the all-ones section of M must be a cocycle (true for closed bars)
     for ei, (pt, op, _side) in enumerate(model.edges):
         for i in range(M.dims[op]):
             if sum(M.mats[ei][i][j] for j in range(M.dims[pt])) % p != 1:
                 return None
-    X = extension_rep(pair, evec)
-    total = 0
-    value = 0
-    for ei, (pt, op, side) in enumerate(model.edges):
-        sign = 1 if side == "R" else -1
-        # d_X of the lifted constant section, N-block of the edge entry
-        for i in range(N.dims[op]):
-            acc = 0
-            for j in range(M.dims[pt]):
-                acc += X.mats[ei][i][N.dims[pt] + j]
-            value = (value + sign * acc) % p
-    return value % p
+    # d of the lifted constant section, read off the class on each edge
+    signs = [1 if side == "R" else -1 for (_pt, _op, side) in model.edges]
+    return sum(signs[ei] * x for (ei, _j, _i), x in zip(pair.ecoords, evec)) % p
 
 
-def extension_class_of(pair: RepPair, X: Rep):
-    """Read the class of an extension rep X of M by N (N in the leading
-    coordinate block at every stratum) back as an edge vector."""
-    M, N = pair.M, pair.N
-    mats = {}
-    for ei in range(len(pair.model.edges)):
-        pt, op, _side = pair.model.edges[ei]
-        r = fm.zeros(N.dims[op], M.dims[pt])
-        for i in range(N.dims[op]):
-            for j in range(M.dims[pt]):
-                r[i][j] = X.mats[ei][i][N.dims[pt] + j]
-        mats[ei] = r
-    return pair.evec_from_edge_matrices(mats)
+def transport_ext_class(coarse: RepPair, evec, fine: RepPair):
+    """The Ext class ``evec`` of ``coarse``, as an edge vector of ``fine``:
+    the same pair of sheaves on a model that refines coarse's.
+
+    A fine edge at a coarse point carries the coarse entries at that point
+    and side; one at a new point carries 0, since the extension is glued by
+    identities inside a coarse stratum.  Coarse edges are keyed by (point,
+    side), which also tells apart the two edges of a one-point circle model.
+    """
+    cmodel, fmodel = coarse.model, fine.model
+    if not set(cmodel.points) <= set(fmodel.points):
+        raise ValueError("target model does not refine the source model")
+    at = {(cmodel.strata[pt].left, side): ei
+          for ei, (pt, _op, side) in enumerate(cmodel.edges)}
+    out = []
+    for (ei, j, i) in fine.ecoords:
+        pt, _op, side = fmodel.edges[ei]
+        cei = at.get((fmodel.strata[pt].left, side))
+        out.append(0 if cei is None else evec[coarse._eindex[(cei, j, i)]])
+    return out

@@ -17,7 +17,10 @@ composition multiplies blocks through are computed in the finite quiver
 model once per endpoint order type and memoized under ``shape_key``: a tuple
 of ints giving each end's rank among the tuple's distinct finite ends,
 compared exactly as integers over the lcm of their denominators, together
-with its kind.  ``hom_dim`` reads the same memo as the hot paths.
+with its kind.  ``hom_dim`` reads the same memo as the hot paths.  The Ext
+generator of a pair is normalized once on the pair's model (``PairData``)
+and kept as an edge vector, which ``quiver_struct_scalar`` carries onto
+the model of each triple.
 
 On the circle R/CZ a spiral is the pushforward p_!(k_I) of a bounded lift
 along the covering map p.  Since p_! is left adjoint to p^{-1} and
@@ -43,8 +46,7 @@ from fractions import Fraction
 from . import fieldmath as fm
 from .barcode import OPEN, Bar, GradedBarcode, Interval
 from .model import (CircleModel, LineModel, Rep, RepPair, circle_spiral_rep,
-                    extension_class_of, extension_rep, line_bar_rep,
-                    refine_rep)
+                    connecting_pairing, line_bar_rep, transport_ext_class)
 from .scalars import is_finite
 from .thicken import bar_rule, halfopen_translation_kills
 
@@ -116,22 +118,23 @@ def _cache_key(space, p, ivs):
 # Cached pair data.
 
 class PairData:
-    """Hom/Ext spaces of an ordered interval pair on its minimal model."""
+    """Hom/Ext spaces of an ordered interval pair on its minimal model.
+
+    ``ext_generator`` is the normalized generator of a one-dimensional Ext
+    space as an edge vector of ``pair``, or None when Ext is zero;
+    ``transport_ext_class`` carries it onto the model of a triple."""
 
     def __init__(self, space, ivA: Interval, ivB: Interval, p: int):
-        self.space = space
         self.ivA, self.ivB, self.p = ivA, ivB, p
         model = build_model(space, [ivA, ivB])
-        self.model = model
         self.pair = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivB, p))
         _check_supported((self.pair.hom_dim, self.pair.ext_dim), ivA, ivB)
         self.hom_dim = self.pair.hom_dim
         self.ext_dim = self.pair.ext_dim
-        self._ext_rep = None
+        self.ext_generator = None
         if self.ext_dim == 1:
             gvec = self.pair.ext_canonical_generator_vector()
-            gvec = self._pairing_normalize(gvec)
-            self._ext_rep = extension_rep(self.pair, gvec)
+            self.ext_generator = self._pairing_normalize(gvec)
 
     def _pairing_normalize(self, gvec):
         """Scale the Ext generator so its section-complex connecting pairing
@@ -146,17 +149,11 @@ class PairData:
                     and ivB.rkind.name == "OPEN")
         if not (closed_src and open_tgt):
             return gvec
-        from .model import connecting_pairing
         s = connecting_pairing(self.pair, gvec)
         if not s:
             return gvec
         inv = fm.finv(s, p)
         return [(x * inv) % p for x in gvec]
-
-    def ext_generator_rep(self) -> Rep:
-        if self._ext_rep is None:
-            raise ValueError("ext space is zero")
-        return self._ext_rep
 
 
 _PAIR_CACHE: dict = {}
@@ -235,15 +232,16 @@ def _hom_gen_matrices(space, model, ivA, ivB, p):
     lead = [x for x in gen if x % p]
     if any(x != lead[0] for x in lead):
         raise UnsupportedHomError(f"non-indicator hom generator for {ivA} -> {ivB}")
-    return rp, rp.vertex_matrices(gen)
+    return rp.vertex_matrices(gen)
 
 
-def _ext_gen_reduced(space, model, shared_pair: RepPair, ivA, ivB, p):
+def _ext_gen_reduced(space, shared_pair: RepPair, ivA, ivB, p):
     """Image in ``shared_pair`` of the pair-anchored Ext generator."""
     pd = pair_data(space, ivA, ivB, p)
-    X = refine_rep(pd.ext_generator_rep(), model)
-    evec = extension_class_of(shared_pair, X)
-    red = shared_pair.ext_reduce(evec)
+    if pd.ext_generator is None:
+        raise ValueError("ext space is zero")
+    red = shared_pair.ext_reduce(
+        transport_ext_class(pd.pair, pd.ext_generator, shared_pair))
     if not any(red):
         raise AssertionError(f"ext generator transported to zero for {ivA} -> {ivB}")
     return red
@@ -341,8 +339,8 @@ def quiver_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
     target_kind = "h" if (kind1, kind2) == ("h", "h") else "e"
     model = build_model(space, [ivA, ivB, ivC])
     if target_kind == "h":
-        rp1, m1 = _hom_gen_matrices(space, model, ivA, ivB, p)
-        rp2, m2 = _hom_gen_matrices(space, model, ivB, ivC, p)
+        m1 = _hom_gen_matrices(space, model, ivA, ivB, p)
+        m2 = _hom_gen_matrices(space, model, ivB, ivC, p)
         # a composite through a zero stalk of B is zero on that stratum
         comp = {s: fm.mat_mul(m2[s], m1[s], p) for s in m1 if m1[s]}
         rpAC = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivC, p))
@@ -365,12 +363,12 @@ def quiver_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
         if rpAC.ext_dim == 0:
             out = ("e", 0)
         else:
-            genAC = _ext_gen_reduced(space, model, rpAC, ivA, ivC, p)
+            genAC = _ext_gen_reduced(space, rpAC, ivA, ivC, p)
             if kind1 == "e":           # ext then hom: push the class forward
                 rpAB = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivB, p))
-                eredAB = _ext_gen_reduced(space, model, rpAB, ivA, ivB, p)
+                eredAB = _ext_gen_reduced(space, rpAB, ivA, ivB, p)
                 emats = rpAB.edge_matrices(eredAB)
-                _, psi = _hom_gen_matrices(space, model, ivB, ivC, p)
+                psi = _hom_gen_matrices(space, model, ivB, ivC, p)
                 pushed = {}
                 for ei, mat in emats.items():
                     op = model.edges[ei][1]
@@ -378,9 +376,9 @@ def quiver_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
                 vec = rpAC.evec_from_edge_matrices(pushed)
             else:                       # hom then ext: pull the class back
                 rpBC = RepPair(bar_rep(space, model, ivB, p), bar_rep(space, model, ivC, p))
-                eredBC = _ext_gen_reduced(space, model, rpBC, ivB, ivC, p)
+                eredBC = _ext_gen_reduced(space, rpBC, ivB, ivC, p)
                 emats = rpBC.edge_matrices(eredBC)
-                _, phi = _hom_gen_matrices(space, model, ivA, ivB, p)
+                phi = _hom_gen_matrices(space, model, ivA, ivB, p)
                 pulled = {}
                 for ei, mat in emats.items():
                     pt = model.edges[ei][0]
@@ -574,6 +572,8 @@ def restriction(F, a, b, space=LINE) -> Morphism:
 
 def hom_dim(b1: Bar, b2: Bar, char: int = 2) -> HomSpace:
     """Dimension of the Hom space between two shifted interval sheaves."""
+    if not fm.is_prime(char):
+        raise ValueError(f"field characteristic must be prime, got {char}")
     off = b1.degree - b2.degree
     if off not in (0, 1):
         return HomSpace(b1, b2, 0, off)

@@ -102,14 +102,14 @@ class TestExitCodes:
     def test_closed_stdout_ends_quietly(self):
         # about 100 kB of CSV, more than a pipe holds, so the suite is
         # still writing when the reader goes away after one line
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "thicket.cli", "suite", "rgamma",
-             "--cases", "3000"], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=_src_env())
-        assert proc.stdout.readline().startswith(b"inputs,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
+        with subprocess.Popen(
+                [sys.executable, "-m", "thicket.cli", "suite", "rgamma",
+                 "--cases", "3000"], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, env=_src_env()) as proc:
+            assert proc.stdout.readline().startswith(b"inputs,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
         assert err == b""
 
     def test_internal_violation(self, docs, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Hom calculus: dimensions, composition, functoriality, the quiver oracle."""
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -12,8 +13,8 @@ from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
 from thicket.corpus import rand_barcode
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, compose,
                                hom_dim, identity_morphism, poset_oracle_rhom,
-                               restriction, shape_key, space_dim,
-                               thicken_indexed, thicken_morphism,
+                               quiver_struct_scalar, restriction, shape_key,
+                               space_dim, thicken_indexed, thicken_morphism,
                                zero_morphism)
 from thicket.scalars import is_finite
 from thicket.thicken import bar_rule, thicken
@@ -68,6 +69,11 @@ class TestHomDim:
     def test_off_range_offsets_vanish(self):
         assert hom_dim(bar(closed(0, 1), 0), bar(closed(0, 1), 2)).dimension == 0
         assert hom_dim(bar(closed(0, 1), 0), bar(closed(0, 1), -1)).dimension == 0
+
+    @pytest.mark.parametrize("char", [4, 1, 0, -3])
+    def test_characteristic_must_be_prime(self, char):
+        with pytest.raises(ValueError, match="must be prime"):
+            hom_dim(bar(closed(0, 2)), bar(singleton(1)), char)
 
 
 class TestPosetOracle:
@@ -320,6 +326,122 @@ class TestAssociativityAcrossModels:
             X, Y, Z, W = mk(), mk(), mk(), mk()
             m1, m2, m3 = rand_morphism(X, Y), rand_morphism(Y, Z), rand_morphism(Z, W)
             assert compose(compose(m1, m2), m3) == compose(m1, compose(m2, m3))
+
+
+# ---------------------------------------------------------------------------
+# The structure-constant convention, pinned.
+
+CIRCLE_4 = ("circle", Fr(4))
+
+
+def _random_lift(rng, C):
+    """A lift starting in [0, C) on a grid of C/8, of length up to 3C/2."""
+    left = C * Fr(rng.randrange(8), 8)
+    length = C * Fr(rng.randint(0, 12), 8)
+    if length == 0:
+        return singleton(left)
+    return Interval(left, rng.choice((CLOSED, OPEN)), left + length,
+                    rng.choice((CLOSED, OPEN)))
+
+
+def _factor_nonzero(space, ivA, ivB, kind, p):
+    try:
+        return space_dim(space, ivA, ivB, kind, p) > 0
+    except UnsupportedHomError:
+        return False
+
+
+def _convention_row(space, p, kinds, count, seed):
+    """Outcomes of ``quiver_struct_scalar`` on ``count`` seeded triples whose
+    two factor spaces are nonzero, one character each: the scalar, or ``u``
+    for ``UnsupportedHomError``, ``v`` for another ``ValueError`` and ``a``
+    for an ``AssertionError``."""
+    rng = random.Random(seed)
+    target = "h" if kinds == "hh" else "e"
+    out = []
+    while len(out) < count:
+        if space == LINE:
+            A, B, C = (rng.choice(GRID_INTERVALS) for _ in range(3))
+        else:
+            A, B, C = (_random_lift(rng, space[1]) for _ in range(3))
+        if not (_factor_nonzero(space, A, B, kinds[0], p)
+                and _factor_nonzero(space, B, C, kinds[1], p)):
+            continue
+        try:
+            kind, c = quiver_struct_scalar(space, p, A, B, C, *kinds)
+        except UnsupportedHomError:
+            out.append("u")
+        except ValueError:
+            out.append("v")
+        except AssertionError:
+            out.append("a")
+        else:
+            assert kind == target, (A, B, C, kinds)
+            out.append(str(c))
+    return "".join(out)
+
+
+# (space, p, kinds) -> outcomes, recorded from the quiver model: 60 line
+# triples of the 45-interval grid and 20 circle lift triples on C = 4 per
+# row, seeded by the row's position in this table.
+EXT_CONVENTION = {
+    ("line", 2, "hh"):
+        "011101111111101111110110111111111101001111001111010110010111",
+    ("line", 2, "he"):
+        "001000000100000101000100001110001001000000010001001000000000",
+    ("line", 2, "eh"):
+        "000001010000000100111000100001000010101000010001000001001001",
+    ("line", 3, "hh"):
+        "111101101111111111110010110111110111111110111110100111011110",
+    ("line", 3, "he"):
+        "000000010200000000020020000011000000000011000001010101200110",
+    ("line", 3, "eh"):
+        "010000100001000000000010010001001000000101100012010000000000",
+    ("line", 5, "hh"):
+        "010111111101111101101101111011110110111111101111110011110111",
+    ("line", 5, "he"):
+        "000010010010010000040100000140000040100000010100000000000014",
+    ("line", 5, "eh"):
+        "000010001000010000100100110440011100000010010000000010101101",
+    ("circle", 2, "hh"):
+        "00000010110100010010",
+    ("circle", 2, "he"):
+        "1u0011u0100010000000",
+    ("circle", 2, "eh"):
+        "u1001000000000000101",
+    ("circle", 3, "hh"):
+        "0100u0u10111u01u1uu0",
+    ("circle", 3, "he"):
+        "12000u00001000000100",
+    ("circle", 3, "eh"):
+        "00u00100100110010011",
+    ("circle", 5, "hh"):
+        "00u000u000011u01001u",
+    ("circle", 5, "he"):
+        "0000410011000u001000",
+    ("circle", 5, "eh"):
+        "00000100010000000u00",
+}
+
+
+class TestExtConvention:
+    """The structure constants of the quiver model set the coefficient
+    convention that composition, certificates and every distance rest on.
+    The coherence tests pass under any coherent convention; this table
+    fails when a sign or a normalization changes."""
+
+    def test_outcomes_match_the_recorded_table(self):
+        assert len(EXT_CONVENTION) == 18
+        for seed, ((space, p, kinds), want) in enumerate(EXT_CONVENTION.items()):
+            space = LINE if space == "line" else CIRCLE_4
+            got = _convention_row(space, p, kinds, len(want), seed)
+            assert got == want, (space, p, kinds)
+
+    def test_table_holds_minus_one(self):
+        # at odd p the Ext generators are normalized so that -1 occurs
+        for p in (3, 5):
+            for kinds in ("he", "eh"):
+                assert str(p - 1) in EXT_CONVENTION[("line", p, kinds)]
 
 
 # ---------------------------------------------------------------------------
