@@ -271,12 +271,13 @@ def circle_distance(F: CircleSheaf, G: CircleSheaf) -> DistanceBounds:
     space = circle_ops(F.C)
     if iso_equal_circle(F, G):
         return DistanceBounds(Fraction(0), Fraction(0), True,
-                              identity_certificate(F.spiral_barcode(), space))
+                              identity_certificate(F.spiral_barcode(), space),
+                              exact_by="identity")
     if circle_global_sections(F) != circle_global_sections(G):
-        return DistanceBounds(POS_INF, POS_INF, True, None)
+        return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
     if F.bands != G.bands:
         # a finite-distance locally constant summand must appear on both sides
-        return DistanceBounds(POS_INF, POS_INF, True, None)
+        return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
     if F.bands:
         raise UnsupportedBandContentError(
             "distance with a common nontrivial band part is not supported")

@@ -1,21 +1,23 @@
 """Interleaving certificates and two-sided distance bounds.
 
 An a-certificate is a pair f: T_a F -> G, g: T_a G -> F whose 2a-composites
-equal the canonical restrictions.  The distance search works on the critical
-grid of endpoint differences and half-differences; the answer is the least
-certified grid value, exact when the grid value just below it is refuted.
-Since an a-certificate weakens to a b-certificate for every b >= a, one
-refutation settles every value below it.  So ``distance`` makes one walk:
-from the least grid value where the matching search alone succeeds
-(galloping from the bottom, then bisecting), up to the first certified
-value, then down to the first refuted one.
+equal the canonical restrictions; every one returned here is verified.  On
+the line, by the derived isometry theorem (Berkouk-Ginot, arXiv:1907.09759),
+the distance is the graded bottleneck distance over the closed-form pair
+and kill costs of ``thicken.cost_form``: ``distance`` finds the least cost
+with a matching, and ``check_interleaving`` matches once at its shift.
 
-``_search`` is the one search at a single shift, used by ``distance`` and
-``check_interleaving``: the block-diagonal matching, a perfect bipartite
-matching with diagonal partners decided in polynomial time, then on the
-circle the complete exhaustive search.  ``check_matching`` and
-``check_exhaustive`` are its two strategies; each returns only verified
-certificates.
+On the circle the answer is the least certified value on the critical grid
+of endpoint differences and half-differences, exact when the grid value
+just below it is refuted.  Since an a-certificate weakens to a
+b-certificate for every b >= a, one refutation settles every value below
+it.  So ``distance`` makes one walk: from the least grid value where the
+matching search alone succeeds (galloping from the bottom, then bisecting),
+up to the first certified value, then down to the first refuted one.
+``_search`` is the one search at a circle shift: the block-diagonal
+matching, then the complete exhaustive search.  ``check_matching`` and
+``check_exhaustive`` are its two strategies, and the line's test oracles.
+One augmenting-path matching (``_perfect_matching``) serves both spaces.
 
 Every search runs in one space, named by the value that ``morphisms`` keys
 on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
@@ -47,7 +49,8 @@ from .morphisms import (LINE, Morphism, UnsupportedHomError, _block_kind,
                         space_dim, struct_scalar, thicken_indexed,
                         thicken_morphism)
 from .scalars import POS_INF
-from .thicken import bar_rule, halfopen_translation_kills
+from .thicken import (bar_rule, cost_form, direct_cost,
+                      halfopen_translation_kills, kill_cost)
 
 
 class CapacityError(RuntimeError):
@@ -73,6 +76,10 @@ class DistanceBounds:
     exact: bool
     witness: InterleavingCertificate | None = None
     conclusive: bool = True
+    # why an exact answer is exact: 'identity' (isomorphic inputs), 'gate'
+    # (global sections differ), 'isometry' (the line's bottleneck matching)
+    # or 'refuted' (the grid value below the certificate is refuted)
+    exact_by: str | None = None
 
     def fields(self):
         return (self.lower, self.upper, self.exact)
@@ -180,33 +187,21 @@ def _check_inputs(F, G, space):
                              f"is {nb})")
 
 
-def _match_pairs(F, G, a, space):
-    """The pair-feasibility table at ``a`` and a block-diagonal matching:
-    ``(pairs, feas)``, or None when none exists.  A pair whose Hom the
-    calculus cannot use counts as infeasible; the caller checks inputs."""
-    p = F.char
-    nF, nG = len(F.bars), len(G.bars)
-    lifts_F = _lifts(F.bars, a, space)
-    lifts_G = _lifts(G.bars, a, space)
-    feas = {}
-    for i in range(nF):
-        for j in range(nG):
-            try:
-                r = _pair_feasible(lifts_F[i], lifts_G[j], p, space)
-            except UnsupportedHomError:
-                r = None              # matching may skip unsupported pairs
-            if r is not None:
-                feas[(i, j)] = r
+def _perfect_matching(adj, kill_F, kill_G):
+    """A block-diagonal matching from an F x G adjacency: ``adj[i]`` lists
+    the G bars that F's bar i may pair with, and ``kill_F`` / ``kill_G``
+    say which bars may go unmatched.  Returns the matched (i, j) pairs, or
+    None when no valid matching exists.
 
-    # Left: F's bars, then a diagonal slot nF + j per G bar; right: G's
-    # bars, then a slot nG + i per F bar, joined to its own bar when the
-    # restriction kills that bar.  A valid matching with k pairs extends to
-    # a perfect one (the other bars take their own slots, and the k slots
-    # left on each side pair freely); a perfect one restricts to its pairs.
+    Left: F's bars, then a diagonal slot nF + j per G bar; right: G's bars,
+    then a slot nG + i per F bar, joined to its own bar when that bar may
+    go unmatched.  A valid matching with k pairs extends to a perfect one
+    (the other bars take their own slots, and the k slots left on each
+    side pair freely); a perfect one restricts to its pairs."""
+    nF, nG = len(kill_F), len(kill_G)
     slots = list(range(nG, nG + nF))
-    adj = [[j for j in range(nG) if (i, j) in feas]
-           + ([nG + i] if lifts_F[i][3] else []) for i in range(nF)]
-    adj += [[j] + slots if lifts_G[j][3] else slots for j in range(nG)]
+    adj = [adj[i] + ([nG + i] if kill_F[i] else []) for i in range(nF)]
+    adj += [[j] + slots if kill_G[j] else slots for j in range(nG)]
     owner, mate = {}, {}              # right -> left partner, left -> right
     for root in range(nF + nG):       # augmenting paths: O((nF + nG)^3)
         prev, queue, free = {}, [root], None
@@ -225,7 +220,30 @@ def _match_pairs(F, G, a, space):
         while free is not None:       # flip the path; u's old partner is next
             u = prev[free]
             owner[free], mate[u], free = u, free, mate.get(u)
-    return [(i, mate[i]) for i in range(nF) if mate[i] < nG], feas
+    return [(i, mate[i]) for i in range(nF) if mate[i] < nG]
+
+
+def _match_pairs(F, G, a, space):
+    """The pair-feasibility table at ``a`` and a block-diagonal matching:
+    ``(pairs, feas)``, or None when none exists.  A pair whose Hom the
+    calculus cannot use counts as infeasible; the caller checks inputs."""
+    p = F.char
+    nF, nG = len(F.bars), len(G.bars)
+    lifts_F = _lifts(F.bars, a, space)
+    lifts_G = _lifts(G.bars, a, space)
+    feas = {}
+    for i in range(nF):
+        for j in range(nG):
+            try:
+                r = _pair_feasible(lifts_F[i], lifts_G[j], p, space)
+            except UnsupportedHomError:
+                r = None              # matching may skip unsupported pairs
+            if r is not None:
+                feas[(i, j)] = r
+    pairs = _perfect_matching([[j for j in range(nG) if (i, j) in feas]
+                               for i in range(nF)],
+                              [f[3] for f in lifts_F], [g[3] for g in lifts_G])
+    return None if pairs is None else (pairs, feas)
 
 
 def _matching_certificate(F, G, a, match, space):
@@ -256,6 +274,82 @@ def check_matching(F, G, a, space=LINE):
     if match is None:
         return None
     return _matching_certificate(F, G, a, match, space)
+
+
+# ---------------------------------------------------------------------------
+# The line: pair costs in closed form, by the derived isometry theorem.
+
+def _line_costs(F, G):
+    """Per F bar, the (direct cost, G index) of every G bar in its
+    ``thicken.cost_form`` class, and the kill costs of both sides; every
+    other pair is at direct cost +inf."""
+    by_class = {}
+    for j, b in enumerate(G.bars):
+        form = cost_form(b)
+        by_class.setdefault(form[0], []).append((j, form))
+    rows = []
+    for b in F.bars:
+        form = cost_form(b)
+        rows.append([(direct_cost(form, fg), j)
+                     for j, fg in by_class.get(form[0], ())])
+    return rows, [kill_cost(b) for b in F.bars], [kill_cost(b) for b in G.bars]
+
+
+def _line_match(costs, t):
+    """The matched pairs at threshold ``t`` (``_perfect_matching``), or
+    None."""
+    rows, kill_F, kill_G = costs
+    return _perfect_matching([[j for c, j in row if c <= t] for row in rows],
+                             [k <= t for k in kill_F], [k <= t for k in kill_G])
+
+
+def _line_certificate(F, G, a, pairs):
+    """The verified a-certificate of ``pairs``, a ``_line_match`` result at
+    a; None when that is None, which by the isometry theorem refutes a.
+    Only the matched pairs meet the Hom calculus, for their g-side scalars,
+    and a pair whose bars both die at a goes to its two diagonal slots.  A
+    matched pair that is infeasible otherwise, or a certificate that fails
+    verification, means the cost formula and the Hom calculus disagree."""
+    if pairs is None:
+        return None
+    lifts_F = _lifts([F.bars[i] for i, _ in pairs], a, LINE)
+    lifts_G = _lifts([G.bars[j] for _, j in pairs], a, LINE)
+    feas = {}
+    for pair, f, g in zip(pairs, lifts_F, lifts_G):
+        x = _pair_feasible(f, g, F.char, LINE)
+        if x is not None:
+            feas[pair] = x
+        elif not (f[3] and g[3]):
+            raise AssertionError(f"pair {f[0]}, {g[0]} at cost <= {a} is "
+                                 "infeasible")
+    cert = _matching_certificate(F, G, a, (list(feas), feas), LINE)
+    if cert is None:
+        raise AssertionError(f"matching at {a} fails verification")
+    return cert
+
+
+def _line_distance(F, G) -> DistanceBounds:
+    """The least cost at which a matching exists, by bisection over the
+    sorted distinct finite costs, with its certificate; +inf when none
+    exists at the largest.  Every answer is exact by the isometry theorem."""
+    costs = _line_costs(F, G)
+    rows, kill_F, kill_G = costs
+    values = sorted({c for row in rows for c, _ in row}
+                    | {k for k in kill_F + kill_G if k != POS_INF})
+    lo, hi = -1, len(values) - 1      # below every cost no bar pairs or dies
+    pairs = _line_match(costs, values[hi]) if values else None
+    if pairs is None:
+        return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="isometry")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        match = _line_match(costs, values[mid])
+        if match is None:
+            lo = mid
+        else:
+            hi, pairs = mid, match
+    v = Fraction(values[hi])
+    return DistanceBounds(v, v, True, _line_certificate(F, G, v, pairs),
+                          exact_by="isometry")
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +491,8 @@ def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
 
 
 def _search(F, G, a, space, match):
-    """The one search at a shift from ``match``, a ``_match_pairs`` result.
-    On the line the matching decides, by the derived isometry theorem
-    (Berkouk-Ginot, arXiv:1907.09759): the distance there is the graded
-    bottleneck distance.  No match refutes the shift; a match that fails
-    verification is an invariant break.  On the circle a failed or
-    unsupported match goes on to the exhaustive search."""
-    if space == LINE:
-        # A pair is feasible exactly when its bars are a-interleaved, and a
-        # bar killable exactly when it is a-interleaved with 0.
-        if match is None:
-            return None
-        cert = _matching_certificate(F, G, a, match, space)
-        if cert is None:
-            raise AssertionError(f"matching at {a} fails verification")
-        return cert
+    """The one search at a circle shift from ``match``, a ``_match_pairs``
+    result: its certificate if it verifies, else the exhaustive search."""
     if match is not None:
         try:
             cert = _matching_certificate(F, G, a, match, space)
@@ -423,18 +504,25 @@ def _search(F, G, a, space, match):
 
 
 def check_interleaving(F, G, a, space=LINE):
-    """Search for a verified a-certificate in ``space`` (``_search``).
-    Returns None when the shift is refuted; raises ``ValueError`` when
-    a < 0, and on the circle ``CapacityError`` or ``UnsupportedHomError``
-    when the shift stays undecided.  At a = 0 no search runs: T_0 is the
-    identity, so a 0-certificate is an isomorphism, and the shift is
-    refuted unless ``iso_equal`` holds."""
+    """Search for a verified a-certificate in ``space``.  Returns None when
+    the shift is refuted; raises ``ValueError`` when a < 0, and on the
+    circle ``CapacityError`` or ``UnsupportedHomError`` when the shift stays
+    undecided.  At a = 0 no search runs: T_0 is the identity, so a
+    0-certificate is an isomorphism, and the shift is refuted unless
+    ``iso_equal`` holds.
+
+    On the line one matching over the closed-form costs decides: the
+    threshold test of a bottleneck search (Kerber-Morozov-Nigmetov, JEA
+    2017), exact by the derived isometry theorem (Berkouk-Ginot,
+    arXiv:1907.09759).  On the circle ``_search`` runs."""
     _check_inputs(F, G, space)
     a = Fraction(a)
     if a < 0:
         raise ValueError("interleaving shift must be nonnegative")
     if a == 0 and not iso_equal(F, G):
         return None
+    if space == LINE:
+        return _line_certificate(F, G, a, _line_match(_line_costs(F, G), a))
     return _search(F, G, a, space, _match_pairs(F, G, a, space))
 
 
@@ -497,32 +585,41 @@ def _least_match(n, match):
 
 
 def distance(F, G, space=LINE) -> DistanceBounds:
-    """Find the least certified shift on the critical grid.
+    """The interleaving distance bounds of F and G in ``space``; isomorphic
+    inputs are at exact 0, and inputs the finiteness gate separates at
+    exact +inf.  ``exact_by`` names the reason of every exact answer.
 
-    A probe at a grid value is one ``_search``, which ends found, refuted,
-    capacity or unsupported; index 0 is refuted, since ``iso_equal`` has
-    failed.  Feasibility is upward closed (``weaken_certificate``), so one
-    walk settles the grid.  It starts at the least index where the
-    matching search alone succeeds (``_least_match``, or on the circle
-    index 1 when none does), scans up to the first found probe, and then
-    walks down: a found probe lowers the upper bound and the first refuted
-    one is the lower bound, below which every value is infeasible.  With no certificate the
-    walk goes on to 0, so that ``conclusive`` covers every probe on the
-    grid.  Each grid value is matched and probed at most once per call.
+    On the line the distance is the graded bottleneck distance over the
+    closed-form costs (Berkouk-Ginot, A derived isometry theorem for
+    sheaves, arXiv:1907.09759): the least sorted cost at which a matching
+    exists, found by bisection as in Kerber-Morozov-Nigmetov (Geometry
+    helps to compare persistence diagrams, JEA 2017), with one verified
+    certificate; no matching at the largest cost is an exact +inf.
 
-    The returned ``exact`` flag means the least certified grid value has its
-    grid predecessor refuted; in that case lower is reported equal to
-    upper.  On the line every pair and kill cost is a grid value or +inf,
-    so a matching search that misses at the top grid value decides an exact
-    +inf, with no walk.  On the circle, a search over the cap degrades
-    exactness, never soundness.
+    On the circle a probe at a grid value is one ``_search``, which ends
+    found, refuted, capacity or unsupported; index 0 is refuted, since
+    ``iso_equal`` has failed.  Feasibility is upward closed
+    (``weaken_certificate``), so one walk settles the grid.  It starts at
+    the least index where the matching search alone succeeds
+    (``_least_match``, or index 1 when none does), scans up to the first
+    found probe, and then walks down: a found probe lowers the upper bound
+    and the first refuted one is the lower bound, below which every value
+    is infeasible.  With no certificate the walk goes on to 0, so that
+    ``conclusive`` covers every probe on the grid.  Each grid value is
+    matched and probed at most once per call.  ``exact`` means the least
+    certified grid value has its grid predecessor refuted; lower is then
+    reported equal to upper.  A search over the cap degrades exactness,
+    never soundness.
     """
     _check_inputs(F, G, space)
     if iso_equal(F, G):
         return DistanceBounds(Fraction(0), Fraction(0), True,
-                              identity_certificate(F, space))
+                              identity_certificate(F, space),
+                              exact_by="identity")
     if finite_gate(F, G, space) == "infinite":
-        return DistanceBounds(POS_INF, POS_INF, True, None)
+        return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
+    if space == LINE:
+        return _line_distance(F, G)
     grid = critical_grid(F, G, space)
     n = len(grid)
     probes, matches = {0: ("refuted", None)}, {}
@@ -543,11 +640,7 @@ def distance(F, G, space=LINE) -> DistanceBounds:
                 probes[i] = ("unsupported", None)
         return probes[i]
 
-    upper = _least_match(n, match)
-    if upper is None:
-        if space == LINE:
-            return DistanceBounds(POS_INF, POS_INF, True, None)
-        upper = 1
+    upper = _least_match(n, match) or 1
     while upper < n and probe(upper)[0] != "found":
         upper += 1
     lower, conclusive = None, True
@@ -566,6 +659,7 @@ def distance(F, G, space=LINE) -> DistanceBounds:
                               conclusive=conclusive)
     witness = probes[upper][1]
     if lower == upper - 1:
-        return DistanceBounds(grid[upper], grid[upper], True, witness)
+        return DistanceBounds(grid[upper], grid[upper], True, witness,
+                              exact_by="refuted")
     return DistanceBounds(grid[lower], grid[upper], False, witness,
                           conclusive=conclusive)

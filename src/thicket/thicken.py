@@ -52,6 +52,54 @@ def bar_rule(b: Bar, a: Fraction) -> Bar:
     return Bar(Interval(hi, CLOSED, lo, CLOSED), d + 1)
 
 
+# ---------------------------------------------------------------------------
+# Interleaving costs of single bars on the line, case by case as in
+# ``bar_rule``.  By the derived isometry theorem (Berkouk-Ginot, A derived
+# isometry theorem for sheaves, arXiv:1907.09759) the convolution distance
+# on R is the graded bottleneck distance over these costs: the cost of a
+# pair (f, g) is min(direct_cost, max(kill_cost(f), kill_cost(g))), the
+# second term being both bars sent to zero.
+
+def kill_cost(b: Bar):
+    """The least a at which the canonical restriction T_2a b -> b vanishes
+    (``halfopen_translation_kills`` at 2a): half the length of a bounded
+    half-open bar, +inf for every other bar."""
+    iv = b.iv
+    if iv.is_bounded and iv.lkind is not iv.rkind:
+        return iv.length / 2
+    return POS_INF
+
+
+def cost_form(b: Bar):
+    """(class, ends) of a bar: two bars are a-interleaved for some finite a
+    as a pair exactly when their classes agree, and the least such a is the
+    largest difference of their ends.  An open bar (l, r) in degree d is the
+    closed bar that ``bar_rule`` turns it into past half its length, read
+    backwards: (r, l) in degree d + 1, in the class of the closed bars."""
+    iv, d = b.iv, b.degree
+    if not is_finite(iv.left):
+        if not is_finite(iv.right):
+            return ("line", d), ()
+        return ("left ray", iv.rkind, d), (iv.right,)
+    if not is_finite(iv.right):
+        return ("right ray", iv.lkind, d), (iv.left,)
+    if iv.lkind is not iv.rkind:
+        return ("half-open", iv.lkind, d), (iv.left, iv.right)
+    if iv.lkind is CLOSED:
+        return ("bounded", d), (iv.left, iv.right)
+    return ("bounded", d + 1), (iv.right, iv.left)
+
+
+def direct_cost(form_f, form_g):
+    """The least a at which two bars, given by their ``cost_form``s, are
+    a-interleaved as a matched pair: +inf when their classes differ, and 0
+    for two full lines."""
+    (kf, ef), (kg, eg) = form_f, form_g
+    if kf != kg:
+        return POS_INF
+    return max((abs(x - y) for x, y in zip(ef, eg)), default=Fraction(0))
+
+
 def thicken(F: GradedBarcode, a) -> GradedBarcode:
     """Thicken every bar by the signed rational ``a`` and re-canonicalize."""
     a = Fraction(a)

@@ -11,7 +11,7 @@ from thicket.barcode import (CLOSED, OPEN, Bar, CharacteristicMismatchError,
                              GradedBarcode, Interval, closed, full_line,
                              half_open, iso_equal, open_iv, ray_left,
                              ray_right, singleton)
-from thicket.circle import CircleSheaf, circle_ops
+from thicket.circle import CircleSheaf, circle_distance, circle_ops
 from thicket.corpus import (rand_bounded_barcode, rand_barcode,
                             rand_circle_sheaf, rand_fraction)
 from thicket import interleave
@@ -24,7 +24,8 @@ from thicket.interleave import (CapacityError, DistanceBounds,
 from thicket.morphisms import LINE, Morphism, UnsupportedHomError
 from thicket.plmaps import abs_map, lipschitz_experiment
 from thicket.scalars import POS_INF
-from thicket.thicken import halfopen_translation_kills, thicken
+from thicket.thicken import (cost_form, direct_cost, halfopen_translation_kills,
+                             kill_cost, thicken)
 
 
 class TestVerify:
@@ -375,8 +376,9 @@ def _sides(d):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 class TestBisection:
-    """The candidate search of ``distance``, which gallops and then bisects
-    over the matching search alone, against the linear scan."""
+    """``distance`` against the linear scan: on the circle its candidate
+    search, which gallops and then bisects over the matching search alone;
+    on the line its bottleneck search over the closed-form costs."""
 
     def test_feasibility_upward_closed(self, rng, p):
         pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 6)]
@@ -443,8 +445,7 @@ class TestBisection:
         """A candidate search that misses, or that skips the least match so
         that the predecessor of its candidate is certified, leaves the walk
         to find the least certificate below or above it, with the bounds of
-        the linear scan.  On the line a miss decides +inf, so the missing
-        search runs on circle pairs only."""
+        the linear scan.  Only the circle walks."""
         least_match = interleave._least_match
 
         def missing(n, match):
@@ -454,9 +455,7 @@ class TestBisection:
             return least_match(n, lambda i: None if i <= m else match(i))
 
         monkeypatch.setattr(interleave, "_least_match", missing)
-        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 8)] if late else []
-        pairs += list(_circle_pairs(rng, p, 4))
-        for F, G, space in pairs:
+        for F, G, space in _circle_pairs(rng, p, 4):
             d = distance(F, G, space=space)
             assert _agrees(d, _linear_scan(F, G, space), space), (F, G)
             if d.witness is not None:
@@ -479,8 +478,8 @@ def _walk_scripts(max_len):
 
 
 class TestScriptedWalk:
-    """The walk of ``distance`` against the linear definition, on grids
-    whose probe outcomes are scripted."""
+    """The circle walk of ``distance`` against the linear definition, on
+    grids whose probe outcomes are scripted."""
 
     def test_walk_matches_linear_definition(self, monkeypatch):
         F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
@@ -505,30 +504,20 @@ class TestScriptedWalk:
                             lambda F, G, space: state["grid"])
         monkeypatch.setattr(interleave, "_match_pairs", match_pairs)
         monkeypatch.setattr(interleave, "_search", search)
-        for space in (circle_ops(4), LINE):
-            seen = set()
-            for script, hits in _walk_scripts(6):
-                found = {i for i, o in enumerate(script) if o == "found"}
-                upward = set(range(min(found, default=len(script)), len(script)))
-                if space == LINE and not hits == found == upward:
-                    # the matching search decides every shift on the line
-                    continue
-                grid = [Fr(i) for i in range(len(script))]
-                state.update(grid=grid, hits=set(hits), script=script,
-                             matched=set(), searched=set())
-                d = distance(F, G, space)
-                expected = _linear_definition(grid, lambda a: script[int(a)])
-                if space == LINE and not found:
-                    # every cost on the line is a grid value or +inf
-                    expected = DistanceBounds(POS_INF, POS_INF, True, None)
-                assert _sides(d) == _sides(expected), (space, script, hits)
-                seen.add((d.upper == POS_INF, d.exact, d.conclusive))
-            # a certificate, exact or not; on the circle none, with every
-            # probe decided or not (an undecided probe below the largest
-            # refuted one included); on the line none is an exact +inf
-            none = {(True, True, True)} if space == LINE \
-                else {(True, False, True), (True, False, False)}
-            assert seen == {(False, True, True), (False, False, False)} | none, space
+        space = circle_ops(4)
+        seen = set()
+        for script, hits in _walk_scripts(6):
+            grid = [Fr(i) for i in range(len(script))]
+            state.update(grid=grid, hits=set(hits), script=script,
+                         matched=set(), searched=set())
+            d = distance(F, G, space)
+            expected = _linear_definition(grid, lambda a: script[int(a)])
+            assert _sides(d) == _sides(expected), (script, hits)
+            seen.add((d.upper == POS_INF, d.exact, d.conclusive))
+        # a certificate, exact or not, or none, with every probe decided or
+        # not (an undecided probe below the largest refuted one included)
+        assert seen == {(False, True, True), (False, False, False),
+                        (True, False, True), (True, False, False)}
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_each_grid_index_matched_once(self, rng, p, monkeypatch):
@@ -540,8 +529,7 @@ class TestScriptedWalk:
             return match_pairs(F, G, a, space)
 
         monkeypatch.setattr(interleave, "_match_pairs", counted)
-        pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 10)]
-        pairs += list(_circle_pairs(rng, p, 5))
+        pairs = list(_circle_pairs(rng, p, 5))
         matched = 0
         for F, G, space in pairs:
             calls.clear()
@@ -554,8 +542,8 @@ class TestScriptedWalk:
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_pair_at_infinite_distance_skips_the_walk(p, monkeypatch):
     """Up to twelve bars a side plus (-inf, 0] against [0, +inf): the gate
-    passes, no shift on the grid matches, and the galloping search alone
-    decides an exact +inf."""
+    passes, no pair of the two rays has a finite cost, and the one matching
+    at the largest cost decides an exact +inf, with no grid probe."""
     calls = []
     match_pairs = interleave._match_pairs
 
@@ -571,7 +559,156 @@ def test_line_pair_at_infinite_distance_skips_the_walk(p, monkeypatch):
     assert finite_gate(F, G) == "pass"
     d = distance(F, G)
     assert (d.lower, d.upper, d.exact, d.witness) == (POS_INF, POS_INF, True, None)
-    assert len(calls) <= 2 * len(critical_grid(F, G, LINE)).bit_length()
+    assert d.exact_by == "isometry" and calls == []
+
+
+# ---------------------------------------------------------------------------
+# The line in closed form: costs against the Hom calculus, and the value
+# against the searches that do not rest on the isometry theorem.
+
+def _every_shape(x, y):
+    """One interval of each shape class, with ends x < y."""
+    return [closed(x, y), singleton(x), open_iv(x, y), half_open(x, y),
+            Interval(x, OPEN, y, CLOSED), ray_left(y, CLOSED),
+            ray_left(y, OPEN), ray_right(x, CLOSED), ray_right(x, OPEN),
+            full_line()]
+
+
+def _grid_scan_cost(f, g, p):
+    """Oracle: the first value on the pair's critical grid where
+    ``_pair_feasible`` gives scalars or both bars die; +inf when none."""
+    for a in critical_grid(gb(f, char=p), gb(g, char=p)):
+        (lf,), (lg,) = _lifts([f], a, LINE), _lifts([g], a, LINE)
+        if _pair_feasible(lf, lg, p, LINE) is not None or (lf[3] and lg[3]):
+            return a
+    return POS_INF
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_form_cost_equals_grid_scan(rng, p):
+    """min(direct cost, larger kill cost) is the oracle's first grid value
+    on every (shape class, shape class, degree gap) with gaps up to 3 either
+    way, g's ends within 3/4 of f's."""
+    x, y = sorted(rng.sample(range(-8, 9), 2))
+    while True:
+        u, v = x + rng.randint(-3, 3), y + rng.randint(-3, 3)
+        if u < v:
+            break
+    finite = 0
+    for fiv in _every_shape(Fr(x, 4), Fr(y, 4)):
+        for giv in _every_shape(Fr(u, 4), Fr(v, 4)):
+            for gap in range(-3, 4):
+                f, g = Bar(fiv, 0), Bar(giv, gap)
+                cost = min(direct_cost(cost_form(f), cost_form(g)),
+                           max(kill_cost(f), kill_cost(g)))
+                assert cost == _grid_scan_cost(f, g, p), (f, g)
+                finite += cost != POS_INF
+    assert finite >= 40
+
+
+def _mixed_line_pairs(rng, p, count, max_bars):
+    """Line pairs with every shape, rays and full lines included: F against
+    a nudged copy, a thickening or an independent draw, in turn."""
+    for k in range(count):
+        F = rand_barcode(rng, max_bars=max_bars, char=p)
+        if k % 3 == 0:
+            G = _nudged(rng, F)
+        elif k % 3 == 1:
+            G = thicken(F, Fr(rng.randint(1, 4), 4))
+        else:
+            G = rand_barcode(rng, max_bars=max_bars, char=p)
+        yield F, G
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_line_value_certified_there_and_refuted_below(rng, p):
+    """The matching search certifies the line distance v and refutes its
+    grid predecessor; at +inf it refutes the top grid value."""
+    seen = {"isometry": 0, POS_INF: 0}
+    rays = (gb(bar(ray_left(0)), bar(closed(1, 2)), char=p),
+            gb(bar(ray_right(0)), bar(closed(1, 3)), char=p))
+    for F, G in [rays] + list(_mixed_line_pairs(rng, p, 30, 5)):
+        d = distance(F, G)
+        assert d.exact, (F, G)
+        if d.exact_by != "isometry":
+            continue
+        grid = critical_grid(F, G)
+        if d.upper == POS_INF:
+            assert check_matching(F, G, grid[-1]) is None, (F, G)
+            seen[POS_INF] += 1
+            continue
+        k = grid.index(d.upper)
+        assert check_matching(F, G, d.upper) is not None, (F, G)
+        assert check_matching(F, G, grid[k - 1]) is None, (F, G)
+        seen["isometry"] += 1
+    assert seen["isometry"] >= 10 and seen[POS_INF] >= 1, seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_line_distance_equals_linear_scan_up_to_three_bars(rng, p):
+    """On up to three bars a side the value is the linear scan's; where
+    the scan's exhaustive search is over its cap, within its bounds."""
+    exact = 0
+    for F, G in _mixed_line_pairs(rng, p, 45, 3):
+        d, oracle = distance(F, G), _linear_scan(F, G, LINE)
+        assert _agrees(d, oracle, LINE) and d.upper == oracle.upper, (F, G)
+        exact += oracle.exact and oracle.upper != POS_INF
+    assert exact >= 25, exact
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_line_distance_makes_no_grid_probe(rng, p, monkeypatch):
+    """A line ``distance`` runs no ``_match_pairs`` table and no
+    exhaustive search."""
+    calls = []
+    for name in ("_match_pairs", "check_exhaustive"):
+        def counted(*args, _name=name, _f=getattr(interleave, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(interleave, name, counted)
+    pairs = list(_line_pairs(rng, p, 10)) + list(_mixed_line_pairs(rng, p, 9, 5))
+    for F, G in pairs:
+        d = distance(F, G)
+        assert d.exact and calls == [], (F, G, calls)
+
+
+class TestExactBy:
+    """``DistanceBounds.exact_by`` names why each exact answer is exact."""
+
+    def test_identity(self):
+        F = gb(bar(closed(0, 2)))
+        assert distance(F, F).exact_by == "identity"
+        C = CircleSheaf(Fr(4), [bar(closed(0, 1))])
+        assert circle_distance(C, C).exact_by == "identity"
+
+    def test_gate(self):
+        d = distance(gb(bar(closed(0, 2))), gb())
+        assert (d.upper, d.exact, d.exact_by) == (POS_INF, True, "gate")
+        C = Fr(4)
+        d = circle_distance(CircleSheaf(C, [bar(closed(0, 1))]),
+                            CircleSheaf(C, []))
+        assert (d.upper, d.exact, d.exact_by) == (POS_INF, True, "gate")
+
+    def test_isometry(self):
+        d = distance(gb(bar(closed(0, 2))), gb(bar(singleton(1))))
+        assert (d.upper, d.exact, d.exact_by) == (1, True, "isometry")
+        d = distance(gb(bar(ray_right(0))), gb(bar(ray_left(0))))
+        assert (d.upper, d.exact, d.exact_by) == (POS_INF, True, "isometry")
+
+    def test_refuted(self):
+        CF, CG = TestBudgetBounds.CF, TestBudgetBounds.CG
+        d = distance(CF, CG, circle_ops(TestBudgetBounds.C))
+        assert (d.upper, d.exact, d.exact_by) == (Fr(1, 2), True, "refuted")
+
+    def test_inexact_has_none(self, monkeypatch):
+        monkeypatch.setattr(interleave, "MAX_UNKNOWNS", 1)
+        d = distance(TestBudgetBounds.CF, TestBudgetBounds.CG,
+                     circle_ops(TestBudgetBounds.C))
+        assert (d.exact, d.exact_by) == (False, None)
+
+    def test_fields_unchanged(self):
+        d = distance(gb(bar(closed(0, 2))), gb(bar(singleton(1))))
+        assert d.fields() == (1, 1, True)
 
 
 def test_least_match_finds_every_threshold():
