@@ -37,6 +37,7 @@ its restriction coefficient once; every candidate pair reuses these.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -76,9 +77,8 @@ class DistanceBounds:
     exact: bool
     witness: InterleavingCertificate | None = None
     conclusive: bool = True
-    # why an exact answer is exact: 'identity' (isomorphic inputs), 'gate'
-    # (global sections differ), 'isometry' (the line's bottleneck matching)
-    # or 'refuted' (the grid value below the certificate is refuted)
+    # why exact: 'identity', 'gate' (global sections differ), 'isometry'
+    # (the line's matching) or 'refuted' (the grid value below refuted)
     exact_by: str | None = None
 
     def fields(self):
@@ -188,10 +188,9 @@ def _check_inputs(F, G, space):
 
 
 def _perfect_matching(adj, kill_F, kill_G):
-    """A block-diagonal matching from an F x G adjacency: ``adj[i]`` lists
-    the G bars that F's bar i may pair with, and ``kill_F`` / ``kill_G``
-    say which bars may go unmatched.  Returns the matched (i, j) pairs, or
-    None when no valid matching exists.
+    """The matched (i, j) pairs of a block-diagonal matching, or None: F's
+    bar i may pair with the G bars ``adj[i]``, and a bar whose ``kill_F``
+    or ``kill_G`` entry holds may go unmatched.
 
     Left: F's bars, then a diagonal slot nF + j per G bar; right: G's bars,
     then a slot nG + i per F bar, joined to its own bar when that bar may
@@ -304,12 +303,9 @@ def _line_match(costs, t):
 
 
 def _line_certificate(F, G, a, pairs):
-    """The verified a-certificate of ``pairs``, a ``_line_match`` result at
-    a; None when that is None, which by the isometry theorem refutes a.
-    Only the matched pairs meet the Hom calculus, for their g-side scalars,
-    and a pair whose bars both die at a goes to its two diagonal slots.  A
-    matched pair that is infeasible otherwise, or a certificate that fails
-    verification, means the cost formula and the Hom calculus disagree."""
+    """The verified a-certificate of the ``_line_match`` result ``pairs``
+    at a, or None with it.  Only the matched pairs meet the Hom calculus; a
+    pair whose bars both die at a goes to its two diagonal slots."""
     if pairs is None:
         return None
     lifts_F = _lifts([F.bars[i] for i, _ in pairs], a, LINE)
@@ -320,8 +316,8 @@ def _line_certificate(F, G, a, pairs):
         if x is not None:
             feas[pair] = x
         elif not (f[3] and g[3]):
-            raise AssertionError(f"pair {f[0]}, {g[0]} at cost <= {a} is "
-                                 "infeasible")
+            raise AssertionError(f"the cost formula and the Hom calculus "
+                                 f"disagree on {f[0]}, {g[0]} at {a}")
     cert = _matching_certificate(F, G, a, (list(feas), feas), LINE)
     if cert is None:
         raise AssertionError(f"matching at {a} fails verification")
@@ -329,27 +325,19 @@ def _line_certificate(F, G, a, pairs):
 
 
 def _line_distance(F, G) -> DistanceBounds:
-    """The least cost at which a matching exists, by bisection over the
-    sorted distinct finite costs, with its certificate; +inf when none
-    exists at the largest.  Every answer is exact by the isometry theorem."""
+    """The least of the sorted distinct finite costs at which a matching
+    exists, by bisection, with its certificate; +inf when none exists."""
     costs = _line_costs(F, G)
     rows, kill_F, kill_G = costs
     values = sorted({c for row in rows for c, _ in row}
                     | {k for k in kill_F + kill_G if k != POS_INF})
-    lo, hi = -1, len(values) - 1      # below every cost no bar pairs or dies
-    pairs = _line_match(costs, values[hi]) if values else None
-    if pairs is None:
+    k = bisect_left(range(len(values)), True,
+                    key=lambda i: _line_match(costs, values[i]) is not None)
+    if k == len(values):
         return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="isometry")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        match = _line_match(costs, values[mid])
-        if match is None:
-            lo = mid
-        else:
-            hi, pairs = mid, match
-    v = Fraction(values[hi])
-    return DistanceBounds(v, v, True, _line_certificate(F, G, v, pairs),
-                          exact_by="isometry")
+    v = Fraction(values[k])
+    cert = _line_certificate(F, G, v, _line_match(costs, v))
+    return DistanceBounds(v, v, True, cert, exact_by="isometry")
 
 
 # ---------------------------------------------------------------------------

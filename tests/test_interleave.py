@@ -672,6 +672,17 @@ def test_line_distance_makes_no_grid_probe(rng, p, monkeypatch):
         assert d.exact and calls == [], (F, G, calls)
 
 
+def test_cost_formula_against_hom_calculus_is_an_invariant(monkeypatch):
+    """A matched pair that the Hom calculus finds infeasible, while neither
+    bar dies, is an invariant break (exit 70 in the CLI), not a refutation."""
+    monkeypatch.setattr(interleave, "direct_cost", lambda ff, fg: Fr(0))
+    F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
+    for call in (lambda: distance(F, G),
+                 lambda: check_interleaving(F, G, Fr(1, 4))):
+        with pytest.raises(AssertionError, match="disagree"):
+            call()
+
+
 class TestExactBy:
     """``DistanceBounds.exact_by`` names why each exact answer is exact."""
 
