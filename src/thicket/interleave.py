@@ -11,13 +11,15 @@ On the circle the answer is the least certified value on the critical grid
 of endpoint differences and half-differences, exact when the grid value
 just below it is refuted.  Since an a-certificate weakens to a
 b-certificate for every b >= a, one refutation settles every value below
-it.  So ``distance`` makes one walk: from the least grid value where the
-matching search alone succeeds (galloping from the bottom, then bisecting),
+it.  So ``distance`` makes one walk: from the bottleneck over the
+deck-copy costs (``thicken.deck_cost``, a conjecture used as a hint only),
 up to the first certified value, then down to the first refuted one.
 ``_search`` is the one search at a circle shift: the block-diagonal
-matching, then the complete exhaustive search.  ``check_matching`` and
+matching, then the complete exhaustive search, which refutes at once when
+a restriction block meets no composite term.  ``check_matching`` and
 ``check_exhaustive`` are its two strategies, and the line's test oracles.
-One augmenting-path matching (``_perfect_matching``) serves both spaces.
+One bottleneck routine (``_least_cost``) and one augmenting-path matching
+(``_perfect_matching``) serve both spaces.
 
 Every search runs in one space, named by the value that ``morphisms`` keys
 on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
@@ -40,7 +42,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import islice, product
 
 from . import fieldmath as fm
 from .barcode import (CharacteristicMismatchError, global_sections,
@@ -50,7 +53,7 @@ from .morphisms import (LINE, Morphism, UnsupportedHomError, _block_kind,
                         space_dim, struct_scalar, thicken_indexed,
                         thicken_morphism)
 from .scalars import POS_INF
-from .thicken import (bar_rule, cost_form, direct_cost,
+from .thicken import (bar_rule, cost_form, deck_cost, direct_cost,
                       halfopen_translation_kills, kill_cost)
 
 
@@ -276,12 +279,15 @@ def check_matching(F, G, a, space=LINE):
 
 
 # ---------------------------------------------------------------------------
-# The line: pair costs in closed form, by the derived isometry theorem.
+# Pair costs in closed form: on the line by the derived isometry theorem, on
+# the circle by the deck-copy conjecture (``thicken.deck_cost``).
 
-def _line_costs(F, G):
+def _pair_costs(F, G, space):
     """Per F bar, the (direct cost, G index) of every G bar in its
     ``thicken.cost_form`` class, and the kill costs of both sides; every
-    other pair is at direct cost +inf."""
+    other pair is at direct cost +inf.  On the circle a direct cost is the
+    least over the deck copies."""
+    cost = direct_cost if space == LINE else partial(deck_cost, C=space[1])
     by_class = {}
     for j, b in enumerate(G.bars):
         form = cost_form(b)
@@ -289,12 +295,11 @@ def _line_costs(F, G):
     rows = []
     for b in F.bars:
         form = cost_form(b)
-        rows.append([(direct_cost(form, fg), j)
-                     for j, fg in by_class.get(form[0], ())])
+        rows.append([(cost(form, fg), j) for j, fg in by_class.get(form[0], ())])
     return rows, [kill_cost(b) for b in F.bars], [kill_cost(b) for b in G.bars]
 
 
-def _line_match(costs, t):
+def _cost_match(costs, t):
     """The matched pairs at threshold ``t`` (``_perfect_matching``), or
     None."""
     rows, kill_F, kill_G = costs
@@ -302,8 +307,19 @@ def _line_match(costs, t):
                              [k <= t for k in kill_F], [k <= t for k in kill_G])
 
 
+def _least_cost(costs):
+    """The least of the sorted distinct finite costs at which a matching
+    exists, by bisection (Kerber-Morozov-Nigmetov, JEA 2017), or None."""
+    rows, kill_F, kill_G = costs
+    values = sorted({c for row in rows for c, _ in row}
+                    | {k for k in kill_F + kill_G if k != POS_INF})
+    k = bisect_left(range(len(values)), True,
+                    key=lambda i: _cost_match(costs, values[i]) is not None)
+    return None if k == len(values) else Fraction(values[k])
+
+
 def _line_certificate(F, G, a, pairs):
-    """The verified a-certificate of the ``_line_match`` result ``pairs``
+    """The verified a-certificate of the ``_cost_match`` result ``pairs``
     at a, or None with it.  Only the matched pairs meet the Hom calculus; a
     pair whose bars both die at a goes to its two diagonal slots."""
     if pairs is None:
@@ -325,18 +341,13 @@ def _line_certificate(F, G, a, pairs):
 
 
 def _line_distance(F, G) -> DistanceBounds:
-    """The least of the sorted distinct finite costs at which a matching
-    exists, by bisection, with its certificate; +inf when none exists."""
-    costs = _line_costs(F, G)
-    rows, kill_F, kill_G = costs
-    values = sorted({c for row in rows for c, _ in row}
-                    | {k for k in kill_F + kill_G if k != POS_INF})
-    k = bisect_left(range(len(values)), True,
-                    key=lambda i: _line_match(costs, values[i]) is not None)
-    if k == len(values):
+    """The least cost with a matching, with its certificate; +inf when no
+    cost has one."""
+    costs = _pair_costs(F, G, LINE)
+    v = _least_cost(costs)
+    if v is None:
         return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="isometry")
-    v = Fraction(values[k])
-    cert = _line_certificate(F, G, v, _line_match(costs, v))
+    cert = _line_certificate(F, G, v, _cost_match(costs, v))
     return DistanceBounds(v, v, True, cert, exact_by="isometry")
 
 
@@ -344,27 +355,29 @@ def _line_distance(F, G) -> DistanceBounds:
 # Strategy: exhaustive bilinear search.
 
 def _variables(X, TXa, permX, Y, p, space):
-    out = []
+    """The unknown blocks (i, j, kind) of T_a X -> Y, one ``space_dim``
+    lookup per bar pair, lazily: the caller stops at its cap."""
     for i in range(len(X.bars)):
         src = TXa.bars[permX[i]]
         for j in range(len(Y.bars)):
             k = _block_kind(src, Y.bars[j])
-            if k is None:
-                continue
-            if space_dim(space, src.iv, Y.bars[j].iv, k, p):
-                out.append((i, j, k))
-    return out
+            if k is not None and space_dim(space, src.iv, Y.bars[j].iv, k, p):
+                yield (i, j, k)
 
 
 def check_exhaustive(F, G, a, space=LINE):
-    """Complete search over block assignments; None means proven infeasible."""
+    """Complete search over block assignments; None means proven infeasible.
+    The unknowns are counted as they are found, and the count stops as soon
+    as it passes ``MAX_UNKNOWNS``."""
     _check_inputs(F, G, space)
     a = Fraction(a)
     p = F.char
     TFa, permFa = thicken_indexed(F, a, space)
     TGa, permGa = thicken_indexed(G, a, space)
-    fvars = _variables(F, TFa, permFa, G, p, space)
-    gvars = _variables(G, TGa, permGa, F, p, space)
+    fvars = list(islice(_variables(F, TFa, permFa, G, p, space),
+                        MAX_UNKNOWNS + 1))
+    gvars = list(islice(_variables(G, TGa, permGa, F, p, space),
+                        MAX_UNKNOWNS + 1 - len(fvars)))
     if len(fvars) + len(gvars) > MAX_UNKNOWNS:
         raise CapacityError(
             f"{len(fvars)} + {len(gvars)} unknown blocks exceed the cap "
@@ -414,22 +427,27 @@ def _restriction_terms(X, TX2a, permX2a, a2):
 
 def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
     """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
-    ``gvars``; the a-thickenings and their index maps come from the caller."""
+    ``gvars``; the a-thickenings and their index maps come from the caller.
+    A restriction block that no composite term reaches reads 0 = 1 under
+    every assignment, so it refutes the shift before any enumeration."""
     p = F.char
     TF2a, permF2a = thicken_indexed(F, 2 * a, space)
     TG2a, permG2a = thicken_indexed(G, 2 * a, space)
-    if p ** len(fvars) > MAX_ENUMERATION:
-        raise CapacityError(
-            f"enumeration {p}^{len(fvars)} exceeds the cap {MAX_ENUMERATION}")
 
     # Tensor entries for the two composite equations.
     t1 = _composite_terms(F, TF2a, permF2a, TGa, permGa, fvars, gvars, p, space)
     t2 = _composite_terms(G, TG2a, permG2a, TFa, permFa, gvars, fvars, p, space)
     rho_F = _restriction_terms(F, TF2a, permF2a, 2 * a)
     rho_G = _restriction_terms(G, TG2a, permG2a, 2 * a)
+    keys1 = {rk for v in t1.values() for rk, _ in v}
+    keys2 = {rk for v in t2.values() for rk, _ in v}
+    if not (rho_F.keys() <= keys1 and rho_G.keys() <= keys2):
+        return None
+    if p ** len(fvars) > MAX_ENUMERATION:
+        raise CapacityError(
+            f"enumeration {p}^{len(fvars)} exceeds the cap {MAX_ENUMERATION}")
 
-    rows1 = sorted(set(list(rho_F) + [rk for v in t1.values() for rk, _ in v]))
-    rows2 = sorted(set(list(rho_G) + [rk for v in t2.values() for rk, _ in v]))
+    rows1, rows2 = sorted(keys1), sorted(keys2)
     ridx1 = {r: k for k, r in enumerate(rows1)}
     ridx2 = {r: k for k, r in enumerate(rows2)}
     gidx = {v: k for k, v in enumerate(gvars)}
@@ -478,9 +496,10 @@ def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
     return None
 
 
-def _search(F, G, a, space, match):
-    """The one search at a circle shift from ``match``, a ``_match_pairs``
-    result: its certificate if it verifies, else the exhaustive search."""
+def _search(F, G, a, space):
+    """The one search at a circle shift: the ``_match_pairs`` certificate
+    if there is one and it verifies, else the exhaustive search."""
+    match = _match_pairs(F, G, a, space)
     if match is not None:
         try:
             cert = _matching_certificate(F, G, a, match, space)
@@ -510,8 +529,8 @@ def check_interleaving(F, G, a, space=LINE):
     if a == 0 and not iso_equal(F, G):
         return None
     if space == LINE:
-        return _line_certificate(F, G, a, _line_match(_line_costs(F, G), a))
-    return _search(F, G, a, space, _match_pairs(F, G, a, space))
+        return _line_certificate(F, G, a, _cost_match(_pair_costs(F, G, LINE), a))
+    return _search(F, G, a, space)
 
 
 # ---------------------------------------------------------------------------
@@ -552,26 +571,6 @@ def critical_grid(F, G, space=LINE):
     return [Fraction(v, M) for v in sorted(base | {v // 2 for v in base})]
 
 
-def _least_match(n, match):
-    """The least index m in 1..n-1 with ``match(m)`` not None, assuming the
-    hits are upward closed and index 0 misses; None when n - 1 misses.
-    Gallops over 1, 2, 4, ... and then bisects between the last miss and
-    the first hit, so a candidate near the bottom of the grid costs few
-    calls."""
-    lo, hi = 0, 1
-    while hi < n - 1 and match(hi) is None:
-        lo, hi = hi, min(2 * hi, n - 1)
-    if hi >= n or match(hi) is None:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if match(mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def distance(F, G, space=LINE) -> DistanceBounds:
     """The interleaving distance bounds of F and G in ``space``; isomorphic
     inputs are at exact 0, and inputs the finiteness gate separates at
@@ -588,16 +587,18 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     found, refuted, capacity or unsupported; index 0 is refuted, since
     ``iso_equal`` has failed.  Feasibility is upward closed
     (``weaken_certificate``), so one walk settles the grid.  It starts at
-    the least index where the matching search alone succeeds
-    (``_least_match``, or index 1 when none does), scans up to the first
-    found probe, and then walks down: a found probe lowers the upper bound
-    and the first refuted one is the lower bound, below which every value
-    is infeasible.  With no certificate the walk goes on to 0, so that
-    ``conclusive`` covers every probe on the grid.  Each grid value is
-    matched and probed at most once per call.  ``exact`` means the least
-    certified grid value has its grid predecessor refuted; lower is then
-    reported equal to upper.  A search over the cap degrades exactness,
-    never soundness.
+    the first grid value at or above the bottleneck over the deck-copy
+    costs (``thicken.deck_cost``; index 1 when no cost has a matching),
+    scans up to the first found probe, and then walks down: a found probe
+    lowers the upper bound and the first refuted one is the lower bound,
+    below which every value is infeasible.  With no certificate the walk
+    goes on to 0, so that ``conclusive`` covers every probe on the grid.
+    The start is a conjectured hint: from any start the walk gives the same
+    answer, since only certificates and refutations decide it, and a wrong
+    one costs probes only.  Each grid value is probed at most once per
+    call.  ``exact`` means the least certified grid value has its grid
+    predecessor refuted; lower is then reported equal to upper.  A search
+    over the cap degrades exactness, never soundness.
     """
     _check_inputs(F, G, space)
     if iso_equal(F, G):
@@ -610,17 +611,12 @@ def distance(F, G, space=LINE) -> DistanceBounds:
         return _line_distance(F, G)
     grid = critical_grid(F, G, space)
     n = len(grid)
-    probes, matches = {0: ("refuted", None)}, {}
-
-    def match(i):
-        if i not in matches:
-            matches[i] = _match_pairs(F, G, grid[i], space)
-        return matches[i]
+    probes = {0: ("refuted", None)}
 
     def probe(i):
         if i not in probes:
             try:
-                cert = _search(F, G, grid[i], space, match(i))
+                cert = _search(F, G, grid[i], space)
                 probes[i] = ("refuted" if cert is None else "found", cert)
             except CapacityError:
                 probes[i] = ("capacity", None)
@@ -628,7 +624,8 @@ def distance(F, G, space=LINE) -> DistanceBounds:
                 probes[i] = ("unsupported", None)
         return probes[i]
 
-    upper = _least_match(n, match) or 1
+    v = _least_cost(_pair_costs(F, G, space))
+    upper = 1 if v is None else max(1, bisect_left(grid, v))
     while upper < n and probe(upper)[0] != "found":
         upper += 1
     lower, conclusive = None, True

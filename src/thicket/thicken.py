@@ -9,6 +9,7 @@ against the independent Minkowski-fiber convolution route.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
@@ -98,6 +99,21 @@ def direct_cost(form_f, form_g):
     if kf != kg:
         return POS_INF
     return max((abs(x - y) for x, y in zip(ef, eg)), default=Fraction(0))
+
+
+def deck_cost(form_f, form_g, C):
+    """The least ``direct_cost`` of ``form_f`` against the deck copies
+    g + nC of ``form_g``, for two lifts on the circle R/CZ.  The max of the
+    |x - y - nC| is convex in n, so its least value is at some n between
+    the floors and the ceilings of the (x - y)/C.  That this is the circle's
+    pair cost is a conjecture (no circle isometry theorem is cited here):
+    ``interleave`` reads it only as the place to start its search."""
+    kg, eg = form_g
+    steps = [(x - y) / C for x, y in zip(form_f[1], eg)]
+    ns = range(min(map(math.floor, steps), default=0),
+               max(map(math.ceil, steps), default=0) + 1)
+    return min(direct_cost(form_f, (kg, tuple(y + n * C for y in eg)))
+               for n in ns)
 
 
 def thicken(F: GradedBarcode, a) -> GradedBarcode:

@@ -281,7 +281,8 @@ class TestInterleaveCommand:
     @staticmethod
     def _eight_bar_pair(docs):
         """An 8-bar barcode and its 1/4-thickening: 8 + 19 unknown blocks
-        at 1/8, over the exhaustive cap of 24."""
+        at 1/8, over the exhaustive cap of 24.  The count stops at 8 + 17,
+        the first total past the cap."""
         F = rand_bounded_barcode(random.Random(11), max_bars=8)
         G = thicken(F, Fr(1, 4))
         paths = []
@@ -298,7 +299,8 @@ class TestInterleaveCommand:
         captured = capsys.readouterr()
         assert "found: false" in captured.out
         assert captured.err == ""
-        with pytest.raises(CapacityError, match=r"8 \+ 19 unknown blocks"):
+        with pytest.raises(CapacityError,
+                           match=r"8 \+ 17 unknown blocks exceed the cap 24"):
             check_exhaustive(F, G, Fr(1, 8))
 
     def test_zero_shift_is_the_isomorphism_test(self, docs, capsys):

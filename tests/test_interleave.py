@@ -1,6 +1,7 @@
 """Interleaving certificates, strategies, and distance bounds."""
 
 import time
+from bisect import bisect_left
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -21,11 +22,13 @@ from thicket.interleave import (CapacityError, DistanceBounds,
                                 _lifts, _pair_feasible, finite_gate,
                                 identity_certificate, verify_certificate,
                                 weaken_certificate)
-from thicket.morphisms import LINE, Morphism, UnsupportedHomError
+from thicket import fieldmath as fm
+from thicket.morphisms import (LINE, Morphism, UnsupportedHomError,
+                               thicken_indexed)
 from thicket.plmaps import abs_map, lipschitz_experiment
 from thicket.scalars import POS_INF
-from thicket.thicken import (cost_form, direct_cost, halfopen_translation_kills,
-                             kill_cost, thicken)
+from thicket.thicken import (cost_form, deck_cost, direct_cost,
+                             halfopen_translation_kills, kill_cost, thicken)
 
 
 class TestVerify:
@@ -442,39 +445,36 @@ class TestBisection:
 
     @pytest.mark.parametrize("late", [False, True], ids=["never", "late"])
     def test_fallback_matches_linear_scan(self, rng, p, monkeypatch, late):
-        """A candidate search that misses, or that skips the least match so
-        that the predecessor of its candidate is certified, leaves the walk
-        to find the least certificate below or above it, with the bounds of
+        """A start index too early (index 1, as when no cost has a
+        matching) or too late (two grid values past the least certificate,
+        or past the top of the grid when there is none) leaves the walk to
+        find the least certificate above or below it, with the bounds of
         the linear scan.  Only the circle walks."""
-        least_match = interleave._least_match
-
-        def missing(n, match):
-            m = least_match(n, match) if late else None
-            if m is None:
-                return None
-            return least_match(n, lambda i: None if i <= m else match(i))
-
-        monkeypatch.setattr(interleave, "_least_match", missing)
         for F, G, space in _circle_pairs(rng, p, 4):
+            oracle = _linear_scan(F, G, space)
+            grid = critical_grid(F, G, space)
+            start = None
+            if late:
+                k = len(grid) if oracle.upper == POS_INF else \
+                    grid.index(oracle.upper) + 2
+                start = grid[k] if k < len(grid) else grid[-1] + 1
+            monkeypatch.setattr(interleave, "_least_cost", lambda costs: start)
             d = distance(F, G, space=space)
-            assert _agrees(d, _linear_scan(F, G, space), space), (F, G)
+            assert _agrees(d, oracle, space), (F, G)
             if d.witness is not None:
                 assert verify_certificate(F, G, d.witness, space)
 
 
 def _walk_scripts(max_len):
     """Every outcome script of 1..max_len grid indices with index 0 refuted
-    and no refuted index above a found one, each with every set of found
-    indices that the matching search hits."""
+    and no refuted index above a found one."""
     kinds = ("found", "refuted", "capacity", "unsupported")
     for n in range(1, max_len + 1):
         for rest in product(kinds, repeat=n - 1):
             script = ("refuted",) + rest
             if "found" in script and "refuted" in script[script.index("found"):]:
                 continue
-            found = [i for i, o in enumerate(script) if o == "found"]
-            for picks in product((False, True), repeat=len(found)):
-                yield script, {i for i, pick in zip(found, picks) if pick}
+            yield script
 
 
 class TestScriptedWalk:
@@ -482,15 +482,12 @@ class TestScriptedWalk:
     grids whose probe outcomes are scripted."""
 
     def test_walk_matches_linear_definition(self, monkeypatch):
+        """From every start: none, below the grid, on each grid value,
+        between two, and past the top."""
         F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
         state = {}
 
-        def match_pairs(F, G, a, space):
-            assert a not in state["matched"], a
-            state["matched"].add(a)
-            return "hit" if a in state["hits"] else None
-
-        def search(F, G, a, space, match):
+        def search(F, G, a, space):
             assert 0 < a and a not in state["searched"], a
             state["searched"].add(a)
             outcome = state["script"][int(a)]
@@ -502,18 +499,21 @@ class TestScriptedWalk:
 
         monkeypatch.setattr(interleave, "critical_grid",
                             lambda F, G, space: state["grid"])
-        monkeypatch.setattr(interleave, "_match_pairs", match_pairs)
+        monkeypatch.setattr(interleave, "_least_cost",
+                            lambda costs: state["start"])
         monkeypatch.setattr(interleave, "_search", search)
         space = circle_ops(4)
         seen = set()
-        for script, hits in _walk_scripts(6):
+        for script in _walk_scripts(6):
             grid = [Fr(i) for i in range(len(script))]
-            state.update(grid=grid, hits=set(hits), script=script,
-                         matched=set(), searched=set())
-            d = distance(F, G, space)
             expected = _linear_definition(grid, lambda a: script[int(a)])
-            assert _sides(d) == _sides(expected), (script, hits)
-            seen.add((d.upper == POS_INF, d.exact, d.conclusive))
+            starts = [Fr(k, 2) for k in range(-1, 2 * len(grid) + 1)]
+            for start in [None] + starts:
+                state.update(grid=grid, script=script, start=start,
+                             searched=set())
+                d = distance(F, G, space)
+                assert _sides(d) == _sides(expected), (script, start)
+                seen.add((d.upper == POS_INF, d.exact, d.conclusive))
         # a certificate, exact or not, or none, with every probe decided or
         # not (an undecided probe below the largest refuted one included)
         assert seen == {(False, True, True), (False, False, False),
@@ -521,6 +521,8 @@ class TestScriptedWalk:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_each_grid_index_matched_once(self, rng, p, monkeypatch):
+        """Every pair that reaches the walk runs at least one matching
+        table, and no grid value gets two."""
         calls = []
         match_pairs = interleave._match_pairs
 
@@ -529,14 +531,15 @@ class TestScriptedWalk:
             return match_pairs(F, G, a, space)
 
         monkeypatch.setattr(interleave, "_match_pairs", counted)
-        pairs = list(_circle_pairs(rng, p, 5))
-        matched = 0
-        for F, G, space in pairs:
+        walked = 0
+        for F, G, space in _circle_pairs(rng, p, 10):
             calls.clear()
-            distance(F, G, space=space)
+            d = distance(F, G, space=space)
             assert len(calls) == len(set(calls)), (F, G, calls)
-            matched += len(calls)
-        assert matched >= len(pairs)
+            if d.exact_by not in ("identity", "gate"):
+                assert calls, (F, G)
+                walked += 1
+        assert walked >= 5, walked
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -722,6 +725,25 @@ class TestExactBy:
         assert d.fields() == (1, 1, True)
 
 
+def _least_match(n, match):
+    """Oracle of the circle walk's start: the least index m in 1..n-1 with
+    ``match(m)`` not None, assuming the hits are upward closed and index 0
+    misses; None when n - 1 misses.  Gallops over 1, 2, 4, ... and then
+    bisects between the last miss and the first hit."""
+    lo, hi = 0, 1
+    while hi < n - 1 and match(hi) is None:
+        lo, hi = hi, min(2 * hi, n - 1)
+    if hi >= n or match(hi) is None:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if match(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def test_least_match_finds_every_threshold():
     """On hits upward closed from index t, the galloping search returns t
     for every 1 <= t < n, and None when nothing past index 0 hits, in a
@@ -735,8 +757,154 @@ def test_least_match_finds_every_threshold():
                 seen.add(i)
                 return "hit" if i >= t else None
 
-            assert interleave._least_match(n, match) == (t if t < n else None)
+            assert _least_match(n, match) == (t if t < n else None)
             assert len(seen) <= 2 * max(n, 1).bit_length()
+
+
+# ---------------------------------------------------------------------------
+# The circle in closed form: deck-copy costs as the walk's start, and the
+# exhaustive search's row test against its enumeration.
+
+@pytest.mark.parametrize("C", [Fr(1), Fr(3, 2), Fr(5, 4)])
+def test_deck_cost_equals_least_direct_cost_over_copies(rng, C):
+    """On every (shape class, shape class, degree gap), ends within 2 of 0
+    so that the best copy is among n = -4..4."""
+    finite = 0
+    for _ in range(3):
+        x, y = sorted(rng.sample(range(-8, 9), 2))
+        u, v = sorted(rng.sample(range(-8, 9), 2))
+        for fiv in _every_shape(Fr(x, 4), Fr(y, 4)):
+            for giv in _every_shape(Fr(u, 4), Fr(v, 4)):
+                for gap in range(-3, 4):
+                    ff = cost_form(Bar(fiv, 0))
+                    kg, eg = cost_form(Bar(giv, gap))
+                    copies = [direct_cost(ff, (kg, tuple(e + n * C for e in eg)))
+                              for n in range(-4, 5)]
+                    assert deck_cost(ff, (kg, eg), C) == min(copies), \
+                        (fiv, giv, gap)
+                    finite += min(copies) != POS_INF
+    assert finite >= 40
+
+
+def _long_spirals(rng, C, n):
+    """n spiral lifts starting on the 1/4 grid in [0, C), of every shape,
+    with lengths on the 1/2 grid up to 2C."""
+    out = []
+    for _ in range(n):
+        left = Fr(rng.randrange(4 * C), 4)
+        length = Fr(rng.randint(0, 4 * C), 2)
+        lkind, rkind = (CLOSED, CLOSED) if length == 0 else \
+            rng.choice(((CLOSED, CLOSED), (OPEN, OPEN),
+                        (CLOSED, OPEN), (OPEN, CLOSED)))
+        out.append(Bar(Interval(left, lkind, left + length, rkind),
+                       rng.choice((0, 1))))
+    return out
+
+
+def _long_circle_pairs(rng, p, count):
+    """Circle pairs of 1-3 spirals with lifts up to 2C, so that a
+    thickened lift can meet two deck copies of a bar: F against a nudged
+    copy or an independent draw, in turn."""
+    C = 4
+    for k in range(count):
+        spirals = _long_spirals(rng, C, rng.randint(1, 3))
+        other = [_nudged(rng, gb(b)).bars[0] for b in spirals] if k % 2 == 0 \
+            else _long_spirals(rng, C, len(spirals))
+        F = CircleSheaf(C, spirals, (), p).spiral_barcode()
+        G = CircleSheaf(C, other, (), p).spiral_barcode()
+        if F != G:
+            yield F, G, circle_ops(C)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_deck_cost_start_equals_galloping_start(rng, p):
+    """The walk's start from the bottleneck over the deck-copy costs is
+    the galloping oracle's least matched index (or 1), on pairs whose lifts
+    go up to 2C.  A pair where they differ is no failure, as the start is
+    a hint: the walk from there must still give the linear scan's bounds.
+    The matching counts a pair whose Hom meets two deck copies as
+    infeasible, so the two starts can differ where no probe decides."""
+    same = differ = long_lifts = 0
+    for F, G, space in _long_circle_pairs(rng, p, 20):
+        long_lifts += any(b.iv.length > space[1] for b in F.bars + G.bars)
+        grid = critical_grid(F, G, space)
+        v = interleave._least_cost(interleave._pair_costs(F, G, space))
+        start = 1 if v is None else max(1, bisect_left(grid, v))
+        oracle = _least_match(len(grid), lambda i: interleave._match_pairs(
+            F, G, grid[i], space)) or 1
+        if start == oracle:
+            same += 1
+            continue
+        differ += 1
+        d = distance(F, G, space)
+        assert _agrees(d, _linear_scan(F, G, space), space), (F, G)
+    assert same >= 12 and long_lifts >= 10, (same, differ, long_lifts)
+
+
+def _enumeration_only(F, G, a, space):
+    """Oracle of the exhaustive search: the enumeration over every f-block
+    assignment with no row test, as ``check_exhaustive`` ran it before
+    its row test; None means no assignment solves, and None also when
+    either cap is passed (the oracle has nothing to say there)."""
+    p, a = F.char, Fr(a)
+    TFa, permFa = thicken_indexed(F, a, space)
+    TGa, permGa = thicken_indexed(G, a, space)
+    fvars = list(interleave._variables(F, TFa, permFa, G, p, space))
+    gvars = list(interleave._variables(G, TGa, permGa, F, p, space))
+    if len(fvars) + len(gvars) > interleave.MAX_UNKNOWNS or \
+            p ** len(fvars) > interleave.MAX_ENUMERATION:
+        return "capacity"
+    TF2a, permF2a = thicken_indexed(F, 2 * a, space)
+    TG2a, permG2a = thicken_indexed(G, 2 * a, space)
+    t1 = interleave._composite_terms(F, TF2a, permF2a, TGa, permGa,
+                                     fvars, gvars, p, space)
+    t2 = interleave._composite_terms(G, TG2a, permG2a, TFa, permFa,
+                                     gvars, fvars, p, space)
+    rho = [interleave._restriction_terms(F, TF2a, permF2a, 2 * a),
+           interleave._restriction_terms(G, TG2a, permG2a, 2 * a)]
+    rows = [sorted(set(rho[0]) | {rk for v in t1.values() for rk, _ in v}),
+            sorted(set(rho[1]) | {rk for v in t2.values() for rk, _ in v})]
+    index = {(side, key): r for side in (0, 1)
+             for r, key in enumerate(rows[side], side * len(rows[0]))}
+    gidx = {v: k for k, v in enumerate(gvars)}
+    for assign in product(range(p), repeat=len(fvars)):
+        values = dict(zip(fvars, assign))
+        mat = [[0] * len(gvars) for _ in index]
+        rhs = [rho[side].get(key, 0) for side, key in index]
+        for side, terms in ((0, t1), (1, t2)):
+            for (u, w), entries in terms.items():
+                fu, gv = (u, w) if side == 0 else (w, u)
+                for rk, s in entries:
+                    r = index[(side, rk)]
+                    mat[r][gidx[gv]] = (mat[r][gidx[gv]] + values[fu] * s) % p
+        if fm.solve(mat, rhs, p) is not None:
+            return assign
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_row_test_agrees_with_enumeration(rng, p):
+    """``check_exhaustive``, whose row test refutes before enumerating, is
+    None exactly where the enumeration finds no assignment, and otherwise
+    returns a verified certificate, on line and circle pairs of up to 4
+    bars at every grid value."""
+    pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 4)]
+    pairs += list(_circle_pairs(rng, p, 4))
+    seen = {"refuted": 0, "found": 0}
+    for F, G, space in pairs:
+        for a in critical_grid(F, G, space)[1:]:
+            try:
+                oracle = _enumeration_only(F, G, a, space)
+                if oracle == "capacity":
+                    continue
+                cert = check_exhaustive(F, G, a, space)
+            except UnsupportedHomError:
+                continue
+            assert (cert is None) == (oracle is None), (F, G, a)
+            if cert is not None:
+                assert verify_certificate(F, G, cert, space)
+            seen["refuted" if cert is None else "found"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _large_pairs(rng, count):
