@@ -379,9 +379,9 @@ def _sides(d):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 class TestBisection:
-    """``distance`` against the linear scan: on the circle its candidate
-    search, which gallops and then bisects over the matching search alone;
-    on the line its bottleneck search over the closed-form costs."""
+    """``distance`` against the linear scan: on the circle its walk from
+    the bottleneck over the deck-copy costs; on the line its bottleneck
+    search over the closed-form costs."""
 
     def test_feasibility_upward_closed(self, rng, p):
         pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 6)]
