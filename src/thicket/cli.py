@@ -148,8 +148,9 @@ def cmd_distance(args):
 def cmd_interleave(args):
     F = _need(_read_doc(args.F), "barcode")
     G = _need(_read_doc(args.G), "barcode")
-    cert = check_interleaving(F, G, _shift(args.a))
-    payload = {"name": "interleave", "a": str(args.a),
+    a = _shift(args.a)
+    cert = check_interleaving(F, G, a)
+    payload = {"name": "interleave", "a": format_extended(a),
                "found": str(cert is not None).lower()}
     _write_doc(report_doc(payload), args.output)
     return 0

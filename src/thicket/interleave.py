@@ -16,10 +16,14 @@ deck-copy costs (``thicken.deck_cost``, a conjecture used as a hint only),
 up to the first certified value, then down to the first refuted one.
 ``_search`` is the one search at a circle shift: the block-diagonal
 matching, then the complete exhaustive search, which refutes at once when
-a restriction block meets no composite term.  ``check_matching`` and
-``check_exhaustive`` are its two strategies, and the line's test oracles.
-One bottleneck routine (``_least_cost``) and one augmenting-path matching
-(``_perfect_matching``) serve both spaces.
+a restriction block meets no composite term.
+
+One matching routine (``_matching``, public as ``check_matching``) serves
+both spaces.  Its candidate pairs are those of cost at most the shift,
+and only the pairs it matches meet the Hom calculus; a pair the calculus
+cannot use leaves the graph and the matching runs again.  One bottleneck
+routine (``_least_cost``) and one augmenting-path matching
+(``_perfect_matching``) sit under it.
 
 Every search runs in one space, named by the value that ``morphisms`` keys
 on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
@@ -32,8 +36,8 @@ already in normal form.
 The grid is built in exact integers: the ends (and C) are scaled over four
 times the lcm of their denominators, so every difference, shift and half is
 an int, and one ``Fraction`` is made per distinct grid value.  A matching
-probe thickens each bar once to its a-lift and once to its 2a-lift and reads
-its restriction coefficient once; every candidate pair reuses these.
+thickens each matched bar once to its a-lift and once to its 2a-lift and
+reads its restriction coefficient once; every pair it meets reuses these.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product
 
 from . import fieldmath as fm
@@ -126,25 +130,24 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 
 
 # ---------------------------------------------------------------------------
-# Strategy: block-diagonal matching.
+# Strategy: block-diagonal matching over the pair costs.
 
-def _lifts(bars, a, space):
-    """Per bar: (bar, its a-lift, its 2a-lift, whether the canonical
-    restriction to 2a kills it), computed once per probe; the lifts are in
-    the normal form of ``space``."""
+def _lift(b, a, space):
+    """(b, its a-lift, its 2a-lift, whether the canonical restriction to 2a
+    kills it); the lifts are in the normal form of ``space``."""
     a2 = 2 * a
-    return [(b, normal_form(bar_rule(b, a), space),
-             normal_form(bar_rule(b, a2), space),
-             halfopen_translation_kills(b.iv, 0, a2)) for b in bars]
+    return (b, normal_form(bar_rule(b, a), space),
+            normal_form(bar_rule(b, a2), space),
+            halfopen_translation_kills(b.iv, 0, a2))
 
 
 def _pair_feasible(f, g, p, space):
     """The g-side scalar of a matched pair, or None; its f-side scalar is 1.
 
-    ``f`` and ``g`` are entries of ``_lifts``.  The pair's composites must
-    hit the restriction coefficients of both bars exactly; either
-    coefficient may be zero (a half-open bar past its length), in which case
-    the corresponding composite has to vanish."""
+    ``f`` and ``g`` are ``_lift`` results.  The pair's composites must hit
+    the restriction coefficients of both bars exactly; either coefficient
+    may be zero (a half-open bar past its length), in which case the
+    corresponding composite has to vanish."""
     fbar, tf, tff, f_dies = f
     gbar, tg, tgg, g_dies = g
     k_f = _block_kind(tf, gbar)
@@ -176,10 +179,12 @@ def _pair_feasible(f, g, p, space):
     return fm.finv(s2, p)
 
 
-def _check_inputs(F, G, space):
-    """Reject a pair over two fields, and bars that ``normal_form`` would
-    move.  The circle search normalizes every thickened lift and compares
-    it with the input lifts, so those must be normalized too."""
+def _check_inputs(F, G, space, a=0):
+    """The shift ``a`` as a Fraction, once the entry checks of every search
+    pass.  They reject a negative shift, a pair over two fields, and bars
+    that ``normal_form`` would move: the circle search normalizes every
+    thickened lift and compares it with the input lifts, so those must be
+    normalized too."""
     if F.char != G.char:
         raise CharacteristicMismatchError(
             f"cannot interleave barcodes over F_{F.char} and F_{G.char}")
@@ -188,6 +193,37 @@ def _check_inputs(F, G, space):
         if nb != b:
             raise ValueError(f"bar {b} is not normalized (its normal form "
                              f"is {nb})")
+    a = Fraction(a)
+    if a < 0:
+        raise ValueError("interleaving shift must be nonnegative")
+    return a
+
+
+def _pair_costs(F, G, space):
+    """Per F bar, the (direct cost, G index) of every G bar in its
+    ``thicken.cost_form`` class, and the kill costs of both sides; every
+    other pair is at direct cost +inf.  On the line these are exact by the
+    derived isometry theorem; on the circle a direct cost is the least over
+    the deck copies, by the deck-copy conjecture (``thicken.deck_cost``)."""
+    cost = direct_cost if space == LINE else partial(deck_cost, C=space[1])
+    by_class = {}
+    for j, b in enumerate(G.bars):
+        form = cost_form(b)
+        by_class.setdefault(form[0], []).append((j, form))
+    rows = []
+    for b in F.bars:
+        form = cost_form(b)
+        rows.append([(cost(form, fg), j) for j, fg in by_class.get(form[0], ())])
+    return rows, [kill_cost(b) for b in F.bars], [kill_cost(b) for b in G.bars]
+
+
+def _candidates(costs, t):
+    """The arguments of ``_perfect_matching`` at threshold ``t``: per F bar
+    the G bars at direct cost at most t, and per bar whether its kill cost
+    is at most t, so that it may go unmatched."""
+    rows, kill_F, kill_G = costs
+    return ([[j for c, j in row if c <= t] for row in rows],
+            [k <= t for k in kill_F], [k <= t for k in kill_G])
 
 
 def _perfect_matching(adj, kill_F, kill_G):
@@ -225,130 +261,90 @@ def _perfect_matching(adj, kill_F, kill_G):
     return [(i, mate[i]) for i in range(nF) if mate[i] < nG]
 
 
-def _match_pairs(F, G, a, space):
-    """The pair-feasibility table at ``a`` and a block-diagonal matching:
-    ``(pairs, feas)``, or None when none exists.  A pair whose Hom the
-    calculus cannot use counts as infeasible; the caller checks inputs."""
-    p = F.char
-    nF, nG = len(F.bars), len(G.bars)
-    lifts_F = _lifts(F.bars, a, space)
-    lifts_G = _lifts(G.bars, a, space)
-    feas = {}
-    for i in range(nF):
-        for j in range(nG):
-            try:
-                r = _pair_feasible(lifts_F[i], lifts_G[j], p, space)
-            except UnsupportedHomError:
-                r = None              # matching may skip unsupported pairs
-            if r is not None:
-                feas[(i, j)] = r
-    pairs = _perfect_matching([[j for j in range(nG) if (i, j) in feas]
-                               for i in range(nF)],
-                              [f[3] for f in lifts_F], [g[3] for g in lifts_G])
-    return None if pairs is None else (pairs, feas)
-
-
-def _matching_certificate(F, G, a, match, space):
-    """The block-diagonal certificate of a ``_match_pairs`` result, or None
-    when it fails verification."""
-    pairs, feas = match
-    TFa, permF = thicken_indexed(F, a, space)
-    TGa, permG = thicken_indexed(G, a, space)
-    fblocks, gblocks = {}, {}
-    for (i, j) in pairs:
-        tf = TFa.bars[permF[i]]
-        tg = TGa.bars[permG[j]]
-        fblocks[(permF[i], j, _block_kind(tf, G.bars[j]))] = 1
-        gblocks[(permG[j], i, _block_kind(tg, F.bars[i]))] = feas[(i, j)]
-    cert = InterleavingCertificate(
-        a,
-        Morphism(TFa, G, fblocks, space, validate=False),
-        Morphism(TGa, F, gblocks, space, validate=False))
-    if verify_certificate(F, G, cert, space):
-        return cert
-    return None
-
-
-def check_matching(F, G, a, space=LINE):
-    _check_inputs(F, G, space)
-    a = Fraction(a)
-    match = _match_pairs(F, G, a, space)
-    if match is None:
-        return None
-    return _matching_certificate(F, G, a, match, space)
-
-
-# ---------------------------------------------------------------------------
-# Pair costs in closed form: on the line by the derived isometry theorem, on
-# the circle by the deck-copy conjecture (``thicken.deck_cost``).
-
-def _pair_costs(F, G, space):
-    """Per F bar, the (direct cost, G index) of every G bar in its
-    ``thicken.cost_form`` class, and the kill costs of both sides; every
-    other pair is at direct cost +inf.  On the circle a direct cost is the
-    least over the deck copies."""
-    cost = direct_cost if space == LINE else partial(deck_cost, C=space[1])
-    by_class = {}
-    for j, b in enumerate(G.bars):
-        form = cost_form(b)
-        by_class.setdefault(form[0], []).append((j, form))
-    rows = []
-    for b in F.bars:
-        form = cost_form(b)
-        rows.append([(cost(form, fg), j) for j, fg in by_class.get(form[0], ())])
-    return rows, [kill_cost(b) for b in F.bars], [kill_cost(b) for b in G.bars]
-
-
-def _cost_match(costs, t):
-    """The matched pairs at threshold ``t`` (``_perfect_matching``), or
-    None."""
-    rows, kill_F, kill_G = costs
-    return _perfect_matching([[j for c, j in row if c <= t] for row in rows],
-                             [k <= t for k in kill_F], [k <= t for k in kill_G])
-
-
 def _least_cost(costs):
     """The least of the sorted distinct finite costs at which a matching
     exists, by bisection (Kerber-Morozov-Nigmetov, JEA 2017), or None."""
     rows, kill_F, kill_G = costs
     values = sorted({c for row in rows for c, _ in row}
                     | {k for k in kill_F + kill_G if k != POS_INF})
-    k = bisect_left(range(len(values)), True,
-                    key=lambda i: _cost_match(costs, values[i]) is not None)
+    k = bisect_left(range(len(values)), True, key=lambda i: _perfect_matching(
+        *_candidates(costs, values[i])) is not None)
     return None if k == len(values) else Fraction(values[k])
 
 
-def _line_certificate(F, G, a, pairs):
-    """The verified a-certificate of the ``_cost_match`` result ``pairs``
-    at a, or None with it.  Only the matched pairs meet the Hom calculus; a
-    pair whose bars both die at a goes to its two diagonal slots."""
-    if pairs is None:
-        return None
-    lifts_F = _lifts([F.bars[i] for i, _ in pairs], a, LINE)
-    lifts_G = _lifts([G.bars[j] for _, j in pairs], a, LINE)
-    feas = {}
-    for pair, f, g in zip(pairs, lifts_F, lifts_G):
-        x = _pair_feasible(f, g, F.char, LINE)
-        if x is not None:
-            feas[pair] = x
-        elif not (f[3] and g[3]):
+def _certificate(F, G, a, scalars, space):
+    """The block-diagonal a-certificate, unverified, with f-side scalar 1
+    and g-side scalar ``scalars[(i, j)]`` on each pair (i, j)."""
+    TFa, permF = thicken_indexed(F, a, space)
+    TGa, permG = thicken_indexed(G, a, space)
+    fblocks, gblocks = {}, {}
+    for (i, j), x in scalars.items():
+        fblocks[(permF[i], j, _block_kind(TFa.bars[permF[i]], G.bars[j]))] = 1
+        gblocks[(permG[j], i, _block_kind(TGa.bars[permG[j]], F.bars[i]))] = x
+    return InterleavingCertificate(
+        a,
+        Morphism(TFa, G, fblocks, space, validate=False),
+        Morphism(TGa, F, gblocks, space, validate=False))
+
+
+def _matching(F, G, a, space, costs):
+    """The verified certificate of a block-diagonal matching at ``a`` over
+    the ``_pair_costs`` result ``costs``, or None.
+
+    The candidate pairs are those of cost at most a, and a bar of kill cost
+    at most a may stay unmatched.  Only the pairs ``_perfect_matching``
+    proposes meet the Hom calculus, once each: a pair whose bars both die
+    takes its two diagonal slots, and one that ``_pair_feasible`` rejects,
+    or whose Hom it cannot use, leaves the graph before the matching runs
+    again.  On the line the costs are exact, so such a pair, or a
+    certificate that fails verification, is an invariant break
+    (``AssertionError``).  On the circle they are a conjecture, and None
+    leaves the shift to the exhaustive search."""
+    adj, kill_F, kill_G = _candidates(costs, a)
+    lift = cache(_lift)
+
+    @cache
+    def scalar(i, j):
+        """The g-side scalar of pair (i, j): 0 when both bars die, None
+        when the pair is unusable."""
+        f, g = lift(F.bars[i], a, space), lift(G.bars[j], a, space)
+        if f[3] and g[3]:
+            return 0
+        try:
+            x = _pair_feasible(f, g, F.char, space)
+        except UnsupportedHomError:
+            x = None
+        if x is None and space == LINE:
             raise AssertionError(f"the cost formula and the Hom calculus "
                                  f"disagree on {f[0]}, {g[0]} at {a}")
-    cert = _matching_certificate(F, G, a, (list(feas), feas), LINE)
-    if cert is None:
+        return x
+
+    while True:
+        pairs = _perfect_matching(adj, kill_F, kill_G)
+        if pairs is None:
+            return None
+        unusable = [(i, j) for i, j in pairs if scalar(i, j) is None]
+        if not unusable:
+            break
+        for i, j in unusable:
+            adj[i].remove(j)
+    cert = _certificate(F, G, a, {pair: x for pair in pairs
+                                  if (x := scalar(*pair))}, space)
+    try:
+        if verify_certificate(F, G, cert, space):
+            return cert
+    except UnsupportedHomError:
+        pass
+    if space == LINE:
         raise AssertionError(f"matching at {a} fails verification")
-    return cert
+    return None
 
 
-def _line_distance(F, G) -> DistanceBounds:
-    """The least cost with a matching, with its certificate; +inf when no
-    cost has one."""
-    costs = _pair_costs(F, G, LINE)
-    v = _least_cost(costs)
-    if v is None:
-        return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="isometry")
-    cert = _line_certificate(F, G, v, _cost_match(costs, v))
-    return DistanceBounds(v, v, True, cert, exact_by="isometry")
+def check_matching(F, G, a, space=LINE):
+    """``_matching`` at the shift a, after the entry checks of every
+    search: the verified certificate, or None."""
+    a = _check_inputs(F, G, space, a)
+    return _matching(F, G, a, space, _pair_costs(F, G, space))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +365,7 @@ def check_exhaustive(F, G, a, space=LINE):
     """Complete search over block assignments; None means proven infeasible.
     The unknowns are counted as they are found, and the count stops as soon
     as it passes ``MAX_UNKNOWNS``."""
-    _check_inputs(F, G, space)
-    a = Fraction(a)
+    a = _check_inputs(F, G, space, a)
     p = F.char
     TFa, permFa = thicken_indexed(F, a, space)
     TGa, permGa = thicken_indexed(G, a, space)
@@ -496,18 +491,11 @@ def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
     return None
 
 
-def _search(F, G, a, space):
-    """The one search at a circle shift: the ``_match_pairs`` certificate
-    if there is one and it verifies, else the exhaustive search."""
-    match = _match_pairs(F, G, a, space)
-    if match is not None:
-        try:
-            cert = _matching_certificate(F, G, a, match, space)
-        except UnsupportedHomError:
-            cert = None
-        if cert is not None:
-            return cert
-    return check_exhaustive(F, G, a, space)
+def _search(F, G, a, space, costs):
+    """The one search at a circle shift: the ``_matching`` certificate over
+    the deck-copy costs ``costs``, else the exhaustive search."""
+    cert = _matching(F, G, a, space, costs)
+    return cert if cert is not None else check_exhaustive(F, G, a, space)
 
 
 def check_interleaving(F, G, a, space=LINE):
@@ -518,19 +506,17 @@ def check_interleaving(F, G, a, space=LINE):
     0-certificate is an isomorphism, and the shift is refuted unless
     ``iso_equal`` holds.
 
-    On the line one matching over the closed-form costs decides: the
+    On the line ``_matching`` over the closed-form costs decides: the
     threshold test of a bottleneck search (Kerber-Morozov-Nigmetov, JEA
     2017), exact by the derived isometry theorem (Berkouk-Ginot,
     arXiv:1907.09759).  On the circle ``_search`` runs."""
-    _check_inputs(F, G, space)
-    a = Fraction(a)
-    if a < 0:
-        raise ValueError("interleaving shift must be nonnegative")
+    a = _check_inputs(F, G, space, a)
     if a == 0 and not iso_equal(F, G):
         return None
+    costs = _pair_costs(F, G, space)
     if space == LINE:
-        return _line_certificate(F, G, a, _cost_match(_pair_costs(F, G, LINE), a))
-    return _search(F, G, a, space)
+        return _matching(F, G, a, LINE, costs)
+    return _search(F, G, a, space, costs)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +566,10 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     closed-form costs (Berkouk-Ginot, A derived isometry theorem for
     sheaves, arXiv:1907.09759): the least sorted cost at which a matching
     exists, found by bisection as in Kerber-Morozov-Nigmetov (Geometry
-    helps to compare persistence diagrams, JEA 2017), with one verified
-    certificate; no matching at the largest cost is an exact +inf.
+    helps to compare persistence diagrams, JEA 2017), with the one verified
+    certificate of ``_matching`` there; no matching at the largest cost is
+    an exact +inf.  The pair costs are computed once per call, and every
+    matching, on either space, reads them.
 
     On the circle a probe at a grid value is one ``_search``, which ends
     found, refuted, capacity or unsupported; index 0 is refuted, since
@@ -607,8 +595,14 @@ def distance(F, G, space=LINE) -> DistanceBounds:
                               exact_by="identity")
     if finite_gate(F, G, space) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
+    costs = _pair_costs(F, G, space)
+    v = _least_cost(costs)
     if space == LINE:
-        return _line_distance(F, G)
+        if v is None:
+            return DistanceBounds(POS_INF, POS_INF, True, None,
+                                  exact_by="isometry")
+        return DistanceBounds(v, v, True, _matching(F, G, v, LINE, costs),
+                              exact_by="isometry")
     grid = critical_grid(F, G, space)
     n = len(grid)
     probes = {0: ("refuted", None)}
@@ -616,7 +610,7 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     def probe(i):
         if i not in probes:
             try:
-                cert = _search(F, G, grid[i], space)
+                cert = _search(F, G, grid[i], space, costs)
                 probes[i] = ("refuted" if cert is None else "found", cert)
             except CapacityError:
                 probes[i] = ("capacity", None)
@@ -624,7 +618,6 @@ def distance(F, G, space=LINE) -> DistanceBounds:
                 probes[i] = ("unsupported", None)
         return probes[i]
 
-    v = _least_cost(_pair_costs(F, G, space))
     upper = 1 if v is None else max(1, bisect_left(grid, v))
     while upper < n and probe(upper)[0] != "found":
         upper += 1

@@ -278,6 +278,13 @@ class TestInterleaveCommand:
                             str(docs["F"]), str(docs["G"])]) == 0
         assert "found: false" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, echo", [("2/4", "1/2"), ("0.5", "1/2"),
+                                            ("4/2", "2"), (" 3/6 ", "1/2")])
+    def test_shift_echoed_in_lowest_terms(self, docs, capsys, text, echo):
+        assert run_command(["interleave", "--a", text, str(docs["F"]),
+                            str(docs["G"])]) == 0
+        assert f"a: {echo}\n" in capsys.readouterr().out
+
     @staticmethod
     def _eight_bar_pair(docs):
         """An 8-bar barcode and its 1/4-thickening: 8 + 19 unknown blocks

@@ -19,12 +19,12 @@ from thicket import interleave
 from thicket.interleave import (CapacityError, DistanceBounds,
                                 InterleavingCertificate, check_exhaustive, check_interleaving,
                                 check_matching, critical_grid, distance,
-                                _lifts, _pair_feasible, finite_gate,
+                                _lift, _pair_feasible, finite_gate,
                                 identity_certificate, verify_certificate,
                                 weaken_certificate)
 from thicket import fieldmath as fm
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError,
-                               thicken_indexed)
+                               normal_form, thicken_indexed)
 from thicket.plmaps import abs_map, lipschitz_experiment
 from thicket.scalars import POS_INF
 from thicket.thicken import (cost_form, deck_cost, direct_cost,
@@ -87,6 +87,22 @@ class TestCheckInterleaving:
         assert check_interleaving(F, G, Fr(1, 4)) is not None
         assert check_interleaving(F, G, Fr(1, 8)) is None
         assert check_interleaving(F, G, 0) is None
+
+    @pytest.mark.parametrize("space", [LINE, circle_ops(4)],
+                             ids=["line", "circle"])
+    def test_negative_shift_rejected(self, space):
+        """Every public search refuses a negative shift with one message,
+        the empty pair included: it is no refutation, and no certificate
+        is searched for."""
+        F = gb(bar(closed(0, 2)), bar(half_open(1, 3), 1))
+        G = gb(bar(closed(0, 1)))
+        for X, Y in ((F, G), (gb(), gb())):
+            for check in (check_matching, check_exhaustive,
+                          check_interleaving):
+                for a in (-1, Fr(-1, 8)):
+                    with pytest.raises(ValueError, match="interleaving shift "
+                                                         "must be nonnegative"):
+                        check(X, Y, a, space)
 
     def test_matching_certificates_verify(self, rng):
         for _ in range(30):
@@ -281,17 +297,52 @@ class TestBudgetBounds:
 # ---------------------------------------------------------------------------
 # The candidate search against the linear scan that defines the answer.
 
+def _match_pairs(F, G, a, space):
+    """Oracle of the matching: the full pair-feasibility table at ``a``
+    from the Hom calculus, with no pair cost read, and a block-diagonal
+    matching over it: ``(pairs, feas)``, or None when none exists.  A pair
+    whose Hom the calculus cannot use counts as infeasible."""
+    lifts_F = [_lift(b, a, space) for b in F.bars]
+    lifts_G = [_lift(b, a, space) for b in G.bars]
+    feas = {}
+    for (i, f), (j, g) in product(enumerate(lifts_F), enumerate(lifts_G)):
+        try:
+            r = _pair_feasible(f, g, F.char, space)
+        except UnsupportedHomError:
+            r = None
+        if r is not None:
+            feas[(i, j)] = r
+    pairs = interleave._perfect_matching(
+        [[j for j in range(len(G.bars)) if (i, j) in feas]
+         for i in range(len(F.bars))],
+        [f[3] for f in lifts_F], [g[3] for g in lifts_G])
+    return None if pairs is None else (pairs, feas)
+
+
+def _table_certificate(F, G, a, space):
+    """The certificate of the ``_match_pairs`` matching at ``a`` if it
+    verifies, else None (a Hom the calculus cannot use included)."""
+    match = _match_pairs(F, G, Fr(a), space)
+    if match is None:
+        return None
+    pairs, feas = match
+    cert = interleave._certificate(F, G, Fr(a),
+                                   {pair: feas[pair] for pair in pairs}, space)
+    try:
+        return cert if verify_certificate(F, G, cert, space) else None
+    except UnsupportedHomError:
+        return None
+
+
 def _outcome(F, G, a, ops):
     """'found', 'refuted', 'capacity' or 'unsupported' at the shift a, by
-    the route that does not rest on the isometry theorem: the isomorphism
-    test at 0, else the matching search and then the exhaustive search."""
+    the route that does not rest on the isometry theorem or on any pair
+    cost: the isomorphism test at 0, else the full-table matching and then
+    the exhaustive search."""
     if a == 0 and not iso_equal(F, G):
         return "refuted"
-    try:
-        if check_matching(F, G, a, ops) is not None:
-            return "found"
-    except UnsupportedHomError:
-        pass
+    if _table_certificate(F, G, a, ops) is not None:
+        return "found"
     try:
         cert = check_exhaustive(F, G, a, ops)
     except CapacityError:
@@ -487,7 +538,7 @@ class TestScriptedWalk:
         F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
         state = {}
 
-        def search(F, G, a, space):
+        def search(F, G, a, space, costs):
             assert 0 < a and a not in state["searched"], a
             state["searched"].add(a)
             outcome = state["script"][int(a)]
@@ -521,16 +572,16 @@ class TestScriptedWalk:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_each_grid_index_matched_once(self, rng, p, monkeypatch):
-        """Every pair that reaches the walk runs at least one matching
-        table, and no grid value gets two."""
+        """Every pair that reaches the walk runs at least one matching,
+        and no grid value gets two."""
         calls = []
-        match_pairs = interleave._match_pairs
+        matching = interleave._matching
 
-        def counted(F, G, a, space):
+        def counted(F, G, a, space, costs):
             calls.append(a)
-            return match_pairs(F, G, a, space)
+            return matching(F, G, a, space, costs)
 
-        monkeypatch.setattr(interleave, "_match_pairs", counted)
+        monkeypatch.setattr(interleave, "_matching", counted)
         walked = 0
         for F, G, space in _circle_pairs(rng, p, 10):
             calls.clear()
@@ -545,16 +596,15 @@ class TestScriptedWalk:
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_pair_at_infinite_distance_skips_the_walk(p, monkeypatch):
     """Up to twelve bars a side plus (-inf, 0] against [0, +inf): the gate
-    passes, no pair of the two rays has a finite cost, and the one matching
-    at the largest cost decides an exact +inf, with no grid probe."""
+    passes, no pair of the two rays has a finite cost, and the bisection
+    over the costs finds no matching at the largest one: an exact +inf,
+    with no grid, no certificate and no Hom calculus."""
     calls = []
-    match_pairs = interleave._match_pairs
-
-    def counted(F, G, a, space):
-        calls.append(a)
-        return match_pairs(F, G, a, space)
-
-    monkeypatch.setattr(interleave, "_match_pairs", counted)
+    for name in ("_matching", "_search", "critical_grid", "_pair_feasible"):
+        def counted(*args, _name=name, _f=getattr(interleave, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(interleave, name, counted)
     rng = __import__("random").Random(p)
     F0 = rand_bounded_barcode(rng, max_bars=12, char=p)
     F = F0.direct_sum(gb(bar(ray_left(0)), char=p))
@@ -581,7 +631,7 @@ def _grid_scan_cost(f, g, p):
     """Oracle: the first value on the pair's critical grid where
     ``_pair_feasible`` gives scalars or both bars die; +inf when none."""
     for a in critical_grid(gb(f, char=p), gb(g, char=p)):
-        (lf,), (lg,) = _lifts([f], a, LINE), _lifts([g], a, LINE)
+        lf, lg = _lift(f, a, LINE), _lift(g, a, LINE)
         if _pair_feasible(lf, lg, p, LINE) is not None or (lf[3] and lg[3]):
             return a
     return POS_INF
@@ -625,8 +675,9 @@ def _mixed_line_pairs(rng, p, count, max_bars):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_value_certified_there_and_refuted_below(rng, p):
-    """The matching search certifies the line distance v and refutes its
-    grid predecessor; at +inf it refutes the top grid value."""
+    """The full-table matching, which reads no pair cost, certifies the
+    line distance v and refutes its grid predecessor; at +inf it refutes
+    the top grid value."""
     seen = {"isometry": 0, POS_INF: 0}
     rays = (gb(bar(ray_left(0)), bar(closed(1, 2)), char=p),
             gb(bar(ray_right(0)), bar(closed(1, 3)), char=p))
@@ -637,12 +688,12 @@ def test_line_value_certified_there_and_refuted_below(rng, p):
             continue
         grid = critical_grid(F, G)
         if d.upper == POS_INF:
-            assert check_matching(F, G, grid[-1]) is None, (F, G)
+            assert _table_certificate(F, G, grid[-1], LINE) is None, (F, G)
             seen[POS_INF] += 1
             continue
         k = grid.index(d.upper)
-        assert check_matching(F, G, d.upper) is not None, (F, G)
-        assert check_matching(F, G, grid[k - 1]) is None, (F, G)
+        assert _table_certificate(F, G, d.upper, LINE) is not None, (F, G)
+        assert _table_certificate(F, G, grid[k - 1], LINE) is None, (F, G)
         seen["isometry"] += 1
     assert seen["isometry"] >= 10 and seen[POS_INF] >= 1, seen
 
@@ -661,18 +712,37 @@ def test_line_distance_equals_linear_scan_up_to_three_bars(rng, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_distance_makes_no_grid_probe(rng, p, monkeypatch):
-    """A line ``distance`` runs no ``_match_pairs`` table and no
-    exhaustive search."""
-    calls = []
-    for name in ("_match_pairs", "check_exhaustive"):
+    """A line ``distance`` runs no grid, no circle search and no
+    exhaustive search: one ``_matching`` at the value, which calls
+    ``_pair_feasible`` once per matched pair whose bars do not both die,
+    each of which gives one block of the witness."""
+    calls, asked = [], []
+    for name in ("_search", "check_exhaustive", "critical_grid", "_matching"):
         def counted(*args, _name=name, _f=getattr(interleave, name)):
             calls.append(_name)
             return _f(*args)
         monkeypatch.setattr(interleave, name, counted)
+    pair_feasible = interleave._pair_feasible
+
+    def asked_once(f, g, p, space):
+        asked.append((f[0], g[0]))
+        return pair_feasible(f, g, p, space)
+
+    monkeypatch.setattr(interleave, "_pair_feasible", asked_once)
     pairs = list(_line_pairs(rng, p, 10)) + list(_mixed_line_pairs(rng, p, 9, 5))
+    matched = 0
     for F, G in pairs:
+        calls.clear()
+        asked.clear()
         d = distance(F, G)
-        assert d.exact and calls == [], (F, G, calls)
+        assert d.exact, (F, G)
+        if d.exact_by == "isometry" and d.upper != POS_INF:
+            assert calls == ["_matching"], (F, G, calls)
+            assert len(asked) == len(d.witness.f.blocks), (F, G, asked)
+            matched += bool(asked)
+        else:
+            assert calls == [] and asked == [], (F, G, calls)
+    assert matched >= 10, matched
 
 
 def test_cost_formula_against_hom_calculus_is_an_invariant(monkeypatch):
@@ -786,6 +856,62 @@ def test_deck_cost_equals_least_direct_cost_over_copies(rng, C):
     assert finite >= 40
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_feasible_circle_pair_has_deck_cost_within_shift(rng, p):
+    """The direction of the hint that the circle matching rests on: a pair
+    that ``_pair_feasible`` accepts at a shift a has ``deck_cost`` at most
+    a, so keeping only the pairs of cost at most a drops none that the Hom
+    calculus would take.  Lifts go up to 2C; g is a nudged copy of f or an
+    independent draw; the shifts are the pair's circle grid."""
+    C, accepted = 4, 0
+    space = circle_ops(C, p)
+    for _ in range(40):
+        f, g = _long_spirals(rng, C, 2)
+        if rng.random() < 0.5:
+            g = normal_form(_nudged(rng, gb(f, char=p)).bars[0], space)
+        for a in critical_grid(gb(f, char=p), gb(g, char=p), space):
+            try:
+                x = _pair_feasible(_lift(f, a, space), _lift(g, a, space), p,
+                                   space)
+            except UnsupportedHomError:
+                continue
+            if x is not None:
+                accepted += 1
+                assert deck_cost(cost_form(f), cost_form(g), C) <= a, (f, g, a)
+    assert accepted >= 50, accepted
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_long_pair_whose_bars_both_die_is_certified(p, monkeypatch):
+    """[1, 8) against [5/2, 10) in degree 1 on R/4Z at 15/4.  The pair is
+    the one candidate (deck cost 2), and its Hom is beyond one scalar
+    (``_pair_feasible`` raises), but both bars die there (kill costs 7/2
+    and 15/4).  So the matching certifies with both bars on their diagonal
+    slots and no block, without asking the Hom calculus; a routine that
+    stopped at the unusable pair would lose this certificate.
+    ``distance`` still reports [0, 15/4], inconclusive."""
+    space = circle_ops(4, p)
+    F = CircleSheaf(4, [Bar(half_open(1, 8), 1)], (), p).spiral_barcode()
+    G = CircleSheaf(4, [Bar(half_open(Fr(5, 2), 10), 1)], (),
+                    p).spiral_barcode()
+    a = Fr(15, 4)
+    assert interleave._pair_costs(F, G, space) == \
+        ([[(Fr(2), 0)]], [Fr(7, 2)], [Fr(15, 4)])
+    with pytest.raises(UnsupportedHomError):
+        _pair_feasible(_lift(F.bars[0], a, space),
+                       _lift(G.bars[0], a, space), p, space)
+    asked = []
+    monkeypatch.setattr(interleave, "_pair_feasible",
+                        lambda *args: asked.append(args))
+    cert = check_matching(F, G, a, space)
+    assert cert is not None and asked == []
+    assert cert.f.blocks == cert.g.blocks == {}
+    monkeypatch.undo()
+    assert verify_certificate(F, G, cert, space)
+    d = distance(F, G, space)
+    assert (d.lower, d.upper, d.exact, d.conclusive) == (0, a, False, False)
+
+
 def _long_spirals(rng, C, n):
     """n spiral lifts starting on the 1/4 grid in [0, C), of every shape,
     with lengths on the 1/2 grid up to 2C."""
@@ -830,7 +956,7 @@ def test_deck_cost_start_equals_galloping_start(rng, p):
         grid = critical_grid(F, G, space)
         v = interleave._least_cost(interleave._pair_costs(F, G, space))
         start = 1 if v is None else max(1, bisect_left(grid, v))
-        oracle = _least_match(len(grid), lambda i: interleave._match_pairs(
+        oracle = _least_match(len(grid), lambda i: _match_pairs(
             F, G, grid[i], space)) or 1
         if start == oracle:
             same += 1
@@ -1020,7 +1146,7 @@ def test_pair_feasibility_upward_closed(rng, p):
             gbar = _nudged(rng, gb(fbar, char=p)).bars[0]
         holds = []
         for a in critical_grid(gb(fbar, char=p), gb(gbar, char=p)):
-            (f,), (g,) = _lifts([fbar], a, LINE), _lifts([gbar], a, LINE)
+            f, g = _lift(fbar, a, LINE), _lift(gbar, a, LINE)
             holds.append(_pair_feasible(f, g, p, LINE) is not None
                          or (f[3] and g[3]))
         if True in holds:
@@ -1054,21 +1180,48 @@ def _killable_or_not(rng, n):
                 else closed(k, k + 1), 0) for k in range(n)]
 
 
-def test_matching_agrees_with_brute_force(rng, monkeypatch):
-    """``_match_pairs`` on a random table of feasible and unsupported pairs
-    finds a valid matching exactly when one exists."""
-    table = {}
+def _every_pair_a_candidate(F, G):
+    """Pair costs under which every pair is a candidate at every shift."""
+    return ([[(Fr(0), j) for j in range(len(G.bars))] for _ in F.bars],
+            [kill_cost(b) for b in F.bars], [kill_cost(b) for b in G.bars])
+
+
+def _scripted(monkeypatch, feasible):
+    """Script ``_pair_feasible`` by ``feasible(fbar, gbar)``, which returns
+    a scalar, None or "unsupported", and pass every certificate.  Returns
+    the list of asked bar pairs and the list of certified scalar maps."""
+    asked, built = [], []
 
     def pair_feasible(f, g, p, space):
-        r = table.get((f[0], g[0]))
+        asked.append((f[0], g[0]))
+        r = feasible(f[0], g[0])
         if r == "unsupported":
             raise UnsupportedHomError("scripted")
         return r
 
+    def certificate(F, G, a, scalars, space):
+        built.append(scalars)
+        return InterleavingCertificate(a, None, None)
+
     monkeypatch.setattr(interleave, "_pair_feasible", pair_feasible)
-    a = Fr(1)
+    monkeypatch.setattr(interleave, "_certificate", certificate)
+    monkeypatch.setattr(interleave, "verify_certificate",
+                        lambda F, G, cert, space: True)
+    return asked, built
+
+
+def test_matching_agrees_with_brute_force(rng, monkeypatch):
+    """``_matching`` with every pair a candidate, on a random table of
+    feasible and unsupported pairs, certifies exactly when a valid
+    matching of feasible pairs exists, with blocks on feasible pairs only,
+    and asks about each pair at most once.  On the circle an unusable pair
+    leaves the graph and the matching runs again."""
+    table = {}
+    asked, built = _scripted(monkeypatch, lambda f, g: table.get((f, g)))
+    a, space = Fr(1), circle_ops(8)
     outcomes = {True: 0, False: 0}
     killable = set()
+    rematched = 0
     for _ in range(600):
         F = gb(*_killable_or_not(rng, rng.randint(0, 5)))
         G = gb(*_killable_or_not(rng, rng.randint(0, 5)))
@@ -1084,15 +1237,21 @@ def test_matching_agrees_with_brute_force(rng, monkeypatch):
         kill_F = [halfopen_translation_kills(b.iv, 0, 2 * a) for b in F.bars]
         kill_G = [halfopen_translation_kills(b.iv, 0, 2 * a) for b in G.bars]
         killable.update(kill_F + kill_G)
-        match = interleave._match_pairs(F, G, a, LINE)
+        asked.clear()
+        built.clear()
+        cert = interleave._matching(F, G, a, space,
+                                    _every_pair_a_candidate(F, G))
         exists = next(_valid_matchings(nF, nG, feasible, kill_F, kill_G),
                       None) is not None
-        assert (match is not None) == exists, (F, G, table)
+        assert (cert is not None) == exists, (F, G, table)
+        assert len(asked) == len(set(asked)), (F, G, asked)
         outcomes[exists] += 1
-        if match is None:
+        rematched += any((f, g) not in table or table[(f, g)] != 1
+                         for f, g in asked)
+        if cert is None:
+            assert built == []
             continue
-        pairs, feas = match
-        assert feas == feasible
+        (pairs,) = built
         assert all(pair in feasible for pair in pairs)
         assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) \
             == len(pairs)
@@ -1100,20 +1259,27 @@ def test_matching_agrees_with_brute_force(rng, monkeypatch):
         assert all(kill_G[j] for j in set(range(nG)) - {j for _, j in pairs})
     assert killable == {True, False}
     assert outcomes[True] > 150 and outcomes[False] > 150, outcomes
+    assert rematched > 100, rematched
 
 
 def test_matching_refutes_hall_violation_fast(monkeypatch):
-    """12 against 12 closed bars, none killable, where G's first bar has no
-    feasible partner: no matching exists, and the search says so at once
-    (an exhaustive backtracker grows tenfold per bar on this shape)."""
+    """12 against 12 closed bars, none killable, every pair a candidate,
+    where G's first bar has no feasible partner: each proposed matching
+    pairs it with a new F bar, that pair leaves the graph, and after at
+    most 12 rounds no matching is left, at once and with no pair asked
+    twice (an exhaustive backtracker grows tenfold per bar on this
+    shape)."""
     F = gb(*[bar(closed(k, k + 1)) for k in range(12)])
     G = gb(*[bar(closed(k, k + 2)) for k in range(12)])
     g0 = G.bars[0]
-    monkeypatch.setattr(interleave, "_pair_feasible",
-                        lambda f, g, p, space: None if g[0] == g0 else 1)
+    asked, built = _scripted(monkeypatch,
+                             lambda f, g: None if g == g0 else 1)
     start = time.perf_counter()
-    assert interleave._match_pairs(F, G, Fr(1), LINE) is None
+    assert interleave._matching(F, G, Fr(1), circle_ops(16),
+                                _every_pair_a_candidate(F, G)) is None
     assert time.perf_counter() - start < 0.5
+    assert len(asked) == len(set(asked)) and built == []
+    assert sum(g == g0 for _, g in asked) == 12
 
 
 # ---------------------------------------------------------------------------
