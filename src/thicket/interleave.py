@@ -46,7 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import islice, product
 
 from . import fieldmath as fm
@@ -301,13 +301,11 @@ def _matching(F, G, a, space, costs):
     (``AssertionError``).  On the circle they are a conjecture, and None
     leaves the shift to the exhaustive search."""
     adj, kill_F, kill_G = _candidates(costs, a)
-    lift = cache(_lift)
 
-    @cache
     def scalar(i, j):
         """The g-side scalar of pair (i, j): 0 when both bars die, None
         when the pair is unusable."""
-        f, g = lift(F.bars[i], a, space), lift(G.bars[j], a, space)
+        f, g = _lift(F.bars[i], a, space), _lift(G.bars[j], a, space)
         if f[3] and g[3]:
             return 0
         try:
@@ -319,17 +317,21 @@ def _matching(F, G, a, space, costs):
                                  f"disagree on {f[0]}, {g[0]} at {a}")
         return x
 
+    scalars = {}                      # every pair proposed so far
     while True:
         pairs = _perfect_matching(adj, kill_F, kill_G)
         if pairs is None:
             return None
-        unusable = [(i, j) for i, j in pairs if scalar(i, j) is None]
+        for pair in pairs:
+            if pair not in scalars:
+                scalars[pair] = scalar(*pair)
+        unusable = [(i, j) for i, j in pairs if scalars[(i, j)] is None]
         if not unusable:
             break
         for i, j in unusable:
             adj[i].remove(j)
-    cert = _certificate(F, G, a, {pair: x for pair in pairs
-                                  if (x := scalar(*pair))}, space)
+    cert = _certificate(F, G, a, {pair: scalars[pair] for pair in pairs
+                                  if scalars[pair]}, space)
     try:
         if verify_certificate(F, G, cert, space):
             return cert
