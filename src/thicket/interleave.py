@@ -35,9 +35,9 @@ already in normal form.
 
 The grid is built in exact integers: the ends (and C) are scaled over four
 times the lcm of their denominators, so every difference, shift and half is
-an int, and one ``Fraction`` is made per distinct grid value.  A matching
-thickens each matched bar once to its a-lift and once to its 2a-lift and
-reads its restriction coefficient once; every pair it meets reuses these.
+an int, and one ``Fraction`` is made per distinct grid value.  A search at a
+thickens each side once to a and once to 2a (``_thickenings``); the lifts,
+the certificate and its check share them, reading T_a T_a as T_2a.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ from . import fieldmath as fm
 from .barcode import (CharacteristicMismatchError, global_sections,
                       global_sections_c, iso_equal)
 from .morphisms import (LINE, Morphism, UnsupportedHomError, _block_kind,
-                        compose, identity_morphism, normal_form, restriction,
-                        space_dim, struct_scalar, thicken_indexed,
-                        thicken_morphism)
+                        compose, identity_morphism, map_blocks, normal_form,
+                        restriction, restriction_between, space_dim,
+                        struct_scalar, thicken_indexed)
 from .scalars import POS_INF
-from .thicken import (bar_rule, cost_form, deck_cost, direct_cost,
+from .thicken import (cost_form, deck_cost, direct_cost,
                       halfopen_translation_kills, kill_cost)
 
 
@@ -95,21 +95,40 @@ class DistanceBounds:
 # ---------------------------------------------------------------------------
 
 def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
-    """Exact check of the two 2a-composite identities in ``space``."""
+    """Exact check of the two 2a-composite identities in ``space``, on the
+    four ``_thickenings`` tables (``_verified``)."""
     a = Fraction(cert.a)
     if a < 0:
         return False
-    TFa, _ = thicken_indexed(F, a, space)
-    TGa, _ = thicken_indexed(G, a, space)
-    if cert.f.source != TFa or cert.f.target != G:
+    return _verified(F, G, cert, _thickenings(F, G, a, space), space)
+
+
+def _thickenings(F, G, a, space):
+    """Per side X, the ``thicken_indexed`` tables of T_a X and T_2a X."""
+    return [(thicken_indexed(X, a, space), thicken_indexed(X, 2 * a, space))
+            for X in (F, G)]
+
+
+def _verified(F, G, cert, sides, space):
+    """Whether T_a x then y is the restriction T_2a X -> X, for (x, y) =
+    (f, g) and (g, f), on the tables ``sides``.  Thickening is monoidal:
+    T_a T_a X = T_2a X, bar pXa[i] going to bar pX2a[i] (``sorted`` is
+    stable, and T_a keeps bars apart for a >= 0), so T_a x is x moved there."""
+    (Fa, F2a), (Ga, G2a) = sides
+    if cert.f.source != Fa[0] or cert.f.target != G:
         raise ValueError("certificate f has wrong shape")
-    if cert.g.source != TGa or cert.g.target != F:
+    if cert.g.source != Ga[0] or cert.g.target != F:
         raise ValueError("certificate g has wrong shape")
-    lhs_f = compose(thicken_morphism(cert.f, a), cert.g)
-    if lhs_f != restriction(F, 0, 2 * a, space):
-        return False
-    lhs_g = compose(thicken_morphism(cert.g, a), cert.f)
-    return lhs_g == restriction(G, 0, 2 * a, space)
+    return all(
+        compose(map_blocks(x, X2a[0], dict(zip(Xa[1], X2a[1])), *Ya), y)
+        == _restriction_to(X, 2 * cert.a, X2a, space)
+        for X, x, y, Xa, X2a, Ya in ((F, cert.f, cert.g, Fa, F2a, Ga),
+                                     (G, cert.g, cert.f, Ga, G2a, Fa)))
+
+
+def _restriction_to(X, a2, X2a, space):
+    """The restriction T_2a X -> X on the 2a table ``X2a``."""
+    return restriction_between(X, 0, a2, *X2a, X, range(len(X.bars)), space)
 
 
 def identity_certificate(F, space=LINE) -> InterleavingCertificate:
@@ -132,22 +151,13 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 # ---------------------------------------------------------------------------
 # Strategy: block-diagonal matching over the pair costs.
 
-def _lift(b, a, space):
-    """(b, its a-lift, its 2a-lift, whether the canonical restriction to 2a
-    kills it); the lifts are in the normal form of ``space``."""
-    a2 = 2 * a
-    return (b, normal_form(bar_rule(b, a), space),
-            normal_form(bar_rule(b, a2), space),
-            halfopen_translation_kills(b.iv, 0, a2))
-
-
 def _pair_feasible(f, g, p, space):
     """The g-side scalar of a matched pair, or None; its f-side scalar is 1.
 
-    ``f`` and ``g`` are ``_lift`` results.  The pair's composites must hit
-    the restriction coefficients of both bars exactly; either coefficient
-    may be zero (a half-open bar past its length), in which case the
-    corresponding composite has to vanish."""
+    ``f`` and ``g`` are ``_matching`` lifts: (bar, a-lift, 2a-lift, dies at
+    2a).  The pair's composites must hit the restriction coefficients of
+    both bars exactly; either coefficient may be zero (a half-open bar past
+    its length), in which case the corresponding composite has to vanish."""
     fbar, tf, tff, f_dies = f
     gbar, tg, tgg, g_dies = g
     k_f = _block_kind(tf, gbar)
@@ -272,11 +282,10 @@ def _least_cost(costs):
     return None if k == len(values) else Fraction(values[k])
 
 
-def _certificate(F, G, a, scalars, space):
-    """The block-diagonal a-certificate, unverified, with f-side scalar 1
-    and g-side scalar ``scalars[(i, j)]`` on each pair (i, j)."""
-    TFa, permF = thicken_indexed(F, a, space)
-    TGa, permG = thicken_indexed(G, a, space)
+def _certificate(F, G, a, scalars, sides, space):
+    """The block-diagonal a-certificate on the tables ``sides``, unverified,
+    with f-side scalar 1 and g-side scalar ``scalars[(i, j)]`` on (i, j)."""
+    ((TFa, permF), _), ((TGa, permG), _) = sides
     fblocks, gblocks = {}, {}
     for (i, j), x in scalars.items():
         fblocks[(permF[i], j, _block_kind(TFa.bars[permF[i]], G.bars[j]))] = 1
@@ -287,9 +296,9 @@ def _certificate(F, G, a, scalars, space):
         Morphism(TGa, F, gblocks, space, validate=False))
 
 
-def _matching(F, G, a, space, costs):
+def _matching(F, G, a, space, costs, sides):
     """The verified certificate of a block-diagonal matching at ``a`` over
-    the ``_pair_costs`` result ``costs``, or None.
+    the ``_pair_costs`` costs and the ``_thickenings`` tables, or None.
 
     The candidate pairs are those of cost at most a, and a bar of kill cost
     at most a may stay unmatched.  Only the pairs ``_perfect_matching``
@@ -301,11 +310,15 @@ def _matching(F, G, a, space, costs):
     (``AssertionError``).  On the circle they are a conjecture, and None
     leaves the shift to the exhaustive search."""
     adj, kill_F, kill_G = _candidates(costs, a)
+    lifts = [[(b, Ta.bars[pa[i]], T2a.bars[p2a[i]],
+               halfopen_translation_kills(b.iv, 0, 2 * a))
+              for i, b in enumerate(X.bars)]
+             for X, ((Ta, pa), (T2a, p2a)) in zip((F, G), sides)]
 
     def scalar(i, j):
         """The g-side scalar of pair (i, j): 0 when both bars die, None
         when the pair is unusable."""
-        f, g = _lift(F.bars[i], a, space), _lift(G.bars[j], a, space)
+        f, g = lifts[0][i], lifts[1][j]
         if f[3] and g[3]:
             return 0
         try:
@@ -331,9 +344,9 @@ def _matching(F, G, a, space, costs):
         for i, j in unusable:
             adj[i].remove(j)
     cert = _certificate(F, G, a, {pair: scalars[pair] for pair in pairs
-                                  if scalars[pair]}, space)
+                                  if scalars[pair]}, sides, space)
     try:
-        if verify_certificate(F, G, cert, space):
+        if _verified(F, G, cert, sides, space):
             return cert
     except UnsupportedHomError:
         pass
@@ -346,7 +359,8 @@ def check_matching(F, G, a, space=LINE):
     """``_matching`` at the shift a, after the entry checks of every
     search: the verified certificate, or None."""
     a = _check_inputs(F, G, space, a)
-    return _matching(F, G, a, space, _pair_costs(F, G, space))
+    return _matching(F, G, a, space, _pair_costs(F, G, space),
+                     _thickenings(F, G, a, space))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +382,15 @@ def check_exhaustive(F, G, a, space=LINE):
     The unknowns are counted as they are found, and the count stops as soon
     as it passes ``MAX_UNKNOWNS``."""
     a = _check_inputs(F, G, space, a)
+    return _exhaustive(F, G, a, space, _thickenings(F, G, a, space))
+
+
+def _exhaustive(F, G, a, space, sides):
+    """``check_exhaustive`` on the ``_thickenings`` tables ``sides``."""
     p = F.char
-    TFa, permFa = thicken_indexed(F, a, space)
-    TGa, permGa = thicken_indexed(G, a, space)
-    fvars = list(islice(_variables(F, TFa, permFa, G, p, space),
-                        MAX_UNKNOWNS + 1))
-    gvars = list(islice(_variables(G, TGa, permGa, F, p, space),
+    (Fa, _), (Ga, _) = sides
+    fvars = list(islice(_variables(F, *Fa, G, p, space), MAX_UNKNOWNS + 1))
+    gvars = list(islice(_variables(G, *Ga, F, p, space),
                         MAX_UNKNOWNS + 1 - len(fvars)))
     if len(fvars) + len(gvars) > MAX_UNKNOWNS:
         raise CapacityError(
@@ -381,18 +398,16 @@ def check_exhaustive(F, G, a, space=LINE):
             f"{MAX_UNKNOWNS}")
     if len(fvars) > len(gvars):
         # enumerate over the smaller side by swapping the roles of F and G
-        res = _exhaustive_core(G, F, a, space,
-                               TGa, permGa, gvars, TFa, permFa, fvars)
+        res = _exhaustive_core(G, F, a, space, sides[::-1], gvars, fvars)
         if res is None:
             return None
         return InterleavingCertificate(a, res.g, res.f)
-    return _exhaustive_core(F, G, a, space,
-                            TFa, permFa, fvars, TGa, permGa, gvars)
+    return _exhaustive_core(F, G, a, space, sides, fvars, gvars)
 
 
 def _composite_terms(X, TX2a, permX2a, TYa, permYa, xvars, yvars, p, space):
     """Tensor entries of the composite T_a(x-blocks) then (y-blocks), an
-    element of Hom(T_2a X, X): (xvar, yvar) -> [(row key, scalar)], in
+    element of Hom(T_2a X, X): (xvar, yvar) -> [(block key, scalar)], in
     ``xvars`` then ``yvars`` order."""
     out = {}
     for xu in xvars:
@@ -410,32 +425,24 @@ def _composite_terms(X, TX2a, permX2a, TYa, permYa, xvars, yvars, p, space):
                 continue
             tk, s = struct_scalar(space, p, src2.iv, mid.iv, X.bars[xl].iv, kxt, ky)
             if s:
-                out.setdefault((xu, yv), []).append(((xi, xl, tk), s))
+                out.setdefault((xu, yv), []).append(((permX2a[xi], xl, tk), s))
     return out
 
 
-def _restriction_terms(X, TX2a, permX2a, a2):
-    """Blocks of the canonical restriction T_2a X -> X: the right-hand side
-    of the composite equation for X."""
-    return {(i, i, _block_kind(TX2a.bars[permX2a[i]], b)): 1
-            for i, b in enumerate(X.bars)
-            if not halfopen_translation_kills(b.iv, 0, a2)}
-
-
-def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
+def _exhaustive_core(F, G, a, space, sides, fvars, gvars):
     """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
-    ``gvars``; the a-thickenings and their index maps come from the caller.
-    A restriction block that no composite term reaches reads 0 = 1 under
-    every assignment, so it refutes the shift before any enumeration."""
+    ``gvars``, on the ``_thickenings`` tables ``sides``.  A restriction
+    block that no composite term reaches reads 0 = 1 under every
+    assignment, so it refutes the shift before any enumeration."""
     p = F.char
-    TF2a, permF2a = thicken_indexed(F, 2 * a, space)
-    TG2a, permG2a = thicken_indexed(G, 2 * a, space)
+    (((TFa, permFa), (TF2a, permF2a)),
+     ((TGa, permGa), (TG2a, permG2a))) = sides
 
     # Tensor entries for the two composite equations.
     t1 = _composite_terms(F, TF2a, permF2a, TGa, permGa, fvars, gvars, p, space)
     t2 = _composite_terms(G, TG2a, permG2a, TFa, permFa, gvars, fvars, p, space)
-    rho_F = _restriction_terms(F, TF2a, permF2a, 2 * a)
-    rho_G = _restriction_terms(G, TG2a, permG2a, 2 * a)
+    rho_F = _restriction_to(F, 2 * a, sides[0][1], space).blocks
+    rho_G = _restriction_to(G, 2 * a, sides[1][1], space).blocks
     keys1 = {rk for v in t1.values() for rk, _ in v}
     keys2 = {rk for v in t2.values() for rk, _ in v}
     if not (rho_F.keys() <= keys1 and rho_G.keys() <= keys2):
@@ -487,17 +494,18 @@ def _exhaustive_core(F, G, a, space, TFa, permFa, fvars, TGa, permGa, gvars):
             a,
             Morphism(TFa, G, fblocks, space, validate=False),
             Morphism(TGa, F, gblocks, space, validate=False))
-        if verify_certificate(F, G, cert, space):
+        if _verified(F, G, cert, sides, space):
             return cert
         raise AssertionError("solver produced a certificate that fails verification")
     return None
 
 
 def _search(F, G, a, space, costs):
-    """The one search at a circle shift: the ``_matching`` certificate over
-    the deck-copy costs ``costs``, else the exhaustive search."""
-    cert = _matching(F, G, a, space, costs)
-    return cert if cert is not None else check_exhaustive(F, G, a, space)
+    """The one search at a circle shift, on one set of ``_thickenings``: the
+    ``_matching`` certificate over the deck-copy costs, else ``_exhaustive``."""
+    sides = _thickenings(F, G, a, space)
+    cert = _matching(F, G, a, space, costs, sides)
+    return cert if cert is not None else _exhaustive(F, G, a, space, sides)
 
 
 def check_interleaving(F, G, a, space=LINE):
@@ -517,7 +525,7 @@ def check_interleaving(F, G, a, space=LINE):
         return None
     costs = _pair_costs(F, G, space)
     if space == LINE:
-        return _matching(F, G, a, LINE, costs)
+        return _matching(F, G, a, LINE, costs, _thickenings(F, G, a, LINE))
     return _search(F, G, a, space, costs)
 
 
@@ -603,8 +611,8 @@ def distance(F, G, space=LINE) -> DistanceBounds:
         if v is None:
             return DistanceBounds(POS_INF, POS_INF, True, None,
                                   exact_by="isometry")
-        return DistanceBounds(v, v, True, _matching(F, G, v, LINE, costs),
-                              exact_by="isometry")
+        cert = _matching(F, G, v, LINE, costs, _thickenings(F, G, v, LINE))
+        return DistanceBounds(v, v, True, cert, exact_by="isometry")
     grid = critical_grid(F, G, space)
     n = len(grid)
     probes = {0: ("refuted", None)}

@@ -522,9 +522,12 @@ def thicken_morphism(m: Morphism, a) -> Morphism:
     the canonical generator of the thickened pair with the same coefficient;
     block kinds can change when a bar crosses its degeneration parameter.
     """
-    a = Fraction(a)
-    src, perm_s = thicken_indexed(m.source, a, m.space)
-    tgt, perm_t = thicken_indexed(m.target, a, m.space)
+    return map_blocks(m, *thicken_indexed(m.source, a, m.space),
+                      *thicken_indexed(m.target, a, m.space))
+
+
+def map_blocks(m: Morphism, src, perm_s, tgt, perm_t) -> Morphism:
+    """``thicken_morphism`` onto given ``thicken_indexed`` tables."""
     p = m.char
     out = {}
     for (i, j, _kind), c in m.blocks.items():
@@ -550,8 +553,12 @@ def restriction(F, a, b, space=LINE) -> Morphism:
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("restriction requires a <= b")
-    src, perm_b = thicken_indexed(F, b, space)
-    tgt, perm_a = thicken_indexed(F, a, space)
+    return restriction_between(F, a, b, *thicken_indexed(F, b, space),
+                               *thicken_indexed(F, a, space), space)
+
+
+def restriction_between(F, a, b, src, perm_b, tgt, perm_a, space) -> Morphism:
+    """``restriction`` between given ``thicken_indexed`` tables at b and a."""
     p = F.char
     out = {}
     for i, bar in enumerate(F.bars):

@@ -8,8 +8,8 @@ import pytest
 from conftest import bar, gb, pooled_interval
 from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
                              closed, dualize_bar, full_line, half_open,
-                             half_open_r, open_iv, ray_left, ray_right,
-                             singleton)
+                             half_open_r, intersect, open_iv, ray_left,
+                             ray_right, singleton)
 from thicket.corpus import rand_barcode
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, compose,
                                hom_dim, identity_morphism, poset_oracle_rhom,
@@ -74,6 +74,39 @@ class TestHomDim:
     def test_characteristic_must_be_prime(self, char):
         with pytest.raises(ValueError, match="must be prime"):
             hom_dim(bar(closed(0, 2)), bar(singleton(1)), char)
+
+
+def _closed_form_hom0(I, J):
+    """The closed-form Hom^0 rule for interval sheaves in one degree:
+    Hom(k_I, k_J) is one-dimensional exactly when K = I meet J is not
+    empty, K is closed in I (each open end of K is the same end of I) and
+    K is open in J (each closed end of K is the same end of J); else 0.
+    An infinite end is open, and the same end of both intervals."""
+    K = intersect(I, J)
+    if K is None:
+        return 0
+    for end in ((K.left, K.lkind, I.left, I.lkind, J.left, J.lkind),
+                (K.right, K.rkind, I.right, I.rkind, J.right, J.rkind)):
+        k, kind, i, ikind, j, jkind = end
+        if (k, kind) != ((i, ikind) if kind is OPEN else (j, jkind)):
+            return 0
+    return 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom0_closed_form_on_the_interval_grid(p):
+    """The closed-form Hom^0 rule against ``hom_dim`` (the quiver model) on
+    all 2,025 ordered pairs of the 45 intervals with ends in {-inf, 0, 1,
+    2, 3, +inf}.  This pins the rule that closed-form Hom dimensions
+    would read in place of the quiver model."""
+    assert len(GRID_INTERVALS) == 45
+    ones = 0
+    for I in GRID_INTERVALS:
+        for J in GRID_INTERVALS:
+            want = _closed_form_hom0(I, J)
+            assert hom_dim(bar(I), bar(J), char=p).dimension == want, (I, J)
+            ones += want
+    assert 0 < ones < 2025, ones
 
 
 class TestPosetOracle:

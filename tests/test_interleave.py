@@ -19,15 +19,17 @@ from thicket import interleave
 from thicket.interleave import (CapacityError, DistanceBounds,
                                 InterleavingCertificate, check_exhaustive, check_interleaving,
                                 check_matching, critical_grid, distance,
-                                _lift, _pair_feasible, finite_gate,
+                                _pair_feasible, finite_gate,
                                 identity_certificate, verify_certificate,
                                 weaken_certificate)
 from thicket import fieldmath as fm
-from thicket.morphisms import (LINE, Morphism, UnsupportedHomError,
-                               normal_form, thicken_indexed)
+from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, compose,
+                               normal_form, restriction, thicken_indexed,
+                               thicken_morphism)
+from thicket import morphisms
 from thicket.plmaps import abs_map, lipschitz_experiment
 from thicket.scalars import POS_INF
-from thicket.thicken import (cost_form, deck_cost, direct_cost,
+from thicket.thicken import (bar_rule, cost_form, deck_cost, direct_cost,
                              halfopen_translation_kills, kill_cost, thicken)
 
 
@@ -297,6 +299,14 @@ class TestBudgetBounds:
 # ---------------------------------------------------------------------------
 # The candidate search against the linear scan that defines the answer.
 
+def _lift(b, a, space):
+    """Oracle of the lifts a matching reads off its tables, bar by bar:
+    (b, its a-lift, its 2a-lift, whether the restriction to 2a kills it)."""
+    return (b, normal_form(bar_rule(b, a), space),
+            normal_form(bar_rule(b, 2 * a), space),
+            halfopen_translation_kills(b.iv, 0, 2 * a))
+
+
 def _match_pairs(F, G, a, space):
     """Oracle of the matching: the full pair-feasibility table at ``a``
     from the Hom calculus, with no pair cost read, and a block-diagonal
@@ -326,8 +336,9 @@ def _table_certificate(F, G, a, space):
     if match is None:
         return None
     pairs, feas = match
-    cert = interleave._certificate(F, G, Fr(a),
-                                   {pair: feas[pair] for pair in pairs}, space)
+    cert = interleave._certificate(
+        F, G, Fr(a), {pair: feas[pair] for pair in pairs},
+        interleave._thickenings(F, G, Fr(a), space), space)
     try:
         return cert if verify_certificate(F, G, cert, space) else None
     except UnsupportedHomError:
@@ -476,11 +487,13 @@ class TestBisection:
     def test_one_exhaustive_call_per_exact_result(self, rng, p, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return check_exhaustive(*args, **kwargs)
+        exhaustive = interleave._exhaustive
 
-        monkeypatch.setattr(interleave, "check_exhaustive", counted)
+        def counted(*args):
+            calls.append(args[2])
+            return exhaustive(*args)
+
+        monkeypatch.setattr(interleave, "_exhaustive", counted)
         pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 10)]
         pairs += list(_circle_pairs(rng, p, 5))
         exact = 0
@@ -577,9 +590,9 @@ class TestScriptedWalk:
         calls = []
         matching = interleave._matching
 
-        def counted(F, G, a, space, costs):
+        def counted(F, G, a, space, costs, sides):
             calls.append(a)
-            return matching(F, G, a, space, costs)
+            return matching(F, G, a, space, costs, sides)
 
         monkeypatch.setattr(interleave, "_matching", counted)
         walked = 0
@@ -986,8 +999,8 @@ def _enumeration_only(F, G, a, space):
                                      fvars, gvars, p, space)
     t2 = interleave._composite_terms(G, TG2a, permG2a, TFa, permFa,
                                      gvars, fvars, p, space)
-    rho = [interleave._restriction_terms(F, TF2a, permF2a, 2 * a),
-           interleave._restriction_terms(G, TG2a, permG2a, 2 * a)]
+    rho = [interleave._restriction_to(F, 2 * a, (TF2a, permF2a), space).blocks,
+           interleave._restriction_to(G, 2 * a, (TG2a, permG2a), space).blocks]
     rows = [sorted(set(rho[0]) | {rk for v in t1.values() for rk, _ in v}),
             sorted(set(rho[1]) | {rk for v in t2.values() for rk, _ in v})]
     index = {(side, key): r for side in (0, 1)
@@ -1199,14 +1212,14 @@ def _scripted(monkeypatch, feasible):
             raise UnsupportedHomError("scripted")
         return r
 
-    def certificate(F, G, a, scalars, space):
+    def certificate(F, G, a, scalars, sides, space):
         built.append(scalars)
         return InterleavingCertificate(a, None, None)
 
     monkeypatch.setattr(interleave, "_pair_feasible", pair_feasible)
     monkeypatch.setattr(interleave, "_certificate", certificate)
-    monkeypatch.setattr(interleave, "verify_certificate",
-                        lambda F, G, cert, space: True)
+    monkeypatch.setattr(interleave, "_verified",
+                        lambda F, G, cert, sides, space: True)
     return asked, built
 
 
@@ -1240,7 +1253,8 @@ def test_matching_agrees_with_brute_force(rng, monkeypatch):
         asked.clear()
         built.clear()
         cert = interleave._matching(F, G, a, space,
-                                    _every_pair_a_candidate(F, G))
+                                    _every_pair_a_candidate(F, G),
+                                    interleave._thickenings(F, G, a, space))
         exists = next(_valid_matchings(nF, nG, feasible, kill_F, kill_G),
                       None) is not None
         assert (cert is not None) == exists, (F, G, table)
@@ -1275,8 +1289,11 @@ def test_matching_refutes_hall_violation_fast(monkeypatch):
     asked, built = _scripted(monkeypatch,
                              lambda f, g: None if g == g0 else 1)
     start = time.perf_counter()
-    assert interleave._matching(F, G, Fr(1), circle_ops(16),
-                                _every_pair_a_candidate(F, G)) is None
+    space = circle_ops(16)
+    assert interleave._matching(F, G, Fr(1), space,
+                                _every_pair_a_candidate(F, G),
+                                interleave._thickenings(F, G, Fr(1), space)) \
+        is None
     assert time.perf_counter() - start < 0.5
     assert len(asked) == len(set(asked)) and built == []
     assert sum(g == g0 for _, g in asked) == 12
@@ -1343,3 +1360,138 @@ def test_lipschitz_experiment_across_two_fields_rejected():
     F, G, _ = _two_field_pairs()[0]
     with pytest.raises(CharacteristicMismatchError):
         lipschitz_experiment(abs_map(), F, G, 1)
+
+
+# ---------------------------------------------------------------------------
+# The check on shared tables against the route that thickens every time.
+
+def _oracle_verified(F, G, cert, space):
+    """Oracle of ``verify_certificate``: T_a f and T_a g thickened by
+    ``thicken_morphism``, each composite compared with ``restriction``."""
+    a = Fr(cert.a)
+    return (compose(thicken_morphism(cert.f, a), cert.g)
+            == restriction(F, 0, 2 * a, space)
+            and compose(thicken_morphism(cert.g, a), cert.f)
+            == restriction(G, 0, 2 * a, space))
+
+
+def _outcome_of(check, *args):
+    try:
+        return check(*args)
+    except UnsupportedHomError:
+        return "unsupported"
+
+
+def _corrupted(rng, F, G, cert, space):
+    """The certificate with one f- or g-block's scalar moved by one (at p
+    = 2 the block drops), with one block dropped, and with one block added
+    on a nonzero Hom space that the certificate leaves empty."""
+    p = F.char
+    for side in ("f", "g"):
+        m = getattr(cert, side)
+        X, Y = (F, G) if side == "f" else (G, F)
+        TXa, perm = thicken_indexed(X, cert.a, space)
+        blocks, variants = dict(m.blocks), []
+        if blocks:
+            key = rng.choice(sorted(blocks))
+            variants.append({**blocks, key: (blocks[key] + 1) % p})
+            variants.append({k: c for k, c in blocks.items() if k != key})
+        free = [(perm[i], j, k) for i, j, k in
+                interleave._variables(X, TXa, perm, Y, p, space)
+                if (perm[i], j, k) not in blocks]
+        if free:
+            variants.append({**blocks, rng.choice(free): 1})
+        for new in variants:
+            moved = Morphism(m.source, m.target, new, space, validate=False)
+            yield InterleavingCertificate(
+                cert.a, *((moved, cert.g) if side == "f" else (cert.f, moved)))
+
+
+def _certificates(rng, p):
+    """Certificates of ``check_matching`` and ``check_exhaustive`` on line
+    and circle pairs at every grid value where they find one."""
+    pairs = [(F, G, LINE) for F, G in _line_pairs(rng, p, 6)]
+    pairs += list(_circle_pairs(rng, p, 6))
+    for F, G, space in pairs:
+        for a in critical_grid(F, G, space)[1:8]:
+            for search in (check_matching, check_exhaustive):
+                try:
+                    cert = search(F, G, a, space)
+                except (CapacityError, UnsupportedHomError):
+                    continue
+                if cert is not None:
+                    yield F, G, space, cert
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_check_on_tables_agrees_with_thickening_route(rng, p):
+    """``verify_certificate``, which reads T_a T_a X as T_2a X off four
+    tables, gives the oracle's answer on every certificate the two
+    searches find, line and circle, and on three corruptions of each."""
+    seen = {LINE: 0, "circle": 0}
+    results = {}
+    for F, G, space, cert in _certificates(rng, p):
+        assert verify_certificate(F, G, cert, space), (F, G, cert)
+        seen[LINE if space == LINE else "circle"] += 1
+        for bad in _corrupted(rng, F, G, cert, space):
+            got = _outcome_of(verify_certificate, F, G, bad, space)
+            assert got == _outcome_of(_oracle_verified, F, G, bad, space), \
+                (F, G, bad.f, bad.g)
+            results[got] = results.get(got, 0) + 1
+    assert seen[LINE] >= 10 and seen["circle"] >= 10, seen
+    assert results.get(False, 0) >= 20, results
+
+
+# ---------------------------------------------------------------------------
+# Each side is thickened once per shift.
+
+def _count_thickenings(monkeypatch):
+    calls = []
+    original = morphisms.thicken_indexed
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(interleave, "thicken_indexed", counted)
+    monkeypatch.setattr(morphisms, "thicken_indexed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
+    """A line ``distance`` that reaches the matching makes exactly four
+    ``thicken_indexed`` calls: F and G at the value and at twice it."""
+    calls = _count_thickenings(monkeypatch)
+    matched = 0
+    for F, G in list(_line_pairs(rng, p, 10)) + list(
+            _mixed_line_pairs(rng, p, 10, 5)):
+        calls.clear()
+        d = distance(F, G)
+        if d.exact_by == "isometry" and d.upper != POS_INF:
+            assert sorted(calls) == [d.upper] * 2 + [2 * d.upper] * 2, calls
+            matched += 1
+        else:
+            assert calls == [], (F, G, calls)
+    assert matched >= 10, matched
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_circle_probe_thickens_at_most_four_times(rng, p, monkeypatch):
+    """Each circle grid probe (one ``_search``: the matching, then the
+    exhaustive search) makes at most four ``thicken_indexed`` calls, and
+    a found certificate's check makes none of its own."""
+    calls = _count_thickenings(monkeypatch)
+    search, probes = interleave._search, []
+
+    def counted(*args):
+        before = len(calls)
+        try:
+            return search(*args)
+        finally:
+            probes.append(len(calls) - before)
+
+    monkeypatch.setattr(interleave, "_search", counted)
+    for F, G, space in _circle_pairs(rng, p, 10):
+        distance(F, G, space)
+    assert len(probes) >= 10 and max(probes) <= 4, probes

@@ -6,11 +6,14 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import SHAPE_REPRESENTATIVES, bar, gb
-from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, closed,
-                             full_line, half_open, half_open_r, open_iv,
-                             ray_left, ray_right, singleton, stalk_dims,
-                             dualize, global_sections, global_sections_c)
+from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
+                             closed, full_line, half_open, half_open_r,
+                             open_iv, ray_left, ray_right, singleton,
+                             stalk_dims, dualize, global_sections,
+                             global_sections_c)
+from thicket.circle import circle_ops
 from thicket.corpus import rand_barcode, rand_fraction, rand_shift
+from thicket.morphisms import LINE, normal_form, thicken_indexed
 from thicket.scalars import is_finite
 from thicket.thicken import (bar_rule, convolution_ball, stalk_of,
                              stalk_oracle, thicken)
@@ -138,6 +141,53 @@ class TestSemigroup:
         for a in (Fr(2), Fr(5, 2), Fr(-1), Fr(-1, 2)):
             for b in (Fr(-2), Fr(1), Fr(-1, 4)):
                 assert thicken(thicken(F, a), b) == thicken(F, a + b)
+
+
+def _repeated_bars(rng, shapes, space, count):
+    """Barcodes of 1-6 bars of the given shapes, each shape moved by a
+    random multiple of 1/4 and put into the normal form of ``space``, with
+    one bar repeated in every other barcode."""
+    for k in range(count):
+        bars = []
+        for _ in range(rng.randint(1, 6)):
+            iv, t = rng.choice(shapes), Fr(rng.randint(-8, 8), 4)
+            bars.append(normal_form(Bar(Interval(
+                iv.left + t, iv.lkind, iv.right + t, iv.rkind),
+                rng.randint(-1, 1)), space))
+        if k % 2:
+            bars += [rng.choice(bars)] * rng.randint(1, 2)
+        yield GradedBarcode(bars, rng.choice((2, 3, 5)))
+
+
+SHIFTS = [Fr(0), Fr(1, 4), Fr(1, 2), Fr(3, 4), Fr(1), Fr(3, 2), Fr(5, 2)]
+
+
+@pytest.mark.parametrize("space", [LINE, circle_ops(4)], ids=["line", "circle"])
+def test_thicken_indexed_is_monoidal(rng, space):
+    """T_b T_a F = T_(a+b) F for a, b >= 0, barcode and index map: bar i
+    goes to bar pa[i] of T_a F and on to bar pb[pa[i]] of T_b T_a F, which
+    is bar pab[i] of T_(a+b) F.  Every bar shape (the bounded ones on the
+    circle, whose lifts are bounded) and repeated bars; the shifts pass the
+    length of every open and half-open bar, so kinds and degrees change on
+    the way.  The certificate check reads T_a T_a as T_2a on this."""
+    shapes = [iv for iv in SHAPE_REPRESENTATIVES
+              if space == LINE or iv.is_bounded]
+    seen, repeated = set(), 0
+    for F in _repeated_bars(rng, shapes, space, 60):
+        repeated += len(set(F.bars)) < len(F.bars)
+        seen.update((b.iv.lkind, b.iv.rkind, is_finite(b.iv.left),
+                     is_finite(b.iv.right), b.iv.left == b.iv.right)
+                    for b in F.bars)
+        for a in SHIFTS:
+            TFa, pa = thicken_indexed(F, a, space)
+            for b in SHIFTS:
+                TFab, pb = thicken_indexed(TFa, b, space)
+                T, pab = thicken_indexed(F, a + b, space)
+                assert TFab == T, (F, a, b)
+                assert [pb[pa[i]] for i in range(len(F.bars))] == pab, (F, a, b)
+                assert all(T.bars[pab[i]] == normal_form(bar_rule(x, a + b), space)
+                           for i, x in enumerate(F.bars)), (F, a, b)
+    assert len(seen) == len(shapes) and repeated >= 25, (seen, repeated)
 
 
 class TestInvariants:
