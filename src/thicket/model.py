@@ -12,10 +12,12 @@ by plain linear algebra over F_p.  An Ext^1 class is kept as an edge
 vector, a representative in the last term: no extension representation is
 built and no representation is refined.  ``transport_ext_class`` moves a
 class onto a finer model of the same pair, and ``connecting_pairing`` reads
-its scalar off the vector.  The line Hom/Ext calculus in ``morphisms`` runs
-on line models.  The circle models are the oracle that the covering-map Hom
-calculus and the closed-form circle sections are tested against; the cyclic
-decomposition (``circle.decompose_cyclic``) still runs on them.
+its scalar off the vector.  The line Hom/Ext calculus in ``morphisms`` is
+closed-form; the line models are the oracle it is tested against, through
+``morphisms.quiver_struct_scalar`` and ``poset_oracle_rhom``.  The circle
+models are the oracle of the covering-map Hom calculus and of the
+closed-form circle sections; the cyclic decomposition
+(``circle.decompose_cyclic``) still runs on them.
 """
 
 from __future__ import annotations

@@ -13,14 +13,14 @@ morphisms and restrictions read it from ``space`` alone.
 
 On the line, Hom spaces between shifted interval sheaves are at most
 one-dimensional.  Their dimensions and the structure constants that
-composition multiplies blocks through are computed in the finite quiver
-model once per endpoint order type and memoized under ``shape_key``: a tuple
-of ints giving each end's rank among the tuple's distinct finite ends,
-compared exactly as integers over the lcm of their denominators, together
-with its kind.  ``hom_dim`` reads the same memo as the hot paths.  The Ext
-generator of a pair is normalized once on the pair's model (``PairData``)
-and kept as an edge vector, which ``quiver_struct_scalar`` carries onto
-the model of each triple.
+composition multiplies blocks through are read from closed-form rules of
+endpoint order and kind (``_line_hom``, ``_line_ext``, ``_line_struct``):
+no model is built and nothing is memoized.  ``hom_dim`` reads the same
+rules.  The finite quiver model is their oracle in the tests: it normalizes
+the Ext generator of a pair once on the pair's model (``PairData``), keeps
+it as an edge vector and carries it onto the model of each triple
+(``quiver_struct_scalar``); its results depend on the order type alone,
+which ``shape_key`` names.
 
 On the circle R/CZ a spiral is the pushforward p_!(k_I) of a bounded lift
 along the covering map p.  Since p_! is left adjoint to p^{-1} and
@@ -30,11 +30,12 @@ p^{-1} p_! k_J is the sum of the deck copies k_{J + nC},
 
 a finite sum of line spaces, and a composite of blocks on copies n and m
 lies on copy n + m.  Circle dimensions and structure constants are read
-from the line memo this way.  A block carries one scalar, so a circle space
-is supported only when its dimension summed over the deck copies is at most
-one; beyond that ``UnsupportedHomError`` is raised.  The circle quiver
-model (``quiver_struct_scalar`` and ``poset_oracle_rhom`` with a circle
-space) stays as the test oracle.
+from the line rules this way, and memoized per exact circle pair and
+triple.  A block carries one scalar, so a circle space is supported only
+when its dimension summed over the deck copies is at most one; beyond that
+``UnsupportedHomError`` is raised.  The circle quiver model
+(``quiver_struct_scalar`` and ``poset_oracle_rhom`` with a circle space)
+stays as the test oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fieldmath as fm
-from .barcode import OPEN, Bar, GradedBarcode, Interval
+from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
 from .model import (CircleModel, LineModel, Rep, RepPair, circle_spiral_rep,
                     connecting_pairing, line_bar_rep, transport_ext_class)
 from .scalars import is_finite
@@ -92,9 +93,10 @@ def shape_key(ivs) -> tuple:
     lcm of their denominators; an infinite left end is -1 and an infinite
     right end -2.  Two tuples get the same key exactly when their ends are in
     the same order with the same kinds, which is all the Hom/Ext dimensions
-    and structure constants of the tuple depend on."""
+    and structure constants of the tuple depend on.  The tests run the
+    quiver model once per key."""
     ends = [x for iv in ivs for x in (iv.left, iv.right)]
-    # isinstance is is_finite, inlined on this hot path
+    # isinstance is is_finite, inlined
     lcm = math.lcm(*[x.denominator for x in ends if isinstance(x, Fraction)])
     vals = [x.numerator * (lcm // x.denominator) if isinstance(x, Fraction)
             else None for x in ends]
@@ -106,12 +108,6 @@ def shape_key(ivs) -> tuple:
         key.append(-1 if lo is None else ranks[lo] + (iv.lkind is OPEN))
         key.append(-2 if hi is None else ranks[hi] + (iv.rkind is OPEN))
     return tuple(key)
-
-
-def _cache_key(space, p, ivs):
-    if space == LINE:
-        return (LINE, p, shape_key(ivs))
-    return _exact_key(space, p, ivs)
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +171,132 @@ def pair_data(space, ivA: Interval, ivB: Interval, p: int) -> PairData:
     return data
 
 
+# ---------------------------------------------------------------------------
+# The line Hom calculus in closed form.
+#
+# K = I meet J has the larger left end and the smaller right end of I and J;
+# at an end they share, K is closed only if both are.  Call an end of K good
+# when K is closed in I and open in J there: an open end of K is an end of
+# I, a closed one an end of J.  Then, over every prime field,
+#
+#   Hom^0(k_I, k_J) = 1  exactly when K is non-empty and both its ends are
+#                        good, and
+#   Ext^1(k_I, k_J) = 1  exactly when K's ends are in order (max of the left
+#                        ends <= min of the right ends) and both are bad.
+#
+# A bad end is finite, so an Ext pair has a bounded K.  Ext pairs with an
+# empty K are the pairs that touch at a closed end of I and an open end of
+# J.  The Ext generator is the quiver model's (``PairData``), and its sign
+# against the alternating functional of ``model.connecting_pairing`` is +1
+# when K's right end is I's alone, and -1 otherwise; ``PairData`` normalizes
+# a closed bounded I over an open bounded J to +1.  A nonzero Hom
+# composition scalar is 1, and an Ext one the product of two of these signs
+# (``_line_struct``).  The rules restate the Hom/Ext computation for
+# interval sheaves on R (Kashiwara and Schapira 2018; Berkouk and Ginot,
+# arXiv:1907.09759); the tests check them against the quiver model on every
+# order type of pairs and triples.
+
+def _sign(x, y) -> int:
+    """Sign of x - y for two finite ends.  Denominators are positive, so
+    this is one integer comparison of the cross products."""
+    d = x.numerator * y.denominator - y.numerator * x.denominator
+    return (d > 0) - (d < 0)
+
+
+def _cmp(x, y, inf: int) -> int:
+    """Sign of x - y for two left ends (``inf`` = -1) or two right ends
+    (``inf`` = 1): an infinite left end is -inf and an infinite right end
+    +inf, since ``Interval`` rejects the other two."""
+    if is_finite(x):
+        return _sign(x, y) if is_finite(y) else -inf
+    return inf if is_finite(y) else 0
+
+
+def _good(own: int, ikind, jkind) -> bool:
+    """Whether an end of K is good, given whose end it is: I's alone
+    (``own`` > 0), J's alone (``own`` < 0) or both (0)."""
+    if own > 0:
+        return ikind is OPEN
+    if own < 0:
+        return jkind is CLOSED
+    return ikind is OPEN or jkind is CLOSED
+
+
+def _line_hom(I: Interval, J: Interval) -> int:
+    """dim Hom^0(k_I, k_J) on the line."""
+    own_l = _cmp(I.left, J.left, -1)
+    if not _good(own_l, I.lkind, J.lkind):
+        return 0
+    own_r = _cmp(J.right, I.right, 1)
+    if not _good(own_r, I.rkind, J.rkind):
+        return 0
+    lo = I.left if own_l >= 0 else J.left
+    hi = I.right if own_r >= 0 else J.right
+    if not (is_finite(lo) and is_finite(hi)):
+        return 1
+    order = _sign(hi, lo)
+    if order:
+        return int(order > 0)
+    return int(I.contains(lo) and J.contains(lo))     # K is {lo} or empty
+
+
+def _line_ext(I: Interval, J: Interval) -> int:
+    """0 when Ext^1(k_I, k_J) vanishes on the line, else the sign of its
+    generator."""
+    own_l = _cmp(I.left, J.left, -1)
+    if _good(own_l, I.lkind, J.lkind):
+        return 0
+    own_r = _cmp(J.right, I.right, 1)
+    if _good(own_r, I.rkind, J.rkind):
+        return 0
+    lo = I.left if own_l >= 0 else J.left
+    hi = I.right if own_r >= 0 else J.right
+    if _sign(lo, hi) > 0:       # bad ends are finite
+        return 0
+    if own_r > 0 or (I.lkind is CLOSED and I.rkind is CLOSED
+                     and J.lkind is OPEN and J.rkind is OPEN
+                     and is_finite(J.left) and is_finite(J.right)):
+        return 1
+    return -1
+
+
+def _line_struct(p, ivA, ivB, ivC, kind1, kind2):
+    """``struct_scalar`` on the line for (kind1, kind2) other than ('e', 'e').
+
+    A Hom composite is the canonical map A -> C when Hom(A, C) is nonzero:
+    the factors make A meet B and B meet C non-empty, Hom(A, C) makes A
+    meet C non-empty, and three intervals that meet pairwise meet in a
+    common point.  An Ext composite is the product of the Ext signs of its
+    factor and of (A, C).  Zero factors raise where the quiver model does:
+    a zero Hom factor of a Hom composite, and, once Ext(A, C) is nonzero, a
+    zero Ext factor before a zero Hom factor."""
+    if kind1 == "h" and kind2 == "h":
+        for X, Y in ((ivA, ivB), (ivB, ivC)):
+            if not _line_hom(X, Y):
+                raise UnsupportedHomError(f"hom dim 0 for {X} -> {Y}")
+        return ("h", _line_hom(ivA, ivC))
+    sign = _line_ext(ivA, ivC)
+    if not sign:
+        return ("e", 0)
+    (eX, eY), (hX, hY) = (((ivA, ivB), (ivB, ivC)) if kind1 == "e"
+                          else ((ivB, ivC), (ivA, ivB)))
+    factor = _line_ext(eX, eY)
+    if not factor:
+        raise ValueError("ext space is zero")
+    if not _line_hom(hX, hY):
+        raise UnsupportedHomError(f"hom dim 0 for {hX} -> {hY}")
+    return ("e", factor * sign % p)
+
+
+# ---------------------------------------------------------------------------
+# Circle dimensions and structure constants through the covering map.
+
 def _pair_dims(space, p, ivA, ivB):
-    """Memoized (hom, ext) of an ordered pair; a circle pair's entry also
-    carries its deck-copy table (``_covering_pair_dims``)."""
-    key = _cache_key(space, p, (ivA, ivB))
+    """Memoized (hom, ext, {n: (hom, ext)}) of a circle pair of lifts."""
+    key = _exact_key(space, p, (ivA, ivB))
     dims = _DIMS_CACHE.get(key)
     if dims is None:
-        if space == LINE:
-            d = pair_data(space, ivA, ivB, p)
-            dims = (d.hom_dim, d.ext_dim)
-        else:
-            dims = _covering_pair_dims(space, p, ivA, ivB)
-        _DIMS_CACHE[key] = dims
+        dims = _DIMS_CACHE[key] = _covering_pair_dims(space, p, ivA, ivB)
     return dims
 
 
@@ -194,12 +304,13 @@ def _covering_pair_dims(space, p, ivA, ivB):
     """(hom, ext, {n: (hom, ext)}) of a circle pair of lifts.  RHom(p_!A, p_!B)
     is the sum over deck copies n of the line RHom(A, B + nC), and only the
     copies whose closures meet A contribute.  Each copy is a line pair, read
-    from the shape-keyed line memo."""
+    from the closed-form line rules."""
     C = space[1]
     copies = {}
     for n in range(math.ceil((ivA.left - ivB.right) / C),
                    math.floor((ivA.right - ivB.left) / C) + 1):
-        hom, ext = _pair_dims(LINE, p, ivA, _deck_copy(ivB, n, C))
+        Bn = _deck_copy(ivB, n, C)
+        hom, ext = _line_hom(ivA, Bn), abs(_line_ext(ivA, Bn))
         if hom or ext:
             copies[n] = (hom, ext)
     return (sum(h for h, _ in copies.values()),
@@ -218,59 +329,24 @@ def _check_supported(dims, ivA, ivB):
 
 
 def space_dim(space, ivA, ivB, kind, p: int) -> int:
+    if space == LINE:
+        return _line_hom(ivA, ivB) if kind == "h" else abs(_line_ext(ivA, ivB))
     dims = _pair_dims(space, p, ivA, ivB)
     _check_supported(dims, ivA, ivB)
     return dims[0] if kind == "h" else dims[1]
-
-
-def _hom_gen_matrices(space, model, ivA, ivB, p):
-    """Vertex matrices of the canonical Hom^0 generator, computed in ``model``."""
-    rp = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivB, p))
-    if rp.hom_dim != 1:
-        raise UnsupportedHomError(f"hom dim {rp.hom_dim} for {ivA} -> {ivB}")
-    gen = rp.hom_generator()
-    lead = [x for x in gen if x % p]
-    if any(x != lead[0] for x in lead):
-        raise UnsupportedHomError(f"non-indicator hom generator for {ivA} -> {ivB}")
-    return rp.vertex_matrices(gen)
-
-
-def _ext_gen_reduced(space, shared_pair: RepPair, ivA, ivB, p):
-    """Image in ``shared_pair`` of the pair-anchored Ext generator."""
-    pd = pair_data(space, ivA, ivB, p)
-    if pd.ext_generator is None:
-        raise ValueError("ext space is zero")
-    red = shared_pair.ext_reduce(
-        transport_ext_class(pd.pair, pd.ext_generator, shared_pair))
-    if not any(red):
-        raise AssertionError(f"ext generator transported to zero for {ivA} -> {ivB}")
-    return red
-
-
-def _scalar_on_ext(shared_pair: RepPair, gen_red, vec, p: int) -> int:
-    red = shared_pair.ext_reduce(vec)
-    if not any(red):
-        return 0
-    lead = next(i for i, x in enumerate(gen_red) if x % p)
-    c = (red[lead] * fm.finv(gen_red[lead], p)) % p
-    if red != [(c * x) % p for x in gen_red]:
-        raise AssertionError("ext element not proportional to the generator")
-    return c
 
 
 def struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
     """(target_kind, c) with gen2 o gen1 = c * gen(A->C); kinds in {'h','e'}."""
     if kind1 == "e" and kind2 == "e":
         return ("e", 0)
-    return _struct(space, p, ivA, ivB, ivC, kind1, kind2)
-
-
-def _struct(space, p, ivA, ivB, ivC, kind1, kind2):
-    key = (_cache_key(space, p, (ivA, ivB, ivC)), kind1, kind2)
+    if space == LINE:
+        return _line_struct(p, ivA, ivB, ivC, kind1, kind2)
+    key = (_exact_key(space, p, (ivA, ivB, ivC)), kind1, kind2)
     hit = _STRUCT_CACHE.get(key)
     if hit is None:
-        compute = quiver_struct_scalar if space == LINE else _covering_struct_scalar
-        hit = _STRUCT_CACHE[key] = compute(space, p, ivA, ivB, ivC, kind1, kind2)
+        hit = _STRUCT_CACHE[key] = _covering_struct_scalar(
+            space, p, ivA, ivB, ivC, kind1, kind2)
     return hit
 
 
@@ -311,8 +387,8 @@ def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
         m = _hom_factor_copy(space, p, ivB, ivC)
         if not dAC[2].get(n + m, (0, 0))[0]:
             return ("h", 0)
-        out = _struct(LINE, p, ivA, _deck_copy(ivB, n, C),
-                      _deck_copy(ivC, n + m, C), "h", "h")
+        out = _line_struct(p, ivA, _deck_copy(ivB, n, C),
+                           _deck_copy(ivC, n + m, C), "h", "h")
         if out[1] and dAC[0] != 1:
             raise UnsupportedHomError(
                 f"composite lands in a {dAC[0]}-dimensional Hom "
@@ -329,13 +405,52 @@ def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
         n = _hom_factor_copy(space, p, ivA, ivB)
     if not dAC[2].get(n + m, (0, 0))[1]:
         return ("e", 0)
-    return _struct(LINE, p, ivA, _deck_copy(ivB, n, C),
-                   _deck_copy(ivC, n + m, C), kind1, kind2)
+    return _line_struct(p, ivA, _deck_copy(ivB, n, C),
+                        _deck_copy(ivC, n + m, C), kind1, kind2)
+
+
+# ---------------------------------------------------------------------------
+# The quiver route: the oracle of the tests.
+
+def _hom_gen_matrices(space, model, ivA, ivB, p):
+    """Vertex matrices of the canonical Hom^0 generator, computed in ``model``."""
+    rp = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivB, p))
+    if rp.hom_dim != 1:
+        raise UnsupportedHomError(f"hom dim {rp.hom_dim} for {ivA} -> {ivB}")
+    gen = rp.hom_generator()
+    lead = [x for x in gen if x % p]
+    if any(x != lead[0] for x in lead):
+        raise UnsupportedHomError(f"non-indicator hom generator for {ivA} -> {ivB}")
+    return rp.vertex_matrices(gen)
+
+
+def _ext_gen_reduced(space, shared_pair: RepPair, ivA, ivB, p):
+    """Image in ``shared_pair`` of the pair-anchored Ext generator."""
+    pd = pair_data(space, ivA, ivB, p)
+    if pd.ext_generator is None:
+        raise ValueError("ext space is zero")
+    red = shared_pair.ext_reduce(
+        transport_ext_class(pd.pair, pd.ext_generator, shared_pair))
+    if not any(red):
+        raise AssertionError(f"ext generator transported to zero for {ivA} -> {ivB}")
+    return red
+
+
+def _scalar_on_ext(shared_pair: RepPair, gen_red, vec, p: int) -> int:
+    red = shared_pair.ext_reduce(vec)
+    if not any(red):
+        return 0
+    lead = next(i for i, x in enumerate(gen_red) if x % p)
+    c = (red[lead] * fm.finv(gen_red[lead], p)) % p
+    if red != [(c * x) % p for x in gen_red]:
+        raise AssertionError("ext element not proportional to the generator")
+    return c
 
 
 def quiver_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
     """Structure constant computed in the quiver model on the triple's
-    endpoints: the line implementation, and the circle oracle of the tests."""
+    endpoints: the oracle of the tests for the closed-form line rules and
+    for the covering-map circle constants."""
     target_kind = "h" if (kind1, kind2) == ("h", "h") else "e"
     model = build_model(space, [ivA, ivB, ivC])
     if target_kind == "h":
@@ -593,8 +708,8 @@ def hom_dim(b1: Bar, b2: Bar, char: int = 2) -> HomSpace:
 
 def poset_oracle_rhom(F: GradedBarcode, G: GradedBarcode, space=LINE) -> dict[int, int]:
     """Degree-wise dimensions of RHom(F, G) computed in the quiver model on
-    all of F's and G's endpoints at once, independently of the per-pair memo
-    behind ``hom_dim``."""
+    all of F's and G's endpoints at once, independently of the closed-form
+    rules behind ``hom_dim``."""
     if F.char != G.char:
         raise ValueError("characteristic mismatch")
     p = F.char

@@ -1,5 +1,6 @@
 """Circle sheaves: thickening, quarter-turn transform, oracle, distance."""
 
+import random
 from fractions import Fraction as Fr
 
 import pytest
@@ -11,10 +12,11 @@ from thicket.circle import (Band, CircleSheaf, UnsupportedBandContentError,
                             circle_stalk_oracle, circle_thicken,
                             cyclic_model_of, decompose_cyclic, fourier_sato,
                             iso_equal_circle, seed_bound)
-from thicket.corpus import rand_circle_sheaf, rand_fraction
+from thicket.corpus import rand_barcode, rand_circle_sheaf, rand_fraction
 from thicket.interleave import (check_exhaustive, check_interleaving,
                                 check_matching, distance, verify_certificate)
 from thicket.scalars import POS_INF
+from thicket.thicken import thicken
 import thicket.circle as circle_mod
 import thicket.model as model_mod
 import thicket.morphisms as morphisms
@@ -549,3 +551,41 @@ class TestCoveringCalculus:
             assert circle_distance(Fb, Fb).fields() == (0, 0, True)
             assert circle_distance(Fb, G).upper == POS_INF
         assert searched >= 3
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_distance_never_reaches_the_line_quiver(self, p, monkeypatch):
+        """Line and circle distances read every Hom dimension and structure
+        constant from the closed-form line rules: no quiver model is built."""
+        def reached(*args, **kwargs):
+            raise AssertionError("the line quiver model was reached")
+
+        for mod in (model_mod, morphisms):
+            for name in ("quiver_struct_scalar", "PairData", "RepPair",
+                         "line_bar_rep", "shape_key"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, reached)
+        for name in ("_PAIR_CACHE", "_DIMS_CACHE", "_STRUCT_CACHE"):
+            monkeypatch.setattr(morphisms, name, {})
+        line_struct = morphisms._line_struct
+        kinds = set()
+
+        def counted(*args):
+            kinds.add(args[-2:])
+            return line_struct(*args)
+
+        monkeypatch.setattr(morphisms, "_line_struct", counted)
+        rng = random.Random(300 + p)
+        certified = searched = 0
+        for _ in range(12):
+            F = rand_barcode(rng, max_bars=4, char=p, degrees=(0, 1))
+            d = distance(F, thicken(F, Fr(rng.randint(1, 4), 4)))
+            certified += d.witness is not None and 0 < d.upper < POS_INF
+        for _ in range(6):
+            F = CircleSheaf(C, [Bar(_rand_lift(rng, C, 12), rng.randint(0, 1))
+                                for _ in range(rng.randint(1, 3))], (), p)
+            G = CircleSheaf(C, [_nudged(rng, b) for b in F.spirals], (), p)
+            d = circle_distance(F, G)
+            assert d.lower <= d.upper
+            searched += 0 < d.upper < POS_INF
+        assert certified >= 6 and searched >= 3, (certified, searched)
+        assert {("h", "h"), ("h", "e"), ("e", "h")} <= kinds

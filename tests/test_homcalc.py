@@ -11,11 +11,13 @@ from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
                              half_open_r, intersect, open_iv, ray_left,
                              ray_right, singleton)
 from thicket.corpus import rand_barcode
-from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, compose,
-                               hom_dim, identity_morphism, poset_oracle_rhom,
+from thicket.model import RepPair
+from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, bar_rep,
+                               build_model, compose, hom_dim,
+                               identity_morphism, poset_oracle_rhom,
                                quiver_struct_scalar, restriction, shape_key,
-                               space_dim, thicken_indexed, thicken_morphism,
-                               zero_morphism)
+                               space_dim, struct_scalar, thicken_indexed,
+                               thicken_morphism, zero_morphism)
 from thicket.scalars import is_finite
 from thicket.thicken import bar_rule, thicken
 
@@ -95,18 +97,121 @@ def _closed_form_hom0(I, J):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hom0_closed_form_on_the_interval_grid(p):
-    """The closed-form Hom^0 rule against ``hom_dim`` (the quiver model) on
-    all 2,025 ordered pairs of the 45 intervals with ends in {-inf, 0, 1,
-    2, 3, +inf}.  This pins the rule that closed-form Hom dimensions
-    would read in place of the quiver model."""
+    """The closed-form Hom^0 rule, written here from ``intersect``, against
+    the quiver model (``poset_oracle_rhom``) and against ``hom_dim`` on all
+    2,025 ordered pairs of the 45 intervals with ends in {-inf, 0, 1, 2, 3,
+    +inf}."""
     assert len(GRID_INTERVALS) == 45
     ones = 0
     for I in GRID_INTERVALS:
         for J in GRID_INTERVALS:
             want = _closed_form_hom0(I, J)
+            rhom = poset_oracle_rhom(gb(bar(I), char=p), gb(bar(J), char=p))
+            assert rhom.get(0, 0) == want, (I, J, rhom)
             assert hom_dim(bar(I), bar(J), char=p).dimension == want, (I, J)
             ones += want
     assert 0 < ones < 2025, ones
+
+
+# ---------------------------------------------------------------------------
+# The closed-form line rules against the quiver model, on every order type.
+
+# The 91 intervals with ends in {-inf, 0, ..., 5, +inf}: a pair has at most
+# four finite ends and a triple six, so this grid holds every order type of
+# a pair and of a triple, with every kind at every end.
+GRID_91 = _grid_intervals(range(6))
+
+
+def _quiver_dims(p, I, J):
+    """(dim Hom^0, dim Ext^1) of k_I -> k_J in the quiver model of the pair."""
+    model = build_model(LINE, [I, J])
+    rp = RepPair(bar_rep(LINE, model, I, p), bar_rep(LINE, model, J, p))
+    return rp.hom_dim, rp.ext_dim
+
+
+def _outcome(fn, *args):
+    """The result of a structure-constant call, or the error it raised:
+    ``unsupported``, or the text of another ``ValueError``."""
+    try:
+        return fn(*args)
+    except UnsupportedHomError:
+        return "unsupported"
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+class TestLineRulesAgainstQuiver:
+    """``space_dim`` and ``struct_scalar`` on the line read closed-form rules
+    of endpoint order; the quiver model is their oracle.  The quiver depends
+    on the order type of its intervals alone, so it runs once per
+    ``shape_key`` class, and the rules run on every member of the class."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_pair_dims_on_every_order_type(self, p):
+        assert len(GRID_91) == 91
+        oracle = {}
+        for I in GRID_91:
+            for J in GRID_91:
+                key = shape_key((I, J))
+                if key not in oracle:
+                    oracle[key] = _quiver_dims(p, I, J)
+                got = (space_dim(LINE, I, J, "h", p),
+                       space_dim(LINE, I, J, "e", p))
+                assert got == oracle[key], (I, J)
+        assert len(oracle) == 502
+        assert {dims for dims in oracle.values()} == {(0, 0), (1, 0), (0, 1)}
+
+    @pytest.mark.parametrize("grid, p, triples, types", [
+        (GRID_91, 3, 117376, 9232),
+        (GRID_INTERVALS, 2, 15889, 6144),
+        (GRID_INTERVALS, 5, 15889, 6144)])
+    def test_triples_with_nonzero_factors(self, grid, p, triples, types):
+        # every (A, B, C) and kinds hh, he, eh whose two factor spaces are
+        # nonzero; the factor tables are the rules, checked on pairs above
+        n = len(grid)
+        table = {k: [[space_dim(LINE, I, J, k, p) for J in grid] for I in grid]
+                 for k in "he"}
+        oracle, seen, count = {}, set(), 0
+        for kinds in ("hh", "he", "eh"):
+            first, second = table[kinds[0]], table[kinds[1]]
+            for a in range(n):
+                for b in range(n):
+                    if not first[a][b]:
+                        continue
+                    for c in range(n):
+                        if not second[b][c]:
+                            continue
+                        count += 1
+                        A, B, C = grid[a], grid[b], grid[c]
+                        key = (kinds, shape_key((A, B, C)))
+                        if key not in oracle:
+                            oracle[key] = _outcome(quiver_struct_scalar, LINE,
+                                                   p, A, B, C, *kinds)
+                        got = _outcome(struct_scalar, LINE, p, A, B, C, *kinds)
+                        assert got == oracle[key], (kinds, A, B, C)
+                        seen.add(got)
+        assert (count, len(oracle)) == (triples, types)
+        assert seen == {("h", 0), ("h", 1), ("e", 0), ("e", 1), ("e", p - 1)}
+
+    def test_zero_factor_triples_raise_like_the_quiver(self):
+        # a seeded sample of triples with a zero factor space, at p = 2, 3, 5
+        rng = random.Random(25)
+        oracle, seen, count = {}, set(), 0
+        while count < 5000:
+            p, kinds = rng.choice((2, 3, 5)), rng.choice(("hh", "he", "eh"))
+            A, B, C = (rng.choice(GRID_91) for _ in range(3))
+            if (space_dim(LINE, A, B, kinds[0], p)
+                    and space_dim(LINE, B, C, kinds[1], p)):
+                continue
+            count += 1
+            key = (p, kinds, shape_key((A, B, C)))
+            if key not in oracle:
+                oracle[key] = _outcome(quiver_struct_scalar, LINE, p, A, B, C,
+                                       *kinds)
+            got = _outcome(struct_scalar, LINE, p, A, B, C, *kinds)
+            assert got == oracle[key], (p, kinds, A, B, C)
+            seen.add(got)
+        assert seen == {"unsupported", "error: ext space is zero", ("e", 0)}
 
 
 class TestPosetOracle:
@@ -130,9 +235,9 @@ class TestPosetOracle:
     def test_hom_dim_exhaustive_on_shape_grid(self, p):
         # every ordered pair of the 45 intervals with endpoints in
         # {0, 1, 2, 3} (all kinds, rays, the full line), at both degree
-        # offsets; hom_dim reads the shape-keyed memo, the oracle computes
-        # each pair on its own, and its degree `off` holds Hom^0 for
-        # offset 0 and Ext^1 for offset 1
+        # offsets; hom_dim reads the closed-form rules, the oracle computes
+        # each pair in the quiver model, and its degree `off` holds Hom^0
+        # for offset 0 and Ext^1 for offset 1
         assert len(GRID_INTERVALS) == 45
         for ivA in GRID_INTERVALS:
             for ivB in GRID_INTERVALS:
@@ -328,9 +433,10 @@ class TestOddCharacteristic:
 
 
 class TestAssociativityAcrossModels:
-    """Composition uses structure constants computed per endpoint triple;
-    associativity couples different triples, so it certifies that generator
-    anchoring agrees across models."""
+    """Composition uses structure constants computed per endpoint triple
+    (from the closed-form rules on the line); associativity couples
+    different triples, so it certifies that the Ext generator signs agree
+    across triples."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_random_chains(self, p):
@@ -384,11 +490,11 @@ def _factor_nonzero(space, ivA, ivB, kind, p):
         return False
 
 
-def _convention_row(space, p, kinds, count, seed):
-    """Outcomes of ``quiver_struct_scalar`` on ``count`` seeded triples whose
-    two factor spaces are nonzero, one character each: the scalar, or ``u``
-    for ``UnsupportedHomError``, ``v`` for another ``ValueError`` and ``a``
-    for an ``AssertionError``."""
+def _convention_row(space, p, kinds, count, seed, scalar=quiver_struct_scalar):
+    """Outcomes of ``scalar`` (the quiver model unless named) on ``count``
+    seeded triples whose two factor spaces are nonzero, one character each:
+    the scalar, or ``u`` for ``UnsupportedHomError``, ``v`` for another
+    ``ValueError`` and ``a`` for an ``AssertionError``."""
     rng = random.Random(seed)
     target = "h" if kinds == "hh" else "e"
     out = []
@@ -401,7 +507,7 @@ def _convention_row(space, p, kinds, count, seed):
                 and _factor_nonzero(space, B, C, kinds[1], p)):
             continue
         try:
-            kind, c = quiver_struct_scalar(space, p, A, B, C, *kinds)
+            kind, c = scalar(space, p, A, B, C, *kinds)
         except UnsupportedHomError:
             out.append("u")
         except ValueError:
@@ -469,6 +575,14 @@ class TestExtConvention:
             space = LINE if space == "line" else CIRCLE_4
             got = _convention_row(space, p, kinds, len(want), seed)
             assert got == want, (space, p, kinds)
+
+    def test_line_rules_reproduce_the_line_rows(self):
+        # production ``struct_scalar`` reads the closed-form line rules
+        for seed, ((space, p, kinds), want) in enumerate(EXT_CONVENTION.items()):
+            if space == "line":
+                got = _convention_row(LINE, p, kinds, len(want), seed,
+                                      struct_scalar)
+                assert got == want, (p, kinds)
 
     def test_table_holds_minus_one(self):
         # at odd p the Ext generators are normalized so that -1 occurs
