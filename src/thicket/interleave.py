@@ -14,16 +14,17 @@ b-certificate for every b >= a, one refutation settles every value below
 it.  So ``distance`` makes one walk: from the bottleneck over the
 deck-copy costs (``thicken.deck_cost``, a conjecture used as a hint only),
 up to the first certified value, then down to the first refuted one.
-``_search`` is the one search at a circle shift: the block-diagonal
-matching, then the complete exhaustive search, which refutes at once when
-a restriction block meets no composite term.
+``_search`` is the one search at a circle shift, one straight pass: the
+block-diagonal matching, then the row test (``_row_refuted``: a
+restriction block that no composite reaches refutes the shift), then the
+capped enumeration, each at most once.
 
 One matching routine (``_matching``, public as ``check_matching``) serves
-both spaces.  Its candidate pairs are those of cost at most the shift,
-and only the pairs it matches meet the Hom calculus; a pair the calculus
-cannot use leaves the graph and the matching runs again.  One bottleneck
-routine (``_least_cost``) and one augmenting-path matching
-(``_perfect_matching``) sit under it.
+both spaces.  Its candidate pairs are those of cost at most the shift; it
+matches once, and only the pairs it matches meet the Hom calculus.  On the
+circle one pair the calculus rejects or cannot use ends the matching
+without a certificate.  One bottleneck routine (``_least_cost``) and one
+augmenting-path matching (``_perfect_matching``) sit under it.
 
 Every search runs in one space, named by the value that ``morphisms`` keys
 on: ``LINE`` by default, or ``circle_ops(C)`` = ``("circle", C)`` for
@@ -151,15 +152,23 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 # ---------------------------------------------------------------------------
 # Strategy: block-diagonal matching over the pair costs.
 
-def _pair_feasible(f, g, p, space):
-    """The g-side scalar of a matched pair, or None; its f-side scalar is 1.
+def _lifts(F, G, a, sides):
+    """Per side, per bar b: (b, its a-lift, its 2a-lift, whether the
+    restriction T_2a X -> X kills it), read off the ``_thickenings``
+    tables ``sides``."""
+    return [[(b, Ta.bars[pa[i]], T2a.bars[p2a[i]],
+              halfopen_translation_kills(b.iv, 0, 2 * a))
+             for i, b in enumerate(X.bars)]
+            for X, ((Ta, pa), (T2a, p2a)) in zip((F, G), sides)]
 
-    ``f`` and ``g`` are ``_matching`` lifts: (bar, a-lift, 2a-lift, dies at
-    2a).  The pair's composites must hit the restriction coefficients of
-    both bars exactly; either coefficient may be zero (a half-open bar past
-    its length), in which case the corresponding composite has to vanish."""
-    fbar, tf, tff, f_dies = f
-    gbar, tg, tgg, g_dies = g
+
+def _composites(f, g, p, space):
+    """The scalars (s1, s2) of the two composites of the pair of ``_lifts``
+    f and g with unit blocks f -> g and g -> f: T_a(f-block) then g-block
+    on f's restriction block, and the other way round on g's; None when
+    either block is zero (degrees out of range or a zero Hom)."""
+    fbar, tf, tff, _ = f
+    gbar, tg, tgg, _ = g
     k_f = _block_kind(tf, gbar)
     k_g = _block_kind(tg, fbar)
     if k_f is None or k_g is None:
@@ -174,6 +183,21 @@ def _pair_feasible(f, g, p, space):
         return None
     _, s1 = struct_scalar(space, p, tff.iv, tg.iv, fbar.iv, k_tf, k_g)
     _, s2 = struct_scalar(space, p, tgg.iv, tf.iv, gbar.iv, k_tg, k_f)
+    return s1, s2
+
+
+def _pair_feasible(f, g, p, space):
+    """The g-side scalar of a matched pair, or None; its f-side scalar is 1.
+
+    ``f`` and ``g`` are ``_lifts`` entries.  The pair's ``_composites`` must
+    hit the restriction coefficients of both bars exactly; either
+    coefficient may be zero (a half-open bar past its length), in which
+    case the corresponding composite has to vanish."""
+    s = _composites(f, g, p, space)
+    if s is None:
+        return None
+    s1, s2 = s
+    f_dies, g_dies = f[3], g[3]
     if f_dies and g_dies:
         return None                 # both sides die: leave the bars unmatched
     if not f_dies:
@@ -301,58 +325,38 @@ def _matching(F, G, a, space, costs, sides):
     the ``_pair_costs`` costs and the ``_thickenings`` tables, or None.
 
     The candidate pairs are those of cost at most a, and a bar of kill cost
-    at most a may stay unmatched.  Only the pairs ``_perfect_matching``
-    proposes meet the Hom calculus, once each: a pair whose bars both die
-    takes its two diagonal slots, and one that ``_pair_feasible`` rejects,
-    or whose Hom it cannot use, leaves the graph before the matching runs
-    again.  On the line the costs are exact, so such a pair, or a
-    certificate that fails verification, is an invariant break
-    (``AssertionError``).  On the circle they are a conjecture, and None
-    leaves the shift to the exhaustive search."""
-    adj, kill_F, kill_G = _candidates(costs, a)
-    lifts = [[(b, Ta.bars[pa[i]], T2a.bars[p2a[i]],
-               halfopen_translation_kills(b.iv, 0, 2 * a))
-              for i, b in enumerate(X.bars)]
-             for X, ((Ta, pa), (T2a, p2a)) in zip((F, G), sides)]
-
-    def scalar(i, j):
-        """The g-side scalar of pair (i, j): 0 when both bars die, None
-        when the pair is unusable."""
+    at most a may stay unmatched.  ``_perfect_matching`` runs once, and
+    only the pairs it proposes meet the Hom calculus, once each: a pair
+    whose bars both die takes its two diagonal slots, and every other pair
+    must pass ``_pair_feasible``.  On the line the costs are exact, so a
+    pair it rejects, or whose Hom it cannot use, is an invariant break
+    (``AssertionError``); on the circle they are a conjecture, and None
+    leaves the shift to ``_exhaustive``.  A certificate that fails
+    verification is an invariant break on both spaces: each (i, i) block
+    of its composites is the product that ``_pair_feasible`` checked."""
+    pairs = _perfect_matching(*_candidates(costs, a))
+    if pairs is None:
+        return None
+    lifts = _lifts(F, G, a, sides)
+    scalars = {}
+    for i, j in pairs:
         f, g = lifts[0][i], lifts[1][j]
         if f[3] and g[3]:
-            return 0
+            continue
         try:
             x = _pair_feasible(f, g, F.char, space)
         except UnsupportedHomError:
             x = None
-        if x is None and space == LINE:
-            raise AssertionError(f"the cost formula and the Hom calculus "
-                                 f"disagree on {f[0]}, {g[0]} at {a}")
-        return x
-
-    scalars = {}                      # every pair proposed so far
-    while True:
-        pairs = _perfect_matching(adj, kill_F, kill_G)
-        if pairs is None:
+        if x is None:
+            if space == LINE:
+                raise AssertionError(f"the cost formula and the Hom calculus "
+                                     f"disagree on {f[0]}, {g[0]} at {a}")
             return None
-        for pair in pairs:
-            if pair not in scalars:
-                scalars[pair] = scalar(*pair)
-        unusable = [(i, j) for i, j in pairs if scalars[(i, j)] is None]
-        if not unusable:
-            break
-        for i, j in unusable:
-            adj[i].remove(j)
-    cert = _certificate(F, G, a, {pair: scalars[pair] for pair in pairs
-                                  if scalars[pair]}, sides, space)
-    try:
-        if _verified(F, G, cert, sides, space):
-            return cert
-    except UnsupportedHomError:
-        pass
-    if space == LINE:
+        scalars[(i, j)] = x
+    cert = _certificate(F, G, a, scalars, sides, space)
+    if not _verified(F, G, cert, sides, space):
         raise AssertionError(f"matching at {a} fails verification")
-    return None
+    return cert
 
 
 def check_matching(F, G, a, space=LINE):
@@ -379,14 +383,18 @@ def _variables(X, TXa, permX, Y, p, space):
 
 def check_exhaustive(F, G, a, space=LINE):
     """Complete search over block assignments; None means proven infeasible.
-    The unknowns are counted as they are found, and the count stops as soon
-    as it passes ``MAX_UNKNOWNS``."""
+    The row test (``_row_refuted``) runs first, under no cap.  Then the
+    unknowns are counted as they are found, and the count stops as soon as
+    it passes ``MAX_UNKNOWNS``."""
     a = _check_inputs(F, G, space, a)
     return _exhaustive(F, G, a, space, _thickenings(F, G, a, space))
 
 
 def _exhaustive(F, G, a, space, sides):
-    """``check_exhaustive`` on the ``_thickenings`` tables ``sides``."""
+    """``check_exhaustive`` on the ``_thickenings`` tables ``sides``: the
+    row test, then the capped enumeration."""
+    if _row_refuted(F, G, a, space, sides):
+        return None
     p = F.char
     (Fa, _), (Ga, _) = sides
     fvars = list(islice(_variables(F, *Fa, G, p, space), MAX_UNKNOWNS + 1))
@@ -403,6 +411,26 @@ def _exhaustive(F, G, a, space, sides):
             return None
         return InterleavingCertificate(a, res.g, res.f)
     return _exhaustive_core(F, G, a, space, sides, fvars, gvars)
+
+
+def _row_refuted(F, G, a, space, sides):
+    """Whether some restriction block of T_2a X -> X, for X = F or G, is
+    reached by no composite: its row of the composite equations reads
+    0 = 1 under every assignment of the blocks, so the shift is refuted.
+    The composites that reach bar i's block (i, i) pass through one bar j
+    of the other side, so per bar that survives to 2a the scan runs over
+    its partners j and stops at the first nonzero ``_composites`` scalar.
+    A Hom the calculus cannot use raises ``UnsupportedHomError``."""
+    fs, gs = _lifts(F, G, a, sides)
+    for side, xs in enumerate((fs, gs)):
+        for x in xs:
+            if x[3]:
+                continue                # its restriction block is zero
+            pairs = ((x, g) for g in gs) if side == 0 else ((f, x) for f in fs)
+            if not any((s := _composites(f, g, F.char, space)) and s[side]
+                       for f, g in pairs):
+                return True
+    return False
 
 
 def _composite_terms(X, TX2a, permX2a, TYa, permYa, xvars, yvars, p, space):
@@ -431,9 +459,8 @@ def _composite_terms(X, TX2a, permX2a, TYa, permYa, xvars, yvars, p, space):
 
 def _exhaustive_core(F, G, a, space, sides, fvars, gvars):
     """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
-    ``gvars``, on the ``_thickenings`` tables ``sides``.  A restriction
-    block that no composite term reaches reads 0 = 1 under every
-    assignment, so it refutes the shift before any enumeration."""
+    ``gvars``, on the ``_thickenings`` tables ``sides``; one equation per
+    block of the restriction or of a composite term."""
     p = F.char
     (((TFa, permFa), (TF2a, permF2a)),
      ((TGa, permGa), (TG2a, permG2a))) = sides
@@ -443,15 +470,12 @@ def _exhaustive_core(F, G, a, space, sides, fvars, gvars):
     t2 = _composite_terms(G, TG2a, permG2a, TFa, permFa, gvars, fvars, p, space)
     rho_F = _restriction_to(F, 2 * a, sides[0][1], space).blocks
     rho_G = _restriction_to(G, 2 * a, sides[1][1], space).blocks
-    keys1 = {rk for v in t1.values() for rk, _ in v}
-    keys2 = {rk for v in t2.values() for rk, _ in v}
-    if not (rho_F.keys() <= keys1 and rho_G.keys() <= keys2):
-        return None
     if p ** len(fvars) > MAX_ENUMERATION:
         raise CapacityError(
             f"enumeration {p}^{len(fvars)} exceeds the cap {MAX_ENUMERATION}")
 
-    rows1, rows2 = sorted(keys1), sorted(keys2)
+    rows1 = sorted(rho_F.keys() | {rk for v in t1.values() for rk, _ in v})
+    rows2 = sorted(rho_G.keys() | {rk for v in t2.values() for rk, _ in v})
     ridx1 = {r: k for k, r in enumerate(rows1)}
     ridx2 = {r: k for k, r in enumerate(rows2)}
     gidx = {v: k for k, v in enumerate(gvars)}
@@ -502,7 +526,8 @@ def _exhaustive_core(F, G, a, space, sides, fvars, gvars):
 
 def _search(F, G, a, space, costs):
     """The one search at a circle shift, on one set of ``_thickenings``: the
-    ``_matching`` certificate over the deck-copy costs, else ``_exhaustive``."""
+    ``_matching`` certificate over the deck-copy costs, else ``_exhaustive``
+    (the row test, then the capped enumeration)."""
     sides = _thickenings(F, G, a, space)
     cert = _matching(F, G, a, space, costs, sides)
     return cert if cert is not None else _exhaustive(F, G, a, space, sides)
@@ -582,7 +607,8 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     matching, on either space, reads them.
 
     On the circle a probe at a grid value is one ``_search``, which ends
-    found, refuted, capacity or unsupported; index 0 is refuted, since
+    found, refuted or undecided (a search over its cap, or a Hom the
+    calculus cannot use); index 0 is refuted, since
     ``iso_equal`` has failed.  Feasibility is upward closed
     (``weaken_certificate``), so one walk settles the grid.  It starts at
     the first grid value at or above the bottleneck over the deck-copy
@@ -622,10 +648,8 @@ def distance(F, G, space=LINE) -> DistanceBounds:
             try:
                 cert = _search(F, G, grid[i], space, costs)
                 probes[i] = ("refuted" if cert is None else "found", cert)
-            except CapacityError:
-                probes[i] = ("capacity", None)
-            except UnsupportedHomError:
-                probes[i] = ("unsupported", None)
+            except (CapacityError, UnsupportedHomError):
+                probes[i] = ("undecided", None)
         return probes[i]
 
     upper = 1 if v is None else max(1, bisect_left(grid, v))

@@ -107,7 +107,9 @@ def deck_cost(form_f, form_g, C):
     |x - y - nC| is convex in n, so its least value is at some n between
     the floors and the ceilings of the (x - y)/C.  That this is the circle's
     pair cost is a conjecture (no circle isometry theorem is cited here):
-    ``interleave`` reads it only as the place to start its search."""
+    ``interleave`` reads it to choose the circle matching's candidate pairs
+    and the place to start its search, and certifies or refutes every
+    answer without it."""
     kg, eg = form_g
     steps = [(x - y) / C for x, y in zip(form_f[1], eg)]
     ns = range(min(map(math.floor, steps), default=0),

@@ -287,9 +287,9 @@ class TestInterleaveCommand:
 
     @staticmethod
     def _eight_bar_pair(docs):
-        """An 8-bar barcode and its 1/4-thickening: 8 + 19 unknown blocks
-        at 1/8, over the exhaustive cap of 24.  The count stops at 8 + 17,
-        the first total past the cap."""
+        """An 8-bar barcode and its 1/4-thickening, at distance 1/4.  At
+        1/4 the unknown blocks pass the exhaustive cap of 24: the count
+        stops at 20 + 5, the first total past the cap."""
         F = rand_bounded_barcode(random.Random(11), max_bars=8)
         G = thicken(F, Fr(1, 4))
         paths = []
@@ -299,16 +299,18 @@ class TestInterleaveCommand:
         return [str(p) for p in paths], F, G
 
     def test_search_over_the_exhaustive_cap_is_refuted(self, docs, capsys):
-        # the matching refutes the shift on the line, where the exhaustive
-        # search would stop at its cap
+        # the matching refutes the shift on the line; the exhaustive search
+        # refutes it too, by its row test before any cap, and reaches its
+        # cap at 1/4, where every row is reached
         paths, F, G = self._eight_bar_pair(docs)
         assert run_command(["interleave", "--a", "1/8"] + paths) == 0
         captured = capsys.readouterr()
         assert "found: false" in captured.out
         assert captured.err == ""
+        assert check_exhaustive(F, G, Fr(1, 8)) is None
         with pytest.raises(CapacityError,
-                           match=r"8 \+ 17 unknown blocks exceed the cap 24"):
-            check_exhaustive(F, G, Fr(1, 8))
+                           match=r"20 \+ 5 unknown blocks exceed the cap 24"):
+            check_exhaustive(F, G, Fr(1, 4))
 
     def test_zero_shift_is_the_isomorphism_test(self, docs, capsys):
         paths, _, _ = self._eight_bar_pair(docs)
