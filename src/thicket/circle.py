@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .barcode import (CLOSED, Bar, GradedBarcode, Interval, canonical_order,
-                      dims_add, global_sections_c, intersect, rgamma_c_interval)
-from .interleave import DistanceBounds, identity_certificate
+from .barcode import (Bar, GradedBarcode, canonical_order, dims_add,
+                      global_sections_c)
+from .interleave import DistanceBounds, finite_gate
 from .interleave import distance as _distance
 from .model import (CircleModel, Rep, circle_band_rep, circle_spiral_rep,
                     direct_sum)
@@ -118,12 +118,6 @@ class CircleSheaf:
         return GradedBarcode(self.spirals, self.char)
 
 
-def iso_equal_circle(F: CircleSheaf, G: CircleSheaf) -> bool:
-    if F.C != G.C or F.char != G.char:
-        raise ValueError("circle sheaves live on different circles")
-    return F == G
-
-
 def seed_bound(C) -> Fraction:
     """Radius of the built-in thickening seed: an eighth of the circumference,
     safely below the quarter-circumference convexity bound."""
@@ -202,34 +196,6 @@ def fourier_sato(F: CircleSheaf, direction: str = "forward") -> CircleSheaf:
     return circle_thicken(F, shift)
 
 
-def circle_stalk_oracle(F: CircleSheaf, a, x) -> dict[int, int]:
-    """Stalk dimensions of the a-thickening at x via the lift over
-    [x-a, x+a]; valid for a below the half-circumference embedding bound."""
-    a, x = Fraction(a), Fraction(x)
-    if a < 0:
-        raise ValueError("stalk oracle requires a >= 0")
-    if 2 * a >= F.C:
-        raise ValueError("ball does not embed; chain smaller steps instead")
-    ball = Interval(x - a, CLOSED, x + a, CLOSED)
-    dims: dict[int, int] = {}
-    for b in F.spirals:
-        lo = ((b.iv.left - (x + a)) / F.C).__floor__() - 1
-        hi = ((b.iv.right - (x - a)) / F.C).__ceil__() + 1
-        for n in range(lo, hi + 1):
-            iv = b.iv
-            shifted = Interval(iv.left - n * F.C, iv.lkind,
-                               iv.right - n * F.C, iv.rkind)
-            inter = intersect(ball, shifted)
-            if inter is None:
-                continue
-            for off, cnt in rgamma_c_interval(inter).items():
-                d = b.degree + off
-                dims[d] = dims.get(d, 0) + cnt
-    for band in F.bands:
-        dims[band.degree] = dims.get(band.degree, 0) + band.rank
-    return {d: n for d, n in sorted(dims.items()) if n}
-
-
 def circle_global_sections(F: CircleSheaf) -> dict[int, int]:
     """Degree-wise dimensions of sections over the compact circle (equal to
     the compactly supported variant).  The circle is compact, so a spiral
@@ -264,21 +230,19 @@ def circle_distance(F: CircleSheaf, G: CircleSheaf) -> DistanceBounds:
     Fully supported for spiral-only content.  Band parts must agree up to
     isomorphism (locally constant summands are rigid under thickening, so a
     mismatch forces infinite distance); a common nonzero band part alongside
-    spirals is out of scope.
+    spirals is out of scope, unless the spirals are equal (distance 0) or
+    the finiteness gate separates them (+inf).  Equal band parts add equal
+    terms to both sides' sections, so the identity test and the gate of
+    ``interleave.distance`` on the spiral barcodes decide those cases.
     """
     if F.C != G.C or F.char != G.char:
         raise ValueError("circle sheaves live on different circles")
-    space = circle_ops(F.C)
-    if iso_equal_circle(F, G):
-        return DistanceBounds(Fraction(0), Fraction(0), True,
-                              identity_certificate(F.spiral_barcode(), space),
-                              exact_by="identity")
-    if circle_global_sections(F) != circle_global_sections(G):
-        return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
     if F.bands != G.bands:
         # a finite-distance locally constant summand must appear on both sides
         return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
-    if F.bands:
+    space = circle_ops(F.C)
+    Fs, Gs = F.spiral_barcode(), G.spiral_barcode()
+    if F.bands and Fs != Gs and finite_gate(Fs, Gs, space) == "pass":
         raise UnsupportedBandContentError(
             "distance with a common nontrivial band part is not supported")
-    return _distance(F.spiral_barcode(), G.spiral_barcode(), space)
+    return _distance(Fs, Gs, space)

@@ -261,9 +261,6 @@ class LinearRelation:
         vecs = [vec[self.nu:] + vec[: self.nu] for vec in self.space.basis]
         return LinearRelation(self.nv, self.nu, vecs, self.p)
 
-    def image(self) -> Subspace:
-        return self.image_of(full_space(self.nu, self.p))
-
 
 def full_space(n: int, p: int) -> Subspace:
     return Subspace(n, identity(n), p)

@@ -420,16 +420,32 @@ def _row_refuted(F, G, a, space, sides):
     The composites that reach bar i's block (i, i) pass through one bar j
     of the other side, so per bar that survives to 2a the scan runs over
     its partners j and stops at the first nonzero ``_composites`` scalar.
-    A Hom the calculus cannot use raises ``UnsupportedHomError``."""
+    A partner whose Hom the calculus cannot use (``UnsupportedHomError``)
+    leaves only its bar undecided, and the scan goes on: the shift is
+    refuted by a bar whose partners are all usable and none reaches it,
+    and otherwise an undecided bar raises the error again."""
     fs, gs = _lifts(F, G, a, sides)
+    undecided = None
     for side, xs in enumerate((fs, gs)):
         for x in xs:
             if x[3]:
                 continue                # its restriction block is zero
             pairs = ((x, g) for g in gs) if side == 0 else ((f, x) for f in fs)
-            if not any((s := _composites(f, g, F.char, space)) and s[side]
-                       for f, g in pairs):
-                return True
+            unusable = None
+            for f, g in pairs:
+                try:
+                    s = _composites(f, g, F.char, space)
+                except UnsupportedHomError as exc:
+                    unusable = exc
+                    continue
+                if s and s[side]:
+                    break
+            else:
+                if unusable is None:
+                    return True
+                undecided = undecided or unusable
+    if undecided is not None:
+        raise undecided
     return False
 
 

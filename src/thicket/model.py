@@ -10,15 +10,13 @@ spaces are computed from the exact sequence
 
 by plain linear algebra over F_p.  An Ext^1 class is kept as an edge
 vector, a representative in the last term: no extension representation is
-built and no representation is refined.  ``transport_ext_class`` moves a
-class onto a finer model of the same pair, and ``connecting_pairing`` reads
-its scalar off the vector.  The line Hom/Ext calculus in ``morphisms`` is
-closed-form; the line models are the oracle it is tested against, through
-``morphisms.quiver_struct_scalar`` and ``poset_oracle_rhom``.  The circle
-models are the oracle of the covering-map Hom calculus and of the
-closed-form circle sections; the cyclic decomposition
-(``circle.decompose_cyclic``) still runs on them.
-"""
+built and no representation is refined; ``connecting_pairing`` reads its
+scalar off the vector.  The line Hom/Ext calculus in ``morphisms`` is
+closed-form; the line models are the oracle it is tested against (the
+quiver oracle of ``tests/oracles.py``, which also moves an Ext class onto
+the finer model of a triple).  The circle models are the oracle of the
+covering-map Hom calculus and of the closed-form circle sections; the
+cyclic decomposition (``circle.decompose_cyclic``) still runs on them."""
 
 from __future__ import annotations
 
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fieldmath as fm
-from .barcode import OPEN, Interval
+from .barcode import CLOSED, OPEN, Interval
 from .scalars import NEG_INF, POS_INF, is_finite
 
 
@@ -119,18 +117,29 @@ class Rep:
 
 
 def line_bar_rep(model: LineModel, iv: Interval, p: int = 2) -> Rep:
-    for x in (iv.left, iv.right):
-        if is_finite(x) and x not in model.points:
-            raise ValueError(f"model does not refine the endpoint {x} of {iv}")
+    """The interval sheaf on ``iv`` as a rep, placed by the indices i and j
+    of its ends in ``model.points`` (i = -1 for -inf, j = len(points) for
+    +inf): the open stratum 2m, just below point m, lies inside exactly
+    when i < m <= j, and the point stratum 2m + 1 when i < m < j or when
+    point m is a closed end."""
+    pts = model.points
+    ends = []
+    for x, inf in ((iv.left, -1), (iv.right, len(pts))):
+        if not is_finite(x):
+            ends.append(inf)
+            continue
+        try:
+            ends.append(pts.index(x))
+        except ValueError:
+            raise ValueError(f"model does not refine the endpoint {x} "
+                             f"of {iv}") from None
+    i, j = ends
     dims = []
-    for s in model.strata:
-        if s.kind == "pt":
-            dims.append(1 if iv.contains(s.left) else 0)
-        else:
-            # the bar's ends are model points, so an open stratum between
-            # them lies inside it
-            inside = iv.left <= s.left and s.right <= iv.right
-            dims.append(1 if inside else 0)
+    for m in range(len(pts) + 1):
+        dims.append(int(i < m <= j))
+        if m < len(pts):
+            dims.append(int(i < m < j or (m == i and iv.lkind is CLOSED)
+                            or (m == j and iv.rkind is CLOSED)))
     mats = [[[1]] if dims[pt] and dims[op] else fm.zeros(dims[op], dims[pt])
             for (pt, op, _side) in model.edges]
     return Rep(model, dims, mats, p)
@@ -412,24 +421,3 @@ def connecting_pairing(pair: RepPair, evec):
     signs = [1 if side == "R" else -1 for (_pt, _op, side) in model.edges]
     return sum(signs[ei] * x for (ei, _j, _i), x in zip(pair.ecoords, evec)) % p
 
-
-def transport_ext_class(coarse: RepPair, evec, fine: RepPair):
-    """The Ext class ``evec`` of ``coarse``, as an edge vector of ``fine``:
-    the same pair of sheaves on a model that refines coarse's.
-
-    A fine edge at a coarse point carries the coarse entries at that point
-    and side; one at a new point carries 0, since the extension is glued by
-    identities inside a coarse stratum.  Coarse edges are keyed by (point,
-    side), which also tells apart the two edges of a one-point circle model.
-    """
-    cmodel, fmodel = coarse.model, fine.model
-    if not set(cmodel.points) <= set(fmodel.points):
-        raise ValueError("target model does not refine the source model")
-    at = {(cmodel.strata[pt].left, side): ei
-          for ei, (pt, _op, side) in enumerate(cmodel.edges)}
-    out = []
-    for (ei, j, i) in fine.ecoords:
-        pt, _op, side = fmodel.edges[ei]
-        cei = at.get((fmodel.strata[pt].left, side))
-        out.append(0 if cei is None else evec[coarse._eindex[(cei, j, i)]])
-    return out

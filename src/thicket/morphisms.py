@@ -16,11 +16,11 @@ one-dimensional.  Their dimensions and the structure constants that
 composition multiplies blocks through are read from closed-form rules of
 endpoint order and kind (``_line_hom``, ``_line_ext``, ``_line_struct``):
 no model is built and nothing is memoized.  ``hom_dim`` reads the same
-rules.  The finite quiver model is their oracle in the tests: it normalizes
-the Ext generator of a pair once on the pair's model (``PairData``), keeps
-it as an edge vector and carries it onto the model of each triple
-(``quiver_struct_scalar``); its results depend on the order type alone,
-which ``shape_key`` names.
+rules.  The finite quiver model is their oracle, and it lives in the
+tests (``tests/oracles.py``): it normalizes the Ext generator of a pair
+once on the pair's model (``PairData``, here), keeps it as an edge vector
+and carries it onto the model of each triple; its results depend on the
+order type alone, which ``shape_key`` names.
 
 On the circle R/CZ a spiral is the pushforward p_!(k_I) of a bounded lift
 along the covering map p.  Since p_! is left adjoint to p^{-1} and
@@ -33,9 +33,9 @@ lies on copy n + m.  Circle dimensions and structure constants are read
 from the line rules this way, and memoized per exact circle pair and
 triple.  A block carries one scalar, so a circle space is supported only
 when its dimension summed over the deck copies is at most one; beyond that
-``UnsupportedHomError`` is raised.  The circle quiver model
-(``quiver_struct_scalar`` and ``poset_oracle_rhom`` with a circle space)
-stays as the test oracle.
+``UnsupportedHomError`` is raised.  The circle quiver model, built by
+``build_model`` and ``bar_rep`` with a circle space, is the oracle of the
+tests for this too.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from fractions import Fraction
 from . import fieldmath as fm
 from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
 from .model import (CircleModel, LineModel, Rep, RepPair, circle_spiral_rep,
-                    connecting_pairing, line_bar_rep, transport_ext_class)
+                    connecting_pairing, line_bar_rep)
 from .scalars import is_finite
 from .thicken import bar_rule, halfopen_translation_kills
 
@@ -60,7 +60,11 @@ class UnsupportedHomError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Models and shape keys.
+# Models, shape keys and pair data.  Only the quiver oracle of the tests
+# runs ``build_model``, ``bar_rep``, ``shape_key``, ``PairData`` and
+# ``pair_data``; they stay here while the benchmark's tracer
+# (bench/layers.py) wraps or counts them by name.  ``_exact_key`` and the
+# circle memos serve the covering-map calculus.
 
 def _finite_endpoints(ivs):
     out = set()
@@ -110,15 +114,12 @@ def shape_key(ivs) -> tuple:
     return tuple(key)
 
 
-# ---------------------------------------------------------------------------
-# Cached pair data.
-
 class PairData:
     """Hom/Ext spaces of an ordered interval pair on its minimal model.
 
     ``ext_generator`` is the normalized generator of a one-dimensional Ext
     space as an edge vector of ``pair``, or None when Ext is zero;
-    ``transport_ext_class`` carries it onto the model of a triple."""
+    the quiver oracle of the tests carries it onto the model of a triple."""
 
     def __init__(self, space, ivA: Interval, ivB: Interval, p: int):
         self.ivA, self.ivB, self.p = ivA, ivB, p
@@ -410,100 +411,6 @@ def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
 
 
 # ---------------------------------------------------------------------------
-# The quiver route: the oracle of the tests.
-
-def _hom_gen_matrices(space, model, ivA, ivB, p):
-    """Vertex matrices of the canonical Hom^0 generator, computed in ``model``."""
-    rp = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivB, p))
-    if rp.hom_dim != 1:
-        raise UnsupportedHomError(f"hom dim {rp.hom_dim} for {ivA} -> {ivB}")
-    gen = rp.hom_generator()
-    lead = [x for x in gen if x % p]
-    if any(x != lead[0] for x in lead):
-        raise UnsupportedHomError(f"non-indicator hom generator for {ivA} -> {ivB}")
-    return rp.vertex_matrices(gen)
-
-
-def _ext_gen_reduced(space, shared_pair: RepPair, ivA, ivB, p):
-    """Image in ``shared_pair`` of the pair-anchored Ext generator."""
-    pd = pair_data(space, ivA, ivB, p)
-    if pd.ext_generator is None:
-        raise ValueError("ext space is zero")
-    red = shared_pair.ext_reduce(
-        transport_ext_class(pd.pair, pd.ext_generator, shared_pair))
-    if not any(red):
-        raise AssertionError(f"ext generator transported to zero for {ivA} -> {ivB}")
-    return red
-
-
-def _scalar_on_ext(shared_pair: RepPair, gen_red, vec, p: int) -> int:
-    red = shared_pair.ext_reduce(vec)
-    if not any(red):
-        return 0
-    lead = next(i for i, x in enumerate(gen_red) if x % p)
-    c = (red[lead] * fm.finv(gen_red[lead], p)) % p
-    if red != [(c * x) % p for x in gen_red]:
-        raise AssertionError("ext element not proportional to the generator")
-    return c
-
-
-def quiver_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
-    """Structure constant computed in the quiver model on the triple's
-    endpoints: the oracle of the tests for the closed-form line rules and
-    for the covering-map circle constants."""
-    target_kind = "h" if (kind1, kind2) == ("h", "h") else "e"
-    model = build_model(space, [ivA, ivB, ivC])
-    if target_kind == "h":
-        m1 = _hom_gen_matrices(space, model, ivA, ivB, p)
-        m2 = _hom_gen_matrices(space, model, ivB, ivC, p)
-        # a composite through a zero stalk of B is zero on that stratum
-        comp = {s: fm.mat_mul(m2[s], m1[s], p) for s in m1 if m1[s]}
-        rpAC = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivC, p))
-        vec = [comp[s][j][i] if s in comp else 0 for (s, j, i) in rpAC.vcoords]
-        if not any(vec):
-            out = ("h", 0)
-        else:
-            if rpAC.hom_dim != 1:
-                raise UnsupportedHomError(
-                    f"composite lands in a {rpAC.hom_dim}-dimensional Hom "
-                    f"space: {ivA} -> {ivC}")
-            gen = rpAC.hom_generator()
-            lead = next(i for i, x in enumerate(gen) if x % p)
-            c = (vec[lead] * fm.finv(gen[lead], p)) % p
-            if vec != [(c * x) % p for x in gen]:
-                raise AssertionError("hom composite not proportional to the generator")
-            out = ("h", c)
-    else:
-        rpAC = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivC, p))
-        if rpAC.ext_dim == 0:
-            out = ("e", 0)
-        else:
-            genAC = _ext_gen_reduced(space, rpAC, ivA, ivC, p)
-            if kind1 == "e":           # ext then hom: push the class forward
-                rpAB = RepPair(bar_rep(space, model, ivA, p), bar_rep(space, model, ivB, p))
-                eredAB = _ext_gen_reduced(space, rpAB, ivA, ivB, p)
-                emats = rpAB.edge_matrices(eredAB)
-                psi = _hom_gen_matrices(space, model, ivB, ivC, p)
-                pushed = {}
-                for ei, mat in emats.items():
-                    op = model.edges[ei][1]
-                    pushed[ei] = fm.mat_mul(psi[op], mat, p)
-                vec = rpAC.evec_from_edge_matrices(pushed)
-            else:                       # hom then ext: pull the class back
-                rpBC = RepPair(bar_rep(space, model, ivB, p), bar_rep(space, model, ivC, p))
-                eredBC = _ext_gen_reduced(space, rpBC, ivB, ivC, p)
-                emats = rpBC.edge_matrices(eredBC)
-                phi = _hom_gen_matrices(space, model, ivA, ivB, p)
-                pulled = {}
-                for ei, mat in emats.items():
-                    pt = model.edges[ei][0]
-                    pulled[ei] = fm.mat_mul(mat, phi[pt], p)
-                vec = rpAC.evec_from_edge_matrices(pulled)
-            out = ("e", _scalar_on_ext(rpAC, genAC, vec, p))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Morphisms.
 
 @dataclass(frozen=True)
@@ -702,26 +609,3 @@ def hom_dim(b1: Bar, b2: Bar, char: int = 2) -> HomSpace:
     kind = "h" if off == 0 else "e"
     return HomSpace(b1, b2, space_dim(LINE, b1.iv, b2.iv, kind, char), off)
 
-
-# ---------------------------------------------------------------------------
-# Brute-force RHom oracle.
-
-def poset_oracle_rhom(F: GradedBarcode, G: GradedBarcode, space=LINE) -> dict[int, int]:
-    """Degree-wise dimensions of RHom(F, G) computed in the quiver model on
-    all of F's and G's endpoints at once, independently of the closed-form
-    rules behind ``hom_dim``."""
-    if F.char != G.char:
-        raise ValueError("characteristic mismatch")
-    p = F.char
-    dims: dict[int, int] = {}
-    model = build_model(space, [b.iv for b in F.bars] + [b.iv for b in G.bars])
-    for bf in F.bars:
-        repf = bar_rep(space, model, bf.iv, p)
-        for bg in G.bars:
-            rp = RepPair(repf, bar_rep(space, model, bg.iv, p))
-            n0 = bg.degree - bf.degree
-            if rp.hom_dim:
-                dims[n0] = dims.get(n0, 0) + rp.hom_dim
-            if rp.ext_dim:
-                dims[n0 + 1] = dims.get(n0 + 1, 0) + rp.ext_dim
-    return {d: n for d, n in sorted(dims.items()) if n}

@@ -2,9 +2,11 @@
 
 For a >= 0 the thickening convolves with the closed ball of radius a; for
 a < 0 it is the open-ball convolution twisted by the shift [1].  Both are
-realized by closed-form per-bar rules; the rules are certified against the
-stalk oracle (compactly supported sections of ball/bar intersections) and
-against the independent Minkowski-fiber convolution route.
+realized by closed-form per-bar rules.  The tests certify the rules against
+a stalk oracle (compactly supported sections of ball/bar intersections,
+kept with the tests) and against the independent Minkowski-fiber
+convolution route below (``convolution_ball``), which the CLI
+``convolution`` suite also runs.
 """
 
 from __future__ import annotations
@@ -125,56 +127,12 @@ def thicken(F: GradedBarcode, a) -> GradedBarcode:
 
 
 # ---------------------------------------------------------------------------
-# Stalk oracle: direct evaluation of the kernel composition fiberwise.
+# Independent convolution route: convolve with the closed ball [-a, a] by
+# Minkowski-fiber analysis and reassemble the output bars from exact samples.
 
 def _ball(t: Fraction, a: Fraction, kind) -> Interval:
     return Interval(t - a, kind, t + a, kind)
 
-
-def stalk_oracle(F: GradedBarcode, a, t) -> dict[int, int]:
-    """Stalk dimensions of the a-thickening at t, computed per bar as the
-    compactly supported cohomology of [t-a, t+a] meet the bar support."""
-    a, t = Fraction(a), Fraction(t)
-    if a < 0:
-        raise ValueError("stalk_oracle requires a >= 0")
-    dims: dict[int, int] = {}
-    for b in F.bars:
-        inter = intersect(_ball(t, a, CLOSED), b.iv)
-        if inter is None:
-            continue
-        for off, n in rgamma_c_interval(inter).items():
-            d = b.degree + off
-            dims[d] = dims.get(d, 0) + n
-    return {d: n for d, n in sorted(dims.items()) if n}
-
-
-def stalk_oracle_negative(F: GradedBarcode, a, t) -> dict[int, int]:
-    """Oracle for negative thickening: open-ball fibers shifted by one."""
-    a, t = Fraction(a), Fraction(t)
-    if a >= 0:
-        raise ValueError("negative oracle requires a < 0")
-    u = -a
-    dims: dict[int, int] = {}
-    for b in F.bars:
-        inter = intersect(_ball(t, u, OPEN), b.iv)
-        if inter is None:
-            continue
-        for off, n in rgamma_c_interval(inter).items():
-            d = b.degree + off - 1
-            dims[d] = dims.get(d, 0) + n
-    return {d: n for d, n in sorted(dims.items()) if n}
-
-
-def stalk_of(F: GradedBarcode, a, t) -> dict[int, int]:
-    a = Fraction(a)
-    if a >= 0:
-        return stalk_oracle(F, a, t)
-    return stalk_oracle_negative(F, a, t)
-
-
-# ---------------------------------------------------------------------------
-# Independent convolution route: convolve with the closed ball [-a, a] by
-# Minkowski-fiber analysis and reassemble the output bars from exact samples.
 
 def _fiber_dims(iv: Interval, a: Fraction, t: Fraction) -> dict[int, int]:
     inter = intersect(_ball(t, a, CLOSED), iv)

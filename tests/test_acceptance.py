@@ -11,6 +11,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import bar, gb
+from oracles import stalk_oracle
 from thicket.barcode import (CLOSED, Bar, GradedBarcode, Interval, closed,
                              dualize, full_line, global_sections,
                              global_sections_c, open_iv, singleton)
@@ -30,7 +31,7 @@ from thicket.plmaps import (abs_map, lipschitz_experiment, offset_map,
                             pushforward_shriek, scale_map,
                             stability_experiment, sup_distance)
 from thicket.scalars import POS_INF
-from thicket.thicken import convolution_ball, stalk_of, thicken
+from thicket.thicken import convolution_ball, thicken
 from thicket.barcode import stalk_dims, ray_left, ray_right, half_open, \
     half_open_r
 from thicket.scalars import is_finite
@@ -112,7 +113,7 @@ def test_criterion_05_rule_table_certification():
                 else:
                     points.add(Fr(0))
             for t in sorted(points):
-                ok = ok and stalk_dims(out, t) == stalk_of(F, a, t)
+                ok = ok and stalk_dims(out, t) == stalk_oracle(F, a, t)
                 checked += 1
     report(5, ok, f"rule rows certified against the stalk oracle "
                   f"({checked} exact stalk comparisons, both signs)")

@@ -1,28 +1,31 @@
 """Circle sheaves: thickening, quarter-turn transform, oracle, distance."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
+from oracles import circle_stalk_oracle, poset_oracle_rhom, quiver_struct_scalar
 from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
                              closed, half_open, open_iv, singleton)
 from thicket.circle import (Band, CircleSheaf, UnsupportedBandContentError,
                             circle_distance, circle_global_sections, circle_ops,
-                            circle_stalk_oracle, circle_thicken,
-                            cyclic_model_of, decompose_cyclic, fourier_sato,
-                            iso_equal_circle, seed_bound)
+                            circle_thicken, cyclic_model_of, decompose_cyclic,
+                            fourier_sato, seed_bound)
 from thicket.corpus import rand_barcode, rand_circle_sheaf, rand_fraction
-from thicket.interleave import (check_exhaustive, check_interleaving,
-                                check_matching, distance, verify_certificate)
+from thicket.interleave import (DistanceBounds, check_exhaustive,
+                                check_interleaving, check_matching, distance,
+                                identity_certificate, verify_certificate)
 from thicket.scalars import POS_INF
 from thicket.thicken import thicken
+import thicket
 import thicket.circle as circle_mod
 import thicket.model as model_mod
 import thicket.morphisms as morphisms
 from thicket.model import RepPair, rep_sections
-from thicket.morphisms import (UnsupportedHomError, poset_oracle_rhom,
-                               quiver_struct_scalar, space_dim, struct_scalar)
+from thicket.morphisms import UnsupportedHomError, space_dim, struct_scalar
 
 
 C = Fr(4)
@@ -229,6 +232,75 @@ class TestCircleDistance:
             F = rand_circle_sheaf(rng, max_spirals=2)
             G = rand_circle_sheaf(rng, max_spirals=2)
             assert circle_distance(F, G).fields() == circle_distance(G, F).fields()
+
+
+def _sheaf_rules_distance(F, G):
+    """The circle rules of ``circle_distance`` applied to the whole sheaves,
+    one after another: the circle and field must match, equal sheaves are
+    at 0, sheaves whose sections or band parts differ are at +inf, a
+    shared nonzero band part is unsupported, and otherwise the spirals'
+    distance decides."""
+    if F.C != G.C or F.char != G.char:
+        raise ValueError("circle sheaves live on different circles")
+    space = circle_ops(F.C)
+    if F == G:
+        return DistanceBounds(Fr(0), Fr(0), True,
+                              identity_certificate(F.spiral_barcode(), space),
+                              exact_by="identity")
+    if (circle_global_sections(F) != circle_global_sections(G)
+            or F.bands != G.bands):
+        return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
+    if F.bands:
+        raise UnsupportedBandContentError(
+            "distance with a common nontrivial band part is not supported")
+    return distance(F.spiral_barcode(), G.spiral_barcode(), space)
+
+
+def _distance_outcome(fn, F, G):
+    """Every field of ``fn(F, G)``, the witness included, or the type and
+    message of the ``ValueError`` it raised."""
+    try:
+        d = fn(F, G)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (d.lower, d.upper, d.exact, d.conclusive, d.exact_by,
+            d.witness and (d.witness.a, d.witness.f, d.witness.g))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_circle_distance_follows_the_sheaf_rules(rng, p):
+    """``circle_distance`` leaves the identity test and the sections gate
+    to ``interleave.distance`` on the spirals, since equal band parts add
+    equal terms to both sides' sections; its fields and errors are those
+    of the rules applied to the whole sheaves, on the cases of
+    ``TestCircleDistance``, on mismatched circles and fields, and on seeded
+    sheaves with and without bands."""
+    band = [(1, [[1]], 0)]
+    arc = Bar(closed(0, 1), 0)
+    cases = [(CircleSheaf(C, [arc], band, p),) * 2,
+             (CircleSheaf(C, [arc], (), p),
+              CircleSheaf(C, [Bar(singleton(Fr(1, 2)), 0)], (), p)),
+             (CircleSheaf(C, [], band, p), CircleSheaf(C, [], (), p)),
+             (CircleSheaf(C, [arc], band, p), CircleSheaf(C, [arc], (), p)),
+             (CircleSheaf(C, [arc], band, p),
+              CircleSheaf(C, [Bar(closed(0, 2), 0)], band, p)),
+             (CircleSheaf(C, [arc], (), p), CircleSheaf(2 * C, [arc], (), p)),
+             (CircleSheaf(C, [arc], (), p), CircleSheaf(C, [arc], (), 7))]
+    for _ in range(40):
+        F = rand_circle_sheaf(rng, max_spirals=2, with_bands=True, char=p)
+        G = rand_circle_sheaf(rng, max_spirals=2, with_bands=True, char=p)
+        nudged = [_nudged(rng, b) for b in F.spirals]
+        cases += [(F, G), (F, CircleSheaf(C, nudged, F.bands, p)),
+                  (F, CircleSheaf(C, G.spirals, F.bands, p)),
+                  (F, CircleSheaf(C, F.spirals, G.bands, p))]
+    seen = set()
+    for F, G in cases:
+        want = _distance_outcome(_sheaf_rules_distance, F, G)
+        assert _distance_outcome(circle_distance, F, G) == want, (F, G)
+        seen.add(want[0] if isinstance(want[0], type) else
+                 (want[4], bool(F.bands)))
+    assert {ValueError, UnsupportedBandContentError, ("identity", True),
+            ("gate", True), ("gate", False), ("refuted", False)} <= seen, seen
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -560,8 +632,7 @@ class TestCoveringCalculus:
             raise AssertionError("the line quiver model was reached")
 
         for mod in (model_mod, morphisms):
-            for name in ("quiver_struct_scalar", "PairData", "RepPair",
-                         "line_bar_rep", "shape_key"):
+            for name in ("PairData", "RepPair", "line_bar_rep", "shape_key"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, reached)
         for name in ("_PAIR_CACHE", "_DIMS_CACHE", "_STRUCT_CACHE"):
@@ -589,3 +660,18 @@ class TestCoveringCalculus:
             searched += 0 < d.upper < POS_INF
         assert certified >= 6 and searched >= 3, (certified, searched)
         assert {("h", "h"), ("h", "e"), ("e", "h")} <= kinds
+
+
+def test_no_package_module_holds_a_test_oracle():
+    """The stalk, quiver and RHom oracles live in ``tests/oracles.py``: no
+    ``thicket`` module defines or exports them."""
+    moved = ("stalk_oracle", "stalk_oracle_negative", "stalk_of",
+             "circle_stalk_oracle", "quiver_struct_scalar", "_hom_gen_matrices",
+             "_ext_gen_reduced", "_scalar_on_ext", "transport_ext_class",
+             "poset_oracle_rhom")
+    modules = [thicket] + [importlib.import_module(m.name) for m in
+                           pkgutil.iter_modules(thicket.__path__, "thicket.")]
+    assert "thicket.morphisms" in {m.__name__ for m in modules}
+    for mod in modules:
+        held = [name for name in moved if hasattr(mod, name)]
+        assert not held, (mod.__name__, held)

@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import bar, gb, pooled_interval
+from oracles import poset_oracle_rhom, quiver_struct_scalar
 from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
                              closed, dualize_bar, full_line, half_open,
                              half_open_r, intersect, open_iv, ray_left,
@@ -14,8 +15,7 @@ from thicket.corpus import rand_barcode
 from thicket.model import RepPair
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, bar_rep,
                                build_model, compose, hom_dim,
-                               identity_morphism, poset_oracle_rhom,
-                               quiver_struct_scalar, restriction, shape_key,
+                               identity_morphism, restriction, shape_key,
                                space_dim, struct_scalar, thicken_indexed,
                                thicken_morphism, zero_morphism)
 from thicket.scalars import is_finite

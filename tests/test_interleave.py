@@ -2,6 +2,7 @@
 
 import time
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -1064,22 +1065,58 @@ def test_row_test_agrees_with_enumeration(rng, p):
 
 def _full_row_test(F, G, a, space):
     """Oracle of ``_row_refuted``: every unknown block with no cap, every
-    composite term, and whether some key of the restriction is missing
-    from the keys the terms reach, as the exhaustive search tested its
-    rows before the row test had a home of its own."""
+    composite term of each restriction row, and which keys of the
+    restriction the terms miss, as the exhaustive search tested its rows
+    before the row test had a home of its own.  A pair whose
+    ``_composites`` raises is one the calculus cannot use: its blocks are
+    left out, and an unreached row of one of its bars is undecided.
+    Returns (outcome, whether some pair is unusable); the outcome is True
+    when some unreached row is not undecided, else "unsupported" when some
+    row is undecided, else False."""
     p, a = F.char, Fr(a)
     sides = interleave._thickenings(F, G, a, space)
     (((TFa, permFa), F2a), ((TGa, permGa), G2a)) = sides
-    fvars = list(interleave._variables(F, TFa, permFa, G, p, space))
-    gvars = list(interleave._variables(G, TGa, permGa, F, p, space))
-    terms = [interleave._composite_terms(F, *F2a, TGa, permGa, fvars, gvars,
-                                         p, space),
-             interleave._composite_terms(G, *G2a, TFa, permFa, gvars, fvars,
-                                         p, space)]
-    return any(
-        not interleave._restriction_to(X, 2 * a, X2a, space).blocks.keys()
-        <= {rk for entries in t.values() for rk, _ in entries}
-        for X, X2a, t in ((F, F2a, terms[0]), (G, G2a, terms[1])))
+    fs, gs = interleave._lifts(F, G, a, sides)
+    unusable = set()
+    for (i, f), (j, g) in product(enumerate(fs), enumerate(gs)):
+        try:
+            interleave._composites(f, g, p, space)
+        except UnsupportedHomError:
+            unusable.add((i, j))
+
+    def unknowns(X, TXa, permX, Y, pair):
+        out = []
+        for i, j in product(range(len(X.bars)), range(len(Y.bars))):
+            src, tgt = TXa.bars[permX[i]], Y.bars[j]
+            k = morphisms._block_kind(src, tgt)
+            if k is None or pair(i, j) in unusable:
+                continue
+            try:
+                if morphisms.space_dim(space, src.iv, tgt.iv, k, p):
+                    out.append((i, j, k))
+            except UnsupportedHomError:
+                # _composites found the pair's other block zero first, so
+                # this block meets no restriction row
+                continue
+        return out
+
+    fvars = unknowns(F, TFa, permFa, G, lambda i, j: (i, j))
+    gvars = unknowns(G, TGa, permGa, F, lambda j, i: (i, j))
+    outcome = False
+    for X, X2a, Ya, xvars, yvars, pair in (
+            (F, F2a, (TGa, permGa), fvars, gvars, lambda i, j: (i, j)),
+            (G, G2a, (TFa, permFa), gvars, fvars, lambda j, i: (i, j))):
+        for key in interleave._restriction_to(X, 2 * a, X2a, space).blocks:
+            i = key[1]
+            terms = interleave._composite_terms(
+                X, *X2a, *Ya, [v for v in xvars if v[0] == i],
+                [v for v in yvars if v[1] == i], p, space)
+            if key in {rk for entries in terms.values() for rk, _ in entries}:
+                continue
+            if not any(pair(i, j) in unusable for j in range(len(Ya[0].bars))):
+                return True, bool(unusable)
+            outcome = "unsupported"
+    return outcome, bool(unusable)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1087,22 +1124,25 @@ def test_row_test_agrees_with_full_row_check(rng, p):
     """``_row_refuted``, which scans each bar's partners up to the first
     composite that reaches its restriction block, agrees with the full
     check over every unknown and composite term, on line and circle pairs
-    (lifts up to 2C included) at every grid value where neither raises."""
+    (lifts up to 2C included) at every grid value.  Probes with pairs the
+    calculus cannot use are compared too: such a pair leaves its bar
+    undecided, and the probe is still refuted, or cleared, by the rest."""
     pairs = [(F, G, LINE) for F, G in _mixed_line_pairs(rng, p, 6, 5)]
     pairs += list(_circle_pairs(rng, p, 6))
     pairs += list(_long_circle_pairs(rng, p, 6))
-    seen = {True: 0, False: 0}
+    seen = Counter()
     for F, G, space in pairs:
         for a in critical_grid(F, G, space)[1:]:
+            oracle, some_unusable = _full_row_test(F, G, a, space)
             try:
-                oracle = _full_row_test(F, G, a, space)
                 got = interleave._row_refuted(
                     F, G, a, space, interleave._thickenings(F, G, a, space))
             except UnsupportedHomError:
-                continue
+                got = "unsupported"
             assert got == oracle, (F, G, a)
-            seen[got] += 1
-    assert min(seen.values()) >= 20, seen
+            seen[got, some_unusable] += 1
+    assert min(seen[True, False], seen[False, False]) >= 20, seen
+    assert min(seen[True, True], seen["unsupported", True]) >= 5, seen
 
 
 def test_unknowns_cap_no_longer_hides_a_refutation(monkeypatch):
@@ -1132,6 +1172,31 @@ def test_unknowns_cap_no_longer_hides_a_refutation(monkeypatch):
     monkeypatch.setattr(interleave, "_row_refuted", lambda *args: False)
     with pytest.raises(CapacityError, match=r"14 \+ 11 unknown blocks"):
         check_exhaustive(FB, GB, Fr(3, 8), space)
+
+
+def test_an_unusable_pair_leaves_only_its_bar_undecided():
+    """Four spirals a side on R/4Z with lifts up to 2C, drawn as the
+    long-lift benchmark pairs are.  At 1/8, 1/4 and 3/8 a thickened lift
+    of F has a 2-dimensional Ext into G's (9/4, 7), which the calculus
+    cannot use; that leaves only its own bar undecided, another bar is
+    reached by no composite, and so the three shifts are refuted and the
+    distance 1/2 is exact."""
+    def ends(left, lkind, right, rkind):
+        return Bar(Interval(Fr(left), lkind, Fr(right), rkind), 1)
+
+    o, c = OPEN, CLOSED
+    C = Fr(4)
+    F = CircleSheaf(C, [ends("5/4", c, "15/4", c), ends("5/2", o, "29/4", o),
+                        ends("11/4", c, "9/2", c), ends("11/4", o, "11/2", c)])
+    G = CircleSheaf(C, [ends("7/4", c, "15/4", c), ends("9/4", o, 7, o),
+                        ends(3, c, "19/4", c), ends("13/4", o, "11/2", c)])
+    d = circle_distance(F, G)
+    assert d.fields() == (Fr(1, 2), Fr(1, 2), True) and d.exact_by == "refuted"
+    FB, GB, space = F.spiral_barcode(), G.spiral_barcode(), circle_ops(C)
+    assert verify_certificate(FB, GB, d.witness, space)
+    for a in (Fr(1, 8), Fr(1, 4), Fr(3, 8)):
+        assert _full_row_test(FB, GB, a, space) == (True, True)
+        assert check_exhaustive(FB, GB, a, space) is None
 
 
 def _large_pairs(rng, count):

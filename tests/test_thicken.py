@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from conftest import SHAPE_REPRESENTATIVES, bar, gb
+from oracles import stalk_oracle
 from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
                              closed, full_line, half_open, half_open_r,
                              open_iv, ray_left, ray_right, singleton,
@@ -15,8 +16,7 @@ from thicket.circle import circle_ops
 from thicket.corpus import rand_barcode, rand_fraction, rand_shift
 from thicket.morphisms import LINE, normal_form, thicken_indexed
 from thicket.scalars import is_finite
-from thicket.thicken import (bar_rule, convolution_ball, stalk_of,
-                             stalk_oracle, thicken)
+from thicket.thicken import bar_rule, convolution_ball, thicken
 
 
 class TestRuleExamples:
@@ -62,9 +62,12 @@ class TestStalkOracle:
         assert stalk_oracle(G, 2, 2) == {1: 1}
         assert stalk_oracle(gb(bar(closed(0, 1))), 1, 5) == {}
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            stalk_oracle(gb(bar(closed(0, 1))), -1, 0)
+    def test_negative_shift_takes_the_open_ball_one_degree_down(self):
+        # (-1/2, 3/2) meets [0, 1] in all of it, and (-1, 1) meets it in
+        # [0, 1), which has no compactly supported cohomology
+        F = gb(bar(closed(0, 1)))
+        assert stalk_oracle(F, -1, Fr(1, 2)) == {-1: 1}
+        assert stalk_oracle(F, -1, 0) == {}
 
     def test_zero_shift_recovers_stalks(self, rng):
         for _ in range(20):
@@ -91,7 +94,7 @@ def _certify_rule_row(iv, a):
             points.add(Fr(0))
     for t in sorted(points):
         got = stalk_dims(out, t)
-        want = stalk_of(F, a, t)
+        want = stalk_oracle(F, a, t)
         assert got == want, (iv, a, t, got, want)
 
 
