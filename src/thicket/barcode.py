@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .fieldmath import is_prime
+from .fieldmath import check_char
 from .scalars import (NEG_INF, POS_INF, check_extended, format_extended,
                       is_finite)
 
@@ -241,8 +241,7 @@ class GradedBarcode:
     __slots__ = ("bars", "char")
 
     def __init__(self, bars=(), char: int = 2):
-        if not is_prime(char):
-            raise ValueError(f"field characteristic must be prime, got {char}")
+        check_char(char)
         items = []
         for b in bars:
             if not isinstance(b, Bar):

@@ -28,7 +28,7 @@ from .morphisms import normal_form
 from .scalars import POS_INF
 from .thicken import bar_rule
 from .zigzag import canonical_monodromy, decompose_cyclic_rep
-from .fieldmath import inverse, is_prime, rank as matrix_rank
+from .fieldmath import check_char, inverse, rank as matrix_rank
 
 
 class UnsupportedBandContentError(ValueError):
@@ -80,9 +80,7 @@ class CircleSheaf:
         self.C = Fraction(circumference)
         if self.C <= 0:
             raise ValueError("circumference must be positive")
-        if not is_prime(char):
-            raise ValueError("characteristic must be prime")
-        self.char = char
+        self.char = check_char(char)
         space = circle_ops(self.C)
         sp = []
         for b in spirals:
@@ -136,11 +134,8 @@ class CyclicModel:
     char: int = 2
 
 
-def cyclic_model_of(F: CircleSheaf, extra_points=()) -> CyclicModel:
-    pts = set(Fraction(x) % F.C for x in extra_points)
-    for b in F.spirals:
-        pts.add(b.iv.left % F.C)
-        pts.add(b.iv.right % F.C)
+def cyclic_model_of(F: CircleSheaf) -> CyclicModel:
+    pts = {x % F.C for b in F.spirals for x in (b.iv.left, b.iv.right)}
     model = CircleModel(F.C, pts if pts else [Fraction(0)])
     by_degree: dict[int, list[Rep]] = {}
     for b in F.spirals:

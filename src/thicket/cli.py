@@ -31,7 +31,7 @@ from .plmaps import (lipschitz_experiment, pushforward_shriek,
                      stability_experiment)
 from .scalars import format_extended, parse_rational
 from .svgplot import emit_plot
-from .thicken import thicken
+from .thicken import convolution_ball, thicken
 
 VALIDATION_EXIT = 1
 USAGE_EXIT = 2
@@ -274,7 +274,6 @@ def _suite_case(name: str, seed: int, index: int) -> dict:
         inputs = f"|F|={len(F)} a={a}"
         verdict = "pass" if ok else "fail"
     elif name == "convolution":
-        from .thicken import convolution_ball
         F = rand_barcode(rng)
         a = rand_shift(rng)
         ok = convolution_ball(F, a) == thicken(F, a)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, full_line,
                       singleton)
 from .circle import CircleSheaf
+from .fieldmath import inverse
 from .plmaps import PLMap
 from .scalars import NEG_INF, POS_INF
 
@@ -92,7 +93,6 @@ def rand_circle_sheaf(rng: random.Random, C=4, max_spirals=3, with_bands=False,
 
 
 def _rand_invertible(rng: random.Random, n: int, p: int):
-    from .fieldmath import inverse
     while True:
         m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
         if inverse(m, p) is not None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
 from .circle import CircleSheaf
+from .fieldmath import check_char
 from .plmaps import PLMap
 from .scalars import parse_extended, parse_rational
 
@@ -159,6 +160,10 @@ def parse(text: str) -> Document:
                 char = int(v)
             except ValueError:
                 raise DocumentError(f"invalid characteristic {v!r}", i) from None
+            try:
+                check_char(char)
+            except ValueError as exc:
+                raise DocumentError(str(exc), i) from None
         if k == "space":
             if v == "line":
                 space = "line"

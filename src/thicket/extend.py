@@ -1,13 +1,15 @@
 """Extension of a thickening action from a seed interval to all shifts.
 
 A seed family provides the action, restriction witnesses, and witness
-algebra on the parameter interval [0, alpha] (or [-alpha, alpha]).  Queries
-at arbitrary shifts are answered through the doubling decomposition
-a = n*lambda + r with lambda = alpha/2, applying the half-step n times and
-the remainder once; restriction witnesses at extended parameters compose the
-seed witnesses per the same decomposition.  The construction is unique up to
-unique isomorphism, so an alternate lambda policy must give isomorphic
-answers; that independence is checked rather than assumed.
+algebra on the parameter interval [0, alpha] (or [-alpha, alpha]), alpha > 0.
+Queries at arbitrary shifts are answered through the doubling decomposition
+(n, r) = divmod(a, lambda) with lambda = alpha/2, applying the half-step n
+times and the remainder once.  The restriction witness from b down to a is
+one chain b -> n*lambda -> (n-1)*lambda -> ... -> a of seed witnesses, each
+lifted by the half-step as often as its place in the chain says.  The
+construction is unique up to unique isomorphism, so an alternate lambda
+policy must give equal answers; that independence is checked rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .barcode import GradedBarcode
+from .circle import CircleSheaf, circle_ops, circle_thicken, seed_bound
 from .morphisms import compose, restriction, thicken_morphism
 from .scalars import parse_rational
 from .thicken import thicken
@@ -23,23 +25,6 @@ from .thicken import thicken
 
 class SeedInvariantError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ExtensionPlan:
-    lam: Fraction
-    n: int
-    r: Fraction
-
-    @classmethod
-    def for_shift(cls, mag: Fraction, lam: Fraction) -> "ExtensionPlan":
-        if lam <= 0:
-            raise ValueError(f"extension step must be positive, got {lam}")
-        n = int(mag // lam)
-        r = mag - n * lam
-        if not (0 <= r < lam and mag == n * lam + r):
-            raise AssertionError(f"bad extension plan for {mag} in steps of {lam}")
-        return cls(lam, n, r)
 
 
 @dataclass(frozen=True)
@@ -51,8 +36,10 @@ class SeedFamily:
     restrict_fn: object            # (a, b, x) -> witness, 0 <= a <= b <= alpha
     lift_fn: object                # (witness, a) -> witness (functor on maps)
     compose_fn: object             # diagrammatic: first, then
-    iso_eq: object                 # (x, y) -> bool
-    name: str = "seed"
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ValueError(f"seed alpha must be positive, got {self.alpha}")
 
     def apply(self, a, x):
         a = Fraction(a)
@@ -82,57 +69,50 @@ def extend_apply(seed: SeedFamily, a, x, policy: str = "half"):
     a = Fraction(a)
     if a < 0 and seed.mode != "two-sided":
         raise ValueError("negative shift on a nonnegative seed")
-    if not seed.iso_eq(seed.apply(0, x), x):
+    if seed.apply(0, x) != x:
         raise SeedInvariantError("seed violates apply(0, x) = x")
     lam = lambda_for(seed, policy)
     sign = 1 if a >= 0 else -1
-    plan = ExtensionPlan.for_shift(abs(a), lam)
+    n, r = divmod(abs(a), lam)
     y = x
-    for _ in range(plan.n):
+    for _ in range(n):
         y = seed.apply(sign * lam, y)
-    if plan.r:
-        y = seed.apply(sign * plan.r, y)
+    if r:
+        y = seed.apply(sign * r, y)
     return y
 
 
 def extend_restrict(seed: SeedFamily, a, b, x):
-    """Witness from the b-thickening to the a-thickening of x, 0 <= a <= b,
-    composed from seed witnesses per the doubling decomposition."""
+    """Witness from the b-thickening to the a-thickening of x, 0 <= a <= b.
+
+    With (m, r_a) = divmod(a, lambda) and (n, r_b) = divmod(b, lambda), it
+    is the chain b -> n*lambda -> ... -> (m+1)*lambda -> a: per k from n
+    down to m, the seed witness from k*lambda + hi down to k*lambda + lo,
+    i.e. ``restrict(lo, hi, x)`` lifted k times, composed in that order.
+    hi is r_b at k = n and lambda below; lo is r_a at k = m and 0 above."""
     a, b = Fraction(a), Fraction(b)
     if not 0 <= a <= b:
         raise ValueError("extend_restrict requires 0 <= a <= b")
     lam = lambda_for(seed, "half")
-    pa = ExtensionPlan.for_shift(a, lam)
-    pb = ExtensionPlan.for_shift(b, lam)
-    m, n = pa.n, pb.n
-    if m == n:
-        w = seed.restrict(pa.r, pb.r, x)
-        for _ in range(m):
-            w = seed.lift_fn(w, lam)
-        return w
-    w = seed.restrict(0, pb.r, x)                 # K_{r_b} x -> x
-    for _ in range(n):
-        w = seed.lift_fn(w, lam)
-    total = w
-    for j in range(n - 1, m, -1):                 # peel K_lambda factors
-        wj = seed.restrict(0, lam, x)
-        for _ in range(j):
-            wj = seed.lift_fn(wj, lam)
-        total = seed.compose_fn(total, wj)
-    wm = seed.restrict(pa.r, lam, x)
-    for _ in range(m):
-        wm = seed.lift_fn(wm, lam)
-    return seed.compose_fn(total, wm)
+    m, r_a = divmod(a, lam)
+    n, r_b = divmod(b, lam)
+    w = None
+    for k in range(n, m - 1, -1):
+        step = seed.restrict(r_a if k == m else 0, r_b if k == n else lam, x)
+        for _ in range(k):
+            step = seed.lift_fn(step, lam)
+        w = step if w is None else seed.compose_fn(w, step)
+    return w
 
 
 def lambda_independence(seed: SeedFamily, a, x,
                         policies=("half", "third")) -> bool:
-    """The two decomposition policies must produce isomorphic objects."""
+    """The two decomposition policies must produce equal objects."""
     a = Fraction(a)
     if a < 0:
         raise ValueError("lambda independence checked on nonnegative shifts")
     results = [extend_apply(seed, a, x, policy) for policy in policies]
-    return all(seed.iso_eq(results[0], y) for y in results[1:])
+    return all(results[0] == y for y in results[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +145,7 @@ def coherence_check(seed: SeedFamily, samples, objects) -> CoherenceReport:
         return report
     alpha = seed.alpha
     for x in objects:
-        report.record("unit-object", (0,), seed.iso_eq(seed.apply(0, x), x))
+        report.record("unit-object", (0,), seed.apply(0, x) == x)
         for a in samples:
             if a > alpha:
                 continue
@@ -173,7 +153,7 @@ def coherence_check(seed: SeedFamily, samples, objects) -> CoherenceReport:
             lhs = seed.apply(a, seed.apply(0, x))
             rhs = seed.apply(0, seed.apply(a, x))
             mid = seed.apply(a, x)
-            report.record("unit", (a,), seed.iso_eq(lhs, mid) and seed.iso_eq(rhs, mid))
+            report.record("unit", (a,), lhs == mid == rhs)
         for a in samples:
             for b in samples:
                 for c in samples:
@@ -184,9 +164,7 @@ def coherence_check(seed: SeedFamily, samples, objects) -> CoherenceReport:
                     rhs = seed.apply(a + b, seed.apply(c, x))
                     rhs2 = seed.apply(a, seed.apply(b + c, x))
                     tgt = seed.apply(a + b + c, x)
-                    good = (seed.iso_eq(lhs, tgt) and seed.iso_eq(rhs, tgt)
-                            and seed.iso_eq(rhs2, tgt))
-                    report.record("assoc", (a, b, c), good)
+                    report.record("assoc", (a, b, c), lhs == rhs == rhs2 == tgt)
         for a in samples:
             for ap in samples:
                 for b in samples:
@@ -200,8 +178,7 @@ def coherence_check(seed: SeedFamily, samples, objects) -> CoherenceReport:
                         lifted = seed.lift_fn(inner, ap)
                         outer = seed.restrict(a, ap, seed.apply(b, x))
                         route = seed.compose_fn(lifted, outer)
-                        direct = extend_restrict(seed, a + b, ap + bp, x) \
-                            if ap + bp > alpha else seed.restrict(a + b, ap + bp, x)
+                        direct = seed.restrict(a + b, ap + bp, x)
                         report.record("naturality", (a, ap, b, bp), route == direct)
     return report
 
@@ -210,25 +187,17 @@ def coherence_check(seed: SeedFamily, samples, objects) -> CoherenceReport:
 # Built-in seeds.
 
 def line_seed(alpha, mode: str = "two-sided") -> SeedFamily:
-    alpha = Fraction(alpha)
-
-    def iso_eq(x: GradedBarcode, y: GradedBarcode) -> bool:
-        return x == y
-
     return SeedFamily(
-        alpha=alpha,
+        alpha=Fraction(alpha),
         mode=mode,
         apply_fn=lambda a, x: thicken(x, a),
         restrict_fn=lambda a, b, x: restriction(x, a, b),
         lift_fn=lambda w, a: thicken_morphism(w, a),
         compose_fn=compose,
-        iso_eq=iso_eq,
-        name=f"line[alpha={alpha}]",
     )
 
 
 def circle_seed(C) -> SeedFamily:
-    from .circle import CircleSheaf, circle_ops, circle_thicken, seed_bound
     C = Fraction(C)
     alpha = seed_bound(C)
     space = circle_ops(C)
@@ -248,8 +217,6 @@ def circle_seed(C) -> SeedFamily:
         restrict_fn=restrict_fn,
         lift_fn=lambda w, a: thicken_morphism(w, a),
         compose_fn=compose,
-        iso_eq=lambda x, y: x == y,
-        name=f"circle[C={C}]",
     )
 
 
@@ -286,13 +253,12 @@ def load_seed_text(text: str) -> SeedFamily:
         elif k == "kind":
             if v != "seed":
                 raise ValueError(f"not a seed document: kind {v!r}")
-    if alpha <= 0:
-        raise ValueError(f"seed alpha must be positive, got {alpha}")
+    seed = synthetic_scalar_seed(alpha, table, default, mode)
     for line, a, b in restricts:          # after the loop: alpha may come late
         if not 0 <= a <= b <= alpha:
             raise ValueError(f"seed line {line!r} needs 0 <= a <= b <= "
                              f"alpha = {alpha}")
-    return synthetic_scalar_seed(alpha, table, default, mode)
+    return seed
 
 
 def synthetic_scalar_seed(alpha, table=None, default=Fraction(1),
@@ -314,6 +280,4 @@ def synthetic_scalar_seed(alpha, table=None, default=Fraction(1),
         restrict_fn=restrict_fn,
         lift_fn=lambda w, a: w,
         compose_fn=lambda w1, w2: w1 * w2,
-        iso_eq=lambda x, y: x == y,
-        name=f"synthetic[alpha={alpha}]",
     )

@@ -10,15 +10,23 @@ from __future__ import annotations
 from itertools import product
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+# Characteristics are primes below this bound, so the trial division below
+# takes at most 256 steps.
+CHAR_BOUND = 1 << 16
+
+
+def check_char(p: int) -> int:
+    """p, if it is a prime below ``CHAR_BOUND``; else ``ValueError``."""
+    if 2 <= p < CHAR_BOUND:
+        d = 2
+        while d * d <= p:
+            if p % d == 0:
+                break
+            d += 1
+        else:
+            return p
+    raise ValueError(f"field characteristic must be prime and below "
+                     f"{CHAR_BOUND}, got {p}")
 
 
 def finv(x: int, p: int) -> int:

@@ -162,41 +162,56 @@ def _lifts(F, G, a, sides):
             for X, ((Ta, pa), (T2a, p2a)) in zip((F, G), sides)]
 
 
-def _composites(f, g, p, space):
-    """The scalars (s1, s2) of the two composites of the pair of ``_lifts``
-    f and g with unit blocks f -> g and g -> f: T_a(f-block) then g-block
-    on f's restriction block, and the other way round on g's; None when
-    either block is zero (degrees out of range or a zero Hom)."""
-    fbar, tf, tff, _ = f
-    gbar, tg, tgg, _ = g
-    k_f = _block_kind(tf, gbar)
-    k_g = _block_kind(tg, fbar)
-    if k_f is None or k_g is None:
+def _unit_blocks(x, y, p, space):
+    """The kinds (k_x, k_y) of the blocks x -> y and y -> x of the pair of
+    ``_lifts`` x and y, or None when either block is zero (degrees out of
+    range or a zero Hom), even if the calculus cannot use the other; else
+    a block it cannot use raises its ``UnsupportedHomError``."""
+    xbar, tx, _, _ = x
+    ybar, ty, _, _ = y
+    k_x = _block_kind(tx, ybar)
+    k_y = _block_kind(ty, xbar)
+    if k_x is None or k_y is None:
         return None
-    if space_dim(space, tf.iv, gbar.iv, k_f, p) == 0:
+    try:
+        if space_dim(space, tx.iv, ybar.iv, k_x, p) == 0:
+            return None
+    except UnsupportedHomError:
+        if space_dim(space, ty.iv, xbar.iv, k_y, p) == 0:
+            return None
+        raise
+    if space_dim(space, ty.iv, xbar.iv, k_y, p) == 0:
         return None
-    if space_dim(space, tg.iv, fbar.iv, k_g, p) == 0:
+    return k_x, k_y
+
+
+def _composite(x, y, k_y, p, space):
+    """The scalar of the composite on x's restriction block, with unit
+    blocks x -> y and y -> x (of kind ``k_y``): T_a(x-block) then y-block;
+    None when the lifted x-block is zero."""
+    xbar, _, txx, _ = x
+    ty = y[1]
+    k_tx = _block_kind(txx, ty)
+    if k_tx is None:
         return None
-    k_tf = _block_kind(tff, tg)
-    k_tg = _block_kind(tgg, tf)
-    if k_tf is None or k_tg is None:
-        return None
-    _, s1 = struct_scalar(space, p, tff.iv, tg.iv, fbar.iv, k_tf, k_g)
-    _, s2 = struct_scalar(space, p, tgg.iv, tf.iv, gbar.iv, k_tg, k_f)
-    return s1, s2
+    return struct_scalar(space, p, txx.iv, ty.iv, xbar.iv, k_tx, k_y)[1]
 
 
 def _pair_feasible(f, g, p, space):
     """The g-side scalar of a matched pair, or None; its f-side scalar is 1.
 
-    ``f`` and ``g`` are ``_lifts`` entries.  The pair's ``_composites`` must
-    hit the restriction coefficients of both bars exactly; either
-    coefficient may be zero (a half-open bar past its length), in which
-    case the corresponding composite has to vanish."""
-    s = _composites(f, g, p, space)
-    if s is None:
+    ``f`` and ``g`` are ``_lifts`` entries.  The pair's two ``_composite``
+    scalars, on f's block and on g's, must hit the restriction
+    coefficients of both bars exactly; either coefficient may be zero (a
+    half-open bar past its length), in which case the corresponding
+    composite has to vanish."""
+    kinds = _unit_blocks(f, g, p, space)
+    if kinds is None:
         return None
-    s1, s2 = s
+    s1 = _composite(f, g, kinds[1], p, space)
+    s2 = _composite(g, f, kinds[0], p, space)
+    if s1 is None or s2 is None:
+        return None
     f_dies, g_dies = f[3], g[3]
     if f_dies and g_dies:
         return None                 # both sides die: leave the bars unmatched
@@ -419,27 +434,26 @@ def _row_refuted(F, G, a, space, sides):
     0 = 1 under every assignment of the blocks, so the shift is refuted.
     The composites that reach bar i's block (i, i) pass through one bar j
     of the other side, so per bar that survives to 2a the scan runs over
-    its partners j and stops at the first nonzero ``_composites`` scalar.
-    A partner whose Hom the calculus cannot use (``UnsupportedHomError``)
-    leaves only its bar undecided, and the scan goes on: the shift is
-    refuted by a bar whose partners are all usable and none reaches it,
-    and otherwise an undecided bar raises the error again."""
+    its partners j and stops at the first nonzero ``_composite`` on its
+    own block.  A partner whose composite the calculus cannot use
+    (``UnsupportedHomError``) leaves only its bar undecided, and the scan
+    goes on: the shift is refuted by a bar whose partners are all usable
+    and none reaches it, and otherwise an undecided bar raises the error
+    again."""
     fs, gs = _lifts(F, G, a, sides)
     undecided = None
-    for side, xs in enumerate((fs, gs)):
+    for xs, ys in ((fs, gs), (gs, fs)):
         for x in xs:
             if x[3]:
                 continue                # its restriction block is zero
-            pairs = ((x, g) for g in gs) if side == 0 else ((f, x) for f in fs)
             unusable = None
-            for f, g in pairs:
+            for y in ys:
                 try:
-                    s = _composites(f, g, F.char, space)
+                    kinds = _unit_blocks(x, y, F.char, space)
+                    if kinds and _composite(x, y, kinds[1], F.char, space):
+                        break
                 except UnsupportedHomError as exc:
                     unusable = exc
-                    continue
-                if s and s[side]:
-                    break
             else:
                 if unusable is None:
                     return True

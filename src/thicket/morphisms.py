@@ -601,8 +601,7 @@ def restriction_between(F, a, b, src, perm_b, tgt, perm_a, space) -> Morphism:
 
 def hom_dim(b1: Bar, b2: Bar, char: int = 2) -> HomSpace:
     """Dimension of the Hom space between two shifted interval sheaves."""
-    if not fm.is_prime(char):
-        raise ValueError(f"field characteristic must be prime, got {char}")
+    fm.check_char(char)
     off = b1.degree - b2.degree
     if off not in (0, 1):
         return HomSpace(b1, b2, 0, off)

@@ -53,7 +53,7 @@ def barcode_svg(F: GradedBarcode) -> str:
     height = 2 * PAD + ROW * len(F.bars)
     y = PAD
     last_degree = None
-    for b in sorted(F.bars, key=lambda bb: bb.sort_key()):
+    for b in F.bars:
         color = _color(b.degree)
         x0 = sx(b.iv.left) if is_finite(b.iv.left) else 8
         x1 = sx(b.iv.right) if is_finite(b.iv.right) else W - 8
@@ -78,7 +78,6 @@ def barcode_svg(F: GradedBarcode) -> str:
                         f'fill="{color}">deg {b.degree}</text>')
             last_degree = b.degree
         y += ROW
-    ax = PAD / 2
     body.append(f'<line x1="{PAD}" y1="{height - 18}" x2="{W - PAD}" '
                 f'y2="{height - 18}" stroke="#888"/>')
     body.append(f'<text x="{PAD}" y="{height - 6}" font-size="10">'

@@ -18,8 +18,11 @@ from thicket.barcode import (CLOSED, OPEN, Bar, CharacteristicMismatchError,
                              global_sections_c, half_open, half_open_r,
                              intersect, iso_equal, open_iv, ray_left,
                              ray_right, singleton, stalk_dims)
+from thicket.circle import CircleSheaf
 from thicket.corpus import rand_interval
+from thicket.fieldmath import check_char
 from thicket.model import LineModel, line_bar_rep, rep_sections
+from thicket.morphisms import hom_dim
 from thicket.scalars import NEG_INF, POS_INF
 
 
@@ -56,6 +59,21 @@ class TestCanonicalize:
     def test_nonprime_characteristic_rejected(self):
         with pytest.raises(ValueError):
             GradedBarcode([], char=4)
+
+    @pytest.mark.parametrize("char", [0, 1, 4, 65535, 65537, 10**16 + 61])
+    def test_one_characteristic_check(self, char):
+        """Barcodes, circle sheaves and Hom dimensions refuse a
+        characteristic with one message: it must be a prime below 2^16."""
+        message = (f"field characteristic must be prime and below 65536, "
+                   f"got {char}")
+        for build in (lambda: GradedBarcode([], char),
+                      lambda: CircleSheaf(4, (), (), char),
+                      lambda: hom_dim(bar(closed(0, 1)), bar(closed(0, 1)),
+                                      char)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+        assert check_char(65521) == 65521
 
 
 class TestIsoEqual:

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -253,6 +254,31 @@ class TestExitCodes:
         err = captured.err.strip()
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+
+    @pytest.mark.parametrize("char", ["10000000000000061", "65537", "4", "1"])
+    def test_bad_characteristic_is_one_fast_error(self, tmp_path, capsys,
+                                                  char):
+        """A characteristic that is not a prime below 2^16 is refused at its
+        line, before any trial division up to its square root: 10^16 + 61
+        is prime, and checking that took longer than 20 s."""
+        doc = tmp_path / "big.bc"
+        doc.write_text(f"thicket/1\nkind: barcode\nchar: {char}\n"
+                       "bar: 0 [0, 1]\n")
+        t0 = time.perf_counter()
+        assert run_command(["dual", str(doc)]) == 1
+        assert time.perf_counter() - t0 < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: field characteristic must be prime "
+                                f"and below 65536, got {char} (line 3)\n")
+
+    def test_largest_admitted_characteristic(self, tmp_path, capsys):
+        doc = tmp_path / "p.bc"
+        doc.write_text("thicket/1\nkind: barcode\nchar: 65521\n"
+                       "bar: 0 [0, 1]\n")
+        assert run_command(["dual", str(doc)]) == 0
+        assert parse(capsys.readouterr().out).char == 65521
 
 
 class TestDeterminism:

@@ -8,26 +8,83 @@ from conftest import bar, gb
 from thicket.barcode import closed, half_open, open_iv, singleton
 from thicket.circle import CircleSheaf, circle_thicken
 from thicket.corpus import rand_barcode
-from thicket.extend import (ExtensionPlan, SeedInvariantError, circle_seed,
+from thicket.extend import (SeedFamily, SeedInvariantError, circle_seed,
                             coherence_check, extend_apply, extend_restrict,
-                            lambda_independence, line_seed,
+                            lambda_independence, line_seed, load_seed_text,
                             synthetic_scalar_seed)
 from thicket.morphisms import compose, restriction
 from thicket.thicken import thicken
 from thicket.barcode import Bar
 
 
+def _recording_seed(alpha=1):
+    """A seed whose objects record the shifts applied to them and whose
+    witnesses record their chain: a witness is a tuple of steps
+    (lifts, lo, hi), one per seed restriction, in composition order."""
+    return SeedFamily(
+        alpha=Fr(alpha),
+        mode="two-sided",
+        apply_fn=lambda a, x: x + (a,) if a else x,
+        restrict_fn=lambda a, b, x: ((0, a, b),),
+        lift_fn=lambda w, a: tuple((k + 1, lo, hi) for k, lo, hi in w),
+        compose_fn=lambda first, then: first + then,
+    )
+
+
 class TestPlan:
     def test_doubling_decomposition(self):
-        p = ExtensionPlan.for_shift(Fr(5, 2), Fr(1, 2))
-        assert (p.n, p.r) == (5, 0)
-        p2 = ExtensionPlan.for_shift(Fr(3, 4), Fr(1, 2))
-        assert (p2.n, p2.r) == (1, Fr(1, 4))
+        seed = _recording_seed()
+        assert extend_apply(seed, Fr(5, 2), ()) == (Fr(1, 2),) * 5
+        assert extend_apply(seed, Fr(3, 4), ()) == (Fr(1, 2), Fr(1, 4))
+        assert extend_apply(seed, Fr(-3, 4), ()) == (Fr(-1, 2), Fr(-1, 4))
 
-    @pytest.mark.parametrize("lam", [Fr(0), Fr(-1, 2)], ids=["zero", "negative"])
-    def test_nonpositive_step_rejected(self, lam):
-        with pytest.raises(ValueError, match="step must be positive"):
-            ExtensionPlan.for_shift(Fr(1), lam)
+    @pytest.mark.parametrize("alpha", [Fr(0), Fr(-1, 2)], ids=["zero", "negative"])
+    def test_nonpositive_step_rejected(self, alpha):
+        """The half-step alpha/2 is positive because a seed with alpha <= 0
+        cannot be built."""
+        for make in (line_seed, synthetic_scalar_seed, _recording_seed):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                make(alpha)
+
+
+# (a, b) with lambda = 1/2 -> the chain's steps (lifts k, lo, hi), from b down
+CHAINS = {
+    "m=n, b off the grid": (Fr(9, 8), Fr(11, 8), [(2, Fr(1, 8), Fr(3, 8))]),
+    "m=n, b on the grid": (Fr(1), Fr(1), [(2, 0, 0)]),
+    "m+1=n, b off the grid": (Fr(1, 8), Fr(7, 8),
+                              [(1, 0, Fr(3, 8)), (0, Fr(1, 8), Fr(1, 2))]),
+    "m+1=n, b on the grid": (Fr(1, 8), Fr(1, 2),
+                             [(1, 0, 0), (0, Fr(1, 8), Fr(1, 2))]),
+    "m+1<n, b off the grid": (Fr(1, 8), Fr(15, 8),
+                              [(3, 0, Fr(3, 8)), (2, 0, Fr(1, 2)),
+                               (1, 0, Fr(1, 2)), (0, Fr(1, 8), Fr(1, 2))]),
+    "m+1<n, b on the grid": (Fr(5, 8), Fr(2),
+                             [(4, 0, 0), (3, 0, Fr(1, 2)), (2, 0, Fr(1, 2)),
+                              (1, Fr(1, 8), Fr(1, 2))]),
+}
+
+
+class TestRestrictionChain:
+    @pytest.mark.parametrize("case", CHAINS, ids=list(CHAINS))
+    def test_steps_and_order(self, case):
+        a, b, steps = CHAINS[case]
+        assert extend_restrict(_recording_seed(), a, b, "X") == tuple(steps)
+
+    @pytest.mark.parametrize("case", CHAINS, ids=list(CHAINS))
+    def test_synthetic_seed_entries(self, case):
+        """A distinct prime per ``restrict:`` entry: the witness is the
+        product of the chain's entries, so it names each step and how
+        often it is taken (the empty step b = b is 1)."""
+        a, b, steps = CHAINS[case]
+        primes = iter((2, 3, 5, 7, 11))
+        table = {(lo, hi): next(primes) for lo in (Fr(0), Fr(1, 8))
+                 for hi in (Fr(1, 8), Fr(3, 8), Fr(1, 2)) if lo < hi}
+        text = "thicket/1\nkind: seed\nalpha: 1\n" + "".join(
+            f"restrict: {lo} {hi} {v}\n" for (lo, hi), v in table.items())
+        expected = 1
+        for _, lo, hi in steps:
+            expected *= table.get((lo, hi), 1)
+        assert extend_restrict(load_seed_text(text), a, b, "X") == expected
 
 
 class TestExtendApply:

@@ -1067,22 +1067,26 @@ def _full_row_test(F, G, a, space):
     """Oracle of ``_row_refuted``: every unknown block with no cap, every
     composite term of each restriction row, and which keys of the
     restriction the terms miss, as the exhaustive search tested its rows
-    before the row test had a home of its own.  A pair whose
-    ``_composites`` raises is one the calculus cannot use: its blocks are
-    left out, and an unreached row of one of its bars is undecided.
-    Returns (outcome, whether some pair is unusable); the outcome is True
-    when some unreached row is not undecided, else "unsupported" when some
-    row is undecided, else False."""
+    before the row test had a home of its own.  A pair is usable or not
+    per side: where ``_unit_blocks`` or its ``_composite`` on that side's
+    bar raises, the calculus cannot use it there, its blocks are left out
+    of that side's rows, and an unreached row of that bar is undecided.
+    Returns (outcome, whether some pair is unusable on some side); the
+    outcome is True when some unreached row is not undecided, else
+    "unsupported" when some row is undecided, else False."""
     p, a = F.char, Fr(a)
     sides = interleave._thickenings(F, G, a, space)
     (((TFa, permFa), F2a), ((TGa, permGa), G2a)) = sides
     fs, gs = interleave._lifts(F, G, a, sides)
-    unusable = set()
-    for (i, f), (j, g) in product(enumerate(fs), enumerate(gs)):
-        try:
-            interleave._composites(f, g, p, space)
-        except UnsupportedHomError:
-            unusable.add((i, j))
+    unusable = set()        # (side, its bar, the other side's bar)
+    for side, (xs, ys) in enumerate(((fs, gs), (gs, fs))):
+        for (i, x), (j, y) in product(enumerate(xs), enumerate(ys)):
+            try:
+                kinds = interleave._unit_blocks(x, y, p, space)
+                if kinds:
+                    interleave._composite(x, y, kinds[1], p, space)
+            except UnsupportedHomError:
+                unusable.add((side, i, j))
 
     def unknowns(X, TXa, permX, Y, pair):
         out = []
@@ -1095,17 +1099,17 @@ def _full_row_test(F, G, a, space):
                 if morphisms.space_dim(space, src.iv, tgt.iv, k, p):
                     out.append((i, j, k))
             except UnsupportedHomError:
-                # _composites found the pair's other block zero first, so
+                # _unit_blocks found the pair's other block zero, so
                 # this block meets no restriction row
                 continue
         return out
 
-    fvars = unknowns(F, TFa, permFa, G, lambda i, j: (i, j))
-    gvars = unknowns(G, TGa, permGa, F, lambda j, i: (i, j))
     outcome = False
-    for X, X2a, Ya, xvars, yvars, pair in (
-            (F, F2a, (TGa, permGa), fvars, gvars, lambda i, j: (i, j)),
-            (G, G2a, (TFa, permFa), gvars, fvars, lambda j, i: (i, j))):
+    for side, (X, (TXa, permX), X2a, Y, Ya) in enumerate((
+            (F, (TFa, permFa), F2a, G, (TGa, permGa)),
+            (G, (TGa, permGa), G2a, F, (TFa, permFa)))):
+        xvars = unknowns(X, TXa, permX, Y, lambda i, j: (side, i, j))
+        yvars = unknowns(Y, *Ya, X, lambda j, i: (side, i, j))
         for key in interleave._restriction_to(X, 2 * a, X2a, space).blocks:
             i = key[1]
             terms = interleave._composite_terms(
@@ -1113,7 +1117,7 @@ def _full_row_test(F, G, a, space):
                 [v for v in yvars if v[1] == i], p, space)
             if key in {rk for entries in terms.values() for rk, _ in entries}:
                 continue
-            if not any(pair(i, j) in unusable for j in range(len(Ya[0].bars))):
+            if not any((side, i, j) in unusable for j in range(len(Y.bars))):
                 return True, bool(unusable)
             outcome = "unsupported"
     return outcome, bool(unusable)
@@ -1174,6 +1178,40 @@ def test_unknowns_cap_no_longer_hides_a_refutation(monkeypatch):
         check_exhaustive(FB, GB, Fr(3, 8), space)
 
 
+def test_the_enumeration_decides_a_short_lift_pair(monkeypatch):
+    """Three spirals a side on R/4Z over F_2, all in degree 1, as
+    ``_circle_pairs`` draws them.  At 3/8 the matching finds no
+    certificate and every restriction row is reached by some composite,
+    so only the enumeration refutes the shift; that refutation is what
+    makes the distance 1/2 exact.  At 1/4 the enumeration refutes too.
+    Without it the answer is [1/8, 1/2], inexact."""
+    def ends(left, lkind, right, rkind):
+        return Bar(Interval(Fr(left), lkind, Fr(right), rkind), 1)
+
+    o, c = OPEN, CLOSED
+    C = Fr(4)
+    F = CircleSheaf(C, [ends(3, o, "7/2", o), ends("7/2", o, "9/2", c),
+                        ends("15/4", o, "17/4", c)])
+    G = CircleSheaf(C, [ends(3, o, "15/4", o), ends("13/4", o, "19/4", c),
+                        ends("7/2", o, "19/4", c)])
+    d = circle_distance(F, G)
+    assert d.fields() == (Fr(1, 2), Fr(1, 2), True) and d.exact_by == "refuted"
+    FB, GB, space = F.spiral_barcode(), G.spiral_barcode(), circle_ops(C)
+    assert verify_certificate(FB, GB, d.witness, space)
+    for a in (Fr(1, 4), Fr(3, 8)):
+        assert check_matching(FB, GB, a, space) is None
+        assert not interleave._row_refuted(
+            FB, GB, a, space, interleave._thickenings(FB, GB, a, space))
+        assert check_exhaustive(FB, GB, a, space) is None
+
+    def no_enumeration(*args):
+        raise CapacityError("enumeration patched out")
+
+    monkeypatch.setattr(interleave, "_exhaustive_core", no_enumeration)
+    d = circle_distance(F, G)
+    assert d.fields() == (Fr(1, 8), Fr(1, 2), False)
+
+
 def test_an_unusable_pair_leaves_only_its_bar_undecided():
     """Four spirals a side on R/4Z with lifts up to 2C, drawn as the
     long-lift benchmark pairs are.  At 1/8, 1/4 and 3/8 a thickened lift
@@ -1197,6 +1235,32 @@ def test_an_unusable_pair_leaves_only_its_bar_undecided():
     for a in (Fr(1, 8), Fr(1, 4), Fr(3, 8)):
         assert _full_row_test(FB, GB, a, space) == (True, True)
         assert check_exhaustive(FB, GB, a, space) is None
+
+
+def test_a_composite_the_other_side_cannot_use_does_not_hide_a_refutation():
+    """Four spirals a side on R/4Z with lifts up to 2C, drawn as the
+    long-lift benchmark pairs are.  At 1/8, 1/4 and 3/8 a bar's composite
+    with each partner is known and zero, while one partner's composite on
+    its own bar is beyond the calculus.  The row test reads each side's
+    composite alone, so that bar is reached by no composite and the three
+    shifts are refuted; computing both composites of every pair left them
+    undecided and the distance at [0, +inf]."""
+    def ends(left, lkind, right, rkind, degree):
+        return Bar(Interval(Fr(left), lkind, Fr(right), rkind), degree)
+
+    o, c = OPEN, CLOSED
+    C = Fr(4)
+    F = CircleSheaf(C, [ends(2, o, "39/4", o, 0), ends("7/2", c, "21/2", o, 0),
+                        ends("1/4", o, "11/2", c, 1), ends("11/4", o, 6, c, 1)])
+    G = CircleSheaf(C, [ends(2, o, "37/4", o, 0), ends(3, c, "21/2", o, 0),
+                        ends("9/4", o, "11/2", c, 1), ends("15/4", o, 9, c, 1)])
+    FB, GB, space = F.spiral_barcode(), G.spiral_barcode(), circle_ops(C)
+    for a in (Fr(1, 8), Fr(1, 4), Fr(3, 8)):
+        assert _full_row_test(FB, GB, a, space) == (True, True)
+        assert interleave._row_refuted(
+            FB, GB, a, space, interleave._thickenings(FB, GB, a, space))
+    d = circle_distance(F, G)
+    assert (d.lower, d.upper, d.exact) == (Fr(3, 8), POS_INF, False)
 
 
 def _large_pairs(rng, count):
