@@ -41,10 +41,6 @@ class Kind(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
 
-    @property
-    def flipped(self) -> "Kind":
-        return Kind.OPEN if self is Kind.CLOSED else Kind.CLOSED
-
     def __repr__(self):
         return self.name
 
@@ -53,7 +49,7 @@ CLOSED = Kind.CLOSED
 OPEN = Kind.OPEN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     left: object
     lkind: Kind
@@ -191,7 +187,7 @@ def intersect(a: Interval, b: Interval):
     return Interval(left, lkind, right, rkind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bar:
     iv: Interval
     degree: int
@@ -307,32 +303,25 @@ def iso_equal(f: GradedBarcode, g: GradedBarcode) -> bool:
 
 def _rgamma_offset(iv: Interval):
     """Degree offset of RGamma(R; k_I), or None when it vanishes."""
-    if iv.is_full_line:
-        return 0
-    if iv.is_left_ray:
-        return 0 if iv.rkind is CLOSED else None
-    if iv.is_right_ray:
-        return 0 if iv.lkind is CLOSED else None
-    if iv.lkind is CLOSED and iv.rkind is CLOSED:
-        return 0
-    if iv.lkind is OPEN and iv.rkind is OPEN:
-        return 1
-    return None
+    lk, rk = iv.lkind, iv.rkind
+    if is_finite(iv.left):
+        if is_finite(iv.right):                # bounded: as compact support
+            if lk is not rk:
+                return None
+            return 0 if lk is CLOSED else 1
+        return 0 if lk is CLOSED else None     # right rays
+    if is_finite(iv.right):                    # left rays
+        return 0 if rk is CLOSED else None
+    return 0                                   # the full line
 
 
 def _rgamma_c_offset(iv: Interval):
-    """Degree offset of compactly supported sections, or None."""
-    if iv.is_full_line:
-        return 1
-    if iv.is_left_ray:
-        return None if iv.rkind is CLOSED else 1
-    if iv.is_right_ray:
-        return None if iv.lkind is CLOSED else 1
-    if iv.lkind is CLOSED and iv.rkind is CLOSED:
-        return 0
-    if iv.lkind is OPEN and iv.rkind is OPEN:
-        return 1
-    return None
+    """Degree offset of compactly supported sections, or None.  An infinite
+    end is open, so the kinds alone decide, rays and the line included."""
+    lk = iv.lkind
+    if lk is not iv.rkind:
+        return None
+    return 0 if lk is CLOSED else 1
 
 
 def _accumulate(table, F: GradedBarcode):
@@ -387,12 +376,17 @@ def dualize_bar(b: Bar) -> Bar:
     supported at the point).
     """
     iv = b.iv
+    left, right, lk, rk = iv.left, iv.right, iv.lkind, iv.rkind
     # a point is closed at both ends; the kind tests skip most comparisons
-    if iv.lkind is CLOSED and iv.rkind is CLOSED and iv.is_singleton:
+    if lk is CLOSED and rk is CLOSED and left == right:
         return Bar(iv, 1 - b.degree)
-    lk = iv.lkind.flipped if is_finite(iv.left) else iv.lkind
-    rk = iv.rkind.flipped if is_finite(iv.right) else iv.rkind
-    return Bar(Interval(iv.left, lk, iv.right, rk), -b.degree)
+    # the module constants: a read off the Kind class costs about three
+    # global reads
+    if is_finite(left):
+        lk = OPEN if lk is CLOSED else CLOSED
+    if is_finite(right):
+        rk = OPEN if rk is CLOSED else CLOSED
+    return Bar(Interval(left, lk, right, rk), -b.degree)
 
 
 def dualize(F: GradedBarcode) -> GradedBarcode:

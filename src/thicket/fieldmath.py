@@ -7,6 +7,7 @@ is used throughout; no floating point anywhere.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 
@@ -15,6 +16,11 @@ from itertools import product
 CHAR_BOUND = 1 << 16
 
 
+# Every barcode construction checks its characteristic, and trial division
+# of a prime near the bound takes about 20 us, so each prime is divided out
+# once per process.  The cache holds at most the 6,542 primes below the
+# bound: a refused value raises, and raising caches nothing.
+@cache
 def check_char(p: int) -> int:
     """p, if it is a prime below ``CHAR_BOUND``; else ``ValueError``."""
     if 2 <= p < CHAR_BOUND:

@@ -30,19 +30,47 @@ def check_extended(x):
     raise TypeError(f"not an extended rational: {x!r}")
 
 
+# Largest decimal exponent a literal may carry, in magnitude.  Fraction
+# builds 10**exponent before anything can refuse it, which takes about 11 s
+# at 10**7; 4300 is CPython's default limit on the digits of an int written
+# as a string.
+MAX_EXPONENT = 4300
+
+
 def parse_extended(text: str):
     """An extended rational literal from outside text: ``p/q``, an integer,
-    or one of the infinities.  A malformed literal and a zero denominator
-    both raise ``ValueError``."""
+    any other literal ``Fraction`` reads, or one of the infinities.  A
+    malformed literal, a zero denominator and an exponent past
+    ``MAX_EXPONENT`` all raise ``ValueError``."""
     t = text.strip()
     if t in ("-inf", "-oo"):
         return NEG_INF
     if t in ("inf", "+inf", "oo", "+oo"):
         return POS_INF
+    # ``p/q`` and integers, optionally signed, are read here; every other
+    # shape goes through Fraction, whose grammar and messages are the rule
+    num, slash, den = t.partition("/")
+    digits = num[1:] if num[:1] in ("-", "+") else num
     try:
+        if digits.isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
+        _check_exponent(t)
         return Fraction(t)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {t!r}") from None
+
+
+def _check_exponent(t: str):
+    """Refuse a decimal exponent past ``MAX_EXPONENT`` in magnitude."""
+    _, e, exp = t.lower().partition("e")
+    if not e:
+        return
+    digits = (exp[1:] if exp[:1] in ("-", "+") else exp).replace("_", "")
+    digits = digits.lstrip("0")
+    if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT))
+                               or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"exponent of {t!r} is past {MAX_EXPONENT} "
+                         "in magnitude")
 
 
 def parse_rational(text: str) -> Fraction:

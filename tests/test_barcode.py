@@ -1,6 +1,9 @@
 """Barcode core: canonical forms, global sections, duality."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import re
 from fractions import Fraction as Fr
@@ -74,6 +77,41 @@ class TestCanonicalize:
                 build()
             assert str(exc.value) == message
         assert check_char(65521) == 65521
+
+    def test_each_characteristic_is_divided_out_once(self):
+        """A second barcode over F_65521 reads the checked prime from the
+        cache and runs no trial division."""
+        GradedBarcode([bar(closed(0, 1))], 65521)
+        before = check_char.cache_info()
+        GradedBarcode([bar(closed(0, 1))], 65521)
+        after = check_char.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 1
+
+
+class TestValueTypes:
+    """Interval and Bar are slotted frozen dataclasses: no per-instance
+    dict, and otherwise the value semantics of the unslotted ones."""
+
+    @pytest.mark.parametrize("value, other", [
+        (closed(0, 1), open_iv(0, 1)), (ray_left(Fr(1, 2), OPEN), full_line()),
+        (bar(open_iv(Fr(-1, 3), 2), 3), bar(open_iv(Fr(-1, 3), 2), 2)),
+        (bar(ray_right(0), -1), bar(ray_right(0, OPEN), -1))])
+    def test_frozen_hashable_picklable(self, value, other):
+        assert not hasattr(value, "__dict__")
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+        assert value != other
+        twin = dataclasses.replace(value)
+        assert twin == value and twin is not value
+        assert hash(twin) == hash(value) and len({twin, value, other}) == 2
+        for copied in (pickle.loads(pickle.dumps(value)),
+                       copy.deepcopy(value), copy.copy(value)):
+            assert copied == value and hash(copied) == hash(value)
+            assert type(copied) is type(value)
 
 
 class TestIsoEqual:

@@ -201,6 +201,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, name, text, message", [
         ("dual", "bad.bc", "kind: barcode\nchar: 2\nspace: line\n"
          "bar: 0 [0, 1/0]", "zero denominator in '1/0' (line 5)"),
+        ("dual", "bad.bc", "kind: barcode\nchar: 2\nspace: line\n"
+         "bar: 0 [0, 1e10000000]",
+         "exponent of '1e10000000' is past 4300 in magnitude (line 5)"),
         ("push", "bad.pl", "kind: plmap\npt: 1/0 1",
          "invalid point '1/0 1' (line 3)"),
         ("fs", "bad.circ", "kind: circle\nchar: 2\nspace: circle C=1/0",
@@ -231,7 +234,8 @@ class TestExitCodes:
          "repeated key 'extend' (line 4)"),
         ("push", "bad.pl", "kind: plmap\nspace: line\npt: 0 0",
          "unknown key 'space' in a plmap document (line 3)"),
-    ], ids=["bar-zero-denominator", "point-zero-denominator",
+    ], ids=["bar-zero-denominator", "bar-huge-exponent",
+            "point-zero-denominator",
             "circle-zero-denominator", "seed-zero-denominator",
             "seed-unknown-mode", "seed-negative-alpha", "seed-zero-alpha",
             "seed-restrict-reversed", "seed-restrict-past-alpha",
@@ -411,7 +415,8 @@ class TestNegativeShifts:
         assert parse(proc.stdout).payload == gb(bar(closed(Fr(1, 2), Fr(3, 2))))
 
     @pytest.mark.parametrize("value, code", [("-x", 2), ("abc", 1), ("1/0", 1),
-                                             ("-1/0", 1), ("-1/2/3", 1)])
+                                             ("-1/0", 1), ("-1/2/3", 1),
+                                             ("1e10000000", 1)])
     def test_non_number_is_one_error_line(self, docs, capsys, value, code):
         assert run_command(["thicken", "--a", value, str(docs["F"])]) == code
         err = capsys.readouterr().err

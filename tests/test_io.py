@@ -1,9 +1,12 @@
 """Document round trips, parse errors, SVG output."""
 
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bar, gb, mixed_bar
 from thicket.barcode import (Bar, GradedBarcode, closed, half_open, open_iv,
@@ -13,6 +16,8 @@ from thicket.corpus import rand_circle_sheaf
 from thicket.docio import (Document, DocumentError, barcode_doc, circle_doc,
                            parse, plmap_doc, report_doc, serialize)
 from thicket.plmaps import PLMap, abs_map
+from thicket.scalars import (MAX_EXPONENT, NEG_INF, POS_INF, parse_extended,
+                             parse_rational)
 from thicket.svgplot import barcode_svg, circle_svg, emit_plot
 
 
@@ -101,6 +106,85 @@ class TestErrors:
         doc = parse("thicket/1\nkind: report\nverdict: pass\nbars: 3\n"
                     "verdict: fail\n")
         assert doc.payload == {"verdict": "fail", "bars": "3"}
+
+
+def _literal_oracle(text):
+    """What ``parse_extended`` gave before it read ``p/q`` itself: the
+    infinities by name, everything else through ``Fraction(str)``, with a
+    zero denominator reported as a ``ValueError``."""
+    t = text.strip()
+    if t in ("-inf", "-oo"):
+        return NEG_INF
+    if t in ("inf", "+inf", "oo", "+oo"):
+        return POS_INF
+    try:
+        return Fr(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {t!r}") from None
+
+
+def _outcome(fn, text):
+    """(type, value) of a parse, or (error class, message) of its failure."""
+    try:
+        x = fn(text)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), str(exc)
+    return type(x), x
+
+
+class TestLiterals:
+    """``parse_extended`` reads ``p/q`` and integers directly and hands
+    every other shape to ``Fraction``: on each shape it must agree with
+    ``Fraction(str)`` in value, type, error class and message."""
+
+    @pytest.mark.parametrize("text", [
+        # p/q and integers, signs on either part
+        "1/2", "-1/2", "+1/2", "1/-2", "1/+2", "-1/-2", "--1/2", "+-1/2",
+        "3", "-3", "+3", "0", "-0", "+0", "007/010", "-0/5", "12/8",
+        # zero denominators
+        "1/0", "-1/0", "+1/0", "0/0", "-0/00",
+        # spaces inside and around
+        "1 /2", "1/ 2", "1 / 2", "- 1/2", " 1/2 ", "\t-3/4\n", "1 2",
+        # empty parts
+        "/2", "1/", "/", "+", "-", "", "   ", "+/2", "-/2",
+        # more than one slash, decimals, exponents, underscores
+        "1/2/3", "1//2", "1.5", ".5", "5.", "-1.25", "1.5/2", "1/2.5",
+        "1e3", "1E-3", "-2.5e+2", "1e", "e3", "1e3/2", "1/2e3",
+        "1_000", "1_000/3", "1/1_0", "1__0", "_1", "1_", "-1_0/2_0",
+        # non-ASCII digits: decimal ones are digits, superscripts are not
+        "\u0663/\u0664", "-\u0663/\u0664", "\u0661\u0662",
+        "1/\u0664", "\u00b3/4", "\uff11/\uff12",
+        # names and garbage
+        "inf", "-inf", "+inf", "oo", "-oo", "+oo", "nan", "Infinity",
+        "abc", "1/2x", "0x10", "1j",
+        # past the interpreter's int-digit limit, signed or not
+        "1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301,
+    ])
+    def test_agrees_with_fraction(self, text):
+        assert _outcome(parse_extended, text) == _outcome(_literal_oracle,
+                                                          text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.text(alphabet="0123456789+-/ ._\u0663\u00b3", max_size=8))
+    def test_agrees_with_fraction_on_random_text(self, text):
+        assert _outcome(parse_extended, text) == _outcome(_literal_oracle,
+                                                          text)
+
+    @pytest.mark.parametrize("text", [
+        f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT + 1}", "1E+10000000",
+        "-2.5e10000000", "1e4_301", "1e000010000000", "3e" + "9" * 5000])
+    def test_exponent_past_the_bound_is_refused_at_once(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            parse_extended(text)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == (f"exponent of {text!r} is past "
+                                  f"{MAX_EXPONENT} in magnitude")
+
+    @pytest.mark.parametrize("text", [
+        f"1e{MAX_EXPONENT}", f"-1e-{MAX_EXPONENT}", "1e0004300", "2.5e-3"])
+    def test_exponent_within_the_bound_is_read(self, text):
+        assert parse_rational(text) == Fr(text)
 
 
 class TestSvg:
