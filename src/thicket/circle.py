@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .barcode import (Bar, GradedBarcode, canonical_order, dims_add,
-                      global_sections_c)
+from .barcode import Bar, GradedBarcode, dims_add, global_sections_c
 from .interleave import DistanceBounds, finite_gate
 from .interleave import distance as _distance
 from .model import (CircleModel, Rep, circle_band_rep, circle_spiral_rep,
@@ -72,9 +71,11 @@ _BAND_FORMS: dict = {}
 
 
 class CircleSheaf:
-    """Canonical form: normalized sorted spirals plus canonicalized bands."""
+    """Canonical form: normalized sorted spirals plus canonicalized bands.
+    The spirals are sorted once, into the barcode of their lifts that
+    ``spiral_barcode`` returns; ``spirals`` is its tuple of bars."""
 
-    __slots__ = ("C", "spirals", "bands", "char")
+    __slots__ = ("C", "spirals", "bands", "char", "_lifts")
 
     def __init__(self, circumference, spirals=(), bands=(), char: int = 2):
         self.C = Fraction(circumference)
@@ -87,7 +88,8 @@ class CircleSheaf:
             if not b.iv.is_bounded:
                 raise ValueError(f"spiral lift must be bounded: {b}")
             sp.append(normal_form(b, space))
-        self.spirals = tuple(canonical_order(sp))
+        self._lifts = GradedBarcode(sp, self.char)
+        self.spirals = self._lifts.bars
         bd = []
         for band in bands:
             if isinstance(band, Band):
@@ -113,7 +115,7 @@ class CircleSheaf:
         return f"<circle C={self.C}: {'; '.join(parts) or '0'} | F_{self.char}>"
 
     def spiral_barcode(self) -> GradedBarcode:
-        return GradedBarcode(self.spirals, self.char)
+        return self._lifts
 
 
 def seed_bound(C) -> Fraction:

@@ -8,6 +8,7 @@ validates every module invariant on load and reports offending lines.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
@@ -24,6 +25,12 @@ _KEYS = {"barcode": {"kind", "char", "space", "bar"},
          "circle": {"kind", "char", "space", "spiral", "band"},
          "plmap": {"kind", "char", "extend", "domain", "pt"}}
 _SINGLE_KEYS = {"char", "space", "extend", "domain"}
+
+
+def _clip(text: str, limit: int = 40) -> str:
+    """``text`` cut after ``limit`` characters: an error message quotes a
+    bounded prefix of a long literal."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 class DocumentError(ValueError):
@@ -44,18 +51,19 @@ class Document:
 def parse_interval(text: str, line=None) -> Interval:
     t = text.strip()
     if len(t) < 2 or t[0] not in "[(" or t[-1] not in "])":
-        raise DocumentError(f"malformed interval {text!r}", line)
+        raise DocumentError(f"malformed interval {_clip(text)!r}", line)
     lk = CLOSED if t[0] == "[" else OPEN
     rk = CLOSED if t[-1] == "]" else OPEN
     inner = t[1:-1].split(",")
     if len(inner) != 2:
-        raise DocumentError(f"malformed interval {text!r}", line)
+        raise DocumentError(f"malformed interval {_clip(text)!r}", line)
     try:
         left = parse_extended(inner[0])
         right = parse_extended(inner[1])
         return Interval(left, lk, right, rk)
     except ValueError as exc:
-        raise DocumentError(f"invalid interval {text!r}: {exc}", line) from None
+        raise DocumentError(f"invalid interval {_clip(text)!r}: "
+                            f"{_clip(str(exc), 200)}", line) from None
 
 
 def _parse_bar(key: str, text: str, line) -> Bar:
@@ -66,7 +74,7 @@ def _parse_bar(key: str, text: str, line) -> Bar:
         iv_txt = words[1]
     except (IndexError, ValueError):
         raise DocumentError(
-            f"malformed {key} {text!r}: expected '<degree> <interval>'",
+            f"malformed {key} {_clip(text)!r}: expected '<degree> <interval>'",
             line) from None
     return Bar(parse_interval(iv_txt, line), degree)
 
@@ -83,42 +91,51 @@ def _parse_band(text: str, line) -> tuple:
                 for row in parts["monodromy"].split(";")]
     except (IndexError, KeyError, ValueError):
         raise DocumentError(
-            f"malformed band {text!r}: expected "
+            f"malformed band {_clip(text)!r}: expected "
             "'<degree> rank=<n> monodromy=<row>;<row>...'", line) from None
     return rank, mono, degree
 
 
 def serialize(doc: Document) -> str:
-    lines = [VERSION, f"kind: {doc.kind}"]
-    if doc.kind == "barcode":
-        F: GradedBarcode = doc.payload
-        lines.append(f"char: {F.char}")
-        lines.append("space: line")
-        # ``!s`` calls ``Interval.__str__`` without the format() dispatch,
-        # which costs about a tenth of the time of a bar line
-        for b in F.bars:
-            lines.append(f"bar: {b.degree} {b.iv!s}")
-    elif doc.kind == "circle":
-        F: CircleSheaf = doc.payload
-        lines.append(f"char: {F.char}")
-        lines.append(f"space: circle C={F.C}")
-        for b in F.spirals:
-            lines.append(f"spiral: {b.degree} {b.iv!s}")
-        for band in F.bands:
-            rows = ";".join(",".join(str(x) for x in row) for row in band.monodromy)
-            lines.append(f"band: {band.degree} rank={band.rank} monodromy={rows}")
-    elif doc.kind == "plmap":
-        f: PLMap = doc.payload
-        lines.append(f"extend: {f.left_ext} {f.right_ext}")
-        if f.domain is not None:
-            lines.append(f"domain: {f.domain!s}")
-        for x, y in zip(f.xs, f.ys):
-            lines.append(f"pt: {x} {y}")
-    elif doc.kind == "report":
-        for k, v in doc.payload.items():
-            lines.append(f"{k}: {v}")
-    else:
+    if doc.kind not in _KEYS and doc.kind != "report":
         raise DocumentError(f"unknown document kind {doc.kind!r}")
+    lines = [VERSION, f"kind: {doc.kind}"]
+    # str() refuses an int of more digits than the interpreter's limit
+    # with a ValueError, and nothing else here raises one
+    try:
+        if doc.kind == "barcode":
+            F: GradedBarcode = doc.payload
+            lines.append(f"char: {F.char}")
+            lines.append("space: line")
+            # ``!s`` calls ``Interval.__str__`` without the format()
+            # dispatch, which costs about a tenth of the time of a bar line
+            for b in F.bars:
+                lines.append(f"bar: {b.degree} {b.iv!s}")
+        elif doc.kind == "circle":
+            F: CircleSheaf = doc.payload
+            lines.append(f"char: {F.char}")
+            lines.append(f"space: circle C={F.C}")
+            for b in F.spirals:
+                lines.append(f"spiral: {b.degree} {b.iv!s}")
+            for band in F.bands:
+                rows = ";".join(",".join(str(x) for x in row)
+                                for row in band.monodromy)
+                lines.append(f"band: {band.degree} rank={band.rank} "
+                             f"monodromy={rows}")
+        elif doc.kind == "plmap":
+            f: PLMap = doc.payload
+            lines.append(f"extend: {f.left_ext} {f.right_ext}")
+            if f.domain is not None:
+                lines.append(f"domain: {f.domain!s}")
+            for x, y in zip(f.xs, f.ys):
+                lines.append(f"pt: {x} {y}")
+        else:
+            for k, v in doc.payload.items():
+                lines.append(f"{k}: {v}")
+    except ValueError:
+        raise DocumentError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for writing an integer") from None
     return "\n".join(lines) + "\n"
 
 
@@ -134,7 +151,7 @@ def parse(text: str) -> Document:
         if not s or s.startswith("#"):
             continue
         if ":" not in s:
-            raise DocumentError(f"expected 'key: value', got {s!r}", i)
+            raise DocumentError(f"expected 'key: value', got {_clip(s)!r}", i)
         key, val = s.split(":", 1)
         fields.append((key.strip(), val.strip(), i))
     kinds = [v for k, v, _ in fields if k == "kind"]
@@ -159,11 +176,12 @@ def parse(text: str) -> Document:
             try:
                 char = int(v)
             except ValueError:
-                raise DocumentError(f"invalid characteristic {v!r}", i) from None
+                raise DocumentError(f"invalid characteristic {_clip(v)!r}",
+                                    i) from None
             try:
                 check_char(char)
             except ValueError as exc:
-                raise DocumentError(str(exc), i) from None
+                raise DocumentError(_clip(str(exc), 200), i) from None
         if k == "space":
             if v == "line":
                 space = "line"
@@ -171,9 +189,10 @@ def parse(text: str) -> Document:
                 try:
                     space = ("circle", parse_rational(v.split("C=", 1)[1]))
                 except (IndexError, ValueError):
-                    raise DocumentError(f"invalid space tag {v!r}", i) from None
+                    raise DocumentError(f"invalid space tag {_clip(v)!r}",
+                                        i) from None
             else:
-                raise DocumentError(f"unknown space tag {v!r}", i)
+                raise DocumentError(f"unknown space tag {_clip(v)!r}", i)
     try:
         if kind == "barcode":
             if space != "line":
@@ -203,7 +222,8 @@ def parse(text: str) -> Document:
                 if k == "extend":
                     parts = v.split()
                     if len(parts) != 2:
-                        raise DocumentError(f"invalid extension spec {v!r}", i)
+                        raise DocumentError(
+                            f"invalid extension spec {_clip(v)!r}", i)
                     lext, rext = parts
                 elif k == "domain":
                     domain = parse_interval(v, i)
@@ -211,7 +231,8 @@ def parse(text: str) -> Document:
                     try:
                         x, y = map(parse_rational, v.split())
                     except ValueError:
-                        raise DocumentError(f"invalid point {v!r}", i) from None
+                        raise DocumentError(f"invalid point {_clip(v)!r}",
+                                            i) from None
                     xs.append(x)
                     ys.append(y)
             return Document("plmap",

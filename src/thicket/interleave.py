@@ -19,6 +19,13 @@ block-diagonal matching, then the row test (``_row_refuted``: a
 restriction block that no composite reaches refutes the shift), then the
 capped enumeration, each at most once.
 
+The search asks ``morphisms`` bar-level Hom questions only: the dimension
+of a block (``block_dim``) and the scalar of a composite of two blocks
+(``block_scalar``).  Which blocks are Hom^0 and which Ext^1 is read there,
+off the degrees, and never here.  Blocks are keyed by bar pair, and one
+builder (``_certificate``) makes every certificate, of a matching or of
+the enumeration, from f- and g-blocks in input indices.
+
 One matching routine (``_matching``, public as ``check_matching``) serves
 both spaces.  Its candidate pairs are those of cost at most the shift; it
 matches once, and only the pairs it matches meet the Hom calculus.  On the
@@ -53,10 +60,10 @@ from itertools import islice, product
 from . import fieldmath as fm
 from .barcode import (CharacteristicMismatchError, global_sections,
                       global_sections_c, iso_equal)
-from .morphisms import (LINE, Morphism, UnsupportedHomError, _block_kind,
-                        compose, identity_morphism, map_blocks, normal_form,
-                        restriction, restriction_between, space_dim,
-                        struct_scalar, thicken_indexed)
+from .morphisms import (LINE, Morphism, UnsupportedHomError, block_dim,
+                        block_scalar, compose, identity_morphism, map_blocks,
+                        normal_form, restriction, restriction_between,
+                        thicken_indexed)
 from .scalars import POS_INF
 from .thicken import (cost_form, deck_cost, direct_cost,
                       halfopen_translation_kills, kill_cost)
@@ -163,38 +170,28 @@ def _lifts(F, G, a, sides):
 
 
 def _unit_blocks(x, y, p, space):
-    """The kinds (k_x, k_y) of the blocks x -> y and y -> x of the pair of
-    ``_lifts`` x and y, or None when either block is zero (degrees out of
-    range or a zero Hom), even if the calculus cannot use the other; else
-    a block it cannot use raises its ``UnsupportedHomError``."""
+    """Whether the blocks x -> y and y -> x of the pair of ``_lifts`` x and
+    y are both nonzero.  A zero block decides the pair even if the calculus
+    cannot use the other; else a block it cannot use raises its
+    ``UnsupportedHomError``."""
     xbar, tx, _, _ = x
     ybar, ty, _, _ = y
-    k_x = _block_kind(tx, ybar)
-    k_y = _block_kind(ty, xbar)
-    if k_x is None or k_y is None:
-        return None
     try:
-        if space_dim(space, tx.iv, ybar.iv, k_x, p) == 0:
-            return None
+        if block_dim(space, p, tx, ybar) == 0:
+            return False
     except UnsupportedHomError:
-        if space_dim(space, ty.iv, xbar.iv, k_y, p) == 0:
-            return None
+        if block_dim(space, p, ty, xbar) == 0:
+            return False
         raise
-    if space_dim(space, ty.iv, xbar.iv, k_y, p) == 0:
-        return None
-    return k_x, k_y
+    return block_dim(space, p, ty, xbar) != 0
 
 
-def _composite(x, y, k_y, p, space):
+def _composite(x, y, p, space):
     """The scalar of the composite on x's restriction block, with unit
-    blocks x -> y and y -> x (of kind ``k_y``): T_a(x-block) then y-block;
-    None when the lifted x-block is zero."""
-    xbar, _, txx, _ = x
-    ty = y[1]
-    k_tx = _block_kind(txx, ty)
-    if k_tx is None:
-        return None
-    return struct_scalar(space, p, txx.iv, ty.iv, xbar.iv, k_tx, k_y)[1]
+    blocks x -> y and y -> x: T_a(x-block) then y-block.  T_a is an
+    equivalence, so the lifted x-block is a block (``block_scalar`` raises
+    ``AssertionError`` otherwise)."""
+    return block_scalar(space, p, x[2], y[1], x[0])
 
 
 def _pair_feasible(f, g, p, space):
@@ -205,13 +202,10 @@ def _pair_feasible(f, g, p, space):
     coefficients of both bars exactly; either coefficient may be zero (a
     half-open bar past its length), in which case the corresponding
     composite has to vanish."""
-    kinds = _unit_blocks(f, g, p, space)
-    if kinds is None:
+    if not _unit_blocks(f, g, p, space):
         return None
-    s1 = _composite(f, g, kinds[1], p, space)
-    s2 = _composite(g, f, kinds[0], p, space)
-    if s1 is None or s2 is None:
-        return None
+    s1 = _composite(f, g, p, space)
+    s2 = _composite(g, f, p, space)
     f_dies, g_dies = f[3], g[3]
     if f_dies and g_dies:
         return None                 # both sides die: leave the bars unmatched
@@ -321,18 +315,17 @@ def _least_cost(costs):
     return None if k == len(values) else Fraction(values[k])
 
 
-def _certificate(F, G, a, scalars, sides, space):
-    """The block-diagonal a-certificate on the tables ``sides``, unverified,
-    with f-side scalar 1 and g-side scalar ``scalars[(i, j)]`` on (i, j)."""
+def _certificate(F, G, a, fblocks, gblocks, sides, space):
+    """The a-certificate with the f-blocks ``fblocks`` of T_a F -> G and
+    the g-blocks ``gblocks`` of T_a G -> F, keyed by input indices and moved
+    onto the thickened bars of the ``_thickenings`` tables; unverified."""
     ((TFa, permF), _), ((TGa, permG), _) = sides
-    fblocks, gblocks = {}, {}
-    for (i, j), x in scalars.items():
-        fblocks[(permF[i], j, _block_kind(TFa.bars[permF[i]], G.bars[j]))] = 1
-        gblocks[(permG[j], i, _block_kind(TGa.bars[permG[j]], F.bars[i]))] = x
     return InterleavingCertificate(
         a,
-        Morphism(TFa, G, fblocks, space, validate=False),
-        Morphism(TGa, F, gblocks, space, validate=False))
+        Morphism(TFa, G, {(permF[i], j): c for (i, j), c in fblocks.items()},
+                 space, validate=False),
+        Morphism(TGa, F, {(permG[j], i): c for (j, i), c in gblocks.items()},
+                 space, validate=False))
 
 
 def _matching(F, G, a, space, costs, sides):
@@ -353,7 +346,7 @@ def _matching(F, G, a, space, costs, sides):
     if pairs is None:
         return None
     lifts = _lifts(F, G, a, sides)
-    scalars = {}
+    fblocks, gblocks = {}, {}
     for i, j in pairs:
         f, g = lifts[0][i], lifts[1][j]
         if f[3] and g[3]:
@@ -367,8 +360,8 @@ def _matching(F, G, a, space, costs, sides):
                 raise AssertionError(f"the cost formula and the Hom calculus "
                                      f"disagree on {f[0]}, {g[0]} at {a}")
             return None
-        scalars[(i, j)] = x
-    cert = _certificate(F, G, a, scalars, sides, space)
+        fblocks[(i, j)], gblocks[(j, i)] = 1, x
+    cert = _certificate(F, G, a, fblocks, gblocks, sides, space)
     if not _verified(F, G, cert, sides, space):
         raise AssertionError(f"matching at {a} fails verification")
     return cert
@@ -386,14 +379,14 @@ def check_matching(F, G, a, space=LINE):
 # Strategy: exhaustive bilinear search.
 
 def _variables(X, TXa, permX, Y, p, space):
-    """The unknown blocks (i, j, kind) of T_a X -> Y, one ``space_dim``
-    lookup per bar pair, lazily: the caller stops at its cap."""
+    """The unknown blocks (i, j) of T_a X -> Y in input indices, one
+    ``block_dim`` lookup per bar pair, lazily: the caller stops at its
+    cap."""
     for i in range(len(X.bars)):
         src = TXa.bars[permX[i]]
         for j in range(len(Y.bars)):
-            k = _block_kind(src, Y.bars[j])
-            if k is not None and space_dim(space, src.iv, Y.bars[j].iv, k, p):
-                yield (i, j, k)
+            if block_dim(space, p, src, Y.bars[j]):
+                yield (i, j)
 
 
 def check_exhaustive(F, G, a, space=LINE):
@@ -449,8 +442,8 @@ def _row_refuted(F, G, a, space, sides):
             unusable = None
             for y in ys:
                 try:
-                    kinds = _unit_blocks(x, y, F.char, space)
-                    if kinds and _composite(x, y, kinds[1], F.char, space):
+                    if (_unit_blocks(x, y, F.char, space)
+                            and _composite(x, y, F.char, space)):
                         break
                 except UnsupportedHomError as exc:
                     unusable = exc
@@ -465,25 +458,19 @@ def _row_refuted(F, G, a, space, sides):
 
 def _composite_terms(X, TX2a, permX2a, TYa, permYa, xvars, yvars, p, space):
     """Tensor entries of the composite T_a(x-blocks) then (y-blocks), an
-    element of Hom(T_2a X, X): (xvar, yvar) -> [(block key, scalar)], in
+    element of Hom(T_2a X, X): (xvar, yvar) -> (block key, scalar), in
     ``xvars`` then ``yvars`` order."""
     out = {}
     for xu in xvars:
-        xi, yj, _ = xu
+        xi, yj = xu
         src2 = TX2a.bars[permX2a[xi]]
         mid = TYa.bars[permYa[yj]]
-        kxt = _block_kind(src2, mid)
-        if kxt is None:
-            continue
         for yv in yvars:
-            yj2, xl, ky = yv
-            if yj2 != yj:
+            if yv[0] != yj:
                 continue
-            if kxt == "e" and ky == "e":
-                continue
-            tk, s = struct_scalar(space, p, src2.iv, mid.iv, X.bars[xl].iv, kxt, ky)
+            s = block_scalar(space, p, src2, mid, X.bars[yv[1]])
             if s:
-                out.setdefault((xu, yv), []).append(((permX2a[xi], xl, tk), s))
+                out[(xu, yv)] = ((permX2a[xi], yv[1]), s)
     return out
 
 
@@ -504,8 +491,8 @@ def _exhaustive_core(F, G, a, space, sides, fvars, gvars):
         raise CapacityError(
             f"enumeration {p}^{len(fvars)} exceeds the cap {MAX_ENUMERATION}")
 
-    rows1 = sorted(rho_F.keys() | {rk for v in t1.values() for rk, _ in v})
-    rows2 = sorted(rho_G.keys() | {rk for v in t2.values() for rk, _ in v})
+    rows1 = sorted(rho_F.keys() | {rk for rk, _ in t1.values()})
+    rows2 = sorted(rho_G.keys() | {rk for rk, _ in t2.values()})
     ridx1 = {r: k for k, r in enumerate(rows1)}
     ridx2 = {r: k for k, r in enumerate(rows2)}
     gidx = {v: k for k, v in enumerate(gvars)}
@@ -518,36 +505,21 @@ def _exhaustive_core(F, G, a, space, sides, fvars, gvars):
             rhs[r] = rho_F.get(key, 0)
         for r, key in enumerate(rows2):
             rhs[len(rows1) + r] = rho_G.get(key, 0)
-        for (fu, gv), terms in t1.items():
+        for (fu, gv), (rk, s) in t1.items():
             c = assign[fidx[fu]]
-            if c == 0:
-                continue
-            for (rk, s) in terms:
-                mat[ridx1[rk]][gidx[gv]] = (mat[ridx1[rk]][gidx[gv]] + c * s) % p
-        for (gv, fu), terms in t2.items():
+            if c:
+                row = ridx1[rk]
+                mat[row][gidx[gv]] = (mat[row][gidx[gv]] + c * s) % p
+        for (gv, fu), (rk, s) in t2.items():
             c = assign[fidx[fu]]
-            if c == 0:
-                continue
-            for (rk, s) in terms:
+            if c:
                 row = len(rows1) + ridx2[rk]
                 mat[row][gidx[gv]] = (mat[row][gidx[gv]] + c * s) % p
         sol = fm.solve(mat, rhs, p)
         if sol is None:
             continue
-        fblocks = {}
-        for v, c in zip(fvars, assign):
-            if c:
-                fi, gj, kf = v
-                fblocks[(permFa[fi], gj, kf)] = c
-        gblocks = {}
-        for v, c in zip(gvars, sol):
-            if c:
-                gj, fi, kg = v
-                gblocks[(permGa[gj], fi, kg)] = c
-        cert = InterleavingCertificate(
-            a,
-            Morphism(TFa, G, fblocks, space, validate=False),
-            Morphism(TGa, F, gblocks, space, validate=False))
+        cert = _certificate(F, G, a, dict(zip(fvars, assign)),
+                            dict(zip(gvars, sol)), sides, space)
         if _verified(F, G, cert, sides, space):
             return cert
         raise AssertionError("solver produced a certificate that fails verification")

@@ -1,9 +1,14 @@
 """Morphisms between graded barcodes.
 
-A morphism is a block matrix indexed by (source bar, target bar) where each
-block is a scalar multiple of the canonical generator of the corresponding
-Hom space.  Blocks come in two kinds, degree preserving ('h') and degree
-dropping by one ('e', extension classes).
+A morphism is a block matrix keyed by (source index, target index) where
+each block is a scalar multiple of the canonical generator of the
+corresponding Hom space.  A block's kind is a function of its two bars:
+degree preserving is Hom^0 ('h'), degree dropping by one is Ext^1 ('e',
+extension classes), and any other degree offset carries no block.  The
+kinds are named in this module only.  Every caller asks the two bar-level
+questions: ``block_dim``, the dimension of a block, and ``block_scalar``,
+the composite scalar of two blocks.  Both read the kind off the degrees
+and call the interval-level ``space_dim`` and ``struct_scalar``.
 
 Every Hom computation and every morphism lives in a space, named by one
 value: ``LINE``, or ``("circle", C)`` for the circle R/CZ.  The space fixes
@@ -351,25 +356,21 @@ def struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
     return hit
 
 
-def _single_copy(dims, slot: int) -> int:
-    """Deck index of the one copy carrying a one-dimensional Hom (slot 0) or
-    Ext (slot 1) space."""
-    return next(n for n, d in dims[2].items() if d[slot])
-
-
-def _hom_factor_copy(space, p, ivA, ivB) -> int:
+def _factor_copy(space, p, ivA, ivB, kind) -> int:
+    """Deck index of the one copy carrying the Hom^0 (``kind`` 'h') or Ext^1
+    ('e') space of a factor A -> B.  A Hom factor of total dimension other
+    than one raises ``UnsupportedHomError``; an Ext factor raises it when
+    either total dimension is above one, and ``ValueError`` when its Ext is
+    zero."""
     dims = _pair_dims(space, p, ivA, ivB)
-    if dims[0] != 1:
-        raise UnsupportedHomError(f"hom dim {dims[0]} for {ivA} -> {ivB}")
-    return _single_copy(dims, 0)
-
-
-def _ext_factor_copy(space, p, ivA, ivB) -> int:
-    dims = _pair_dims(space, p, ivA, ivB)
-    _check_supported(dims, ivA, ivB)
-    if dims[1] == 0:
-        raise ValueError("ext space is zero")
-    return _single_copy(dims, 1)
+    if kind == "h":
+        if dims[0] != 1:
+            raise UnsupportedHomError(f"hom dim {dims[0]} for {ivA} -> {ivB}")
+    else:
+        _check_supported(dims, ivA, ivB)
+        if dims[1] == 0:
+            raise ValueError("ext space is zero")
+    return next(n for n, d in dims[2].items() if d[kind == "e"])
 
 
 def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
@@ -384,8 +385,8 @@ def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
     C = space[1]
     dAC = _pair_dims(space, p, ivA, ivC)
     if (kind1, kind2) == ("h", "h"):
-        n = _hom_factor_copy(space, p, ivA, ivB)
-        m = _hom_factor_copy(space, p, ivB, ivC)
+        n = _factor_copy(space, p, ivA, ivB, "h")
+        m = _factor_copy(space, p, ivB, ivC, "h")
         if not dAC[2].get(n + m, (0, 0))[0]:
             return ("h", 0)
         out = _line_struct(p, ivA, _deck_copy(ivB, n, C),
@@ -399,11 +400,11 @@ def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
         return ("e", 0)
     _check_supported(dAC, ivA, ivC)
     if kind1 == "e":
-        n = _ext_factor_copy(space, p, ivA, ivB)
-        m = _hom_factor_copy(space, p, ivB, ivC)
+        n = _factor_copy(space, p, ivA, ivB, "e")
+        m = _factor_copy(space, p, ivB, ivC, "h")
     else:
-        m = _ext_factor_copy(space, p, ivB, ivC)
-        n = _hom_factor_copy(space, p, ivA, ivB)
+        m = _factor_copy(space, p, ivB, ivC, "e")
+        n = _factor_copy(space, p, ivA, ivB, "h")
     if not dAC[2].get(n + m, (0, 0))[1]:
         return ("e", 0)
     return _line_struct(p, ivA, _deck_copy(ivB, n, C),
@@ -422,6 +423,8 @@ class HomSpace:
 
 
 def _block_kind(src: Bar, tgt: Bar):
+    """'h' (Hom^0) when the degrees agree, 'e' (Ext^1) when ``src``'s is one
+    more, else None: no other offset carries a block."""
     off = src.degree - tgt.degree
     if off == 0:
         return "h"
@@ -430,8 +433,29 @@ def _block_kind(src: Bar, tgt: Bar):
     return None
 
 
+def block_dim(space, p, src: Bar, tgt: Bar) -> int:
+    """Dimension of the block src -> tgt in ``space`` over F_p: 0 at a degree
+    offset other than 0 or 1."""
+    kind = _block_kind(src, tgt)
+    return 0 if kind is None else space_dim(space, src.iv, tgt.iv, kind, p)
+
+
+def block_scalar(space, p, a: Bar, b: Bar, c: Bar) -> int:
+    """The scalar s with (generator of b -> c) after (generator of a -> b)
+    = s * (generator of a -> c).  Each factor is a block, so its offset is 0
+    or 1 (``AssertionError`` otherwise), and an Ext after an Ext is at
+    offset 2, where the scalar is 0."""
+    k1, k2 = _block_kind(a, b), _block_kind(b, c)
+    if k1 is None or k2 is None:
+        raise AssertionError(f"block leaves degree range: {a} -> {b} -> {c}")
+    if k1 == k2 == "e":
+        return 0
+    return struct_scalar(space, p, a.iv, b.iv, c.iv, k1, k2)[1]
+
+
 class Morphism:
-    """Block morphism between canonical graded barcodes."""
+    """Block morphism between canonical graded barcodes: ``blocks`` maps
+    (source index, target index) to a nonzero scalar."""
 
     __slots__ = ("source", "target", "space", "blocks")
 
@@ -441,17 +465,17 @@ class Morphism:
         self.space = space
         p = source.char
         clean = {}
-        for (i, j, kind), c in blocks.items():
+        for (i, j), c in blocks.items():
             c %= p
             if c == 0:
                 continue
             sb, tb = source.bars[i], target.bars[j]
-            if _block_kind(sb, tb) != kind:
-                raise ValueError(f"block kind {kind} inconsistent with degrees "
-                                 f"{sb.degree} -> {tb.degree}")
-            if validate and space_dim(space, sb.iv, tb.iv, kind, p) == 0:
+            if _block_kind(sb, tb) is None:
+                raise ValueError(f"no block between degrees {sb.degree} -> "
+                                 f"{tb.degree}")
+            if validate and block_dim(space, p, sb, tb) == 0:
                 raise ValueError(f"block on a zero Hom space: {sb} -> {tb}")
-            clean[(i, j, kind)] = c
+            clean[(i, j)] = c
         self.blocks = clean
 
     @property
@@ -467,16 +491,15 @@ class Morphism:
                 and self.blocks == other.blocks)
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(sorted(self.blocks.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])))))
+        return hash((self.source, self.target, tuple(sorted(self.blocks.items()))))
 
     def __repr__(self):
-        bl = ", ".join(f"{i}->{j}[{k}]:{c}" for (i, j, k), c in sorted(self.blocks.items()))
+        bl = ", ".join(f"{i}->{j}:{c}" for (i, j), c in sorted(self.blocks.items()))
         return f"<Morphism {bl or '0'}>"
 
 
 def identity_morphism(F, space=LINE) -> Morphism:
-    return Morphism(F, F, {(i, i, "h"): 1 for i in range(len(F.bars))}, space,
+    return Morphism(F, F, {(i, i): 1 for i in range(len(F.bars))}, space,
                     validate=False)
 
 
@@ -490,21 +513,16 @@ def compose(m1: Morphism, m2: Morphism) -> Morphism:
         raise ValueError("morphisms not composable")
     p = m1.char
     space = m1.space
+    src, mid, tgt = m1.source.bars, m1.target.bars, m2.target.bars
     out: dict = {}
     by_source = {}
-    for (j, l, k2), c2 in m2.blocks.items():
-        by_source.setdefault(j, []).append((l, k2, c2))
-    for (i, j, k1), c1 in m1.blocks.items():
-        mid = m1.target.bars[j]
-        for (l, k2, c2) in by_source.get(j, ()):
-            if k1 == "e" and k2 == "e":
-                continue
-            tkind, s = struct_scalar(space, p, m1.source.bars[i].iv, mid.iv,
-                                     m2.target.bars[l].iv, k1, k2)
-            if s == 0:
-                continue
-            key = (i, l, tkind)
-            out[key] = (out.get(key, 0) + c1 * c2 * s) % p
+    for (j, l), c2 in m2.blocks.items():
+        by_source.setdefault(j, []).append((l, c2))
+    for (i, j), c1 in m1.blocks.items():
+        for l, c2 in by_source.get(j, ()):
+            s = block_scalar(space, p, src[i], mid[j], tgt[l])
+            if s:
+                out[(i, l)] = (out.get((i, l), 0) + c1 * c2 * s) % p
     return Morphism(m1.source, m2.target, out, space, validate=False)
 
 
@@ -550,18 +568,12 @@ def thicken_morphism(m: Morphism, a) -> Morphism:
 
 def map_blocks(m: Morphism, src, perm_s, tgt, perm_t) -> Morphism:
     """``thicken_morphism`` onto given ``thicken_indexed`` tables."""
-    p = m.char
     out = {}
-    for (i, j, _kind), c in m.blocks.items():
-        sb = src.bars[perm_s[i]]
-        tb = tgt.bars[perm_t[j]]
-        nk = _block_kind(sb, tb)
-        if nk is None:
-            raise AssertionError("thickened block leaves degree range")
-        if space_dim(m.space, sb.iv, tb.iv, nk, p) == 0:
-            raise AssertionError(f"thickening killed a Hom space: {sb} -> {tb}")
-        key = (perm_s[i], perm_t[j], nk)
-        out[key] = (out.get(key, 0) + c) % p
+    for (i, j), c in m.blocks.items():
+        sb, tb = src.bars[perm_s[i]], tgt.bars[perm_t[j]]
+        if block_dim(m.space, m.char, sb, tb) == 0:
+            raise AssertionError(f"thickening killed a block: {sb} -> {tb}")
+        out[(perm_s[i], perm_t[j])] = c
     return Morphism(src, tgt, out, m.space, validate=False)
 
 
@@ -581,18 +593,8 @@ def restriction(F, a, b, space=LINE) -> Morphism:
 
 def restriction_between(F, a, b, src, perm_b, tgt, perm_a, space) -> Morphism:
     """``restriction`` between given ``thicken_indexed`` tables at b and a."""
-    p = F.char
-    out = {}
-    for i, bar in enumerate(F.bars):
-        if halfopen_translation_kills(bar.iv, a, b):
-            continue
-        sb = src.bars[perm_b[i]]
-        tb = tgt.bars[perm_a[i]]
-        kind = _block_kind(sb, tb)
-        if kind is None:
-            raise AssertionError("restriction block leaves degree range")
-        key = (perm_b[i], perm_a[i], kind)
-        out[key] = (out.get(key, 0) + 1) % p
+    out = {(perm_b[i], perm_a[i]): 1 for i, bar in enumerate(F.bars)
+           if not halfopen_translation_kills(bar.iv, a, b)}
     return Morphism(src, tgt, out, space, validate=False)
 
 
@@ -602,9 +604,5 @@ def restriction_between(F, a, b, src, perm_b, tgt, perm_a, space) -> Morphism:
 def hom_dim(b1: Bar, b2: Bar, char: int = 2) -> HomSpace:
     """Dimension of the Hom space between two shifted interval sheaves."""
     fm.check_char(char)
-    off = b1.degree - b2.degree
-    if off not in (0, 1):
-        return HomSpace(b1, b2, 0, off)
-    kind = "h" if off == 0 else "e"
-    return HomSpace(b1, b2, space_dim(LINE, b1.iv, b2.iv, kind, char), off)
-
+    return HomSpace(b1, b2, block_dim(LINE, char, b1, b2),
+                    b1.degree - b2.degree)

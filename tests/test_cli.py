@@ -424,6 +424,34 @@ class TestNegativeShifts:
         assert len([l for l in err.splitlines() if "error" in l]) == 1
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() != 4300,
+                    reason="the cases are sized for the default digit limit")
+class TestDigitLimit:
+    """Numbers past the interpreter's limit on the digits of an int it
+    writes or reads end in one short error line."""
+
+    def test_result_past_the_limit(self, docs, capsys):
+        # T_a [0, 2] = [-a, 2 + a], and 2 + 10^-4300 has 4301 digits
+        assert run_command(["thicken", "--a", "1e-4300", str(docs["F"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a number has more than 4300 digits, "
+                                "the interpreter's limit for writing an "
+                                "integer\n")
+
+    def test_literal_past_the_limit(self, tmp_path, capsys):
+        doc = tmp_path / "big.bc"
+        doc.write_text("thicket/1\nkind: barcode\nchar: 2\nspace: line\n"
+                       f"bar: 0 [0, {'1' * 4301}]\n")
+        assert run_command(["dual", str(doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: invalid interval '[0, 111")
+        assert "4300" in err and "(line 5)" in err
+        assert len(err.splitlines()) == 1 and len(err) < 400, len(err)
+
+
 def test_runtime_imports_only_the_standard_library():
     """Importing the CLI, and so every module it reaches, loads nothing
     outside the standard library and the package itself."""

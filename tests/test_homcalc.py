@@ -14,7 +14,7 @@ from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
 from thicket.corpus import rand_barcode
 from thicket.model import RepPair
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, bar_rep,
-                               build_model, compose, hom_dim,
+                               block_dim, build_model, compose, hom_dim,
                                identity_morphism, restriction, shape_key,
                                space_dim, struct_scalar, thicken_indexed,
                                thicken_morphism, zero_morphism)
@@ -267,7 +267,7 @@ class TestCompose:
     def test_identity_unital(self, rng):
         F = gb(bar(closed(0, 4)))
         G = gb(bar(closed(1, 3)))
-        m = Morphism(F, G, {(0, 0, "h"): 1})
+        m = Morphism(F, G, {(0, 0): 1})
         assert compose(identity_morphism(F), m) == m
         assert compose(m, identity_morphism(G)) == m
 
@@ -301,15 +301,15 @@ class TestThickenMorphism:
 
     def test_canonical_map_transport(self):
         m = Morphism(gb(bar(half_open(0, 3))), gb(bar(half_open(1, 4))),
-                     {(0, 0, "h"): 1})
+                     {(0, 0): 1})
         tm = thicken_morphism(m, 1)
         assert tm.source == gb(bar(half_open(-1, 2)))
         assert tm.target == gb(bar(half_open(0, 3)))
-        assert tm.blocks == {(0, 0, "h"): 1}
+        assert tm.blocks == {(0, 0): 1}
 
     def test_functor_semigroup_on_morphisms(self):
         m = Morphism(gb(bar(open_iv(1, 3))), gb(bar(open_iv(0, 4))),
-                     {(0, 0, "h"): 1})
+                     {(0, 0): 1})
         assert thicken_morphism(thicken_morphism(m, 1), Fr(1, 2)) == \
             thicken_morphism(m, Fr(3, 2))
 
@@ -317,17 +317,17 @@ class TestThickenMorphism:
         F = gb(bar(open_iv(1, 3)))
         G = gb(bar(open_iv(0, 4)))
         H = gb(bar(singleton(2)))
-        m1 = Morphism(F, G, {(0, 0, "h"): 1})
-        m2 = Morphism(G, H, {(0, 0, "h"): 1})
+        m1 = Morphism(F, G, {(0, 0): 1})
+        m2 = Morphism(G, H, {(0, 0): 1})
         for a in (Fr(1, 2), Fr(3, 2)):
             assert thicken_morphism(compose(m1, m2), a) == \
                 compose(thicken_morphism(m1, a), thicken_morphism(m2, a))
 
     def test_naturality_of_restriction(self):
         cases = [
-            (gb(bar(open_iv(1, 3))), gb(bar(open_iv(0, 4))), {(0, 0, "h"): 1}),
-            (gb(bar(closed(0, 2))), gb(bar(singleton(1))), {(0, 0, "h"): 1}),
-            (gb(bar(singleton(2), 1)), gb(bar(open_iv(1, 3), 0)), {(0, 0, "e"): 1}),
+            (gb(bar(open_iv(1, 3))), gb(bar(open_iv(0, 4))), {(0, 0): 1}),
+            (gb(bar(closed(0, 2))), gb(bar(singleton(1))), {(0, 0): 1}),
+            (gb(bar(singleton(2), 1)), gb(bar(open_iv(1, 3), 0)), {(0, 0): 1}),
         ]
         for F, G, blocks in cases:
             m = Morphism(F, G, blocks)
@@ -354,12 +354,12 @@ class TestMorphismValidation:
     def test_block_on_zero_space_rejected(self):
         with pytest.raises(ValueError):
             Morphism(gb(bar(closed(0, 1))), gb(bar(closed(2, 3))),
-                     {(0, 0, "h"): 1})
+                     {(0, 0): 1})
 
     def test_kind_degree_consistency(self):
         with pytest.raises(ValueError):
             Morphism(gb(bar(closed(0, 1), 0)), gb(bar(closed(0, 1), 1)),
-                     {(0, 0, "h"): 1})
+                     {(0, 0): 1})
 
     def test_shape_mismatch_on_compose(self):
         F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
@@ -432,44 +432,6 @@ class TestOddCharacteristic:
                                 GB(bar(singleton(2), 1)), 2) is not None
 
 
-class TestAssociativityAcrossModels:
-    """Composition uses structure constants computed per endpoint triple
-    (from the closed-form rules on the line); associativity couples
-    different triples, so it certifies that the Ext generator signs agree
-    across triples."""
-
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_random_chains(self, p):
-        import random
-        from thicket.corpus import grid_bar_pool
-        from thicket.morphisms import LINE, _block_kind, space_dim
-        from thicket.barcode import GradedBarcode
-        rng = random.Random(900 + p)
-        pool = grid_bar_pool()
-
-        def rand_morphism(X, Y):
-            blocks = {}
-            for i, bx in enumerate(X.bars):
-                for j, by in enumerate(Y.bars):
-                    kind = _block_kind(bx, by)
-                    if kind is None:
-                        continue
-                    if space_dim(LINE, bx.iv, by.iv, kind, p) and rng.random() < 0.6:
-                        blocks[(i, j, kind)] = rng.randrange(1, p)
-            return Morphism(X, Y, blocks, LINE, validate=False)
-
-        for _ in range(40):
-            def mk():
-                return GradedBarcode([rng.choice(pool)
-                                      for _ in range(rng.randint(1, 2))], p)
-            X, Y, Z, W = mk(), mk(), mk(), mk()
-            m1, m2, m3 = rand_morphism(X, Y), rand_morphism(Y, Z), rand_morphism(Z, W)
-            assert compose(compose(m1, m2), m3) == compose(m1, compose(m2, m3))
-
-
-# ---------------------------------------------------------------------------
-# The structure-constant convention, pinned.
-
 CIRCLE_4 = ("circle", Fr(4))
 
 
@@ -482,6 +444,120 @@ def _random_lift(rng, C):
     return Interval(left, rng.choice((CLOSED, OPEN)), left + length,
                     rng.choice((CLOSED, OPEN)))
 
+
+class TestAssociativityAcrossModels:
+    """Composition uses structure constants computed per endpoint triple
+    (from the closed-form rules on the line, through the covering map on
+    the circle); associativity couples different triples, so it certifies
+    that the Ext generator signs agree across triples.  The same chains
+    check the identity laws and that ``thicken_morphism`` is a functor."""
+
+    @pytest.mark.parametrize("space, p", [
+        (space, p) for space in (LINE, CIRCLE_4) for p in (2, 3, 5)],
+        ids=[f"{name}{p}" for name in ("", "circle-") for p in (2, 3, 5)])
+    def test_random_chains(self, space, p):
+        from thicket.corpus import grid_bar_pool
+        rng = random.Random((900 if space == LINE else 950) + p)
+        pool = grid_bar_pool()
+
+        def usable(X, Y):
+            """The blocks of X -> Y the calculus can use, and their
+            dimensions."""
+            out = {}
+            for i, bx in enumerate(X.bars):
+                for j, by in enumerate(Y.bars):
+                    try:
+                        out[(i, j)] = block_dim(space, p, bx, by)
+                    except UnsupportedHomError:
+                        pass
+            return out
+
+        def rand_bar():
+            """A pool bar on the line; on the circle a ``_random_lift`` in
+            degree 0 or 1 whose identity the calculus can use."""
+            if space == LINE:
+                return rng.choice(pool)
+            while True:
+                b = Bar(_random_lift(rng, space[1]), rng.randint(0, 1))
+                if usable(gb(b), gb(b)):
+                    return b
+
+        def rand_morphism(X, Y):
+            """Random scalars on about 60 % of the usable nonzero blocks."""
+            return Morphism(X, Y, {key: rng.randrange(1, p) for key, dim in
+                                   usable(X, Y).items()
+                                   if dim and rng.random() < 0.6},
+                            space, validate=False)
+
+        def has_ext(m):
+            return any(m.source.bars[i].degree != m.target.bars[j].degree
+                       for i, j in m.blocks)
+
+        checked = thickened = 0
+        for _ in range(40 if space == LINE else 60):
+            X, Y, Z, W = (GradedBarcode([rand_bar() for _ in
+                                         range(rng.randint(1, 2))], p)
+                          for _ in range(4))
+            m1, m2, m3 = rand_morphism(X, Y), rand_morphism(Y, Z), rand_morphism(Z, W)
+            try:
+                assert compose(compose(m1, m2), m3) == \
+                    compose(m1, compose(m2, m3))
+            except UnsupportedHomError:
+                continue        # a composite the calculus cannot use
+            checked += 1
+            for m in (m1, m2, m3):
+                assert compose(identity_morphism(m.source, space), m) == m
+                assert compose(m, identity_morphism(m.target, space)) == m
+            for a in (Fr(1, 2), Fr(1)):
+                TX = thicken_indexed(X, a, space)[0]
+                assert thicken_morphism(identity_morphism(X, space), a) == \
+                    identity_morphism(TX, space)
+                if p > 2 and (has_ext(m1) or has_ext(m2)):
+                    continue    # see test_thickening_flips_an_ext_composite
+                try:
+                    assert thicken_morphism(compose(m1, m2), a) == \
+                        compose(thicken_morphism(m1, a), thicken_morphism(m2, a))
+                except UnsupportedHomError:
+                    continue    # a thickened pair the calculus cannot use
+                thickened += 1
+        assert checked >= 30 and thickened >= 40, (checked, thickened)
+
+
+@pytest.mark.xfail(strict=True, reason="thicken_morphism sends each Ext "
+                   "generator to the thickened pair's generator with sign +1, "
+                   "and the Ext sign convention is not invariant under "
+                   "thickening, so at odd p a composite through an Ext block "
+                   "can change sign")
+def test_thickening_flips_an_ext_composite():
+    """Over F_5, an Ext block [3/2, 3] -> (2, 7/2) then the Hom block
+    (2, 7/2) -> [1/2, 7/2) composes to the Ext generator with scalar 1;
+    after thickening by 1/2 the same blocks compose to scalar -1, so
+    T_a(g f) and T_a(g) T_a(f) differ by a sign.  At p = 2 signs vanish."""
+    X = gb(bar(closed(Fr(3, 2), 3), 1), char=5)
+    Y = gb(bar(open_iv(2, Fr(7, 2)), 0), char=5)
+    Z = gb(bar(half_open(Fr(1, 2), Fr(7, 2)), 0), char=5)
+    m1, m2 = Morphism(X, Y, {(0, 0): 1}), Morphism(Y, Z, {(0, 0): 1})
+    assert compose(m1, m2) == Morphism(X, Z, {(0, 0): 1})
+    a = Fr(1, 2)
+    assert thicken_morphism(compose(m1, m2), a) == \
+        compose(thicken_morphism(m1, a), thicken_morphism(m2, a))
+
+
+def test_only_morphisms_holds_the_block_kind():
+    """A block's kind ('h' or 'e') is read off its bars' degrees in
+    ``morphisms`` alone; every other module asks the bar-level lookups
+    ``block_dim`` and ``block_scalar``."""
+    import importlib
+    import pkgutil
+    import thicket
+    modules = [thicket] + [importlib.import_module(m.name) for m in
+                           pkgutil.iter_modules(thicket.__path__, "thicket.")]
+    holders = {mod.__name__ for mod in modules if hasattr(mod, "_block_kind")}
+    assert holders == {"thicket.morphisms"}
+
+
+# ---------------------------------------------------------------------------
+# The structure-constant convention, pinned.
 
 def _factor_nonzero(space, ivA, ivB, kind, p):
     try:

@@ -41,8 +41,8 @@ class TestVerify:
 
     def test_skyscraper_certificate(self):
         F, G = gb(bar(closed(0, 2))), gb(bar(singleton(1)))
-        f = Morphism(thicken(F, 1), G, {(0, 0, "h"): 1})
-        g = Morphism(thicken(G, 1), F, {(0, 0, "h"): 1})
+        f = Morphism(thicken(F, 1), G, {(0, 0): 1})
+        g = Morphism(thicken(G, 1), F, {(0, 0): 1})
         assert verify_certificate(F, G, InterleavingCertificate(Fr(1), f, g))
 
     def test_zero_maps_fail_against_nonzero_restriction(self):
@@ -54,8 +54,8 @@ class TestVerify:
 
     def test_shape_mismatch_raises(self):
         F, G = gb(bar(closed(0, 2))), gb(bar(singleton(1)))
-        f = Morphism(thicken(F, 1), G, {(0, 0, "h"): 1})
-        g = Morphism(thicken(G, 1), F, {(0, 0, "h"): 1})
+        f = Morphism(thicken(F, 1), G, {(0, 0): 1})
+        g = Morphism(thicken(G, 1), F, {(0, 0): 1})
         with pytest.raises(ValueError):
             verify_certificate(F, G, InterleavingCertificate(Fr(2), f, g))
 
@@ -354,7 +354,8 @@ def _table_certificate(F, G, a, space):
         return None
     pairs, feas = match
     cert = interleave._certificate(
-        F, G, Fr(a), {pair: feas[pair] for pair in pairs},
+        F, G, Fr(a), {(i, j): 1 for i, j in pairs},
+        {(j, i): feas[(i, j)] for i, j in pairs},
         interleave._thickenings(F, G, Fr(a), space), space)
     try:
         return cert if verify_certificate(F, G, cert, space) else None
@@ -1018,8 +1019,8 @@ def _enumeration_only(F, G, a, space):
                                      gvars, fvars, p, space)
     rho = [interleave._restriction_to(F, 2 * a, (TF2a, permF2a), space).blocks,
            interleave._restriction_to(G, 2 * a, (TG2a, permG2a), space).blocks]
-    rows = [sorted(set(rho[0]) | {rk for v in t1.values() for rk, _ in v}),
-            sorted(set(rho[1]) | {rk for v in t2.values() for rk, _ in v})]
+    rows = [sorted(set(rho[0]) | {rk for rk, _ in t1.values()}),
+            sorted(set(rho[1]) | {rk for rk, _ in t2.values()})]
     index = {(side, key): r for side in (0, 1)
              for r, key in enumerate(rows[side], side * len(rows[0]))}
     gidx = {v: k for k, v in enumerate(gvars)}
@@ -1028,11 +1029,10 @@ def _enumeration_only(F, G, a, space):
         mat = [[0] * len(gvars) for _ in index]
         rhs = [rho[side].get(key, 0) for side, key in index]
         for side, terms in ((0, t1), (1, t2)):
-            for (u, w), entries in terms.items():
+            for (u, w), (rk, s) in terms.items():
                 fu, gv = (u, w) if side == 0 else (w, u)
-                for rk, s in entries:
-                    r = index[(side, rk)]
-                    mat[r][gidx[gv]] = (mat[r][gidx[gv]] + values[fu] * s) % p
+                r = index[(side, rk)]
+                mat[r][gidx[gv]] = (mat[r][gidx[gv]] + values[fu] * s) % p
         if fm.solve(mat, rhs, p) is not None:
             return assign
     return None
@@ -1082,22 +1082,19 @@ def _full_row_test(F, G, a, space):
     for side, (xs, ys) in enumerate(((fs, gs), (gs, fs))):
         for (i, x), (j, y) in product(enumerate(xs), enumerate(ys)):
             try:
-                kinds = interleave._unit_blocks(x, y, p, space)
-                if kinds:
-                    interleave._composite(x, y, kinds[1], p, space)
+                if interleave._unit_blocks(x, y, p, space):
+                    interleave._composite(x, y, p, space)
             except UnsupportedHomError:
                 unusable.add((side, i, j))
 
     def unknowns(X, TXa, permX, Y, pair):
         out = []
         for i, j in product(range(len(X.bars)), range(len(Y.bars))):
-            src, tgt = TXa.bars[permX[i]], Y.bars[j]
-            k = morphisms._block_kind(src, tgt)
-            if k is None or pair(i, j) in unusable:
+            if pair(i, j) in unusable:
                 continue
             try:
-                if morphisms.space_dim(space, src.iv, tgt.iv, k, p):
-                    out.append((i, j, k))
+                if morphisms.block_dim(space, p, TXa.bars[permX[i]], Y.bars[j]):
+                    out.append((i, j))
             except UnsupportedHomError:
                 # _unit_blocks found the pair's other block zero, so
                 # this block meets no restriction row
@@ -1115,7 +1112,7 @@ def _full_row_test(F, G, a, space):
             terms = interleave._composite_terms(
                 X, *X2a, *Ya, [v for v in xvars if v[0] == i],
                 [v for v in yvars if v[1] == i], p, space)
-            if key in {rk for entries in terms.values() for rk, _ in entries}:
+            if key in {rk for rk, _ in terms.values()}:
                 continue
             if not any((side, i, j) in unusable for j in range(len(Y.bars))):
                 return True, bool(unusable)
@@ -1426,7 +1423,8 @@ def _candidate_costs(F, G, candidate):
 def _scripted(monkeypatch, feasible):
     """Script ``_pair_feasible`` by ``feasible(fbar, gbar)``, which returns
     a scalar, None or "unsupported", and pass every certificate.  Returns
-    the list of asked bar pairs and the list of certified scalar maps."""
+    the list of asked bar pairs and the list of certified f-block maps,
+    keyed by the matched (i, j) pairs."""
     asked, built = [], []
 
     def pair_feasible(f, g, p, space):
@@ -1436,8 +1434,8 @@ def _scripted(monkeypatch, feasible):
             raise UnsupportedHomError("scripted")
         return r
 
-    def certificate(F, G, a, scalars, sides, space):
-        built.append(scalars)
+    def certificate(F, G, a, fblocks, gblocks, sides, space):
+        built.append(fblocks)
         return InterleavingCertificate(a, None, None)
 
     monkeypatch.setattr(interleave, "_pair_feasible", pair_feasible)
@@ -1624,9 +1622,9 @@ def _corrupted(rng, F, G, cert, space):
             key = rng.choice(sorted(blocks))
             variants.append({**blocks, key: (blocks[key] + 1) % p})
             variants.append({k: c for k, c in blocks.items() if k != key})
-        free = [(perm[i], j, k) for i, j, k in
+        free = [(perm[i], j) for i, j in
                 interleave._variables(X, TXa, perm, Y, p, space)
-                if (perm[i], j, k) not in blocks]
+                if (perm[i], j) not in blocks]
         if free:
             variants.append({**blocks, rng.choice(free): 1})
         for new in variants:

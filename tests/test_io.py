@@ -1,6 +1,7 @@
 """Document round trips, parse errors, SVG output."""
 
 import random
+import sys
 import time
 from fractions import Fraction as Fr
 
@@ -101,6 +102,43 @@ class TestErrors:
     def test_missing_kind(self):
         with pytest.raises(DocumentError):
             parse("thicket/1\nchar: 2\n")
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                        reason="the interpreter writes ints of any length")
+    def test_value_past_the_digit_limit_is_one_error(self):
+        """``serialize`` refuses a number whose numerator or denominator has
+        more digits than the interpreter writes with one ``DocumentError``
+        that names the limit, for every kind that writes numbers."""
+        limit = sys.get_int_max_str_digits()
+        big = 1 + Fr(1, 10 ** limit)
+        docs = [barcode_doc(gb(bar(closed(0, big)))),
+                circle_doc(CircleSheaf(big, [Bar(closed(0, 1), 0)])),
+                plmap_doc(PLMap((Fr(0), big), (Fr(0), Fr(1)))),
+                report_doc({"value": big})]
+        for doc in docs:
+            with pytest.raises(DocumentError) as exc:
+                serialize(doc)
+            assert str(exc.value) == (
+                f"a number has more than {limit} digits, the interpreter's "
+                "limit for writing an integer"), doc.kind
+        with pytest.raises(DocumentError, match="unknown document kind"):
+            serialize(Document("sheaf", None))
+
+    @pytest.mark.parametrize("line, start", [
+        (f"bar: 0 [0, {'1' * 4301}]", "invalid interval '[0, " + "1" * 36),
+        (f"bar: 0 [0, {'1' * 5000}x]", "invalid interval '[0, " + "1" * 36),
+        ("char: " + "1" * 4000, "field characteristic must be prime and "
+         "below 65536, got 111"),
+    ], ids=["past-the-digit-limit", "not-a-number", "characteristic"])
+    def test_long_literal_is_quoted_by_its_start(self, line, start):
+        """An error on a literal of thousands of characters quotes only its
+        start and stays one short line."""
+        with pytest.raises(DocumentError) as exc:
+            parse(f"thicket/1\nkind: barcode\n{line}\n")
+        msg = str(exc.value)
+        assert msg.startswith(start) and "..." in msg
+        assert msg.endswith("(line 3)") and len(msg) < 400, len(msg)
+        assert "\n" not in msg
 
     def test_report_takes_any_key(self):
         doc = parse("thicket/1\nkind: report\nverdict: pass\nbars: 3\n"
