@@ -132,10 +132,6 @@ class Interval:
         return f"{lb}{format_extended(self.left)}, {format_extended(self.right)}{rb}"
 
 
-def interval(left, lkind: Kind, right, rkind: Kind) -> Interval:
-    return Interval(left, lkind, right, rkind)
-
-
 def closed(a, b) -> Interval:
     return Interval(Fraction(a), CLOSED, Fraction(b), CLOSED)
 

@@ -22,9 +22,12 @@ capped enumeration, each at most once.
 The search asks ``morphisms`` bar-level Hom questions only: the dimension
 of a block (``block_dim``) and the scalar of a composite of two blocks
 (``block_scalar``).  Which blocks are Hom^0 and which Ext^1 is read there,
-off the degrees, and never here.  Blocks are keyed by bar pair, and one
-builder (``_certificate``) makes every certificate, of a matching or of
-the enumeration, from f- and g-blocks in input indices.
+off the degrees, and never here.  Every strategy of a probe reads one
+table, made once: the ``_lifts`` rows (bar, a-lift, 2a-lift, dies) in
+input indices.  The enumeration's equations are one flat list of terms on
+rows keyed by input bar pairs, with the kill flags as right-hand side.
+One builder (``_certificate``) makes every certificate, of a matching or
+of the enumeration, from f- and g-blocks keyed by input bar pairs.
 
 One matching routine (``_matching``, public as ``check_matching``) serves
 both spaces.  Its candidate pairs are those of cost at most the shift; it
@@ -44,7 +47,7 @@ already in normal form.
 The grid is built in exact integers: the ends (and C) are scaled over four
 times the lcm of their denominators, so every difference, shift and half is
 an int, and one ``Fraction`` is made per distinct grid value.  A search at a
-thickens each side once to a and once to 2a (``_thickenings``); the lifts,
+thickens each side once to a and once to 2a (``_tables``); the lifts,
 the certificate and its check share them, reading T_a T_a as T_2a.
 """
 
@@ -129,14 +132,10 @@ def _verified(F, G, cert, sides, space):
         raise ValueError("certificate g has wrong shape")
     return all(
         compose(map_blocks(x, X2a[0], dict(zip(Xa[1], X2a[1])), *Ya), y)
-        == _restriction_to(X, 2 * cert.a, X2a, space)
+        == restriction_between(X, 0, 2 * cert.a, *X2a, X, range(len(X.bars)),
+                               space)
         for X, x, y, Xa, X2a, Ya in ((F, cert.f, cert.g, Fa, F2a, Ga),
                                      (G, cert.g, cert.f, Ga, G2a, Fa)))
-
-
-def _restriction_to(X, a2, X2a, space):
-    """The restriction T_2a X -> X on the 2a table ``X2a``."""
-    return restriction_between(X, 0, a2, *X2a, X, range(len(X.bars)), space)
 
 
 def identity_certificate(F, space=LINE) -> InterleavingCertificate:
@@ -162,11 +161,19 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 def _lifts(F, G, a, sides):
     """Per side, per bar b: (b, its a-lift, its 2a-lift, whether the
     restriction T_2a X -> X kills it), read off the ``_thickenings``
-    tables ``sides``."""
+    tables ``sides``: the one table every strategy of a probe reads."""
     return [[(b, Ta.bars[pa[i]], T2a.bars[p2a[i]],
               halfopen_translation_kills(b.iv, 0, 2 * a))
              for i, b in enumerate(X.bars)]
             for X, ((Ta, pa), (T2a, p2a)) in zip((F, G), sides)]
+
+
+def _tables(F, G, a, space):
+    """The ``_thickenings`` tables of a probe at ``a`` and its ``_lifts``
+    rows, made once: the strategies read the rows, and the certificate and
+    its check the tables."""
+    sides = _thickenings(F, G, a, space)
+    return sides, _lifts(F, G, a, sides)
 
 
 def _unit_blocks(x, y, p, space):
@@ -328,9 +335,9 @@ def _certificate(F, G, a, fblocks, gblocks, sides, space):
                  space, validate=False))
 
 
-def _matching(F, G, a, space, costs, sides):
+def _matching(F, G, a, space, costs, sides, lifts):
     """The verified certificate of a block-diagonal matching at ``a`` over
-    the ``_pair_costs`` costs and the ``_thickenings`` tables, or None.
+    the ``_pair_costs`` costs and a probe's ``_tables``, or None.
 
     The candidate pairs are those of cost at most a, and a bar of kill cost
     at most a may stay unmatched.  ``_perfect_matching`` runs once, and
@@ -345,7 +352,6 @@ def _matching(F, G, a, space, costs, sides):
     pairs = _perfect_matching(*_candidates(costs, a))
     if pairs is None:
         return None
-    lifts = _lifts(F, G, a, sides)
     fblocks, gblocks = {}, {}
     for i, j in pairs:
         f, g = lifts[0][i], lifts[1][j]
@@ -372,20 +378,19 @@ def check_matching(F, G, a, space=LINE):
     search: the verified certificate, or None."""
     a = _check_inputs(F, G, space, a)
     return _matching(F, G, a, space, _pair_costs(F, G, space),
-                     _thickenings(F, G, a, space))
+                     *_tables(F, G, a, space))
 
 
 # ---------------------------------------------------------------------------
 # Strategy: exhaustive bilinear search.
 
-def _variables(X, TXa, permX, Y, p, space):
-    """The unknown blocks (i, j) of T_a X -> Y in input indices, one
-    ``block_dim`` lookup per bar pair, lazily: the caller stops at its
-    cap."""
-    for i in range(len(X.bars)):
-        src = TXa.bars[permX[i]]
-        for j in range(len(Y.bars)):
-            if block_dim(space, p, src, Y.bars[j]):
+def _variables(xs, ys, p, space):
+    """The unknown blocks (i, j) of T_a X -> Y in input indices, for the
+    ``_lifts`` rows ``xs`` of X and ``ys`` of Y: one ``block_dim`` lookup of
+    i's a-lift and bar j per pair, lazily, as the caller stops at its cap."""
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if block_dim(space, p, x[1], y[0]):
                 yield (i, j)
 
 
@@ -395,55 +400,55 @@ def check_exhaustive(F, G, a, space=LINE):
     unknowns are counted as they are found, and the count stops as soon as
     it passes ``MAX_UNKNOWNS``."""
     a = _check_inputs(F, G, space, a)
-    return _exhaustive(F, G, a, space, _thickenings(F, G, a, space))
+    return _exhaustive(F, G, a, space, *_tables(F, G, a, space))
 
 
-def _exhaustive(F, G, a, space, sides):
-    """``check_exhaustive`` on the ``_thickenings`` tables ``sides``: the
-    row test, then the capped enumeration."""
-    if _row_refuted(F, G, a, space, sides):
-        return None
+def _exhaustive(F, G, a, space, sides, lifts):
+    """``check_exhaustive`` on a probe's ``_tables``: the row test, then the
+    capped ``_enumeration`` over the side with fewer unknown blocks."""
     p = F.char
-    (Fa, _), (Ga, _) = sides
-    fvars = list(islice(_variables(F, *Fa, G, p, space), MAX_UNKNOWNS + 1))
-    gvars = list(islice(_variables(G, *Ga, F, p, space),
+    if _row_refuted(lifts, p, space):
+        return None
+    fvars = list(islice(_variables(*lifts, p, space), MAX_UNKNOWNS + 1))
+    gvars = list(islice(_variables(*lifts[::-1], p, space),
                         MAX_UNKNOWNS + 1 - len(fvars)))
     if len(fvars) + len(gvars) > MAX_UNKNOWNS:
         raise CapacityError(
             f"{len(fvars)} + {len(gvars)} unknown blocks exceed the cap "
             f"{MAX_UNKNOWNS}")
-    if len(fvars) > len(gvars):
-        # enumerate over the smaller side by swapping the roles of F and G
-        res = _exhaustive_core(G, F, a, space, sides[::-1], gvars, fvars)
-        if res is None:
-            return None
-        return InterleavingCertificate(a, res.g, res.f)
-    return _exhaustive_core(F, G, a, space, sides, fvars, gvars)
+    # enumerate the smaller side: swapping F and G swaps the two block maps
+    step = -1 if len(fvars) > len(gvars) else 1
+    blocks = _enumeration(lifts[::step], (fvars, gvars)[::step], p, space)
+    if blocks is None:
+        return None
+    cert = _certificate(F, G, a, *blocks[::step], sides, space)
+    if _verified(F, G, cert, sides, space):
+        return cert
+    raise AssertionError("solver produced a certificate that fails verification")
 
 
-def _row_refuted(F, G, a, space, sides):
+def _row_refuted(lifts, p, space):
     """Whether some restriction block of T_2a X -> X, for X = F or G, is
-    reached by no composite: its row of the composite equations reads
-    0 = 1 under every assignment of the blocks, so the shift is refuted.
-    The composites that reach bar i's block (i, i) pass through one bar j
-    of the other side, so per bar that survives to 2a the scan runs over
-    its partners j and stops at the first nonzero ``_composite`` on its
-    own block.  A partner whose composite the calculus cannot use
-    (``UnsupportedHomError``) leaves only its bar undecided, and the scan
-    goes on: the shift is refuted by a bar whose partners are all usable
-    and none reaches it, and otherwise an undecided bar raises the error
-    again."""
-    fs, gs = _lifts(F, G, a, sides)
+    reached by no composite, on a probe's ``_lifts`` rows: its row of the
+    composite equations reads 0 = 1 under every assignment of the blocks,
+    so the shift is refuted.  The composites that reach bar i's block
+    (i, i) pass through one bar j of the other side, so per bar that
+    survives to 2a the scan runs over its partners j and stops at the
+    first nonzero ``_composite`` on its own block.  A partner whose
+    composite the calculus cannot use (``UnsupportedHomError``) leaves only
+    its bar undecided, and the scan goes on: the shift is refuted by a bar
+    whose partners are all usable and none reaches it, and otherwise an
+    undecided bar raises the error again."""
     undecided = None
-    for xs, ys in ((fs, gs), (gs, fs)):
+    for xs, ys in (lifts, lifts[::-1]):
         for x in xs:
             if x[3]:
                 continue                # its restriction block is zero
             unusable = None
             for y in ys:
                 try:
-                    if (_unit_blocks(x, y, F.char, space)
-                            and _composite(x, y, F.char, space)):
+                    if (_unit_blocks(x, y, p, space)
+                            and _composite(x, y, p, space)):
                         break
                 except UnsupportedHomError as exc:
                     unusable = exc
@@ -456,83 +461,53 @@ def _row_refuted(F, G, a, space, sides):
     return False
 
 
-def _composite_terms(X, TX2a, permX2a, TYa, permYa, xvars, yvars, p, space):
-    """Tensor entries of the composite T_a(x-blocks) then (y-blocks), an
-    element of Hom(T_2a X, X): (xvar, yvar) -> (block key, scalar), in
-    ``xvars`` then ``yvars`` order."""
-    out = {}
-    for xu in xvars:
-        xi, yj = xu
-        src2 = TX2a.bars[permX2a[xi]]
-        mid = TYa.bars[permYa[yj]]
-        for yv in yvars:
-            if yv[0] != yj:
-                continue
-            s = block_scalar(space, p, src2, mid, X.bars[yv[1]])
-            if s:
-                out[(xu, yv)] = ((permX2a[xi], yv[1]), s)
-    return out
-
-
-def _exhaustive_core(F, G, a, space, sides, fvars, gvars):
-    """Enumerate the f-blocks ``fvars`` and solve linearly for the g-blocks
-    ``gvars``, on the ``_thickenings`` tables ``sides``; one equation per
-    block of the restriction or of a composite term."""
-    p = F.char
-    (((TFa, permFa), (TF2a, permF2a)),
-     ((TGa, permGa), (TG2a, permG2a))) = sides
-
-    # Tensor entries for the two composite equations.
-    t1 = _composite_terms(F, TF2a, permF2a, TGa, permGa, fvars, gvars, p, space)
-    t2 = _composite_terms(G, TG2a, permG2a, TFa, permFa, gvars, fvars, p, space)
-    rho_F = _restriction_to(F, 2 * a, sides[0][1], space).blocks
-    rho_G = _restriction_to(G, 2 * a, sides[1][1], space).blocks
-    if p ** len(fvars) > MAX_ENUMERATION:
+def _enumeration(lifts, unknowns, p, space):
+    """The x- and y-block maps of the first solution, or None: every
+    assignment of the x-blocks, then the y-blocks solved for linearly, on
+    the ``_lifts`` rows of X and Y and their ``_variables`` ``unknowns``.
+    The equations are one flat list of (row, x-block, y-block, scalar)
+    terms, a row being a block (i, k) of Hom(T_2a X, X) or Hom(T_2a Y, Y)
+    in input indices: T_a of the block (i, j) then the block (j, k) is the
+    ``block_scalar`` of i's 2a-lift, j's a-lift and bar k.  The restriction
+    is 1 on (i, i) unless bar i dies, else 0.  The terms, which can raise
+    ``UnsupportedHomError``, are built before the enumeration's cap."""
+    rows = {key: r for r, key in enumerate(
+        (side, i, i) for side, ws in enumerate(lifts)
+        for i, w in enumerate(ws) if not w[3])}
+    rhs = [1] * len(rows)
+    terms = []
+    for side, (us, vs), (uvars, vvars) in ((0, lifts, unknowns),
+                                           (1, lifts[::-1], unknowns[::-1])):
+        for n, (i, j) in enumerate(uvars):
+            for m, (j2, k) in enumerate(vvars):
+                if j2 == j and (s := block_scalar(space, p, us[i][2],
+                                                  vs[j][1], us[k][0])):
+                    row = rows.setdefault((side, i, k), len(rows))
+                    terms.append((row, n, m, s) if side == 0
+                                 else (row, m, n, s))
+    rhs += [0] * (len(rows) - len(rhs))
+    xvars, yvars = unknowns
+    if p ** len(xvars) > MAX_ENUMERATION:
         raise CapacityError(
-            f"enumeration {p}^{len(fvars)} exceeds the cap {MAX_ENUMERATION}")
-
-    rows1 = sorted(rho_F.keys() | {rk for rk, _ in t1.values()})
-    rows2 = sorted(rho_G.keys() | {rk for rk, _ in t2.values()})
-    ridx1 = {r: k for k, r in enumerate(rows1)}
-    ridx2 = {r: k for k, r in enumerate(rows2)}
-    gidx = {v: k for k, v in enumerate(gvars)}
-    fidx = {v: k for k, v in enumerate(fvars)}
-
-    for assign in product(range(p), repeat=len(fvars)):
-        mat = fm.zeros(len(rows1) + len(rows2), len(gvars))
-        rhs = [0] * (len(rows1) + len(rows2))
-        for r, key in enumerate(rows1):
-            rhs[r] = rho_F.get(key, 0)
-        for r, key in enumerate(rows2):
-            rhs[len(rows1) + r] = rho_G.get(key, 0)
-        for (fu, gv), (rk, s) in t1.items():
-            c = assign[fidx[fu]]
-            if c:
-                row = ridx1[rk]
-                mat[row][gidx[gv]] = (mat[row][gidx[gv]] + c * s) % p
-        for (gv, fu), (rk, s) in t2.items():
-            c = assign[fidx[fu]]
-            if c:
-                row = len(rows1) + ridx2[rk]
-                mat[row][gidx[gv]] = (mat[row][gidx[gv]] + c * s) % p
+            f"enumeration {p}^{len(xvars)} exceeds the cap {MAX_ENUMERATION}")
+    for assign in product(range(p), repeat=len(xvars)):
+        mat = fm.zeros(len(rows), len(yvars))
+        for r, u, v, s in terms:
+            if assign[u]:
+                mat[r][v] = (mat[r][v] + assign[u] * s) % p
         sol = fm.solve(mat, rhs, p)
-        if sol is None:
-            continue
-        cert = _certificate(F, G, a, dict(zip(fvars, assign)),
-                            dict(zip(gvars, sol)), sides, space)
-        if _verified(F, G, cert, sides, space):
-            return cert
-        raise AssertionError("solver produced a certificate that fails verification")
+        if sol is not None:
+            return dict(zip(xvars, assign)), dict(zip(yvars, sol))
     return None
 
 
 def _search(F, G, a, space, costs):
-    """The one search at a circle shift, on one set of ``_thickenings``: the
+    """The one search at a circle shift, on one probe's ``_tables``: the
     ``_matching`` certificate over the deck-copy costs, else ``_exhaustive``
     (the row test, then the capped enumeration)."""
-    sides = _thickenings(F, G, a, space)
-    cert = _matching(F, G, a, space, costs, sides)
-    return cert if cert is not None else _exhaustive(F, G, a, space, sides)
+    tables = _tables(F, G, a, space)
+    cert = _matching(F, G, a, space, costs, *tables)
+    return cert if cert is not None else _exhaustive(F, G, a, space, *tables)
 
 
 def check_interleaving(F, G, a, space=LINE):
@@ -552,7 +527,7 @@ def check_interleaving(F, G, a, space=LINE):
         return None
     costs = _pair_costs(F, G, space)
     if space == LINE:
-        return _matching(F, G, a, LINE, costs, _thickenings(F, G, a, LINE))
+        return _matching(F, G, a, LINE, costs, *_tables(F, G, a, LINE))
     return _search(F, G, a, space, costs)
 
 
@@ -639,7 +614,7 @@ def distance(F, G, space=LINE) -> DistanceBounds:
         if v is None:
             return DistanceBounds(POS_INF, POS_INF, True, None,
                                   exact_by="isometry")
-        cert = _matching(F, G, v, LINE, costs, _thickenings(F, G, v, LINE))
+        cert = _matching(F, G, v, LINE, costs, *_tables(F, G, v, LINE))
         return DistanceBounds(v, v, True, cert, exact_by="isometry")
     grid = critical_grid(F, G, space)
     n = len(grid)

@@ -19,7 +19,7 @@ morphisms and restrictions read it from ``space`` alone.
 On the line, Hom spaces between shifted interval sheaves are at most
 one-dimensional.  Their dimensions and the structure constants that
 composition multiplies blocks through are read from closed-form rules of
-endpoint order and kind (``_line_hom``, ``_line_ext``, ``_line_struct``):
+endpoint order and kind (``_line_pair``, ``_line_struct``):
 no model is built and nothing is memoized.  ``hom_dim`` reads the same
 rules.  The finite quiver model is their oracle, and it lives in the
 tests (``tests/oracles.py``): it normalizes the Ext generator of a pair
@@ -228,42 +228,31 @@ def _good(own: int, ikind, jkind) -> bool:
     return ikind is OPEN or jkind is CLOSED
 
 
-def _line_hom(I: Interval, J: Interval) -> int:
-    """dim Hom^0(k_I, k_J) on the line."""
+def _line_pair(I: Interval, J: Interval):
+    """(dim Hom^0(k_I, k_J), 0 or the sign of the Ext^1(k_I, k_J)
+    generator) on the line, in one pass over K's two ends.  Hom needs both
+    ends good and Ext both bad, so at most one of the two is nonzero."""
     own_l = _cmp(I.left, J.left, -1)
-    if not _good(own_l, I.lkind, J.lkind):
-        return 0
+    good = _good(own_l, I.lkind, J.lkind)
     own_r = _cmp(J.right, I.right, 1)
-    if not _good(own_r, I.rkind, J.rkind):
-        return 0
+    if _good(own_r, I.rkind, J.rkind) != good:
+        return 0, 0
     lo = I.left if own_l >= 0 else J.left
     hi = I.right if own_r >= 0 else J.right
-    if not (is_finite(lo) and is_finite(hi)):
-        return 1
-    order = _sign(hi, lo)
-    if order:
-        return int(order > 0)
-    return int(I.contains(lo) and J.contains(lo))     # K is {lo} or empty
-
-
-def _line_ext(I: Interval, J: Interval) -> int:
-    """0 when Ext^1(k_I, k_J) vanishes on the line, else the sign of its
-    generator."""
-    own_l = _cmp(I.left, J.left, -1)
-    if _good(own_l, I.lkind, J.lkind):
-        return 0
-    own_r = _cmp(J.right, I.right, 1)
-    if _good(own_r, I.rkind, J.rkind):
-        return 0
-    lo = I.left if own_l >= 0 else J.left
-    hi = I.right if own_r >= 0 else J.right
+    if good:
+        if not (is_finite(lo) and is_finite(hi)):
+            return 1, 0
+        order = _sign(hi, lo)
+        if order:
+            return int(order > 0), 0
+        return int(I.contains(lo) and J.contains(lo)), 0    # K is {lo} or empty
     if _sign(lo, hi) > 0:       # bad ends are finite
-        return 0
+        return 0, 0
     if own_r > 0 or (I.lkind is CLOSED and I.rkind is CLOSED
                      and J.lkind is OPEN and J.rkind is OPEN
                      and is_finite(J.left) and is_finite(J.right)):
-        return 1
-    return -1
+        return 0, 1
+    return 0, -1
 
 
 def _line_struct(p, ivA, ivB, ivC, kind1, kind2):
@@ -278,18 +267,18 @@ def _line_struct(p, ivA, ivB, ivC, kind1, kind2):
     zero Ext factor before a zero Hom factor."""
     if kind1 == "h" and kind2 == "h":
         for X, Y in ((ivA, ivB), (ivB, ivC)):
-            if not _line_hom(X, Y):
+            if not _line_pair(X, Y)[0]:
                 raise UnsupportedHomError(f"hom dim 0 for {X} -> {Y}")
-        return ("h", _line_hom(ivA, ivC))
-    sign = _line_ext(ivA, ivC)
+        return ("h", _line_pair(ivA, ivC)[0])
+    sign = _line_pair(ivA, ivC)[1]
     if not sign:
         return ("e", 0)
     (eX, eY), (hX, hY) = (((ivA, ivB), (ivB, ivC)) if kind1 == "e"
                           else ((ivB, ivC), (ivA, ivB)))
-    factor = _line_ext(eX, eY)
+    factor = _line_pair(eX, eY)[1]
     if not factor:
         raise ValueError("ext space is zero")
-    if not _line_hom(hX, hY):
+    if not _line_pair(hX, hY)[0]:
         raise UnsupportedHomError(f"hom dim 0 for {hX} -> {hY}")
     return ("e", factor * sign % p)
 
@@ -316,9 +305,9 @@ def _covering_pair_dims(space, p, ivA, ivB):
     for n in range(math.ceil((ivA.left - ivB.right) / C),
                    math.floor((ivA.right - ivB.left) / C) + 1):
         Bn = _deck_copy(ivB, n, C)
-        hom, ext = _line_hom(ivA, Bn), abs(_line_ext(ivA, Bn))
-        if hom or ext:
-            copies[n] = (hom, ext)
+        hom, sign = _line_pair(ivA, Bn)
+        if hom or sign:
+            copies[n] = (hom, abs(sign))
     return (sum(h for h, _ in copies.values()),
             sum(e for _, e in copies.values()), copies)
 
@@ -336,7 +325,8 @@ def _check_supported(dims, ivA, ivB):
 
 def space_dim(space, ivA, ivB, kind, p: int) -> int:
     if space == LINE:
-        return _line_hom(ivA, ivB) if kind == "h" else abs(_line_ext(ivA, ivB))
+        hom, ext = _line_pair(ivA, ivB)
+        return hom if kind == "h" else abs(ext)
     dims = _pair_dims(space, p, ivA, ivB)
     _check_supported(dims, ivA, ivB)
     return dims[0] if kind == "h" else dims[1]

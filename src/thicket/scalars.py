@@ -8,6 +8,7 @@ finite arithmetic (guarded by the helpers here).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -40,8 +41,9 @@ MAX_EXPONENT = 4300
 def parse_extended(text: str):
     """An extended rational literal from outside text: ``p/q``, an integer,
     any other literal ``Fraction`` reads, or one of the infinities.  A
-    malformed literal, a zero denominator and an exponent past
-    ``MAX_EXPONENT`` all raise ``ValueError``."""
+    malformed literal, a zero denominator, an exponent past
+    ``MAX_EXPONENT`` and a run of digits past the interpreter's limit all
+    raise ``ValueError``."""
     t = text.strip()
     if t in ("-inf", "-oo"):
         return NEG_INF
@@ -58,6 +60,14 @@ def parse_extended(text: str):
         return Fraction(t)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {t!r}") from None
+    except ValueError as exc:
+        # int() refuses a run of more digits than the interpreter's limit
+        # with a hint on how to raise it; name the limit instead
+        if not str(exc).startswith("Exceeds the limit"):
+            raise
+        raise ValueError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for reading an integer") from None
 
 
 def _check_exponent(t: str):

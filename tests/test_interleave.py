@@ -608,9 +608,9 @@ class TestScriptedWalk:
         calls = []
         matching = interleave._matching
 
-        def counted(F, G, a, space, costs, sides):
+        def counted(F, G, a, space, costs, sides, lifts):
             calls.append(a)
-            return matching(F, G, a, space, costs, sides)
+            return matching(F, G, a, space, costs, sides, lifts)
 
         monkeypatch.setattr(interleave, "_matching", counted)
         walked = 0
@@ -998,42 +998,47 @@ def test_deck_cost_start_equals_galloping_start(rng, p):
     assert same >= 12 and long_lifts >= 10, (same, differ, long_lifts)
 
 
+def _units(X, Y, space):
+    """Per nonzero block (s, j) of a morphism X -> Y, in the order of X's
+    bars, the morphism with that block alone, at scalar 1."""
+    return {(s, j): Morphism(X, Y, {(s, j): 1}, space)
+            for s, j in product(range(len(X.bars)), range(len(Y.bars)))
+            if morphisms.block_dim(space, X.char, X.bars[s], Y.bars[j])}
+
+
 def _enumeration_only(F, G, a, space):
-    """Oracle of the exhaustive search: the enumeration over every f-block
-    assignment with no row test, as ``check_exhaustive`` ran it before
-    its row test; None means no assignment solves, and None also when
-    either cap is passed (the oracle has nothing to say there)."""
+    """Oracle of the exhaustive search on the public Hom calculus: every
+    assignment of the f-blocks of T_a F -> G, with no row test, and the
+    g-blocks of T_a G -> F solved for linearly, as ``check_exhaustive``
+    ran it before its row test.  Both composites are bilinear in (f, g),
+    so their equations are summed from those of unit blocks, thickened by
+    ``thicken_morphism`` and composed by ``compose``, and the right-hand
+    side is ``restriction``.  Returns a solving assignment, None when no
+    assignment solves, and "capacity" when either cap is passed (the
+    oracle has nothing to say there)."""
     p, a = F.char, Fr(a)
-    TFa, permFa = thicken_indexed(F, a, space)
-    TGa, permGa = thicken_indexed(G, a, space)
-    fvars = list(interleave._variables(F, TFa, permFa, G, p, space))
-    gvars = list(interleave._variables(G, TGa, permGa, F, p, space))
-    if len(fvars) + len(gvars) > interleave.MAX_UNKNOWNS or \
-            p ** len(fvars) > interleave.MAX_ENUMERATION:
+    fs = _units(thicken_indexed(F, a, space)[0], G, space)
+    gs = _units(thicken_indexed(G, a, space)[0], F, space)
+    if len(fs) + len(gs) > interleave.MAX_UNKNOWNS or \
+            p ** len(fs) > interleave.MAX_ENUMERATION:
         return "capacity"
-    TF2a, permF2a = thicken_indexed(F, 2 * a, space)
-    TG2a, permG2a = thicken_indexed(G, 2 * a, space)
-    t1 = interleave._composite_terms(F, TF2a, permF2a, TGa, permGa,
-                                     fvars, gvars, p, space)
-    t2 = interleave._composite_terms(G, TG2a, permG2a, TFa, permFa,
-                                     gvars, fvars, p, space)
-    rho = [interleave._restriction_to(F, 2 * a, (TF2a, permF2a), space).blocks,
-           interleave._restriction_to(G, 2 * a, (TG2a, permG2a), space).blocks]
-    rows = [sorted(set(rho[0]) | {rk for rk, _ in t1.values()}),
-            sorted(set(rho[1]) | {rk for rk, _ in t2.values()})]
-    index = {(side, key): r for side in (0, 1)
-             for r, key in enumerate(rows[side], side * len(rows[0]))}
-    gidx = {v: k for k, v in enumerate(gvars)}
-    for assign in product(range(p), repeat=len(fvars)):
-        values = dict(zip(fvars, assign))
-        mat = [[0] * len(gvars) for _ in index]
-        rhs = [rho[side].get(key, 0) for side, key in index]
-        for side, terms in ((0, t1), (1, t2)):
-            for (u, w), (rk, s) in terms.items():
-                fu, gv = (u, w) if side == 0 else (w, u)
-                r = index[(side, rk)]
-                mat[r][gidx[gv]] = (mat[r][gidx[gv]] + values[fu] * s) % p
-        if fm.solve(mat, rhs, p) is not None:
+    Tf = {u: thicken_morphism(m, a) for u, m in fs.items()}
+    Tg = {v: thicken_morphism(m, a) for v, m in gs.items()}
+    terms = [((side, key), u, k, c)       # (row, f-block, g column, scalar)
+             for u, (k, v) in product(fs, enumerate(gs))
+             for side, m in enumerate((compose(Tf[u], gs[v]),
+                                       compose(Tg[v], fs[u])))
+             for key, c in m.blocks.items()]
+    rho = {(side, key): c for side, X in enumerate((F, G))
+           for key, c in restriction(X, 0, 2 * a, space).blocks.items()}
+    rows = {row: r for r, row in
+            enumerate(sorted(rho.keys() | {t[0] for t in terms}))}
+    for assign in product(range(p), repeat=len(fs)):
+        values = dict(zip(fs, assign))
+        mat = [[0] * len(gs) for _ in rows]
+        for row, u, k, c in terms:
+            mat[rows[row]][k] = (mat[rows[row]][k] + values[u] * c) % p
+        if fm.solve(mat, [rho.get(row, 0) for row in rows], p) is not None:
             return assign
     return None
 
@@ -1064,60 +1069,53 @@ def test_row_test_agrees_with_enumeration(rng, p):
 
 
 def _full_row_test(F, G, a, space):
-    """Oracle of ``_row_refuted``: every unknown block with no cap, every
-    composite term of each restriction row, and which keys of the
-    restriction the terms miss, as the exhaustive search tested its rows
-    before the row test had a home of its own.  A pair is usable or not
-    per side: where ``_unit_blocks`` or its ``_composite`` on that side's
-    bar raises, the calculus cannot use it there, its blocks are left out
-    of that side's rows, and an unreached row of that bar is undecided.
-    Returns (outcome, whether some pair is unusable on some side); the
-    outcome is True when some unreached row is not undecided, else
-    "unsupported" when some row is undecided, else False."""
+    """Oracle of ``_row_refuted`` on the public Hom calculus.  For every
+    bar i of X and bar j of Y (X, Y = F, G and G, F) it asks whether T_a of
+    the unit block from i's a-lift to j, then the unit block from j's
+    a-lift to i, is nonzero: that composite can only land on i's block of
+    the restriction T_2a X -> X (``block_dim``, ``thicken_morphism``,
+    ``compose`` and ``restriction``).  A zero unit block decides the pair
+    even where the calculus cannot use the other one.  Where it cannot use
+    a nonzero unit block or the composite (``UnsupportedHomError``), the
+    pair is unusable on that side, and an unreached restriction block of
+    its bar is undecided.  Returns (outcome, whether some pair is unusable
+    on some side); the outcome is True when some restriction block is
+    reached by no pair and not undecided, else "unsupported" when some
+    block is undecided, else False."""
     p, a = F.char, Fr(a)
-    sides = interleave._thickenings(F, G, a, space)
-    (((TFa, permFa), F2a), ((TGa, permGa), G2a)) = sides
-    fs, gs = interleave._lifts(F, G, a, sides)
-    unusable = set()        # (side, its bar, the other side's bar)
-    for side, (xs, ys) in enumerate(((fs, gs), (gs, fs))):
-        for (i, x), (j, y) in product(enumerate(xs), enumerate(ys)):
-            try:
-                if interleave._unit_blocks(x, y, p, space):
-                    interleave._composite(x, y, p, space)
-            except UnsupportedHomError:
-                unusable.add((side, i, j))
-
-    def unknowns(X, TXa, permX, Y, pair):
-        out = []
+    tables = [thicken_indexed(X, a, space) for X in (F, G)]
+    status = {}             # (side, i, j) -> reached, or None if unusable
+    for side, (X, Y) in enumerate(((F, G), (G, F))):
+        (TXa, pX), (TYa, pY) = tables[side], tables[1 - side]
         for i, j in product(range(len(X.bars)), range(len(Y.bars))):
-            if pair(i, j) in unusable:
+            dims = []
+            for S, s, T, t in ((TXa, pX[i], Y, j), (TYa, pY[j], X, i)):
+                try:
+                    dims.append(morphisms.block_dim(space, p, S.bars[s],
+                                                    T.bars[t]))
+                except UnsupportedHomError:
+                    dims.append(None)
+            if 0 in dims or None in dims:
+                status[side, i, j] = False if 0 in dims else None
                 continue
+            f = Morphism(TXa, Y, {(pX[i], j): 1}, space)
+            g = Morphism(TYa, X, {(pY[j], i): 1}, space)
             try:
-                if morphisms.block_dim(space, p, TXa.bars[permX[i]], Y.bars[j]):
-                    out.append((i, j))
+                status[side, i, j] = not compose(thicken_morphism(f, a),
+                                                 g).is_zero()
             except UnsupportedHomError:
-                # _unit_blocks found the pair's other block zero, so
-                # this block meets no restriction row
-                continue
-        return out
-
+                status[side, i, j] = None
+    some_unusable = None in status.values()
     outcome = False
-    for side, (X, (TXa, permX), X2a, Y, Ya) in enumerate((
-            (F, (TFa, permFa), F2a, G, (TGa, permGa)),
-            (G, (TGa, permGa), G2a, F, (TFa, permFa)))):
-        xvars = unknowns(X, TXa, permX, Y, lambda i, j: (side, i, j))
-        yvars = unknowns(Y, *Ya, X, lambda j, i: (side, i, j))
-        for key in interleave._restriction_to(X, 2 * a, X2a, space).blocks:
-            i = key[1]
-            terms = interleave._composite_terms(
-                X, *X2a, *Ya, [v for v in xvars if v[0] == i],
-                [v for v in yvars if v[1] == i], p, space)
-            if key in {rk for rk, _ in terms.values()}:
+    for side, (X, Y) in enumerate(((F, G), (G, F))):
+        for _, i in restriction(X, 0, 2 * a, space).blocks:
+            reached = {status[side, i, j] for j in range(len(Y.bars))}
+            if True in reached:
                 continue
-            if not any((side, i, j) in unusable for j in range(len(Y.bars))):
-                return True, bool(unusable)
+            if None not in reached:
+                return True, some_unusable
             outcome = "unsupported"
-    return outcome, bool(unusable)
+    return outcome, some_unusable
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1137,7 +1135,7 @@ def test_row_test_agrees_with_full_row_check(rng, p):
             oracle, some_unusable = _full_row_test(F, G, a, space)
             try:
                 got = interleave._row_refuted(
-                    F, G, a, space, interleave._thickenings(F, G, a, space))
+                    interleave._tables(F, G, a, space)[1], p, space)
             except UnsupportedHomError:
                 got = "unsupported"
             assert got == oracle, (F, G, a)
@@ -1198,15 +1196,44 @@ def test_the_enumeration_decides_a_short_lift_pair(monkeypatch):
     for a in (Fr(1, 4), Fr(3, 8)):
         assert check_matching(FB, GB, a, space) is None
         assert not interleave._row_refuted(
-            FB, GB, a, space, interleave._thickenings(FB, GB, a, space))
+            interleave._tables(FB, GB, a, space)[1], FB.char, space)
         assert check_exhaustive(FB, GB, a, space) is None
 
     def no_enumeration(*args):
         raise CapacityError("enumeration patched out")
 
-    monkeypatch.setattr(interleave, "_exhaustive_core", no_enumeration)
+    monkeypatch.setattr(interleave, "_enumeration", no_enumeration)
     d = circle_distance(F, G)
     assert d.fields() == (Fr(1, 8), Fr(1, 2), False)
+
+
+def test_an_unusable_composite_comes_before_the_enumeration_cap(monkeypatch):
+    """Three spirals a side on R/4Z over F_5, as ``_circle_pairs`` draws
+    them.  From 5/4 to 15/8 no row is refuted, at least 6 f-blocks are
+    unknown and 5^6 passes the cap on the enumeration, and some composite
+    term is beyond the calculus.  The terms are built before the cap is
+    checked, so every such probe is undecided by ``UnsupportedHomError``;
+    with every term zero the same probes pass the cap."""
+    def ends(left, lkind, right, rkind, degree):
+        return Bar(Interval(Fr(left), lkind, Fr(right), rkind), degree)
+
+    o, c = OPEN, CLOSED
+    C = Fr(4)
+    F = CircleSheaf(C, [ends("3/2", o, 2, o, 0), ends("1/2", c, "1/2", c, 1),
+                        ends(2, c, "5/2", c, 1)], (), 5).spiral_barcode()
+    G = CircleSheaf(C, [ends("5/4", o, "7/4", o, 0), ends("1/4", c, "1/2", c, 1),
+                        ends(2, c, "5/2", c, 1)], (), 5).spiral_barcode()
+    space = circle_ops(C)
+    shifts = [a for a in critical_grid(F, G, space) if Fr(5, 4) <= a <= Fr(15, 8)]
+    assert len(shifts) == 6
+    for a in shifts:
+        with pytest.raises(UnsupportedHomError):
+            check_exhaustive(F, G, a, space)
+    monkeypatch.setattr(interleave, "_row_refuted", lambda *args: False)
+    monkeypatch.setattr(interleave, "block_scalar", lambda *args: 0)
+    for a in shifts:
+        with pytest.raises(CapacityError, match="enumeration 5"):
+            check_exhaustive(F, G, a, space)
 
 
 def test_an_unusable_pair_leaves_only_its_bar_undecided():
@@ -1255,7 +1282,7 @@ def test_a_composite_the_other_side_cannot_use_does_not_hide_a_refutation():
     for a in (Fr(1, 8), Fr(1, 4), Fr(3, 8)):
         assert _full_row_test(FB, GB, a, space) == (True, True)
         assert interleave._row_refuted(
-            FB, GB, a, space, interleave._thickenings(FB, GB, a, space))
+            interleave._tables(FB, GB, a, space)[1], FB.char, space)
     d = circle_distance(F, G)
     assert (d.lower, d.upper, d.exact) == (Fr(3, 8), POS_INF, False)
 
@@ -1479,7 +1506,7 @@ def test_matching_agrees_with_brute_force(rng, monkeypatch):
         cert = interleave._matching(
             F, G, a, space,
             _candidate_costs(F, G, lambda i, j: (F.bars[i], G.bars[j]) in table),
-            interleave._thickenings(F, G, a, space))
+            *interleave._tables(F, G, a, space))
         exists = next(_valid_matchings(nF, nG, feasible, kill_F, kill_G),
                       None) is not None
         if usable:
@@ -1518,7 +1545,7 @@ def test_matching_refutes_hall_violation_fast(monkeypatch):
     space = circle_ops(16)
     assert interleave._matching(F, G, Fr(1), space,
                                 _every_pair_a_candidate(F, G),
-                                interleave._thickenings(F, G, Fr(1), space)) \
+                                *interleave._tables(F, G, Fr(1), space)) \
         is None
     assert time.perf_counter() - start < 0.5
     assert len(asked) == len(set(asked)) and built == []
@@ -1623,8 +1650,9 @@ def _corrupted(rng, F, G, cert, space):
             variants.append({**blocks, key: (blocks[key] + 1) % p})
             variants.append({k: c for k, c in blocks.items() if k != key})
         free = [(perm[i], j) for i, j in
-                interleave._variables(X, TXa, perm, Y, p, space)
-                if (perm[i], j) not in blocks]
+                product(range(len(X.bars)), range(len(Y.bars)))
+                if morphisms.block_dim(space, p, TXa.bars[perm[i]], Y.bars[j])
+                and (perm[i], j) not in blocks]
         if free:
             variants.append({**blocks, rng.choice(free): 1})
         for new in variants:
@@ -1721,3 +1749,39 @@ def test_circle_probe_thickens_at_most_four_times(rng, p, monkeypatch):
     for F, G, space in _circle_pairs(rng, p, 10):
         distance(F, G, space)
     assert len(probes) >= 10 and max(probes) <= 4, probes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_probe_reads_its_lifts_once(rng, p, monkeypatch):
+    """Every strategy of a circle probe (the matching, the row test and the
+    enumeration) reads one ``_lifts`` table, made once per ``_search``,
+    also where the matching proposes a pair the calculus rejects and the
+    row test runs next (lifts up to 2C); a line ``distance`` makes one, for
+    its one matching."""
+    lifts, calls = interleave._lifts, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return lifts(*args)
+
+    monkeypatch.setattr(interleave, "_lifts", counted)
+    search, probes = interleave._search, []
+
+    def probe(*args):
+        before = len(calls)
+        try:
+            return search(*args)
+        finally:
+            probes.append(len(calls) - before)
+
+    monkeypatch.setattr(interleave, "_search", probe)
+    for F, G, space in list(_circle_pairs(rng, p, 10)) + list(
+            _long_circle_pairs(rng, p, 10)):
+        distance(F, G, space)
+    assert len(probes) >= 10 and set(probes) == {1}, probes
+    assert len(calls) == len(probes)
+    for F, G in _line_pairs(rng, p, 10):
+        calls.clear()
+        d = distance(F, G)
+        assert calls == ([d.upper] if d.exact_by == "isometry"
+                         and d.upper != POS_INF else []), (F, G, calls)

@@ -140,6 +140,21 @@ class TestErrors:
         assert msg.endswith("(line 3)") and len(msg) < 400, len(msg)
         assert "\n" not in msg
 
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                        reason="the interpreter reads ints of any length")
+    @pytest.mark.parametrize("value", ["1" * 4301, "1" * 4301 + "/3",
+                                       "1" * 4301 + ".5", "0." + "1" * 4301],
+                             ids=["integer", "p/q", "decimal", "fraction"])
+    def test_document_past_the_digit_limit_is_one_short_error(self, value):
+        """A document end past the digit limit is one ``DocumentError`` line
+        that quotes the end's start and names the limit."""
+        with pytest.raises(DocumentError) as exc:
+            parse(f"thicket/1\nkind: barcode\nchar: 2\nbar: 0 [0, {value}]\n")
+        msg = str(exc.value)
+        assert msg.startswith("invalid interval '[0, " + value[:20])
+        assert msg.endswith(f": {_READ_LIMIT} (line 4)"), msg
+        assert "set_int_max_str_digits" not in msg and len(msg) < 200
+
     def test_report_takes_any_key(self):
         doc = parse("thicket/1\nkind: report\nverdict: pass\nbars: 3\n"
                     "verdict: fail\n")
@@ -149,7 +164,8 @@ class TestErrors:
 def _literal_oracle(text):
     """What ``parse_extended`` gave before it read ``p/q`` itself: the
     infinities by name, everything else through ``Fraction(str)``, with a
-    zero denominator reported as a ``ValueError``."""
+    zero denominator reported as a ``ValueError``, and the interpreter's
+    refusal of a run of digits past its limit in ``serialize``'s words."""
     t = text.strip()
     if t in ("-inf", "-oo"):
         return NEG_INF
@@ -159,6 +175,14 @@ def _literal_oracle(text):
         return Fr(t)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {t!r}") from None
+    except ValueError as exc:
+        if "sys.set_int_max_str_digits" not in str(exc):
+            raise
+        raise ValueError(_READ_LIMIT) from None
+
+
+_READ_LIMIT = (f"a number has more than {sys.get_int_max_str_digits()} "
+               "digits, the interpreter's limit for reading an integer")
 
 
 def _outcome(fn, text):
@@ -223,6 +247,21 @@ class TestLiterals:
         f"1e{MAX_EXPONENT}", f"-1e-{MAX_EXPONENT}", "1e0004300", "2.5e-3"])
     def test_exponent_within_the_bound_is_read(self, text):
         assert parse_rational(text) == Fr(text)
+
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                        reason="the interpreter reads ints of any length")
+    @pytest.mark.parametrize("shape", ["{}", "-{}", "{}/3", "3/{}", "{}.5",
+                                       "0.{}", "{}e2"])
+    def test_digits_past_the_limit_name_it(self, shape):
+        """A run of more digits than the interpreter reads, on the fast
+        path or through ``Fraction``, is one ``ValueError`` that names the
+        limit and gives no hint on raising it; one digit fewer is read."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as exc:
+            parse_extended(shape.format("1" * (limit + 1)))
+        assert str(exc.value) == _READ_LIMIT
+        assert parse_extended(shape.format("1" * limit)) == \
+            Fr(shape.format("1" * limit))
 
 
 class TestSvg:
