@@ -2,10 +2,13 @@
 and Lipschitz experiment harness.
 
 A ``PLMap`` builds its affine pieces once, when it is constructed; every
-evaluation, slope, composition and distance reads that tuple.  The
-pushforward of a bar is the levelset barcode of the map on the bar, which
-one pass over the map's extrema along the bar reads off by a relative
-elder rule (``_pushforward_bar``).
+evaluation, slope, composition and distance reads that tuple, and an
+evaluation finds its piece by bisection.  The pushforward of a bar is the
+levelset barcode of the map on the bar, which one pass over the map's
+extrema along the bar reads off by a relative elder rule
+(``_pushforward_bar``).  One call of ``pushforward_shriek`` evaluates the
+map once per distinct finite bar end and bisects the breakpoints there
+once, into an end table that every bar of the call reads.
 
 The stability and Lipschitz experiments each make one
 ``interleave.check_interleaving`` call at their bound: a certificate (always
@@ -17,6 +20,7 @@ means only an infinite sup distance.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,8 +40,9 @@ class PLMap:
 
     The domain is the whole line (default) or an interval.  On an unbounded
     side the map continues either constantly or affinely with the adjacent
-    segment's slope.  The affine pieces and tail slopes are derived from the
-    other fields at construction and take no part in equality or hashing.
+    segment's slope.  The affine pieces, their right ends and the tail
+    slopes are derived from the other fields at construction and take no
+    part in equality or hashing.
     """
     xs: tuple
     ys: tuple
@@ -45,6 +50,7 @@ class PLMap:
     right_ext: str = "affine"
     domain: Interval | None = None
     _pieces: tuple = field(init=False, repr=False, compare=False)
+    _his: tuple = field(init=False, repr=False, compare=False)
     _tail_slopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,6 +73,7 @@ class PLMap:
         if self.domain is not None:
             pieces = _clip_pieces(pieces, self.domain, ys[0])
         object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_his", tuple(p[1] for p in pieces))
 
     @property
     def left_slope(self) -> Fraction:
@@ -81,11 +88,18 @@ class PLMap:
         return self._pieces
 
     def value(self, x) -> Fraction:
-        x = Fraction(x)
+        """f(x), on the first piece whose right end is at or past x.  The
+        check is against the domain's closure, so at an open domain end
+        this is the limit value, which ``_extrema`` and ``sup_distance``
+        read there."""
+        if not is_finite(x):
+            x = Fraction(x)
         if self.domain is not None and not (self.domain.left <= x <= self.domain.right):
             raise ValueError(f"{x} lies outside the domain {self.domain}")
-        for lo, hi, s, b in self._pieces:
-            if lo <= x <= hi:
+        k = bisect_left(self._his, x)
+        if k < len(self._pieces):
+            lo, _, s, b = self._pieces[k]
+            if lo <= x:
                 return s * x + b
         raise AssertionError("pieces do not cover the domain")
 
@@ -140,7 +154,8 @@ def translate_map(c) -> PLMap:
 
 def offset_map(f: PLMap, c) -> PLMap:
     c = Fraction(c)
-    return PLMap(f.xs, tuple(y + c for y in f.ys), f.left_ext, f.right_ext)
+    return PLMap(f.xs, tuple(y + c for y in f.ys), f.left_ext, f.right_ext,
+                 f.domain)
 
 
 def compose_pl(g: PLMap, f: PLMap) -> PLMap:
@@ -210,24 +225,42 @@ def _check_proper(f: PLMap, iv: Interval):
         raise NonProperError(f"constant tail over the unbounded bar {iv}")
 
 
-def _extrema(f: PLMap, iv: Interval) -> list:
+def _end_table(f: PLMap, bars) -> dict:
+    """{end: (f(end), index of the first breakpoint past it, index of the
+    first at or past it)} over the distinct finite ends of ``bars``, so
+    that the breakpoints strictly inside a bar are one slice."""
+    xs = f.xs
+    table = {}
+    for b in bars:
+        for e in (b.iv.left, b.iv.right):
+            if e not in table and is_finite(e):
+                at = bisect_left(xs, e)
+                past = at + 1 if at < len(xs) and xs[at] == e else at
+                table[e] = (f.value(e), past, at)
+    return table
+
+
+def _extrema(f: PLMap, iv: Interval, table: dict) -> list:
     """(value, attained) of f at the bar's ends and at the breakpoints
     strictly inside it, with runs of equal value merged (attained only if
     every vertex of the run is) and the vertices f passes monotonically
     dropped.  An infinite end takes the limit of the tail and is not
-    attained; a finite end is attained when the bar is closed there."""
+    attained; a finite end is attained when the bar is closed there.  The
+    values at finite ends and the slice of breakpoints inside the bar are
+    read from the call's end table (``_end_table``)."""
     if is_finite(iv.left):
-        left = (f.value(iv.left), iv.lkind is CLOSED)
+        value, first, _ = table[iv.left]
+        left = (value, iv.lkind is CLOSED)
     else:
-        left = (NEG_INF if f.left_slope > 0 else POS_INF, False)
+        left, first = (NEG_INF if f.left_slope > 0 else POS_INF, False), 0
     if is_finite(iv.right):
-        right = (f.value(iv.right), iv.rkind is CLOSED)
+        value, _, stop = table[iv.right]
+        right = (value, iv.rkind is CLOSED)
     else:
-        right = (POS_INF if f.right_slope > 0 else NEG_INF, False)
-    inside = [(y, True) for x, y in zip(f.xs, f.ys) if iv.left < x < iv.right]
-    runs = []
-    for value, attained in [left] + inside + [right]:
-        if runs and runs[-1][0] == value:
+        right, stop = (POS_INF if f.right_slope > 0 else NEG_INF, False), len(f.xs)
+    runs = [left]
+    for value, attained in [(y, True) for y in f.ys[first:stop]] + [right]:
+        if runs[-1][0] == value:
             runs[-1] = (value, runs[-1][1] and attained)
         else:
             runs.append((value, attained))
@@ -245,37 +278,40 @@ def _deaths(verts: list, order: list) -> list:
     extrema, visited in ``order``.  An attained vertex with no visited
     neighbour starts a component; an unattained one (an end that f
     approaches) belongs to the ground, which is older than every component.
-    Where components meet, all but the eldest die."""
+    Where components meet, all but the eldest die.  Parents and ages are
+    lists indexed by vertex, the ground last; -1 marks a vertex not yet
+    visited."""
     ground = len(verts)
-    parent = {ground: ground}
-    age = {ground: -1}
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
+    parent = [-1] * ground + [ground]
+    age = [0] * ground + [-1]
     out = []
     for step, i in enumerate(order):
         here, attained = verts[i]
-        met = {find(j) for j in (i - 1, i + 1) if j in parent and j != ground}
-        if not attained:
-            met.add(ground)
+        met = []
+        for j in (i - 1, i + 1):
+            if 0 <= j < ground and parent[j] >= 0:
+                while parent[j] != j:
+                    j = parent[j]
+                if j not in met:
+                    met.append(j)
+        if not attained and ground not in met:
+            met.append(ground)
         if not met:
             parent[i], age[i] = i, step
             continue
         eldest = min(met, key=age.__getitem__)
-        for r in met - {eldest}:
-            parent[r] = eldest
-            out.append((verts[r][0], here))
+        for r in met:
+            if r != eldest:
+                parent[r] = eldest
+                out.append((verts[r][0], here))
         parent[i] = eldest
     return out
 
 
-def _pushforward_bar(f: PLMap, bar: Bar) -> list[Bar]:
-    """Proper pushforward of one bar: the levelset barcode of f on the bar,
-    which is its extended persistence (Carlsson-de Silva-Morozov, *Zigzag
-    persistent homology and real-valued functions*, SoCG 2009;
+def _pushforward_bar(f: PLMap, bar: Bar, table: dict) -> list[Bar]:
+    """Proper pushforward of one proper bar: the levelset barcode of f on
+    the bar, which is its extended persistence (Carlsson-de Silva-Morozov,
+    *Zigzag persistent homology and real-valued functions*, SoCG 2009;
     Cohen-Steiner-Edelsbrunner-Harer, *Extending persistence using Poincare
     and Lefschetz duality*, FoCM 2009), read off f's extrema along the bar.
 
@@ -285,8 +321,7 @@ def _pushforward_bar(f: PLMap, bar: Bar) -> list[Bar]:
     birth], and the essential class is [min, max] when both ends are
     attained, (min, max) when neither is, and nothing when one is."""
     iv, d = bar.iv, bar.degree
-    _check_proper(f, iv)
-    verts = _extrema(f, iv)
+    verts = _extrema(f, iv, table)
     if len(verts) == 1:
         v, attained = verts[0]
         if attained:
@@ -308,10 +343,17 @@ def _pushforward_bar(f: PLMap, bar: Bar) -> list[Bar]:
 
 
 def pushforward_shriek(f: PLMap, F: GradedBarcode) -> GradedBarcode:
-    """Proper pushforward along a PL map, assembled per bar and per degree."""
+    """Proper pushforward along a PL map, assembled per bar and per degree.
+    Every bar is checked first, in canonical order, so the first bar that
+    is not proper or leaves the domain names the error.  Then one end
+    table (``_end_table``) holds f at each distinct finite bar end and
+    where that end falls among the breakpoints, and every bar reads it."""
+    for b in F.bars:
+        _check_proper(f, b.iv)
+    table = _end_table(f, F.bars)
     bars = []
     for b in F.bars:
-        bars.extend(_pushforward_bar(f, b))
+        bars.extend(_pushforward_bar(f, b, table))
     return GradedBarcode(bars, F.char)
 
 

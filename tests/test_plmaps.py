@@ -7,7 +7,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import bar, gb
+from conftest import bar, gb, pooled_interval
 from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
                              closed, full_line, global_sections_c, half_open,
                              half_open_r, intersect, open_iv, ray_left,
@@ -35,6 +35,37 @@ class TestPLMap:
     def test_value(self):
         f = abs_map()
         assert f.value(-3) == 3 and f.value(Fr(1, 2)) == Fr(1, 2)
+
+    def test_value_bisection_agrees_with_the_scan(self, rng):
+        # every breakpoint, both tails, the finite domain ends (closed and
+        # open) and points between, on maps with and without a domain
+        maps = [PLMap((0,), (Fr(3, 2),), domain=closed(0, 0)),
+                PLMap((Fr(1, 2),), (-2,), "constant", "affine",
+                      closed(Fr(1, 2), Fr(1, 2)))]
+        for k in range(80):
+            f = _rand_map(rng)
+            maps.append(_with_domain(rng, f) if k % 2 else f)
+        raised = open_ends = 0
+        for f in maps:
+            xs = f.xs
+            points = set(xs) | {xs[0] - 1, xs[0] - 7, xs[-1] + 1, xs[-1] + 7}
+            points |= {(x + y) / 2 for x, y in zip(xs, xs[1:])}
+            points |= {Fr(rng.randint(-20, 20), 4) for _ in range(6)}
+            if f.domain is not None:
+                points |= {e for e in (f.domain.left, f.domain.right)
+                           if is_finite(e)}
+                points |= {e + d for e in points for d in (Fr(-1, 8), Fr(1, 8))}
+            for x in sorted(points):
+                want = _outcome(_value_by_scan, f, x)
+                assert _outcome(PLMap.value, f, x) == want, (f, x)
+                if isinstance(want, tuple):
+                    raised += 1
+                    continue
+                # on the domain's closure, the map is its breakpoint
+                # interpolation: the limit value at an open domain end
+                assert want == _eval_by_interpolation(f, x), (f, x)
+                open_ends += f.domain is not None and not f.domain.contains(x)
+        assert raised >= 20 and open_ends >= 5
 
     def test_sup_distance(self):
         f = abs_map()
@@ -226,6 +257,18 @@ def _fiber_components(f, iv, t):
     return comps
 
 
+def _value_by_scan(f, x):
+    """``PLMap.value`` as the linear scan over the pieces that it replaced,
+    kept as the oracle of the bisection."""
+    x = Fraction(x)
+    if f.domain is not None and not (f.domain.left <= x <= f.domain.right):
+        raise ValueError(f"{x} lies outside the domain {f.domain}")
+    for lo, hi, s, b in f.pieces():
+        if lo <= x <= hi:
+            return s * x + b
+    raise AssertionError("pieces do not cover the domain")
+
+
 def _with_domain(rng, f):
     """f on a random domain containing [-3, 3], the span of the random
     maps' breakpoints and bounded bars."""
@@ -415,6 +458,22 @@ def _rand_case(rng, p):
                              for _ in range(rng.randint(1, 3))], p)
 
 
+def _many_bar_case(rng, p):
+    """10-24 bars with ends from the map's breakpoints and three points of
+    the 1/2 grid in [-3, 3], so that many bars share ends and most ends are
+    breakpoints.  In three cases of four, the bars that are not proper or
+    leave the domain are dropped (the check is the one both routes run),
+    so that most cases push; else the first of them names the error."""
+    f = _rand_map(rng)
+    pool = list(f.xs) + [Fr(rng.randint(-6, 6), 2) for _ in range(3)]
+    bars = [Bar(pooled_interval(rng, pool), rng.randint(0, 2))
+            for _ in range(rng.randint(10, 24))]
+    if rng.random() < 0.75:
+        bars = [b for b in bars
+                if not isinstance(_outcome(plmaps._check_proper, f, b.iv), tuple)]
+    return f, GradedBarcode(bars, p)
+
+
 def _outcome(push, f, F):
     try:
         return push(f, F)
@@ -434,6 +493,33 @@ class TestZigzagOracle:
             assert _outcome(pushforward_shriek, f, F) == want, (f, F)
             compared += isinstance(want, GradedBarcode)
         assert compared >= 50
+
+    def test_many_bars_sharing_ends(self, rng, p):
+        compared = errors = 0
+        for _ in range(30):
+            f, F = _many_bar_case(rng, p)
+            want = _outcome(_zigzag_pushforward, f, F)
+            assert _outcome(pushforward_shriek, f, F) == want, (f, F)
+            if isinstance(want, GradedBarcode):
+                compared += len(F) >= 10
+            else:
+                errors += 1
+        assert compared >= 12 and errors >= 3
+
+    def test_the_first_bad_bar_names_the_error(self, p):
+        # a bar that leaves the domain and a non-proper one among proper
+        # bars: whichever comes first in canonical order names the error
+        f = PLMap((-1, 0, 1), (0, 1, 1), "affine", "constant", ray_right(-3))
+        out, tail = closed(-4, 0), ray_right(0, OPEN)
+        good = [Bar(closed(-1, 1), 0), Bar(open_iv(0, 1), 1),
+                Bar(half_open(1, 3), 2)]
+        cases = (((0, 1), ValueError, f"{out} leaves the map domain"),
+                 ((1, 0), NonProperError, f"unbounded bar {tail}"))
+        for (d_out, d_tail), kind, message in cases:
+            F = GradedBarcode(good + [Bar(out, d_out), Bar(tail, d_tail)], p)
+            got = _outcome(pushforward_shriek, f, F)
+            assert got == _outcome(_zigzag_pushforward, f, F)
+            assert got[0] is kind and message in got[1], got
 
     def test_push_runs_no_oracle(self, rng, p, monkeypatch):
         calls = []
@@ -559,6 +645,9 @@ class TestDomains:
         f = PLMap((-1, 0, 1), (1, 0, 1), domain=dom)
         g = PLMap((-1, 0, 1), (Fr(9, 8), Fr(1, 8), Fr(9, 8)), domain=dom)
         assert sup_distance(f, g) == Fr(1, 8)
+        # an offset keeps the domain
+        assert offset_map(f, Fr(1, 8)) == g
+        assert sup_distance(f, offset_map(f, Fr(1, 8))) == Fr(1, 8)
 
     def test_domain_mismatch(self):
         f = PLMap((-1, 0, 1), (1, 0, 1), domain=closed(-1, 1))
