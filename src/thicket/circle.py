@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .barcode import Bar, GradedBarcode, dims_add, global_sections_c
+from .barcode import (Bar, GradedBarcode, canonical_order, dims_add,
+                      global_sections_c)
 from .interleave import DistanceBounds, finite_gate
 from .interleave import distance as _distance
 from .model import (CircleModel, Rep, circle_band_rep, circle_spiral_rep,
@@ -72,8 +73,9 @@ _BAND_FORMS: dict = {}
 
 class CircleSheaf:
     """Canonical form: normalized sorted spirals plus canonicalized bands.
-    The spirals are sorted once, into the barcode of their lifts that
-    ``spiral_barcode`` returns; ``spirals`` is its tuple of bars."""
+    The spirals are sorted once, in canonical order; the barcode of their
+    lifts that ``spiral_barcode`` returns is built on its first call and
+    kept."""
 
     __slots__ = ("C", "spirals", "bands", "char", "_lifts")
 
@@ -88,8 +90,8 @@ class CircleSheaf:
             if not b.iv.is_bounded:
                 raise ValueError(f"spiral lift must be bounded: {b}")
             sp.append(normal_form(b, space))
-        self._lifts = GradedBarcode(sp, self.char)
-        self.spirals = self._lifts.bars
+        self.spirals = tuple(canonical_order(sp))
+        self._lifts = None
         bd = []
         for band in bands:
             if isinstance(band, Band):
@@ -115,6 +117,8 @@ class CircleSheaf:
         return f"<circle C={self.C}: {'; '.join(parts) or '0'} | F_{self.char}>"
 
     def spiral_barcode(self) -> GradedBarcode:
+        if self._lifts is None:
+            self._lifts = GradedBarcode(self.spirals, self.char)
         return self._lifts
 
 

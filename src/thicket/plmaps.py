@@ -6,9 +6,11 @@ evaluation, slope, composition and distance reads that tuple, and an
 evaluation finds its piece by bisection.  The pushforward of a bar is the
 levelset barcode of the map on the bar, which one pass over the map's
 extrema along the bar reads off by a relative elder rule
-(``_pushforward_bar``).  One call of ``pushforward_shriek`` evaluates the
-map once per distinct finite bar end and bisects the breakpoints there
-once, into an end table that every bar of the call reads.
+(``_pushforward_bar``).  One call of ``pushforward_shriek`` scales the
+map's breakpoints, values and pieces and the bars' finite ends once into
+one integer frame (``_Frame``), so the elder rule bisects, evaluates and
+compares ints; a value becomes a ``Fraction`` again only as the end of an
+output bar.
 
 The stability and Lipschitz experiments each make one
 ``interleave.check_interleaving`` call at their bound: a certificate (always
@@ -23,6 +25,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
                       singleton)
@@ -90,8 +93,7 @@ class PLMap:
     def value(self, x) -> Fraction:
         """f(x), on the first piece whose right end is at or past x.  The
         check is against the domain's closure, so at an open domain end
-        this is the limit value, which ``_extrema`` and ``sup_distance``
-        read there."""
+        this is the limit value, which ``sup_distance`` reads there."""
         if not is_finite(x):
             x = Fraction(x)
         if self.domain is not None and not (self.domain.left <= x <= self.domain.right):
@@ -225,41 +227,86 @@ def _check_proper(f: PLMap, iv: Interval):
         raise NonProperError(f"constant tail over the unbounded bar {iv}")
 
 
-def _end_table(f: PLMap, bars) -> dict:
-    """{end: (f(end), index of the first breakpoint past it, index of the
-    first at or past it)} over the distinct finite ends of ``bars``, so
-    that the breakpoints strictly inside a bar are one slice."""
-    xs = f.xs
-    table = {}
-    for b in bars:
-        for e in (b.iv.left, b.iv.right):
-            if e not in table and is_finite(e):
-                at = bisect_left(xs, e)
-                past = at + 1 if at < len(xs) and xs[at] == e else at
-                table[e] = (f.value(e), past, at)
-    return table
+class _Frame:
+    """One call's integer frame: f and the finite ends of its bars scaled
+    to ints, so that the elder rule evaluates and compares ints.
+
+    An x becomes X = x Lx, where Lx is the lcm of the denominators of f's
+    breakpoints and of the ends.  A value y becomes V = y Ly D, where Ly is
+    the lcm of the values' denominators and D that of the piece widths in
+    Lx units, so every piece, the tails included, is V = A X + B with int
+    A and B; ``lines[k]`` is the piece left of breakpoint k and
+    ``lines[n]`` the right tail.  The pieces are the whole line's:
+    ``_check_proper`` has kept every bar inside a domain, where f agrees
+    with them.  The float infinities stand for themselves and compare
+    exactly with ints.  Python ints keep the frame exact at any size."""
+
+    __slots__ = ("lx", "xs", "vs", "lines", "scale", "_back")
+
+    def __init__(self, f: PLMap, bars):
+        dens = {x.denominator for x in f.xs}
+        for b in bars:
+            for e in (b.iv.left, b.iv.right):
+                if is_finite(e):
+                    dens.add(e.denominator)
+        self.lx = lx = lcm(*dens)
+        xs = [x.numerator * (lx // x.denominator) for x in f.xs]
+        ly = lcm(*{y.denominator for y in f.ys})
+        d = lcm(*{x1 - x0 for x0, x1 in zip(xs, xs[1:])})
+        vs = [y.numerator * (ly // y.denominator) * d for y in f.ys]
+        segments = []
+        for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+            a = (v1 - v0) // (x1 - x0)
+            segments.append((a, v0 - a * x0))
+        left = segments[0] if segments and f.left_ext == "affine" else (0, vs[0])
+        right = segments[-1] if segments and f.right_ext == "affine" else (0, vs[-1])
+        self.xs, self.vs = xs, vs
+        self.lines = [left] + segments + [right]
+        self.scale = ly * d
+        # a breakpoint value maps back to the map's own value
+        self._back = dict(zip(vs, f.ys))
+        self._back[NEG_INF], self._back[POS_INF] = NEG_INF, POS_INF
+
+    def end(self, e) -> tuple:
+        """(V at the finite end e, index of the first breakpoint past e,
+        index of the first at or past it), so that the breakpoints
+        strictly inside a bar are one slice."""
+        x = e.numerator * (self.lx // e.denominator)
+        at = bisect_left(self.xs, x)
+        if at < len(self.xs) and self.xs[at] == x:
+            return self.vs[at], at + 1, at
+        a, b = self.lines[at]
+        return a * x + b, at, at
+
+    def fraction(self, v):
+        """The extended rational that the frame value v stands for."""
+        q = self._back.get(v)
+        if q is None:
+            q = self._back[v] = Fraction(v, self.scale)
+        return q
 
 
-def _extrema(f: PLMap, iv: Interval, table: dict) -> list:
+def _extrema(frame: _Frame, iv: Interval) -> list:
     """(value, attained) of f at the bar's ends and at the breakpoints
-    strictly inside it, with runs of equal value merged (attained only if
-    every vertex of the run is) and the vertices f passes monotonically
-    dropped.  An infinite end takes the limit of the tail and is not
-    attained; a finite end is attained when the bar is closed there.  The
-    values at finite ends and the slice of breakpoints inside the bar are
-    read from the call's end table (``_end_table``)."""
+    strictly inside it, in the call's frame, with runs of equal value
+    merged (attained only if every vertex of the run is) and the vertices
+    f passes monotonically dropped.  An infinite end takes the limit of
+    the tail and is not attained; a finite end is attained when the bar is
+    closed there."""
     if is_finite(iv.left):
-        value, first, _ = table[iv.left]
+        value, first, _ = frame.end(iv.left)
         left = (value, iv.lkind is CLOSED)
     else:
-        left, first = (NEG_INF if f.left_slope > 0 else POS_INF, False), 0
+        left = (NEG_INF if frame.lines[0][0] > 0 else POS_INF, False)
+        first = 0
     if is_finite(iv.right):
-        value, _, stop = table[iv.right]
+        value, _, stop = frame.end(iv.right)
         right = (value, iv.rkind is CLOSED)
     else:
-        right, stop = (POS_INF if f.right_slope > 0 else NEG_INF, False), len(f.xs)
+        right = (POS_INF if frame.lines[-1][0] > 0 else NEG_INF, False)
+        stop = len(frame.xs)
     runs = [left]
-    for value, attained in [(y, True) for y in f.ys[first:stop]] + [right]:
+    for value, attained in [(v, True) for v in frame.vs[first:stop]] + [right]:
         if runs[-1][0] == value:
             runs[-1] = (value, runs[-1][1] and attained)
         else:
@@ -308,7 +355,7 @@ def _deaths(verts: list, order: list) -> list:
     return out
 
 
-def _pushforward_bar(f: PLMap, bar: Bar, table: dict) -> list[Bar]:
+def _pushforward_bar(frame: _Frame, bar: Bar) -> list[Bar]:
     """Proper pushforward of one proper bar: the levelset barcode of f on
     the bar, which is its extended persistence (Carlsson-de Silva-Morozov,
     *Zigzag persistent homology and real-valued functions*, SoCG 2009;
@@ -319,21 +366,25 @@ def _pushforward_bar(f: PLMap, bar: Bar, table: dict) -> list[Bar]:
     degree d + 1 over an open bar, and nothing otherwise.  Else the
     sublevel sweep gives [birth, death), the superlevel sweep (death,
     birth], and the essential class is [min, max] when both ends are
-    attained, (min, max) when neither is, and nothing when one is."""
+    attained, (min, max) when neither is, and nothing when one is.  The
+    sweeps run in the call's frame, and a value becomes a rational only as
+    the end of an output bar."""
     iv, d = bar.iv, bar.degree
-    verts = _extrema(f, iv, table)
+    verts = _extrema(frame, iv)
+    q = frame.fraction
     if len(verts) == 1:
         v, attained = verts[0]
         if attained:
-            return [Bar(singleton(v), d)]
+            return [Bar(singleton(q(v)), d)]
         if iv.lkind is OPEN and iv.rkind is OPEN:
-            return [Bar(singleton(v), d + 1)]
+            return [Bar(singleton(q(v)), d + 1)]
         return []
     rising = sorted(range(len(verts)), key=lambda i: verts[i][0])
-    out = [Bar(Interval(b, CLOSED, h, OPEN), d) for b, h in _deaths(verts, rising)]
-    out += [Bar(Interval(h, OPEN, b, CLOSED), d)
+    out = [Bar(Interval(q(b), CLOSED, q(h), OPEN), d)
+           for b, h in _deaths(verts, rising)]
+    out += [Bar(Interval(q(h), OPEN, q(b), CLOSED), d)
             for b, h in _deaths(verts, rising[::-1])]
-    lo, hi = verts[rising[0]][0], verts[rising[-1]][0]
+    lo, hi = q(verts[rising[0]][0]), q(verts[rising[-1]][0])
     ends = (verts[0][1], verts[-1][1])
     if ends == (True, True):
         out.append(Bar(Interval(lo, CLOSED, hi, CLOSED), d))
@@ -345,15 +396,15 @@ def _pushforward_bar(f: PLMap, bar: Bar, table: dict) -> list[Bar]:
 def pushforward_shriek(f: PLMap, F: GradedBarcode) -> GradedBarcode:
     """Proper pushforward along a PL map, assembled per bar and per degree.
     Every bar is checked first, in canonical order, so the first bar that
-    is not proper or leaves the domain names the error.  Then one end
-    table (``_end_table``) holds f at each distinct finite bar end and
-    where that end falls among the breakpoints, and every bar reads it."""
+    is not proper or leaves the domain names the error.  Then f and the
+    bar ends are scaled once into one integer frame (``_Frame``), which
+    every bar reads."""
     for b in F.bars:
         _check_proper(f, b.iv)
-    table = _end_table(f, F.bars)
+    frame = _Frame(f, F.bars)
     bars = []
     for b in F.bars:
-        bars.extend(_pushforward_bar(f, b, table))
+        bars.extend(_pushforward_bar(frame, b))
     return GradedBarcode(bars, F.char)
 
 

@@ -474,6 +474,41 @@ def _many_bar_case(rng, p):
     return f, GradedBarcode(bars, p)
 
 
+def _coprime_value(rng, lo, hi):
+    """A rational in [lo, hi] over 1, 3, 7, 10, 100 or 1000."""
+    q = rng.choice((1, 3, 7, 10, 100, 1000))
+    return Fr(rng.randint(lo * q, hi * q), q)
+
+
+def _coprime_case(rng, p):
+    """A map whose breakpoints in [-3, 3] and values in [-2, 2] mix thirds,
+    sevenths and powers of 1/10, and 1-8 bars with ends at its breakpoints
+    or at such points of [-4, 4].  One map in four has a single breakpoint
+    (no piece width, both tails constant); a tail is constant one time in
+    three, and a domain comes now and then.  The values come from a pool of
+    three, so that plateaus and repeated values are common.  In three cases
+    of four, the bars that are not proper or leave the domain are dropped,
+    as in ``_many_bar_case``."""
+    k = 1 if rng.random() < 0.25 else rng.randint(2, 6)
+    xs = set()
+    while len(xs) < k:
+        xs.add(_coprime_value(rng, -3, 3))
+    xs = sorted(xs)
+    pool = [_coprime_value(rng, -2, 2) for _ in range(3)]
+    exts = ("affine", "affine", "constant")
+    f = PLMap(tuple(xs), tuple(rng.choice(pool) for _ in xs),
+              rng.choice(exts), rng.choice(exts))
+    if rng.random() < 0.3:
+        f = _with_domain(rng, f)
+    ends = xs + [_coprime_value(rng, -4, 4) for _ in range(3)]
+    bars = [Bar(pooled_interval(rng, ends), rng.randint(0, 2))
+            for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.75:
+        bars = [b for b in bars
+                if not isinstance(_outcome(plmaps._check_proper, f, b.iv), tuple)]
+    return f, GradedBarcode(bars, p)
+
+
 def _outcome(push, f, F):
     try:
         return push(f, F)
@@ -505,6 +540,40 @@ class TestZigzagOracle:
             else:
                 errors += 1
         assert compared >= 12 and errors >= 3
+
+    def test_coprime_denominators(self, rng, p):
+        """The integer frame against the zigzag route on ends and values
+        over coprime denominators, single-breakpoint maps, constant tails
+        and domains."""
+        seen = dict.fromkeys(("pushed", "single", "constant", "domain"), 0)
+        for _ in range(80):
+            f, F = _coprime_case(rng, p)
+            want = _outcome(_zigzag_pushforward, f, F)
+            assert _outcome(pushforward_shriek, f, F) == want, (f, F)
+            if isinstance(want, GradedBarcode) and len(want):
+                seen["pushed"] += 1
+                seen["single"] += len(f.xs) == 1
+                seen["constant"] += "constant" in (f.left_ext, f.right_ext)
+                seen["domain"] += f.domain is not None
+        assert seen["pushed"] >= 40 and min(seen.values()) >= 5, seen
+
+    def test_a_frame_past_64_bits_stays_exact(self, p):
+        # breakpoints over 2^61 - 1 and values over 10^20: Lx Ly D passes
+        # 2^64, and the frame has no cap and no other route
+        M, T = 2**61 - 1, 10**20
+        f = PLMap((-1, Fr(1, M), 2), (1, Fr(-1, T), 1))
+        F = GradedBarcode([Bar(closed(Fr(-1, 3), 1), 0),
+                           Bar(open_iv(Fr(1, T), 3), 1)], p)
+        frame = plmaps._Frame(f, F.bars)
+        assert frame.lx * frame.scale > 2**64
+        m = Fr(-1, T)
+        a, b = (_eval_by_interpolation(f, x) for x in (Fr(-1, 3), 1))
+        c, d = (_eval_by_interpolation(f, x) for x in (Fr(1, T), 3))
+        assert a < b and c < d and m < a and m < c
+        want = GradedBarcode([Bar(closed(m, b), 0), Bar(half_open_r(m, a), 0),
+                              Bar(half_open(m, c), 1), Bar(open_iv(m, d), 1)], p)
+        assert pushforward_shriek(f, F) == want
+        assert _zigzag_pushforward(f, F) == want
 
     def test_the_first_bad_bar_names_the_error(self, p):
         # a bar that leaves the domain and a non-proper one among proper
