@@ -24,7 +24,7 @@ from .corpus import (rand_barcode, rand_bounded_barcode, rand_circle_sheaf,
                      rand_fraction, rand_plmap, rand_shift)
 from .docio import (Document, DocumentError, barcode_doc, circle_doc, parse,
                     report_doc, serialize)
-from .extend import coherence_check, extend_apply, line_seed, load_seed_text
+from .extend import coherence_check, extend_apply, line_seed
 from .interleave import check_interleaving, distance
 from .morphisms import UnsupportedHomError
 from .plmaps import (lipschitz_experiment, pushforward_shriek,
@@ -212,8 +212,7 @@ def _load_seed(spec: str):
     if spec == "line":
         return line_seed(1), "line"
     if os.path.exists(spec):
-        with open(spec) as fh:
-            return load_seed_text(fh.read()), "synthetic"
+        return _need(_read_doc(spec), "seed"), "synthetic"
     raise CliError(f"seed {spec!r} is neither 'line' nor a readable file")
 
 

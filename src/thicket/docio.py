@@ -1,18 +1,21 @@
 """Plain-text document format, version header ``thicket/1``.
 
-One value per file: a barcode, a circle sheaf, a PL map, or an experiment
-report.  Rational literals are written ``p/q``; interval endpoints carry
-their kind through bracket shape, with ``-inf``/``+inf`` for rays.  Parsing
-validates every module invariant on load and reports offending lines.
+One value per file: a barcode, a circle sheaf, a PL map, an experiment
+report, or a synthetic extension seed (read only).  Rational literals are
+written ``p/q``; interval endpoints carry their kind through bracket shape,
+with ``-inf``/``+inf`` for rays.  Parsing validates every module invariant
+on load and reports offending lines.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
 from .circle import CircleSheaf
+from .extend import synthetic_scalar_seed
 from .fieldmath import check_char
 from .plmaps import PLMap
 from .scalars import parse_extended, parse_rational
@@ -23,8 +26,10 @@ VERSION = "thicket/1"
 # checked on its own); a report document takes any key.
 _KEYS = {"barcode": {"kind", "char", "space", "bar"},
          "circle": {"kind", "char", "space", "spiral", "band"},
-         "plmap": {"kind", "char", "extend", "domain", "pt"}}
-_SINGLE_KEYS = {"char", "space", "extend", "domain"}
+         "plmap": {"kind", "char", "extend", "domain", "pt"},
+         "seed": {"kind", "alpha", "mode", "restrict-default", "restrict"}}
+_SINGLE_KEYS = {"char", "space", "extend", "domain", "alpha", "mode",
+                "restrict-default"}
 
 
 def _clip(text: str, limit: int = 40) -> str:
@@ -42,7 +47,7 @@ class DocumentError(ValueError):
 
 @dataclass
 class Document:
-    kind: str                     # 'barcode' | 'circle' | 'plmap' | 'report'
+    kind: str               # 'barcode' | 'circle' | 'plmap' | 'report' | 'seed'
     payload: object
     char: int = 2
     space: object = "line"
@@ -97,6 +102,8 @@ def _parse_band(text: str, line) -> tuple:
 
 
 def serialize(doc: Document) -> str:
+    if doc.kind == "seed":
+        raise DocumentError("a seed document is read, never written")
     if doc.kind not in _KEYS and doc.kind != "report":
         raise DocumentError(f"unknown document kind {doc.kind!r}")
     lines = [VERSION, f"kind: {doc.kind}"]
@@ -241,6 +248,33 @@ def parse(text: str) -> Document:
         if kind == "report":
             payload = {k: v for k, v, _ in fields if k != "kind"}
             return Document("report", payload, char, space)
+        if kind == "seed":
+            alpha = default = Fraction(1)
+            mode = "nonnegative"
+            table, restricts = {}, []
+            for k, v, i in fields:
+                if k == "alpha":
+                    alpha = parse_rational(v)
+                elif k == "restrict-default":
+                    default = parse_rational(v)
+                elif k == "mode":
+                    mode = v
+                elif k == "restrict":
+                    words = v.split()
+                    if len(words) != 3:
+                        raise DocumentError(
+                            f"malformed seed line {_clip(f'restrict: {v}')!r}: "
+                            "expected 'restrict: <a> <b> <value>'", i)
+                    a, b, value = map(parse_rational, words)
+                    restricts.append((a, b, v, i))
+                    table[(a, b)] = value
+            seed = synthetic_scalar_seed(alpha, table, default, mode)
+            for a, b, v, i in restricts:    # after the loop: alpha may come late
+                if not 0 <= a <= b <= alpha:
+                    raise DocumentError(
+                        f"seed line {_clip(f'restrict: {v}')!r} needs "
+                        f"0 <= a <= b <= alpha = {alpha}", i)
+            return Document("seed", seed)
     except DocumentError:
         raise
     except ValueError as exc:

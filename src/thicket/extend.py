@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .circle import CircleSheaf, circle_ops, circle_thicken, seed_bound
 from .morphisms import compose, restriction, thicken_morphism
-from .scalars import parse_rational
 from .thicken import thicken
 
 
@@ -220,51 +219,13 @@ def circle_seed(C) -> SeedFamily:
     )
 
 
-def load_seed_text(text: str) -> SeedFamily:
-    """Parse a synthetic scalar seed from the plain-text data format."""
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "thicket/1":
-        raise ValueError("unrecognized seed file header")
-    alpha = Fraction(1)
-    mode = "nonnegative"
-    default = Fraction(1)
-    table, restricts = {}, []
-    for line in lines[1:]:
-        if ":" not in line:
-            raise ValueError(f"malformed seed line {line!r}")
-        k, v = (x.strip() for x in line.split(":", 1))
-        if k == "alpha":
-            alpha = parse_rational(v)
-        elif k == "mode":
-            if v not in ("nonnegative", "two-sided"):
-                raise ValueError(f"unknown seed mode {v!r}: expected "
-                                 "'nonnegative' or 'two-sided'")
-            mode = v
-        elif k == "restrict-default":
-            default = parse_rational(v)
-        elif k == "restrict":
-            values = v.split()
-            if len(values) != 3:
-                raise ValueError(f"malformed seed line {line!r}: expected "
-                                 "'restrict: <a> <b> <value>'")
-            a, b, val = map(parse_rational, values)
-            restricts.append((line, a, b))
-            table[(a, b)] = val
-        elif k == "kind":
-            if v != "seed":
-                raise ValueError(f"not a seed document: kind {v!r}")
-    seed = synthetic_scalar_seed(alpha, table, default, mode)
-    for line, a, b in restricts:          # after the loop: alpha may come late
-        if not 0 <= a <= b <= alpha:
-            raise ValueError(f"seed line {line!r} needs 0 <= a <= b <= "
-                             f"alpha = {alpha}")
-    return seed
-
-
 def synthetic_scalar_seed(alpha, table=None, default=Fraction(1),
                           mode: str = "nonnegative") -> SeedFamily:
     """Trivial action with scalar-valued restriction witnesses; used for
     fault injection (a corrupted entry breaks the coherence diagrams)."""
+    if mode not in ("nonnegative", "two-sided"):
+        raise ValueError(f"unknown seed mode {mode!r}: expected "
+                         "'nonnegative' or 'two-sided'")
     alpha = Fraction(alpha)
     table = {tuple(map(Fraction, k)): Fraction(v) for k, v in (table or {}).items()}
 

@@ -14,20 +14,20 @@ b-certificate for every b >= a, one refutation settles every value below
 it.  So ``distance`` makes one walk: from the bottleneck over the
 deck-copy costs (``thicken.deck_cost``, a conjecture used as a hint only),
 up to the first certified value, then down to the first refuted one.
-``_search`` is the one search at a circle shift, one straight pass: the
-block-diagonal matching, then the row test (``_row_refuted``: a
-restriction block that no composite reaches refutes the shift), then the
-capped enumeration, each at most once.
+``_search`` is the one search at a shift, one straight pass: the
+block-diagonal matching, then on the circle the row test
+(``_row_refuted``: a restriction block that no composite reaches refutes
+the shift) and the capped enumeration, each at most once.
 
 The search asks ``morphisms`` bar-level Hom questions only: the dimension
 of a block (``block_dim``) and the scalar of a composite of two blocks
 (``block_scalar``).  Which blocks are Hom^0 and which Ext^1 is read there,
-off the degrees, and never here.  Every strategy of a probe reads one
-table, made once: the ``_lifts`` rows (bar, a-lift, 2a-lift, dies) in
-input indices.  The enumeration's equations are one flat list of terms on
-rows keyed by input bar pairs, with the kill flags as right-hand side.
-One builder (``_certificate``) makes every certificate, of a matching or
-of the enumeration, from f- and g-blocks keyed by input bar pairs.
+off the degrees, and never here.  A probe is one table, the ``_lifts``
+rows (bar, a-lift, 2a-lift, dies) in input indices, and every strategy
+reads it alone.  The enumeration's equations are one flat list of terms
+on rows keyed by input bar pairs, with the kill flags as right-hand side.
+One builder (``_certificate``) sorts, makes and verifies every
+certificate from f- and g-blocks keyed by input bar pairs.
 
 One matching routine (``_matching``, public as ``check_matching``) serves
 both spaces.  Its candidate pairs are those of cost at most the shift; it
@@ -46,9 +46,7 @@ already in normal form.
 
 The grid is built in exact integers: the ends (and C) are scaled over four
 times the lcm of their denominators, so every difference, shift and half is
-an int, and one ``Fraction`` is made per distinct grid value.  A search at a
-thickens each side once to a and once to 2a (``_tables``); the lifts,
-the certificate and its check share them, reading T_a T_a as T_2a.
+an int, and one ``Fraction`` is made per distinct grid value.
 """
 
 from __future__ import annotations
@@ -64,11 +62,11 @@ from . import fieldmath as fm
 from .barcode import (CharacteristicMismatchError, global_sections,
                       global_sections_c, iso_equal)
 from .morphisms import (LINE, Morphism, UnsupportedHomError, block_dim,
-                        block_scalar, compose, identity_morphism, map_blocks,
-                        normal_form, restriction, restriction_between,
-                        thicken_indexed)
+                        block_scalar, compose, identity_morphism, indexed,
+                        map_blocks, normal_form, restriction,
+                        restriction_between)
 from .scalars import POS_INF
-from .thicken import (cost_form, deck_cost, direct_cost,
+from .thicken import (bar_rule, cost_form, deck_cost, direct_cost,
                       halfopen_translation_kills, kill_cost)
 
 
@@ -107,17 +105,18 @@ class DistanceBounds:
 
 def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
     """Exact check of the two 2a-composite identities in ``space``, on the
-    four ``_thickenings`` tables (``_verified``)."""
+    four ``_sides`` tables of the ``_lifts`` rows (``_verified``)."""
     a = Fraction(cert.a)
     if a < 0:
         return False
-    return _verified(F, G, cert, _thickenings(F, G, a, space), space)
+    return _verified(F, G, cert, _sides(_lifts(F, G, a, space), F.char), space)
 
 
-def _thickenings(F, G, a, space):
-    """Per side X, the ``thicken_indexed`` tables of T_a X and T_2a X."""
-    return [(thicken_indexed(X, a, space), thicken_indexed(X, 2 * a, space))
-            for X in (F, G)]
+def _sides(lifts, p):
+    """Per side X, the ``indexed`` tables of T_a X and T_2a X over F_p,
+    sorted from the a- and 2a-lift columns of its ``_lifts`` rows."""
+    return [(indexed([r[1] for r in rows], p), indexed([r[2] for r in rows], p))
+            for rows in lifts]
 
 
 def _verified(F, G, cert, sides, space):
@@ -158,22 +157,14 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 # ---------------------------------------------------------------------------
 # Strategy: block-diagonal matching over the pair costs.
 
-def _lifts(F, G, a, sides):
-    """Per side, per bar b: (b, its a-lift, its 2a-lift, whether the
-    restriction T_2a X -> X kills it), read off the ``_thickenings``
-    tables ``sides``: the one table every strategy of a probe reads."""
-    return [[(b, Ta.bars[pa[i]], T2a.bars[p2a[i]],
-              halfopen_translation_kills(b.iv, 0, 2 * a))
-             for i, b in enumerate(X.bars)]
-            for X, ((Ta, pa), (T2a, p2a)) in zip((F, G), sides)]
-
-
-def _tables(F, G, a, space):
-    """The ``_thickenings`` tables of a probe at ``a`` and its ``_lifts``
-    rows, made once: the strategies read the rows, and the certificate and
-    its check the tables."""
-    sides = _thickenings(F, G, a, space)
-    return sides, _lifts(F, G, a, sides)
+def _lifts(F, G, a, space):
+    """Per side, per bar b in input order: (b, its a-lift, its 2a-lift,
+    whether the restriction T_2a X -> X kills it), lifts in normal form."""
+    a2 = 2 * a
+    return [[(b, normal_form(bar_rule(b, a), space),
+              normal_form(bar_rule(b, a2), space),
+              halfopen_translation_kills(b.iv, 0, a2)) for b in X.bars]
+            for X in (F, G)]
 
 
 def _unit_blocks(x, y, p, space):
@@ -322,22 +313,27 @@ def _least_cost(costs):
     return None if k == len(values) else Fraction(values[k])
 
 
-def _certificate(F, G, a, fblocks, gblocks, sides, space):
-    """The a-certificate with the f-blocks ``fblocks`` of T_a F -> G and
-    the g-blocks ``gblocks`` of T_a G -> F, keyed by input indices and moved
-    onto the thickened bars of the ``_thickenings`` tables; unverified."""
+def _certificate(F, G, a, fblocks, gblocks, lifts, space):
+    """The verified a-certificate with the f-blocks ``fblocks`` of T_a F ->
+    G and the g-blocks ``gblocks`` of T_a G -> F, keyed by input indices
+    and moved onto the ``_sides`` tables of the ``_lifts`` rows, the only
+    sorting a probe does.  Failing verification is an invariant break."""
+    sides = _sides(lifts, F.char)
     ((TFa, permF), _), ((TGa, permG), _) = sides
-    return InterleavingCertificate(
+    cert = InterleavingCertificate(
         a,
         Morphism(TFa, G, {(permF[i], j): c for (i, j), c in fblocks.items()},
                  space, validate=False),
         Morphism(TGa, F, {(permG[j], i): c for (j, i), c in gblocks.items()},
                  space, validate=False))
+    if not _verified(F, G, cert, sides, space):
+        raise AssertionError(f"certificate at {a} fails verification")
+    return cert
 
 
-def _matching(F, G, a, space, costs, sides, lifts):
+def _matching(F, G, a, space, costs, lifts):
     """The verified certificate of a block-diagonal matching at ``a`` over
-    the ``_pair_costs`` costs and a probe's ``_tables``, or None.
+    the ``_pair_costs`` costs and a probe's ``_lifts`` rows, or None.
 
     The candidate pairs are those of cost at most a, and a bar of kill cost
     at most a may stay unmatched.  ``_perfect_matching`` runs once, and
@@ -346,9 +342,7 @@ def _matching(F, G, a, space, costs, sides, lifts):
     must pass ``_pair_feasible``.  On the line the costs are exact, so a
     pair it rejects, or whose Hom it cannot use, is an invariant break
     (``AssertionError``); on the circle they are a conjecture, and None
-    leaves the shift to ``_exhaustive``.  A certificate that fails
-    verification is an invariant break on both spaces: each (i, i) block
-    of its composites is the product that ``_pair_feasible`` checked."""
+    leaves the shift to ``_exhaustive``."""
     pairs = _perfect_matching(*_candidates(costs, a))
     if pairs is None:
         return None
@@ -367,10 +361,7 @@ def _matching(F, G, a, space, costs, sides, lifts):
                                      f"disagree on {f[0]}, {g[0]} at {a}")
             return None
         fblocks[(i, j)], gblocks[(j, i)] = 1, x
-    cert = _certificate(F, G, a, fblocks, gblocks, sides, space)
-    if not _verified(F, G, cert, sides, space):
-        raise AssertionError(f"matching at {a} fails verification")
-    return cert
+    return _certificate(F, G, a, fblocks, gblocks, lifts, space)
 
 
 def check_matching(F, G, a, space=LINE):
@@ -378,7 +369,7 @@ def check_matching(F, G, a, space=LINE):
     search: the verified certificate, or None."""
     a = _check_inputs(F, G, space, a)
     return _matching(F, G, a, space, _pair_costs(F, G, space),
-                     *_tables(F, G, a, space))
+                     _lifts(F, G, a, space))
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +391,11 @@ def check_exhaustive(F, G, a, space=LINE):
     unknowns are counted as they are found, and the count stops as soon as
     it passes ``MAX_UNKNOWNS``."""
     a = _check_inputs(F, G, space, a)
-    return _exhaustive(F, G, a, space, *_tables(F, G, a, space))
+    return _exhaustive(F, G, a, space, _lifts(F, G, a, space))
 
 
-def _exhaustive(F, G, a, space, sides, lifts):
-    """``check_exhaustive`` on a probe's ``_tables``: the row test, then the
+def _exhaustive(F, G, a, space, lifts):
+    """``check_exhaustive`` on a probe's ``_lifts``: the row test, then the
     capped ``_enumeration`` over the side with fewer unknown blocks."""
     p = F.char
     if _row_refuted(lifts, p, space):
@@ -421,10 +412,7 @@ def _exhaustive(F, G, a, space, sides, lifts):
     blocks = _enumeration(lifts[::step], (fvars, gvars)[::step], p, space)
     if blocks is None:
         return None
-    cert = _certificate(F, G, a, *blocks[::step], sides, space)
-    if _verified(F, G, cert, sides, space):
-        return cert
-    raise AssertionError("solver produced a certificate that fails verification")
+    return _certificate(F, G, a, *blocks[::step], lifts, space)
 
 
 def _row_refuted(lifts, p, space):
@@ -502,33 +490,31 @@ def _enumeration(lifts, unknowns, p, space):
 
 
 def _search(F, G, a, space, costs):
-    """The one search at a circle shift, on one probe's ``_tables``: the
-    ``_matching`` certificate over the deck-copy costs, else ``_exhaustive``
-    (the row test, then the capped enumeration)."""
-    tables = _tables(F, G, a, space)
-    cert = _matching(F, G, a, space, costs, *tables)
-    return cert if cert is not None else _exhaustive(F, G, a, space, *tables)
+    """The one search at a shift, on one probe's ``_lifts``: the
+    ``_matching`` certificate, which decides on the line, else on the
+    circle ``_exhaustive`` (the row test, then the capped enumeration)."""
+    lifts = _lifts(F, G, a, space)
+    cert = _matching(F, G, a, space, costs, lifts)
+    if cert is not None or space == LINE:
+        return cert
+    return _exhaustive(F, G, a, space, lifts)
 
 
 def check_interleaving(F, G, a, space=LINE):
     """Search for a verified a-certificate in ``space``.  Returns None when
     the shift is refuted; raises ``ValueError`` when a < 0, and on the
     circle ``CapacityError`` or ``UnsupportedHomError`` when the shift stays
-    undecided.  At a = 0 no search runs: T_0 is the identity, so a
-    0-certificate is an isomorphism, and the shift is refuted unless
-    ``iso_equal`` holds.
+    undecided.  T_0 is the identity, so a 0-certificate is an isomorphism,
+    and a = 0 is refuted without a search unless ``iso_equal`` holds.
 
     On the line ``_matching`` over the closed-form costs decides: the
     threshold test of a bottleneck search (Kerber-Morozov-Nigmetov, JEA
     2017), exact by the derived isometry theorem (Berkouk-Ginot,
-    arXiv:1907.09759).  On the circle ``_search`` runs."""
+    arXiv:1907.09759).  Both spaces run one ``_search``."""
     a = _check_inputs(F, G, space, a)
     if a == 0 and not iso_equal(F, G):
         return None
-    costs = _pair_costs(F, G, space)
-    if space == LINE:
-        return _matching(F, G, a, LINE, costs, *_tables(F, G, a, LINE))
-    return _search(F, G, a, space, costs)
+    return _search(F, G, a, space, _pair_costs(F, G, space))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +565,7 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     sheaves, arXiv:1907.09759): the least sorted cost at which a matching
     exists, found by bisection as in Kerber-Morozov-Nigmetov (Geometry
     helps to compare persistence diagrams, JEA 2017), with the one verified
-    certificate of ``_matching`` there; no matching at the largest cost is
+    certificate of ``_search`` there; no matching at the largest cost is
     an exact +inf.  The pair costs are computed once per call, and every
     matching, on either space, reads them.
 
@@ -614,8 +600,8 @@ def distance(F, G, space=LINE) -> DistanceBounds:
         if v is None:
             return DistanceBounds(POS_INF, POS_INF, True, None,
                                   exact_by="isometry")
-        cert = _matching(F, G, v, LINE, costs, *_tables(F, G, v, LINE))
-        return DistanceBounds(v, v, True, cert, exact_by="isometry")
+        return DistanceBounds(v, v, True, _search(F, G, v, LINE, costs),
+                              exact_by="isometry")
     grid = critical_grid(F, G, space)
     n = len(grid)
     probes = {0: ("refuted", None)}

@@ -531,18 +531,25 @@ def normal_form(bar: Bar, space) -> Bar:
                bar.degree)
 
 
+def indexed(bars, char):
+    """The ``GradedBarcode`` of ``bars`` over F_char together with the bar
+    index map: ``bars[i]`` sits at position ``perm[i]`` (``Bar.sort_key``
+    order, stable, so equal bars keep their input order)."""
+    order = sorted(range(len(bars)), key=lambda i: bars[i].sort_key())
+    perm = [0] * len(bars)
+    for rank, i in enumerate(order):
+        perm[i] = rank
+    return GradedBarcode(bars, char), perm
+
+
 def thicken_indexed(F, a, space=LINE):
     """Thickened barcode, in normal form for ``space``, together with the
-    bar index map."""
+    bar index map (``indexed``)."""
     a = Fraction(a)
     if a == 0 and space == LINE:
         return F, list(range(len(F.bars)))      # T_0 is the identity
-    rules = [normal_form(bar_rule(b, a), space) for b in F.bars]
-    order = sorted(range(len(rules)), key=lambda i: rules[i].sort_key())
-    perm = [0] * len(rules)
-    for rank, i in enumerate(order):
-        perm[i] = rank
-    return GradedBarcode(rules, F.char), perm
+    return indexed([normal_form(bar_rule(b, a), space) for b in F.bars],
+                   F.char)
 
 
 def thicken_morphism(m: Morphism, a) -> Morphism:

@@ -1,9 +1,9 @@
 """Piecewise-linear maps, proper pushforward of barcodes, and the stability
 and Lipschitz experiment harness.
 
-A ``PLMap`` builds its affine pieces once, when it is constructed; every
-evaluation, slope, composition and distance reads that tuple, and an
-evaluation finds its piece by bisection.  The pushforward of a bar is the
+A ``PLMap`` derives one tuple when it is constructed, its slopes (left
+tail, segments, right tail); an evaluation bisects the breakpoints and
+interpolates from the one on its left.  The pushforward of a bar is the
 levelset barcode of the map on the bar, which one pass over the map's
 extrema along the bar reads off by a relative elder rule
 (``_pushforward_bar``).  One call of ``pushforward_shriek`` scales the
@@ -22,7 +22,7 @@ means only an infinite sup distance.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -43,18 +43,16 @@ class PLMap:
 
     The domain is the whole line (default) or an interval.  On an unbounded
     side the map continues either constantly or affinely with the adjacent
-    segment's slope.  The affine pieces, their right ends and the tail
-    slopes are derived from the other fields at construction and take no
-    part in equality or hashing.
+    segment's slope.  The slopes, left tail first, then one per segment,
+    then the right tail, are derived from the other fields at construction
+    and take no part in equality or hashing.
     """
     xs: tuple
     ys: tuple
     left_ext: str = "affine"
     right_ext: str = "affine"
     domain: Interval | None = None
-    _pieces: tuple = field(init=False, repr=False, compare=False)
-    _his: tuple = field(init=False, repr=False, compare=False)
-    _tail_slopes: tuple = field(init=False, repr=False, compare=False)
+    _slopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = tuple(Fraction(x) for x in self.xs)
@@ -71,65 +69,45 @@ class PLMap:
                 raise ValueError("breakpoints leave the domain")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        pieces = _line_pieces(xs, ys, self.left_ext, self.right_ext)
-        object.__setattr__(self, "_tail_slopes", (pieces[0][2], pieces[-1][2]))
-        if self.domain is not None:
-            pieces = _clip_pieces(pieces, self.domain, ys[0])
-        object.__setattr__(self, "_pieces", pieces)
-        object.__setattr__(self, "_his", tuple(p[1] for p in pieces))
+        slopes = [(y2 - y1) / (x2 - x1)
+                  for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:])]
+        left = slopes[0] if slopes and self.left_ext == "affine" else Fraction(0)
+        right = slopes[-1] if slopes and self.right_ext == "affine" else Fraction(0)
+        object.__setattr__(self, "_slopes", (left, *slopes, right))
 
     @property
     def left_slope(self) -> Fraction:
-        return self._tail_slopes[0]
+        return self._slopes[0]
 
     @property
     def right_slope(self) -> Fraction:
-        return self._tail_slopes[1]
+        return self._slopes[-1]
 
     def pieces(self) -> tuple:
-        """Affine pieces (lo, hi, slope, intercept) covering the domain."""
-        return self._pieces
+        """Affine pieces (lo, hi, slope, intercept) over the whole line: the
+        left tail, one per segment, then the right tail.  On a domain the
+        map is their restriction."""
+        xs, ys = self.xs, self.ys
+        anchors = ((xs[0], ys[0]),) + tuple(zip(xs, ys))
+        return tuple((lo, hi, s, y - s * x) for lo, hi, s, (x, y)
+                     in zip((NEG_INF,) + xs, xs + (POS_INF,), self._slopes,
+                            anchors))
 
     def value(self, x) -> Fraction:
-        """f(x), on the first piece whose right end is at or past x.  The
-        check is against the domain's closure, so at an open domain end
-        this is the limit value, which ``sup_distance`` reads there."""
+        """f(x), interpolated from the last breakpoint at or left of x (the
+        first one, for x left of every breakpoint).  The check is against
+        the domain's closure, so at an open domain end this is the limit
+        value, which ``sup_distance`` reads there."""
         if not is_finite(x):
             x = Fraction(x)
         if self.domain is not None and not (self.domain.left <= x <= self.domain.right):
             raise ValueError(f"{x} lies outside the domain {self.domain}")
-        k = bisect_left(self._his, x)
-        if k < len(self._pieces):
-            lo, _, s, b = self._pieces[k]
-            if lo <= x:
-                return s * x + b
-        raise AssertionError("pieces do not cover the domain")
+        k = bisect_right(self.xs, x)
+        j = max(k - 1, 0)
+        return self.ys[j] + self._slopes[k] * (x - self.xs[j])
 
     def breakpoints(self):
         return self.xs
-
-
-def _line_pieces(xs, ys, left_ext, right_ext) -> tuple:
-    """Pieces over the whole line: the two tails and one per segment."""
-    slopes = [(y2 - y1) / (x2 - x1)
-              for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:])]
-    left = slopes[0] if slopes and left_ext == "affine" else Fraction(0)
-    right = slopes[-1] if slopes and right_ext == "affine" else Fraction(0)
-    los = (NEG_INF,) + xs
-    his = xs + (POS_INF,)
-    anchors = ((xs[0], ys[0]),) + tuple(zip(xs, ys))
-    return tuple((lo, hi, s, y - s * x) for lo, hi, s, (x, y)
-                 in zip(los, his, [left] + slopes + [right], anchors))
-
-
-def _clip_pieces(pieces, domain: Interval, y0) -> tuple:
-    clipped = []
-    for lo, hi, s, b in pieces:
-        lo2 = max(lo, domain.left)
-        hi2 = min(hi, domain.right)
-        if lo2 < hi2 or (lo2 == hi2 and domain.is_singleton):
-            clipped.append((lo2, hi2, s, b))
-    return tuple(clipped) or ((domain.left, domain.right, Fraction(0), y0),)
 
 
 def identity_map() -> PLMap:
@@ -161,16 +139,20 @@ def offset_map(f: PLMap, c) -> PLMap:
 
 
 def compose_pl(g: PLMap, f: PLMap) -> PLMap:
-    """g after f, with breakpoints refined by preimages of g's breakpoints."""
+    """g after f, with breakpoints refined by preimages of g's breakpoints,
+    found on each of f's pieces from its slope."""
     if f.domain is not None or g.domain is not None:
         raise ValueError("composition is implemented for whole-line maps")
     bps = set(f.xs)
-    for lo, hi, s, b in f.pieces():
+    n = len(f.xs)
+    for k, s in enumerate(f._slopes):
+        if s == 0:
+            continue
+        j = max(k - 1, 0)
         for c in g.xs:
-            if s != 0:
-                x = (c - b) / s
-                if (not is_finite(lo) or lo <= x) and (not is_finite(hi) or x <= hi):
-                    bps.add(x)
+            x = f.xs[j] + (c - f.ys[j]) / s
+            if (k == 0 or f.xs[k - 1] <= x) and (k == n or x <= f.xs[k]):
+                bps.add(x)
     xs = sorted(bps)
     if len(xs) == 1:
         xs.append(xs[0] + 1)
@@ -209,7 +191,7 @@ def sup_distance(f: PLMap, g: PLMap):
 
 
 def lipschitz_constant(f: PLMap) -> Fraction:
-    return max(abs(s) for _, _, s, _ in f.pieces())
+    return max(abs(s) for s in f._slopes)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,13 @@ class TestCommands:
         assert run_command(["extend", "--seed", str(seed), "--a", "2"]) == 1
         assert "coherence: fail" in capsys.readouterr().out
 
+    def test_extend_synthetic_seed_takes_comments(self, docs, capsys):
+        seed = docs["tmp"] / "good.seed"
+        seed.write_text("thicket/1\n# a coherent seed\nkind: seed\n"
+                        "alpha: 1\n")
+        assert run_command(["extend", "--seed", str(seed), "--a", "2"]) == 0
+        assert "coherence: pass" in capsys.readouterr().out
+
 
 class TestExitCodes:
     def test_usage_error(self):
@@ -227,6 +234,14 @@ class TestExitCodes:
         ("extend", "bad.seed", "kind: seed\nalpha: 1\nrestrict: 1/2 1",
          "malformed seed line 'restrict: 1/2 1': expected "
          "'restrict: <a> <b> <value>'"),
+        ("extend", "bad.seed", "kind: seed\nalpah: 2",
+         "unknown key 'alpah' in a seed document (line 3)"),
+        ("extend", "bad.seed", "alpha: 2",
+         "document must declare exactly one kind"),
+        ("extend", "bad.seed", "kind: seed\nalpha: 1\nalpha: 2",
+         "repeated key 'alpha' (line 4)"),
+        ("extend", "bad.seed", "kind: seed\nchar: 3\nalpha: 1",
+         "unknown key 'char' in a seed document (line 3)"),
         ("push", "bad.pl", "kind: plmap\ndomain: [0, 1]\ndomain: [0, 2]\n"
          "pt: 0 0", "repeated key 'domain' (line 4)"),
         ("push", "bad.pl", "kind: plmap\nextend: affine affine\n"
@@ -240,7 +255,8 @@ class TestExitCodes:
             "seed-unknown-mode", "seed-negative-alpha", "seed-zero-alpha",
             "seed-restrict-reversed", "seed-restrict-past-alpha",
             "seed-restrict-negative", "seed-restrict-past-later-alpha",
-            "seed-restrict-two-values", "plmap-second-domain",
+            "seed-restrict-two-values", "seed-key-typo", "seed-no-kind",
+            "seed-second-alpha", "seed-char", "plmap-second-domain",
             "plmap-second-extend", "plmap-unknown-key"])
     def test_bad_value_rejected(self, tmp_path, capsys, command, name, text,
                                 message):

@@ -8,9 +8,10 @@ from conftest import bar, gb
 from thicket.barcode import closed, half_open, open_iv, singleton
 from thicket.circle import CircleSheaf, circle_thicken
 from thicket.corpus import rand_barcode
+from thicket.docio import parse
 from thicket.extend import (SeedFamily, SeedInvariantError, circle_seed,
                             coherence_check, extend_apply, extend_restrict,
-                            lambda_independence, line_seed, load_seed_text,
+                            lambda_independence, line_seed,
                             synthetic_scalar_seed)
 from thicket.morphisms import compose, restriction
 from thicket.thicken import thicken
@@ -84,7 +85,7 @@ class TestRestrictionChain:
         expected = 1
         for _, lo, hi in steps:
             expected *= table.get((lo, hi), 1)
-        assert extend_restrict(load_seed_text(text), a, b, "X") == expected
+        assert extend_restrict(parse(text).payload, a, b, "X") == expected
 
 
 class TestExtendApply:

@@ -347,18 +347,17 @@ def _match_pairs(F, G, a, space):
 
 
 def _table_certificate(F, G, a, space):
-    """The certificate of the ``_match_pairs`` matching at ``a`` if it
-    verifies, else None (a Hom the calculus cannot use included)."""
+    """The verified certificate of the ``_match_pairs`` matching at ``a``,
+    else None (a Hom the calculus cannot use included)."""
     match = _match_pairs(F, G, Fr(a), space)
     if match is None:
         return None
     pairs, feas = match
-    cert = interleave._certificate(
-        F, G, Fr(a), {(i, j): 1 for i, j in pairs},
-        {(j, i): feas[(i, j)] for i, j in pairs},
-        interleave._thickenings(F, G, Fr(a), space), space)
     try:
-        return cert if verify_certificate(F, G, cert, space) else None
+        return interleave._certificate(
+            F, G, Fr(a), {(i, j): 1 for i, j in pairs},
+            {(j, i): feas[(i, j)] for i, j in pairs},
+            interleave._lifts(F, G, Fr(a), space), space)
     except UnsupportedHomError:
         return None
 
@@ -608,9 +607,9 @@ class TestScriptedWalk:
         calls = []
         matching = interleave._matching
 
-        def counted(F, G, a, space, costs, sides, lifts):
+        def counted(F, G, a, space, costs, lifts):
             calls.append(a)
-            return matching(F, G, a, space, costs, sides, lifts)
+            return matching(F, G, a, space, costs, lifts)
 
         monkeypatch.setattr(interleave, "_matching", counted)
         walked = 0
@@ -743,12 +742,13 @@ def test_line_distance_equals_linear_scan_up_to_three_bars(rng, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_distance_makes_no_grid_probe(rng, p, monkeypatch):
-    """A line ``distance`` runs no grid, no circle search and no
-    exhaustive search: one ``_matching`` at the value, which calls
+    """A line ``distance`` runs no grid and no exhaustive search: its one
+    ``_search`` runs one ``_matching`` at the value, which calls
     ``_pair_feasible`` once per matched pair whose bars do not both die,
     each of which gives one block of the witness."""
     calls, asked = [], []
-    for name in ("_search", "check_exhaustive", "critical_grid", "_matching"):
+    for name in ("_exhaustive", "check_exhaustive", "critical_grid",
+                 "_matching"):
         def counted(*args, _name=name, _f=getattr(interleave, name)):
             calls.append(_name)
             return _f(*args)
@@ -785,6 +785,17 @@ def test_cost_formula_against_hom_calculus_is_an_invariant(monkeypatch):
                  lambda: check_interleaving(F, G, Fr(1, 4))):
         with pytest.raises(AssertionError, match="disagree"):
             call()
+
+
+def test_certificate_failing_verification_is_an_invariant(monkeypatch):
+    """Every certificate, of the matching or of the enumeration, is built
+    and verified by ``_certificate``: one that fails verification is an
+    invariant break, not a refutation."""
+    monkeypatch.setattr(interleave, "_verified", lambda *args: False)
+    F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
+    for check in (check_matching, check_exhaustive, check_interleaving):
+        with pytest.raises(AssertionError, match="fails verification"):
+            check(F, G, Fr(1))
 
 
 class TestExactBy:
@@ -1135,7 +1146,7 @@ def test_row_test_agrees_with_full_row_check(rng, p):
             oracle, some_unusable = _full_row_test(F, G, a, space)
             try:
                 got = interleave._row_refuted(
-                    interleave._tables(F, G, a, space)[1], p, space)
+                    interleave._lifts(F, G, a, space), p, space)
             except UnsupportedHomError:
                 got = "unsupported"
             assert got == oracle, (F, G, a)
@@ -1196,7 +1207,7 @@ def test_the_enumeration_decides_a_short_lift_pair(monkeypatch):
     for a in (Fr(1, 4), Fr(3, 8)):
         assert check_matching(FB, GB, a, space) is None
         assert not interleave._row_refuted(
-            interleave._tables(FB, GB, a, space)[1], FB.char, space)
+            interleave._lifts(FB, GB, a, space), FB.char, space)
         assert check_exhaustive(FB, GB, a, space) is None
 
     def no_enumeration(*args):
@@ -1282,7 +1293,7 @@ def test_a_composite_the_other_side_cannot_use_does_not_hide_a_refutation():
     for a in (Fr(1, 8), Fr(1, 4), Fr(3, 8)):
         assert _full_row_test(FB, GB, a, space) == (True, True)
         assert interleave._row_refuted(
-            interleave._tables(FB, GB, a, space)[1], FB.char, space)
+            interleave._lifts(FB, GB, a, space), FB.char, space)
     d = circle_distance(F, G)
     assert (d.lower, d.upper, d.exact) == (Fr(3, 8), POS_INF, False)
 
@@ -1461,14 +1472,12 @@ def _scripted(monkeypatch, feasible):
             raise UnsupportedHomError("scripted")
         return r
 
-    def certificate(F, G, a, fblocks, gblocks, sides, space):
+    def certificate(F, G, a, fblocks, gblocks, lifts, space):
         built.append(fblocks)
         return InterleavingCertificate(a, None, None)
 
     monkeypatch.setattr(interleave, "_pair_feasible", pair_feasible)
     monkeypatch.setattr(interleave, "_certificate", certificate)
-    monkeypatch.setattr(interleave, "_verified",
-                        lambda F, G, cert, sides, space: True)
     return asked, built
 
 
@@ -1506,7 +1515,7 @@ def test_matching_agrees_with_brute_force(rng, monkeypatch):
         cert = interleave._matching(
             F, G, a, space,
             _candidate_costs(F, G, lambda i, j: (F.bars[i], G.bars[j]) in table),
-            *interleave._tables(F, G, a, space))
+            interleave._lifts(F, G, a, space))
         exists = next(_valid_matchings(nF, nG, feasible, kill_F, kill_G),
                       None) is not None
         if usable:
@@ -1545,7 +1554,7 @@ def test_matching_refutes_hall_violation_fast(monkeypatch):
     space = circle_ops(16)
     assert interleave._matching(F, G, Fr(1), space,
                                 _every_pair_a_candidate(F, G),
-                                *interleave._tables(F, G, Fr(1), space)) \
+                                interleave._lifts(F, G, Fr(1), space)) \
         is None
     assert time.perf_counter() - start < 0.5
     assert len(asked) == len(set(asked)) and built == []
@@ -1697,33 +1706,40 @@ def test_check_on_tables_agrees_with_thickening_route(rng, p):
 
 
 # ---------------------------------------------------------------------------
-# Each side is thickened once per shift.
+# Only a certificate sorts: T_a and T_2a of each side, four sorted tables,
+# and none for a probe that finds no certificate.
 
-def _count_thickenings(monkeypatch):
+def _count_sorts(monkeypatch):
+    """The list of the barcodes that ``morphisms.indexed`` sorts, one per
+    call, from either module."""
     calls = []
-    original = morphisms.thicken_indexed
+    original = morphisms.indexed
 
-    def counted(*args):
-        calls.append(args[1])
-        return original(*args)
+    def counted(bars, p):
+        table = original(bars, p)
+        calls.append(table[0])
+        return table
 
-    monkeypatch.setattr(interleave, "thicken_indexed", counted)
-    monkeypatch.setattr(morphisms, "thicken_indexed", counted)
+    monkeypatch.setattr(interleave, "indexed", counted)
+    monkeypatch.setattr(morphisms, "indexed", counted)
     return calls
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
-    """A line ``distance`` that reaches the matching makes exactly four
-    ``thicken_indexed`` calls: F and G at the value and at twice it."""
-    calls = _count_thickenings(monkeypatch)
+    """A line ``distance`` that reaches the matching sorts each side's
+    thickenings once each: exactly four tables, T_v and T_2v of F and of G
+    at its value v.  One that does not reach it sorts none."""
+    calls = _count_sorts(monkeypatch)
     matched = 0
     for F, G in list(_line_pairs(rng, p, 10)) + list(
             _mixed_line_pairs(rng, p, 10, 5)):
         calls.clear()
         d = distance(F, G)
         if d.exact_by == "isometry" and d.upper != POS_INF:
-            assert sorted(calls) == [d.upper] * 2 + [2 * d.upper] * 2, calls
+            v = d.upper
+            assert Counter(calls) == Counter(
+                thicken(X, s) for X in (F, G) for s in (v, 2 * v)), calls
             matched += 1
         else:
             assert calls == [], (F, G, calls)
@@ -1732,23 +1748,30 @@ def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_circle_probe_thickens_at_most_four_times(rng, p, monkeypatch):
-    """Each circle grid probe (one ``_search``: the matching, then the
-    exhaustive search) makes at most four ``thicken_indexed`` calls, and
-    a found certificate's check makes none of its own."""
-    calls = _count_thickenings(monkeypatch)
-    search, probes = interleave._search, []
+    """A circle grid probe (one ``_search``) sorts at most four thickened
+    tables: exactly four, T_a and T_2a of each side, when it finds a
+    certificate, and none when it is refuted or undecided (lifts up to 2C
+    included)."""
+    calls = _count_sorts(monkeypatch)
+    search, probes = interleave._search, Counter()
 
     def counted(*args):
-        before = len(calls)
+        before, outcome = len(calls), "undecided"
         try:
-            return search(*args)
+            cert = search(*args)
+            outcome = "refuted" if cert is None else "found"
+            return cert
         finally:
-            probes.append(len(calls) - before)
+            probes[outcome, len(calls) - before] += 1
 
     monkeypatch.setattr(interleave, "_search", counted)
-    for F, G, space in _circle_pairs(rng, p, 10):
+    for F, G, space in list(_circle_pairs(rng, p, 10)) + list(
+            _long_circle_pairs(rng, p, 10)):
         distance(F, G, space)
-    assert len(probes) >= 10 and max(probes) <= 4, probes
+    assert set(probes) <= {("found", 4), ("refuted", 0), ("undecided", 0)}, \
+        probes
+    assert min(probes["found", 4], probes["refuted", 0],
+               probes["undecided", 0]) >= 3, probes
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

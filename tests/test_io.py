@@ -123,6 +123,8 @@ class TestErrors:
                 "limit for writing an integer"), doc.kind
         with pytest.raises(DocumentError, match="unknown document kind"):
             serialize(Document("sheaf", None))
+        with pytest.raises(DocumentError, match="seed document is read"):
+            serialize(Document("seed", None))
 
     @pytest.mark.parametrize("line, start", [
         (f"bar: 0 [0, {'1' * 4301}]", "invalid interval '[0, " + "1" * 36),

@@ -80,7 +80,8 @@ class TestPLMap:
         assert lipschitz_constant(constant_map(3)) == 0
 
     def test_document_roundtrip_and_hash(self, rng):
-        # the pieces built at construction take no part in == or hash
+        # neither the slopes derived at construction nor the pieces built
+        # on demand take part in == or hash
         from thicket.docio import parse, plmap_doc, serialize
         for k in range(40):
             f = rand_plmap(rng)
