@@ -7,14 +7,12 @@ endpoints are always open, and empty intervals are rejected at construction
 so that degenerate inputs fail loudly.
 
 The canonical order of bars is ``Bar.sort_key``: degree, then left end, left
-end open, right end, right end open.  ``canonical_order`` sorts by an
-order-isomorphic key instead: every finite endpoint is scaled to an integer
-over the lcm of the list's denominators, and infinite ends stay the float
-infinities, which compare exactly with ints.  Integer tuples compare much
-faster than Fraction tuples.  The sort is stable, so both keys give the same
-tuple of bars.  Lists of fewer than ``_KEY_MIN_BARS`` bars, and lists whose
-lcm passes ``_KEY_BITS`` bits (the integers would grow with the list), are
-sorted on ``Bar.sort_key`` itself.
+end open, right end, right end open.  ``canonical_indices`` is its one home.
+It sorts stably on an order-isomorphic key, the ends as ints in one frame
+(``scalars.int_frame``, or ends a caller has already so scaled), which
+compare much faster than Fractions.  Lists of fewer than ``_KEY_MIN_BARS``
+bars and frames past ``_KEY_BITS`` bits sort on ``Bar.sort_key`` itself.
+``GradedBarcode._sorted`` wraps bars that are already in this order.
 """
 
 from __future__ import annotations
@@ -22,11 +20,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .fieldmath import check_char
 from .scalars import (NEG_INF, POS_INF, check_extended, format_extended,
-                      is_finite)
+                      int_frame, is_finite)
 
 
 class InvalidIntervalError(ValueError):
@@ -195,7 +192,7 @@ class Bar:
         return f"{self.iv} @deg {self.degree}"
 
 
-# Bit length past which canonical_order stops scaling endpoints to integers.
+# Bit length past which canonical_indices stops scaling ends to integers.
 _KEY_BITS = 64
 # Shorter lists sort faster on Bar.sort_key: building the integer keys costs
 # more than their few Fraction comparisons (measured crossover: 11 bars in
@@ -203,28 +200,24 @@ _KEY_BITS = 64
 _KEY_MIN_BARS = 16
 
 
+def canonical_indices(bars, ends=None) -> list:
+    """The stable index order of ``bars``; ``ends``, if given, are their
+    ends (left, right, bar by bar) already scaled to ints in one frame."""
+    if ends is None and len(bars) >= _KEY_MIN_BARS:
+        m, scaled = int_frame([x for b in bars for x in (b.iv.left, b.iv.right)])
+        if m.bit_length() <= _KEY_BITS:
+            ends = scaled
+    if ends is None:
+        keys = [b.sort_key() for b in bars]
+    else:
+        keys = [(b.degree, lo, b.iv.lkind is OPEN, hi, b.iv.rkind is OPEN)
+                for b, lo, hi in zip(bars, ends[::2], ends[1::2])]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def canonical_order(bars: list) -> list:
-    """The bars sorted by ``Bar.sort_key``, compared as exact integer keys
-    when the list is long enough for that to pay."""
-    if len(bars) < _KEY_MIN_BARS:
-        return sorted(bars, key=Bar.sort_key)
-    dens = {x.denominator for b in bars for x in (b.iv.left, b.iv.right)
-            if is_finite(x)}
-    m = 1
-    for q in dens:
-        m = m // gcd(m, q) * q
-        if m.bit_length() > _KEY_BITS:
-            return sorted(bars, key=Bar.sort_key)
-    keys = []
-    for b in bars:
-        iv = b.iv
-        left, right = iv.left, iv.right
-        if is_finite(left):
-            left = left.numerator * (m // left.denominator)
-        if is_finite(right):
-            right = right.numerator * (m // right.denominator)
-        keys.append((b.degree, left, iv.lkind is OPEN, right, iv.rkind is OPEN))
-    return [bars[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+    """The bars sorted by ``Bar.sort_key`` (``canonical_indices``)."""
+    return [bars[i] for i in canonical_indices(bars)]
 
 
 class GradedBarcode:
@@ -234,13 +227,18 @@ class GradedBarcode:
 
     def __init__(self, bars=(), char: int = 2):
         check_char(char)
-        items = []
-        for b in bars:
+        items = list(bars)
+        for b in items:
             if not isinstance(b, Bar):
                 raise TypeError(f"not a Bar: {b!r}")
-            items.append(b)
-        self.bars = tuple(canonical_order(items))
-        self.char = char
+        self.bars, self.char = tuple(canonical_order(items)), char
+
+    @classmethod
+    def _sorted(cls, bars, char: int) -> "GradedBarcode":
+        """Bars already in canonical order, over a checked F_char."""
+        self = object.__new__(cls)
+        self.bars, self.char = tuple(bars), char
+        return self
 
     def __len__(self):
         return len(self.bars)
@@ -266,7 +264,7 @@ class GradedBarcode:
 
     def shift(self, k: int) -> "GradedBarcode":
         """Degree shift: F[-k] adds k to every bar degree."""
-        return GradedBarcode([Bar(b.iv, b.degree + k) for b in self.bars], self.char)
+        return self._sorted([Bar(b.iv, b.degree + k) for b in self.bars], self.char)
 
     def finite_endpoints(self):
         out = []

@@ -118,7 +118,7 @@ class CircleSheaf:
 
     def spiral_barcode(self) -> GradedBarcode:
         if self._lifts is None:
-            self._lifts = GradedBarcode(self.spirals, self.char)
+            self._lifts = GradedBarcode._sorted(self.spirals, self.char)
         return self._lifts
 
 

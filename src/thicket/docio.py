@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
 from .circle import CircleSheaf
-from .extend import synthetic_scalar_seed
+from .extend import check_seed, synthetic_scalar_seed
 from .fieldmath import check_char
 from .plmaps import PLMap
 from .scalars import parse_extended, parse_rational
@@ -228,7 +228,7 @@ def parse(text: str) -> Document:
             for k, v, i in fields:
                 if k == "extend":
                     parts = v.split()
-                    if len(parts) != 2:
+                    if len(parts) != 2 or not set(parts) <= {"affine", "constant"}:
                         raise DocumentError(
                             f"invalid extension spec {_clip(v)!r}", i)
                     lext, rext = parts
@@ -253,21 +253,26 @@ def parse(text: str) -> Document:
             mode = "nonnegative"
             table, restricts = {}, []
             for k, v, i in fields:
-                if k == "alpha":
-                    alpha = parse_rational(v)
-                elif k == "restrict-default":
-                    default = parse_rational(v)
-                elif k == "mode":
-                    mode = v
-                elif k == "restrict":
-                    words = v.split()
-                    if len(words) != 3:
-                        raise DocumentError(
-                            f"malformed seed line {_clip(f'restrict: {v}')!r}: "
-                            "expected 'restrict: <a> <b> <value>'", i)
-                    a, b, value = map(parse_rational, words)
-                    restricts.append((a, b, v, i))
-                    table[(a, b)] = value
+                # alpha and mode are checked as they come, at their line
+                try:
+                    if k == "alpha":
+                        alpha = parse_rational(v)
+                    elif k == "restrict-default":
+                        default = parse_rational(v)
+                    elif k == "mode":
+                        mode = v
+                    elif k == "restrict":
+                        words = v.split()
+                        if len(words) != 3:
+                            raise ValueError(
+                                f"malformed seed line {_clip(f'restrict: {v}')!r}: "
+                                "expected 'restrict: <a> <b> <value>'")
+                        a, b, value = map(parse_rational, words)
+                        restricts.append((a, b, v, i))
+                        table[(a, b)] = value
+                    check_seed(alpha, mode)
+                except ValueError as exc:
+                    raise DocumentError(_clip(str(exc), 200), i) from None
             seed = synthetic_scalar_seed(alpha, table, default, mode)
             for a, b, v, i in restricts:    # after the loop: alpha may come late
                 if not 0 <= a <= b <= alpha:

@@ -37,8 +37,7 @@ class SeedFamily:
     compose_fn: object             # diagrammatic: first, then
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"seed alpha must be positive, got {self.alpha}")
+        check_seed(self.alpha, self.mode)
 
     def apply(self, a, x):
         a = Fraction(a)
@@ -53,6 +52,15 @@ class SeedFamily:
         if not (0 <= a <= b <= self.alpha):
             raise ValueError("seed restriction outside [0, alpha]")
         return self.restrict_fn(a, b, x)
+
+
+def check_seed(alpha, mode: str):
+    """Refuse an unknown seed mode and an alpha that is not positive."""
+    if mode not in ("nonnegative", "two-sided"):
+        raise ValueError(f"unknown seed mode {mode!r}: expected "
+                         "'nonnegative' or 'two-sided'")
+    if alpha <= 0:
+        raise ValueError(f"seed alpha must be positive, got {alpha}")
 
 
 def lambda_for(seed: SeedFamily, policy: str) -> Fraction:
@@ -223,9 +231,6 @@ def synthetic_scalar_seed(alpha, table=None, default=Fraction(1),
                           mode: str = "nonnegative") -> SeedFamily:
     """Trivial action with scalar-valued restriction witnesses; used for
     fault injection (a corrupted entry breaks the coherence diagrams)."""
-    if mode not in ("nonnegative", "two-sided"):
-        raise ValueError(f"unknown seed mode {mode!r}: expected "
-                         "'nonnegative' or 'two-sided'")
     alpha = Fraction(alpha)
     table = {tuple(map(Fraction, k)): Fraction(v) for k, v in (table or {}).items()}
 

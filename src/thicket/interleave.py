@@ -44,14 +44,14 @@ compares the sections that are invariant there, and the critical grid adds
 the circle's shifts by multiples of C/2.  Inputs must be over one field and
 already in normal form.
 
-The grid is built in exact integers: the ends (and C) are scaled over four
-times the lcm of their denominators, so every difference, shift and half is
-an int, and one ``Fraction`` is made per distinct grid value.
+The grid is built in exact integers: ``scalars.int_frame`` scales the ends
+(and C) over four times the lcm of their denominators, so every difference,
+shift and half is an int, and one ``Fraction`` is made per distinct grid
+value.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +65,7 @@ from .morphisms import (LINE, Morphism, UnsupportedHomError, block_dim,
                         block_scalar, compose, identity_morphism, indexed,
                         map_blocks, normal_form, restriction,
                         restriction_between)
-from .scalars import POS_INF
+from .scalars import POS_INF, int_frame
 from .thicken import (bar_rule, cost_form, deck_cost, direct_cost,
                       halfopen_translation_kills, kill_cost)
 
@@ -534,22 +534,18 @@ def finite_gate(F, G, space=LINE) -> str:
 def critical_grid(F, G, space=LINE):
     """0 and every endpoint difference v, with its half, sorted.  On the
     circle R/CZ each v is first moved to |v + kC/2| for k = -2..2, kept up
-    to 2C.  The ends (and C) are scaled to integers over M = 4 * lcm of
-    their denominators, so every value and every half is an exact int over
-    M."""
+    to 2C.  The ends (and C) are scaled to ints over M = 4 * lcm of their
+    denominators (``scalars.int_frame``), so every value and every half is
+    an exact int over M."""
     eps = F.finite_endpoints() + G.finite_endpoints()
-    dens = [x.denominator for x in eps]
+    M, ints = int_frame(eps if space == LINE else eps + [space[1]], factor=4)
     if space != LINE:
-        C = space[1]
-        dens.append(C.denominator)
-    M = 4 * math.lcm(*dens)
-    ints = [x.numerator * (M // x.denominator) for x in eps]
+        half = ints.pop() // 2
     base = {0}
     for i, p in enumerate(ints):
         for q in ints[i + 1:]:
             base.add(abs(p - q))
     if space != LINE:
-        half = C.numerator * (M // C.denominator) // 2
         base = {w for v in base for k in (-2, -1, 0, 1, 2)
                 if (w := abs(v + k * half)) <= 4 * half}
     return [Fraction(v, M) for v in sorted(base | {v // 2 for v in base})]

@@ -50,10 +50,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fieldmath as fm
-from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
+from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval, canonical_indices
 from .model import (CircleModel, LineModel, Rep, RepPair, circle_spiral_rep,
                     connecting_pairing, line_bar_rep)
-from .scalars import is_finite
+from .scalars import NEG_INF, POS_INF, int_frame, is_finite
 from .thicken import bar_rule, halfopen_translation_kills
 
 LINE = "line"
@@ -98,25 +98,17 @@ def shape_key(ivs) -> tuple:
     """Order-type key of an interval tuple: two ints per interval.
 
     A finite end is ``2 * rank + open``, its rank taken among the distinct
-    finite ends of the tuple, which are compared as exact integers over the
-    lcm of their denominators; an infinite left end is -1 and an infinite
-    right end -2.  Two tuples get the same key exactly when their ends are in
-    the same order with the same kinds, which is all the Hom/Ext dimensions
-    and structure constants of the tuple depend on.  The tests run the
-    quiver model once per key."""
-    ends = [x for iv in ivs for x in (iv.left, iv.right)]
-    # isinstance is is_finite, inlined
-    lcm = math.lcm(*[x.denominator for x in ends if isinstance(x, Fraction)])
-    vals = [x.numerator * (lcm // x.denominator) if isinstance(x, Fraction)
-            else None for x in ends]
+    finite ends of the tuple as ints in one frame (``scalars.int_frame``);
+    an infinite left end is -1 and an infinite right end -2.  Two tuples get
+    the same key exactly when their ends are in the same order with the
+    same kinds, which is all the Hom/Ext dimensions and structure constants
+    of the tuple depend on.  The tests run the quiver model once per key."""
+    _, vals = int_frame([x for iv in ivs for x in (iv.left, iv.right)])
     ranks = {v: 2 * i for i, v in
-             enumerate(sorted({v for v in vals if v is not None}))}
-    key = []
-    for i, iv in enumerate(ivs):
-        lo, hi = vals[2 * i], vals[2 * i + 1]
-        key.append(-1 if lo is None else ranks[lo] + (iv.lkind is OPEN))
-        key.append(-2 if hi is None else ranks[hi] + (iv.rkind is OPEN))
-    return tuple(key)
+             enumerate(sorted({v for v in vals if isinstance(v, int)}))}
+    ranks[NEG_INF], ranks[POS_INF] = -2, -3     # infinite ends are open
+    kinds = [k is OPEN for iv in ivs for k in (iv.lkind, iv.rkind)]
+    return tuple(ranks[v] + o for v, o in zip(vals, kinds))
 
 
 class PairData:
@@ -533,13 +525,13 @@ def normal_form(bar: Bar, space) -> Bar:
 
 def indexed(bars, char):
     """The ``GradedBarcode`` of ``bars`` over F_char together with the bar
-    index map: ``bars[i]`` sits at position ``perm[i]`` (``Bar.sort_key``
-    order, stable, so equal bars keep their input order)."""
-    order = sorted(range(len(bars)), key=lambda i: bars[i].sort_key())
+    index map: ``bars[i]`` sits at position ``perm[i]`` (canonical order,
+    stable, so equal bars keep their input order)."""
+    order = canonical_indices(bars)
     perm = [0] * len(bars)
     for rank, i in enumerate(order):
         perm[i] = rank
-    return GradedBarcode(bars, char), perm
+    return GradedBarcode._sorted([bars[i] for i in order], char), perm
 
 
 def thicken_indexed(F, a, space=LINE):

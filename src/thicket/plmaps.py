@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
-                      singleton)
+from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
+                      canonical_indices, intersect)
 from .interleave import InterleavingCertificate, check_interleaving
-from .scalars import NEG_INF, POS_INF, is_finite
+from .scalars import NEG_INF, POS_INF, int_frame, is_finite
 
 
 class NonProperError(ValueError):
@@ -210,32 +210,29 @@ def _check_proper(f: PLMap, iv: Interval):
 
 
 class _Frame:
-    """One call's integer frame: f and the finite ends of its bars scaled
-    to ints, so that the elder rule evaluates and compares ints.
+    """One call's integer frame: f and the ends of its bars scaled to ints,
+    so that the elder rule evaluates and compares ints.
 
     An x becomes X = x Lx, where Lx is the lcm of the denominators of f's
-    breakpoints and of the ends.  A value y becomes V = y Ly D, where Ly is
-    the lcm of the values' denominators and D that of the piece widths in
-    Lx units, so every piece, the tails included, is V = A X + B with int
-    A and B; ``lines[k]`` is the piece left of breakpoint k and
-    ``lines[n]`` the right tail.  The pieces are the whole line's:
-    ``_check_proper`` has kept every bar inside a domain, where f agrees
-    with them.  The float infinities stand for themselves and compare
-    exactly with ints.  Python ints keep the frame exact at any size."""
+    breakpoints and of the bar ends, all scaled in one ``scalars.int_frame``
+    call; bar k's ends are kept as ``ends[2k]``, ``ends[2k + 1]``.  A value
+    y becomes V = y Ly D, where Ly is the lcm of the values' denominators
+    and D that of the piece widths in Lx units, so every piece, the tails
+    included, is V = A X + B with int A and B; ``lines[k]`` is the piece
+    left of breakpoint k and ``lines[n]`` the right tail.  The pieces are
+    the whole line's: ``_check_proper`` has kept every bar inside a domain,
+    where f agrees with them.  The float infinities stand for themselves,
+    and Python ints keep the frame exact at any size."""
 
-    __slots__ = ("lx", "xs", "vs", "lines", "scale", "_back")
+    __slots__ = ("lx", "xs", "ends", "vs", "lines", "scale", "_back")
 
     def __init__(self, f: PLMap, bars):
-        dens = {x.denominator for x in f.xs}
-        for b in bars:
-            for e in (b.iv.left, b.iv.right):
-                if is_finite(e):
-                    dens.add(e.denominator)
-        self.lx = lx = lcm(*dens)
-        xs = [x.numerator * (lx // x.denominator) for x in f.xs]
-        ly = lcm(*{y.denominator for y in f.ys})
+        ends = [e for b in bars for e in (b.iv.left, b.iv.right)]
+        self.lx, ints = int_frame([*f.xs, *ends])
+        xs, self.ends = ints[:len(f.xs)], ints[len(f.xs):]
+        ly, ws = int_frame(f.ys)
         d = lcm(*{x1 - x0 for x0, x1 in zip(xs, xs[1:])})
-        vs = [y.numerator * (ly // y.denominator) * d for y in f.ys]
+        vs = [w * d for w in ws]
         segments = []
         for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
             a = (v1 - v0) // (x1 - x0)
@@ -249,11 +246,10 @@ class _Frame:
         self._back = dict(zip(vs, f.ys))
         self._back[NEG_INF], self._back[POS_INF] = NEG_INF, POS_INF
 
-    def end(self, e) -> tuple:
-        """(V at the finite end e, index of the first breakpoint past e,
-        index of the first at or past it), so that the breakpoints
+    def end(self, x: int) -> tuple:
+        """(V at the finite end X = x, index of the first breakpoint past
+        it, index of the first at or past it), so that the breakpoints
         strictly inside a bar are one slice."""
-        x = e.numerator * (self.lx // e.denominator)
         at = bisect_left(self.xs, x)
         if at < len(self.xs) and self.xs[at] == x:
             return self.vs[at], at + 1, at
@@ -268,21 +264,21 @@ class _Frame:
         return q
 
 
-def _extrema(frame: _Frame, iv: Interval) -> list:
-    """(value, attained) of f at the bar's ends and at the breakpoints
-    strictly inside it, in the call's frame, with runs of equal value
-    merged (attained only if every vertex of the run is) and the vertices
-    f passes monotonically dropped.  An infinite end takes the limit of
-    the tail and is not attained; a finite end is attained when the bar is
-    closed there."""
+def _extrema(frame: _Frame, k: int, iv: Interval) -> list:
+    """(value, attained) of f at the ends of bar k, on iv, and at the
+    breakpoints strictly inside it, in the call's frame, with runs of equal
+    value merged (attained only if every vertex of the run is) and the
+    vertices f passes monotonically dropped.  An infinite end takes the
+    limit of the tail and is not attained; a finite end is attained when
+    the bar is closed there."""
     if is_finite(iv.left):
-        value, first, _ = frame.end(iv.left)
+        value, first, _ = frame.end(frame.ends[2 * k])
         left = (value, iv.lkind is CLOSED)
     else:
         left = (NEG_INF if frame.lines[0][0] > 0 else POS_INF, False)
         first = 0
     if is_finite(iv.right):
-        value, _, stop = frame.end(iv.right)
+        value, _, stop = frame.end(frame.ends[2 * k + 1])
         right = (value, iv.rkind is CLOSED)
     else:
         right = (POS_INF if frame.lines[-1][0] > 0 else NEG_INF, False)
@@ -337,10 +333,10 @@ def _deaths(verts: list, order: list) -> list:
     return out
 
 
-def _pushforward_bar(frame: _Frame, bar: Bar) -> list[Bar]:
-    """Proper pushforward of one proper bar: the levelset barcode of f on
-    the bar, which is its extended persistence (Carlsson-de Silva-Morozov,
-    *Zigzag persistent homology and real-valued functions*, SoCG 2009;
+def _pushforward_bar(frame: _Frame, k: int, bar: Bar) -> list[tuple]:
+    """Proper pushforward of bar k: the levelset barcode of f on the bar,
+    which is its extended persistence (Carlsson-de Silva-Morozov, *Zigzag
+    persistent homology and real-valued functions*, SoCG 2009;
     Cohen-Steiner-Edelsbrunner-Harer, *Extending persistence using Poincare
     and Lefschetz duality*, FoCM 2009), read off f's extrema along the bar.
 
@@ -349,29 +345,26 @@ def _pushforward_bar(frame: _Frame, bar: Bar) -> list[Bar]:
     sublevel sweep gives [birth, death), the superlevel sweep (death,
     birth], and the essential class is [min, max] when both ends are
     attained, (min, max) when neither is, and nothing when one is.  The
-    sweeps run in the call's frame, and a value becomes a rational only as
-    the end of an output bar."""
+    sweeps run in the call's frame, and each output bar is one row
+    (lo, lkind, hi, rkind, degree) of frame values."""
     iv, d = bar.iv, bar.degree
-    verts = _extrema(frame, iv)
-    q = frame.fraction
+    verts = _extrema(frame, k, iv)
     if len(verts) == 1:
         v, attained = verts[0]
         if attained:
-            return [Bar(singleton(q(v)), d)]
+            return [(v, CLOSED, v, CLOSED, d)]
         if iv.lkind is OPEN and iv.rkind is OPEN:
-            return [Bar(singleton(q(v)), d + 1)]
+            return [(v, CLOSED, v, CLOSED, d + 1)]
         return []
     rising = sorted(range(len(verts)), key=lambda i: verts[i][0])
-    out = [Bar(Interval(q(b), CLOSED, q(h), OPEN), d)
-           for b, h in _deaths(verts, rising)]
-    out += [Bar(Interval(q(h), OPEN, q(b), CLOSED), d)
-            for b, h in _deaths(verts, rising[::-1])]
-    lo, hi = q(verts[rising[0]][0]), q(verts[rising[-1]][0])
+    out = [(b, CLOSED, h, OPEN, d) for b, h in _deaths(verts, rising)]
+    out += [(h, OPEN, b, CLOSED, d) for b, h in _deaths(verts, rising[::-1])]
+    lo, hi = verts[rising[0]][0], verts[rising[-1]][0]
     ends = (verts[0][1], verts[-1][1])
     if ends == (True, True):
-        out.append(Bar(Interval(lo, CLOSED, hi, CLOSED), d))
+        out.append((lo, CLOSED, hi, CLOSED, d))
     elif ends == (False, False):
-        out.append(Bar(Interval(lo, OPEN, hi, OPEN), d))
+        out.append((lo, OPEN, hi, OPEN, d))
     return out
 
 
@@ -380,14 +373,16 @@ def pushforward_shriek(f: PLMap, F: GradedBarcode) -> GradedBarcode:
     Every bar is checked first, in canonical order, so the first bar that
     is not proper or leaves the domain names the error.  Then f and the
     bar ends are scaled once into one integer frame (``_Frame``), which
-    every bar reads."""
+    every bar reads.  The output is ordered on its frame values and each
+    value becomes a rational once, as the end of an output bar."""
     for b in F.bars:
         _check_proper(f, b.iv)
     frame = _Frame(f, F.bars)
-    bars = []
-    for b in F.bars:
-        bars.extend(_pushforward_bar(frame, b))
-    return GradedBarcode(bars, F.char)
+    rows = [r for k, b in enumerate(F.bars) for r in _pushforward_bar(frame, k, b)]
+    q = frame.fraction
+    bars = [Bar(Interval(q(lo), lk, q(hi), rk), d) for lo, lk, hi, rk, d in rows]
+    order = canonical_indices(bars, [v for r in rows for v in (r[0], r[2])])
+    return GradedBarcode._sorted([bars[i] for i in order], F.char)
 
 
 # ---------------------------------------------------------------------------

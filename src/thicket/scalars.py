@@ -21,6 +21,14 @@ def is_finite(x) -> bool:
     return isinstance(x, Fraction)
 
 
+def int_frame(values, factor: int = 1) -> tuple:
+    """(M, ints): M is ``factor`` times the lcm of the finite values'
+    denominators, ``ints[k]`` is ``values[k] * M``; infinities pass through."""
+    m = factor * math.lcm(*[x.denominator for x in values if isinstance(x, Fraction)])
+    return m, [x.numerator * (m // x.denominator) if isinstance(x, Fraction)
+               else x for x in values]
+
+
 def check_extended(x):
     if isinstance(x, Fraction):
         return x

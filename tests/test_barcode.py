@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import SHAPE_REPRESENTATIVES, bar, gb, mixed_bar
 from thicket.barcode import (CLOSED, OPEN, Bar, CharacteristicMismatchError,
                              GradedBarcode, Interval, InvalidIntervalError,
-                             canonical_order, canonicalize, closed,
+                             canonical_indices, canonical_order,
+                             canonicalize, closed,
                              dims_add, dualize,
                              dualize_bar, full_line, global_sections,
                              global_sections_c, half_open, half_open_r,
@@ -26,7 +27,7 @@ from thicket.corpus import rand_interval
 from thicket.fieldmath import check_char
 from thicket.model import LineModel, line_bar_rep, rep_sections
 from thicket.morphisms import hom_dim
-from thicket.scalars import NEG_INF, POS_INF
+from thicket.scalars import NEG_INF, POS_INF, int_frame
 
 
 class TestCanonicalize:
@@ -393,3 +394,119 @@ class TestCanonicalOrder:
                 for k in range(20, 0, -1)]
         monkeypatch.setattr(Bar, "sort_key", None)
         assert canonical_order(bars) == bars[::-1]
+
+
+def _random_bar_list(rng, n, denoms):
+    """n random bars of every shape, infinite ends included, plus a quarter
+    of them again as equal bars built separately, shuffled."""
+    bars = [mixed_bar(rng, denoms) for _ in range(n)]
+    bars += [Bar(Interval(b.iv.left, b.iv.lkind, b.iv.right, b.iv.rkind),
+                 b.degree) for b in bars[:n // 4]]
+    rng.shuffle(bars)
+    return bars
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestCanonicalIndices:
+    """``canonical_indices`` is the one home of the order: with and without
+    ends given, against the stable sort on ``Bar.sort_key``."""
+
+    @staticmethod
+    def _want(bars):
+        return sorted(range(len(bars)), key=lambda i: bars[i].sort_key())
+
+    @staticmethod
+    def _ends(bars):
+        return int_frame([x for b in bars for x in (b.iv.left, b.iv.right)])
+
+    @pytest.mark.parametrize("denoms", [(1, 3, 7, 12),
+                                        (1000003, 1000033, 1000037, 1000039)])
+    def test_matches_the_sort_key_order(self, p, denoms):
+        rng = random.Random(100 * p + len(str(denoms[-1])))
+        wide = 0
+        for n in (0, 1, 2, 5, 8, 15, 16, 17, 40, 400):
+            for _ in range(4):
+                bars = _random_bar_list(rng, n, denoms)
+                want = self._want(bars)
+                assert canonical_indices(bars) == want
+                m, ends = self._ends(bars)
+                wide += m.bit_length() > 64
+                assert canonical_indices(bars, ends) == want
+                # the trusted constructor over the sorted bars is the
+                # checked one over the bars
+                assert (GradedBarcode._sorted(canonical_order(bars), p)
+                        == GradedBarcode(bars, p))
+        # the second pool's frames pass 2^64 once a list has a few ends
+        assert (wide > 0) == (denoms[-1] > 1000)
+
+    def test_ends_in_any_frame(self, p):
+        # ends scaled by a further factor are in a frame too
+        rng = random.Random(p)
+        for _ in range(20):
+            bars = _random_bar_list(rng, rng.randrange(30), (1, 2, 5))
+            m, ends = int_frame([x for b in bars
+                                 for x in (b.iv.left, b.iv.right)], factor=p)
+            assert canonical_indices(bars, ends) == self._want(bars)
+
+    def test_shift_keeps_the_order(self, p):
+        rng = random.Random(7 * p)
+        F = GradedBarcode(_random_bar_list(rng, 30, (1, 3)), p)
+        for k in (-2, 0, 3):
+            want = GradedBarcode([Bar(b.iv, b.degree + k) for b in F.bars], p)
+            assert F.shift(k) == want and F.shift(k).bars == want.bars
+
+
+class TestIntFrame:
+    def test_empty_list_gives_the_factor(self):
+        assert int_frame([]) == (1, [])
+        assert int_frame([], factor=4) == (4, [])
+
+    def test_infinities_pass_through(self):
+        m, ints = int_frame([NEG_INF, Fr(1, 2), POS_INF, Fr(-2, 3)])
+        assert m == 6 and ints == [NEG_INF, 3, POS_INF, -4]
+        assert ints[0] is NEG_INF and ints[2] is POS_INF
+        assert all(type(v) is int for v in ints[1::2])
+        assert int_frame([NEG_INF, POS_INF]) == (1, [NEG_INF, POS_INF])
+
+    def test_factor_multiplies_the_lcm(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            values = [Fr(rng.randint(-50, 50), rng.randint(1, 30))
+                      for _ in range(rng.randrange(1, 8))]
+            values.insert(rng.randrange(len(values) + 1), POS_INF)
+            lcm = math.lcm(*(x.denominator for x in values if x != POS_INF))
+            for factor in (1, 2, 4):
+                m, ints = int_frame(values, factor)
+                assert m == factor * lcm
+                assert [x if x == POS_INF else Fr(v, m)
+                        for x, v in zip(values, ints)] == values
+                assert all(type(v) is int for x, v in zip(values, ints)
+                           if x != POS_INF)
+
+
+def test_only_scalars_scales_over_a_common_denominator():
+    """``scalars.int_frame`` is the one place where rationals are scaled
+    over the lcm of their denominators: no other package module takes an
+    lcm of denominators or divides a frame by a denominator."""
+    import ast
+    import pathlib
+    import thicket
+
+    def scales(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) \
+                    and isinstance(node.right, ast.Attribute) \
+                    and node.right.attr == "denominator":
+                yield "// denominator"
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", getattr(node.func, "attr", "")) == "lcm" \
+                    and any(isinstance(n, ast.Attribute) and n.attr == "denominator"
+                            for a in node.args for n in ast.walk(a)):
+                yield "lcm of denominators"
+
+    found = {}
+    for path in pathlib.Path(thicket.__file__).parent.glob("*.py"):
+        hits = list(scales(ast.parse(path.read_text())))
+        if hits:
+            found[path.stem] = sorted(set(hits))
+    assert found == {"scalars": ["// denominator", "lcm of denominators"]}

@@ -216,24 +216,35 @@ class TestExitCodes:
         ("fs", "bad.circ", "kind: circle\nchar: 2\nspace: circle C=1/0",
          "invalid space tag 'circle C=1/0' (line 4)"),
         ("extend", "bad.seed", "kind: seed\nalpha: 1/0",
-         "zero denominator in '1/0'"),
+         "zero denominator in '1/0' (line 3)"),
         ("extend", "bad.seed", "kind: seed\nmode: weird",
-         "unknown seed mode 'weird'"),
+         "unknown seed mode 'weird': expected 'nonnegative' or 'two-sided' "
+         "(line 3)"),
         ("extend", "bad.seed", "kind: seed\nalpha: -1",
-         "seed alpha must be positive, got -1"),
+         "seed alpha must be positive, got -1 (line 3)"),
         ("extend", "bad.seed", "kind: seed\nalpha: 0",
-         "seed alpha must be positive, got 0"),
+         "seed alpha must be positive, got 0 (line 3)"),
         ("extend", "bad.seed", "kind: seed\nalpha: 1\nrestrict: 1/2 0 1",
-         "seed line 'restrict: 1/2 0 1' needs 0 <= a <= b <= alpha = 1"),
+         "seed line 'restrict: 1/2 0 1' needs 0 <= a <= b <= alpha = 1 "
+         "(line 4)"),
         ("extend", "bad.seed", "kind: seed\nalpha: 1\nrestrict: 0 3 1",
-         "seed line 'restrict: 0 3 1' needs 0 <= a <= b <= alpha = 1"),
+         "seed line 'restrict: 0 3 1' needs 0 <= a <= b <= alpha = 1 "
+         "(line 4)"),
         ("extend", "bad.seed", "kind: seed\nrestrict: -1/2 0 1",
-         "seed line 'restrict: -1/2 0 1' needs 0 <= a <= b <= alpha = 1"),
+         "seed line 'restrict: -1/2 0 1' needs 0 <= a <= b <= alpha = 1 "
+         "(line 3)"),
         ("extend", "bad.seed", "kind: seed\nrestrict: 0 1 1\nalpha: 1/2",
-         "seed line 'restrict: 0 1 1' needs 0 <= a <= b <= alpha = 1/2"),
+         "seed line 'restrict: 0 1 1' needs 0 <= a <= b <= alpha = 1/2 "
+         "(line 3)"),
         ("extend", "bad.seed", "kind: seed\nalpha: 1\nrestrict: 1/2 1",
          "malformed seed line 'restrict: 1/2 1': expected "
-         "'restrict: <a> <b> <value>'"),
+         "'restrict: <a> <b> <value>' (line 4)"),
+        ("extend", "bad.seed", "kind: seed\nrestrict: 0 1/0 1",
+         "zero denominator in '1/0' (line 3)"),
+        ("extend", "bad.seed", "kind: seed\nrestrict-default: x",
+         "Invalid literal for Fraction: 'x' (line 3)"),
+        ("extend", "bad.seed", "kind: seed\nmode: two-sided\nalpha: -1",
+         "seed alpha must be positive, got -1 (line 4)"),
         ("extend", "bad.seed", "kind: seed\nalpah: 2",
          "unknown key 'alpah' in a seed document (line 3)"),
         ("extend", "bad.seed", "alpha: 2",
@@ -249,15 +260,19 @@ class TestExitCodes:
          "repeated key 'extend' (line 4)"),
         ("push", "bad.pl", "kind: plmap\nspace: line\npt: 0 0",
          "unknown key 'space' in a plmap document (line 3)"),
+        ("push", "bad.pl", "kind: plmap\nextend: affine weird\npt: 0 0",
+         "invalid extension spec 'affine weird' (line 3)"),
     ], ids=["bar-zero-denominator", "bar-huge-exponent",
             "point-zero-denominator",
             "circle-zero-denominator", "seed-zero-denominator",
             "seed-unknown-mode", "seed-negative-alpha", "seed-zero-alpha",
             "seed-restrict-reversed", "seed-restrict-past-alpha",
             "seed-restrict-negative", "seed-restrict-past-later-alpha",
-            "seed-restrict-two-values", "seed-key-typo", "seed-no-kind",
-            "seed-second-alpha", "seed-char", "plmap-second-domain",
-            "plmap-second-extend", "plmap-unknown-key"])
+            "seed-restrict-two-values", "seed-restrict-zero-denominator",
+            "seed-bad-default", "seed-late-bad-alpha", "seed-key-typo",
+            "seed-no-kind", "seed-second-alpha", "seed-char",
+            "plmap-second-domain", "plmap-second-extend", "plmap-unknown-key",
+            "plmap-bad-extend"])
     def test_bad_value_rejected(self, tmp_path, capsys, command, name, text,
                                 message):
         doc = tmp_path / name

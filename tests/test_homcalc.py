@@ -15,7 +15,8 @@ from thicket.corpus import rand_barcode
 from thicket.model import RepPair
 from thicket.morphisms import (LINE, Morphism, UnsupportedHomError, bar_rep,
                                block_dim, build_model, compose, hom_dim,
-                               identity_morphism, restriction, shape_key,
+                               identity_morphism, indexed, restriction,
+                               shape_key,
                                space_dim, struct_scalar, thicken_indexed,
                                thicken_morphism, zero_morphism)
 from thicket.scalars import is_finite
@@ -728,3 +729,39 @@ class TestThickenIndexedAtZero:
                 perm[i] = rank
             TF, got = thicken_indexed(F, 0)
             assert TF == GradedBarcode(rules, F.char) and got == perm
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestIndexedSortsOnce:
+    """``indexed`` takes its order and the barcode's from one
+    ``canonical_indices`` call, and the barcode is not sorted again."""
+
+    def test_one_order_and_no_sort_key_on_long_lists(self, p, monkeypatch):
+        from thicket import barcode, morphisms
+        rng = random.Random(p)
+        for n in (16, 17, 40):
+            bars = [Bar(closed(Fr(rng.randint(-30, 30), 4),
+                               Fr(rng.randint(31, 60), 3)), rng.randint(0, 2))
+                    for _ in range(n)]
+            bars += bars[:3]
+            want = sorted(range(len(bars)), key=lambda i: bars[i].sort_key())
+            calls = []
+            real = barcode.canonical_indices
+            counted = lambda *a, **k: calls.append(a) or real(*a, **k)
+            monkeypatch.setattr(morphisms, "canonical_indices", counted)
+            monkeypatch.setattr(barcode, "canonical_indices", counted)
+            monkeypatch.setattr(Bar, "sort_key", None)
+            F, perm = morphisms.indexed(bars, p)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert F == GradedBarcode(bars, p) and F.char == p
+            assert [F.bars[perm[i]] for i in range(len(bars))] == bars
+            assert sorted(range(len(bars)), key=perm.__getitem__) == want
+
+    def test_short_lists_match_the_checked_constructor(self, p, rng):
+        for _ in range(100):
+            bars = list(rand_barcode(rng, max_bars=12, char=p).bars)
+            rng.shuffle(bars)
+            F, perm = indexed(bars, p)
+            assert F == GradedBarcode(bars, p)
+            assert [F.bars[perm[i]] for i in range(len(bars))] == bars

@@ -606,6 +606,35 @@ class TestZigzagOracle:
         _zigzag_pushforward(abs_map(), gb(bar(closed(-1, 1), 0), char=p))
         assert {"decompose_line", "rref"} <= set(calls)
 
+    def test_push_scales_and_sorts_once(self, rng, p, monkeypatch):
+        """One ``int_frame`` call scales f's breakpoints and every bar end,
+        and the output is ordered by one ``canonical_indices`` call on the
+        frame's values: nothing is scaled or sorted again."""
+        from thicket import barcode, scalars
+        pushed = 0
+        for _ in range(40):
+            f, F = _many_bar_case(rng, p)
+            want = _outcome(_zigzag_pushforward, f, F)
+            frames, orders = [], []
+            real_frame, real_order = scalars.int_frame, barcode.canonical_indices
+            monkeypatch.setattr(plmaps, "int_frame", lambda v, *a: frames.append(
+                list(v)) or real_frame(v, *a))
+            monkeypatch.setattr(barcode, "int_frame", None)
+            counted = lambda bars, ends=None: orders.append(ends) or real_order(
+                bars, ends)
+            monkeypatch.setattr(plmaps, "canonical_indices", counted)
+            monkeypatch.setattr(barcode, "canonical_indices", counted)
+            got = _outcome(pushforward_shriek, f, F)
+            monkeypatch.undo()
+            assert got == want, (f, F)
+            if not isinstance(got, GradedBarcode):
+                continue
+            pushed += 1
+            ends = [e for b in F.bars for e in (b.iv.left, b.iv.right)]
+            assert frames == [[*f.xs, *ends], list(f.ys)]
+            assert len(orders) == 1 and len(orders[0]) == 2 * len(got)
+        assert pushed >= 20
+
 
 def test_plmaps_imports_neither_model_nor_zigzag():
     tree = ast.parse(inspect.getsource(plmaps))
