@@ -55,9 +55,11 @@ class Interval:
 
     def __post_init__(self):
         left, right = self.left, self.right
-        lfin, rfin = is_finite(left), is_finite(right)
-        if not (lfin and rfin):
-            # ints become Fractions, infinities stay, anything else raises
+        if type(left) is Fraction and type(right) is Fraction:
+            lfin = rfin = True
+        else:
+            # ints become Fractions, infinities stay, anything else raises;
+            # keyed on the type, since an int is finite to ``is_finite``
             left, right = check_extended(left), check_extended(right)
             object.__setattr__(self, "left", left)
             object.__setattr__(self, "right", right)
@@ -127,6 +129,19 @@ class Interval:
         lb = "[" if self.lkind is CLOSED else "("
         rb = "]" if self.rkind is CLOSED else ")"
         return f"{lb}{format_extended(self.left)}, {format_extended(self.right)}{rb}"
+
+
+class FramedInterval(Interval):
+    """An interval whose finite ends are ints in an integer frame
+    (``scalars.int_frame``): the image of a checked ``Interval`` under
+    x -> Mx for the frame's M > 0, which keeps the ends' order and kinds, so
+    nothing is converted or checked again.  ``thicken.bar_rule`` maps one to
+    another, and a framed interval never equals a checked one."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        pass
 
 
 def closed(a, b) -> Interval:

@@ -48,6 +48,18 @@ The grid is built in exact integers: ``scalars.int_frame`` scales the ends
 (and C) over four times the lcm of their denominators, so every difference,
 shift and half is an int, and one ``Fraction`` is made per distinct grid
 value.
+
+The line search runs in the pair's integer frame (``_framed``): each
+``distance``, ``check_interleaving`` or ``check_matching`` call scales F's
+and G's ends, and its shift, once over M = 2 * the lcm of their
+denominators, so the costs, the kill costs, the bisection, the ``_lifts``
+rows and the Hom rules under ``_pair_feasible`` compare ints.  The bar
+rules, the costs and the Hom rules have one definition each, which reads
+an int end as it reads a Fraction one (``scalars.is_finite``).  The circle
+runs in Fractions.  ``_certificate`` is where frame values turn back into
+values: it reads the lift tables back with one ``Fraction(n, M)`` per end,
+and ``_verified`` checks the certificate on those Fraction tables, so no
+frame value reaches a caller and the check does not rest on the frame.
 """
 
 from __future__ import annotations
@@ -59,15 +71,15 @@ from functools import partial
 from itertools import islice, product
 
 from . import fieldmath as fm
-from .barcode import (CharacteristicMismatchError, global_sections,
+from .barcode import (Bar, CharacteristicMismatchError, FramedInterval,
+                      GradedBarcode, Interval, global_sections,
                       global_sections_c, iso_equal)
 from .morphisms import (LINE, Morphism, UnsupportedHomError, block_dim,
                         block_scalar, compose, identity_morphism, indexed,
                         map_blocks, normal_form, restriction,
                         restriction_between)
-from .scalars import POS_INF, int_frame
-from .thicken import (bar_rule, cost_form, deck_cost, direct_cost,
-                      halfopen_translation_kills, kill_cost)
+from .scalars import POS_INF, from_frame, int_frame
+from .thicken import bar_rule, cost_form, deck_cost, direct_cost, kill_cost
 
 
 class CapacityError(RuntimeError):
@@ -112,11 +124,22 @@ def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
     return _verified(F, G, cert, _sides(_lifts(F, G, a, space), F.char), space)
 
 
-def _sides(lifts, p):
+def _sides(lifts, p, M=None):
     """Per side X, the ``indexed`` tables of T_a X and T_2a X over F_p,
-    sorted from the a- and 2a-lift columns of its ``_lifts`` rows."""
-    return [(indexed([r[1] for r in rows], p), indexed([r[2] for r in rows], p))
+    sorted from the a- and 2a-lift columns of its ``_lifts`` rows.  Rows in
+    a pair's integer frame (``M`` given) are read back first, one exact
+    ``Fraction(n, M)`` per end."""
+    def column(rows, k):
+        return [r[k] if M is None else _read_back(r[k], M) for r in rows]
+    return [(indexed(column(rows, 1), p), indexed(column(rows, 2), p))
             for rows in lifts]
+
+
+def _read_back(b, M):
+    """The frame bar ``b`` in Fractions, ``M`` being its frame's M."""
+    iv = b.iv
+    return Bar(Interval(from_frame(M, iv.left), iv.lkind,
+                        from_frame(M, iv.right), iv.rkind), b.degree)
 
 
 def _verified(F, G, cert, sides, space):
@@ -159,11 +182,13 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 
 def _lifts(F, G, a, space):
     """Per side, per bar b in input order: (b, its a-lift, its 2a-lift,
-    whether the restriction T_2a X -> X kills it), lifts in normal form."""
+    whether the restriction T_2a X -> X kills it, that is whether its kill
+    cost is at most a), lifts in normal form.  In Fractions, or all in
+    one integer frame (``_framed``)."""
     a2 = 2 * a
     return [[(b, normal_form(bar_rule(b, a), space),
-              normal_form(bar_rule(b, a2), space),
-              halfopen_translation_kills(b.iv, 0, a2)) for b in X.bars]
+              normal_form(bar_rule(b, a2), space), kill_cost(b) <= a)
+             for b in X.bars]
             for X in (F, G)]
 
 
@@ -240,12 +265,30 @@ def _check_inputs(F, G, space, a=0):
     return a
 
 
+def _framed(F, G, *shifts):
+    """The pair's frame (M, F', G'), and the shifts in it.
+    ``scalars.int_frame`` scales every end of F and G and every shift once,
+    over M = 2 * the lcm of their denominators.  Every end is then an even
+    int, so every cost (a difference of ends), every kill cost (half a
+    length), every shift and every lift end is an int.  F' and G' are the
+    images of F and G under x -> Mx: each bar keeps its kinds, degree and
+    place, on a ``FramedInterval``."""
+    ends = [x for X in (F, G) for b in X.bars for x in (b.iv.left, b.iv.right)]
+    M, ints = int_frame(ends + list(shifts), factor=2)
+    it = iter(ints)
+    F, G = (GradedBarcode._sorted(
+        [Bar(FramedInterval(next(it), b.iv.lkind, next(it), b.iv.rkind),
+             b.degree) for b in X.bars], X.char) for X in (F, G))
+    return (M, F, G), ints[len(ends):]
+
+
 def _pair_costs(F, G, space):
     """Per F bar, the (direct cost, G index) of every G bar in its
     ``thicken.cost_form`` class, and the kill costs of both sides; every
     other pair is at direct cost +inf.  On the line these are exact by the
-    derived isometry theorem; on the circle a direct cost is the least over
-    the deck copies, by the deck-copy conjecture (``thicken.deck_cost``)."""
+    derived isometry theorem, and ints of the pair's frame; on the circle a
+    direct cost is the least over the deck copies, by the deck-copy
+    conjecture (``thicken.deck_cost``)."""
     cost = direct_cost if space == LINE else partial(deck_cost, C=space[1])
     by_class = {}
     for j, b in enumerate(G.bars):
@@ -310,15 +353,22 @@ def _least_cost(costs):
                     | {k for k in kill_F + kill_G if k != POS_INF})
     k = bisect_left(range(len(values)), True, key=lambda i: _perfect_matching(
         *_candidates(costs, values[i])) is not None)
-    return None if k == len(values) else Fraction(values[k])
+    return None if k == len(values) else values[k]
 
 
-def _certificate(F, G, a, fblocks, gblocks, lifts, space):
+def _certificate(F, G, a, fblocks, gblocks, lifts, space, M=None):
     """The verified a-certificate with the f-blocks ``fblocks`` of T_a F ->
     G and the g-blocks ``gblocks`` of T_a G -> F, keyed by input indices
     and moved onto the ``_sides`` tables of the ``_lifts`` rows, the only
-    sorting a probe does.  Failing verification is an invariant break."""
-    sides = _sides(lifts, F.char)
+    sorting a probe does.  Failing verification is an invariant break.
+
+    With ``M`` given, ``a`` and the lifts are in the pair's integer frame,
+    and this is where they turn back into values: the tables are read back
+    in Fractions, so ``_verified`` checks the certificate on the input
+    pair's own values, independently of the frame."""
+    if M is not None:
+        a = Fraction(a, M)
+    sides = _sides(lifts, F.char, M)
     ((TFa, permF), _), ((TGa, permG), _) = sides
     cert = InterleavingCertificate(
         a,
@@ -331,9 +381,11 @@ def _certificate(F, G, a, fblocks, gblocks, lifts, space):
     return cert
 
 
-def _matching(F, G, a, space, costs, lifts):
+def _matching(F, G, a, space, costs, lifts, M=None):
     """The verified certificate of a block-diagonal matching at ``a`` over
-    the ``_pair_costs`` costs and a probe's ``_lifts`` rows, or None.
+    the ``_pair_costs`` costs and a probe's ``_lifts`` rows, or None; with
+    ``M`` given, a, the costs and the lifts are in the integer frame of
+    that M.
 
     The candidate pairs are those of cost at most a, and a bar of kill cost
     at most a may stay unmatched.  ``_perfect_matching`` runs once, and
@@ -357,19 +409,31 @@ def _matching(F, G, a, space, costs, lifts):
             x = None
         if x is None:
             if space == LINE:
-                raise AssertionError(f"the cost formula and the Hom calculus "
-                                     f"disagree on {f[0]}, {g[0]} at {a}")
+                raise AssertionError(
+                    f"the cost formula and the Hom calculus disagree on "
+                    f"{F.bars[i]}, {G.bars[j]} at "
+                    f"{a if M is None else Fraction(a, M)}")
             return None
         fblocks[(i, j)], gblocks[(j, i)] = 1, x
-    return _certificate(F, G, a, fblocks, gblocks, lifts, space)
+    return _certificate(F, G, a, fblocks, gblocks, lifts, space, M)
+
+
+def _setup(F, G, a, space):
+    """The pair's ``_framed`` frame on the line (else None), the shift ``a``
+    in it and the ``_pair_costs`` of a search at a."""
+    frame = None
+    if space == LINE:
+        frame, (a,) = _framed(F, G, a)
+        _, F, G = frame
+    return frame, a, _pair_costs(F, G, space)
 
 
 def check_matching(F, G, a, space=LINE):
     """``_matching`` at the shift a, after the entry checks of every
     search: the verified certificate, or None."""
-    a = _check_inputs(F, G, space, a)
-    return _matching(F, G, a, space, _pair_costs(F, G, space),
-                     _lifts(F, G, a, space))
+    frame, a, costs = _setup(F, G, _check_inputs(F, G, space, a), space)
+    M, X, Y = frame or (None, F, G)
+    return _matching(F, G, a, space, costs, _lifts(X, Y, a, space), M)
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +553,15 @@ def _enumeration(lifts, unknowns, p, space):
     return None
 
 
-def _search(F, G, a, space, costs):
+def _search(F, G, a, space, costs, frame=None):
     """The one search at a shift, on one probe's ``_lifts``: the
     ``_matching`` certificate, which decides on the line, else on the
-    circle ``_exhaustive`` (the row test, then the capped enumeration)."""
-    lifts = _lifts(F, G, a, space)
-    cert = _matching(F, G, a, space, costs, lifts)
+    circle ``_exhaustive`` (the row test, then the capped enumeration).  On
+    the line ``frame`` is the pair's ``_framed`` frame (M, F', G'), and a,
+    the costs and the lifts are in it."""
+    M, X, Y = frame or (None, F, G)
+    lifts = _lifts(X, Y, a, space)
+    cert = _matching(F, G, a, space, costs, lifts, M)
     if cert is not None or space == LINE:
         return cert
     return _exhaustive(F, G, a, space, lifts)
@@ -510,11 +577,13 @@ def check_interleaving(F, G, a, space=LINE):
     On the line ``_matching`` over the closed-form costs decides: the
     threshold test of a bottleneck search (Kerber-Morozov-Nigmetov, JEA
     2017), exact by the derived isometry theorem (Berkouk-Ginot,
-    arXiv:1907.09759).  Both spaces run one ``_search``."""
+    arXiv:1907.09759).  Both spaces run one ``_search``, the line in the
+    pair's integer frame (``_framed``), with ``a`` in it."""
     a = _check_inputs(F, G, space, a)
     if a == 0 and not iso_equal(F, G):
         return None
-    return _search(F, G, a, space, _pair_costs(F, G, space))
+    frame, a, costs = _setup(F, G, a, space)
+    return _search(F, G, a, space, costs, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +632,9 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     helps to compare persistence diagrams, JEA 2017), with the one verified
     certificate of ``_search`` there; no matching at the largest cost is
     an exact +inf.  The pair costs are computed once per call, and every
-    matching, on either space, reads them.
+    matching, on either space, reads them.  On the line the costs, the
+    bisection and the search run in the pair's integer frame
+    (``_framed``), and the value is read back as one Fraction.
 
     On the circle a probe at a grid value is one ``_search``, which ends
     found, refuted or undecided (a search over its cap, or a Hom the
@@ -590,14 +661,18 @@ def distance(F, G, space=LINE) -> DistanceBounds:
                               exact_by="identity")
     if finite_gate(F, G, space) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
-    costs = _pair_costs(F, G, space)
-    v = _least_cost(costs)
     if space == LINE:
+        frame, _ = _framed(F, G)
+        costs = _pair_costs(*frame[1:], LINE)
+        v = _least_cost(costs)
         if v is None:
             return DistanceBounds(POS_INF, POS_INF, True, None,
                                   exact_by="isometry")
-        return DistanceBounds(v, v, True, _search(F, G, v, LINE, costs),
+        w = Fraction(v, frame[0])
+        return DistanceBounds(w, w, True, _search(F, G, v, LINE, costs, frame),
                               exact_by="isometry")
+    costs = _pair_costs(F, G, space)
+    v = _least_cost(costs)
     grid = critical_grid(F, G, space)
     n = len(grid)
     probes = {0: ("refuted", None)}

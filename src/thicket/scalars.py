@@ -2,7 +2,9 @@
 
 Finite scalars are ``fractions.Fraction``; the infinities are the float
 infinities, which order correctly against Fractions and never mix into
-finite arithmetic (guarded by the helpers here).
+finite arithmetic (guarded by the helpers here).  Inside an integer frame
+(``int_frame``) finite values are ints, read over the frame's M, and
+``from_frame`` turns them back into Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,11 @@ Extended = object  # Fraction | float(+-inf); alias for documentation only
 
 
 def is_finite(x) -> bool:
-    return isinstance(x, Fraction)
+    """Whether an extended scalar is finite.  The infinities are the only
+    floats: a finite value is a Fraction, or an int inside an integer frame.
+    So the test is on the type, and the rules that read it (the bar rules,
+    the costs, the line Hom calculus) run unchanged on both kinds of ends."""
+    return type(x) is not float
 
 
 def int_frame(values, factor: int = 1) -> tuple:
@@ -27,6 +33,12 @@ def int_frame(values, factor: int = 1) -> tuple:
     m = factor * math.lcm(*[x.denominator for x in values if isinstance(x, Fraction)])
     return m, [x.numerator * (m // x.denominator) if isinstance(x, Fraction)
                else x for x in values]
+
+
+def from_frame(m: int, x):
+    """The value of the frame value ``x``, where ``m`` is the M of its
+    ``int_frame``: the Fraction x / m, or an infinity unchanged."""
+    return x if type(x) is float else Fraction(x, m)
 
 
 def check_extended(x):

@@ -20,9 +20,12 @@ from .scalars import NEG_INF, POS_INF, is_finite
 
 
 def bar_rule(b: Bar, a: Fraction) -> Bar:
-    """Thicken one bar by the signed amount ``a``."""
+    """Thicken one bar by the signed amount ``a``: a Fraction, or an int
+    for a bar in an integer frame (``barcode.FramedInterval``)."""
     iv, d = b.iv, b.degree
     left, right, lkind, rkind = iv.left, iv.right, iv.lkind, iv.rkind
+    # a FramedInterval thickens into another, in the same integer frame
+    Interval = type(iv)
     # the shape is read off finiteness, as in the Interval predicates
     if not is_finite(left):
         if not is_finite(right):               # the full line
@@ -66,10 +69,13 @@ def bar_rule(b: Bar, a: Fraction) -> Bar:
 def kill_cost(b: Bar):
     """The least a at which the canonical restriction T_2a b -> b vanishes
     (``halfopen_translation_kills`` at 2a): half the length of a bounded
-    half-open bar, +inf for every other bar."""
+    half-open bar, +inf for every other bar.  In an integer frame the length
+    is an int, and the frame's factor makes it even (``interleave._framed``),
+    so ``//`` halves it exactly and no float enters the frame."""
     iv = b.iv
     if iv.is_bounded and iv.lkind is not iv.rkind:
-        return iv.length / 2
+        length = iv.length
+        return length // 2 if type(length) is int else length / 2
     return POS_INF
 
 
@@ -100,7 +106,7 @@ def direct_cost(form_f, form_g):
     (kf, ef), (kg, eg) = form_f, form_g
     if kf != kg:
         return POS_INF
-    return max((abs(x - y) for x, y in zip(ef, eg)), default=Fraction(0))
+    return max((abs(x - y) for x, y in zip(ef, eg)), default=0)
 
 
 def deck_cost(form_f, form_g, C):

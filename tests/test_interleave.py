@@ -607,9 +607,9 @@ class TestScriptedWalk:
         calls = []
         matching = interleave._matching
 
-        def counted(F, G, a, space, costs, lifts):
+        def counted(F, G, a, *rest):
             calls.append(a)
-            return matching(F, G, a, space, costs, lifts)
+            return matching(F, G, a, *rest)
 
         monkeypatch.setattr(interleave, "_matching", counted)
         walked = 0
@@ -1472,7 +1472,7 @@ def _scripted(monkeypatch, feasible):
             raise UnsupportedHomError("scripted")
         return r
 
-    def certificate(F, G, a, fblocks, gblocks, lifts, space):
+    def certificate(F, G, a, fblocks, gblocks, lifts, space, M=None):
         built.append(fblocks)
         return InterleavingCertificate(a, None, None)
 
@@ -1780,7 +1780,7 @@ def test_each_probe_reads_its_lifts_once(rng, p, monkeypatch):
     enumeration) reads one ``_lifts`` table, made once per ``_search``,
     also where the matching proposes a pair the calculus rejects and the
     row test runs next (lifts up to 2C); a line ``distance`` makes one, for
-    its one matching."""
+    its one matching, at its value in the pair's integer frame."""
     lifts, calls = interleave._lifts, []
 
     def counted(*args):
@@ -1806,5 +1806,191 @@ def test_each_probe_reads_its_lifts_once(rng, p, monkeypatch):
     for F, G in _line_pairs(rng, p, 10):
         calls.clear()
         d = distance(F, G)
-        assert calls == ([d.upper] if d.exact_by == "isometry"
-                         and d.upper != POS_INF else []), (F, G, calls)
+        M = interleave._framed(F, G)[0][0]
+        assert all(type(a) is int for a in calls), calls
+        assert [Fr(a, M) for a in calls] == (
+            [d.upper] if d.exact_by == "isometry"
+            and d.upper != POS_INF else []), (F, G, calls)
+
+
+# ---------------------------------------------------------------------------
+# The line search in the pair's integer frame, against the bottleneck in
+# Fractions, and the types of what it returns.
+
+# Coprime denominators, two of them primes near 2^32: a pair that uses
+# both is in a frame past 2^64.
+FRAME_DENOMS = (1, 2, 3, 5, 7, 4294967291, 4294967311)
+# Denominators of the shifts off the cost grid: a enters the frame.
+SHIFT_DENOMS = (11, 13, 4294967279)
+
+
+def _bottleneck(F, G):
+    """Oracle: the graded bottleneck distance over ``thicken.direct_cost``
+    and ``kill_cost`` on the Fraction ends, the least over every partial
+    matching of its largest cost, a bar left out at its kill cost."""
+    kill_F = [kill_cost(b) for b in F.bars]
+    kill_G = [kill_cost(b) for b in G.bars]
+    cost = [[direct_cost(cost_form(f), cost_form(g)) for g in G.bars]
+            for f in F.bars]
+    best = POS_INF
+
+    def walk(i, used, worst):
+        nonlocal best
+        if worst >= best:
+            return
+        if i == len(F.bars):
+            rest = [k for j, k in enumerate(kill_G) if j not in used]
+            best = min(best, max([worst] + rest))
+            return
+        walk(i + 1, used, max(worst, kill_F[i]))
+        for j, c in enumerate(cost[i]):
+            if j not in used:
+                walk(i + 1, used | {j}, max(worst, c))
+
+    walk(0, frozenset(), Fr(0))
+    return best
+
+
+def _redrawn(rng, b, pool):
+    """A bar of b's kinds and degree with its finite ends drawn anew from
+    ``pool``: in b's cost class, unless a point turns closed or back."""
+    iv = b.iv
+    while True:
+        lo = rng.choice(pool) if iv.left != -POS_INF else iv.left
+        hi = rng.choice(pool) if iv.right != POS_INF else iv.right
+        if lo < hi or (lo == hi and iv.lkind is iv.rkind is CLOSED):
+            return Bar(Interval(lo, iv.lkind, hi, iv.rkind), b.degree)
+
+
+def _frame_pairs(rng, p, count):
+    """Line pairs of every shape (the full line, rays both ways, points,
+    and the four bounded kinds) in degrees 0-2, ends from a pool of six
+    over ``FRAME_DENOMS``.  G redraws F's bars, and each side may carry an
+    extra half-open bar, which can go unmatched, so that the answer is
+    mostly finite; every fourth G is drawn on its own."""
+    for k in range(count):
+        pool = set()
+        while len(pool) < 6:
+            pool.add(Fr(rng.randint(-12, 12), rng.choice(FRAME_DENOMS)))
+        pool = sorted(pool)
+
+        def drawn():
+            return Bar(pooled_interval(rng, pool), rng.randint(0, 2))
+
+        def extra():
+            lo, hi = rng.sample(pool, 2)
+            kinds = rng.choice(((CLOSED, OPEN), (OPEN, CLOSED)))
+            return [Bar(Interval(min(lo, hi), kinds[0], max(lo, hi), kinds[1]),
+                        rng.randint(0, 2))][:rng.randint(0, 1)]
+
+        F = [drawn() for _ in range(rng.randint(0, 3))]
+        G = [_redrawn(rng, b, pool) for b in F] if k % 4 else \
+            [drawn() for _ in range(rng.randint(0, 3))]
+        yield GradedBarcode(F + extra(), p), GradedBarcode(G + extra(), p)
+
+
+def _value(x):
+    """Whether x is a value outside any frame: a Fraction or an infinity."""
+    return type(x) is Fr or x in (POS_INF, -POS_INF)
+
+
+def _assert_frame_free(result, p):
+    """No frame value in a ``DistanceBounds`` or a certificate: every
+    bound, shift and bar end a Fraction or an infinity, every interval a
+    checked ``Interval``, and the only ints the blocks' scalars mod p."""
+    if isinstance(result, DistanceBounds):
+        for field in ("lower", "upper"):
+            assert _value(getattr(result, field)), (field, result)
+        assert type(result.exact) is bool and type(result.conclusive) is bool
+        result = result.witness
+    if result is None:
+        return
+    assert type(result.a) is Fr, result.a
+    for m in (result.f, result.g):
+        for X in (m.source, m.target):
+            for b in X.bars:
+                assert type(b.iv) is Interval, b
+                assert _value(b.iv.left) and _value(b.iv.right), b
+        assert all(type(c) is int and 0 < c < p for c in m.blocks.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frame_route_equals_fraction_bottleneck(rng, p):
+    """``distance`` on the line, which runs in the pair's integer frame,
+    equals the bottleneck over the costs in Fractions, and its witness
+    verifies.  ``check_interleaving`` and ``check_matching`` certify
+    exactly at the shifts at or above it, on the cost grid and off it
+    (a rational shift of a new denominator, which enters the frame)."""
+    seen = {"finite": 0, "inf": 0, "past 2^64": 0, "off grid": 0}
+    for F, G in _frame_pairs(rng, p, 60):
+        v = _bottleneck(F, G)
+        d = distance(F, G)
+        assert (d.lower, d.upper, d.exact) == (v, v, True), (F, G, v)
+        _assert_frame_free(d, p)
+        if d.witness is not None:
+            assert verify_certificate(F, G, d.witness), (F, G)
+        seen["finite" if v != POS_INF else "inf"] += 1
+        seen["past 2^64"] += interleave._framed(F, G)[0][0].bit_length() > 64
+        costs = {c for f in F.bars for g in G.bars
+                 if (c := direct_cost(cost_form(f), cost_form(g))) != POS_INF}
+        costs |= {k for b in F.bars + G.bars if (k := kill_cost(b)) != POS_INF}
+        shifts = sorted(costs)[:4] + [Fr(rng.randint(1, 60),
+                                         rng.choice(SHIFT_DENOMS))]
+        for a in shifts:
+            seen["off grid"] += a not in costs
+            for check in (check_interleaving, check_matching):
+                cert = check(F, G, a)
+                assert (cert is not None) == (a >= v), (check, F, G, a, v)
+                _assert_frame_free(cert, p)
+                if cert is not None:
+                    assert cert.a == a and verify_certificate(F, G, cert)
+    assert min(seen.values()) >= 3, seen
+
+
+class TestFrameFactor:
+    """The frame's factor 2 makes every kill cost an int: a frame without
+    it, or one that halves with ``/``, fails here."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_half_an_odd_length(self, p):
+        """[0, 1/3) against nothing is at its kill cost 1/6: half of 1/3,
+        whose numerator is odd over the lcm of the denominators."""
+        F, E = gb(bar(half_open(0, Fr(1, 3))), char=p), gb(char=p)
+        for X, Y in ((F, E), (E, F)):
+            d = distance(X, Y)
+            assert d.fields() == (Fr(1, 6), Fr(1, 6), True)
+            assert type(d.upper) is Fr and verify_certificate(X, Y, d.witness)
+            assert check_interleaving(X, Y, Fr(1, 6)) is not None
+            assert check_matching(X, Y, Fr(1, 7)) is None
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_the_2v_restriction_needs_the_factor(self, p):
+        """[0, 1/3) against [1/7, 10/21) is at the direct cost 1/7, just
+        below the kill cost 1/6: the restriction of T_2v to the bar, at
+        2v = 2/7 < 1/3, is nonzero, so the witness has one nonzero block
+        each way.  Over the lcm 21 alone the length 7 would halve to 3 = v
+        and the bar would die at 2v."""
+        F = gb(bar(half_open(0, Fr(1, 3))), char=p)
+        G = gb(bar(half_open(Fr(1, 7), Fr(10, 21))), char=p)
+        d = distance(F, G)
+        assert d.fields() == (Fr(1, 7), Fr(1, 7), True)
+        assert len(d.witness.f.blocks) == len(d.witness.g.blocks) == 1
+        assert verify_certificate(F, G, d.witness)
+        cert = check_matching(F, G, Fr(1, 7))
+        assert cert is not None and len(cert.f.blocks) == 1
+        assert check_interleaving(F, G, Fr(1, 8)) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_no_frame_value_reaches_a_caller(rng, p):
+    """Over random line pairs of every shape, every ``DistanceBounds``
+    field and every witness bar end is a Fraction or an infinity, and the
+    only ints are the witness's scalars; so for the certificates of
+    ``check_interleaving`` and ``check_matching`` at a rational shift."""
+    for F, G in list(_mixed_line_pairs(rng, p, 30, 4)) + list(
+            _frame_pairs(rng, p, 20)):
+        d = distance(F, G)
+        _assert_frame_free(d, p)
+        a = Fr(rng.randint(1, 30), rng.choice(SHIFT_DENOMS))
+        for check in (check_interleaving, check_matching):
+            _assert_frame_free(check(F, G, a), p)
