@@ -222,7 +222,10 @@ def circle_ops(C, char: int = 2):
     ``space`` argument of ``distance``, ``verify_certificate`` and the other
     ``interleave`` and ``morphisms`` functions.  ``char`` is not used; the
     field is read off the barcodes."""
-    return ("circle", Fraction(C))
+    C = Fraction(C)
+    if C <= 0:
+        raise ValueError("circumference must be positive")
+    return ("circle", C)
 
 
 def circle_distance(F: CircleSheaf, G: CircleSheaf) -> DistanceBounds:

@@ -44,27 +44,24 @@ compares the sections that are invariant there, and the critical grid adds
 the circle's shifts by multiples of C/2.  Inputs must be over one field and
 already in normal form.
 
-The grid is built in exact integers: ``scalars.int_frame`` scales the ends
-(and C) over four times the lcm of their denominators, so every difference,
-shift and half is an int, and one ``Fraction`` is made per distinct grid
-value.
-
-The line search runs in the pair's integer frame (``_framed``): each
-``distance``, ``check_interleaving`` or ``check_matching`` call scales F's
-and G's ends, and its shift, once over M = 2 * the lcm of their
-denominators, so the costs, the kill costs, the bisection, the ``_lifts``
-rows and the Hom rules under ``_pair_feasible`` compare ints.  The bar
-rules, the costs and the Hom rules have one definition each, which reads
-an int end as it reads a Fraction one (``scalars.is_finite``).  The circle
-runs in Fractions.  ``_certificate`` is where frame values turn back into
-values: it reads the lift tables back with one ``Fraction(n, M)`` per end,
-and ``_verified`` checks the certificate on those Fraction tables, so no
-frame value reaches a caller and the check does not rest on the frame.
+Every search, on either space, runs in the pair's integer frame
+(``_framed``): each public call scales F's and G's ends, C on the circle
+and its shift once over M = 4 * the lcm of their denominators, so the
+costs, the kill costs, the bisection, the critical grid and its halves, the
+``_lifts`` rows and the Hom rules compare ints.  The bar rules, the costs,
+the normal form and the Hom rules have one definition each, which reads an
+int end as it reads a Fraction one.  ``_certificate`` is the one place
+where frame values turn back into values: it reads back the shift, the lift
+tables (one ``Fraction(n, M)`` per end) and the space, and ``_verified``
+checks the certificate on them.  ``verify_certificate`` runs on the unit
+frame M = 1, which is its own Fractions, so the check does not rest on the
+frame and no frame value reaches a caller.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -117,22 +114,21 @@ class DistanceBounds:
 
 def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
     """Exact check of the two 2a-composite identities in ``space``, on the
-    four ``_sides`` tables of the ``_lifts`` rows (``_verified``)."""
+    four ``_sides`` tables of the ``_lifts`` rows (``_verified``), on the
+    unit frame M = 1: the input pair's own Fractions."""
     a = Fraction(cert.a)
     if a < 0:
         return False
-    return _verified(F, G, cert, _sides(_lifts(F, G, a, space), F.char), space)
+    return _verified(F, G, cert, _sides(_lifts(F, G, a, space), F.char, 1),
+                     space)
 
 
-def _sides(lifts, p, M=None):
+def _sides(lifts, p, M):
     """Per side X, the ``indexed`` tables of T_a X and T_2a X over F_p,
-    sorted from the a- and 2a-lift columns of its ``_lifts`` rows.  Rows in
-    a pair's integer frame (``M`` given) are read back first, one exact
-    ``Fraction(n, M)`` per end."""
-    def column(rows, k):
-        return [r[k] if M is None else _read_back(r[k], M) for r in rows]
-    return [(indexed(column(rows, 1), p), indexed(column(rows, 2), p))
-            for rows in lifts]
+    sorted from the a- and 2a-lift columns of its ``_lifts`` rows, read back
+    from the frame of ``M`` with one exact ``Fraction(n, M)`` per end."""
+    return [tuple(indexed([_read_back(r[k], M) for r in rows], p)
+                  for k in (1, 2)) for rows in lifts]
 
 
 def _read_back(b, M):
@@ -183,8 +179,8 @@ def weaken_certificate(F, G, cert: InterleavingCertificate, b,
 def _lifts(F, G, a, space):
     """Per side, per bar b in input order: (b, its a-lift, its 2a-lift,
     whether the restriction T_2a X -> X kills it, that is whether its kill
-    cost is at most a), lifts in normal form.  In Fractions, or all in
-    one integer frame (``_framed``)."""
+    cost is at most a), lifts in normal form: in Fractions, or in one
+    integer frame (``_framed``) with ``space`` there."""
     a2 = 2 * a
     return [[(b, normal_form(bar_rule(b, a), space),
               normal_form(bar_rule(b, a2), space), kill_cost(b) <= a)
@@ -265,21 +261,39 @@ def _check_inputs(F, G, space, a=0):
     return a
 
 
-def _framed(F, G, *shifts):
-    """The pair's frame (M, F', G'), and the shifts in it.
-    ``scalars.int_frame`` scales every end of F and G and every shift once,
-    over M = 2 * the lcm of their denominators.  Every end is then an even
-    int, so every cost (a difference of ends), every kill cost (half a
-    length), every shift and every lift end is an int.  F' and G' are the
-    images of F and G under x -> Mx: each bar keeps its kinds, degree and
-    place, on a ``FramedInterval``."""
+def _framed(F, G, space, *shifts):
+    """The pair's frame (M, F', G', space'), and the shifts in it.
+    ``scalars.int_frame`` scales every end of F and G, C on the circle and
+    every shift once, over M = 4 * the lcm of their denominators.  Every end
+    and C are then multiples of 4, so every cost (a difference of ends),
+    kill cost (half a length), shift, lift end, critical grid value and its
+    half, and C/2 is an int.  F' and G' are the images of F and G under
+    x -> Mx: each bar keeps its kinds, degree and place, on a
+    ``FramedInterval``.  space' is ``LINE`` or ("circle", MC)."""
     ends = [x for X in (F, G) for b in X.bars for x in (b.iv.left, b.iv.right)]
-    M, ints = int_frame(ends + list(shifts), factor=2)
+    circle = [] if space == LINE else [space[1]]
+    M, ints = int_frame(ends + circle + list(shifts), factor=4)
     it = iter(ints)
     F, G = (GradedBarcode._sorted(
         [Bar(FramedInterval(next(it), b.iv.lkind, next(it), b.iv.rkind),
              b.degree) for b in X.bars], X.char) for X in (F, G))
-    return (M, F, G), ints[len(ends):]
+    if circle:
+        space = ("circle", next(it))
+    return (M, F, G, space), list(it)
+
+
+@contextmanager
+def _in_values(a, space):
+    """Raise an ``UnsupportedHomError`` of a search again on the shift ``a``
+    and the ``space`` its caller gave: under the search the Hom calculus
+    reads the pair's frame, and its message would name frame values."""
+    try:
+        yield
+    except UnsupportedHomError:
+        where = "the line" if space == LINE else f"R/CZ, C = {space[1]}"
+        raise UnsupportedHomError(
+            f"the search at {a} on {where} meets a Hom space that the "
+            f"calculus cannot use") from None
 
 
 def _pair_costs(F, G, space):
@@ -356,18 +370,21 @@ def _least_cost(costs):
     return None if k == len(values) else values[k]
 
 
-def _certificate(F, G, a, fblocks, gblocks, lifts, space, M=None):
+def _certificate(F, G, a, fblocks, gblocks, lifts, frame):
     """The verified a-certificate with the f-blocks ``fblocks`` of T_a F ->
     G and the g-blocks ``gblocks`` of T_a G -> F, keyed by input indices
     and moved onto the ``_sides`` tables of the ``_lifts`` rows, the only
     sorting a probe does.  Failing verification is an invariant break.
 
-    With ``M`` given, ``a`` and the lifts are in the pair's integer frame,
-    and this is where they turn back into values: the tables are read back
-    in Fractions, so ``_verified`` checks the certificate on the input
-    pair's own values, independently of the frame."""
-    if M is not None:
-        a = Fraction(a, M)
+    ``a`` and the lifts are in the pair's ``frame`` (M, F', G', space'), or
+    the unit frame (1, F, G, space) in Fractions, and this is where they
+    turn back into values: the shift, the tables and the space are read
+    back, so ``_verified`` checks the certificate on the input pair's own
+    values, independently of the frame."""
+    M, space = frame[0], frame[3]
+    if space != LINE:
+        space = ("circle", Fraction(space[1], M))
+    a = Fraction(a, M)
     sides = _sides(lifts, F.char, M)
     ((TFa, permF), _), ((TGa, permG), _) = sides
     cert = InterleavingCertificate(
@@ -381,11 +398,10 @@ def _certificate(F, G, a, fblocks, gblocks, lifts, space, M=None):
     return cert
 
 
-def _matching(F, G, a, space, costs, lifts, M=None):
+def _matching(F, G, a, frame, costs, lifts):
     """The verified certificate of a block-diagonal matching at ``a`` over
-    the ``_pair_costs`` costs and a probe's ``_lifts`` rows, or None; with
-    ``M`` given, a, the costs and the lifts are in the integer frame of
-    that M.
+    the ``_pair_costs`` costs and a probe's ``_lifts`` rows, or None; a,
+    the costs and the lifts are in the pair's ``frame``.
 
     The candidate pairs are those of cost at most a, and a bar of kill cost
     at most a may stay unmatched.  ``_perfect_matching`` runs once, and
@@ -398,6 +414,7 @@ def _matching(F, G, a, space, costs, lifts, M=None):
     pairs = _perfect_matching(*_candidates(costs, a))
     if pairs is None:
         return None
+    M, _, _, space = frame
     fblocks, gblocks = {}, {}
     for i, j in pairs:
         f, g = lifts[0][i], lifts[1][j]
@@ -411,29 +428,18 @@ def _matching(F, G, a, space, costs, lifts, M=None):
             if space == LINE:
                 raise AssertionError(
                     f"the cost formula and the Hom calculus disagree on "
-                    f"{F.bars[i]}, {G.bars[j]} at "
-                    f"{a if M is None else Fraction(a, M)}")
+                    f"{F.bars[i]}, {G.bars[j]} at {Fraction(a, M)}")
             return None
         fblocks[(i, j)], gblocks[(j, i)] = 1, x
-    return _certificate(F, G, a, fblocks, gblocks, lifts, space, M)
-
-
-def _setup(F, G, a, space):
-    """The pair's ``_framed`` frame on the line (else None), the shift ``a``
-    in it and the ``_pair_costs`` of a search at a."""
-    frame = None
-    if space == LINE:
-        frame, (a,) = _framed(F, G, a)
-        _, F, G = frame
-    return frame, a, _pair_costs(F, G, space)
+    return _certificate(F, G, a, fblocks, gblocks, lifts, frame)
 
 
 def check_matching(F, G, a, space=LINE):
     """``_matching`` at the shift a, after the entry checks of every
-    search: the verified certificate, or None."""
-    frame, a, costs = _setup(F, G, _check_inputs(F, G, space, a), space)
-    M, X, Y = frame or (None, F, G)
-    return _matching(F, G, a, space, costs, _lifts(X, Y, a, space), M)
+    search, in the pair's frame: the verified certificate, or None."""
+    frame, (x,) = _framed(F, G, space, _check_inputs(F, G, space, a))
+    _, X, Y, S = frame
+    return _matching(F, G, x, frame, _pair_costs(X, Y, S), _lifts(X, Y, x, S))
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +459,19 @@ def check_exhaustive(F, G, a, space=LINE):
     """Complete search over block assignments; None means proven infeasible.
     The row test (``_row_refuted``) runs first, under no cap.  Then the
     unknowns are counted as they are found, and the count stops as soon as
-    it passes ``MAX_UNKNOWNS``."""
+    it passes ``MAX_UNKNOWNS``.  The search runs in the pair's frame."""
     a = _check_inputs(F, G, space, a)
-    return _exhaustive(F, G, a, space, _lifts(F, G, a, space))
+    frame, (x,) = _framed(F, G, space, a)
+    _, X, Y, S = frame
+    with _in_values(a, space):
+        return _exhaustive(F, G, x, frame, _lifts(X, Y, x, S))
 
 
-def _exhaustive(F, G, a, space, lifts):
-    """``check_exhaustive`` on a probe's ``_lifts``: the row test, then the
-    capped ``_enumeration`` over the side with fewer unknown blocks."""
-    p = F.char
+def _exhaustive(F, G, a, frame, lifts):
+    """``check_exhaustive`` on a probe's ``_lifts``, in the pair's
+    ``frame``: the row test, then the capped ``_enumeration`` over the side
+    with fewer unknown blocks."""
+    p, space = F.char, frame[3]
     if _row_refuted(lifts, p, space):
         return None
     fvars = list(islice(_variables(*lifts, p, space), MAX_UNKNOWNS + 1))
@@ -476,7 +486,7 @@ def _exhaustive(F, G, a, space, lifts):
     blocks = _enumeration(lifts[::step], (fvars, gvars)[::step], p, space)
     if blocks is None:
         return None
-    return _certificate(F, G, a, *blocks[::step], lifts, space)
+    return _certificate(F, G, a, *blocks[::step], lifts, frame)
 
 
 def _row_refuted(lifts, p, space):
@@ -553,18 +563,18 @@ def _enumeration(lifts, unknowns, p, space):
     return None
 
 
-def _search(F, G, a, space, costs, frame=None):
+def _search(F, G, a, frame, costs):
     """The one search at a shift, on one probe's ``_lifts``: the
     ``_matching`` certificate, which decides on the line, else on the
-    circle ``_exhaustive`` (the row test, then the capped enumeration).  On
-    the line ``frame`` is the pair's ``_framed`` frame (M, F', G'), and a,
-    the costs and the lifts are in it."""
-    M, X, Y = frame or (None, F, G)
+    circle ``_exhaustive`` (the row test, then the capped enumeration).  a,
+    the costs and the lifts are in the pair's ``frame`` (M, F', G',
+    space')."""
+    _, X, Y, space = frame
     lifts = _lifts(X, Y, a, space)
-    cert = _matching(F, G, a, space, costs, lifts, M)
+    cert = _matching(F, G, a, frame, costs, lifts)
     if cert is not None or space == LINE:
         return cert
-    return _exhaustive(F, G, a, space, lifts)
+    return _exhaustive(F, G, a, frame, lifts)
 
 
 def check_interleaving(F, G, a, space=LINE):
@@ -577,13 +587,14 @@ def check_interleaving(F, G, a, space=LINE):
     On the line ``_matching`` over the closed-form costs decides: the
     threshold test of a bottleneck search (Kerber-Morozov-Nigmetov, JEA
     2017), exact by the derived isometry theorem (Berkouk-Ginot,
-    arXiv:1907.09759).  Both spaces run one ``_search``, the line in the
-    pair's integer frame (``_framed``), with ``a`` in it."""
+    arXiv:1907.09759).  Both spaces run one ``_search`` in the pair's
+    integer frame (``_framed``), with ``a`` in it."""
     a = _check_inputs(F, G, space, a)
     if a == 0 and not iso_equal(F, G):
         return None
-    frame, a, costs = _setup(F, G, a, space)
-    return _search(F, G, a, space, costs, frame)
+    frame, (x,) = _framed(F, G, space, a)
+    with _in_values(a, space):
+        return _search(F, G, x, frame, _pair_costs(*frame[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -603,13 +614,18 @@ def finite_gate(F, G, space=LINE) -> str:
 def critical_grid(F, G, space=LINE):
     """0 and every endpoint difference v, with its half, sorted.  On the
     circle R/CZ each v is first moved to |v + kC/2| for k = -2..2, kept up
-    to 2C.  The ends (and C) are scaled to ints over M = 4 * lcm of their
-    denominators (``scalars.int_frame``), so every value and every half is
-    an exact int over M."""
-    eps = F.finite_endpoints() + G.finite_endpoints()
-    M, ints = int_frame(eps if space == LINE else eps + [space[1]], factor=4)
+    to 2C.  The ``_grid`` of the pair's frame, read back."""
+    frame, _ = _framed(F, G, space)
+    return [Fraction(v, frame[0]) for v in _grid(frame)]
+
+
+def _grid(frame):
+    """``critical_grid`` in the pair's ``frame`` (M, F', G', space'), where
+    every value and every half is an int."""
+    _, F, G, space = frame
+    ints = F.finite_endpoints() + G.finite_endpoints()
     if space != LINE:
-        half = ints.pop() // 2
+        half = space[1] // 2
     base = {0}
     for i, p in enumerate(ints):
         for q in ints[i + 1:]:
@@ -617,7 +633,7 @@ def critical_grid(F, G, space=LINE):
     if space != LINE:
         base = {w for v in base for k in (-2, -1, 0, 1, 2)
                 if (w := abs(v + k * half)) <= 4 * half}
-    return [Fraction(v, M) for v in sorted(base | {v // 2 for v in base})]
+    return sorted(base | {v // 2 for v in base})
 
 
 def distance(F, G, space=LINE) -> DistanceBounds:
@@ -632,9 +648,9 @@ def distance(F, G, space=LINE) -> DistanceBounds:
     helps to compare persistence diagrams, JEA 2017), with the one verified
     certificate of ``_search`` there; no matching at the largest cost is
     an exact +inf.  The pair costs are computed once per call, and every
-    matching, on either space, reads them.  On the line the costs, the
-    bisection and the search run in the pair's integer frame
-    (``_framed``), and the value is read back as one Fraction.
+    matching, on either space, reads them.  The costs, the bisection, the
+    grid and every search run in the pair's integer frame (``_framed``),
+    and each bound is read back as one Fraction.
 
     On the circle a probe at a grid value is one ``_search``, which ends
     found, refuted or undecided (a search over its cap, or a Hom the
@@ -661,26 +677,24 @@ def distance(F, G, space=LINE) -> DistanceBounds:
                               exact_by="identity")
     if finite_gate(F, G, space) == "infinite":
         return DistanceBounds(POS_INF, POS_INF, True, None, exact_by="gate")
+    frame, _ = _framed(F, G, space)
+    M, costs = frame[0], _pair_costs(*frame[1:])
+    v = _least_cost(costs)
     if space == LINE:
-        frame, _ = _framed(F, G)
-        costs = _pair_costs(*frame[1:], LINE)
-        v = _least_cost(costs)
         if v is None:
             return DistanceBounds(POS_INF, POS_INF, True, None,
                                   exact_by="isometry")
-        w = Fraction(v, frame[0])
-        return DistanceBounds(w, w, True, _search(F, G, v, LINE, costs, frame),
+        w = Fraction(v, M)
+        return DistanceBounds(w, w, True, _search(F, G, v, frame, costs),
                               exact_by="isometry")
-    costs = _pair_costs(F, G, space)
-    v = _least_cost(costs)
-    grid = critical_grid(F, G, space)
+    grid = _grid(frame)
     n = len(grid)
     probes = {0: ("refuted", None)}
 
     def probe(i):
         if i not in probes:
             try:
-                cert = _search(F, G, grid[i], space, costs)
+                cert = _search(F, G, grid[i], frame, costs)
                 probes[i] = ("refuted" if cert is None else "found", cert)
             except (CapacityError, UnsupportedHomError):
                 probes[i] = ("undecided", None)
@@ -700,12 +714,10 @@ def distance(F, G, space=LINE) -> DistanceBounds:
             lower = i
             if upper < n:
                 break
+    low = Fraction(grid[lower], M)
     if upper == n:
-        return DistanceBounds(grid[lower], POS_INF, False, None,
-                              conclusive=conclusive)
-    witness = probes[upper][1]
+        return DistanceBounds(low, POS_INF, False, None, conclusive=conclusive)
+    up, witness = Fraction(grid[upper], M), probes[upper][1]
     if lower == upper - 1:
-        return DistanceBounds(grid[upper], grid[upper], True, witness,
-                              exact_by="refuted")
-    return DistanceBounds(grid[lower], grid[upper], False, witness,
-                          conclusive=conclusive)
+        return DistanceBounds(up, up, True, witness, exact_by="refuted")
+    return DistanceBounds(low, up, False, witness, conclusive=conclusive)

@@ -45,7 +45,6 @@ tests for this too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -291,11 +290,12 @@ def _covering_pair_dims(space, p, ivA, ivB):
     """(hom, ext, {n: (hom, ext)}) of a circle pair of lifts.  RHom(p_!A, p_!B)
     is the sum over deck copies n of the line RHom(A, B + nC), and only the
     copies whose closures meet A contribute.  Each copy is a line pair, read
-    from the closed-form line rules."""
+    from the closed-form line rules.  The range is read with ``//``, on
+    Fractions and in an integer frame (C in it) alike."""
     C = space[1]
     copies = {}
-    for n in range(math.ceil((ivA.left - ivB.right) / C),
-                   math.floor((ivA.right - ivB.left) / C) + 1):
+    for n in range(-((ivB.right - ivA.left) // C),
+                   (ivA.right - ivB.left) // C + 1):
         Bn = _deck_copy(ivB, n, C)
         hom, sign = _line_pair(ivA, Bn)
         if hom or sign:
@@ -305,7 +305,7 @@ def _covering_pair_dims(space, p, ivA, ivB):
 
 
 def _deck_copy(iv: Interval, n: int, C) -> Interval:
-    return Interval(iv.left + n * C, iv.lkind, iv.right + n * C, iv.rkind)
+    return type(iv)(iv.left + n * C, iv.lkind, iv.right + n * C, iv.rkind)
 
 
 def _check_supported(dims, ivA, ivB):
@@ -511,15 +511,16 @@ def compose(m1: Morphism, m2: Morphism) -> Morphism:
 def normal_form(bar: Bar, space) -> Bar:
     """The bar that names ``bar`` in ``space``.  On the line a bar is its own
     normal form.  On the circle R/CZ the lifts of one spiral are the deck
-    copies of each other, and the normal one starts in [0, C)."""
+    copies of each other, and the normal one starts in [0, C).  A lift in an
+    integer frame, C in it, stays there (``type(iv)``, as in ``bar_rule``)."""
     if space == LINE:
         return bar
     iv, C = bar.iv, space[1]
-    n = (iv.left / C).__floor__()
+    n = iv.left // C
     if n == 0:
         return bar
     shift = n * C
-    return Bar(Interval(iv.left - shift, iv.lkind, iv.right - shift, iv.rkind),
+    return Bar(type(iv)(iv.left - shift, iv.lkind, iv.right - shift, iv.rkind),
                bar.degree)
 
 

@@ -11,7 +11,6 @@ convolution route below (``convolution_ball``), which the CLI
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
@@ -70,7 +69,7 @@ def kill_cost(b: Bar):
     """The least a at which the canonical restriction T_2a b -> b vanishes
     (``halfopen_translation_kills`` at 2a): half the length of a bounded
     half-open bar, +inf for every other bar.  In an integer frame the length
-    is an int, and the frame's factor makes it even (``interleave._framed``),
+    is an int, made even by the frame's factor 4 (``interleave._framed``),
     so ``//`` halves it exactly and no float enters the frame."""
     iv = b.iv
     if iv.is_bounded and iv.lkind is not iv.rkind:
@@ -113,15 +112,16 @@ def deck_cost(form_f, form_g, C):
     """The least ``direct_cost`` of ``form_f`` against the deck copies
     g + nC of ``form_g``, for two lifts on the circle R/CZ.  The max of the
     |x - y - nC| is convex in n, so its least value is at some n between
-    the floors and the ceilings of the (x - y)/C.  That this is the circle's
-    pair cost is a conjecture (no circle isometry theorem is cited here):
+    the floors and the ceilings of the (x - y)/C, read with ``//`` on
+    Fractions and in an integer frame alike.  That this is the circle's pair
+    cost is a conjecture (no circle isometry theorem is cited here):
     ``interleave`` reads it to choose the circle matching's candidate pairs
-    and the place to start its search, and certifies or refutes every
-    answer without it."""
+    and the place to start its search, and certifies or refutes every answer
+    without it."""
     kg, eg = form_g
-    steps = [(x - y) / C for x, y in zip(form_f[1], eg)]
-    ns = range(min(map(math.floor, steps), default=0),
-               max(map(math.ceil, steps), default=0) + 1)
+    diffs = [x - y for x, y in zip(form_f[1], eg)]
+    ns = range(min((d // C for d in diffs), default=0),
+               -min((-d // C for d in diffs), default=0) + 1)
     return min(direct_cost(form_f, (kg, tuple(y + n * C for y in eg)))
                for n in ns)
 

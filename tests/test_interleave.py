@@ -295,14 +295,15 @@ class TestBudgetBounds:
     @classmethod
     def block_matching_at_distance(cls, monkeypatch):
         """Cap the exhaustive search at one unknown, and let the matching
-        find nothing at the distance 1/2, where every row is reached: the
-        probe there is over the cap, and the next grid value, 5/8, is
-        matched."""
+        find nothing at the distance 1/2 (read back from the pair's frame),
+        where every row is reached: the probe there is over the cap, and
+        the next grid value, 5/8, is matched."""
         monkeypatch.setattr(interleave, "MAX_UNKNOWNS", 1)
         matching = interleave._matching
         monkeypatch.setattr(
-            interleave, "_matching", lambda F, G, a, *rest:
-            None if a == Fr(1, 2) else matching(F, G, a, *rest))
+            interleave, "_matching", lambda F, G, a, frame, *rest:
+            None if Fr(a, frame[0]) == Fr(1, 2)
+            else matching(F, G, a, frame, *rest))
 
     def test_capacity_leaves_bounds_inconclusive(self, monkeypatch):
         self.block_matching_at_distance(monkeypatch)
@@ -348,7 +349,8 @@ def _match_pairs(F, G, a, space):
 
 def _table_certificate(F, G, a, space):
     """The verified certificate of the ``_match_pairs`` matching at ``a``,
-    else None (a Hom the calculus cannot use included)."""
+    built on the unit frame (Fractions), else None (a Hom the calculus
+    cannot use included)."""
     match = _match_pairs(F, G, Fr(a), space)
     if match is None:
         return None
@@ -357,7 +359,7 @@ def _table_certificate(F, G, a, space):
         return interleave._certificate(
             F, G, Fr(a), {(i, j): 1 for i, j in pairs},
             {(j, i): feas[(i, j)] for i, j in pairs},
-            interleave._lifts(F, G, Fr(a), space), space)
+            interleave._lifts(F, G, Fr(a), space), (1, F, G, space))
     except UnsupportedHomError:
         return None
 
@@ -564,30 +566,32 @@ class TestScriptedWalk:
 
     def test_walk_matches_linear_definition(self, monkeypatch):
         """From every start: none, below the grid, on each grid value,
-        between two, and past the top."""
+        between two, and past the top.  The grid is scripted in the pair's
+        frame, whose M is 4, so grid index i reads back as i/4."""
         F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
         state = {}
 
-        def search(F, G, a, space, costs):
+        def search(F, G, a, frame, costs):
             assert 0 < a and a not in state["searched"], a
             state["searched"].add(a)
-            outcome = state["script"][int(a)]
+            outcome = state["script"][a]
             if outcome == "capacity":
                 raise CapacityError("scripted")
             if outcome == "unsupported":
                 raise UnsupportedHomError("scripted")
-            return InterleavingCertificate(a, None, None) if outcome == "found" else None
+            return InterleavingCertificate(Fr(a, frame[0]), None, None) \
+                if outcome == "found" else None
 
-        monkeypatch.setattr(interleave, "critical_grid",
-                            lambda F, G, space: state["grid"])
+        monkeypatch.setattr(interleave, "_grid", lambda frame: state["grid"])
         monkeypatch.setattr(interleave, "_least_cost",
                             lambda costs: state["start"])
         monkeypatch.setattr(interleave, "_search", search)
         space = circle_ops(4)
         seen = set()
         for script in _walk_scripts(6):
-            grid = [Fr(i) for i in range(len(script))]
-            expected = _linear_definition(grid, lambda a: script[int(a)])
+            grid = list(range(len(script)))
+            expected = _linear_definition([Fr(i, 4) for i in grid],
+                                          lambda a: script[int(4 * a)])
             starts = [Fr(k, 2) for k in range(-1, 2 * len(grid) + 1)]
             for start in [None] + starts:
                 state.update(grid=grid, script=script, start=start,
@@ -1472,7 +1476,7 @@ def _scripted(monkeypatch, feasible):
             raise UnsupportedHomError("scripted")
         return r
 
-    def certificate(F, G, a, fblocks, gblocks, lifts, space, M=None):
+    def certificate(F, G, a, fblocks, gblocks, lifts, frame):
         built.append(fblocks)
         return InterleavingCertificate(a, None, None)
 
@@ -1513,7 +1517,7 @@ def test_matching_agrees_with_brute_force(rng, monkeypatch):
         asked.clear()
         built.clear()
         cert = interleave._matching(
-            F, G, a, space,
+            F, G, a, (1, F, G, space),
             _candidate_costs(F, G, lambda i, j: (F.bars[i], G.bars[j]) in table),
             interleave._lifts(F, G, a, space))
         exists = next(_valid_matchings(nF, nG, feasible, kill_F, kill_G),
@@ -1552,7 +1556,7 @@ def test_matching_refutes_hall_violation_fast(monkeypatch):
                              lambda f, g: None if g == g0 else 1)
     start = time.perf_counter()
     space = circle_ops(16)
-    assert interleave._matching(F, G, Fr(1), space,
+    assert interleave._matching(F, G, Fr(1), (1, F, G, space),
                                 _every_pair_a_candidate(F, G),
                                 interleave._lifts(F, G, Fr(1), space)) \
         is None
@@ -1806,7 +1810,7 @@ def test_each_probe_reads_its_lifts_once(rng, p, monkeypatch):
     for F, G in _line_pairs(rng, p, 10):
         calls.clear()
         d = distance(F, G)
-        M = interleave._framed(F, G)[0][0]
+        M = interleave._framed(F, G, LINE)[0][0]
         assert all(type(a) is int for a in calls), calls
         assert [Fr(a, M) for a in calls] == (
             [d.upper] if d.exact_by == "isometry"
@@ -1894,10 +1898,11 @@ def _value(x):
     return type(x) is Fr or x in (POS_INF, -POS_INF)
 
 
-def _assert_frame_free(result, p):
+def _assert_frame_free(result, p, space=LINE):
     """No frame value in a ``DistanceBounds`` or a certificate: every
     bound, shift and bar end a Fraction or an infinity, every interval a
-    checked ``Interval``, and the only ints the blocks' scalars mod p."""
+    checked ``Interval``, the only ints the blocks' scalars mod p, and the
+    space the one given, its circumference a Fraction."""
     if isinstance(result, DistanceBounds):
         for field in ("lower", "upper"):
             assert _value(getattr(result, field)), (field, result)
@@ -1907,6 +1912,8 @@ def _assert_frame_free(result, p):
         return
     assert type(result.a) is Fr, result.a
     for m in (result.f, result.g):
+        assert m.space == space, m.space
+        assert space == LINE or type(m.space[1]) is Fr, m.space
         for X in (m.source, m.target):
             for b in X.bars:
                 assert type(b.iv) is Interval, b
@@ -1930,7 +1937,7 @@ def test_frame_route_equals_fraction_bottleneck(rng, p):
         if d.witness is not None:
             assert verify_certificate(F, G, d.witness), (F, G)
         seen["finite" if v != POS_INF else "inf"] += 1
-        seen["past 2^64"] += interleave._framed(F, G)[0][0].bit_length() > 64
+        seen["past 2^64"] += interleave._framed(F, G, LINE)[0][0].bit_length() > 64
         costs = {c for f in F.bars for g in G.bars
                  if (c := direct_cost(cost_form(f), cost_form(g))) != POS_INF}
         costs |= {k for b in F.bars + G.bars if (k := kill_cost(b)) != POS_INF}
@@ -1948,7 +1955,7 @@ def test_frame_route_equals_fraction_bottleneck(rng, p):
 
 
 class TestFrameFactor:
-    """The frame's factor 2 makes every kill cost an int: a frame without
+    """The frame's factor makes every kill cost an int: a frame without
     it, or one that halves with ``/``, fails here."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
@@ -1983,14 +1990,144 @@ class TestFrameFactor:
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_no_frame_value_reaches_a_caller(rng, p):
-    """Over random line pairs of every shape, every ``DistanceBounds``
-    field and every witness bar end is a Fraction or an infinity, and the
-    only ints are the witness's scalars; so for the certificates of
-    ``check_interleaving`` and ``check_matching`` at a rational shift."""
-    for F, G in list(_mixed_line_pairs(rng, p, 30, 4)) + list(
-            _frame_pairs(rng, p, 20)):
-        d = distance(F, G)
-        _assert_frame_free(d, p)
+    """Over random line pairs of every shape, and circle pairs in frames
+    past 2^64 among them, every ``DistanceBounds`` field and every witness
+    bar end is a Fraction or an infinity, the only ints are the witness's
+    scalars, and a circle witness lives on ("circle", Fraction(C)); so for
+    the certificates of ``check_interleaving`` and ``check_matching`` at a
+    rational shift, where they decide."""
+    pairs = [(F, G, LINE) for F, G in list(_mixed_line_pairs(rng, p, 30, 4))
+             + list(_frame_pairs(rng, p, 20))]
+    pairs += list(_frame_circle_pairs(rng, p, 12))
+    witnesses = Counter()
+    for F, G, space in pairs:
+        d = distance(F, G, space)
+        _assert_frame_free(d, p, space)
+        witnesses[space == LINE] += d.witness is not None
         a = Fr(rng.randint(1, 30), rng.choice(SHIFT_DENOMS))
         for check in (check_interleaving, check_matching):
-            _assert_frame_free(check(F, G, a), p)
+            try:
+                _assert_frame_free(check(F, G, a, space), p, space)
+            except (CapacityError, UnsupportedHomError):
+                assert space != LINE
+    assert min(witnesses[True], witnesses[False]) >= 3, witnesses
+
+
+# Circumferences of the circle pairs in a frame: C enters the frame.
+FRAME_CS = (Fr(4), Fr(3, 2), Fr(5, 3), Fr(7, 2))
+
+
+def _frame_circle_pairs(rng, p, count):
+    """Circle pairs of one or two spirals a side on each C of ``FRAME_CS``
+    in turn, bounded lifts of every kind in degrees 0-1 with ends in [0, 2]
+    from a pool of six over the small ``FRAME_DENOMS``.  In every third
+    pair F's first lift has an end over one prime near 2^32 and G's first
+    lift an end over the other, so that the frame passes 2^64.  G redraws
+    F's lifts from the pool, keeping their kinds and degrees; every fourth
+    G is drawn on its own."""
+    small, primes = FRAME_DENOMS[:5], FRAME_DENOMS[5:]
+    for k in range(count):
+        C = FRAME_CS[k % len(FRAME_CS)]
+        pool = set()
+        while len(pool) < 6:
+            q = rng.choice(small)
+            pool.add(Fr(rng.randint(0, 2 * q), q))
+        pool = sorted(pool)
+        big = [Fr(rng.randint(1, 2 * q - 1), q) for q in primes] \
+            if k % 3 == 0 else [None, None]
+
+        def drawn(kinds=None, degree=None, end=None):
+            x, y = sorted(rng.sample(pool, 2) if end is None
+                          else (end, rng.choice(pool)))
+            kinds = kinds or rng.choice(((CLOSED, CLOSED), (OPEN, OPEN),
+                                         (CLOSED, OPEN), (OPEN, CLOSED)))
+            if rng.random() < 0.15 and kinds == (CLOSED, CLOSED):
+                y = x                                       # a point
+            return Bar(Interval(x, kinds[0], y, kinds[1]),
+                       rng.randint(0, 1) if degree is None else degree)
+
+        F = [drawn(end=big[0])] + [drawn() for _ in range(rng.randint(0, 1))]
+        G = [drawn((b.iv.lkind, b.iv.rkind), b.degree, e)
+             for b, e in zip(F, big[1:] + [None])] if k % 4 else \
+            [drawn(end=big[1])] + [drawn() for _ in range(rng.randint(0, 1))]
+        yield (CircleSheaf(C, F, (), p).spiral_barcode(),
+               CircleSheaf(C, G, (), p).spiral_barcode(), circle_ops(C))
+
+
+def _fraction_outcome(F, G, a, space):
+    """'found' or 'refuted' at the shift a by a route in Fractions alone,
+    which reads no pair cost: the full-table matching on the unit frame
+    (``_table_certificate``), then ``_enumeration_only`` on the public Hom
+    calculus; None where that route is over its cap or meets a Hom the
+    calculus cannot use."""
+    if _table_certificate(F, G, a, space) is not None:
+        return "found"
+    try:
+        out = _enumeration_only(F, G, a, space)
+    except UnsupportedHomError:
+        return None
+    return None if out == "capacity" else "refuted" if out is None else "found"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_framed_circle_search_equals_fraction_oracle(rng, p):
+    """On circle pairs whose frame holds C and, in every third pair, two
+    primes near 2^32, ``check_interleaving``, which searches in the pair's
+    integer frame, agrees at every grid value with the route in Fractions
+    wherever both decide, and every certificate it or ``distance`` returns
+    verifies, with no frame value in it."""
+    seen = Counter()
+    for F, G, space in _frame_circle_pairs(rng, p, 12):
+        seen["past 2^64"] += \
+            interleave._framed(F, G, space)[0][0].bit_length() > 64
+        d = distance(F, G, space)
+        _assert_frame_free(d, p, space)
+        if d.witness is not None:
+            assert verify_certificate(F, G, d.witness, space), (F, G)
+        for a in critical_grid(F, G, space):
+            try:
+                cert = check_interleaving(F, G, a, space)
+            except (CapacityError, UnsupportedHomError):
+                seen["undecided"] += 1
+                continue
+            oracle = _fraction_outcome(F, G, a, space)
+            if oracle is not None:
+                assert (cert is not None) == (oracle == "found"), (F, G, a)
+                seen[oracle] += 1
+            if cert is not None:
+                assert cert.a == a and verify_certificate(F, G, cert, space)
+                _assert_frame_free(cert, p, space)
+    assert min(seen["found"], seen["refuted"], seen["past 2^64"]) >= 2, seen
+
+
+def test_unusable_hom_error_names_values_not_frame_values():
+    """[0, 1/3] against [0, 4/3] on R/Z over F_2 at the shift 1: a
+    thickened lift meets a 4-dimensional Hom over the deck copies, which
+    the calculus cannot use.  The search runs in the pair's frame, M = 12,
+    where [0, 10/3] is [0, 40]; the error that leaves ``check_interleaving``
+    and ``check_exhaustive`` names the shift and the circumference as given,
+    and chains no frame-valued error."""
+    F, G = gb(bar(closed(0, Fr(1, 3)))), gb(bar(closed(0, Fr(4, 3))))
+    space = circle_ops(1)
+    assert interleave._framed(F, G, space)[0][0] == 12
+    for check in (check_interleaving, check_exhaustive):
+        with pytest.raises(UnsupportedHomError) as info:
+            check(F, G, 1, space)
+        assert str(info.value) == ("the search at 1 on R/CZ, C = 1 meets a "
+                                   "Hom space that the calculus cannot use")
+        assert info.value.__suppress_context__
+
+
+@pytest.mark.parametrize("C", [0, -4])
+def test_nonpositive_circumference_rejected(C):
+    """``circle_ops`` refuses C <= 0, as ``CircleSheaf`` does, before any
+    search: C = 0 would divide by zero, and C = -4 would refute a shift
+    that a certificate exists for."""
+    F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
+    calls = [lambda: distance(F, G, circle_ops(C)),
+             lambda: check_interleaving(F, G, 1, circle_ops(C)),
+             lambda: verify_certificate(F, F, identity_certificate(F),
+                                        circle_ops(C))]
+    for call in calls:
+        with pytest.raises(ValueError, match="circumference must be positive"):
+            call()
