@@ -92,10 +92,6 @@ class Interval:
         return is_finite(self.left) and is_finite(self.right)
 
     @property
-    def is_singleton(self) -> bool:
-        return self.left == self.right
-
-    @property
     def is_full_line(self) -> bool:
         return not is_finite(self.left) and not is_finite(self.right)
 

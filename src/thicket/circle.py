@@ -85,12 +85,9 @@ class CircleSheaf:
             raise ValueError("circumference must be positive")
         self.char = check_char(char)
         space = circle_ops(self.C)
-        sp = []
-        for b in spirals:
-            if not b.iv.is_bounded:
-                raise ValueError(f"spiral lift must be bounded: {b}")
-            sp.append(normal_form(b, space))
-        self.spirals = tuple(canonical_order(sp))
+        # ``normal_form`` rejects an unbounded lift
+        self.spirals = tuple(canonical_order([normal_form(b, space)
+                                              for b in spirals]))
         self._lifts = None
         bd = []
         for band in bands:

@@ -16,31 +16,26 @@ how a bar is put into normal form (``normal_form``: the identity on the
 line, the lift starting in [0, C) on the circle), so thickening, thickened
 morphisms and restrictions read it from ``space`` alone.
 
-On the line, Hom spaces between shifted interval sheaves are at most
-one-dimensional.  Their dimensions and the structure constants that
-composition multiplies blocks through are read from closed-form rules of
-endpoint order and kind (``_line_pair``, ``_line_struct``):
-no model is built and nothing is memoized.  ``hom_dim`` reads the same
-rules.  The finite quiver model is their oracle, and it lives in the
-tests (``tests/oracles.py``): it normalizes the Ext generator of a pair
-once on the pair's model (``PairData``, here), keeps it as an edge vector
-and carries it onto the model of each triple; its results depend on the
-order type alone, which ``shape_key`` names.
-
-On the circle R/CZ a spiral is the pushforward p_!(k_I) of a bounded lift
-along the covering map p.  Since p_! is left adjoint to p^{-1} and
-p^{-1} p_! k_J is the sum of the deck copies k_{J + nC},
+One calculus reads Hom and Ext on both spaces, from closed-form rules of
+endpoint order and kind, with nothing memoized.  On the circle R/CZ a
+spiral is the pushforward p_!(k_I) of a bounded lift along the covering
+map p.  Since p_! is left adjoint to p^{-1} and p^{-1} p_! k_J is the sum
+of the deck copies k_{J + nC},
 
     RHom(p_! k_I, p_! k_J) = (+)_n RHom(k_I, k_{J + nC}),
 
 a finite sum of line spaces, and a composite of blocks on copies n and m
-lies on copy n + m.  Circle dimensions and structure constants are read
-from the line rules this way, and memoized per exact circle pair and
-triple.  A block carries one scalar, so a circle space is supported only
-when its dimension summed over the deck copies is at most one; beyond that
-``UnsupportedHomError`` is raised.  The circle quiver model, built by
-``build_model`` and ``bar_rep`` with a circle space, is the oracle of the
-tests for this too.
+lies on copy n + m.  The line is the one-copy case, n = 0.  ``_copies``
+reads the copies of a pair from the line rules (``_line_pair``), and
+``space_dim``, ``struct_scalar`` and ``hom_dim`` read it.  A block carries
+one scalar, so a space is supported only when its dimension summed over
+the copies is at most one; beyond that ``UnsupportedHomError`` is raised.
+
+The finite quiver model is the oracle of both spaces, in the tests
+(``tests/oracles.py``): it normalizes the Ext generator of a pair once on
+the pair's model (``PairData``, here), keeps it as an edge vector and
+carries it onto the model of each triple (``build_model``, ``bar_rep``);
+on the line its results depend on the order type alone (``shape_key``).
 """
 
 from __future__ import annotations
@@ -67,8 +62,7 @@ class UnsupportedHomError(ValueError):
 # Models, shape keys and pair data.  Only the quiver oracle of the tests
 # runs ``build_model``, ``bar_rep``, ``shape_key``, ``PairData`` and
 # ``pair_data``; they stay here while the benchmark's tracer
-# (bench/layers.py) wraps or counts them by name.  ``_exact_key`` and the
-# circle memos serve the covering-map calculus.
+# (bench/layers.py) wraps or counts them by name.
 
 def _finite_endpoints(ivs):
     out = set()
@@ -150,6 +144,8 @@ class PairData:
 
 
 _PAIR_CACHE: dict = {}
+# Nothing fills these two: the Hom calculus keeps no memo.  They stay, empty,
+# while the benchmark's tracer reads them by name (ROADMAP item 1(e)).
 _DIMS_CACHE: dict = {}
 _STRUCT_CACHE: dict = {}
 
@@ -188,7 +184,8 @@ def pair_data(space, ivA: Interval, ivB: Interval, p: int) -> PairData:
 # when K's right end is I's alone, and -1 otherwise; ``PairData`` normalizes
 # a closed bounded I over an open bounded J to +1.  A nonzero Hom
 # composition scalar is 1, and an Ext one the product of two of these signs
-# (``_line_struct``).  The rules restate the Hom/Ext computation for
+# (``struct_scalar``, where the line is deck copy 0 of the circle's
+# covering rules).  The rules restate the Hom/Ext computation for
 # interval sheaves on R (Kashiwara and Schapira 2018; Berkouk and Ginot,
 # arXiv:1907.09759); the tests check them against the quiver model on every
 # order type of pairs and triples.
@@ -246,66 +243,63 @@ def _line_pair(I: Interval, J: Interval):
     return 0, -1
 
 
-def _line_struct(p, ivA, ivB, ivC, kind1, kind2):
-    """``struct_scalar`` on the line for (kind1, kind2) other than ('e', 'e').
-
-    A Hom composite is the canonical map A -> C when Hom(A, C) is nonzero:
-    the factors make A meet B and B meet C non-empty, Hom(A, C) makes A
-    meet C non-empty, and three intervals that meet pairwise meet in a
-    common point.  An Ext composite is the product of the Ext signs of its
-    factor and of (A, C).  Zero factors raise where the quiver model does:
-    a zero Hom factor of a Hom composite, and, once Ext(A, C) is nonzero, a
-    zero Ext factor before a zero Hom factor."""
-    if kind1 == "h" and kind2 == "h":
-        for X, Y in ((ivA, ivB), (ivB, ivC)):
-            if not _line_pair(X, Y)[0]:
-                raise UnsupportedHomError(f"hom dim 0 for {X} -> {Y}")
-        return ("h", _line_pair(ivA, ivC)[0])
-    sign = _line_pair(ivA, ivC)[1]
-    if not sign:
-        return ("e", 0)
-    (eX, eY), (hX, hY) = (((ivA, ivB), (ivB, ivC)) if kind1 == "e"
-                          else ((ivB, ivC), (ivA, ivB)))
-    factor = _line_pair(eX, eY)[1]
-    if not factor:
-        raise ValueError("ext space is zero")
-    if not _line_pair(hX, hY)[0]:
-        raise UnsupportedHomError(f"hom dim 0 for {hX} -> {hY}")
-    return ("e", factor * sign % p)
-
-
 # ---------------------------------------------------------------------------
-# Circle dimensions and structure constants through the covering map.
-
-def _pair_dims(space, p, ivA, ivB):
-    """Memoized (hom, ext, {n: (hom, ext)}) of a circle pair of lifts."""
-    key = _exact_key(space, p, (ivA, ivB))
-    dims = _DIMS_CACHE.get(key)
-    if dims is None:
-        dims = _DIMS_CACHE[key] = _covering_pair_dims(space, p, ivA, ivB)
-    return dims
-
-
-def _covering_pair_dims(space, p, ivA, ivB):
-    """(hom, ext, {n: (hom, ext)}) of a circle pair of lifts.  RHom(p_!A, p_!B)
-    is the sum over deck copies n of the line RHom(A, B + nC), and only the
-    copies whose closures meet A contribute.  Each copy is a line pair, read
-    from the closed-form line rules.  The range is read with ``//``, on
-    Fractions and in an integer frame (C in it) alike."""
-    C = space[1]
-    copies = {}
-    for n in range(-((ivB.right - ivA.left) // C),
-                   (ivA.right - ivB.left) // C + 1):
-        Bn = _deck_copy(ivB, n, C)
-        hom, sign = _line_pair(ivA, Bn)
-        if hom or sign:
-            copies[n] = (hom, abs(sign))
-    return (sum(h for h, _ in copies.values()),
-            sum(e for _, e in copies.values()), copies)
-
+# One Hom calculus for both spaces, read through the covering map.
 
 def _deck_copy(iv: Interval, n: int, C) -> Interval:
     return type(iv)(iv.left + n * C, iv.lkind, iv.right + n * C, iv.rkind)
+
+
+# ``_copies`` on the line, by ``_line_pair`` value, made once: no allocation.
+_ONE_COPY = {(h, s): (h, abs(s), ((0, h, s),))
+             for h, s in ((0, 0), (1, 0), (0, 1), (0, -1))}
+
+
+def _copies(space, ivA, ivB):
+    """(hom, ext, copies) of a pair of lifts: ``copies`` lists (n, hom, Ext
+    sign) for each deck copy n whose line pair (A, B + nC) is nonzero (on
+    the line, always the one copy n = 0), and hom and ext are their sums.
+    Only copies whose closures meet A can be nonzero; their range is read
+    with ``//``, on Fractions and in an integer frame alike."""
+    if space == LINE:
+        return _ONE_COPY[_line_pair(ivA, ivB)]
+    C = space[1]
+    hom = ext = 0
+    copies = []
+    for n in range(-((ivB.right - ivA.left) // C),
+                   (ivA.right - ivB.left) // C + 1):
+        h, sign = _line_pair(ivA, _deck_copy(ivB, n, C))
+        if h or sign:
+            copies.append((n, h, sign))
+            hom += h
+            ext += abs(sign)
+    return hom, ext, copies
+
+
+def _at(copies, n):
+    """(hom, Ext sign) of deck copy n: zero unless ``copies`` lists it."""
+    for k, hom, sign in copies:
+        if k == n:
+            return hom, sign
+    return 0, 0
+
+
+def _factor(space, ivA, ivB, kind):
+    """(n, Ext sign) of the one deck copy n that carries the factor A -> B
+    of ``kind``.  Raises ``UnsupportedHomError`` on a Hom factor of total
+    dimension other than one or an Ext factor above one, and ``ValueError``
+    on a zero Ext factor."""
+    hom, ext, copies = _copies(space, ivA, ivB)
+    if kind == "h":
+        if hom != 1:
+            raise UnsupportedHomError(f"hom dim {hom} for {ivA} -> {ivB}")
+    else:
+        _check_supported((hom, ext), ivA, ivB)
+        if not ext:
+            raise ValueError("ext space is zero")
+    for n, h, sign in copies:
+        if h if kind == "h" else sign:
+            return n, sign
 
 
 def _check_supported(dims, ivA, ivB):
@@ -316,81 +310,45 @@ def _check_supported(dims, ivA, ivB):
 
 
 def space_dim(space, ivA, ivB, kind, p: int) -> int:
-    if space == LINE:
-        hom, ext = _line_pair(ivA, ivB)
-        return hom if kind == "h" else abs(ext)
-    dims = _pair_dims(space, p, ivA, ivB)
+    dims = _copies(space, ivA, ivB)
     _check_supported(dims, ivA, ivB)
     return dims[0] if kind == "h" else dims[1]
 
 
 def struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
-    """(target_kind, c) with gen2 o gen1 = c * gen(A->C); kinds in {'h','e'}."""
+    """(target_kind, c) with gen2 o gen1 = c * gen(A->C); kinds in {'h','e'}.
+
+    Blocks on deck copies n (A -> B + nC) and m (B -> C + mC) compose onto
+    copy n + m of (A, C): a Hom composite is 1 when that copy carries Hom
+    (three intervals that meet pairwise meet in a common point), an Ext one
+    the product of the Ext signs of the factor's copy and of copy n + m.
+    Errors come where the quiver model's do: for Hom after Hom, a factor of
+    Hom dimension other than one, then a nonzero composite in a Hom space
+    above one; once Ext(A, C) is nonzero, (A, C) above one, then the Ext
+    factor (above one, or zero), then the Hom factor."""
     if kind1 == "e" and kind2 == "e":
         return ("e", 0)
-    if space == LINE:
-        return _line_struct(p, ivA, ivB, ivC, kind1, kind2)
-    key = (_exact_key(space, p, (ivA, ivB, ivC)), kind1, kind2)
-    hit = _STRUCT_CACHE.get(key)
-    if hit is None:
-        hit = _STRUCT_CACHE[key] = _covering_struct_scalar(
-            space, p, ivA, ivB, ivC, kind1, kind2)
-    return hit
-
-
-def _factor_copy(space, p, ivA, ivB, kind) -> int:
-    """Deck index of the one copy carrying the Hom^0 (``kind`` 'h') or Ext^1
-    ('e') space of a factor A -> B.  A Hom factor of total dimension other
-    than one raises ``UnsupportedHomError``; an Ext factor raises it when
-    either total dimension is above one, and ``ValueError`` when its Ext is
-    zero."""
-    dims = _pair_dims(space, p, ivA, ivB)
-    if kind == "h":
-        if dims[0] != 1:
-            raise UnsupportedHomError(f"hom dim {dims[0]} for {ivA} -> {ivB}")
-    else:
-        _check_supported(dims, ivA, ivB)
-        if dims[1] == 0:
-            raise ValueError("ext space is zero")
-    return next(n for n, d in dims[2].items() if d[kind == "e"])
-
-
-def _covering_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2):
-    """Circle structure constant through the covering map.  A block on deck
-    copy n (A -> B + nC) followed by one on copy m (B -> C + mC) is the line
-    composite A -> B + nC -> C + (n+m)C, so its scalar is the line constant
-    of that triple, and zero when copy n + m of (A, C) carries no space of
-    the target kind.  Raises ``UnsupportedHomError`` exactly where the
-    quiver computation does: a Hom^0 factor of total dimension other than
-    one, an Ext factor or an Ext target pair of total dimension above one,
-    and a nonzero Hom composite in a space of dimension above one."""
-    C = space[1]
-    dAC = _pair_dims(space, p, ivA, ivC)
-    if (kind1, kind2) == ("h", "h"):
-        n = _factor_copy(space, p, ivA, ivB, "h")
-        m = _factor_copy(space, p, ivB, ivC, "h")
-        if not dAC[2].get(n + m, (0, 0))[0]:
-            return ("h", 0)
-        out = _line_struct(p, ivA, _deck_copy(ivB, n, C),
-                           _deck_copy(ivC, n + m, C), "h", "h")
-        if out[1] and dAC[0] != 1:
+    if kind1 == "h" and kind2 == "h":
+        n = _factor(space, ivA, ivB, "h")[0]
+        m = _factor(space, ivB, ivC, "h")[0]
+        dims = _copies(space, ivA, ivC)
+        hom = _at(dims[2], n + m)[0]
+        if hom and dims[0] != 1:
             raise UnsupportedHomError(
-                f"composite lands in a {dAC[0]}-dimensional Hom "
+                f"composite lands in a {dims[0]}-dimensional Hom "
                 f"space: {ivA} -> {ivC}")
-        return out
-    if dAC[1] == 0:
+        return ("h", hom)
+    dims = _copies(space, ivA, ivC)
+    if not dims[1]:
         return ("e", 0)
-    _check_supported(dAC, ivA, ivC)
+    _check_supported(dims, ivA, ivC)
     if kind1 == "e":
-        n = _factor_copy(space, p, ivA, ivB, "e")
-        m = _factor_copy(space, p, ivB, ivC, "h")
+        n, factor = _factor(space, ivA, ivB, "e")
+        m = _factor(space, ivB, ivC, "h")[0]
     else:
-        m = _factor_copy(space, p, ivB, ivC, "e")
-        n = _factor_copy(space, p, ivA, ivB, "h")
-    if not dAC[2].get(n + m, (0, 0))[1]:
-        return ("e", 0)
-    return _line_struct(p, ivA, _deck_copy(ivB, n, C),
-                        _deck_copy(ivC, n + m, C), kind1, kind2)
+        m, factor = _factor(space, ivB, ivC, "e")
+        n = _factor(space, ivA, ivB, "h")[0]
+    return ("e", factor * _at(dims[2], n + m)[1] % p)
 
 
 # ---------------------------------------------------------------------------
@@ -510,12 +468,15 @@ def compose(m1: Morphism, m2: Morphism) -> Morphism:
 
 def normal_form(bar: Bar, space) -> Bar:
     """The bar that names ``bar`` in ``space``.  On the line a bar is its own
-    normal form.  On the circle R/CZ the lifts of one spiral are the deck
+    normal form.  On the circle R/CZ a bar is a spiral's lift, which must be
+    bounded (``ValueError`` otherwise); the lifts of one spiral are the deck
     copies of each other, and the normal one starts in [0, C).  A lift in an
     integer frame, C in it, stays there (``type(iv)``, as in ``bar_rule``)."""
     if space == LINE:
         return bar
     iv, C = bar.iv, space[1]
+    if not iv.is_bounded:
+        raise ValueError(f"spiral lift must be bounded: {bar}")
     n = iv.left // C
     if n == 0:
         return bar

@@ -106,9 +106,6 @@ class PLMap:
         j = max(k - 1, 0)
         return self.ys[j] + self._slopes[k] * (x - self.xs[j])
 
-    def breakpoints(self):
-        return self.xs
-
 
 def identity_map() -> PLMap:
     return PLMap((0, 1), (0, 1))

@@ -8,8 +8,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from oracles import circle_stalk_oracle, poset_oracle_rhom, quiver_struct_scalar
-from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
-                             closed, half_open, open_iv, singleton)
+from thicket.barcode import (CLOSED, OPEN, Bar, FramedInterval, GradedBarcode,
+                             Interval, closed, half_open, open_iv, ray_left,
+                             ray_right, singleton)
 from thicket.circle import (Band, CircleSheaf, UnsupportedBandContentError,
                             circle_distance, circle_global_sections, circle_ops,
                             circle_thicken, cyclic_model_of, decompose_cyclic,
@@ -323,6 +324,21 @@ class TestUnnormalizedLifts:
                                                  r"is not normalized"):
                 call()
 
+    def test_unbounded_lifts_rejected(self, p):
+        # both rays, on both calls and in either argument, raise the one
+        # error that CircleSheaf raises, not a TypeError or an exact +inf
+        G = GradedBarcode([Bar(closed(0, 1), 0)], p)
+        ops = circle_ops(C, p)
+        for ray in (ray_left(1, CLOSED), ray_right(1, CLOSED)):
+            F = GradedBarcode([Bar(ray, 0)], p)
+            for call in (lambda: distance(F, G, ops),
+                         lambda: distance(G, F, ops),
+                         lambda: check_interleaving(F, G, 1, ops),
+                         lambda: check_interleaving(G, F, 1, ops)):
+                with pytest.raises(ValueError,
+                                   match="spiral lift must be bounded"):
+                    call()
+
     def test_normalized_pair_is_searched(self, p):
         F = CircleSheaf(C, self.F, (), p)
         G = CircleSheaf(C, self.G, (), p)
@@ -497,21 +513,28 @@ def _grid_lifts(C):
     return out
 
 
-def _quiver_pair_dims(space, p, ivA, ivB):
-    model = morphisms.build_model(space, [ivA, ivB])
-    rp = RepPair(morphisms.bar_rep(space, model, ivA, p),
-                 morphisms.bar_rep(space, model, ivB, p))
-    return (rp.hom_dim, rp.ext_dim, None)
-
-
 def _use_quiver_path(monkeypatch):
     """Route circle dimensions and structure constants through the circle
-    quiver model, with cold caches."""
-    monkeypatch.setattr(morphisms, "_covering_pair_dims", _quiver_pair_dims)
-    monkeypatch.setattr(morphisms, "_covering_struct_scalar",
-                        quiver_struct_scalar)
-    for name in ("_PAIR_CACHE", "_DIMS_CACHE", "_STRUCT_CACHE"):
-        monkeypatch.setattr(morphisms, name, {})
+    quiver model, with a cold pair cache; the line keeps its rules."""
+    line_dim, line_struct = morphisms.space_dim, morphisms.struct_scalar
+
+    def quiver_dim(space, ivA, ivB, kind, p):
+        if space == morphisms.LINE:
+            return line_dim(space, ivA, ivB, kind, p)
+        model = morphisms.build_model(space, [ivA, ivB])
+        rp = RepPair(morphisms.bar_rep(space, model, ivA, p),
+                     morphisms.bar_rep(space, model, ivB, p))
+        morphisms._check_supported((rp.hom_dim, rp.ext_dim), ivA, ivB)
+        return rp.hom_dim if kind == "h" else rp.ext_dim
+
+    def quiver_struct(space, p, ivA, ivB, ivC, kind1, kind2):
+        if space == morphisms.LINE or kind1 == kind2 == "e":
+            return line_struct(space, p, ivA, ivB, ivC, kind1, kind2)
+        return quiver_struct_scalar(space, p, ivA, ivB, ivC, kind1, kind2)
+
+    monkeypatch.setattr(morphisms, "space_dim", quiver_dim)
+    monkeypatch.setattr(morphisms, "struct_scalar", quiver_struct)
+    monkeypatch.setattr(morphisms, "_PAIR_CACHE", {})
 
 
 def _outcome(fn, *args):
@@ -574,6 +597,39 @@ class TestCoveringCalculus:
                     seen.add(bool(new[1]))
         assert {"unsupported", True, False} <= seen
 
+    @pytest.mark.parametrize("framed", [False, True])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_the_line_is_the_one_copy_case(self, p, framed):
+        # lifts in [0, 2] on R/8Z meet only deck copy 0 of each other, so
+        # every circle dimension and structure constant, Ext signs and
+        # errors included, is its line value; in Fractions and in the frame
+        # x -> 4x with C = 32 alike
+        ends = [Fr(k, 2) for k in range(5)]
+        grid = [singleton(x) for x in ends] + [
+            Interval(x, lk, y, rk) for x in ends for y in ends if x < y
+            for lk in (CLOSED, OPEN) for rk in (CLOSED, OPEN)]
+        space = ("circle", Fr(8))
+        if framed:
+            grid = [FramedInterval(int(4 * iv.left), iv.lkind,
+                                   int(4 * iv.right), iv.rkind) for iv in grid]
+            space = ("circle", 32)
+        seen = set()
+        for A in grid:
+            for B in grid:
+                for kind in ("h", "e"):
+                    assert (space_dim(space, A, B, kind, p)
+                            == space_dim(morphisms.LINE, A, B, kind, p)), (A, B)
+        rng = random.Random(40 + p)
+        for _ in range(1500):
+            A, B, D = (rng.choice(grid) for _ in range(3))
+            kinds = rng.choice((("h", "h"), ("h", "e"), ("e", "h")))
+            got = _outcome(struct_scalar, space, p, A, B, D, *kinds)
+            want = _outcome(struct_scalar, morphisms.LINE, p, A, B, D, *kinds)
+            assert got == want, (A, B, D, kinds)
+            seen.add(got)
+        assert {("h", 1), ("e", 1), ("e", p - 1), ("h", 0), ("e", 0),
+                "unsupported", "error: ext space is zero"} <= seen, seen
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_distance_matches_quiver_path(self, rng, monkeypatch, p):
         # G moves each lift of F by up to C/8 at each end, keeping its kinds,
@@ -608,8 +664,7 @@ class TestCoveringCalculus:
             for name in ("CircleModel", "circle_spiral_rep", "cyclic_model_of"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, reached)
-        for name in ("_PAIR_CACHE", "_DIMS_CACHE", "_STRUCT_CACHE"):
-            monkeypatch.setattr(morphisms, name, {})
+        monkeypatch.setattr(morphisms, "_PAIR_CACHE", {})
         band = [(1, [[1]], 0)]
         searched = 0
         for _ in range(6):
@@ -635,16 +690,15 @@ class TestCoveringCalculus:
             for name in ("PairData", "RepPair", "line_bar_rep", "shape_key"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, reached)
-        for name in ("_PAIR_CACHE", "_DIMS_CACHE", "_STRUCT_CACHE"):
-            monkeypatch.setattr(morphisms, name, {})
-        line_struct = morphisms._line_struct
+        monkeypatch.setattr(morphisms, "_PAIR_CACHE", {})
+        struct = morphisms.struct_scalar
         kinds = set()
 
         def counted(*args):
             kinds.add(args[-2:])
-            return line_struct(*args)
+            return struct(*args)
 
-        monkeypatch.setattr(morphisms, "_line_struct", counted)
+        monkeypatch.setattr(morphisms, "struct_scalar", counted)
         rng = random.Random(300 + p)
         certified = searched = 0
         for _ in range(12):
