@@ -48,14 +48,14 @@ Every search, on either space, runs in the pair's integer frame
 (``_framed``): each public call scales F's and G's ends, C on the circle
 and its shift once over M = 4 * the lcm of their denominators, so the
 costs, the kill costs, the bisection, the critical grid and its halves, the
-``_lifts`` rows and the Hom rules compare ints.  The bar rules, the costs,
-the normal form and the Hom rules have one definition each, which reads an
-int end as it reads a Fraction one.  ``_certificate`` is the one place
-where frame values turn back into values: it reads back the shift, the lift
-tables (one ``Fraction(n, M)`` per end) and the space, and ``_verified``
-checks the certificate on them.  ``verify_certificate`` runs on the unit
-frame M = 1, which is its own Fractions, so the check does not rest on the
-frame and no frame value reaches a caller.
+``_lifts`` rows, the Hom rules and the certificate check compare ints.  The
+bar rules, the costs, the normal form and the Hom rules have one definition
+each, which reads an int end as it reads a Fraction one.  ``_certificate``
+checks each certificate on the frame's tables (``_verified``), and only
+then turns frame values back into values: the shift, the two a-tables (one
+``Fraction(n, M)`` per end) and the space, so no frame value reaches a
+caller.  ``verify_certificate`` is the independent check: it runs on the
+input pair's own Fractions and reads no frame.
 """
 
 from __future__ import annotations
@@ -114,35 +114,41 @@ class DistanceBounds:
 
 def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
     """Exact check of the two 2a-composite identities in ``space``, on the
-    four ``_sides`` tables of the ``_lifts`` rows (``_verified``), on the
-    unit frame M = 1: the input pair's own Fractions."""
+    four ``_sides`` tables of the ``_lifts`` rows (``_verified``), in the
+    input pair's own Fractions: the independent check of a certificate,
+    which reads no frame."""
     a = Fraction(cert.a)
     if a < 0:
         return False
-    return _verified(F, G, cert, _sides(_lifts(F, G, a, space), F.char, 1),
+    return _verified(F, G, cert, _sides(_lifts(F, G, a, space), F.char),
                      space)
 
 
-def _sides(lifts, p, M):
+def _sides(lifts, p):
     """Per side X, the ``indexed`` tables of T_a X and T_2a X over F_p,
-    sorted from the a- and 2a-lift columns of its ``_lifts`` rows, read back
-    from the frame of ``M`` with one exact ``Fraction(n, M)`` per end."""
-    return [tuple(indexed([_read_back(r[k], M) for r in rows], p)
-                  for k in (1, 2)) for rows in lifts]
+    sorted from the a- and 2a-lift columns of its ``_lifts`` rows, in the
+    rows' own frame: Fractions, or the ints of the pair's frame."""
+    return [tuple(indexed([r[k] for r in rows], p) for k in (1, 2))
+            for rows in lifts]
 
 
-def _read_back(b, M):
-    """The frame bar ``b`` in Fractions, ``M`` being its frame's M."""
-    iv = b.iv
-    return Bar(Interval(from_frame(M, iv.left), iv.lkind,
-                        from_frame(M, iv.right), iv.rkind), b.degree)
+def _read_back(X, M):
+    """The frame barcode ``X`` in Fractions, ``M`` being its frame's M: one
+    ``Fraction(n, M)`` per end.  x -> x/M keeps the ends' order, kinds and
+    degrees, so the bars stay in canonical order."""
+    return GradedBarcode._sorted(
+        [Bar(Interval(from_frame(M, b.iv.left), b.iv.lkind,
+                      from_frame(M, b.iv.right), b.iv.rkind), b.degree)
+         for b in X.bars], X.char)
 
 
 def _verified(F, G, cert, sides, space):
     """Whether T_a x then y is the restriction T_2a X -> X, for (x, y) =
     (f, g) and (g, f), on the tables ``sides``.  Thickening is monoidal:
     T_a T_a X = T_2a X, bar pXa[i] going to bar pX2a[i] (``sorted`` is
-    stable, and T_a keeps bars apart for a >= 0), so T_a x is x moved there."""
+    stable, and T_a keeps bars apart for a >= 0), so T_a x is x moved there.
+    Everything is in one frame: the input pair's Fractions
+    (``verify_certificate``) or the pair's integer frame (``_certificate``)."""
     (Fa, F2a), (Ga, G2a) = sides
     if cert.f.source != Fa[0] or cert.f.target != G:
         raise ValueError("certificate f has wrong shape")
@@ -376,26 +382,30 @@ def _certificate(F, G, a, fblocks, gblocks, lifts, frame):
     and moved onto the ``_sides`` tables of the ``_lifts`` rows, the only
     sorting a probe does.  Failing verification is an invariant break.
 
-    ``a`` and the lifts are in the pair's ``frame`` (M, F', G', space'), or
-    the unit frame (1, F, G, space) in Fractions, and this is where they
-    turn back into values: the shift, the tables and the space are read
-    back, so ``_verified`` checks the certificate on the input pair's own
-    values, independently of the frame."""
-    M, space = frame[0], frame[3]
+    ``a`` and the lifts are in the pair's ``frame`` (M, F', G', space'),
+    and so is the check: ``_verified`` runs on F', G', space' and the
+    frame's tables, since x -> Mx keeps the order, kinds and degrees that
+    the Hom rules read, and scales every length with 2a.  Only once it
+    passes does the certificate turn back into values: the shift, the two
+    a-tables (the permutations unchanged) and the space.  The independent
+    check in Fractions is ``verify_certificate``."""
+    M, X, Y, space = frame
+    sides = _sides(lifts, F.char)
+    ((TFa, permF), _), ((TGa, permG), _) = sides
+    f = {(permF[i], j): c for (i, j), c in fblocks.items()}
+    g = {(permG[j], i): c for (j, i), c in gblocks.items()}
+    framed = InterleavingCertificate(
+        a, Morphism(TFa, Y, f, space, validate=False),
+        Morphism(TGa, X, g, space, validate=False))
+    if not _verified(X, Y, framed, sides, space):
+        raise AssertionError(
+            f"certificate at {Fraction(a, M)} fails verification")
     if space != LINE:
         space = ("circle", Fraction(space[1], M))
-    a = Fraction(a, M)
-    sides = _sides(lifts, F.char, M)
-    ((TFa, permF), _), ((TGa, permG), _) = sides
-    cert = InterleavingCertificate(
-        a,
-        Morphism(TFa, G, {(permF[i], j): c for (i, j), c in fblocks.items()},
-                 space, validate=False),
-        Morphism(TGa, F, {(permG[j], i): c for (j, i), c in gblocks.items()},
-                 space, validate=False))
-    if not _verified(F, G, cert, sides, space):
-        raise AssertionError(f"certificate at {a} fails verification")
-    return cert
+    return InterleavingCertificate(
+        Fraction(a, M),
+        Morphism(_read_back(TFa, M), G, f, space, validate=False),
+        Morphism(_read_back(TGa, M), F, g, space, validate=False))
 
 
 def _matching(F, G, a, frame, costs, lifts):

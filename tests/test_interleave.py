@@ -794,11 +794,14 @@ def test_cost_formula_against_hom_calculus_is_an_invariant(monkeypatch):
 def test_certificate_failing_verification_is_an_invariant(monkeypatch):
     """Every certificate, of the matching or of the enumeration, is built
     and verified by ``_certificate``: one that fails verification is an
-    invariant break, not a refutation."""
+    invariant break, not a refutation.  The check runs in the pair's frame,
+    here M = 4, and the error names the shift as a value, not as 4."""
     monkeypatch.setattr(interleave, "_verified", lambda *args: False)
     F, G = gb(bar(closed(0, 1))), gb(bar(closed(0, 2)))
+    assert interleave._framed(F, G, LINE)[0][0] == 4
     for check in (check_matching, check_exhaustive, check_interleaving):
-        with pytest.raises(AssertionError, match="fails verification"):
+        with pytest.raises(AssertionError,
+                           match=r"^certificate at 1 fails verification$"):
             check(F, G, Fr(1))
 
 
@@ -1732,8 +1735,9 @@ def _count_sorts(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
     """A line ``distance`` that reaches the matching sorts each side's
-    thickenings once each: exactly four tables, T_v and T_2v of F and of G
-    at its value v.  One that does not reach it sorts none."""
+    thickenings once each: exactly four tables, T_w and T_2w of F' and of
+    G' at w = Mv in the pair's integer frame (``_framed``), where the
+    certificate is checked.  One that does not reach it sorts none."""
     calls = _count_sorts(monkeypatch)
     matched = 0
     for F, G in list(_line_pairs(rng, p, 10)) + list(
@@ -1741,9 +1745,10 @@ def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
         calls.clear()
         d = distance(F, G)
         if d.exact_by == "isometry" and d.upper != POS_INF:
-            v = d.upper
+            (_, X, Y, _), (w,) = interleave._framed(F, G, LINE, d.upper)
             assert Counter(calls) == Counter(
-                thicken(X, s) for X in (F, G) for s in (v, 2 * v)), calls
+                GradedBarcode([bar_rule(b, s) for b in Z.bars], p)
+                for Z in (X, Y) for s in (w, 2 * w)), calls
             matched += 1
         else:
             assert calls == [], (F, G, calls)
@@ -2131,3 +2136,62 @@ def test_nonpositive_circumference_rejected(C):
     for call in calls:
         with pytest.raises(ValueError, match="circumference must be positive"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# The production check runs in the pair's frame; ``verify_certificate``, the
+# independent one, in the input pair's own Fractions.
+
+def _frame_check(F, G, cert, space):
+    """The check that ``_certificate`` runs, on the blocks of ``cert``: the
+    ``_sides`` tables of the pair's frame (M, F', G', space'), with a', F',
+    G' and space' in place of the values."""
+    (_, X, Y, S), (a,) = interleave._framed(F, G, space, cert.a)
+    sides = interleave._sides(interleave._lifts(X, Y, a, S), F.char)
+    ((TXa, _), _), ((TYa, _), _) = sides
+    framed = InterleavingCertificate(
+        a, Morphism(TXa, Y, cert.f.blocks, S, validate=False),
+        Morphism(TYa, X, cert.g.blocks, S, validate=False))
+    return interleave._verified(X, Y, framed, sides, S)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_frame_checked_witnesses_pass_the_fraction_check(rng, p):
+    """Every witness of ``distance``, ``check_interleaving`` and
+    ``check_matching``, each checked in the pair's integer frame, passes
+    ``verify_certificate`` in Fractions: on line pairs of every shape, on
+    line pairs and circle pairs in frames past 2^64, at grid shifts and at
+    a rational shift off the grid.  The two checks also agree on three
+    corruptions of each ``distance`` witness."""
+    pairs = [("mixed", F, G, LINE) for F, G in _mixed_line_pairs(rng, p, 24, 4)]
+    pairs += [("frame", F, G, LINE) for F, G in _frame_pairs(rng, p, 24)]
+    pairs += [("circle", *t) for t in _frame_circle_pairs(rng, p, 18)]
+    seen, agreed = Counter(), Counter()
+    for kind, F, G, space in pairs:
+        big = interleave._framed(F, G, space)[0][0].bit_length() > 64
+        certs = [distance(F, G, space).witness]
+        try:
+            corrupted = [] if certs[0] is None else \
+                list(_corrupted(rng, F, G, certs[0], space))
+        except UnsupportedHomError:         # a free block it cannot size
+            assert space != LINE
+            corrupted = []
+        for bad in corrupted:
+            got = _outcome_of(verify_certificate, F, G, bad, space)
+            assert got == _outcome_of(_frame_check, F, G, bad, space), \
+                (F, G, bad.f, bad.g)
+            agreed[got] += 1
+        grid = critical_grid(F, G, space)
+        for a in grid[1:4] + [Fr(rng.randint(1, 30), rng.choice(SHIFT_DENOMS))]:
+            for check in (check_interleaving, check_matching):
+                try:
+                    certs.append(check(F, G, a, space))
+                except (CapacityError, UnsupportedHomError):
+                    assert space != LINE
+        for cert in certs:
+            if cert is not None:
+                assert verify_certificate(F, G, cert, space), (F, G, cert.a)
+                seen[kind, big] += 1
+    # mixed pairs stay in small frames; the other two reach past 2^64
+    assert min(seen.values()) >= 3 and len(seen) == 5, seen
+    assert agreed[False] >= 20, agreed
