@@ -24,10 +24,11 @@ of a block (``block_dim``) and the scalar of a composite of two blocks
 (``block_scalar``).  Which blocks are Hom^0 and which Ext^1 is read there,
 off the degrees, and never here.  A probe is one table, the ``_lifts``
 rows (bar, a-lift, 2a-lift, dies) in input indices, and every strategy
-reads it alone.  The enumeration's equations are one flat list of terms
-on rows keyed by input bar pairs, with the kill flags as right-hand side.
-One builder (``_certificate``) sorts, makes and verifies every
-certificate from f- and g-blocks keyed by input bar pairs.
+reads it alone.  "T_a of a block, then a block" has one home here,
+``_composite`` on three rows, which the matching, the row test, the
+enumeration and the certificate check all call.  The enumeration's
+equations are one flat list of terms on rows keyed by input bar pairs,
+with the kill flags as right-hand side.
 
 One matching routine (``_matching``, public as ``check_matching``) serves
 both spaces.  Its candidate pairs are those of cost at most the shift; it
@@ -50,12 +51,14 @@ and its shift once over M = 4 * the lcm of their denominators, so the
 costs, the kill costs, the bisection, the critical grid and its halves, the
 ``_lifts`` rows, the Hom rules and the certificate check compare ints.  The
 bar rules, the costs, the normal form and the Hom rules have one definition
-each, which reads an int end as it reads a Fraction one.  ``_certificate``
-checks each certificate on the frame's tables (``_verified``), and only
-then turns frame values back into values: the shift, the two a-tables (one
-``Fraction(n, M)`` per end) and the space, so no frame value reaches a
-caller.  ``verify_certificate`` is the independent check: it runs on the
-input pair's own Fractions and reads no frame.
+each, which reads an int end as it reads a Fraction one.  One builder,
+``_certificate``, checks every certificate on the frame's rows
+(``_verified``), from f- and g-blocks keyed by input bar pairs, and only
+then sorts its two a-tables and turns frame values back into values: the
+shift, the two a-tables (one ``Fraction(n, M)`` per end) and the space,
+so no frame value reaches a caller.  ``verify_certificate`` is the
+definition, in public ``morphisms`` calls on the input pair's own
+Fractions: it reads no rows, no frame and no search code.
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ from .barcode import (Bar, CharacteristicMismatchError, FramedInterval,
                       global_sections_c, iso_equal)
 from .morphisms import (LINE, Morphism, UnsupportedHomError, block_dim,
                         block_scalar, compose, identity_morphism, indexed,
-                        map_blocks, normal_form, restriction,
-                        restriction_between)
+                        normal_form, restriction, thicken_indexed,
+                        thicken_morphism)
 from .scalars import POS_INF, from_frame, int_frame
 from .thicken import bar_rule, cost_form, deck_cost, direct_cost, kill_cost
 
@@ -113,23 +116,25 @@ class DistanceBounds:
 # ---------------------------------------------------------------------------
 
 def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
-    """Exact check of the two 2a-composite identities in ``space``, on the
-    four ``_sides`` tables of the ``_lifts`` rows (``_verified``), in the
-    input pair's own Fractions: the independent check of a certificate,
-    which reads no frame."""
+    """Whether ``cert`` is an a-certificate of F and G in ``space``, by the
+    definition, in public ``morphisms`` calls on the input pair's own
+    Fractions.  f: T_a F -> G and g: T_a G -> F (``ValueError``
+    otherwise), every block on a nonzero Hom space, and the composites
+    T_a f then g and T_a g then f equal to the restrictions T_2a F -> F and
+    T_2a G -> G: thickening is monoidal, T_a T_a = T_2a.  It reads no
+    ``_lifts`` rows, no frame and no search code."""
     a = Fraction(cert.a)
     if a < 0:
         return False
-    return _verified(F, G, cert, _sides(_lifts(F, G, a, space), F.char),
-                     space)
-
-
-def _sides(lifts, p):
-    """Per side X, the ``indexed`` tables of T_a X and T_2a X over F_p,
-    sorted from the a- and 2a-lift columns of its ``_lifts`` rows, in the
-    rows' own frame: Fractions, or the ints of the pair's frame."""
-    return [tuple(indexed([r[k] for r in rows], p) for k in (1, 2))
-            for rows in lifts]
+    for name, m, X, Y in (("f", cert.f, F, G), ("g", cert.g, G, F)):
+        if m.source != thicken_indexed(X, a, space)[0] or m.target != Y:
+            raise ValueError(f"certificate {name} has wrong shape")
+    if any(block_dim(m.space, m.char, m.source.bars[i], m.target.bars[j]) == 0
+           for m in (cert.f, cert.g) for i, j in m.blocks):
+        return False
+    return all(compose(thicken_morphism(x, a), y)
+               == restriction(X, 0, 2 * a, space)
+               for X, x, y in ((F, cert.f, cert.g), (G, cert.g, cert.f)))
 
 
 def _read_back(X, M):
@@ -142,24 +147,26 @@ def _read_back(X, M):
          for b in X.bars], X.char)
 
 
-def _verified(F, G, cert, sides, space):
-    """Whether T_a x then y is the restriction T_2a X -> X, for (x, y) =
-    (f, g) and (g, f), on the tables ``sides``.  Thickening is monoidal:
-    T_a T_a X = T_2a X, bar pXa[i] going to bar pX2a[i] (``sorted`` is
-    stable, and T_a keeps bars apart for a >= 0), so T_a x is x moved there.
-    Everything is in one frame: the input pair's Fractions
-    (``verify_certificate``) or the pair's integer frame (``_certificate``)."""
-    (Fa, F2a), (Ga, G2a) = sides
-    if cert.f.source != Fa[0] or cert.f.target != G:
-        raise ValueError("certificate f has wrong shape")
-    if cert.g.source != Ga[0] or cert.g.target != F:
-        raise ValueError("certificate g has wrong shape")
-    return all(
-        compose(map_blocks(x, X2a[0], dict(zip(Xa[1], X2a[1])), *Ya), y)
-        == restriction_between(X, 0, 2 * cert.a, *X2a, X, range(len(X.bars)),
-                               space)
-        for X, x, y, Xa, X2a, Ya in ((F, cert.f, cert.g, Fa, F2a, Ga),
-                                     (G, cert.g, cert.f, Ga, G2a, Fa)))
+def _verified(lifts, blocks, p, space):
+    """Whether the blocks (f, g), f keyed (i, j) and g (j, i) in input
+    indices, make an a-certificate, on a probe's ``_lifts`` rows: per side
+    X, with x its blocks and y the other side's, the sum over j of x(i, j)
+    y(j, k) ``_composite``(i, j, k) on (i, k) must be the restriction T_2a
+    X -> X, 1 on (i, i) for a bar that does not die and 0 elsewhere.  This
+    is ``verify_certificate`` with T_a T_a X read as T_2a X and no table
+    sorted.  The F side comes first, and a failing side ends the check."""
+    for xs, ys, x, y in ((*lifts, *blocks), (*lifts[::-1], *blocks[::-1])):
+        by_source, out = {}, {}
+        for (j, k), d in y.items():
+            by_source.setdefault(j, []).append((k, d))
+        for (i, j), c in x.items():
+            for k, d in by_source.get(j, ()):
+                if s := _composite(xs[i], ys[j], xs[k], p, space):
+                    out[(i, k)] = (out.get((i, k), 0) + c * d * s) % p
+        if ({key: c for key, c in out.items() if c}
+                != {(i, i): 1 for i, w in enumerate(xs) if not w[3]}):
+            return False
+    return True
 
 
 def identity_certificate(F, space=LINE) -> InterleavingCertificate:
@@ -211,12 +218,12 @@ def _unit_blocks(x, y, p, space):
     return block_dim(space, p, ty, xbar) != 0
 
 
-def _composite(x, y, p, space):
-    """The scalar of the composite on x's restriction block, with unit
-    blocks x -> y and y -> x: T_a(x-block) then y-block.  T_a is an
-    equivalence, so the lifted x-block is a block (``block_scalar`` raises
-    ``AssertionError`` otherwise)."""
-    return block_scalar(space, p, x[2], y[1], x[0])
+def _composite(x, y, z, p, space):
+    """The scalar of T_a(x -> y) then y -> z on the block x -> z of T_2a X
+    -> X, for ``_lifts`` rows x, y, z and unit blocks.  T_a is an
+    equivalence, so the lifted x-block, x's 2a-lift to y's a-lift, is a
+    block (``block_scalar`` raises ``AssertionError`` otherwise)."""
+    return block_scalar(space, p, x[2], y[1], z[0])
 
 
 def _pair_feasible(f, g, p, space):
@@ -229,8 +236,8 @@ def _pair_feasible(f, g, p, space):
     composite has to vanish."""
     if not _unit_blocks(f, g, p, space):
         return None
-    s1 = _composite(f, g, p, space)
-    s2 = _composite(g, f, p, space)
+    s1 = _composite(f, g, f, p, space)
+    s2 = _composite(g, f, g, p, space)
     f_dies, g_dies = f[3], g[3]
     if f_dies and g_dies:
         return None                 # both sides die: leave the bars unmatched
@@ -378,28 +385,25 @@ def _least_cost(costs):
 
 def _certificate(F, G, a, fblocks, gblocks, lifts, frame):
     """The verified a-certificate with the f-blocks ``fblocks`` of T_a F ->
-    G and the g-blocks ``gblocks`` of T_a G -> F, keyed by input indices
-    and moved onto the ``_sides`` tables of the ``_lifts`` rows, the only
-    sorting a probe does.  Failing verification is an invariant break.
+    G and the g-blocks ``gblocks`` of T_a G -> F, keyed by input indices.
+    Failing verification is an invariant break.
 
     ``a`` and the lifts are in the pair's ``frame`` (M, F', G', space'),
-    and so is the check: ``_verified`` runs on F', G', space' and the
-    frame's tables, since x -> Mx keeps the order, kinds and degrees that
-    the Hom rules read, and scales every length with 2a.  Only once it
-    passes does the certificate turn back into values: the shift, the two
-    a-tables (the permutations unchanged) and the space.  The independent
-    check in Fractions is ``verify_certificate``."""
-    M, X, Y, space = frame
-    sides = _sides(lifts, F.char)
-    ((TFa, permF), _), ((TGa, permG), _) = sides
-    f = {(permF[i], j): c for (i, j), c in fblocks.items()}
-    g = {(permG[j], i): c for (j, i), c in gblocks.items()}
-    framed = InterleavingCertificate(
-        a, Morphism(TFa, Y, f, space, validate=False),
-        Morphism(TGa, X, g, space, validate=False))
-    if not _verified(X, Y, framed, sides, space):
+    and so is the check, ``_verified`` on the probe's ``_lifts`` rows: x ->
+    Mx keeps the order, kinds and degrees that the Hom rules read, and
+    scales every length with 2a.  Only once it passes are the two a-columns
+    sorted (``indexed``), the only sorting a probe does, and the
+    certificate turned back into values: the shift, the two a-tables (the
+    permutations unchanged) and the space.  The definition, in Fractions,
+    is ``verify_certificate``."""
+    M, _, _, space = frame
+    if not _verified(lifts, (fblocks, gblocks), F.char, space):
         raise AssertionError(
             f"certificate at {Fraction(a, M)} fails verification")
+    (TFa, permF), (TGa, permG) = (indexed([r[1] for r in rows], F.char)
+                                  for rows in lifts)
+    f = {(permF[i], j): c for (i, j), c in fblocks.items()}
+    g = {(permG[j], i): c for (j, i), c in gblocks.items()}
     if space != LINE:
         space = ("circle", Fraction(space[1], M))
     return InterleavingCertificate(
@@ -520,7 +524,7 @@ def _row_refuted(lifts, p, space):
             for y in ys:
                 try:
                     if (_unit_blocks(x, y, p, space)
-                            and _composite(x, y, p, space)):
+                            and _composite(x, y, x, p, space)):
                         break
                 except UnsupportedHomError as exc:
                     unusable = exc
@@ -540,8 +544,8 @@ def _enumeration(lifts, unknowns, p, space):
     The equations are one flat list of (row, x-block, y-block, scalar)
     terms, a row being a block (i, k) of Hom(T_2a X, X) or Hom(T_2a Y, Y)
     in input indices: T_a of the block (i, j) then the block (j, k) is the
-    ``block_scalar`` of i's 2a-lift, j's a-lift and bar k.  The restriction
-    is 1 on (i, i) unless bar i dies, else 0.  The terms, which can raise
+    ``_composite`` of rows i, j and k.  The restriction is 1 on (i, i)
+    unless bar i dies, else 0.  The terms, which can raise
     ``UnsupportedHomError``, are built before the enumeration's cap."""
     rows = {key: r for r, key in enumerate(
         (side, i, i) for side, ws in enumerate(lifts)
@@ -552,8 +556,8 @@ def _enumeration(lifts, unknowns, p, space):
                                            (1, lifts[::-1], unknowns[::-1])):
         for n, (i, j) in enumerate(uvars):
             for m, (j2, k) in enumerate(vvars):
-                if j2 == j and (s := block_scalar(space, p, us[i][2],
-                                                  vs[j][1], us[k][0])):
+                if j2 == j and (s := _composite(us[i], vs[j], us[k], p,
+                                                space)):
                     row = rows.setdefault((side, i, k), len(rows))
                     terms.append((row, n, m, s) if side == 0
                                  else (row, m, n, s))

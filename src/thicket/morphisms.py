@@ -145,7 +145,7 @@ class PairData:
 
 _PAIR_CACHE: dict = {}
 # Nothing fills these two: the Hom calculus keeps no memo.  They stay, empty,
-# while the benchmark's tracer reads them by name (ROADMAP item 1(e)).
+# while the benchmark's tracer reads them by name (ROADMAP item 5(b)).
 _DIMS_CACHE: dict = {}
 _STRUCT_CACHE: dict = {}
 
@@ -513,12 +513,8 @@ def thicken_morphism(m: Morphism, a) -> Morphism:
     the canonical generator of the thickened pair with the same coefficient;
     block kinds can change when a bar crosses its degeneration parameter.
     """
-    return map_blocks(m, *thicken_indexed(m.source, a, m.space),
-                      *thicken_indexed(m.target, a, m.space))
-
-
-def map_blocks(m: Morphism, src, perm_s, tgt, perm_t) -> Morphism:
-    """``thicken_morphism`` onto given ``thicken_indexed`` tables."""
+    src, perm_s = thicken_indexed(m.source, a, m.space)
+    tgt, perm_t = thicken_indexed(m.target, a, m.space)
     out = {}
     for (i, j), c in m.blocks.items():
         sb, tb = src.bars[perm_s[i]], tgt.bars[perm_t[j]]
@@ -538,12 +534,8 @@ def restriction(F, a, b, space=LINE) -> Morphism:
     a, b = Fraction(a), Fraction(b)
     if a > b:
         raise ValueError("restriction requires a <= b")
-    return restriction_between(F, a, b, *thicken_indexed(F, b, space),
-                               *thicken_indexed(F, a, space), space)
-
-
-def restriction_between(F, a, b, src, perm_b, tgt, perm_a, space) -> Morphism:
-    """``restriction`` between given ``thicken_indexed`` tables at b and a."""
+    src, perm_b = thicken_indexed(F, b, space)
+    tgt, perm_a = thicken_indexed(F, a, space)
     out = {(perm_b[i], perm_a[i]): 1 for i, bar in enumerate(F.bars)
            if not halfopen_translation_kills(bar.iv, a, b)}
     return Morphism(src, tgt, out, space, validate=False)

@@ -123,9 +123,15 @@ MUTANTS = [
     # a row is reached only by a nonzero composite on its own block
     ("thicket/interleave.py",
      "if (_unit_blocks(x, y, p, space)\n"
-     "                            and _composite(x, y, p, space)):",
+     "                            and _composite(x, y, x, p, space)):",
      "if _unit_blocks(x, y, p, space):",
      ["tests/test_interleave.py::test_row_test_agrees_with_full_row_check"]),
+    # the certificate check on the lift rows reads the f side only
+    ("thicket/interleave.py",
+     "((*lifts, *blocks), (*lifts[::-1], *blocks[::-1]))",
+     "((*lifts, *blocks),)",
+     ["tests/test_interleave.py::"
+      "test_frame_checked_witnesses_pass_the_fraction_check"]),
     # the certificate read back from the frame: M off by one
     ("thicket/interleave.py",
      "from_frame(M, b.iv.left)",

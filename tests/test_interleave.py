@@ -52,6 +52,15 @@ class TestVerify:
             g = Morphism(thicken(Z, a), F, {})
             assert not verify_certificate(F, Z, InterleavingCertificate(a, f, g))
 
+    def test_block_on_a_zero_hom_space_fails(self):
+        """A witness with a block on a zero Hom space is not a certificate:
+        the check says False, and blames no thickening for it."""
+        F, G = gb(bar(closed(0, 2))), gb(bar(closed(10, 12)))
+        f = Morphism(thicken(F, 1), G, {(0, 0): 1}, validate=False)
+        g = Morphism(thicken(G, 1), F, {(0, 0): 1}, validate=False)
+        assert verify_certificate(F, G, InterleavingCertificate(Fr(1), f, g)) \
+            is False
+
     def test_shape_mismatch_raises(self):
         F, G = gb(bar(closed(0, 2))), gb(bar(singleton(1)))
         f = Morphism(thicken(F, 1), G, {(0, 0): 1})
@@ -1632,16 +1641,19 @@ def test_lipschitz_experiment_across_two_fields_rejected():
 
 
 # ---------------------------------------------------------------------------
-# The check on shared tables against the route that thickens every time.
+# The row check of the search against the definition, which thickens.
 
-def _oracle_verified(F, G, cert, space):
-    """Oracle of ``verify_certificate``: T_a f and T_a g thickened by
-    ``thicken_morphism``, each composite compared with ``restriction``."""
-    a = Fr(cert.a)
-    return (compose(thicken_morphism(cert.f, a), cert.g)
-            == restriction(F, 0, 2 * a, space)
-            and compose(thicken_morphism(cert.g, a), cert.f)
-            == restriction(G, 0, 2 * a, space))
+def _row_check(F, G, a, cert, space):
+    """The check that ``_certificate`` runs (``interleave._verified``) on
+    the blocks of ``cert``, moved from table positions to input indices, on
+    the ``_lifts`` rows of F and G at a in ``space``: values or a frame."""
+    lifts = interleave._lifts(F, G, a, space)
+    blocks = []
+    for rows, m in zip(lifts, (cert.f, cert.g)):
+        perm = morphisms.indexed([r[1] for r in rows], F.char)[1]
+        index = {k: i for i, k in enumerate(perm)}
+        blocks.append({(index[s], t): c for (s, t), c in m.blocks.items()})
+    return interleave._verified(lifts, blocks, F.char, space)
 
 
 def _outcome_of(check, *args):
@@ -1695,17 +1707,20 @@ def _certificates(rng, p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_check_on_tables_agrees_with_thickening_route(rng, p):
-    """``verify_certificate``, which reads T_a T_a X as T_2a X off four
-    tables, gives the oracle's answer on every certificate the two
-    searches find, line and circle, and on three corruptions of each."""
+    """The row check of the search (``_verified``), which reads T_a T_a X
+    as T_2a X off the ``_lifts`` rows, gives the answer of the definition
+    (``verify_certificate``, which thickens f and g) on every certificate
+    the two searches find, line and circle, and on three corruptions of
+    each; here on the rows in values."""
     seen = {LINE: 0, "circle": 0}
     results = {}
     for F, G, space, cert in _certificates(rng, p):
         assert verify_certificate(F, G, cert, space), (F, G, cert)
+        assert _row_check(F, G, Fr(cert.a), cert, space), (F, G, cert)
         seen[LINE if space == LINE else "circle"] += 1
         for bad in _corrupted(rng, F, G, cert, space):
-            got = _outcome_of(verify_certificate, F, G, bad, space)
-            assert got == _outcome_of(_oracle_verified, F, G, bad, space), \
+            got = _outcome_of(_row_check, F, G, Fr(bad.a), bad, space)
+            assert got == _outcome_of(verify_certificate, F, G, bad, space), \
                 (F, G, bad.f, bad.g)
             results[got] = results.get(got, 0) + 1
     assert seen[LINE] >= 10 and seen["circle"] >= 10, seen
@@ -1713,8 +1728,8 @@ def test_check_on_tables_agrees_with_thickening_route(rng, p):
 
 
 # ---------------------------------------------------------------------------
-# Only a certificate sorts: T_a and T_2a of each side, four sorted tables,
-# and none for a probe that finds no certificate.
+# Only a certificate sorts: T_a of each side, two sorted tables, and none
+# for a probe that finds no certificate.
 
 def _count_sorts(monkeypatch):
     """The list of the barcodes that ``morphisms.indexed`` sorts, one per
@@ -1733,11 +1748,11 @@ def _count_sorts(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
-    """A line ``distance`` that reaches the matching sorts each side's
-    thickenings once each: exactly four tables, T_w and T_2w of F' and of
-    G' at w = Mv in the pair's integer frame (``_framed``), where the
-    certificate is checked.  One that does not reach it sorts none."""
+def test_line_distance_sorts_each_side_once(rng, p, monkeypatch):
+    """A line ``distance`` that reaches the matching sorts one table a side,
+    once its certificate is checked on the rows: exactly two, T_w of F' and
+    of G' at w = Mv in the pair's integer frame (``_framed``), and no T_2w.
+    One that does not reach it sorts none."""
     calls = _count_sorts(monkeypatch)
     matched = 0
     for F, G in list(_line_pairs(rng, p, 10)) + list(
@@ -1747,8 +1762,8 @@ def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
         if d.exact_by == "isometry" and d.upper != POS_INF:
             (_, X, Y, _), (w,) = interleave._framed(F, G, LINE, d.upper)
             assert Counter(calls) == Counter(
-                GradedBarcode([bar_rule(b, s) for b in Z.bars], p)
-                for Z in (X, Y) for s in (w, 2 * w)), calls
+                GradedBarcode([bar_rule(b, w) for b in Z.bars], p)
+                for Z in (X, Y)), calls
             matched += 1
         else:
             assert calls == [], (F, G, calls)
@@ -1756,11 +1771,10 @@ def test_line_distance_thickens_each_side_twice(rng, p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_circle_probe_thickens_at_most_four_times(rng, p, monkeypatch):
-    """A circle grid probe (one ``_search``) sorts at most four thickened
-    tables: exactly four, T_a and T_2a of each side, when it finds a
-    certificate, and none when it is refuted or undecided (lifts up to 2C
-    included)."""
+def test_circle_probe_sorts_at_most_two_tables(rng, p, monkeypatch):
+    """A circle grid probe (one ``_search``) sorts at most two thickened
+    tables: exactly two, T_a of each side, when it finds a certificate, and
+    none when it is refuted or undecided (lifts up to 2C included)."""
     calls = _count_sorts(monkeypatch)
     search, probes = interleave._search, Counter()
 
@@ -1777,9 +1791,9 @@ def test_circle_probe_thickens_at_most_four_times(rng, p, monkeypatch):
     for F, G, space in list(_circle_pairs(rng, p, 10)) + list(
             _long_circle_pairs(rng, p, 10)):
         distance(F, G, space)
-    assert set(probes) <= {("found", 4), ("refuted", 0), ("undecided", 0)}, \
+    assert set(probes) <= {("found", 2), ("refuted", 0), ("undecided", 0)}, \
         probes
-    assert min(probes["found", 4], probes["refuted", 0],
+    assert min(probes["found", 2], probes["refuted", 0],
                probes["undecided", 0]) >= 3, probes
 
 
@@ -2140,19 +2154,14 @@ def test_nonpositive_circumference_rejected(C):
 
 # ---------------------------------------------------------------------------
 # The production check runs in the pair's frame; ``verify_certificate``, the
-# independent one, in the input pair's own Fractions.
+# definition, in the input pair's own Fractions.
 
 def _frame_check(F, G, cert, space):
-    """The check that ``_certificate`` runs, on the blocks of ``cert``: the
-    ``_sides`` tables of the pair's frame (M, F', G', space'), with a', F',
-    G' and space' in place of the values."""
+    """The row check that ``_certificate`` runs, on the blocks of ``cert``,
+    in the pair's frame (M, F', G', space'), with a', F', G' and space' in
+    place of the values."""
     (_, X, Y, S), (a,) = interleave._framed(F, G, space, cert.a)
-    sides = interleave._sides(interleave._lifts(X, Y, a, S), F.char)
-    ((TXa, _), _), ((TYa, _), _) = sides
-    framed = InterleavingCertificate(
-        a, Morphism(TXa, Y, cert.f.blocks, S, validate=False),
-        Morphism(TYa, X, cert.g.blocks, S, validate=False))
-    return interleave._verified(X, Y, framed, sides, S)
+    return _row_check(X, Y, a, cert, S)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
