@@ -4,13 +4,14 @@ and Lipschitz experiment harness.
 A ``PLMap`` derives one tuple when it is constructed, its slopes (left
 tail, segments, right tail); an evaluation bisects the breakpoints and
 interpolates from the one on its left.  The pushforward of a bar is the
-levelset barcode of the map on the bar, which one pass over the map's
-extrema along the bar reads off by a relative elder rule
-(``_pushforward_bar``).  One call of ``pushforward_shriek`` scales the
-map's breakpoints, values and pieces and the bars' finite ends once into
-one integer frame (``_Frame``), so the elder rule bisects, evaluates and
-compares ints; a value becomes a ``Fraction`` again only as the end of an
-output bar.
+levelset barcode of the map on the bar: one walk lists its extrema along
+the bar, and a relative elder rule pairs them in one linear pass, each
+component dying at the path's extremum between it and its nearest older
+vertex or the ground (the bar's unattained ends), with no sort per bar
+(``_pushforward_bar``, ``_elder``).  One ``pushforward_shriek`` call
+scales the map's breakpoints, values and pieces and the bars' finite ends
+into one integer frame (``_Frame``), so the elder rule bisects, evaluates
+and compares ints; a value is a ``Fraction`` again only as an output end.
 
 The stability and Lipschitz experiments each make one
 ``interleave.check_interleaving`` call at their bound: a certificate (always
@@ -261,73 +262,54 @@ class _Frame:
         return q
 
 
-def _extrema(frame: _Frame, k: int, iv: Interval) -> list:
-    """(value, attained) of f at the ends of bar k, on iv, and at the
-    breakpoints strictly inside it, in the call's frame, with runs of equal
-    value merged (attained only if every vertex of the run is) and the
-    vertices f passes monotonically dropped.  An infinite end takes the
-    limit of the tail and is not attained; a finite end is attained when
-    the bar is closed there."""
-    if is_finite(iv.left):
-        value, first, _ = frame.end(frame.ends[2 * k])
-        left = (value, iv.lkind is CLOSED)
-    else:
-        left = (NEG_INF if frame.lines[0][0] > 0 else POS_INF, False)
-        first = 0
-    if is_finite(iv.right):
-        value, _, stop = frame.end(frame.ends[2 * k + 1])
-        right = (value, iv.rkind is CLOSED)
-    else:
-        right = (POS_INF if frame.lines[-1][0] > 0 else NEG_INF, False)
-        stop = len(frame.xs)
-    runs = [left]
-    for value, attained in [(v, True) for v in frame.vs[first:stop]] + [right]:
-        if runs[-1][0] == value:
-            runs[-1] = (value, runs[-1][1] and attained)
+def _elder(vals: list, first: bool, last: bool) -> tuple[list, list]:
+    """(birth, death) values of the rising and of the falling elder-rule
+    sweep over a path of n >= 2 extrema, neighbours distinct, whose ends
+    are attained as ``first`` and ``last`` say.  Of two vertices the older
+    has the smaller (v, i) rising, the greater (v, -i) falling; an
+    unattained end, which f approaches, is the ground, older than all.  An
+    attained minimum (maximum, falling) starts a component, which dies at
+    the path's maximum (minimum) between it and its nearest older vertex
+    or ground, on the side where that is lower (higher); with neither
+    side, it is the essential class and gives no pair.  One monotone stack
+    per direction, run in one loop, finds both sides: a minimum pops the
+    younger minima, which it outlives, and the top is then its nearest
+    older vertex on the left.  An entry is (value, extremum of the path
+    from the entry below, death on the left or None); ``hi`` and ``lo`` are
+    the extrema past the top, and a ground vertex 0 is both stacks' base."""
+    n = len(vals)
+    up, down, rising, falling = [], [], [], []
+    hi, lo = NEG_INF, POS_INF
+    base = 0 if first else 1
+    at_min = vals[0] < vals[1]
+    for j, v in enumerate(vals):
+        ground = (j == 0 and not first) or (j == n - 1 and not last)
+        if at_min or ground:
+            while len(up) > base and (ground or up[-1][0] > v):
+                b, gap, left = up.pop()
+                h = max(hi, v)
+                rising.append((b, h if left is None else min(left, h)))
+                hi = max(hi, gap)
+            if j < n - 1 or not ground:
+                up.append((v, hi, max(hi, up[-1][0]) if up else None))
+                hi = NEG_INF
         else:
-            runs.append((value, attained))
-    verts = runs[:1]
-    for prev, (value, attained), nxt in zip(runs, runs[1:], runs[2:]):
-        if (prev[0] < value) != (value < nxt[0]):
-            verts.append((value, attained))
-    if len(runs) > 1:
-        verts.append(runs[-1])
-    return verts
-
-
-def _deaths(verts: list, order: list) -> list:
-    """(birth, death) values of one elder-rule sweep over the path of
-    extrema, visited in ``order``.  An attained vertex with no visited
-    neighbour starts a component; an unattained one (an end that f
-    approaches) belongs to the ground, which is older than every component.
-    Where components meet, all but the eldest die.  Parents and ages are
-    lists indexed by vertex, the ground last; -1 marks a vertex not yet
-    visited."""
-    ground = len(verts)
-    parent = [-1] * ground + [ground]
-    age = [0] * ground + [-1]
-    out = []
-    for step, i in enumerate(order):
-        here, attained = verts[i]
-        met = []
-        for j in (i - 1, i + 1):
-            if 0 <= j < ground and parent[j] >= 0:
-                while parent[j] != j:
-                    j = parent[j]
-                if j not in met:
-                    met.append(j)
-        if not attained and ground not in met:
-            met.append(ground)
-        if not met:
-            parent[i], age[i] = i, step
-            continue
-        eldest = min(met, key=age.__getitem__)
-        for r in met:
-            if r != eldest:
-                parent[r] = eldest
-                out.append((verts[r][0], here))
-        parent[i] = eldest
-    return out
+            hi = max(hi, v)
+        if not at_min or ground:
+            while len(down) > base and (ground or down[-1][0] < v):
+                b, gap, left = down.pop()
+                h = min(lo, v)
+                falling.append((b, h if left is None else max(left, h)))
+                lo = min(lo, gap)
+            if j < n - 1 or not ground:
+                down.append((v, lo, min(lo, down[-1][0]) if down else None))
+                lo = POS_INF
+        else:
+            lo = min(lo, v)
+        at_min = not at_min
+    rising += [(b, h) for b, _, h in up[base:] if h is not None]
+    falling += [(b, h) for b, _, h in down[base:] if h is not None]
+    return rising, falling
 
 
 def _pushforward_bar(frame: _Frame, k: int, bar: Bar) -> list[tuple]:
@@ -337,31 +319,49 @@ def _pushforward_bar(frame: _Frame, k: int, bar: Bar) -> list[tuple]:
     Cohen-Steiner-Edelsbrunner-Harer, *Extending persistence using Poincare
     and Lefschetz duality*, FoCM 2009), read off f's extrema along the bar.
 
-    A constant f gives the point [v, v] in degree d when v is attained, in
-    degree d + 1 over an open bar, and nothing otherwise.  Else the
-    sublevel sweep gives [birth, death), the superlevel sweep (death,
-    birth], and the essential class is [min, max] when both ends are
-    attained, (min, max) when neither is, and nothing when one is.  The
-    sweeps run in the call's frame, and each output bar is one row
-    (lo, lkind, hi, rkind, degree) of frame values."""
+    One walk over the frame lists them: f at the bar's ends (the tail's
+    limit at an infinite one) and at the breakpoints strictly inside it,
+    runs of equal value merged and vertices f passes monotonically dropped;
+    an end is attained when the bar is closed there.  A constant f gives
+    [v, v] in degree d when v is attained, in degree d + 1 over an open
+    bar, and nothing otherwise; a monotone f gives its image, each end
+    closed exactly when attained.  Else ``_elder`` pairs the extrema by
+    the nearest-older rule, the unattained ends as the ground: [birth,
+    death) rising, (death, birth] falling, and the essential class [min,
+    max] when both ends are attained, (min, max) when neither is, nothing
+    when one is.  Each output bar is a row (lo, lkind, hi, rkind, degree)
+    of frame values."""
     iv, d = bar.iv, bar.degree
-    verts = _extrema(frame, k, iv)
-    if len(verts) == 1:
-        v, attained = verts[0]
-        if attained:
-            return [(v, CLOSED, v, CLOSED, d)]
-        if iv.lkind is OPEN and iv.rkind is OPEN:
-            return [(v, CLOSED, v, CLOSED, d + 1)]
-        return []
-    rising = sorted(range(len(verts)), key=lambda i: verts[i][0])
-    out = [(b, CLOSED, h, OPEN, d) for b, h in _deaths(verts, rising)]
-    out += [(h, OPEN, b, CLOSED, d) for b, h in _deaths(verts, rising[::-1])]
-    lo, hi = verts[rising[0]][0], verts[rising[-1]][0]
-    ends = (verts[0][1], verts[-1][1])
-    if ends == (True, True):
-        out.append((lo, CLOSED, hi, CLOSED, d))
-    elif ends == (False, False):
-        out.append((lo, OPEN, hi, OPEN, d))
+    first, last = iv.lkind is CLOSED, iv.rkind is CLOSED
+    if is_finite(iv.left):
+        v, start, _ = frame.end(frame.ends[2 * k])
+    else:
+        v, start = (NEG_INF if frame.lines[0][0] > 0 else POS_INF), 0
+    if is_finite(iv.right):
+        end, _, stop = frame.end(frame.ends[2 * k + 1])
+    else:
+        end = POS_INF if frame.lines[-1][0] > 0 else NEG_INF
+        stop = len(frame.xs)
+    vals = [v]
+    for v in (*frame.vs[start:stop], end):
+        if v != vals[-1]:
+            if len(vals) > 1 and (vals[-2] < vals[-1]) == (vals[-1] < v):
+                vals[-1] = v
+            else:
+                vals.append(v)
+    if len(vals) == 1:
+        point = [(v, CLOSED, v, CLOSED, d if first else d + 1)]
+        return point if first == last else []
+    if len(vals) == 2:
+        ends = ((vals[0], first), (vals[1], last))
+        (a, ka), (b, kb) = ends if vals[0] < vals[1] else ends[::-1]
+        return [(a, CLOSED if ka else OPEN, b, CLOSED if kb else OPEN, d)]
+    rising, falling = _elder(vals, first, last)
+    out = [(b, CLOSED, h, OPEN, d) for b, h in rising]
+    out += [(h, OPEN, b, CLOSED, d) for b, h in falling]
+    if first == last:
+        kind = CLOSED if first else OPEN
+        out.append((min(vals), kind, max(vals), kind, d))
     return out
 
 

@@ -42,6 +42,10 @@ _LINE_TRIPLES = ("tests/test_homcalc.py::TestLineRulesAgainstQuiver::"
                  "test_triples_with_nonzero_factors")
 _UNBOUNDED = ("tests/test_circle.py::TestUnnormalizedLifts::"
               "test_unbounded_lifts_rejected")
+_ELDER = ("tests/test_plmaps.py::TestElderRule::"
+          "test_sweeps_match_the_union_find")
+_BAR_ROWS = ("tests/test_plmaps.py::TestElderRule::"
+             "test_bar_rows_match_the_union_find_route")
 _READ_BACK = [
     "tests/test_interleave.py::TestCheckInterleaving::"
     "test_matching_certificates_verify",
@@ -158,6 +162,18 @@ MUTANTS = [
      "vs = [w * d for w in ws]",
      "vs = list(ws)",
      ["tests/test_plmaps.py::TestZigzagOracle::test_coprime_denominators"]),
+    # push's elder rule (``plmaps._elder``): an unattained end no longer
+    # counts as the ground
+    ("thicket/plmaps.py",
+     "ground = (j == 0 and not first) or (j == n - 1 and not last)",
+     "ground = False",
+     [_ELDER, _BAR_ROWS,
+      "tests/test_plmaps.py::TestPushforward::test_open_end_below_the_maximum"]),
+    # a monotone bar swaps the kinds of its image's ends
+    ("thicket/plmaps.py",
+     "(a, CLOSED if ka else OPEN, b, CLOSED if kb else OPEN, d)",
+     "(a, CLOSED if kb else OPEN, b, CLOSED if ka else OPEN, d)",
+     [_BAR_ROWS, "tests/test_plmaps.py::TestPushforward::test_identity"]),
     # ``parse_extended``'s fast path keeps the sign; the Hypothesis test must
     # report its failure under -W error, not end the run internally
     ("thicket/scalars.py",

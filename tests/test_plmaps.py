@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from collections import Counter
 from fractions import Fraction
 from fractions import Fraction as Fr
 
@@ -21,7 +22,7 @@ from thicket.plmaps import (NonProperError, PLMap, abs_map, compose_pl,
                             lipschitz_experiment, offset_map,
                             pushforward_shriek, scale_map, stability_experiment,
                             sup_distance, translate_map)
-from thicket.scalars import POS_INF, is_finite
+from thicket.scalars import NEG_INF, POS_INF, is_finite
 from thicket.thicken import thicken
 
 
@@ -634,6 +635,178 @@ class TestZigzagOracle:
             assert frames == [[*f.xs, *ends], list(f.ys)]
             assert len(orders) == 1 and len(orders[0]) == 2 * len(got)
         assert pushed >= 20
+
+
+# ---------------------------------------------------------------------------
+# The sorted union-find route, kept as the elder rule's oracle: the vertex
+# list of f's extrema along a bar, and one union-find sweep over it in an
+# order of the values.
+
+def _extrema(frame, k: int, iv: Interval) -> list:
+    """(value, attained) of f at the ends of bar k, on iv, and at the
+    breakpoints strictly inside it, in the call's frame, with runs of equal
+    value merged (attained only if every vertex of the run is) and the
+    vertices f passes monotonically dropped.  An infinite end takes the
+    limit of the tail and is not attained; a finite end is attained when
+    the bar is closed there."""
+    if is_finite(iv.left):
+        value, first, _ = frame.end(frame.ends[2 * k])
+        left = (value, iv.lkind is CLOSED)
+    else:
+        left = (NEG_INF if frame.lines[0][0] > 0 else POS_INF, False)
+        first = 0
+    if is_finite(iv.right):
+        value, _, stop = frame.end(frame.ends[2 * k + 1])
+        right = (value, iv.rkind is CLOSED)
+    else:
+        right = (POS_INF if frame.lines[-1][0] > 0 else NEG_INF, False)
+        stop = len(frame.xs)
+    runs = [left]
+    for value, attained in [(v, True) for v in frame.vs[first:stop]] + [right]:
+        if runs[-1][0] == value:
+            runs[-1] = (value, runs[-1][1] and attained)
+        else:
+            runs.append((value, attained))
+    verts = runs[:1]
+    for prev, (value, attained), nxt in zip(runs, runs[1:], runs[2:]):
+        if (prev[0] < value) != (value < nxt[0]):
+            verts.append((value, attained))
+    if len(runs) > 1:
+        verts.append(runs[-1])
+    return verts
+
+
+def _deaths(verts: list, order: list) -> list:
+    """(birth, death) values of one elder-rule sweep over the path of
+    extrema, visited in ``order``.  An attained vertex with no visited
+    neighbour starts a component; an unattained one (an end that f
+    approaches) belongs to the ground, which is older than every component.
+    Where components meet, all but the eldest die.  Parents and ages are
+    lists indexed by vertex, the ground last; -1 marks a vertex not yet
+    visited."""
+    ground = len(verts)
+    parent = [-1] * ground + [ground]
+    age = [0] * ground + [-1]
+    out = []
+    for step, i in enumerate(order):
+        here, attained = verts[i]
+        met = []
+        for j in (i - 1, i + 1):
+            if 0 <= j < ground and parent[j] >= 0:
+                while parent[j] != j:
+                    j = parent[j]
+                if j not in met:
+                    met.append(j)
+        if not attained and ground not in met:
+            met.append(ground)
+        if not met:
+            parent[i], age[i] = i, step
+            continue
+        eldest = min(met, key=age.__getitem__)
+        for r in met:
+            if r != eldest:
+                parent[r] = eldest
+                out.append((verts[r][0], here))
+        parent[i] = eldest
+    return out
+
+
+def _union_find_sweeps(vals, first, last):
+    """Both sweeps of ``_deaths`` over a path, rising and falling, as
+    multisets: the values sorted stably, and that order reversed."""
+    verts = [(v, True) for v in vals]
+    verts[0], verts[-1] = (vals[0], first), (vals[-1], last)
+    rising = sorted(range(len(vals)), key=vals.__getitem__)
+    return (Counter(_deaths(verts, rising)),
+            Counter(_deaths(verts, rising[::-1])))
+
+
+def _union_find_bar(frame, k: int, bar: Bar) -> list:
+    """The rows of bar k by the route that ``plmaps._elder`` replaced:
+    ``_extrema``, a sort of its values and two ``_deaths`` sweeps, with the
+    same rules for a constant f and for the essential class."""
+    iv, d = bar.iv, bar.degree
+    verts = _extrema(frame, k, iv)
+    if len(verts) == 1:
+        v, attained = verts[0]
+        if attained:
+            return [(v, CLOSED, v, CLOSED, d)]
+        if iv.lkind is OPEN and iv.rkind is OPEN:
+            return [(v, CLOSED, v, CLOSED, d + 1)]
+        return []
+    rising = sorted(range(len(verts)), key=lambda i: verts[i][0])
+    out = [(b, CLOSED, h, OPEN, d) for b, h in _deaths(verts, rising)]
+    out += [(h, OPEN, b, CLOSED, d) for b, h in _deaths(verts, rising[::-1])]
+    lo, hi = verts[rising[0]][0], verts[rising[-1]][0]
+    ends = (verts[0][1], verts[-1][1])
+    if ends == (True, True):
+        out.append((lo, CLOSED, hi, CLOSED, d))
+    elif ends == (False, False):
+        out.append((lo, OPEN, hi, OPEN, d))
+    return out
+
+
+def _rand_path(rng):
+    """An alternating path of 2-12 extrema with values in [-4, 4], so that
+    non-adjacent values repeat, each end attained or not; an unattained end
+    is now and then the infinite limit of a tail."""
+    vals = [rng.randint(-3, 3)]
+    rise = rng.random() < 0.5
+    for _ in range(rng.randint(1, 11)):
+        vals.append(rng.randint(vals[-1] + 1, 4) if rise
+                    else rng.randint(-4, vals[-1] - 1))
+        rise = not rise
+    first, last = rng.random() < 0.5, rng.random() < 0.5
+    if not first and rng.random() < 0.3:
+        vals[0] = NEG_INF if vals[0] < vals[1] else POS_INF
+    if not last and rng.random() < 0.3:
+        vals[-1] = NEG_INF if vals[-1] < vals[-2] else POS_INF
+    return vals, first, last
+
+
+class TestElderRule:
+    """The nearest-older elder rule of ``plmaps._elder`` and the bar rows
+    of ``plmaps._pushforward_bar`` against the union-find route."""
+
+    def test_sweeps_match_the_union_find(self, rng):
+        shapes = set()
+        for _ in range(3000):
+            vals, first, last = _rand_path(rng)
+            rising, falling = plmaps._elder(vals, first, last)
+            want = _union_find_sweeps(vals, first, last)
+            assert (Counter(rising), Counter(falling)) == want, (vals, first, last)
+            repeated = len(set(vals)) < len(vals)
+            shapes.add((first, last, repeated, not all(map(is_finite, vals))))
+        # an infinite end is never attained: 14 of the 16 shapes
+        assert len(shapes) == 14, shapes
+
+    @pytest.mark.parametrize("first, last", [(True, True), (False, False),
+                                             (True, False), (False, True)])
+    def test_falling_staircase(self, first, last):
+        # 8,000 vertices whose maxima and minima both fall: the rising
+        # stack pops at every minimum, the falling one holds every maximum
+        vals = [v for k in range(4000, 0, -1) for v in (2 * k, 2 * k - 3)]
+        rising, falling = plmaps._elder(vals, first, last)
+        assert (Counter(rising), Counter(falling)) == \
+            _union_find_sweeps(vals, first, last)
+        # every attained maximum but the essential class's dies
+        assert len(falling) == 4000 - (not first) - (first and last)
+
+    @pytest.mark.parametrize("case", [_rand_case, _many_bar_case, _coprime_case])
+    def test_bar_rows_match_the_union_find_route(self, rng, case):
+        kinds = Counter()
+        for _ in range(150):
+            f, F = case(rng, 2)
+            bars = [b for b in F.bars
+                    if not isinstance(_outcome(plmaps._check_proper, f, b.iv),
+                                      tuple)]
+            frame = plmaps._Frame(f, bars)
+            for k, b in enumerate(bars):
+                want = _union_find_bar(frame, k, b)
+                got = plmaps._pushforward_bar(frame, k, b)
+                assert Counter(got) == Counter(want), (f, b)
+                kinds[min(len(_extrema(frame, k, b.iv)), 3)] += 1
+        assert min(kinds[n] for n in (1, 2, 3)) >= 20, kinds
 
 
 def test_plmaps_imports_neither_model_nor_zigzag():
