@@ -9,10 +9,20 @@ so that degenerate inputs fail loudly.
 The canonical order of bars is ``Bar.sort_key``: degree, then left end, left
 end open, right end, right end open.  ``canonical_indices`` is its one home.
 It sorts stably on an order-isomorphic key, the ends as ints in one frame
-(``scalars.int_frame``, or ends a caller has already so scaled), which
+(``scalars.int_frame``, or ends a caller has already put in a frame), which
 compare much faster than Fractions.  Lists of fewer than ``_KEY_MIN_BARS``
-bars and frames past ``_KEY_BITS`` bits sort on ``Bar.sort_key`` itself.
-``GradedBarcode._sorted`` wraps bars that are already in this order.
+bars and frames past ``_KEY_BITS`` bits sort on ``Bar.sort_key`` itself,
+or on the ends in the identity frame of ``bar_frame``, the Fractions
+themselves, which is the same key.  ``GradedBarcode._sorted``
+wraps bars that are already in this order.
+
+The bulk transforms run in that frame.  ``thicken.thicken`` runs its rule
+on the frame values of every bar as rows (lo, lkind, hi, rkind, degree),
+orders the rows on those values and reads each distinct output end back
+once (``read_back``); ``dualize`` keeps every end, so it flips the kinds on the
+input's own ends and orders them on their frame.  Their intervals are valid
+by construction and are built by ``trusted_interval``, the one constructor
+that skips the checks of ``Interval.__post_init__``.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fieldmath import check_char
-from .scalars import (NEG_INF, POS_INF, check_extended, format_extended,
-                      int_frame, is_finite)
+from .scalars import (NEG_INF, POS_INF, FrameReader, check_extended,
+                      format_extended, int_frame, is_finite)
 
 
 class InvalidIntervalError(ValueError):
@@ -127,6 +137,33 @@ class Interval:
         return f"{lb}{format_extended(self.left)}, {format_extended(self.right)}{rb}"
 
 
+# The slot descriptors of Interval, which write past the frozen __setattr__.
+_SET_ENDS = tuple(getattr(Interval, name).__set__
+                  for name in ("left", "lkind", "right", "rkind"))
+
+
+def trusted_interval(left, lkind, right, rkind) -> Interval:
+    """The ``Interval`` of ends that are valid by construction, built
+    without ``__post_init__``.  The ends must already be Fractions or
+    infinities, and every caller builds the image of a checked interval
+    under a map that keeps an interval valid:
+
+    - x -> x / M (``read_back``), for the M > 0 of an integer frame
+      (``scalars.int_frame``) in which a rule built a valid interval of
+      ints: it is strictly increasing, so it keeps left < right and
+      left == right, and it fixes the infinities and every kind;
+    - the identity on the ends (the identity frame, and ``dualize``, which
+      flips kinds only where that is valid: at finite ends of a bar that is
+      not a point)."""
+    iv = object.__new__(Interval)
+    set_left, set_lkind, set_right, set_rkind = _SET_ENDS
+    set_left(iv, left)
+    set_lkind(iv, lkind)
+    set_right(iv, right)
+    set_rkind(iv, rkind)
+    return iv
+
+
 class FramedInterval(Interval):
     """An interval whose finite ends are ints in an integer frame
     (``scalars.int_frame``): the image of a checked ``Interval`` under
@@ -211,13 +248,36 @@ _KEY_BITS = 64
 _KEY_MIN_BARS = 16
 
 
+def _as_is(x):
+    return x
+
+
+def bar_frame(bars, *extra) -> tuple:
+    """(values, back): the ends of ``bars`` (left, right, bar by bar), then
+    ``extra``, in one frame that ``canonical_indices`` orders on, and the
+    read-back of its values.  The frame is a ``scalars.int_frame``, read
+    back by a ``scalars.FrameReader``; for fewer than ``_KEY_MIN_BARS`` bars
+    or an M past ``_KEY_BITS`` bits it is the identity frame, the values
+    themselves, and the read-back is the identity.  The rules on rows run
+    alike in both (``scalars.is_finite``)."""
+    values = [x for b in bars for x in (b.iv.left, b.iv.right)]
+    values += extra
+    frame = (int_frame(values, max_bits=_KEY_BITS)
+             if len(bars) >= _KEY_MIN_BARS else None)
+    if frame is None:
+        return values, _as_is
+    m, ints = frame
+    return ints, FrameReader(m).__getitem__
+
+
 def canonical_indices(bars, ends=None) -> list:
     """The stable index order of ``bars``; ``ends``, if given, are their
-    ends (left, right, bar by bar) already scaled to ints in one frame."""
+    ends (left, right, bar by bar) already in one frame (``bar_frame``)."""
     if ends is None and len(bars) >= _KEY_MIN_BARS:
-        m, scaled = int_frame([x for b in bars for x in (b.iv.left, b.iv.right)])
-        if m.bit_length() <= _KEY_BITS:
-            ends = scaled
+        frame = int_frame([x for b in bars for x in (b.iv.left, b.iv.right)],
+                          max_bits=_KEY_BITS)
+        if frame is not None:
+            ends = frame[1]
     if ends is None:
         keys = [b.sort_key() for b in bars]
     else:
@@ -362,6 +422,16 @@ def stalk_dims(F: GradedBarcode, t: Fraction) -> dict[int, int]:
     return {d: n for d, n in sorted(dims.items()) if n}
 
 
+def read_back(rows, back) -> list:
+    """The bars of ``rows`` (lo, lkind, hi, rkind, degree) of frame values
+    that a rule built as valid intervals: each end is read back by ``back``
+    (``scalars.from_frame`` over the frame's M, its memo
+    ``scalars.FrameReader``, or ``bar_frame``'s), into a
+    ``trusted_interval``."""
+    return [Bar(trusted_interval(back(lo), lk, back(hi), rk), d)
+            for lo, lk, hi, rk, d in rows]
+
+
 def dims_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
     for d, n in b.items():
@@ -372,27 +442,42 @@ def dims_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Duality.
 
-def dualize_bar(b: Bar) -> Bar:
-    """Dual of a single shifted interval sheaf.
+def dual_row(left, lk, right, rk, d) -> tuple:
+    """Dual of a single shifted interval sheaf, as the row (left, lkind,
+    right, rkind, degree): the ends stay.
 
     Finite endpoint kinds flip and the degree negates, except that a point
     bar is self-dual with a one-step degree shift (its dual is the point
     sheaf shifted by one, forced by the stalk computation of sections
     supported at the point).
     """
-    iv = b.iv
-    left, right, lk, rk = iv.left, iv.right, iv.lkind, iv.rkind
     # a point is closed at both ends; the kind tests skip most comparisons
     if lk is CLOSED and rk is CLOSED and left == right:
-        return Bar(iv, 1 - b.degree)
+        return left, lk, right, rk, 1 - d
     # the module constants: a read off the Kind class costs about three
     # global reads
     if is_finite(left):
         lk = OPEN if lk is CLOSED else CLOSED
     if is_finite(right):
         rk = OPEN if rk is CLOSED else CLOSED
-    return Bar(Interval(left, lk, right, rk), -b.degree)
+    return left, lk, right, rk, -d
+
+
+def dualize_bar(b: Bar) -> Bar:
+    """Dual of one bar (``dual_row``)."""
+    iv = b.iv
+    left, lk, right, rk, d = dual_row(iv.left, iv.lkind, iv.right, iv.rkind,
+                                      b.degree)
+    return Bar(Interval(left, lk, right, rk), d)
 
 
 def dualize(F: GradedBarcode) -> GradedBarcode:
-    return GradedBarcode([dualize_bar(b) for b in F.bars], F.char)
+    """Dual of every bar (``dual_row``) on the input's own ends, which
+    dualizing keeps: nothing is read back, and the bars are ordered on the
+    ends' frame (``bar_frame``)."""
+    rows = [dual_row(b.iv.left, b.iv.lkind, b.iv.right, b.iv.rkind, b.degree)
+            for b in F.bars]
+    bars = [Bar(trusted_interval(left, lk, right, rk), d)
+            for left, lk, right, rk, d in rows]
+    order = canonical_indices(bars, bar_frame(F.bars)[0])
+    return GradedBarcode._sorted([bars[i] for i in order], F.char)

@@ -72,8 +72,8 @@ from itertools import islice, product
 
 from . import fieldmath as fm
 from .barcode import (Bar, CharacteristicMismatchError, FramedInterval,
-                      GradedBarcode, Interval, global_sections,
-                      global_sections_c, iso_equal)
+                      GradedBarcode, global_sections, global_sections_c,
+                      iso_equal, read_back)
 from .morphisms import (LINE, Morphism, UnsupportedHomError, block_dim,
                         block_scalar, compose, identity_morphism, indexed,
                         normal_form, restriction, thicken_indexed,
@@ -139,12 +139,12 @@ def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
 
 def _read_back(X, M):
     """The frame barcode ``X`` in Fractions, ``M`` being its frame's M: one
-    ``Fraction(n, M)`` per end.  x -> x/M keeps the ends' order, kinds and
-    degrees, so the bars stay in canonical order."""
-    return GradedBarcode._sorted(
-        [Bar(Interval(from_frame(M, b.iv.left), b.iv.lkind,
-                      from_frame(M, b.iv.right), b.iv.rkind), b.degree)
-         for b in X.bars], X.char)
+    ``Fraction(n, M)`` per end (``barcode.read_back``; the tables are too
+    small for a ``scalars.FrameReader`` to pay).  x -> x/M keeps the ends'
+    order, kinds and degrees, so the bars stay in canonical order."""
+    return GradedBarcode._sorted(read_back(
+        [(b.iv.left, b.iv.lkind, b.iv.right, b.iv.rkind, b.degree)
+         for b in X.bars], partial(from_frame, M)), X.char)
 
 
 def _verified(lifts, blocks, p, space):

@@ -29,9 +29,9 @@ from fractions import Fraction
 from math import lcm
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
-                      canonical_indices, intersect)
+                      canonical_indices, intersect, read_back)
 from .interleave import InterleavingCertificate, check_interleaving
-from .scalars import NEG_INF, POS_INF, int_frame, is_finite
+from .scalars import NEG_INF, POS_INF, FrameReader, int_frame, is_finite
 
 
 class NonProperError(ValueError):
@@ -222,7 +222,7 @@ class _Frame:
     where f agrees with them.  The float infinities stand for themselves,
     and Python ints keep the frame exact at any size."""
 
-    __slots__ = ("lx", "xs", "ends", "vs", "lines", "scale", "_back")
+    __slots__ = ("lx", "xs", "ends", "vs", "lines", "scale", "fraction")
 
     def __init__(self, f: PLMap, bars):
         ends = [e for b in bars for e in (b.iv.left, b.iv.right)]
@@ -240,9 +240,9 @@ class _Frame:
         self.xs, self.vs = xs, vs
         self.lines = [left] + segments + [right]
         self.scale = ly * d
-        # a breakpoint value maps back to the map's own value
-        self._back = dict(zip(vs, f.ys))
-        self._back[NEG_INF], self._back[POS_INF] = NEG_INF, POS_INF
+        # the extended rational a frame value stands for; a breakpoint
+        # value maps back to the map's own value
+        self.fraction = FrameReader(self.scale, zip(vs, f.ys)).__getitem__
 
     def end(self, x: int) -> tuple:
         """(V at the finite end X = x, index of the first breakpoint past
@@ -253,13 +253,6 @@ class _Frame:
             return self.vs[at], at + 1, at
         a, b = self.lines[at]
         return a * x + b, at, at
-
-    def fraction(self, v):
-        """The extended rational that the frame value v stands for."""
-        q = self._back.get(v)
-        if q is None:
-            q = self._back[v] = Fraction(v, self.scale)
-        return q
 
 
 def _elder(vals: list, first: bool, last: bool) -> tuple[list, list]:
@@ -376,8 +369,7 @@ def pushforward_shriek(f: PLMap, F: GradedBarcode) -> GradedBarcode:
         _check_proper(f, b.iv)
     frame = _Frame(f, F.bars)
     rows = [r for k, b in enumerate(F.bars) for r in _pushforward_bar(frame, k, b)]
-    q = frame.fraction
-    bars = [Bar(Interval(q(lo), lk, q(hi), rk), d) for lo, lk, hi, rk, d in rows]
+    bars = read_back(rows, frame.fraction)
     order = canonical_indices(bars, [v for r in rows for v in (r[0], r[2])])
     return GradedBarcode._sorted([bars[i] for i in order], F.char)
 

@@ -4,7 +4,8 @@ Finite scalars are ``fractions.Fraction``; the infinities are the float
 infinities, which order correctly against Fractions and never mix into
 finite arithmetic (guarded by the helpers here).  Inside an integer frame
 (``int_frame``) finite values are ints, read over the frame's M, and
-``from_frame`` turns them back into Fractions.
+``from_frame`` (or its memo, ``FrameReader``) turns them back into
+Fractions.
 """
 
 from __future__ import annotations
@@ -27,10 +28,14 @@ def is_finite(x) -> bool:
     return type(x) is not float
 
 
-def int_frame(values, factor: int = 1) -> tuple:
+def int_frame(values, factor: int = 1, max_bits=None):
     """(M, ints): M is ``factor`` times the lcm of the finite values'
-    denominators, ``ints[k]`` is ``values[k] * M``; infinities pass through."""
+    denominators, ``ints[k]`` is ``values[k] * M``; infinities pass through.
+    None when ``max_bits`` is given and M has more bits: no value of such a
+    frame is scaled, nor read back through a big-int gcd."""
     m = factor * math.lcm(*[x.denominator for x in values if isinstance(x, Fraction)])
+    if max_bits is not None and m.bit_length() > max_bits:
+        return None
     return m, [x.numerator * (m // x.denominator) if isinstance(x, Fraction)
                else x for x in values]
 
@@ -39,6 +44,23 @@ def from_frame(m: int, x):
     """The value of the frame value ``x``, where ``m`` is the M of its
     ``int_frame``: the Fraction x / m, or an infinity unchanged."""
     return x if type(x) is float else Fraction(x, m)
+
+
+class FrameReader(dict):
+    """``from_frame`` over one frame's M, kept: ``reader[x]`` is the value
+    of the frame value ``x``, made once per distinct x, so that equal ends
+    read back to one Fraction.  ``known`` seeds it with (x, value) pairs
+    whose values exist already."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int, known=()):
+        super().__init__(known)
+        self.m = m
+
+    def __missing__(self, x):
+        q = self[x] = from_frame(self.m, x)
+        return q
 
 
 def check_extended(x):

@@ -2,7 +2,9 @@
 
 For a >= 0 the thickening convolves with the closed ball of radius a; for
 a < 0 it is the open-ball convolution twisted by the shift [1].  Both are
-realized by closed-form per-bar rules.  The tests certify the rules against
+realized by closed-form per-bar rules, whose one home is ``rule_row``:
+``bar_rule`` runs it on one bar, and ``thicken`` on the rows of a whole
+barcode in one integer frame.  The tests certify the rules against
 a stalk oracle (compactly supported sections of ball/bar intersections,
 kept with the tests) and against the independent Minkowski-fiber
 convolution route below (``convolution_ball``), which the CLI
@@ -13,48 +15,57 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
+from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, bar_frame,
+                      canonical_indices, intersect, read_back,
                       rgamma_c_interval)
 from .scalars import NEG_INF, POS_INF, is_finite
 
 
-def bar_rule(b: Bar, a: Fraction) -> Bar:
-    """Thicken one bar by the signed amount ``a``: a Fraction, or an int
-    for a bar in an integer frame (``barcode.FramedInterval``)."""
-    iv, d = b.iv, b.degree
-    left, right, lkind, rkind = iv.left, iv.right, iv.lkind, iv.rkind
-    # a FramedInterval thickens into another, in the same integer frame
-    Interval = type(iv)
+def rule_row(left, lkind, right, rkind, d, a) -> tuple:
+    """The bar rule: the row (left, lkind, right, rkind, degree) of one bar
+    thickened by the signed amount ``a``.  The finite ends and ``a`` are
+    Fractions, or ints of one integer frame (``barcode.bar_frame``,
+    ``barcode.FramedInterval``), and the output row is in the same frame."""
     # the shape is read off finiteness, as in the Interval predicates
     if not is_finite(left):
         if not is_finite(right):               # the full line
-            return b
+            return left, lkind, right, rkind, d
         if rkind is CLOSED:                    # left rays
-            return Bar(Interval(NEG_INF, OPEN, right + a, CLOSED), d)
-        return Bar(Interval(NEG_INF, OPEN, right - a, OPEN), d)
+            return NEG_INF, OPEN, right + a, CLOSED, d
+        return NEG_INF, OPEN, right - a, OPEN, d
     if not is_finite(right):                   # right rays
         if lkind is CLOSED:
-            return Bar(Interval(left - a, CLOSED, POS_INF, OPEN), d)
-        return Bar(Interval(left + a, OPEN, POS_INF, OPEN), d)
+            return left - a, CLOSED, POS_INF, OPEN, d
+        return left + a, OPEN, POS_INF, OPEN, d
     # bounded from here on
     if lkind is CLOSED and rkind is OPEN:
-        return Bar(Interval(left - a, CLOSED, right - a, OPEN), d)
+        return left - a, CLOSED, right - a, OPEN, d
     if lkind is OPEN and rkind is CLOSED:
-        return Bar(Interval(left + a, OPEN, right + a, CLOSED), d)
+        return left + a, OPEN, right + a, CLOSED, d
     if lkind is CLOSED:                        # closed, including points
         lo, hi = left - a, right + a
         # lo <= hi is 2a >= -length: the bar grows, or shrinks at most to a
         # point; past that it turns into the open gap one degree down
         if lo <= hi:
-            return Bar(Interval(lo, CLOSED, hi, CLOSED), d)
-        return Bar(Interval(hi, OPEN, lo, OPEN), d - 1)
+            return lo, CLOSED, hi, CLOSED, d
+        return hi, OPEN, lo, OPEN, d - 1
     # open bounded
     lo, hi = left + a, right - a
     # lo < hi is 2a < length: the bar stays open; from there on it is the
     # closed overlap one degree up
     if lo < hi:
-        return Bar(Interval(lo, OPEN, hi, OPEN), d)
-    return Bar(Interval(hi, CLOSED, lo, CLOSED), d + 1)
+        return lo, OPEN, hi, OPEN, d
+    return hi, CLOSED, lo, CLOSED, d + 1
+
+
+def bar_rule(b: Bar, a: Fraction) -> Bar:
+    """Thicken one bar by the signed amount ``a`` (``rule_row``): a
+    Fraction, or an int for a bar in an integer frame
+    (``barcode.FramedInterval``), which thickens into another there."""
+    iv = b.iv
+    left, lkind, right, rkind, d = rule_row(iv.left, iv.lkind, iv.right,
+                                            iv.rkind, b.degree, a)
+    return Bar(type(iv)(left, lkind, right, rkind), d)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +138,18 @@ def deck_cost(form_f, form_g, C):
 
 
 def thicken(F: GradedBarcode, a) -> GradedBarcode:
-    """Thicken every bar by the signed rational ``a`` and re-canonicalize."""
-    a = Fraction(a)
-    return GradedBarcode([bar_rule(b, a) for b in F.bars], F.char)
+    """Thicken every bar by the signed rational ``a``, in one frame of F's
+    ends and ``a`` (``barcode.bar_frame``): ``rule_row`` runs on the frame
+    values of each bar, the rows are put in canonical order on those
+    values, and each output end is read back once (``barcode.read_back``).
+    The rule builds valid intervals, so none is checked again."""
+    values, back = bar_frame(F.bars, Fraction(a))
+    a = values.pop()
+    rows = [rule_row(left, b.iv.lkind, right, b.iv.rkind, b.degree, a)
+            for b, left, right in zip(F.bars, values[::2], values[1::2])]
+    bars = read_back(rows, back)
+    order = canonical_indices(bars, [v for r in rows for v in (r[0], r[2])])
+    return GradedBarcode._sorted([bars[i] for i in order], F.char)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,18 @@ _ELDER = ("tests/test_plmaps.py::TestElderRule::"
           "test_sweeps_match_the_union_find")
 _BAR_ROWS = ("tests/test_plmaps.py::TestElderRule::"
              "test_bar_rows_match_the_union_find_route")
+_THICKEN_ORACLE = ("tests/test_thicken.py::TestFrameNative::"
+                   "test_thicken_matches_the_per_bar_oracle")
+_DUALIZE_ORACLE = ("tests/test_thicken.py::TestFrameNative::"
+                   "test_dualize_matches_the_per_bar_oracle")
 _READ_BACK = [
     "tests/test_interleave.py::TestCheckInterleaving::"
     "test_matching_certificates_verify",
     "tests/test_interleave.py::TestBisection::"
     "test_distance_matches_linear_scan",
     "tests/test_interleave.py::"
-    "test_frame_checked_witnesses_pass_the_fraction_check"]
+    "test_frame_checked_witnesses_pass_the_fraction_check",
+    _THICKEN_ORACLE]
 
 MUTANTS = [
     # the Hom calculus of both spaces (``morphisms``): the deck-copy range
@@ -92,17 +97,24 @@ MUTANTS = [
      "        return 0, -1\n    return 0, -1",
      ["tests/test_homcalc.py::TestExtConvention::"
       "test_line_rules_reproduce_the_line_rows", _LINE_TRIPLES]),
-    # the bar rules (``thicken``): a closed bar shrinks to a point, not past
+    # the bar rule (``thicken.rule_row``, on Fractions and in a frame): a
+    # closed bar shrinks to a point, not past; the frame path builds the
+    # empty open gap unchecked, which its checked rebuild refuses
     ("thicket/thicken.py",
-     "        if lo <= hi:\n            return Bar(Interval(lo, CLOSED,",
-     "        if lo < hi:\n            return Bar(Interval(lo, CLOSED,",
+     "        if lo <= hi:\n            return lo, CLOSED, hi, CLOSED, d",
+     "        if lo < hi:\n            return lo, CLOSED, hi, CLOSED, d",
      ["tests/test_thicken.py::TestRuleExamples::"
-      "test_closed_negative_boundary_is_midpoint"]),
+      "test_closed_negative_boundary_is_midpoint", _THICKEN_ORACLE]),
     # an open bar turns closed when it reaches a point
     ("thicket/thicken.py",
-     "    if lo < hi:\n        return Bar(Interval(lo, OPEN, hi, OPEN), d)",
-     "    if lo <= hi:\n        return Bar(Interval(lo, OPEN, hi, OPEN), d)",
+     "    if lo < hi:\n        return lo, OPEN, hi, OPEN, d",
+     "    if lo <= hi:\n        return lo, OPEN, hi, OPEN, d",
      ["tests/test_thicken.py::TestRuleExamples::test_open_collapse_to_point"]),
+    # ``thicken`` runs the rule on frame ends with the shift unscaled
+    ("thicket/thicken.py",
+     "    a = values.pop()\n",
+     "    values.pop()\n",
+     [_THICKEN_ORACLE]),
     # a half-open bar dies once the translation reaches its length
     ("thicket/thicken.py",
      "(beta - alpha) >= iv.length",
@@ -136,16 +148,20 @@ MUTANTS = [
      "((*lifts, *blocks),)",
      ["tests/test_interleave.py::"
       "test_frame_checked_witnesses_pass_the_fraction_check"]),
-    # the certificate read back from the frame: M off by one
-    ("thicket/interleave.py",
-     "from_frame(M, b.iv.left)",
-     "from_frame(M + 1, b.iv.left)",
+    # the read-back of a frame value (``scalars.from_frame``, which
+    # certificates call and ``thicken``'s ``FrameReader`` keeps): M off by one
+    ("thicket/scalars.py",
+     "return x if type(x) is float else Fraction(x, m)",
+     "return x if type(x) is float else Fraction(x, m + 1)",
      _READ_BACK),
-    # the certificate read back from the frame: a swapped end kind
-    ("thicket/interleave.py",
-     "from_frame(M, b.iv.left), b.iv.lkind,",
-     "from_frame(M, b.iv.left), b.iv.rkind,",
-     _READ_BACK),
+    # the bars read back from rows (``barcode.read_back``): a swapped end
+    # kind.  ``thicken`` reads back through it too, so a certificate of F
+    # and thicken(F, a) is built and checked on the same swapped kinds, and
+    # the first test of _READ_BACK, which checks only that, passes
+    ("thicket/barcode.py",
+     "trusted_interval(back(lo), lk, back(hi), rk)",
+     "trusted_interval(back(lo), rk, back(hi), rk)",
+     _READ_BACK[1:]),
     # a row with an unusable partner refutes nothing
     ("thicket/interleave.py",
      "                if unusable is None:\n                    return True",
@@ -157,6 +173,17 @@ MUTANTS = [
      "hi, b.iv.rkind is OPEN)",
      "hi, b.iv.rkind is CLOSED)",
      ["tests/test_barcode.py::TestCanonicalIndices::test_ends_in_any_frame"]),
+    # ``dualize`` flips the kind of an infinite end too, unchecked
+    ("thicket/barcode.py",
+     "    if is_finite(left):\n        lk = OPEN if lk is CLOSED else CLOSED",
+     "    if True:\n        lk = OPEN if lk is CLOSED else CLOSED",
+     [_DUALIZE_ORACLE]),
+    # a huge frame is scaled into and read back through a big-int gcd per
+    # end, not left as the identity frame
+    ("thicket/barcode.py",
+     "    frame = (int_frame(values, max_bits=_KEY_BITS)",
+     "    frame = (int_frame(values)",
+     ["tests/test_thicken.py::test_a_huge_frame_thickens_in_oracle_time"]),
     # push's frame (``plmaps._Frame``) scales the values by the widths' lcm
     ("thicket/plmaps.py",
      "vs = [w * d for w in ws]",

@@ -5,6 +5,9 @@ the package are checked against, and that no production path runs.
   computed fiberwise as the compactly supported cohomology of a ball meet
   each bar (each deck copy of a spiral on the circle).  The per-bar rules
   of ``thicken`` are certified against them.
+- ``thicken_per_bar`` and ``dualize_per_bar``: the two bulk transforms one
+  checked bar at a time, sorted by the checked ``GradedBarcode``, the
+  oracle of the frame-native ``thicken`` and ``dualize``.
 - ``quiver_struct_scalar`` and ``poset_oracle_rhom``: structure constants
   and RHom dimensions computed in the finite quiver models of
   ``thicket.model``, the oracle of the closed-form line Hom calculus and of
@@ -16,12 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from thicket import fieldmath as fm
-from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, intersect,
-                             rgamma_c_interval)
+from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, dualize_bar,
+                             intersect, rgamma_c_interval)
 from thicket.model import RepPair
 from thicket.morphisms import (LINE, UnsupportedHomError, _deck_copy,
                                bar_rep, build_model, pair_data)
-from thicket.thicken import _ball
+from thicket.thicken import _ball, bar_rule
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +68,21 @@ def circle_stalk_oracle(F, a, x) -> dict[int, int]:
     for band in F.bands:
         dims[band.degree] = dims.get(band.degree, 0) + band.rank
     return dict(sorted(dims.items()))
+
+
+# ---------------------------------------------------------------------------
+# The bulk transforms one bar at a time: each output bar a checked
+# ``Interval``, the whole sorted by the checked ``GradedBarcode``.
+
+def thicken_per_bar(F: GradedBarcode, a) -> GradedBarcode:
+    """``thicken`` as ``bar_rule`` on each bar, in Fractions."""
+    a = Fraction(a)
+    return GradedBarcode([bar_rule(b, a) for b in F.bars], F.char)
+
+
+def dualize_per_bar(F: GradedBarcode) -> GradedBarcode:
+    """``dualize`` as ``dualize_bar`` on each bar."""
+    return GradedBarcode([dualize_bar(b) for b in F.bars], F.char)
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,20 @@ from hypothesis import strategies as st
 from conftest import SHAPE_REPRESENTATIVES, bar, gb, mixed_bar
 from thicket.barcode import (CLOSED, OPEN, Bar, CharacteristicMismatchError,
                              GradedBarcode, Interval, InvalidIntervalError,
-                             canonical_indices, canonical_order,
+                             bar_frame, canonical_indices, canonical_order,
                              canonicalize, closed,
                              dims_add, dualize,
                              dualize_bar, full_line, global_sections,
                              global_sections_c, half_open, half_open_r,
                              intersect, iso_equal, open_iv, ray_left,
-                             ray_right, singleton, stalk_dims)
+                             ray_right, singleton, stalk_dims,
+                             trusted_interval)
 from thicket.circle import CircleSheaf
 from thicket.corpus import rand_interval
 from thicket.fieldmath import check_char
 from thicket.model import LineModel, line_bar_rep, rep_sections
 from thicket.morphisms import hom_dim
-from thicket.scalars import NEG_INF, POS_INF, int_frame
+from thicket.scalars import NEG_INF, POS_INF, FrameReader, int_frame
 
 
 class TestCanonicalize:
@@ -113,6 +114,55 @@ class TestValueTypes:
                        copy.deepcopy(value), copy.copy(value)):
             assert copied == value and hash(copied) == hash(value)
             assert type(copied) is type(value)
+
+
+class TestTrustedInterval:
+    """``trusted_interval`` builds, without the checks, the same value the
+    checked constructor builds."""
+
+    @pytest.mark.parametrize("iv", SHAPE_REPRESENTATIVES, ids=str)
+    def test_equals_the_checked_interval(self, iv):
+        got = trusted_interval(iv.left, iv.lkind, iv.right, iv.rkind)
+        assert type(got) is Interval and got == iv and hash(got) == hash(iv)
+        assert str(got) == str(iv) and got.sort_key() == iv.sort_key()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.left = iv.left
+        assert pickle.loads(pickle.dumps(got)) == iv
+
+    def test_it_is_the_one_unchecked_constructor(self):
+        """No other package function creates an ``Interval`` past its
+        ``__init__`` (``object.__new__`` on it, or a write through its slot
+        descriptors), and the one subclass that replaces its checks is
+        ``FramedInterval``, whose int ends never equal a checked
+        interval's."""
+        import ast
+        import pathlib
+        import thicket
+
+        def enclosing(tree):
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                    for node in ast.walk(fn):
+                        yield fn.name, node
+
+        unchecked, no_checks = set(), set()
+        for path in pathlib.Path(thicket.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for name, node in enclosing(tree):
+                if isinstance(node, ast.Attribute) and node.attr == "__set__" \
+                        or isinstance(node, ast.Name) and node.id == "_SET_ENDS" \
+                        or isinstance(node, ast.Call) and any(
+                            isinstance(a, ast.Name) and a.id == "Interval"
+                            for a in node.args) and "new" in ast.unparse(node.func):
+                    unchecked.add((path.stem, name))
+                if isinstance(node, ast.ClassDef) and any(
+                        isinstance(b, ast.Name) and b.id == "Interval"
+                        for b in node.bases) and any(
+                        isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                        for f in node.body):
+                    no_checks.add((path.stem, node.name))
+        assert unchecked == {("barcode", "trusted_interval")}
+        assert no_checks == {("barcode", "FramedInterval")}
 
 
 class TestIsoEqual:
@@ -482,6 +532,45 @@ class TestIntFrame:
                         for x, v in zip(values, ints)] == values
                 assert all(type(v) is int for x, v in zip(values, ints)
                            if x != POS_INF)
+
+
+class TestFrames:
+    def test_int_frame_past_max_bits_is_not_built(self):
+        values = [Fr(1, 2 ** 40), Fr(1, 3 ** 20), POS_INF]
+        assert int_frame(values, max_bits=71) is None
+        m, ints = int_frame(values, max_bits=72)
+        assert m == 2 ** 40 * 3 ** 20 and m.bit_length() == 72
+        assert ints == [3 ** 20, 2 ** 40, POS_INF]
+        assert int_frame([], max_bits=0) is None
+        assert int_frame([NEG_INF], max_bits=1) == (1, [NEG_INF])
+
+    def test_frame_reader_reads_each_value_once(self):
+        back = FrameReader(12, [(6, Fr(1, 2))])
+        assert back[6] == Fr(1, 2) and back[-8] == Fr(-2, 3)
+        assert back[-8] is back[-8] and type(back[-8]) is Fr
+        assert back[NEG_INF] is NEG_INF and back[POS_INF] is POS_INF
+        assert len(back) == 4
+
+    def test_bar_frame_leaves_the_identity_frame_at_sixteen_bars(self):
+        rng = random.Random(5)
+        for n in (0, 1, 15, 16, 17, 40):
+            bars = [mixed_bar(rng, (1, 2, 3)) for _ in range(n)]
+            ends = [x for b in bars for x in (b.iv.left, b.iv.right)]
+            values, back = bar_frame(bars, Fr(1, 5))
+            assert [back(v) for v in values] == ends + [Fr(1, 5)]
+            if n < 16:
+                assert values == ends + [Fr(1, 5)] and back(Fr(1, 7)) == Fr(1, 7)
+            else:
+                assert all(type(v) is int or v in (NEG_INF, POS_INF)
+                           for v in values)
+                assert values == int_frame(ends + [Fr(1, 5)])[1]
+
+    def test_bar_frame_past_the_key_bits_is_the_identity(self):
+        primes = [1000003, 1000033, 1000037, 1000039]
+        bars = [Bar(closed(Fr(1, q), 2), 0) for q in primes] * 4
+        values, back = bar_frame(bars)
+        assert values == [x for b in bars for x in (b.iv.left, b.iv.right)]
+        assert all(back(v) is v for v in values)
 
 
 def test_only_scalars_scales_over_a_common_denominator():

@@ -1,12 +1,14 @@
 """Thickening rules, the stalk oracle, and the convolution route."""
 
+import math
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
 
-from conftest import SHAPE_REPRESENTATIVES, bar, gb
-from oracles import stalk_oracle
+from conftest import SHAPE_REPRESENTATIVES, bar, gb, mixed_bar
+from oracles import dualize_per_bar, stalk_oracle, thicken_per_bar
 from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
                              closed, full_line, half_open, half_open_r,
                              open_iv, ray_left, ray_right, singleton,
@@ -15,7 +17,7 @@ from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
 from thicket.circle import circle_ops
 from thicket.corpus import rand_barcode, rand_fraction, rand_shift
 from thicket.morphisms import LINE, normal_form, thicken_indexed
-from thicket.scalars import is_finite
+from thicket.scalars import NEG_INF, POS_INF, is_finite
 from thicket.thicken import bar_rule, convolution_ball, thicken
 
 
@@ -245,3 +247,136 @@ class TestConvolution:
             F = rand_barcode(rng)
             a = rand_shift(rng)
             assert convolution_ball(F, a) == thicken(F, a)
+
+
+# ---------------------------------------------------------------------------
+# The frame-native bulk transforms against the per-bar oracles.
+
+def _primes(start, count):
+    """The first ``count`` primes past ``start``: a sieve of Eratosthenes
+    up to a bound that doubles until it holds them."""
+    hi = start + 16 * count + 100
+    while True:
+        sieve = bytearray([1]) * (hi + 1)
+        for q in range(2, int(hi ** 0.5) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, hi + 1, q)))
+        out = [n for n in range(max(start + 1, 2), hi + 1) if sieve[n]]
+        if len(out) >= count:
+            return out[:count]
+        hi *= 2
+
+
+def _coprime_barcode(rng, n, primes, char):
+    """n random bars of every shape whose finite ends have pairwise coprime
+    denominators, one prime each, so that a few ends put the frame past
+    2^64 when the primes are large."""
+    dens = iter(primes)
+    bars = []
+    for _ in range(n):
+        b = mixed_bar(rng, (1,))
+        iv = b.iv
+        lo, hi = (x if x in (NEG_INF, POS_INF) else x + Fr(1, next(dens))
+                  for x in (iv.left, iv.right))
+        if iv.left == iv.right:
+            hi = lo
+        bars.append(Bar(Interval(lo, iv.lkind, hi, iv.rkind), b.degree))
+    return GradedBarcode(bars, char)
+
+
+def _frame_barcodes(rng, p):
+    """Barcodes on both sides of the 16 bars at which ``bar_frame`` leaves
+    the identity frame: every shape, moved along the line and repeated;
+    random bars of every shape over small denominators, ties included; and
+    bars with pairwise coprime denominators, one frame past 2^64."""
+    shapes = [Bar(Interval(iv.left + k, iv.lkind, iv.right + k, iv.rkind), d)
+              for k in (0, 3) for d in (0, 1) for iv in SHAPE_REPRESENTATIVES]
+    yield GradedBarcode(shapes, p)
+    yield GradedBarcode(shapes[:10], p)
+    for n in (0, 1, 2, 15, 16, 17, 60):
+        yield GradedBarcode([mixed_bar(rng, (1, 2, 3, 8)) for _ in range(n)], p)
+    big = _coprime_barcode(rng, 40, _primes(10 ** 6, 80), p)
+    assert math.lcm(*(x.denominator for x in big.finite_endpoints())) > 2 ** 64
+    yield big
+    yield _coprime_barcode(rng, 12, _primes(100, 24), p)
+
+
+# 0, shifts both ways past the lengths of many bars (a closed bar shorter
+# than 14 turns into an open gap at -7), and odd denominators
+FRAME_SHIFTS = [Fr(0), Fr(1, 2), Fr(3), Fr(-1, 3), Fr(-5, 2), Fr(-7), Fr(9, 7)]
+
+
+def _assert_checked(G):
+    """Every interval of G is a plain ``Interval`` of Fractions and
+    infinities that the checked constructor rebuilds equal."""
+    for b in G.bars:
+        iv = b.iv
+        assert type(iv) is Interval, b
+        assert all(type(x) is Fr or x in (NEG_INF, POS_INF)
+                   for x in (iv.left, iv.right)), b
+        assert Interval(iv.left, iv.lkind, iv.right, iv.rkind) == iv, b
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestFrameNative:
+    """``thicken`` and ``dualize`` run their rules on the rows of one frame
+    and read the ends back unchecked; the per-bar oracles build every
+    interval checked and sort with the checked constructor."""
+
+    def test_thicken_matches_the_per_bar_oracle(self, p):
+        rng = random.Random(50 + p)
+        for F in _frame_barcodes(rng, p):
+            for a in FRAME_SHIFTS:
+                got = thicken(F, a)
+                assert got == thicken_per_bar(F, a), (F, a)
+                assert got.char == p
+                _assert_checked(got)
+
+    def test_dualize_matches_the_per_bar_oracle(self, p):
+        rng = random.Random(60 + p)
+        for F in _frame_barcodes(rng, p):
+            got = dualize(F)
+            assert got == dualize_per_bar(F), F
+            _assert_checked(got)
+            assert dualize(got) == F
+
+    def test_laws_hold_in_the_frame(self, p):
+        rng = random.Random(70 + p)
+        collapsed = 0
+        for F in _frame_barcodes(rng, p):
+            for a in FRAME_SHIFTS:
+                T = thicken(F, a)
+                assert dualize(T) == thicken(dualize(F), -a), (F, a)
+                # a closed bar turned into an open gap comes back
+                assert thicken(T, -a) == F, (F, a)
+                collapsed += sum(iv.is_bounded and iv.lkind is CLOSED
+                                 and iv.rkind is CLOSED and iv.length < -2 * a
+                                 for iv in (b.iv for b in F.bars))
+                for b in (Fr(1, 4), Fr(-3)):
+                    assert thicken(T, b) == thicken(F, a + b), (F, a, b)
+        assert collapsed > 0
+
+
+def test_a_huge_frame_thickens_in_oracle_time():
+    """1,000 bars with pairwise coprime denominators: their frame has over
+    20,000 bits, so ``thicken`` stays in the identity frame, on the
+    Fractions, and takes about as long as the per-bar oracle (best of
+    three, with room for noise).  Scaled into that frame and read back
+    through a big-int gcd per end, it takes over twice as long."""
+    F = _coprime_barcode(random.Random(9), 1000, _primes(10 ** 5, 2000), 3)
+    assert math.lcm(*(x.denominator for x in F.finite_endpoints())
+                    ).bit_length() > 20000
+    a = Fr(1, 3)
+
+    def best(fn):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            out = fn(F, a)
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    fast, got = best(thicken)
+    slow, want = best(thicken_per_bar)
+    assert got == want
+    assert fast < 1.5 * slow, (fast, slow)
