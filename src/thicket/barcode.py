@@ -7,22 +7,24 @@ endpoints are always open, and empty intervals are rejected at construction
 so that degenerate inputs fail loudly.
 
 The canonical order of bars is ``Bar.sort_key``: degree, then left end, left
-end open, right end, right end open.  ``canonical_indices`` is its one home.
-It sorts stably on an order-isomorphic key, the ends as ints in one frame
-(``scalars.int_frame``, or ends a caller has already put in a frame), which
-compare much faster than Fractions.  Lists of fewer than ``_KEY_MIN_BARS``
-bars and frames past ``_KEY_BITS`` bits sort on ``Bar.sort_key`` itself,
-or on the ends in the identity frame of ``bar_frame``, the Fractions
-themselves, which is the same key.  ``GradedBarcode._sorted``
-wraps bars that are already in this order.
+end open, right end, right end open.  ``canonical_indices`` gives it as an
+index order of bars.  It sorts stably on an order-isomorphic key, the ends
+as ints in one frame (``scalars.int_frame``, or ends a caller has already
+put in a frame), which compare much faster than Fractions.  Lists of fewer
+than ``_KEY_MIN_BARS`` bars and frames past ``_KEY_BITS`` bits sort on
+``Bar.sort_key`` itself, or on the ends in the identity frame of
+``value_frame``, the Fractions themselves, which is the same key.
+``GradedBarcode._sorted`` wraps bars that are already in this order.
 
-The bulk transforms run in that frame.  ``thicken.thicken`` runs its rule
-on the frame values of every bar as rows (lo, lkind, hi, rkind, degree),
-orders the rows on those values and reads each distinct output end back
-once (``read_back``); ``dualize`` keeps every end, so it flips the kinds on the
-input's own ends and orders them on their frame.  Their intervals are valid
-by construction and are built by ``trusted_interval``, the one constructor
-that skips the checks of ``Interval.__post_init__``.
+The bulk transforms run in that frame and end in one finisher,
+``rows_barcode``.  ``thicken.thicken``, ``dualize``,
+``plmaps.pushforward_shriek`` and ``docio.parse`` each make rows (lo, lkind,
+hi, rkind, degree) of frame values that are valid intervals, by a rule or by
+a check on those values; ``rows_barcode`` orders the rows on the values and
+reads each end back (``value_frame``'s read-back returns the Fraction a
+value came from, or makes it once).  It and ``trusted_interval`` are the
+only code that builds an ``Interval`` or a ``Bar`` without the checks of
+``Interval.__post_init__``.
 """
 
 from __future__ import annotations
@@ -145,16 +147,9 @@ _SET_ENDS = tuple(getattr(Interval, name).__set__
 def trusted_interval(left, lkind, right, rkind) -> Interval:
     """The ``Interval`` of ends that are valid by construction, built
     without ``__post_init__``.  The ends must already be Fractions or
-    infinities, and every caller builds the image of a checked interval
-    under a map that keeps an interval valid:
-
-    - x -> x / M (``read_back``), for the M > 0 of an integer frame
-      (``scalars.int_frame``) in which a rule built a valid interval of
-      ints: it is strictly increasing, so it keeps left < right and
-      left == right, and it fixes the infinities and every kind;
-    - the identity on the ends (the identity frame, and ``dualize``, which
-      flips kinds only where that is valid: at finite ends of a bar that is
-      not a point)."""
+    infinities, read back by ``rows_barcode`` from a row of frame values
+    that a rule or a check made a valid interval; its docstring says why
+    the read-back keeps it valid."""
     iv = object.__new__(Interval)
     set_left, set_lkind, set_right, set_rkind = _SET_ENDS
     set_left(iv, left)
@@ -252,22 +247,29 @@ def _as_is(x):
     return x
 
 
-def bar_frame(bars, *extra) -> tuple:
-    """(values, back): the ends of ``bars`` (left, right, bar by bar), then
-    ``extra``, in one frame that ``canonical_indices`` orders on, and the
+def value_frame(values, bars: int) -> tuple:
+    """(values', back): ``values`` (the ends of ``bars`` bars, and any value
+    a caller adds) in one frame that ``rows_barcode`` orders on, and the
     read-back of its values.  The frame is a ``scalars.int_frame``, read
-    back by a ``scalars.FrameReader``; for fewer than ``_KEY_MIN_BARS`` bars
-    or an M past ``_KEY_BITS`` bits it is the identity frame, the values
-    themselves, and the read-back is the identity.  The rules on rows run
-    alike in both (``scalars.is_finite``)."""
-    values = [x for b in bars for x in (b.iv.left, b.iv.right)]
-    values += extra
+    back by a ``scalars.FrameReader`` that returns each of ``values`` for
+    its own frame value and makes any other Fraction once.  For fewer than
+    ``_KEY_MIN_BARS`` bars or an M past ``_KEY_BITS`` bits it is the
+    identity frame, the values themselves, and the read-back is the
+    identity.  The rules on rows run alike in both (``scalars.is_finite``)."""
     frame = (int_frame(values, max_bits=_KEY_BITS)
-             if len(bars) >= _KEY_MIN_BARS else None)
+             if bars >= _KEY_MIN_BARS else None)
     if frame is None:
         return values, _as_is
     m, ints = frame
-    return ints, FrameReader(m).__getitem__
+    return ints, FrameReader(m, zip(ints, values)).__getitem__
+
+
+def bar_frame(bars, *extra) -> tuple:
+    """``value_frame`` of the ends of ``bars`` (left, right, bar by bar),
+    then ``extra``."""
+    values = [x for b in bars for x in (b.iv.left, b.iv.right)]
+    values += extra
+    return value_frame(values, len(bars))
 
 
 def canonical_indices(bars, ends=None) -> list:
@@ -422,16 +424,6 @@ def stalk_dims(F: GradedBarcode, t: Fraction) -> dict[int, int]:
     return {d: n for d, n in sorted(dims.items()) if n}
 
 
-def read_back(rows, back) -> list:
-    """The bars of ``rows`` (lo, lkind, hi, rkind, degree) of frame values
-    that a rule built as valid intervals: each end is read back by ``back``
-    (``scalars.from_frame`` over the frame's M, its memo
-    ``scalars.FrameReader``, or ``bar_frame``'s), into a
-    ``trusted_interval``."""
-    return [Bar(trusted_interval(back(lo), lk, back(hi), rk), d)
-            for lo, lk, hi, rk, d in rows]
-
-
 def dims_add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
     for d, n in b.items():
@@ -472,12 +464,37 @@ def dualize_bar(b: Bar) -> Bar:
 
 
 def dualize(F: GradedBarcode) -> GradedBarcode:
-    """Dual of every bar (``dual_row``) on the input's own ends, which
-    dualizing keeps: nothing is read back, and the bars are ordered on the
-    ends' frame (``bar_frame``)."""
-    rows = [dual_row(b.iv.left, b.iv.lkind, b.iv.right, b.iv.rkind, b.degree)
-            for b in F.bars]
-    bars = [Bar(trusted_interval(left, lk, right, rk), d)
-            for left, lk, right, rk, d in rows]
-    order = canonical_indices(bars, bar_frame(F.bars)[0])
-    return GradedBarcode._sorted([bars[i] for i in order], F.char)
+    """Dual of every bar (``dual_row``) on the rows of the ends' frame
+    (``bar_frame``).  Dualizing keeps every end, so each one reads back to
+    the input's own value."""
+    values, back = bar_frame(F.bars)
+    rows = [dual_row(left, b.iv.lkind, right, b.iv.rkind, b.degree)
+            for b, left, right in zip(F.bars, values[::2], values[1::2])]
+    return rows_barcode(rows, back, F.char)
+
+
+# The slot descriptors of Bar, and the kinds by ``is OPEN``.
+_SET_BAR = (Bar.iv.__set__, Bar.degree.__set__)
+_KINDS = (CLOSED, OPEN)
+
+
+def rows_barcode(rows, back, char: int) -> GradedBarcode:
+    """The barcode over F_char of ``rows`` (lo, lkind, hi, rkind, degree):
+    frame values (``value_frame``) that a rule or a check made valid
+    intervals.  The rows are sorted on the canonical key of their values,
+    which x -> x / M keeps for the M > 0 of an integer frame; equal keys
+    are equal rows, so no index is needed to keep the sort stable.  Then
+    each end is read back by ``back`` and each bar built without its
+    checks: x -> x / M is strictly increasing, so it keeps lo < hi and
+    lo == hi, and it fixes the infinities and every kind."""
+    keys = sorted([(d, lo, lk is OPEN, hi, rk is OPEN)
+                   for lo, lk, hi, rk, d in rows])
+    new, (set_iv, set_degree), kinds = object.__new__, _SET_BAR, _KINDS
+    bars = []
+    for d, lo, lo_open, hi, hi_open in keys:
+        b = new(Bar)
+        set_iv(b, trusted_interval(back(lo), kinds[lo_open], back(hi),
+                                   kinds[hi_open]))
+        set_degree(b, d)
+        bars.append(b)
+    return GradedBarcode._sorted(bars, char)

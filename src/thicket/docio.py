@@ -5,6 +5,15 @@ report, or a synthetic extension seed (read only).  Rational literals are
 written ``p/q``; interval endpoints carry their kind through bracket shape,
 with ``-inf``/``+inf`` for rays.  Parsing validates every module invariant
 on load and reports offending lines.
+
+The ``bar:`` lines of a barcode document are read in one integer frame
+(``_framed_barcode``): each distinct literal is read once, the distinct
+values are scaled into one frame (``barcode.value_frame``), each bar is
+checked on its frame values, and ``barcode.rows_barcode`` orders the bars
+on those values and builds them without checking them again.  A document
+with a bad bar line is read again one checked bar at a time
+(``_parse_bar``), so the error and its line are those of the first
+offending line in document order.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .barcode import CLOSED, OPEN, Bar, GradedBarcode, Interval
+from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
+                      rows_barcode, value_frame)
 from .circle import CircleSheaf
 from .extend import check_seed, synthetic_scalar_seed
 from .fieldmath import check_char
@@ -84,6 +94,52 @@ def _parse_bar(key: str, text: str, line) -> Bar:
     return Bar(parse_interval(iv_txt, line), degree)
 
 
+# The kind of an interval end by its bracket.
+_LEFT_KINDS = {"[": CLOSED, "(": OPEN}
+_RIGHT_KINDS = {"]": CLOSED, ")": OPEN}
+
+
+def _framed_barcode(fields, char: int):
+    """The barcode of the ``bar:`` lines of ``fields``, read in one frame,
+    or None when one of them is malformed, has a bad literal or is empty.
+
+    Each distinct literal is read once (``parse_extended``), the distinct
+    values are put in one frame (``barcode.value_frame``), and each bar is
+    checked on its frame values: left < right, or equal with both ends
+    closed, and no closed infinite end.  These are the checks of
+    ``Interval``, and the frame keeps the order of the values, so the rows
+    are valid intervals and ``barcode.rows_barcode`` orders them and reads
+    each end back to the value its literal was read as."""
+    literals, rows = {}, []
+    try:
+        for key, text, _ in fields:
+            if key != "bar":
+                continue
+            degree, iv = text.split(None, 1)
+            left, right = iv[1:-1].split(",")
+            left, right = left.strip(), right.strip()
+            if left not in literals:
+                literals[left] = parse_extended(left)
+            if right not in literals:
+                literals[right] = parse_extended(right)
+            rows.append((left, _LEFT_KINDS[iv[0]], right, _RIGHT_KINDS[iv[-1]],
+                         int(degree)))
+    except (KeyError, ValueError):
+        return None
+    values, back = value_frame(list(literals.values()), len(rows))
+    at = dict(zip(literals, values))
+    rows = [(at[left], lk, at[right], rk, d) for left, lk, right, rk, d in rows]
+    for left, lk, right, rk, _ in rows:
+        if left < right:
+            if (lk is CLOSED and type(left) is float
+                    or rk is CLOSED and type(right) is float):
+                return None
+        elif (left != right or lk is not CLOSED or rk is not CLOSED
+              or type(left) is float):
+            return None
+    return rows_barcode(rows, back, char)
+
+
 def _parse_band(text: str, line) -> tuple:
     """``<degree> rank=<n> monodromy=<row>;<row>...`` as (rank, rows, degree);
     the matrix itself is checked by ``circle.make_band``."""
@@ -147,6 +203,13 @@ def serialize(doc: Document) -> str:
 
 
 def parse(text: str) -> Document:
+    """The document of ``text``, every invariant of its kind checked; a
+    ``DocumentError`` names the first offending line where there is one.
+
+    A barcode document's bars are read in one integer frame
+    (``_framed_barcode``); if a bar line is malformed, has a bad literal or
+    is empty, they are read again one checked ``Interval`` at a time
+    (``_parse_bar``), which raises on the first such line."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != VERSION:
         raise DocumentError(
@@ -204,12 +267,13 @@ def parse(text: str) -> Document:
         if kind == "barcode":
             if space != "line":
                 raise DocumentError("barcode documents live on the line")
-            bars = []
-            for k, v, i in fields:
-                if k != "bar":
-                    continue
-                bars.append(_parse_bar(k, v, i))
-            return Document("barcode", GradedBarcode(bars, char), char, "line")
+            F = _framed_barcode(fields, char)
+            if F is None:
+                # one bar at a time, checked, so the first offending line
+                # in document order names the error
+                F = GradedBarcode([_parse_bar(k, v, i) for k, v, i in fields
+                                   if k == "bar"], char)
+            return Document("barcode", F, char, "line")
         if kind == "circle":
             if not (isinstance(space, tuple) and space[0] == "circle"):
                 raise DocumentError("circle document needs 'space: circle C=<rat>'")

@@ -73,7 +73,7 @@ from itertools import islice, product
 from . import fieldmath as fm
 from .barcode import (Bar, CharacteristicMismatchError, FramedInterval,
                       GradedBarcode, global_sections, global_sections_c,
-                      iso_equal, read_back)
+                      iso_equal, rows_barcode)
 from .morphisms import (LINE, Morphism, UnsupportedHomError, block_dim,
                         block_scalar, compose, identity_morphism, indexed,
                         normal_form, restriction, thicken_indexed,
@@ -138,13 +138,13 @@ def verify_certificate(F, G, cert: InterleavingCertificate, space=LINE) -> bool:
 
 
 def _read_back(X, M):
-    """The frame barcode ``X`` in Fractions, ``M`` being its frame's M: one
-    ``Fraction(n, M)`` per end (``barcode.read_back``; the tables are too
-    small for a ``scalars.FrameReader`` to pay).  x -> x/M keeps the ends'
-    order, kinds and degrees, so the bars stay in canonical order."""
-    return GradedBarcode._sorted(read_back(
-        [(b.iv.left, b.iv.lkind, b.iv.right, b.iv.rkind, b.degree)
-         for b in X.bars], partial(from_frame, M)), X.char)
+    """The frame barcode ``X`` in Fractions, ``M`` being its frame's M: its
+    rows read back by ``barcode.rows_barcode``, one ``Fraction(n, M)`` per
+    end (the tables are too small for a ``scalars.FrameReader`` to pay).
+    x -> x/M keeps the ends' order, kinds and degrees."""
+    return rows_barcode([(b.iv.left, b.iv.lkind, b.iv.right, b.iv.rkind,
+                          b.degree) for b in X.bars],
+                        partial(from_frame, M), X.char)
 
 
 def _verified(lifts, blocks, p, space):

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval,
-                      canonical_indices, intersect, read_back)
+from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, intersect,
+                      rows_barcode)
 from .interleave import InterleavingCertificate, check_interleaving
 from .scalars import NEG_INF, POS_INF, FrameReader, int_frame, is_finite
 
@@ -363,15 +363,14 @@ def pushforward_shriek(f: PLMap, F: GradedBarcode) -> GradedBarcode:
     Every bar is checked first, in canonical order, so the first bar that
     is not proper or leaves the domain names the error.  Then f and the
     bar ends are scaled once into one integer frame (``_Frame``), which
-    every bar reads.  The output is ordered on its frame values and each
-    value becomes a rational once, as the end of an output bar."""
+    every bar reads.  ``barcode.rows_barcode`` orders the output on its
+    frame values, and each value becomes a rational once, as the end of an
+    output bar."""
     for b in F.bars:
         _check_proper(f, b.iv)
     frame = _Frame(f, F.bars)
     rows = [r for k, b in enumerate(F.bars) for r in _pushforward_bar(frame, k, b)]
-    bars = read_back(rows, frame.fraction)
-    order = canonical_indices(bars, [v for r in rows for v in (r[0], r[2])])
-    return GradedBarcode._sorted([bars[i] for i in order], F.char)
+    return rows_barcode(rows, frame.fraction, F.char)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,16 @@ def int_frame(values, factor: int = 1, max_bits=None):
     """(M, ints): M is ``factor`` times the lcm of the finite values'
     denominators, ``ints[k]`` is ``values[k] * M``; infinities pass through.
     None when ``max_bits`` is given and M has more bits: no value of such a
-    frame is scaled, nor read back through a big-int gcd."""
-    m = factor * math.lcm(*[x.denominator for x in values if isinstance(x, Fraction)])
+    frame is scaled, nor read back through a big-int gcd.  Each distinct
+    denominator q divides M once, and one pass multiplies each numerator
+    by its M // q."""
+    dens = {x.denominator for x in values if type(x) is not float}
+    m = factor * math.lcm(*dens)
     if max_bits is not None and m.bit_length() > max_bits:
         return None
-    return m, [x.numerator * (m // x.denominator) if isinstance(x, Fraction)
-               else x for x in values]
+    scale = {q: m // q for q in dens}
+    return m, [x if type(x) is float else x.numerator * scale[x.denominator]
+               for x in values]
 
 
 def from_frame(m: int, x):

@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .barcode import (CLOSED, OPEN, Bar, GradedBarcode, Interval, bar_frame,
-                      canonical_indices, intersect, read_back,
-                      rgamma_c_interval)
+                      intersect, rgamma_c_interval, rows_barcode)
 from .scalars import NEG_INF, POS_INF, is_finite
 
 
@@ -140,16 +139,14 @@ def deck_cost(form_f, form_g, C):
 def thicken(F: GradedBarcode, a) -> GradedBarcode:
     """Thicken every bar by the signed rational ``a``, in one frame of F's
     ends and ``a`` (``barcode.bar_frame``): ``rule_row`` runs on the frame
-    values of each bar, the rows are put in canonical order on those
-    values, and each output end is read back once (``barcode.read_back``).
-    The rule builds valid intervals, so none is checked again."""
+    values of each bar, and ``barcode.rows_barcode`` orders the rows on
+    those values and reads each output end back.  The rule builds valid
+    intervals, so none is checked again."""
     values, back = bar_frame(F.bars, Fraction(a))
     a = values.pop()
     rows = [rule_row(left, b.iv.lkind, right, b.iv.rkind, b.degree, a)
             for b, left, right in zip(F.bars, values[::2], values[1::2])]
-    bars = read_back(rows, back)
-    order = canonical_indices(bars, [v for r in rows for v in (r[0], r[2])])
-    return GradedBarcode._sorted([bars[i] for i in order], F.char)
+    return rows_barcode(rows, back, F.char)
 
 
 # ---------------------------------------------------------------------------

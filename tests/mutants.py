@@ -50,6 +50,14 @@ _THICKEN_ORACLE = ("tests/test_thicken.py::TestFrameNative::"
                    "test_thicken_matches_the_per_bar_oracle")
 _DUALIZE_ORACLE = ("tests/test_thicken.py::TestFrameNative::"
                    "test_dualize_matches_the_per_bar_oracle")
+_PARSE_VALID = ("tests/test_io.py::TestFramedParse::"
+                "test_valid_documents_match_the_per_bar_route")
+_PARSE_ERRORS = ("tests/test_io.py::TestFramedParse::"
+                 "test_errors_match_the_per_bar_route")
+_PARSE_FIRST = ("tests/test_io.py::TestFramedParse::"
+                "test_the_first_offending_line_names_the_error")
+_INT_FRAME = ("tests/test_barcode.py::TestIntFrame::"
+              "test_factor_multiplies_the_lcm")
 _READ_BACK = [
     "tests/test_interleave.py::TestCheckInterleaving::"
     "test_matching_certificates_verify",
@@ -154,14 +162,30 @@ MUTANTS = [
      "return x if type(x) is float else Fraction(x, m)",
      "return x if type(x) is float else Fraction(x, m + 1)",
      _READ_BACK),
-    # the bars read back from rows (``barcode.read_back``): a swapped end
-    # kind.  ``thicken`` reads back through it too, so a certificate of F
-    # and thicken(F, a) is built and checked on the same swapped kinds, and
-    # the first test of _READ_BACK, which checks only that, passes
+    # the bars read back from rows (``barcode.rows_barcode``, which a
+    # certificate's tables, ``thicken``, ``dualize``, the push and the parse
+    # all end in): a swapped end kind
     ("thicket/barcode.py",
-     "trusted_interval(back(lo), lk, back(hi), rk)",
-     "trusted_interval(back(lo), rk, back(hi), rk)",
-     _READ_BACK[1:]),
+     "trusted_interval(back(lo), kinds[lo_open], back(hi),",
+     "trusted_interval(back(lo), kinds[hi_open], back(hi),",
+     _READ_BACK + [_PARSE_VALID]),
+    # the finisher leaves the rows in the order they came
+    ("thicket/barcode.py",
+     "    keys = sorted([(d, lo, lk is OPEN, hi, rk is OPEN)",
+     "    keys = list([(d, lo, lk is OPEN, hi, rk is OPEN)",
+     [_THICKEN_ORACLE, _DUALIZE_ORACLE, _PARSE_VALID]),
+    # the parse's frame check (``docio._framed_barcode``) takes a bar whose
+    # ends are equal for a point, whatever their kinds
+    ("thicket/docio.py",
+     "left != right or lk is not CLOSED or rk is not CLOSED\n",
+     "left != right\n",
+     [_PARSE_ERRORS, _PARSE_FIRST]),
+    # ``scalars.int_frame`` scales every numerator by M over the least
+    # denominator, not by M over its own
+    ("thicket/scalars.py",
+     "scale = {q: m // q for q in dens}",
+     "scale = {q: m // min(dens) for q in dens}",
+     [_INT_FRAME, _THICKEN_ORACLE, _PARSE_VALID]),
     # a row with an unusable partner refutes nothing
     ("thicket/interleave.py",
      "                if unusable is None:\n                    return True",

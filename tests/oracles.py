@@ -8,6 +8,8 @@ the package are checked against, and that no production path runs.
 - ``thicken_per_bar`` and ``dualize_per_bar``: the two bulk transforms one
   checked bar at a time, sorted by the checked ``GradedBarcode``, the
   oracle of the frame-native ``thicken`` and ``dualize``.
+- ``parse_per_bar``: the bars of a barcode document one checked bar at a
+  time, the oracle of the framed read of ``docio.parse``.
 - ``quiver_struct_scalar`` and ``poset_oracle_rhom``: structure constants
   and RHom dimensions computed in the finite quiver models of
   ``thicket.model``, the oracle of the closed-form line Hom calculus and of
@@ -21,6 +23,7 @@ from fractions import Fraction
 from thicket import fieldmath as fm
 from thicket.barcode import (CLOSED, OPEN, Bar, GradedBarcode, dualize_bar,
                              intersect, rgamma_c_interval)
+from thicket.docio import _parse_bar
 from thicket.model import RepPair
 from thicket.morphisms import (LINE, UnsupportedHomError, _deck_copy,
                                bar_rep, build_model, pair_data)
@@ -83,6 +86,22 @@ def thicken_per_bar(F: GradedBarcode, a) -> GradedBarcode:
 def dualize_per_bar(F: GradedBarcode) -> GradedBarcode:
     """``dualize`` as ``dualize_bar`` on each bar."""
     return GradedBarcode([dualize_bar(b) for b in F.bars], F.char)
+
+
+def parse_per_bar(text: str) -> GradedBarcode:
+    """The payload of a well-formed barcode document as ``docio.parse``
+    read it bar by bar: ``_parse_bar`` on each ``bar:`` line, in document
+    order, so the first offending line raises its ``DocumentError``, then
+    the checked ``GradedBarcode`` over the document's ``char``."""
+    char, bars = 2, []
+    for i, raw in enumerate(text.splitlines()[1:], start=2):
+        key, _, value = raw.partition(":")
+        key, value = key.strip(), value.strip()
+        if key == "char":
+            char = int(value)
+        elif key == "bar":
+            bars.append(_parse_bar(key, value, i))
+    return GradedBarcode(bars, char)
 
 
 # ---------------------------------------------------------------------------

@@ -130,11 +130,12 @@ class TestTrustedInterval:
         assert pickle.loads(pickle.dumps(got)) == iv
 
     def test_it_is_the_one_unchecked_constructor(self):
-        """No other package function creates an ``Interval`` past its
+        """No package function but ``trusted_interval`` and the finisher
+        ``rows_barcode`` creates an ``Interval`` or a ``Bar`` past its
         ``__init__`` (``object.__new__`` on it, or a write through its slot
-        descriptors), and the one subclass that replaces its checks is
-        ``FramedInterval``, whose int ends never equal a checked
-        interval's."""
+        descriptors), and the one subclass that replaces the checks of
+        ``Interval`` is ``FramedInterval``, whose int ends never equal a
+        checked interval's."""
         import ast
         import pathlib
         import thicket
@@ -150,9 +151,10 @@ class TestTrustedInterval:
             tree = ast.parse(path.read_text())
             for name, node in enclosing(tree):
                 if isinstance(node, ast.Attribute) and node.attr == "__set__" \
-                        or isinstance(node, ast.Name) and node.id == "_SET_ENDS" \
+                        or isinstance(node, ast.Name) and node.id.startswith(
+                            "_SET_") \
                         or isinstance(node, ast.Call) and any(
-                            isinstance(a, ast.Name) and a.id == "Interval"
+                            isinstance(a, ast.Name) and a.id in ("Interval", "Bar")
                             for a in node.args) and "new" in ast.unparse(node.func):
                     unchecked.add((path.stem, name))
                 if isinstance(node, ast.ClassDef) and any(
@@ -161,7 +163,8 @@ class TestTrustedInterval:
                         isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
                         for f in node.body):
                     no_checks.add((path.stem, node.name))
-        assert unchecked == {("barcode", "trusted_interval")}
+        assert unchecked == {("barcode", "trusted_interval"),
+                             ("barcode", "rows_barcode")}
         assert no_checks == {("barcode", "FramedInterval")}
 
 
@@ -575,27 +578,31 @@ class TestFrames:
 
 def test_only_scalars_scales_over_a_common_denominator():
     """``scalars.int_frame`` is the one place where rationals are scaled
-    over the lcm of their denominators: no other package module takes an
-    lcm of denominators or divides a frame by a denominator."""
+    over the lcm of their denominators: no other package function that
+    reads a denominator takes an lcm or divides by it (``//``), whether on
+    ``x.denominator`` itself or on a name it collected denominators in."""
     import ast
     import pathlib
     import thicket
 
     def scales(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv) \
-                    and isinstance(node.right, ast.Attribute) \
-                    and node.right.attr == "denominator":
-                yield "// denominator"
-            if isinstance(node, ast.Call) and \
-                    getattr(node.func, "id", getattr(node.func, "attr", "")) == "lcm" \
-                    and any(isinstance(n, ast.Attribute) and n.attr == "denominator"
-                            for a in node.args for n in ast.walk(a)):
-                yield "lcm of denominators"
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)) or not any(
+                    isinstance(n, ast.Attribute) and n.attr == "denominator"
+                    for n in ast.walk(fn)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.BinOp) \
+                        and isinstance(node.op, ast.FloorDiv):
+                    yield fn.name, "// denominator"
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", "")) == "lcm":
+                    yield fn.name, "lcm of denominators"
 
     found = {}
     for path in pathlib.Path(thicket.__file__).parent.glob("*.py"):
         hits = list(scales(ast.parse(path.read_text())))
         if hits:
             found[path.stem] = sorted(set(hits))
-    assert found == {"scalars": ["// denominator", "lcm of denominators"]}
+    assert found == {"scalars": [("int_frame", "// denominator"),
+                                 ("int_frame", "lcm of denominators")]}

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bar, gb, mixed_bar
-from thicket.barcode import (Bar, GradedBarcode, closed, half_open, open_iv,
+from oracles import parse_per_bar
+from thicket.barcode import (_KEY_MIN_BARS, Bar, GradedBarcode, Interval,
+                             closed, half_open, open_iv,
                              ray_left, singleton)
 from thicket.circle import CircleSheaf
 from thicket.corpus import rand_circle_sheaf
@@ -194,6 +196,157 @@ def _outcome(fn, text):
     except Exception as exc:  # noqa: BLE001 - the class is what is compared
         return type(exc), str(exc)
     return type(x), x
+
+
+# ---------------------------------------------------------------------------
+# The framed read of barcode documents against the per-bar route.
+
+# Primes just below 2^32: the ends of three of them put the frame past
+# 2^64, where the read stays in the identity frame.
+_BIG_PRIMES = (4294967291, 4294967279, 4294967231, 4294967197, 4294967189)
+
+
+def _literal(rng, x) -> str:
+    """One of the ways to write the extended rational x: ``p/q``, ``p/q``
+    times k over k, a decimal where x has one, an integer, a sign."""
+    if x == POS_INF:
+        return rng.choice(("+inf", "inf", "oo", "+oo"))
+    if x == NEG_INF:
+        return rng.choice(("-inf", "-oo"))
+    forms = [str(x), f"{2 * x.numerator}/{2 * x.denominator}",
+             f"{x.numerator}/{x.denominator}"]
+    q = x.denominator
+    while q % 2 == 0:
+        q //= 2
+    while q % 5 == 0:
+        q //= 5
+    if q == 1:                          # a terminating decimal
+        forms.append(str(float(x)) if x.denominator < 10 ** 6 else str(x))
+    if x.numerator >= 0:
+        forms.append("+" + str(x))
+    return rng.choice(forms)
+
+
+# Bar lines that ``Interval`` or the line format refuses: empty, closed at
+# an infinite end, a bad literal, malformed.
+_BAD_BARS = ("0 (1, 1)", "0 [1, 1)", "1 [2, 1]", "0 (3/2, 1/2]",
+             "0 [-inf, 1)", "0 (0, +inf]", "0 (+inf, +inf)", "0 (1, -inf)",
+             "0 [0, 1/0]", "0 [0, abc]", "0 [1, 2, 3]", "0 [0, 1",
+             "x [0, 1]", "0", "0 <0, 1>", "2 []")
+
+
+def _value(rng, dens):
+    return Fr(rng.randint(-40, 40), rng.choice(dens))
+
+
+def _bar_text(rng, dens) -> str:
+    """A valid bar line: any shape, ends drawn from ``dens``."""
+    lk, rk = rng.choice("[("), rng.choice("])")
+    shape = rng.random()
+    lo, hi = sorted((_value(rng, dens), _value(rng, dens)))
+    if shape < 0.1:
+        lo, lk = NEG_INF, "("
+    elif shape < 0.2:
+        hi, rk = POS_INF, ")"
+    elif shape < 0.25:
+        lo, lk, hi, rk = NEG_INF, "(", POS_INF, ")"
+    elif shape < 0.35 or lo == hi:
+        hi, lk, rk = lo, "[", "]"       # a point
+    degree = rng.choice(("0", "1", "-1", "+2", "3"))
+    space = rng.choice((" ", "  "))
+    return (f"bar: {degree} {lk}{_literal(rng, lo)},{space}"
+            f"{_literal(rng, hi)}{rk}")
+
+
+def _document(rng, p, n, dens, bad=0.0) -> str:
+    lines = ["thicket/1", "kind: barcode", f"char: {p}", "space: line"]
+    for _ in range(n):
+        if rng.random() < bad:
+            lines.append("bar: " + rng.choice(_BAD_BARS))
+        else:
+            lines.append(_bar_text(rng, dens))
+        if rng.random() < 0.05:
+            lines.append(rng.choice(("", "# a comment")))
+    return "\n".join(lines) + "\n"
+
+
+def _parsed(read, text):
+    """("ok", payload) or ("error", message, line) of one read."""
+    try:
+        return "ok", read(text)
+    except DocumentError as exc:
+        return "error", str(exc), exc.line
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+class TestFramedParse:
+    """``parse`` reads a barcode document's bars in one frame; the per-bar
+    route, each bar a checked ``Interval``, gives the same payload, or the
+    same error on the same line."""
+
+    @staticmethod
+    def _check(text):
+        got = _parsed(lambda t: parse(t).payload, text)
+        assert got == _parsed(parse_per_bar, text), text
+        if got[0] == "ok":
+            for b in got[1].bars:
+                iv = b.iv
+                assert type(iv) is Interval and all(
+                    type(x) is Fr or x in (NEG_INF, POS_INF)
+                    for x in (iv.left, iv.right)), b
+                assert Interval(iv.left, iv.lkind, iv.right, iv.rkind) == iv
+        return got[0]
+
+    def test_valid_documents_match_the_per_bar_route(self, p):
+        rng = random.Random(80 + p)
+        sizes = (0, 1, 2, _KEY_MIN_BARS - 1, _KEY_MIN_BARS, _KEY_MIN_BARS + 1,
+                 60)
+        for n in sizes:
+            for dens in ((1, 2, 4), (1, 2, 3, 5, 8, 10), _BIG_PRIMES):
+                for _ in range(3):
+                    assert self._check(_document(rng, p, n, dens)) == "ok"
+
+    def test_one_value_in_three_spellings(self, p):
+        """``1/2``, ``2/4`` and ``0.5`` are three literals of one value:
+        one end in the frame, one bar."""
+        lines = ["thicket/1", "kind: barcode", f"char: {p}"]
+        lines += [f"bar: 0 [{x}, 3]" for x in ("1/2", "2/4", "0.5") * 7]
+        text = "\n".join(lines) + "\n"
+        assert self._check(text) == "ok"
+        F = parse(text).payload
+        assert len(F) == 21 and len(set(F.bars)) == 1
+        assert F.bars[0].iv == closed(Fr(1, 2), 3)
+
+    def test_errors_match_the_per_bar_route(self, p):
+        """Documents with bad bars here and there: the first offending line
+        in document order names the error, malformed, a bad literal or
+        empty alike."""
+        rng = random.Random(90 + p)
+        seen = set()
+        for n in (1, 5, _KEY_MIN_BARS, 40, 60):
+            for dens in ((1, 2, 4), _BIG_PRIMES):
+                for _ in range(12):
+                    seen.add(self._check(_document(rng, p, n, dens, bad=0.04)))
+        assert seen == {"ok", "error"}
+
+    def test_the_first_offending_line_names_the_error(self, p):
+        """An empty bar on line 6 comes before a bad literal on line 9: the
+        frame check of the empty bar would run only after every literal is
+        read, and line 6 still names the error, with or without line 9, and
+        in or out of a frame."""
+        lines = ["thicket/1", "kind: barcode", f"char: {p}", "space: line",
+                 "bar: 0 [0, 1]", "bar: 0 (1, 1)", "bar: 1 [0, 2)",
+                 "bar: 0 (1/3, 2]", "bar: 0 [0, 1/0]"]
+        lines += [f"bar: 0 [{k}, {k + 1}]" for k in range(20)]
+        fixed = lines[:8] + ["bar: 0 [0, 1/2]"] + lines[9:]
+        for text in ("\n".join(lines) + "\n", "\n".join(lines[:9]) + "\n",
+                     "\n".join(fixed) + "\n", "\n".join(fixed[:9]) + "\n"):
+            assert self._check(text) == "error"
+            with pytest.raises(DocumentError) as exc:
+                parse(text)
+            assert exc.value.line == 6
+            assert str(exc.value) == ("invalid interval '(1, 1)': empty "
+                                      "degenerate interval: (1, 1) (line 6)")
 
 
 class TestLiterals:
